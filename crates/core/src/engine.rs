@@ -23,7 +23,7 @@
 use noc_energy::{Bits, TechnologyLibrary};
 use noc_fabric::{
     ClockDomain, Grid2d, IpContext, IpCore, LinkId, Message, MessageId, NodeId, NullIp, Topology,
-    WireCodec,
+    WireCodec, MAX_NODES, MAX_PAYLOAD_BYTES,
 };
 use noc_faults::{
     AdversarialScenario, ByzantineMode, CrashSchedule, FaultInjector, FaultModel, InjectionTally,
@@ -49,86 +49,10 @@ use crate::send_buffer::{InsertOutcome, SendBuffer};
 use crate::shard::{
     age_shard, file_shard, forward_shard_tape, forward_shard_uniform, plan_terminations,
     receive_shard, shard_ranges, split_chunks, AgeOut, FileOut, ForwardOut, ForwardTape, LinkTx,
-    OverflowPlan, OverflowSpan, ReceiveCtx, ReceiveOut, ReceiveTape, ServeCmd, ServeSource,
-    TilePlan, TxOutcome, UniformForwardCtx,
+    OverflowPlan, OverflowSpan, ReceiveCtx, ReceiveOut, ReceiveTape, ServeCmd, ServeKind, TilePlan,
+    TxOutcome, UniformForwardCtx,
 };
-
-/// A frame in flight on a link.
-///
-/// The wire bytes are shared: fanning one transmission out to `d` links
-/// clones the `Arc`, not the frame. A scrambled copy is rewritten
-/// copy-on-write by [`FaultInjector::scramble_shared`], so corruption on
-/// one link never leaks into sibling copies. The arrival link (`None`
-/// for local loopback) rides along purely for event attribution.
-#[derive(Debug, Clone)]
-pub(crate) struct Frame {
-    pub(crate) bytes: Arc<[u8]>,
-    pub(crate) scrambled: bool,
-    pub(crate) via: Option<LinkId>,
-}
-
-/// One remembered encoding in the per-round [`FrameMemo`].
-///
-/// The key `(MessageId, ttl)` is not quite unique: an *undetected* upset
-/// can put a byte-different copy of the same id into circulation, and the
-/// two copies must keep encoding differently. Each entry therefore carries
-/// the header fields and payload it was encoded from and is only reused on
-/// an exact match.
-struct MemoEntry {
-    source: NodeId,
-    destination: NodeId,
-    payload: Arc<[u8]>,
-    frame: Arc<[u8]>,
-}
-
-impl MemoEntry {
-    fn matches(&self, message: &Message) -> bool {
-        self.source == message.source
-            && self.destination == message.destination
-            && (Arc::ptr_eq(&self.payload, &message.payload) || self.payload == message.payload)
-    }
-}
-
-/// Per-round memo of encoded frames.
-///
-/// During the forward phase every tile holding a message at the same TTL
-/// produces the identical wire frame, so the CRC/LFSR encode work is done
-/// once per `(message, ttl)` per round instead of once per tile. Cleared
-/// at the start of each forward phase; TTLs decrement every round, so
-/// entries can never be stale across rounds. Keyed by `BTreeMap` so no
-/// hash-iteration order can ever leak into observable state.
-#[derive(Default)]
-pub(crate) struct FrameMemo {
-    map: BTreeMap<(MessageId, u8), Vec<MemoEntry>>,
-    scratch: Vec<u8>,
-}
-
-impl FrameMemo {
-    pub(crate) fn begin_round(&mut self) {
-        self.map.clear();
-    }
-
-    /// Returns the shared wire frame for `message`, encoding it at most
-    /// once per round.
-    pub(crate) fn frame_for(&mut self, codec: &WireCodec, message: &Message) -> Arc<[u8]> {
-        let key = (message.id, message.ttl);
-        if let Some(entries) = self.map.get(&key) {
-            if let Some(entry) = entries.iter().find(|e| e.matches(message)) {
-                return Arc::clone(&entry.frame);
-            }
-        }
-        self.scratch.clear();
-        codec.encode_into(message, &mut self.scratch);
-        let frame: Arc<[u8]> = Arc::from(&self.scratch[..]);
-        self.map.entry(key).or_default().push(MemoEntry {
-            source: message.source,
-            destination: message.destination,
-            payload: Arc::clone(&message.payload),
-            frame: Arc::clone(&frame),
-        });
-        frame
-    }
-}
+use crate::wire::{Frame, Wire, WireEntry, WireTable, NO_LINK};
 
 /// Per-round statistics returned by [`Simulation::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -378,7 +302,9 @@ impl SimulationBuilder {
     /// # Panics
     ///
     /// Panics if the protocol configuration or fault model is invalid
-    /// (construct them through their checked builders to avoid this).
+    /// (construct them through their checked builders to avoid this),
+    /// or if the topology has more tiles than the wire format's 16-bit
+    /// node fields address or more links than a frame handle does.
     pub fn build_with_sink<S: EventSink>(self, sink: S) -> Simulation<S> {
         self.config
             .validate()
@@ -388,9 +314,17 @@ impl SimulationBuilder {
             .validate()
             // noc-lint: allow(hot-path-panic, reason = "builder-time validation; runs once before the round loop, never per step")
             .unwrap_or_else(|e| panic!("invalid adversarial scenario: {e}"));
-        let mut injector = FaultInjector::new(self.fault_model, self.seed);
         let n = self.topology.node_count();
         let m = self.topology.link_count();
+        assert!(
+            n <= MAX_NODES,
+            "topology has {n} tiles; the wire format addresses at most {MAX_NODES}"
+        );
+        assert!(
+            (m as u64) < u64::from(NO_LINK),
+            "topology has {m} links; a frame handle addresses fewer than {NO_LINK}"
+        );
+        let mut injector = FaultInjector::new(self.fault_model, self.seed);
         let tiles_alive = injector.sample_alive_tiles(n);
         let links_alive = injector.sample_alive_links(m);
         // Permanent adversarial death folds into the crash schedule:
@@ -485,7 +419,7 @@ impl SimulationBuilder {
             inbox_later: vec![Vec::new(); n],
             inbox_scratch: vec![Vec::new(); n],
             delivery_scratch: vec![Vec::new(); n],
-            frame_memo: FrameMemo::default(),
+            wires: WireTable::default(),
             informed: BTreeMap::new(),
             tiles_alive,
             links_alive,
@@ -592,8 +526,9 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// One activation/forgery RNG stream per compromised tile.
     byz_streams: BTreeMap<usize, StdRng>,
     /// The frame each Byzantine tile most recently forwarded
-    /// legitimately — the replay attack's ammunition.
-    byz_last_frame: Vec<Option<(MessageId, Arc<[u8]>)>>,
+    /// legitimately — the replay attack's ammunition. Held by value: it
+    /// outlives the wire-table generation it was sent in.
+    byz_last_frame: Vec<Option<(MessageId, WireEntry)>>,
     injector: FaultInjector,
     codec: WireCodec,
     tiles_alive: Vec<bool>,
@@ -611,8 +546,9 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// receive and compute phases.
     // noc-lint: allow(checkpoint-coverage, reason = "intra-round staging, always empty at the round boundary where checkpoints are taken")
     delivery_scratch: Vec<Vec<(NodeId, Arc<[u8]>)>>,
-    // noc-lint: allow(checkpoint-coverage, reason = "per-round CRC memo keyed by frame identity; repopulated from scratch each round")
-    frame_memo: FrameMemo,
+    /// The bytes behind every in-flight [`Frame`] handle, rotated with
+    /// the arenas (a checkpoint resolves the handles to bytes).
+    wires: WireTable,
     /// Tiles whose send buffer has seen each message id — maintained at
     /// first-sight so `informed_count` is cheap instead of an O(n) scan.
     /// Ordered so the purge loop and any future iteration are seeded-run
@@ -797,7 +733,17 @@ impl<S: EventSink> Simulation<S> {
     /// The message enters `source`'s send buffer at the current round. If
     /// the source tile is dead, the message is recorded but lost. A
     /// message addressed to its own source is delivered immediately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is longer than [`MAX_PAYLOAD_BYTES`], the
+    /// most the wire format's length field can declare.
     pub fn inject(&mut self, source: NodeId, destination: NodeId, payload: Vec<u8>) -> MessageId {
+        assert!(
+            payload.len() <= MAX_PAYLOAD_BYTES,
+            "payload of {} bytes exceeds the wire format's {MAX_PAYLOAD_BYTES}-byte limit",
+            payload.len()
+        );
         let id = MessageId(self.next_message_id);
         self.next_message_id += 1;
         let frame_bits = self.codec.frame_bits(payload.len());
@@ -823,17 +769,13 @@ impl<S: EventSink> Simulation<S> {
                 });
             }
             // Local loopback skips the network; the IP sees it next round.
-            let frame: Arc<[u8]> = self.codec.encode(&message).into();
+            let wire = self.wires.push(WireEntry::encode(&self.codec, message));
             let inbox = &mut self.inbox_next[source.index()];
             if inbox.is_empty() {
                 self.inflight.next.tiles.insert(source.index());
             }
             self.inflight.next.frames += 1;
-            inbox.push(Frame {
-                bytes: frame,
-                scrambled: false,
-                via: None,
-            });
+            inbox.push(Frame::new(wire, None));
             return id;
         }
         if self.buffers[source.index()].insert(message) {
@@ -938,10 +880,13 @@ impl<S: EventSink> Simulation<S> {
                 .map(|frames| {
                     frames
                         .iter()
-                        .map(|f| FrameState {
-                            bytes: f.bytes.to_vec(),
-                            scrambled: f.scrambled,
-                            via: f.via.map(|l| l.index() as u64),
+                        .map(|f| {
+                            let entry = self.wires.entry(f.wire);
+                            FrameState {
+                                bytes: entry.bytes.to_vec(),
+                                scrambled: entry.message.is_none(),
+                                via: f.via().map(|l| l.index() as u64),
+                            }
                         })
                         .collect()
                 })
@@ -970,7 +915,7 @@ impl<S: EventSink> Simulation<S> {
                 .enumerate()
                 .filter_map(|(tile, slot)| {
                     slot.as_ref()
-                        .map(|(id, frame)| (tile as u64, id.0, frame.to_vec()))
+                        .map(|(id, frame)| (tile as u64, id.0, frame.bytes.to_vec()))
                 })
                 .collect(),
             tiles_alive: self.tiles_alive.clone(),
@@ -1087,6 +1032,15 @@ impl<S: EventSink> Simulation<S> {
         {
             return Err(CheckpointError::Mismatch("byzantine replay tile index"));
         }
+        if ck.buffers.iter().flat_map(|b| &b.messages).any(|msg| {
+            msg.source >= n as u64
+                || msg.destination >= n as u64
+                || msg.payload.len() > MAX_PAYLOAD_BYTES
+        }) {
+            return Err(CheckpointError::Mismatch(
+                "buffered message does not fit the wire format",
+            ));
+        }
 
         self.round = ck.round;
         self.next_message_id = ck.next_message_id;
@@ -1109,10 +1063,21 @@ impl<S: EventSink> Simulation<S> {
                 *stream = StdRng::from_state(state);
             }
         }
+        // Unscrambled frames carry the message they encode; one that
+        // fails the CRC or does not parse is not this engine's output.
+        let codec = &self.codec;
+        let unscrambled = |bytes: &[u8]| match codec.decode(bytes) {
+            Ok(message) => Ok(WireEntry {
+                bytes: Arc::from(bytes),
+                message: Some(message),
+            }),
+            Err(_) => Err(CheckpointError::Mismatch(
+                "unscrambled frame does not decode",
+            )),
+        };
         self.byz_last_frame = vec![None; n];
         for (tile, id, frame) in &ck.byz_last_frames {
-            self.byz_last_frame[*tile as usize] =
-                Some((MessageId(*id), Arc::from(frame.as_slice())));
+            self.byz_last_frame[*tile as usize] = Some((MessageId(*id), unscrambled(frame)?));
         }
         self.tiles_alive = ck.tiles_alive.clone();
         self.links_alive = ck.links_alive.clone();
@@ -1122,6 +1087,9 @@ impl<S: EventSink> Simulation<S> {
             .map(|&(skew, slips)| ClockDomain::from_parts(skew, slips))
             .collect();
         self.egress_next = ck.egress_next.iter().map(|o| o.map(MessageId)).collect();
+        // Tiles buffering the same message share its payload bytes, as
+        // they do in a live run.
+        let mut payloads: BTreeMap<&[u8], Arc<[u8]>> = BTreeMap::new();
         self.buffers = ck
             .buffers
             .iter()
@@ -1130,12 +1098,15 @@ impl<S: EventSink> Simulation<S> {
                     buf.messages
                         .iter()
                         .map(|msg| {
+                            let payload = payloads
+                                .entry(&msg.payload)
+                                .or_insert_with(|| Arc::from(msg.payload.as_slice()));
                             Message::new(
                                 MessageId(msg.id),
                                 NodeId(msg.source as usize),
                                 NodeId(msg.destination as usize),
                                 msg.ttl,
-                                msg.payload.clone(),
+                                Arc::clone(payload),
                             )
                         })
                         .collect(),
@@ -1144,23 +1115,38 @@ impl<S: EventSink> Simulation<S> {
                 )
             })
             .collect();
-        let arena = |arena: &[Vec<FrameState>]| -> Vec<Vec<Frame>> {
-            arena
-                .iter()
-                .map(|frames| {
-                    frames
-                        .iter()
-                        .map(|f| Frame {
-                            bytes: Arc::from(f.bytes.as_slice()),
-                            scrambled: f.scrambled,
-                            via: f.via.map(|l| LinkId(l as usize)),
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        self.inbox_next = arena(&ck.inbox_next);
-        self.inbox_later = arena(&ck.inbox_later);
+        // Arena frames are interned by content: the many in-flight
+        // copies of one wire frame share one entry again, as they did
+        // before the capture resolved their handles to bytes.
+        let mut interner = self.wires.interner();
+        for (saved, inboxes) in [
+            (&ck.inbox_next, &mut self.inbox_next),
+            (&ck.inbox_later, &mut self.inbox_later),
+        ] {
+            for (frames, inbox) in saved.iter().zip(inboxes.iter_mut()) {
+                inbox.reserve(frames.len());
+                for f in frames {
+                    if f.via.is_some_and(|link| link >= m as u64) {
+                        return Err(CheckpointError::Mismatch("arena frame link index"));
+                    }
+                    let wire = interner.intern(f.scrambled, &f.bytes, || {
+                        if f.scrambled {
+                            Ok(WireEntry {
+                                bytes: Arc::from(f.bytes.as_slice()),
+                                message: None,
+                            })
+                        } else {
+                            unscrambled(&f.bytes)
+                        }
+                    })?;
+                    inbox.push(Frame::new(wire, f.via.map(|l| LinkId(l as usize))));
+                }
+            }
+        }
+        // A freshly built table is empty, so the segment's relative
+        // handles are already in place.
+        let base = self.wires.adopt(interner.finish());
+        debug_assert_eq!(base, 0, "restore_from runs on a freshly built simulation");
         self.informed = ck
             .informed
             .iter()
@@ -1237,12 +1223,13 @@ impl<S: EventSink> Simulation<S> {
     /// becomes this round's arrivals (in `inbox_scratch`), the old
     /// `later` becomes `next`, and the vectors drained last round
     /// rotate back in as the fresh `later` — steady-state rounds
-    /// allocate no inbox memory. The inflight trackers rotate in
-    /// lockstep.
+    /// allocate no inbox memory. The inflight trackers and the wire
+    /// table's generations rotate in lockstep.
     fn rotate_arenas(&mut self) {
         std::mem::swap(&mut self.inbox_next, &mut self.inbox_scratch);
         std::mem::swap(&mut self.inbox_next, &mut self.inbox_later);
         self.inflight.rotate();
+        self.wires.rotate();
     }
 
     /// The single-shard round loop: the historical sequential engine,
@@ -1253,8 +1240,9 @@ impl<S: EventSink> Simulation<S> {
     /// golden digest still holds.
     fn step_sequential(&mut self) -> RoundStats {
         let round = self.round;
-        // Sequential rounds have no tape/fan-out/merge breakdown; the
-        // wall-clock plane gets the whole-round span only.
+        // Sequential rounds have no tape/fan-out/merge breakdown; inside
+        // the whole-round span the wall-clock plane gets one span per
+        // phase (compute runs user IP code and stays unattributed).
         let obs = self.obs.clone();
         let round_span = span_start(&obs);
         let mut stats = RoundStats {
@@ -1264,12 +1252,14 @@ impl<S: EventSink> Simulation<S> {
         self.rotate_arenas();
 
         // Phase 1: receive.
+        let span = span_start(&obs);
         {
             let Simulation {
                 ref config,
                 ref crash_schedule,
                 ref mut injector,
                 ref codec,
+                ref wires,
                 ref tiles_alive,
                 ref mut buffers,
                 ref mut inbox_scratch,
@@ -1304,11 +1294,12 @@ impl<S: EventSink> Simulation<S> {
                 }
                 apply_overflow_in_place(injector, report, sink, round, node, frames);
                 for frame in frames.drain(..) {
-                    let view = if frame.scrambled {
+                    let entry = wires.entry(frame.wire);
+                    let message = match &entry.message {
                         // A scrambled frame must take the real CRC check:
                         // it is usually discarded here, and the residual
                         // undetected-error rate is faithfully possible.
-                        match codec.decode_view(&frame.bytes) {
+                        None => match codec.decode_view(&entry.bytes) {
                             Ok(view) => {
                                 if terminated.contains(&view.id) {
                                     // Spread already terminated.
@@ -1336,46 +1327,39 @@ impl<S: EventSink> Simulation<S> {
                                     });
                                     continue;
                                 }
-                                view
+                                view.to_message()
                             }
                             Err(_) => {
                                 report.upsets_detected += 1;
                                 sink.emit(SimEvent::CrcReject {
                                     round,
                                     tile: node,
-                                    link: frame.via,
+                                    link: frame.via(),
                                 });
                                 continue;
                             }
-                        }
-                    } else {
+                        },
                         // Never-scrambled frames are bit-identical to our
-                        // own encoder's output, so the CRC holds by
-                        // construction and the id sits at a fixed offset.
-                        // Most arrivals in a flood are duplicates of an
-                        // already-buffered message: they die right here
-                        // on two hash probes, with no CRC or parse work.
-                        let id = codec
-                            .peek_id(&frame.bytes)
-                            // noc-lint: allow(hot-path-panic, reason = "engine invariant: never-scrambled frames come from our own encoder, so the header is present by construction")
-                            .expect("self-encoded frames carry a full header");
-                        if terminated.contains(&id) || buffers[tile].has_seen(id) {
-                            sink.emit(SimEvent::DuplicateDrop {
-                                round,
-                                tile: node,
-                                message: id,
-                            });
-                            continue;
+                        // own encoder's output, so the entry's message is
+                        // what they decode to. Most arrivals in a flood
+                        // are duplicates of an already-buffered message:
+                        // they die right here on the entry's id, without
+                        // a look at the bytes.
+                        Some(message) => {
+                            let id = message.id;
+                            if terminated.contains(&id) || buffers[tile].has_seen(id) {
+                                sink.emit(SimEvent::DuplicateDrop {
+                                    round,
+                                    tile: node,
+                                    message: id,
+                                });
+                                continue;
+                            }
+                            // First sighting: shares the payload bytes.
+                            message.clone()
                         }
-                        codec
-                            .decode_view_trusted(&frame.bytes)
-                            // noc-lint: allow(hot-path-panic, reason = "engine invariant: trusted decode of a frame this engine encoded; failure means a codec bug, not input")
-                            .expect("self-encoded frames parse")
                     };
-                    *informed.entry(view.id).or_insert(0) += 1;
-                    // First sighting: materialize owned (shared) payload
-                    // bytes off the borrowed frame.
-                    let message = view.to_message();
+                    *informed.entry(message.id).or_insert(0) += 1;
                     if message.destination == node {
                         if report.record_delivery(message.id, round) {
                             sink.emit(SimEvent::Delivery {
@@ -1417,6 +1401,7 @@ impl<S: EventSink> Simulation<S> {
             }
         }
         self.inflight.scratch.clear();
+        span_end(&obs, EnginePhase::Receive, span);
 
         // Phase 2: compute (IPs run with zero computation time).
         self.run_compute(round);
@@ -1425,6 +1410,7 @@ impl<S: EventSink> Simulation<S> {
         // frontier; spreads terminated this round are purged first.
         // (Spreads terminated in earlier rounds were purged then and can
         // never re-enter a buffer — the receive phase suppresses them.)
+        let span = span_start(&obs);
         {
             let Simulation {
                 ref mut buffers,
@@ -1463,11 +1449,13 @@ impl<S: EventSink> Simulation<S> {
             self.buffer_frontier.remove(tile as usize);
         }
         self.emptied_scratch = emptied;
+        span_end(&obs, EnginePhase::Age, span);
 
         // Phase 4: forward with probability p per (message, link). The
         // buffer is walked by reference, each frame is encoded at most
-        // once per round through the memo, and fan-out shares the frame
-        // bytes by `Arc` instead of cloning them per link.
+        // once per round through the wire table's memo, and fan-out
+        // copies the 8-byte handle per link.
+        let span = span_start(&obs);
         {
             let Simulation {
                 ref topology,
@@ -1479,13 +1467,13 @@ impl<S: EventSink> Simulation<S> {
                 ref mut byz_last_frame,
                 ref mut injector,
                 ref codec,
+                ref mut wires,
                 ref tiles_alive,
                 ref links_alive,
                 ref buffers,
                 ref mut clocks,
                 ref mut inbox_next,
                 ref mut inbox_later,
-                ref mut frame_memo,
                 ref egress_limits,
                 ref mut egress_next,
                 ref forward_overrides,
@@ -1495,7 +1483,18 @@ impl<S: EventSink> Simulation<S> {
                 ref mut inflight,
                 ..
             } = *self;
-            frame_memo.begin_round();
+            let mut tx = TxContext {
+                topology,
+                links_alive,
+                crash_schedule,
+                adversary,
+                injector,
+                chaos_streams,
+                wires,
+                report,
+                stats: &mut stats,
+                round,
+            };
             for tile in buffer_frontier.iter() {
                 let node = NodeId(tile);
                 let msgs = buffers[tile].messages();
@@ -1504,138 +1503,53 @@ impl<S: EventSink> Simulation<S> {
                 }
                 let p = forward_overrides[tile].unwrap_or(config.forward_probability);
                 // Synchronization: a slipped tile delivers one round late.
-                let skew = injector.round_skew();
+                let skew = tx.injector.round_skew();
                 let slips = clocks[tile].advance(skew);
                 for _ in 0..slips {
                     sink.emit(SimEvent::ClockSlip { round, tile: node });
                 }
                 let slipped = slips > 0;
                 let len = msgs.len();
-                let (start, count) = match egress_limits[tile] {
-                    // Serve the buffer round-robin so a long-lived head
-                    // does not starve later arrivals (bus-style fair
-                    // arbitration). The resume point is a message *id*:
-                    // an index cursor would drift whenever the buffer
-                    // shrinks between rounds (TTL expiry, termination
-                    // purges) and skip or double-serve survivors.
-                    Some(limit) if len > limit => {
-                        let start = egress_next[tile]
-                            .and_then(|id| msgs.iter().position(|m| m.id == id))
-                            .unwrap_or(0);
-                        egress_next[tile] = Some(msgs[(start + limit) % len].id);
-                        (start, limit)
-                    }
-                    _ => (0, len),
-                };
+                let (start, count) =
+                    egress_window(egress_limits[tile], &mut egress_next[tile], msgs);
                 for k in 0..count {
                     let message = &msgs[(start + k) % len];
-                    let frame = frame_memo.frame_for(codec, message);
-                    sink.emit(SimEvent::Forwarded {
-                        round,
-                        tile: node,
-                        message: message.id,
-                    });
+                    let wire = tx.wires.frame_for(codec, message);
+                    sink.emit(ServeKind::Buffer.event(round, node, message.id));
                     if byz_streams.contains_key(&tile) {
-                        byz_last_frame[tile] = Some((message.id, Arc::clone(&frame)));
+                        byz_last_frame[tile] = Some((message.id, tx.wires.entry(wire).clone()));
                     }
-                    for &link_id in topology.out_links(node) {
-                        if p < 1.0 && !injector.rng().gen_bool_p(p) {
-                            continue;
-                        }
-                        transmit_frame(
-                            topology,
-                            links_alive,
-                            crash_schedule,
-                            adversary,
-                            injector,
-                            chaos_streams,
-                            report,
-                            sink,
-                            &mut stats,
-                            inbox_next,
-                            inbox_later,
-                            inflight,
-                            round,
-                            node,
-                            link_id,
-                            message.id,
-                            &frame,
-                            slipped,
-                        );
-                    }
+                    let serve = Serve {
+                        id: message.id,
+                        wire,
+                        frame_len: codec.frame_bytes(message.payload.len()),
+                        p,
+                        slipped,
+                    };
+                    tx.transmit(sink, inbox_next, inbox_later, inflight, node, serve);
                 }
                 // A compromised tile attacks after its legitimate service:
                 // one activation draw per armed round (from the tile's own
                 // stream), then a forged equivocation or a stale replay is
                 // flooded to *every* output link, ignoring the protocol's
                 // forwarding probability.
-                if adversary.byzantine.armed(tile, round) {
-                    if let Some(stream) = byz_streams.get_mut(&tile) {
-                        if stream.gen_bool_p(adversary.byzantine.activation_probability) {
-                            let attack = match adversary.byzantine.mode {
-                                ByzantineMode::Forge => {
-                                    let victim = &msgs[start % len];
-                                    let mut payload = victim.payload.to_vec();
-                                    if payload.is_empty() {
-                                        None
-                                    } else {
-                                        use rand::Rng;
-                                        let at = stream.gen_range(0..payload.len());
-                                        let mask = stream.gen_range(1..=255u64) as u8;
-                                        payload[at] ^= mask;
-                                        let forged = Message::new(
-                                            victim.id,
-                                            victim.source,
-                                            victim.destination,
-                                            victim.ttl,
-                                            payload,
-                                        );
-                                        let frame: Arc<[u8]> = codec.encode(&forged).into();
-                                        report.byzantine_forges += 1;
-                                        sink.emit(SimEvent::ByzantineForge {
-                                            round,
-                                            tile: node,
-                                            message: victim.id,
-                                        });
-                                        Some((victim.id, frame))
-                                    }
-                                }
-                                ByzantineMode::Replay => {
-                                    byz_last_frame[tile].clone().inspect(|(_, _)| {
-                                        report.byzantine_replays += 1;
-                                        sink.emit(SimEvent::ByzantineReplay { round, tile: node });
-                                    })
-                                }
-                            };
-                            if let Some((id, frame)) = attack {
-                                for &link_id in topology.out_links(node) {
-                                    transmit_frame(
-                                        topology,
-                                        links_alive,
-                                        crash_schedule,
-                                        adversary,
-                                        injector,
-                                        chaos_streams,
-                                        report,
-                                        sink,
-                                        &mut stats,
-                                        inbox_next,
-                                        inbox_later,
-                                        inflight,
-                                        round,
-                                        node,
-                                        link_id,
-                                        id,
-                                        &frame,
-                                        slipped,
-                                    );
-                                }
-                            }
-                        }
-                    }
+                let victim = &msgs[start % len];
+                if let Some((kind, id, entry)) =
+                    tx.byzantine_attack(byz_streams, byz_last_frame, codec, tile, victim)
+                {
+                    sink.emit(kind.event(round, node, id));
+                    let serve = Serve {
+                        id,
+                        frame_len: entry.bytes.len(),
+                        wire: tx.wires.push(entry),
+                        p: 1.0,
+                        slipped,
+                    };
+                    tx.transmit(sink, inbox_next, inbox_later, inflight, node, serve);
                 }
             }
         }
+        span_end(&obs, EnginePhase::Forward, span);
 
         self.finish_round(&mut stats);
         span_end(&obs, EnginePhase::Round, round_span);
@@ -1664,8 +1578,10 @@ impl<S: EventSink> Simulation<S> {
             }
             self.delivery_scratch[tile] = delivered;
             self.ips[tile].on_round(&mut ctx);
+            // The tile is alive (checked above), so this is exactly an
+            // outside injection at it.
             for (destination, payload) in ctx.take_outbox() {
-                self.inject_from_ip(node, destination, payload);
+                self.inject(node, destination, payload);
             }
         }
         self.started = true;
@@ -1824,6 +1740,7 @@ impl<S: EventSink> Simulation<S> {
                 &self.inbox_scratch,
                 &self.buffers,
                 &self.codec,
+                &self.wires,
                 &self.tiles_alive,
                 &self.crash_schedule,
                 &overflow_plan,
@@ -1846,6 +1763,7 @@ impl<S: EventSink> Simulation<S> {
                 ref config,
                 ref crash_schedule,
                 ref codec,
+                ref wires,
                 ref tiles_alive,
                 ref mut buffers,
                 ref mut inbox_scratch,
@@ -1859,6 +1777,7 @@ impl<S: EventSink> Simulation<S> {
                 round,
                 frontier: &inflight.scratch.tiles,
                 codec,
+                wires,
                 tiles_alive,
                 crash_schedule,
                 overflow: overflow_plan,
@@ -1983,7 +1902,7 @@ impl<S: EventSink> Simulation<S> {
         // Phase 4: forward. Fully-deterministic configurations skip the
         // tape: workers recompute outcomes locally (and return the
         // counter deltas the pre-pass would have accumulated).
-        let forward_outs: Vec<ForwardOut> = if self.buffer_frontier.is_empty() {
+        let mut forward_outs: Vec<ForwardOut> = if self.buffer_frontier.is_empty() {
             Vec::new()
         } else if self.uniform_forward {
             let fan_span = span_start(&obs);
@@ -1992,6 +1911,7 @@ impl<S: EventSink> Simulation<S> {
                 ref buffers,
                 ref topology,
                 ref codec,
+                ref wires,
                 ref tiles_alive,
                 ref links_alive,
                 ref crash_schedule,
@@ -2006,6 +1926,7 @@ impl<S: EventSink> Simulation<S> {
                 buffers,
                 topology,
                 codec,
+                wires,
                 tiles_alive,
                 links_alive,
                 crash_schedule,
@@ -2026,22 +1947,11 @@ impl<S: EventSink> Simulation<S> {
             let fan_span = span_start(&obs);
             let Simulation {
                 ref forward_tape,
-                ref buffers,
                 ref topology,
-                ref codec,
                 ..
             } = *self;
             let outs = run_shards(ranges.clone(), |(lo, hi)| {
-                forward_shard_tape(
-                    round,
-                    lo,
-                    hi,
-                    forward_tape,
-                    buffers,
-                    topology,
-                    codec,
-                    record_events,
-                )
+                forward_shard_tape(round, lo, hi, forward_tape, topology, record_events)
             });
             span_end(&obs, EnginePhase::ShardFanout, fan_span);
             outs
@@ -2051,12 +1961,16 @@ impl<S: EventSink> Simulation<S> {
         } else {
             span_start(&obs)
         };
-        for out in &forward_outs {
+        for out in &mut forward_outs {
             for &event in &out.events {
                 self.sink.emit(event);
             }
-            // Uniform-mode counter deltas; the tape pre-pass accumulates
-            // these itself and leaves worker deltas at zero.
+            // Uniform-mode frames and counter deltas; the tape pre-pass
+            // registers and accumulates these itself and leaves the
+            // worker's segment absent and its deltas at zero.
+            if let Some(segment) = out.segment.take() {
+                out.wire_base = self.wires.adopt(segment);
+            }
             stats.transmissions += out.transmissions;
             self.report.packets_sent += out.transmissions;
             self.report.bits_sent += Bits(out.bits);
@@ -2110,11 +2024,11 @@ impl<S: EventSink> Simulation<S> {
     /// The forward phase's serial RNG pre-pass (sharded, non-uniform
     /// configurations): walks the buffer frontier in sequential tile
     /// order consuming every draw — forwarding Bernoullis, clock skew,
-    /// upsets (captured as XOR masks by scrambling a zero buffer of the
-    /// frame's length, which spends the identical draws), chaos jitter
-    /// and Byzantine activity — and records the outcomes on the tape
-    /// for the RNG-free workers. All transmission counters accumulate
-    /// here, in draw order.
+    /// upsets (each registered as a scrambled wire-table entry, exactly
+    /// as the sequential engine does), chaos jitter and Byzantine
+    /// activity — and records the outcomes, wire handles included, on
+    /// the tape for the RNG-free workers. All transmission counters
+    /// accumulate here, in draw order.
     fn build_forward_tape(&mut self, round: u64, stats: &mut RoundStats) {
         let Simulation {
             ref topology,
@@ -2126,11 +2040,11 @@ impl<S: EventSink> Simulation<S> {
             ref mut byz_last_frame,
             ref mut injector,
             ref codec,
+            ref mut wires,
             ref tiles_alive,
             ref links_alive,
             ref buffers,
             ref mut clocks,
-            ref mut frame_memo,
             ref egress_limits,
             ref mut egress_next,
             ref forward_overrides,
@@ -2140,7 +2054,18 @@ impl<S: EventSink> Simulation<S> {
             ..
         } = *self;
         forward_tape.clear();
-        frame_memo.begin_round();
+        let mut tx = TxContext {
+            topology,
+            links_alive,
+            crash_schedule,
+            adversary,
+            injector,
+            chaos_streams,
+            wires,
+            report,
+            stats,
+            round,
+        };
         for tile in buffer_frontier.iter() {
             let node = NodeId(tile);
             let msgs = buffers[tile].messages();
@@ -2148,125 +2073,41 @@ impl<S: EventSink> Simulation<S> {
                 continue;
             }
             let p = forward_overrides[tile].unwrap_or(config.forward_probability);
-            let skew = injector.round_skew();
+            let skew = tx.injector.round_skew();
             let slips = clocks[tile].advance(skew);
             let slipped = slips > 0;
             let serves_start = forward_tape.serves.len() as u32;
             let len = msgs.len();
-            let (start, count) = match egress_limits[tile] {
-                Some(limit) if len > limit => {
-                    let start = egress_next[tile]
-                        .and_then(|id| msgs.iter().position(|m| m.id == id))
-                        .unwrap_or(0);
-                    egress_next[tile] = Some(msgs[(start + limit) % len].id);
-                    (start, limit)
-                }
-                _ => (0, len),
-            };
+            let (start, count) = egress_window(egress_limits[tile], &mut egress_next[tile], msgs);
             for k in 0..count {
-                let slot = (start + k) % len;
-                let message = &msgs[slot];
-                let frame_len = codec.frame_bytes(message.payload.len());
+                let message = &msgs[(start + k) % len];
+                let wire = tx.wires.frame_for(codec, message);
                 if byz_streams.contains_key(&tile) {
-                    // Replay ammunition must be the encoded frame; the
-                    // engine memo deduplicates the encode work.
-                    let frame = frame_memo.frame_for(codec, message);
-                    byz_last_frame[tile] = Some((message.id, frame));
+                    byz_last_frame[tile] = Some((message.id, tx.wires.entry(wire).clone()));
                 }
-                let txs_start = forward_tape.txs.len() as u32;
-                for &link_id in topology.out_links(node) {
-                    if p < 1.0 && !injector.rng().gen_bool_p(p) {
-                        continue;
-                    }
-                    plan_transmission(
-                        forward_tape,
-                        links_alive,
-                        crash_schedule,
-                        adversary,
-                        injector,
-                        chaos_streams,
-                        report,
-                        stats,
-                        round,
-                        link_id,
-                        frame_len,
-                        slipped,
-                    );
-                }
-                forward_tape.serves.push(ServeCmd {
-                    source: ServeSource::Buffer { slot: slot as u32 },
-                    txs: (txs_start, forward_tape.txs.len() as u32),
-                });
+                let serve = Serve {
+                    id: message.id,
+                    wire,
+                    frame_len: codec.frame_bytes(message.payload.len()),
+                    p,
+                    slipped,
+                };
+                tx.plan(forward_tape, node, ServeKind::Buffer, serve);
             }
             // Byzantine attack after legitimate service, same stream
             // discipline as the sequential engine.
-            if adversary.byzantine.armed(tile, round) {
-                if let Some(stream) = byz_streams.get_mut(&tile) {
-                    if stream.gen_bool_p(adversary.byzantine.activation_probability) {
-                        let attack = match adversary.byzantine.mode {
-                            ByzantineMode::Forge => {
-                                let victim = &msgs[start % len];
-                                let mut payload = victim.payload.to_vec();
-                                if payload.is_empty() {
-                                    None
-                                } else {
-                                    use rand::Rng;
-                                    let at = stream.gen_range(0..payload.len());
-                                    let mask = stream.gen_range(1..=255u64) as u8;
-                                    payload[at] ^= mask;
-                                    let forged = Message::new(
-                                        victim.id,
-                                        victim.source,
-                                        victim.destination,
-                                        victim.ttl,
-                                        payload,
-                                    );
-                                    let frame: Arc<[u8]> = codec.encode(&forged).into();
-                                    report.byzantine_forges += 1;
-                                    Some(ServeSource::Forge {
-                                        id: victim.id,
-                                        frame,
-                                    })
-                                }
-                            }
-                            ByzantineMode::Replay => {
-                                byz_last_frame[tile].clone().map(|(id, frame)| {
-                                    report.byzantine_replays += 1;
-                                    ServeSource::Replay { id, frame }
-                                })
-                            }
-                        };
-                        if let Some(source) = attack {
-                            let frame_len = match &source {
-                                ServeSource::Forge { frame, .. }
-                                | ServeSource::Replay { frame, .. } => frame.len(),
-                                // Attack sources always carry a frame.
-                                ServeSource::Buffer { .. } => 0,
-                            };
-                            let txs_start = forward_tape.txs.len() as u32;
-                            for &link_id in topology.out_links(node) {
-                                plan_transmission(
-                                    forward_tape,
-                                    links_alive,
-                                    crash_schedule,
-                                    adversary,
-                                    injector,
-                                    chaos_streams,
-                                    report,
-                                    stats,
-                                    round,
-                                    link_id,
-                                    frame_len,
-                                    slipped,
-                                );
-                            }
-                            forward_tape.serves.push(ServeCmd {
-                                source,
-                                txs: (txs_start, forward_tape.txs.len() as u32),
-                            });
-                        }
-                    }
-                }
+            let victim = &msgs[start % len];
+            if let Some((kind, id, entry)) =
+                tx.byzantine_attack(byz_streams, byz_last_frame, codec, tile, victim)
+            {
+                let serve = Serve {
+                    id,
+                    frame_len: entry.bytes.len(),
+                    wire: tx.wires.push(entry),
+                    p: 1.0,
+                    slipped,
+                };
+                tx.plan(forward_tape, node, kind, serve);
             }
             forward_tape.plans.push(TilePlan {
                 tile: tile as u32,
@@ -2275,234 +2116,242 @@ impl<S: EventSink> Simulation<S> {
             });
         }
     }
+}
 
-    fn inject_from_ip(&mut self, source: NodeId, destination: NodeId, payload: Vec<u8>) {
-        let id = MessageId(self.next_message_id);
-        self.next_message_id += 1;
-        let frame_bits = self.codec.frame_bits(payload.len());
-        self.report.record_injection(MessageRecord {
-            id,
-            source,
-            destination,
-            injected_round: self.round,
-            delivered_round: None,
-            frame_bits,
-        });
-        let message = Message::new(id, source, destination, self.config.default_ttl, payload);
-        if destination == source {
-            if self.report.record_delivery(id, self.round) {
-                self.sink.emit(SimEvent::Delivery {
-                    round: self.round,
-                    tile: source,
-                    message: id,
-                    source,
-                });
-            }
-            let frame: Arc<[u8]> = self.codec.encode(&message).into();
-            let inbox = &mut self.inbox_next[source.index()];
-            if inbox.is_empty() {
-                self.inflight.next.tiles.insert(source.index());
-            }
-            self.inflight.next.frames += 1;
-            inbox.push(Frame {
-                bytes: frame,
-                scrambled: false,
-                via: None,
-            });
-            return;
+/// The window of an egress-limited tile's buffer served this round:
+/// `(start, count)` into `msgs`, wrapping. The buffer is served
+/// round-robin so a long-lived head does not starve later arrivals
+/// (bus-style fair arbitration). The resume point `next` is a message
+/// *id*: an index cursor would drift whenever the buffer shrinks between
+/// rounds (TTL expiry, termination purges) and skip or double-serve
+/// survivors.
+fn egress_window(
+    limit: Option<usize>,
+    next: &mut Option<MessageId>,
+    msgs: &[Message],
+) -> (usize, usize) {
+    let len = msgs.len();
+    match limit {
+        Some(limit) if len > limit => {
+            let start = next
+                .and_then(|id| msgs.iter().position(|m| m.id == id))
+                .unwrap_or(0);
+            *next = Some(msgs[(start + limit) % len].id);
+            (start, limit)
         }
-        if self.buffers[source.index()].insert(message) {
-            self.live_total += 1;
-            self.buffer_frontier.insert(source.index());
-        }
-        *self.informed.entry(id).or_insert(0) += 1;
+        _ => (0, len),
     }
 }
 
-/// Transmits one frame onto `link_id` during the forward phase: counts
-/// it, swallows it on a dead or partitioned link, scrambles it on an
-/// upset, applies chaos jitter from the link's dedicated stream, and
-/// files it into the destination inbox (`inbox_later` when the sender
-/// slipped or the link delayed; queue-front when the link reordered).
-///
-/// Factoring the per-hop tail into one function keeps the legitimate
-/// forwarding loop and the Byzantine emission loop byte-identical in
-/// their draw order — both paths traverse exactly the same decision
-/// sequence per link.
-#[allow(clippy::too_many_arguments)] // the forward phase's split borrows, passed explicitly
-fn transmit_frame<S: EventSink>(
-    topology: &Topology,
-    links_alive: &[bool],
-    crash_schedule: &CrashSchedule,
-    adversary: &AdversarialScenario,
-    injector: &mut FaultInjector,
-    chaos_streams: &mut [StdRng],
-    report: &mut SimulationReport,
-    sink: &mut S,
-    stats: &mut RoundStats,
-    inbox_next: &mut [Vec<Frame>],
-    inbox_later: &mut [Vec<Frame>],
-    inflight: &mut Inflight,
-    round: u64,
-    from: NodeId,
-    link_id: LinkId,
-    message: MessageId,
-    frame: &Arc<[u8]>,
-    slipped: bool,
-) {
-    stats.transmissions += 1;
-    report.packets_sent += 1;
-    report.bits_sent += Bits((frame.len() * 8) as u64);
-    let to = topology.link(link_id).to;
-    sink.emit(SimEvent::FrameSent {
-        round,
-        from,
-        link: link_id,
-        to,
-        message,
-    });
-    let link_dead =
-        !links_alive[link_id.index()] || crash_schedule.link_dead(link_id.index(), round);
-    if link_dead {
-        report.crash_drops += 1;
-        sink.emit(SimEvent::CrashDrop {
-            round,
-            site: DropSite::Link(link_id),
-        });
-        return;
-    }
-    // Partition cuts are pure schedule lookups — no RNG draw — so a
-    // benign scenario leaves the main fault stream untouched.
-    if adversary.partitions.link_cut(link_id.index(), round) {
-        report.partition_drops += 1;
-        sink.emit(SimEvent::PartitionDrop {
-            round,
-            link: link_id,
-        });
-        return;
-    }
-    let mut out = Frame {
-        bytes: Arc::clone(frame),
-        scrambled: false,
-        via: Some(link_id),
-    };
-    if injector.upset_occurs() {
-        injector.scramble_shared(&mut out.bytes);
-        out.scrambled = true;
-    }
-    let mut held = slipped;
-    let mut front = false;
-    if !chaos_streams.is_empty() {
-        // Fixed draw order per surviving frame: delay first, then
-        // reorder. `gen_bool_p` short-circuits p = 0 without a draw, so
-        // a delay-only (or reorder-only) configuration consumes exactly
-        // one draw per frame from the link's stream.
-        let stream = &mut chaos_streams[link_id.index()];
-        if stream.gen_bool_p(adversary.chaos.delay_probability) {
-            report.adversarial_delays += 1;
-            sink.emit(SimEvent::AdversarialDelay {
-                round,
-                link: link_id,
-            });
-            held = true;
-        }
-        if stream.gen_bool_p(adversary.chaos.reorder_probability) {
-            report.adversarial_reorders += 1;
-            sink.emit(SimEvent::AdversarialReorder {
-                round,
-                link: link_id,
-            });
-            front = true;
-        }
-    }
-    let (inbox, track) = if held {
-        (&mut inbox_later[to.index()], &mut inflight.later)
-    } else {
-        (&mut inbox_next[to.index()], &mut inflight.next)
-    };
-    if inbox.is_empty() {
-        track.tiles.insert(to.index());
-    }
-    track.frames += 1;
-    if front {
-        inbox.insert(0, out);
-    } else {
-        inbox.push(out);
-    }
-}
-
-/// Pre-draws one transmission's fate onto the forward tape: counts it,
-/// decides dead-link/partition swallowing, captures an upset's XOR mask
-/// (scrambling a zero buffer of the frame's length consumes the
-/// identical draws the sequential engine would spend on the frame
-/// bytes — both error models are XOR-linear), and draws chaos jitter
-/// from the link's dedicated stream. The decision sequence per link is
-/// byte-identical to [`transmit_frame`]'s.
-#[allow(clippy::too_many_arguments)] // the forward pre-pass's split borrows, passed explicitly
-fn plan_transmission(
-    tape: &mut ForwardTape,
-    links_alive: &[bool],
-    crash_schedule: &CrashSchedule,
-    adversary: &AdversarialScenario,
-    injector: &mut FaultInjector,
-    chaos_streams: &mut [StdRng],
-    report: &mut SimulationReport,
-    stats: &mut RoundStats,
-    round: u64,
-    link_id: LinkId,
+/// One egress service: a wire frame offered to each output link of the
+/// serving tile with probability `p`.
+struct Serve {
+    id: MessageId,
+    wire: Wire,
     frame_len: usize,
+    p: f64,
+    /// The serving tile's clock slipped: delivery is one round late.
     slipped: bool,
-) {
-    stats.transmissions += 1;
-    report.packets_sent += 1;
-    report.bits_sent += Bits((frame_len * 8) as u64);
-    let link_dead =
-        !links_alive[link_id.index()] || crash_schedule.link_dead(link_id.index(), round);
-    let outcome = if link_dead {
-        report.crash_drops += 1;
-        TxOutcome::DeadLink
-    } else if adversary.partitions.link_cut(link_id.index(), round) {
-        report.partition_drops += 1;
-        TxOutcome::Partitioned
-    } else {
-        let scramble = if injector.upset_occurs() {
-            let mut mask = vec![0u8; frame_len];
-            injector.scramble(&mut mask);
-            Some(mask.into_boxed_slice())
+}
+
+/// The forward phase's split borrows that decide a transmission's fate.
+/// Both forward walks — the sequential loop, which files each frame at
+/// once, and the sharded pre-pass, which records it on the tape — draw
+/// through this one type, so their per-link decision sequence (and with
+/// it the RNG draw order) cannot diverge.
+struct TxContext<'a> {
+    topology: &'a Topology,
+    links_alive: &'a [bool],
+    crash_schedule: &'a CrashSchedule,
+    adversary: &'a AdversarialScenario,
+    injector: &'a mut FaultInjector,
+    chaos_streams: &'a mut [StdRng],
+    wires: &'a mut WireTable,
+    report: &'a mut SimulationReport,
+    stats: &'a mut RoundStats,
+    round: u64,
+}
+
+impl TxContext<'_> {
+    /// Decides one transmission onto `link_id`: counts it, swallows it
+    /// on a dead or partitioned link, registers a scrambled copy on an
+    /// upset, and draws chaos jitter from the link's dedicated stream.
+    fn decide(&mut self, link_id: LinkId, serve: &Serve) -> TxOutcome {
+        let round = self.round;
+        self.stats.transmissions += 1;
+        self.report.packets_sent += 1;
+        self.report.bits_sent += Bits((serve.frame_len * 8) as u64);
+        if !self.links_alive[link_id.index()]
+            || self.crash_schedule.link_dead(link_id.index(), round)
+        {
+            self.report.crash_drops += 1;
+            return TxOutcome::DeadLink;
+        }
+        // Partition cuts are pure schedule lookups — no RNG draw — so a
+        // benign scenario leaves the main fault stream untouched.
+        if self.adversary.partitions.link_cut(link_id.index(), round) {
+            self.report.partition_drops += 1;
+            return TxOutcome::Partitioned;
+        }
+        let wire = if self.injector.upset_occurs() {
+            self.wires.scrambled_copy(self.injector, serve.wire)
         } else {
-            None
+            serve.wire
         };
-        let mut held = slipped;
-        let mut front = false;
+        let mut held = serve.slipped;
         let mut delayed = false;
         let mut reordered = false;
-        if !chaos_streams.is_empty() {
-            // Same fixed draw order as `transmit_frame`: delay first,
-            // then reorder, from the link's dedicated stream.
-            let stream = &mut chaos_streams[link_id.index()];
-            if stream.gen_bool_p(adversary.chaos.delay_probability) {
-                report.adversarial_delays += 1;
+        if !self.chaos_streams.is_empty() {
+            // Fixed draw order per surviving frame: delay first, then
+            // reorder. `gen_bool_p` short-circuits p = 0 without a draw, so
+            // a delay-only (or reorder-only) configuration consumes exactly
+            // one draw per frame from the link's stream.
+            let stream = &mut self.chaos_streams[link_id.index()];
+            if stream.gen_bool_p(self.adversary.chaos.delay_probability) {
+                self.report.adversarial_delays += 1;
                 held = true;
                 delayed = true;
             }
-            if stream.gen_bool_p(adversary.chaos.reorder_probability) {
-                report.adversarial_reorders += 1;
-                front = true;
+            if stream.gen_bool_p(self.adversary.chaos.reorder_probability) {
+                self.report.adversarial_reorders += 1;
                 reordered = true;
             }
         }
         TxOutcome::Deliver {
-            scramble,
+            wire,
             held,
-            front,
             delayed,
             reordered,
         }
-    };
-    tape.txs.push(LinkTx {
-        link: link_id,
-        outcome,
-    });
+    }
+
+    /// Offers `serve` to each output link of `from` (one forwarding
+    /// Bernoulli per link when `p < 1`) and hands every transmission's
+    /// decided fate to `file`.
+    fn offer(&mut self, from: NodeId, serve: &Serve, mut file: impl FnMut(LinkId, TxOutcome)) {
+        let topology = self.topology;
+        for &link_id in topology.out_links(from) {
+            if serve.p < 1.0 && !self.injector.rng().gen_bool_p(serve.p) {
+                continue;
+            }
+            file(link_id, self.decide(link_id, serve));
+        }
+    }
+
+    /// The sequential engine's service: emits each transmission's
+    /// events and files the frame into the destination inbox
+    /// (`inbox_later` when held; queue-front when reordered).
+    fn transmit<S: EventSink>(
+        &mut self,
+        sink: &mut S,
+        inbox_next: &mut [Vec<Frame>],
+        inbox_later: &mut [Vec<Frame>],
+        inflight: &mut Inflight,
+        from: NodeId,
+        serve: Serve,
+    ) {
+        let (round, topology) = (self.round, self.topology);
+        self.offer(from, &serve, |link_id, outcome| {
+            let to = topology.link(link_id).to;
+            sink.emit(SimEvent::FrameSent {
+                round,
+                from,
+                link: link_id,
+                to,
+                message: serve.id,
+            });
+            outcome.emit_after_send(round, link_id, |event| sink.emit(event));
+            if let TxOutcome::Deliver {
+                wire,
+                held,
+                reordered,
+                ..
+            } = outcome
+            {
+                let (inbox, track) = if held {
+                    (&mut inbox_later[to.index()], &mut inflight.later)
+                } else {
+                    (&mut inbox_next[to.index()], &mut inflight.next)
+                };
+                if inbox.is_empty() {
+                    track.tiles.insert(to.index());
+                }
+                track.frames += 1;
+                let frame = Frame::new(wire, Some(link_id));
+                if reordered {
+                    inbox.insert(0, frame);
+                } else {
+                    inbox.push(frame);
+                }
+            }
+        });
+    }
+
+    /// The sharded pre-pass's service: records each transmission's fate
+    /// on the tape.
+    fn plan(&mut self, tape: &mut ForwardTape, from: NodeId, kind: ServeKind, serve: Serve) {
+        let txs_start = tape.txs.len() as u32;
+        self.offer(from, &serve, |link, outcome| {
+            tape.txs.push(LinkTx { link, outcome });
+        });
+        tape.serves.push(ServeCmd {
+            kind,
+            id: serve.id,
+            txs: (txs_start, tape.txs.len() as u32),
+        });
+    }
+
+    /// A compromised tile's attack for this round, if it is armed and
+    /// its activation draw fires: a forgery of `victim` (one corrupted
+    /// payload byte, re-encoded so the CRC holds) or a replay of the
+    /// tile's last legitimate frame, as the wire entry to flood.
+    fn byzantine_attack(
+        &mut self,
+        byz_streams: &mut BTreeMap<usize, StdRng>,
+        byz_last_frame: &[Option<(MessageId, WireEntry)>],
+        codec: &WireCodec,
+        tile: usize,
+        victim: &Message,
+    ) -> Option<(ServeKind, MessageId, WireEntry)> {
+        let byzantine = &self.adversary.byzantine;
+        if !byzantine.armed(tile, self.round) {
+            return None;
+        }
+        let stream = byz_streams.get_mut(&tile)?;
+        if !stream.gen_bool_p(byzantine.activation_probability) {
+            return None;
+        }
+        match byzantine.mode {
+            ByzantineMode::Forge => {
+                let mut payload = victim.payload.to_vec();
+                if payload.is_empty() {
+                    return None;
+                }
+                use rand::Rng;
+                let at = stream.gen_range(0..payload.len());
+                let mask = stream.gen_range(1..=255u64) as u8;
+                payload[at] ^= mask;
+                let forged = Message::new(
+                    victim.id,
+                    victim.source,
+                    victim.destination,
+                    victim.ttl,
+                    payload,
+                );
+                self.report.byzantine_forges += 1;
+                Some((
+                    ServeKind::Forge,
+                    victim.id,
+                    WireEntry::encode(codec, forged),
+                ))
+            }
+            ByzantineMode::Replay => {
+                let (id, entry) = byz_last_frame[tile].clone()?;
+                self.report.byzantine_replays += 1;
+                Some((ServeKind::Replay, id, entry))
+            }
+        }
+    }
 }
 
 /// Runs one worker per shard on scoped threads, executing the last

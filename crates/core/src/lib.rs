@@ -65,6 +65,7 @@ mod shard;
 pub mod spread;
 mod trace;
 pub mod tuning;
+mod wire;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use config::{InvalidConfig, StochasticConfig};

@@ -23,8 +23,10 @@ use noc_obs::{Counter, Histogram, Metrics, Stopwatch};
 /// scoped-worker execution of a phase across shards; `Merge` the
 /// main-thread replay of worker results in deterministic order;
 /// `Quiescence` the end-of-round frontier/inflight bookkeeping that
-/// decides termination; `Round` a whole sequential (shards = 1) round,
-/// where the sharded breakdown does not apply.
+/// decides termination; `Round` a whole round of either loop. The
+/// sequential (shards = 1) loop has no tape/fan-out/merge breakdown:
+/// inside its `Round` span it times its `Receive`, `Age` and `Forward`
+/// phases instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePhase {
     /// Serial RNG pre-pass building a replay tape.
@@ -35,8 +37,14 @@ pub enum EnginePhase {
     Merge,
     /// End-of-round quiescence detection and termination bookkeeping.
     Quiescence,
-    /// One whole round of the sequential engine.
+    /// One whole round.
     Round,
+    /// The sequential loop's receive phase.
+    Receive,
+    /// The sequential loop's age phase.
+    Age,
+    /// The sequential loop's forward phase.
+    Forward,
 }
 
 impl EnginePhase {
@@ -47,6 +55,9 @@ impl EnginePhase {
             EnginePhase::Merge => "merge",
             EnginePhase::Quiescence => "quiescence",
             EnginePhase::Round => "round",
+            EnginePhase::Receive => "receive",
+            EnginePhase::Age => "age",
+            EnginePhase::Forward => "forward",
         }
     }
 }
@@ -61,6 +72,9 @@ pub struct EngineObs {
     merge: Histogram,
     quiescence: Histogram,
     round: Histogram,
+    receive: Histogram,
+    age: Histogram,
+    forward: Histogram,
     rounds: Counter,
 }
 
@@ -76,6 +90,9 @@ impl EngineObs {
             merge: phase(EnginePhase::Merge),
             quiescence: phase(EnginePhase::Quiescence),
             round: phase(EnginePhase::Round),
+            receive: phase(EnginePhase::Receive),
+            age: phase(EnginePhase::Age),
+            forward: phase(EnginePhase::Forward),
             rounds: metrics.counter("engine_rounds_total", &[]),
         }
     }
@@ -88,6 +105,9 @@ impl EngineObs {
             EnginePhase::Merge => &self.merge,
             EnginePhase::Quiescence => &self.quiescence,
             EnginePhase::Round => &self.round,
+            EnginePhase::Receive => &self.receive,
+            EnginePhase::Age => &self.age,
+            EnginePhase::Forward => &self.forward,
         };
         hist.observe(&span);
     }

@@ -29,7 +29,14 @@ const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014).
 pub fn split_mix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GOLDEN_GAMMA);
-    let mut z = *state;
+    mix64(*state)
+}
+
+/// The SplitMix64 output finalizer on its own: a bijective mix in which
+/// every input bit reaches every output bit. Also the engine's
+/// [`MessageId`](noc_fabric::MessageId) hash (`crate::wire::IdHasher`).
+#[inline]
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

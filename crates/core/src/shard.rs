@@ -12,10 +12,11 @@
 //!   sequence for every shard count, which is what keeps reports
 //!   byte-identical across `--shards N`.
 //! * **Shard workers are RNG-free.** They execute the recorded
-//!   outcomes: CRC decode, dedup, buffer insertion, frame encoding,
-//!   scramble-mask application (upsets are XOR-linear, so the pre-pass
-//!   captures the mask and workers apply it copy-on-write), and egress
-//!   bucketing.
+//!   outcomes: CRC decode, dedup, buffer insertion and egress
+//!   bucketing. Frames travel as handles into the engine's
+//!   [`WireTable`]: the forward pre-pass registers every frame it
+//!   plans — scrambled copies included — so the tape carries handles
+//!   and workers never encode or scramble.
 //! * **Merges walk shards in ascending tile order**, so per-location
 //!   event order, report counter accumulation and delivery arbitration
 //!   replay the sequential engine's order exactly.
@@ -28,8 +29,10 @@
 //! Fully-deterministic configurations (no upsets, no skew, no chaos, no
 //! Byzantine tiles, every effective forwarding probability 0 or 1) skip
 //! the forward tape entirely: [`forward_shard_uniform`] recomputes the
-//! deterministic outcomes locally, which is the mega-grid flooding fast
-//! path the `perf_baseline` gate measures.
+//! deterministic outcomes locally — encoding into a per-shard
+//! [`WireSegment`](crate::wire::WireSegment) the main thread adopts in
+//! shard order — which is the mega-grid flooding fast path the
+//! `perf_baseline` gate measures.
 //!
 //! The same division of labour extends to the wall-clock plane
 //! (DESIGN.md §13): **workers never read the clock**. Timing spans for
@@ -45,10 +48,10 @@ use std::sync::Arc;
 use noc_fabric::{LinkId, MessageId, NodeId, Topology, WireCodec};
 use noc_faults::{AdversarialScenario, CrashSchedule};
 
-use crate::engine::{Frame, FrameMemo};
 use crate::events::{DropSite, SimEvent};
 use crate::frontier::TileSet;
 use crate::send_buffer::{InsertOutcome, SendBuffer};
+use crate::wire::{Frame, Wire, WireSegment, WireTable};
 
 /// Contiguous tile ranges `[lo, hi)` covering `0..n`, one per shard,
 /// sized as evenly as integer division allows.
@@ -118,6 +121,7 @@ pub(crate) struct ReceiveCtx<'a> {
     /// Tiles with a non-empty arrival vector this round.
     pub frontier: &'a TileSet,
     pub codec: &'a WireCodec,
+    pub wires: &'a WireTable,
     pub tiles_alive: &'a [bool],
     pub crash_schedule: &'a CrashSchedule,
     pub overflow: OverflowPlan<'a>,
@@ -255,8 +259,9 @@ pub(crate) fn receive_shard(
                     || ctx.newly_terminated.get(&id).is_some_and(|&d| d < tile)
                     || local.contains(&id)
             };
-            let view = if frame.scrambled {
-                match ctx.codec.decode_view(&frame.bytes) {
+            let entry = ctx.wires.entry(frame.wire);
+            let message = match &entry.message {
+                None => match ctx.codec.decode_view(&entry.bytes) {
                     Ok(view) => {
                         if spread_terminated(view.id, &local_term) {
                             if ctx.record_events {
@@ -286,7 +291,7 @@ pub(crate) fn receive_shard(
                             }
                             continue;
                         }
-                        view
+                        view.to_message()
                     }
                     Err(_) => {
                         out.upsets_detected += 1;
@@ -294,37 +299,28 @@ pub(crate) fn receive_shard(
                             out.events.push(SimEvent::CrcReject {
                                 round,
                                 tile: node,
-                                link: frame.via,
+                                link: frame.via(),
                             });
                         }
                         continue;
                     }
-                }
-            } else {
-                // Self-encoded frames always carry a full header; the
-                // sequential engine asserts this, the shard worker just
-                // skips the (unreachable) malformed case to keep the
-                // hot path panic-free.
-                let Some(id) = ctx.codec.peek_id(&frame.bytes) else {
-                    continue;
-                };
-                if spread_terminated(id, &local_term) || buffer.has_seen(id) {
-                    if ctx.record_events {
-                        out.events.push(SimEvent::DuplicateDrop {
-                            round,
-                            tile: node,
-                            message: id,
-                        });
+                },
+                Some(message) => {
+                    let id = message.id;
+                    if spread_terminated(id, &local_term) || buffer.has_seen(id) {
+                        if ctx.record_events {
+                            out.events.push(SimEvent::DuplicateDrop {
+                                round,
+                                tile: node,
+                                message: id,
+                            });
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                match ctx.codec.decode_view_trusted(&frame.bytes) {
-                    Ok(view) => view,
-                    Err(_) => continue,
+                    message.clone()
                 }
             };
-            out.informed.push(view.id);
-            let message = view.to_message();
+            out.informed.push(message.id);
             if message.destination == node {
                 out.deliveries.push(message.id);
                 if ctx.record_events {
@@ -383,6 +379,7 @@ pub(crate) fn plan_terminations(
     inbox: &[Vec<Frame>],
     buffers: &[SendBuffer],
     codec: &WireCodec,
+    wires: &WireTable,
     tiles_alive: &[bool],
     crash_schedule: &CrashSchedule,
     overflow: &OverflowPlan<'_>,
@@ -418,16 +415,13 @@ pub(crate) fn plan_terminations(
             if k < skip || keeps.is_some_and(|keeps| !keeps[k]) {
                 continue;
             }
-            let (id, destination) = if frame.scrambled {
-                match codec.decode_view(&frame.bytes) {
+            let entry = wires.entry(frame.wire);
+            let (id, destination) = match &entry.message {
+                Some(message) => (message.id, message.destination),
+                None => match codec.decode_view(&entry.bytes) {
                     Ok(view) => (view.id, view.destination),
                     Err(_) => continue,
-                }
-            } else {
-                match codec.decode_view_trusted(&frame.bytes) {
-                    Ok(view) => (view.id, view.destination),
-                    Err(_) => continue,
-                }
+                },
             };
             // A `newly` entry at this very tile means an earlier frame
             // in this loop already delivered the id here, so `<=`.
@@ -496,8 +490,9 @@ pub(crate) fn age_shard(
     out
 }
 
-/// Where a planned transmission ends up, as decided by the pre-pass.
-#[derive(Debug)]
+/// Where a transmission ends up, as decided (with every RNG draw) by
+/// the engine's forward walk.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum TxOutcome {
     /// Swallowed by a dead link.
     DeadLink,
@@ -505,19 +500,41 @@ pub(crate) enum TxOutcome {
     Partitioned,
     /// Filed into the destination inbox.
     Deliver {
-        /// XOR mask of an upset, captured by scrambling a zero buffer
-        /// with the same draws the sequential engine would spend on the
-        /// frame itself (both error models are XOR-linear).
-        scramble: Option<Box<[u8]>>,
+        /// The frame that arrives: the served one, or its scrambled
+        /// copy when an upset fired.
+        wire: Wire,
         /// Arrives one round late (sender slipped or link delayed).
         held: bool,
-        /// Jumps to the front of the destination queue.
-        front: bool,
         /// Chaos delay fired (event attribution).
         delayed: bool,
-        /// Chaos reorder fired (event attribution).
+        /// Chaos reorder fired: jumps to the front of the destination
+        /// queue.
         reordered: bool,
     },
+}
+
+impl TxOutcome {
+    /// Emits the events this fate owes after the transmission's
+    /// `FrameSent`, in the engine's order.
+    pub(crate) fn emit_after_send(&self, round: u64, link: LinkId, mut emit: impl FnMut(SimEvent)) {
+        match *self {
+            TxOutcome::DeadLink => emit(SimEvent::CrashDrop {
+                round,
+                site: DropSite::Link(link),
+            }),
+            TxOutcome::Partitioned => emit(SimEvent::PartitionDrop { round, link }),
+            TxOutcome::Deliver {
+                delayed, reordered, ..
+            } => {
+                if delayed {
+                    emit(SimEvent::AdversarialDelay { round, link });
+                }
+                if reordered {
+                    emit(SimEvent::AdversarialReorder { round, link });
+                }
+            }
+        }
+    }
 }
 
 /// One planned transmission onto a link.
@@ -528,22 +545,42 @@ pub(crate) struct LinkTx {
 }
 
 /// What a planned egress service transmits.
-#[derive(Debug)]
-pub(crate) enum ServeSource {
-    /// The message at `slot` in the tile's send buffer (workers encode
-    /// it through their per-shard frame memo).
-    Buffer { slot: u32 },
-    /// A Byzantine forgery, already encoded by the pre-pass (forgery
-    /// draws its corruption from the tile's adversary stream).
-    Forge { id: MessageId, frame: Arc<[u8]> },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ServeKind {
+    /// A message of the tile's send buffer.
+    Buffer,
+    /// A Byzantine forgery (its corruption drawn from the tile's
+    /// adversary stream by the pre-pass).
+    Forge,
     /// A Byzantine replay of the tile's last legitimate frame.
-    Replay { id: MessageId, frame: Arc<[u8]> },
+    Replay,
 }
 
-/// One egress service: a source and its planned transmissions.
+impl ServeKind {
+    /// The event announcing a service of this kind at `tile`.
+    pub(crate) fn event(self, round: u64, tile: NodeId, message: MessageId) -> SimEvent {
+        match self {
+            ServeKind::Buffer => SimEvent::Forwarded {
+                round,
+                tile,
+                message,
+            },
+            ServeKind::Forge => SimEvent::ByzantineForge {
+                round,
+                tile,
+                message,
+            },
+            ServeKind::Replay => SimEvent::ByzantineReplay { round, tile },
+        }
+    }
+}
+
+/// One egress service: what is served and its planned transmissions
+/// (each carrying the wire handle that arrives).
 #[derive(Debug)]
 pub(crate) struct ServeCmd {
-    pub source: ServeSource,
+    pub kind: ServeKind,
+    pub id: MessageId,
     /// Index range into [`ForwardTape::txs`].
     pub txs: (u32, u32),
 }
@@ -588,35 +625,35 @@ pub(crate) struct EgressRecord {
 }
 
 /// A forward worker's report: events, egress records in emission order,
-/// and (uniform mode only) the counter deltas the tape pre-pass would
-/// otherwise have accumulated.
+/// and (uniform mode only) the frames it encoded and the counter deltas
+/// the tape pre-pass would otherwise have accumulated.
 #[derive(Debug, Default)]
 pub(crate) struct ForwardOut {
     pub events: Vec<SimEvent>,
     pub egress: Vec<EgressRecord>,
+    /// Uniform mode: the frames this worker encoded; the `egress`
+    /// handles are relative to it until the merge adopts it.
+    pub segment: Option<WireSegment>,
+    /// Where the merge placed `segment` in the wire table.
+    pub wire_base: u32,
     pub transmissions: u64,
     pub bits: u64,
     pub crash_drops: u64,
     pub partition_drops: u64,
 }
 
-/// Executes this shard's slice of the [`ForwardTape`]: encodes frames
-/// (per-shard memo), applies captured scramble masks copy-on-write, and
-/// emits events/egress in the sequential engine's order. RNG-free; all
-/// counters were accumulated by the pre-pass.
-#[allow(clippy::too_many_arguments)] // the forward replay's split borrows, passed explicitly
+/// Executes this shard's slice of the [`ForwardTape`]: emits events and
+/// egress in the sequential engine's order. RNG-free and encode-free;
+/// all counters were accumulated by the pre-pass.
 pub(crate) fn forward_shard_tape(
     round: u64,
     lo: usize,
     hi: usize,
     tape: &ForwardTape,
-    buffers: &[SendBuffer],
     topology: &Topology,
-    codec: &WireCodec,
     record_events: bool,
 ) -> ForwardOut {
     let mut out = ForwardOut::default();
-    let mut memo = FrameMemo::default();
     let first = tape.plans.partition_point(|p| (p.tile as usize) < lo);
     for plan in &tape.plans[first..] {
         let tile = plan.tile as usize;
@@ -629,39 +666,10 @@ pub(crate) fn forward_shard_tape(
                 out.events.push(SimEvent::ClockSlip { round, tile: node });
             }
         }
-        let msgs = buffers[tile].messages();
         for serve in &tape.serves[plan.serves.0 as usize..plan.serves.1 as usize] {
-            let (id, frame) = match &serve.source {
-                ServeSource::Buffer { slot } => {
-                    let message = &msgs[*slot as usize];
-                    let frame = memo.frame_for(codec, message);
-                    if record_events {
-                        out.events.push(SimEvent::Forwarded {
-                            round,
-                            tile: node,
-                            message: message.id,
-                        });
-                    }
-                    (message.id, frame)
-                }
-                ServeSource::Forge { id, frame } => {
-                    if record_events {
-                        out.events.push(SimEvent::ByzantineForge {
-                            round,
-                            tile: node,
-                            message: *id,
-                        });
-                    }
-                    (*id, Arc::clone(frame))
-                }
-                ServeSource::Replay { id, frame } => {
-                    if record_events {
-                        out.events
-                            .push(SimEvent::ByzantineReplay { round, tile: node });
-                    }
-                    (*id, Arc::clone(frame))
-                }
-            };
+            if record_events {
+                out.events.push(serve.kind.event(round, node, serve.id));
+            }
             for tx in &tape.txs[serve.txs.0 as usize..serve.txs.1 as usize] {
                 let to = topology.link(tx.link).to;
                 if record_events {
@@ -670,68 +678,24 @@ pub(crate) fn forward_shard_tape(
                         from: node,
                         link: tx.link,
                         to,
-                        message: id,
+                        message: serve.id,
                     });
+                    tx.outcome
+                        .emit_after_send(round, tx.link, |event| out.events.push(event));
                 }
-                match &tx.outcome {
-                    TxOutcome::DeadLink => {
-                        if record_events {
-                            out.events.push(SimEvent::CrashDrop {
-                                round,
-                                site: DropSite::Link(tx.link),
-                            });
-                        }
-                    }
-                    TxOutcome::Partitioned => {
-                        if record_events {
-                            out.events.push(SimEvent::PartitionDrop {
-                                round,
-                                link: tx.link,
-                            });
-                        }
-                    }
-                    TxOutcome::Deliver {
-                        scramble,
+                if let TxOutcome::Deliver {
+                    wire,
+                    held,
+                    reordered,
+                    ..
+                } = tx.outcome
+                {
+                    out.egress.push(EgressRecord {
+                        to: to.index() as u32,
+                        frame: Frame::new(wire, Some(tx.link)),
                         held,
-                        front,
-                        delayed,
-                        reordered,
-                    } => {
-                        let (bytes, scrambled) = match scramble {
-                            Some(mask) => {
-                                let mut copy = frame.to_vec();
-                                for (byte, m) in copy.iter_mut().zip(mask.iter()) {
-                                    *byte ^= m;
-                                }
-                                (Arc::<[u8]>::from(copy), true)
-                            }
-                            None => (Arc::clone(&frame), false),
-                        };
-                        if record_events {
-                            if *delayed {
-                                out.events.push(SimEvent::AdversarialDelay {
-                                    round,
-                                    link: tx.link,
-                                });
-                            }
-                            if *reordered {
-                                out.events.push(SimEvent::AdversarialReorder {
-                                    round,
-                                    link: tx.link,
-                                });
-                            }
-                        }
-                        out.egress.push(EgressRecord {
-                            to: to.index() as u32,
-                            frame: Frame {
-                                bytes,
-                                scrambled,
-                                via: Some(tx.link),
-                            },
-                            held: *held,
-                            front: *front,
-                        });
-                    }
+                        front: reordered,
+                    });
                 }
             }
         }
@@ -747,6 +711,7 @@ pub(crate) struct UniformForwardCtx<'a> {
     pub buffers: &'a [SendBuffer],
     pub topology: &'a Topology,
     pub codec: &'a WireCodec,
+    pub wires: &'a WireTable,
     pub tiles_alive: &'a [bool],
     pub links_alive: &'a [bool],
     pub crash_schedule: &'a CrashSchedule,
@@ -768,7 +733,7 @@ pub(crate) fn forward_shard_uniform(
 ) -> ForwardOut {
     let round = ctx.round;
     let mut out = ForwardOut::default();
-    let mut memo = FrameMemo::default();
+    let mut segment = ctx.wires.segment();
     for tile in ctx.frontier.iter_range(lo, hi) {
         let node = NodeId(tile);
         let msgs = ctx.buffers[tile].messages();
@@ -789,10 +754,11 @@ pub(crate) fn forward_shard_uniform(
                 // is serviced (event above) but transmits nothing.
                 continue;
             }
-            let frame = memo.frame_for(ctx.codec, message);
+            let wire = segment.frame_for(ctx.codec, message);
+            let frame_bits = (ctx.codec.frame_bytes(message.payload.len()) * 8) as u64;
             for &link_id in ctx.topology.out_links(node) {
                 out.transmissions += 1;
-                out.bits += (frame.len() * 8) as u64;
+                out.bits += frame_bits;
                 let to = ctx.topology.link(link_id).to;
                 if ctx.record_events {
                     out.events.push(SimEvent::FrameSent {
@@ -827,17 +793,14 @@ pub(crate) fn forward_shard_uniform(
                 }
                 out.egress.push(EgressRecord {
                     to: to.index() as u32,
-                    frame: Frame {
-                        bytes: Arc::clone(&frame),
-                        scrambled: false,
-                        via: Some(link_id),
-                    },
+                    frame: Frame::new(wire, Some(link_id)),
                     held: false,
                     front: false,
                 });
             }
         }
     }
+    out.segment = Some(segment);
     out
 }
 
@@ -887,10 +850,11 @@ pub(crate) fn file_shard(
                 tiles.push(record.to);
             }
             *frames += 1;
+            let frame = record.frame.rebased(produced.wire_base);
             if record.front {
-                inbox.insert(0, record.frame.clone());
+                inbox.insert(0, frame);
             } else {
-                inbox.push(record.frame.clone());
+                inbox.push(frame);
             }
         }
     }

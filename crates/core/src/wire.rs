@@ -1,0 +1,540 @@
+//! The round-scoped wire table: where in-flight frame bytes live.
+//!
+//! A frame in an arrival arena is an 8-byte `Copy` [`Frame`] — a handle
+//! into the [`WireTable`] plus the arrival link — not a refcounted byte
+//! buffer. The table holds one [`WireEntry`] per *distinct* wire frame:
+//! each `(MessageId, ttl)` encoding the forward phase produces (shared
+//! by every tile and link that transmits it, through the encode memo),
+//! each loopback inject, each Byzantine emission, and one entry per
+//! upset copy. Fan-out therefore copies 8 bytes with no atomic, and the
+//! receive phase rejects a duplicate on the entry's message id without
+//! touching the bytes.
+//!
+//! **Lifetime rule.** A frame sent in round `r` is read in round `r + 1`
+//! (the `next` arena) or, when the sender slipped or the link delayed
+//! it, in `r + 2` (the `later` arena) — never later. The table keeps
+//! three generations, rotated together with the arrival arenas at the
+//! start of every round: the generation written during round `r` is
+//! cleared by the rotation that opens round `r + 3`. Handles carry a
+//! two-bit generation tag, so debug builds catch a handle that outlived
+//! its generation.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
+
+use noc_fabric::{LinkId, Message, MessageId, WireCodec};
+use noc_faults::FaultInjector;
+
+use crate::seed::mix64;
+
+/// Hasher for [`MessageId`]-keyed maps whose order is never observed:
+/// one SplitMix64 finalizer per written word. Ids are engine-assigned
+/// counters, not outside input, so SipHash's collision resistance buys
+/// nothing on the per-frame path.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, value: u8) {
+        self.write_u64(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.0 = mix64(self.0 ^ value);
+    }
+}
+
+/// [`std::hash::BuildHasher`] of the engine's id-keyed sets and maps.
+pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+// noc-lint: allow(map-iteration-order, reason = "lookup-only encode memo keyed by message id; never iterated, so hash order cannot reach any report")
+type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
+
+/// Bits of a [`Wire`] that index into its generation; the two above
+/// carry the generation tag.
+const INDEX_BITS: u32 = 30;
+const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
+
+/// Generations a frame can stay in flight for (see the module docs).
+const GENERATIONS: usize = 3;
+
+/// [`Frame::via`] of a local loopback, which crossed no link. The
+/// builder rejects topologies with this many links.
+pub(crate) const NO_LINK: u32 = u32::MAX;
+
+/// Handle of one [`WireEntry`]: generation tag and index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Wire(u32);
+
+impl Wire {
+    /// Shifts a handle minted by a [`WireSegment`] to where
+    /// [`WireTable::adopt`] placed that segment.
+    pub(crate) fn rebased(self, base: u32) -> Self {
+        Wire(self.0 + base)
+    }
+}
+
+/// A frame in flight on a link: which wire frame, and the link it
+/// arrives over (event attribution only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frame {
+    pub(crate) wire: Wire,
+    via: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Frame>() == 8);
+const _: fn() = || {
+    fn fans_out_by_copy<T: Copy>() {}
+    fans_out_by_copy::<Frame>();
+};
+
+impl Frame {
+    /// A frame arriving over `via` (`None` for a local loopback).
+    pub(crate) fn new(wire: Wire, via: Option<LinkId>) -> Self {
+        Frame {
+            wire,
+            via: via.map_or(NO_LINK, |link| link.index() as u32),
+        }
+    }
+
+    /// The arrival link, `None` for a local loopback.
+    pub(crate) fn via(self) -> Option<LinkId> {
+        (self.via != NO_LINK).then_some(LinkId(self.via as usize))
+    }
+
+    /// [`Wire::rebased`] on the frame's handle.
+    pub(crate) fn rebased(self, base: u32) -> Self {
+        Frame {
+            wire: self.wire.rebased(base),
+            ..self
+        }
+    }
+}
+
+/// One distinct wire frame.
+#[derive(Debug, Clone)]
+pub(crate) struct WireEntry {
+    pub(crate) bytes: Arc<[u8]>,
+    /// The message `bytes` encode. `None` marks a copy scrambled in
+    /// flight, which must take the real CRC check; `Some` entries are
+    /// bit-identical to our own encoder's output, so receivers trust
+    /// this message instead of parsing the bytes.
+    pub(crate) message: Option<Message>,
+}
+
+impl WireEntry {
+    /// The entry of an unscrambled frame: `message` as `codec` frames it.
+    pub(crate) fn encode(codec: &WireCodec, message: Message) -> Self {
+        WireEntry {
+            bytes: codec.encode(&message).into(),
+            message: Some(message),
+        }
+    }
+
+    /// Does this (unscrambled) entry encode exactly `message`? Id and
+    /// TTL are the memo key; an undetected upset can put a different
+    /// source, destination or payload into circulation under the same
+    /// key, and the two copies must keep encoding differently.
+    fn encodes(&self, message: &Message) -> bool {
+        self.message.as_ref().is_some_and(|own| {
+            own.source == message.source
+                && own.destination == message.destination
+                && (Arc::ptr_eq(&own.payload, &message.payload) || own.payload == message.payload)
+        })
+    }
+}
+
+/// Memo of the frames encoded into one generation (or segment) this
+/// round: every tile holding a message at the same TTL produces the
+/// identical wire frame, so the CRC/LFSR encode runs once per
+/// `(message, ttl)` per round. TTLs decrement every round, so the memo
+/// is dropped with the round.
+#[derive(Debug, Default)]
+struct EncodeMemo {
+    map: IdMap<(MessageId, u8), Vec<u32>>,
+    scratch: Vec<u8>,
+}
+
+impl EncodeMemo {
+    fn clear(&mut self) {
+        self.map.clear();
+    }
+
+    /// Index in `entries` of the frame encoding `message`, appending it
+    /// on first use.
+    fn index_for(
+        &mut self,
+        entries: &mut Vec<WireEntry>,
+        codec: &WireCodec,
+        message: &Message,
+    ) -> u32 {
+        let slots = self.map.entry((message.id, message.ttl)).or_default();
+        if let Some(&index) = slots
+            .iter()
+            .find(|&&index| entries[index as usize].encodes(message))
+        {
+            return index;
+        }
+        self.scratch.clear();
+        codec.encode_into(message, &mut self.scratch);
+        let index = push_entry(
+            entries,
+            WireEntry {
+                bytes: Arc::from(&self.scratch[..]),
+                message: Some(message.clone()),
+            },
+        );
+        slots.push(index);
+        index
+    }
+}
+
+fn push_entry(entries: &mut Vec<WireEntry>, entry: WireEntry) -> u32 {
+    assert!(
+        entries.len() < INDEX_MASK as usize,
+        "a wire generation holds at most 2^30 distinct frames"
+    );
+    entries.push(entry);
+    (entries.len() - 1) as u32
+}
+
+/// Three generations of wire entries plus the current round's encode
+/// memo. See the module docs for the lifetime rule.
+#[derive(Debug, Default)]
+pub(crate) struct WireTable {
+    /// `generations[age]`: 0 is written this round, 1 and 2 are read.
+    generations: [Vec<WireEntry>; GENERATIONS],
+    /// Rotations so far; a handle's tag is its generation's epoch mod 4.
+    epoch: u32,
+    memo: EncodeMemo,
+}
+
+impl WireTable {
+    /// Opens a new round: the oldest generation is emptied and becomes
+    /// the current one. Called in lockstep with the arena rotation.
+    pub(crate) fn rotate(&mut self) {
+        self.generations.rotate_right(1);
+        self.generations[0].clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        self.memo.clear();
+    }
+
+    fn tag(&self) -> u32 {
+        (self.epoch & 3) << INDEX_BITS
+    }
+
+    /// Resolves a handle minted in the current or either of the two
+    /// previous rounds.
+    #[inline]
+    pub(crate) fn entry(&self, wire: Wire) -> &WireEntry {
+        let age = self.epoch.wrapping_sub(wire.0 >> INDEX_BITS) & 3;
+        debug_assert!(
+            (age as usize) < GENERATIONS,
+            "wire handle outlived its generation"
+        );
+        &self.generations[age as usize][(wire.0 & INDEX_MASK) as usize]
+    }
+
+    /// Registers an entry in the current generation.
+    pub(crate) fn push(&mut self, entry: WireEntry) -> Wire {
+        Wire(self.tag() | push_entry(&mut self.generations[0], entry))
+    }
+
+    /// The wire frame encoding `message`, shared with every other
+    /// transmission of the same message and TTL this round.
+    pub(crate) fn frame_for(&mut self, codec: &WireCodec, message: &Message) -> Wire {
+        let index = self
+            .memo
+            .index_for(&mut self.generations[0], codec, message);
+        Wire(self.tag() | index)
+    }
+
+    /// Registers an upset copy of `wire`: the bytes are copied once and
+    /// scrambled by `injector` (the draws [`FaultInjector::scramble`]
+    /// spends on the same bytes); `wire`'s other holders are unaffected.
+    pub(crate) fn scrambled_copy(&mut self, injector: &mut FaultInjector, wire: Wire) -> Wire {
+        let mut bytes = Arc::clone(&self.entry(wire).bytes);
+        injector.scramble_shared(&mut bytes);
+        self.push(WireEntry {
+            bytes,
+            message: None,
+        })
+    }
+
+    /// An empty per-worker extension of the current generation.
+    pub(crate) fn segment(&self) -> WireSegment {
+        WireSegment {
+            tag: self.tag(),
+            entries: Vec::new(),
+            memo: EncodeMemo::default(),
+        }
+    }
+
+    /// An empty content-interning extension of the current generation.
+    pub(crate) fn interner(&self) -> WireInterner {
+        WireInterner {
+            segment: self.segment(),
+            by_content: IdMap::default(),
+        }
+    }
+
+    /// Appends a finished segment to the current generation and returns
+    /// the offset its handles must be [`Wire::rebased`] by.
+    pub(crate) fn adopt(&mut self, segment: WireSegment) -> u32 {
+        debug_assert_eq!(segment.tag, self.tag(), "segment of another round");
+        let current = &mut self.generations[0];
+        assert!(
+            current.len() + segment.entries.len() <= INDEX_MASK as usize,
+            "a wire generation holds at most 2^30 distinct frames"
+        );
+        let base = current.len() as u32;
+        current.extend(segment.entries);
+        base
+    }
+}
+
+/// Entries a shard worker (or checkpoint restore) registers on its own,
+/// with handles relative to the segment until [`WireTable::adopt`]
+/// places it: workers run concurrently, so each appends to its own
+/// segment and the main thread adopts them in shard order.
+#[derive(Debug)]
+pub(crate) struct WireSegment {
+    tag: u32,
+    entries: Vec<WireEntry>,
+    memo: EncodeMemo,
+}
+
+impl WireSegment {
+    /// [`WireTable::push`], segment-relative.
+    pub(crate) fn push(&mut self, entry: WireEntry) -> Wire {
+        Wire(self.tag | push_entry(&mut self.entries, entry))
+    }
+
+    /// [`WireTable::frame_for`], segment-relative.
+    pub(crate) fn frame_for(&mut self, codec: &WireCodec, message: &Message) -> Wire {
+        Wire(self.tag | self.memo.index_for(&mut self.entries, codec, message))
+    }
+}
+
+/// A [`WireSegment`] filled by content, for checkpoint restore: a
+/// capture resolved every in-flight handle to bytes, and interning them
+/// makes the many copies of one wire frame share one entry again.
+#[derive(Debug)]
+pub(crate) struct WireInterner {
+    segment: WireSegment,
+    by_content: IdMap<(u64, bool), Vec<u32>>,
+}
+
+impl WireInterner {
+    /// The handle of the entry holding exactly `bytes` with this
+    /// `scrambled` flag, registering `make`'s entry for them on first
+    /// sight.
+    pub(crate) fn intern<E>(
+        &mut self,
+        scrambled: bool,
+        bytes: &[u8],
+        make: impl FnOnce() -> Result<WireEntry, E>,
+    ) -> Result<Wire, E> {
+        let hash = bytes.chunks(8).fold(bytes.len() as u64, |hash, chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            mix64(hash ^ u64::from_le_bytes(word))
+        });
+        let entries = &self.segment.entries;
+        let slots = self.by_content.entry((hash, scrambled)).or_default();
+        if let Some(&index) = slots.iter().find(|&&index| {
+            let entry = &entries[index as usize];
+            entry.message.is_none() == scrambled && *entry.bytes == *bytes
+        }) {
+            return Ok(Wire(self.segment.tag | index));
+        }
+        let wire = self.segment.push(make()?);
+        slots.push(wire.0 & INDEX_MASK);
+        Ok(wire)
+    }
+
+    /// The filled segment, ready for [`WireTable::adopt`].
+    pub(crate) fn finish(self) -> WireSegment {
+        self.segment
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_fabric::NodeId;
+    use std::hash::BuildHasher;
+
+    fn message(id: u64, ttl: u8) -> Message {
+        Message::new(MessageId(id), NodeId(0), NodeId(3), ttl, vec![id as u8; 4])
+    }
+
+    fn id_of(table: &WireTable, wire: Wire) -> Option<u64> {
+        table.entry(wire).message.as_ref().map(|m| m.id.0)
+    }
+
+    #[test]
+    fn via_round_trips_through_the_handle() {
+        let mut table = WireTable::default();
+        let wire = table.frame_for(&WireCodec::default(), &message(1, 5));
+        assert_eq!(Frame::new(wire, Some(LinkId(7))).via(), Some(LinkId(7)));
+        assert_eq!(Frame::new(wire, None).via(), None);
+    }
+
+    #[test]
+    fn handle_resolves_across_two_rotations_and_its_generation_empties_on_the_third() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let wire = table.frame_for(&codec, &message(7, 5));
+        assert_eq!(id_of(&table, wire), Some(7));
+        for _ in 0..2 {
+            table.rotate();
+            table.frame_for(&codec, &message(8, 4));
+            assert_eq!(id_of(&table, wire), Some(7), "still in flight");
+        }
+        table.rotate();
+        assert!(
+            table.generations.iter().all(|g| g
+                .iter()
+                .all(|e| e.message.as_ref().is_some_and(|m| m.id.0 == 8))),
+            "the generation that held message 7 was emptied"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outlived its generation")]
+    fn stale_generation_tag_trips_the_debug_assert() {
+        let mut table = WireTable::default();
+        let wire = table.frame_for(&WireCodec::default(), &message(7, 5));
+        for _ in 0..3 {
+            table.rotate();
+        }
+        table.entry(wire);
+    }
+
+    #[test]
+    fn memo_shares_equal_messages_and_separates_corrupt_twins() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let clean = message(1, 5);
+        let mut corrupt = clean.clone();
+        corrupt.payload = vec![0xFF; 4].into();
+        let a = table.frame_for(&codec, &clean);
+        assert_eq!(table.frame_for(&codec, &clean.clone()), a);
+        let b = table.frame_for(&codec, &corrupt);
+        assert_ne!(a, b, "same id and ttl, different payload");
+        assert_eq!(table.frame_for(&codec, &corrupt), b);
+        assert_eq!(&table.entry(a).bytes[..], &codec.encode(&clean)[..]);
+        assert_eq!(&table.entry(b).bytes[..], &codec.encode(&corrupt)[..]);
+        table.rotate();
+        assert_ne!(
+            table.frame_for(&codec, &clean),
+            a,
+            "the memo does not outlive its round"
+        );
+    }
+
+    #[test]
+    fn scrambled_copy_leaves_the_clean_entry_alone() {
+        let model = noc_faults::FaultModel::builder()
+            .p_upset(0.5)
+            .build()
+            .unwrap();
+        let mut injector = FaultInjector::new(model, 3);
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let clean = table.frame_for(&codec, &message(1, 5));
+        let upset = table.scrambled_copy(&mut injector, clean);
+        assert!(table.entry(upset).message.is_none());
+        assert_ne!(table.entry(upset).bytes, table.entry(clean).bytes);
+        assert_eq!(
+            &table.entry(clean).bytes[..],
+            &codec.encode(&message(1, 5))[..]
+        );
+    }
+
+    #[test]
+    fn adopted_segments_never_alias() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        table.rotate();
+        let own = table.frame_for(&codec, &message(1, 5));
+        let mut segments = [table.segment(), table.segment()];
+        let local: Vec<Wire> = segments
+            .iter_mut()
+            .zip([2u64, 3])
+            .map(|(segment, id)| segment.frame_for(&codec, &message(id, 5)))
+            .collect();
+        assert_eq!(local[0], local[1], "segment-relative handles coincide");
+        let placed: Vec<Wire> = segments
+            .into_iter()
+            .zip(&local)
+            .map(|(segment, wire)| wire.rebased(table.adopt(segment)))
+            .collect();
+        assert_eq!(id_of(&table, own), Some(1));
+        assert_eq!(id_of(&table, placed[0]), Some(2));
+        assert_eq!(id_of(&table, placed[1]), Some(3));
+    }
+
+    #[test]
+    fn interner_shares_equal_bytes_and_keeps_the_scrambled_flag_apart() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let mut interner = table.interner();
+        let bytes = codec.encode(&message(1, 5));
+        let mut made = 0;
+        let mut intern = |scrambled: bool, bytes: &[u8]| {
+            interner
+                .intern(scrambled, bytes, || {
+                    made += 1;
+                    Ok::<_, ()>(WireEntry {
+                        bytes: bytes.into(),
+                        message: (!scrambled).then(|| message(1, 5)),
+                    })
+                })
+                .unwrap()
+        };
+        let clean = intern(false, &bytes);
+        assert_eq!(intern(false, &bytes), clean);
+        let upset = intern(true, &bytes);
+        assert_ne!(upset, clean);
+        assert_eq!(intern(true, &bytes), upset);
+        assert_ne!(intern(false, &bytes[1..]), clean);
+        assert_eq!(made, 3);
+        let base = table.adopt(interner.finish());
+        assert_eq!(base, 0);
+        assert_eq!(id_of(&table, clean), Some(1));
+        assert_eq!(id_of(&table, upset), None);
+    }
+
+    #[test]
+    fn id_hasher_spreads_sequential_ids() {
+        let build = IdBuildHasher::default();
+        let mut low = std::collections::BTreeSet::new();
+        let mut high = std::collections::BTreeSet::new();
+        for id in 0..128u64 {
+            let hash = build.hash_one(MessageId(id));
+            low.insert(hash & 127);
+            high.insert(hash >> 57);
+        }
+        // hashbrown buckets by the low bits and tags by the top seven.
+        assert!(low.len() > 64 && high.len() > 64, "{low:?} {high:?}");
+        assert_ne!(
+            build.hash_one((MessageId(1), 2u8)),
+            build.hash_one((MessageId(2), 1u8))
+        );
+    }
+}

@@ -273,40 +273,157 @@ fn checkpoints_and_digest(w: &Workload) -> (Vec<Checkpoint>, String) {
     (checkpoints, digest(&sim.run()))
 }
 
-/// The tentpole guarantee: for every workload, every checkpoint round,
-/// and shard counts 1/2/8, the resumed run's report digest is
-/// byte-identical to the uninterrupted run's — and the checkpoint
-/// itself survives serialization and re-capture bit-exactly.
-#[test]
-fn every_checkpoint_round_resumes_byte_identically() {
-    for w in workloads() {
-        let (checkpoints, want) = checkpoints_and_digest(&w);
-        for (round, ck) in checkpoints.iter().enumerate() {
-            let bytes = ck.to_bytes();
-            let decoded = Checkpoint::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("{}: decode at round {round}: {e}", w.name));
-            for shards in [1usize, 2, 8] {
-                let mut resumed = (w.builder)()
-                    .shards(shards)
-                    .resume(&decoded)
-                    .unwrap_or_else(|e| panic!("{}: resume at round {round}: {e}", w.name));
-                if shards == 1 {
-                    // Restore fidelity: re-capturing immediately must
-                    // reproduce the serialized checkpoint bit-exactly.
-                    assert_eq!(
-                        resumed.checkpoint().to_bytes(),
-                        bytes,
-                        "{}: re-capture at round {round} drifted",
-                        w.name
-                    );
-                }
+/// Checkpoints `w` at every round boundary of a straight-through run and
+/// resumes each checkpoint at shard counts 1/2/8: the resumed run's
+/// report digest must be byte-identical to the uninterrupted run's, and
+/// the checkpoint itself must survive serialization and re-capture
+/// bit-exactly.
+fn assert_every_round_resumes_byte_identically(w: &Workload) {
+    let (checkpoints, want) = checkpoints_and_digest(w);
+    for (round, ck) in checkpoints.iter().enumerate() {
+        let bytes = ck.to_bytes();
+        let decoded = Checkpoint::from_bytes(&bytes)
+            .unwrap_or_else(|e| panic!("{}: decode at round {round}: {e}", w.name));
+        for shards in [1usize, 2, 8] {
+            let mut resumed = (w.builder)()
+                .shards(shards)
+                .resume(&decoded)
+                .unwrap_or_else(|e| panic!("{}: resume at round {round}: {e}", w.name));
+            if shards == 1 {
+                // Restore fidelity: re-capturing immediately must
+                // reproduce the serialized checkpoint bit-exactly.
                 assert_eq!(
-                    digest(&resumed.run()),
-                    want,
-                    "{}: resume at round {round} shards {shards} diverged",
+                    resumed.checkpoint().to_bytes(),
+                    bytes,
+                    "{}: re-capture at round {round} drifted",
                     w.name
                 );
             }
+            assert_eq!(
+                digest(&resumed.run()),
+                want,
+                "{}: resume at round {round} shards {shards} diverged",
+                w.name
+            );
+        }
+    }
+}
+
+/// The tentpole guarantee, over all twelve golden/adversarial workloads.
+#[test]
+fn every_checkpoint_round_resumes_byte_identically() {
+    for w in workloads() {
+        assert_every_round_resumes_byte_identically(&w);
+    }
+}
+
+/// Every frame delayed by chaos under clock skew and upsets: the
+/// `later` arena is never empty mid-run and holds scrambled frames, so
+/// each checkpoint carries frames two rounds from arrival. Captured at
+/// shard counts 1/2/8 (the serialized bytes must not depend on it) and
+/// resumed at each.
+#[test]
+fn delay_everything_checkpoints_at_every_round_and_shard_count() {
+    let w = Workload {
+        name: "delay_everything",
+        builder: Box::new(|| {
+            let model = FaultModel::builder()
+                .p_upset(0.3)
+                .sigma_synch(0.3)
+                .error_model(ErrorModel::RandomBitError)
+                .build()
+                .unwrap();
+            let chaos = AdversarialScenario::builder()
+                .delay_probability(1.0)
+                .reorder_probability(0.25)
+                .build()
+                .unwrap();
+            SimulationBuilder::new(Topology::grid(5, 5))
+                .forward_probability(0.7)
+                .ttl(10)
+                .max_rounds(60)
+                .fault_model(model)
+                .adversary(chaos)
+                .seed(17)
+        }),
+        injections: vec![(0, 24, b"parked"), (12, 3, b"in later")],
+    };
+    assert_every_round_resumes_byte_identically(&w);
+    let (sequential, _) = checkpoints_and_digest(&w);
+    assert!(
+        sequential.len() > 10,
+        "the workload must run mid-run rounds"
+    );
+    for shards in [2usize, 8] {
+        let mut sim = (w.builder)().shards(shards).build();
+        inject_all(&mut sim, &w);
+        for (round, want) in sequential.iter().enumerate() {
+            assert_eq!(
+                sim.checkpoint().to_bytes(),
+                want.to_bytes(),
+                "capture at round {round} on {shards} shards differs from sequential"
+            );
+            sim.step();
+        }
+    }
+}
+
+/// FNV-1a, as `Checkpoint::config_digest` uses it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// `(workload, round, serialized length, FNV-1a)` of
+/// `Checkpoint::to_bytes()` at a mid-run round boundary, computed at the
+/// commit before the wire table replaced refcounted frames. The
+/// round-trip tests above prove the format self-consistent; these prove
+/// format v1 and its arena order did not drift.
+const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 12] = [
+    ("grid4_flooding_fault_free", 4, 4196, 0xF2C2_75C7_C1F6_95E2),
+    ("grid8_gossip_under_faults", 4, 5548, 0x9D82_2ED0_BF13_7137),
+    (
+        "grid16_flooding_with_defects",
+        4,
+        17744,
+        0x24FF_6B57_53D4_3E53,
+    ),
+    ("torus_structural_overflow", 4, 5790, 0x3698_8F94_2060_2C81),
+    // Terminates on delivery at round 1; later rounds carry no frames.
+    (
+        "fully_connected_with_termination",
+        1,
+        2239,
+        0xEFD5_0926_E6A7_CFFB,
+    ),
+    ("grid6_with_crash_schedule", 4, 4020, 0x385D_868E_DFF8_2C73),
+    ("partition_with_heal", 4, 4542, 0x5694_82DA_3E1B_2147),
+    ("permanent_death", 4, 4738, 0x27CF_5D28_C489_9D4B),
+    ("chaos_jitter", 4, 8243, 0x33F9_FB95_8DE0_0FB8),
+    ("byzantine_forge", 4, 5076, 0x2EDF_6B6B_889F_C8F3),
+    ("byzantine_replay", 4, 5383, 0x7102_DDCA_CDF9_E83D),
+    ("combined_hostile", 4, 8528, 0xD663_6092_8E9B_AEFC),
+];
+
+#[test]
+fn checkpoint_bytes_match_the_pinned_v1_digests() {
+    let all = workloads();
+    assert_eq!(all.len(), PINNED_CHECKPOINT_BYTES.len());
+    for (w, &(name, round, len, want)) in all.iter().zip(&PINNED_CHECKPOINT_BYTES) {
+        assert_eq!(w.name, name);
+        for shards in [1usize, 2, 8] {
+            let mut sim = (w.builder)().shards(shards).build();
+            inject_all(&mut sim, w);
+            while sim.round() < round {
+                sim.step();
+            }
+            let bytes = sim.checkpoint().to_bytes();
+            assert_eq!(
+                (bytes.len(), fnv1a(&bytes)),
+                (len, want),
+                "{name}: v1 checkpoint bytes drifted at round {round}, shards {shards}"
+            );
         }
     }
 }

@@ -275,15 +275,24 @@ fn run_suite_with_obs(shards: usize) -> noc_obs::Metrics {
 fn golden_digests_are_identical_with_obs_plane_enabled() {
     let metrics = run_suite_with_obs(1);
     let snap = metrics.snapshot();
-    let round = snap
-        .histograms
-        .iter()
-        .find(|h| {
-            h.name == "engine_phase_seconds"
-                && h.labels == vec![("phase".to_string(), "round".to_string())]
-        })
-        .expect("sequential engines record round spans");
-    assert!(round.count > 0, "the obs plane actually recorded spans");
+    let spans = |phase: &str| {
+        snap.histograms
+            .iter()
+            .find(|h| {
+                h.name == "engine_phase_seconds"
+                    && h.labels == vec![("phase".to_string(), phase.to_string())]
+            })
+            .unwrap_or_else(|| panic!("{phase} histogram registered"))
+            .count
+    };
+    assert!(spans("round") > 0, "the obs plane actually recorded spans");
+    for phase in ["receive", "age", "forward"] {
+        assert_eq!(
+            spans(phase),
+            spans("round"),
+            "every sequential round times its {phase} phase"
+        );
+    }
     assert!(
         metrics.counter_value("engine_rounds_total").unwrap_or(0) > 0,
         "rounds were counted"

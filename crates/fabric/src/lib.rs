@@ -36,6 +36,9 @@ pub use buffer::ReceiveBuffer;
 pub use clock::ClockDomain;
 pub use ip::{IpContext, IpCore, NullIp};
 pub use node::{LinkId, NodeId};
-pub use packet::{Message, MessageId, MessageView, ParsePacketError, WireCodec, HEADER_BYTES};
+pub use packet::{
+    Message, MessageId, MessageView, ParsePacketError, WireCodec, HEADER_BYTES, MAX_NODES,
+    MAX_PAYLOAD_BYTES,
+};
 pub use port::Direction;
 pub use topology::{Grid2d, Link, Topology};

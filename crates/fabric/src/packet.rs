@@ -96,6 +96,13 @@ impl Message {
 /// ttl (1) + payload length (2).
 pub const HEADER_BYTES: usize = 8 + 2 + 2 + 1 + 2;
 
+/// Largest payload the header's 16-bit length field can declare.
+pub const MAX_PAYLOAD_BYTES: usize = u16::MAX as usize;
+
+/// Most tiles the header's 16-bit source and destination fields can
+/// address (indices `0..MAX_NODES`).
+pub const MAX_NODES: usize = u16::MAX as usize + 1;
+
 /// A parsed packet borrowing its payload from the frame it was decoded
 /// from — the zero-copy result of [`WireCodec::decode_view`].
 ///
@@ -240,12 +247,11 @@ impl WireCodec {
     /// allocating per packet. Same panics as [`WireCodec::encode`].
     pub fn encode_into(&self, message: &Message, out: &mut Vec<u8>) {
         assert!(
-            message.payload.len() <= u16::MAX as usize,
+            message.payload.len() <= MAX_PAYLOAD_BYTES,
             "payload too large for wire format"
         );
         assert!(
-            message.source.index() <= u16::MAX as usize
-                && message.destination.index() <= u16::MAX as usize,
+            message.source.index() < MAX_NODES && message.destination.index() < MAX_NODES,
             "node index too large for wire format"
         );
         let body_start = out.len();

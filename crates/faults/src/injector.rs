@@ -212,8 +212,8 @@ impl FaultInjector {
     }
 
     /// Copy-on-write [`FaultInjector::scramble`] for a frame shared between
-    /// in-flight copies: clones the bytes once, scrambles the clone in
-    /// place, and swaps the fresh allocation into `frame`. Other holders of
+    /// in-flight copies: copies the bytes into one fresh allocation,
+    /// scrambles that in place, and swaps it into `frame`. Other holders of
     /// the original `Arc` are unaffected, so one upset never corrupts the
     /// fan-out siblings of the same transmission.
     ///
@@ -224,9 +224,13 @@ impl FaultInjector {
     ///
     /// Panics if the frame is empty.
     pub fn scramble_shared(&mut self, frame: &mut std::sync::Arc<[u8]>) {
-        let mut copy = frame.to_vec();
-        self.scramble(&mut copy);
-        *frame = copy.into();
+        let mut copy: std::sync::Arc<[u8]> = std::sync::Arc::from(&frame[..]);
+        // A freshly built `Arc` has exactly one owner, so `get_mut`
+        // always succeeds.
+        if let Some(bytes) = std::sync::Arc::get_mut(&mut copy) {
+            self.scramble(bytes);
+        }
+        *frame = copy;
     }
 
     /// Is a received packet dropped by (probabilistic) buffer overflow?
@@ -411,11 +415,13 @@ mod tests {
         );
         assert!(scrambled.iter().any(|&b| b != 0));
 
-        // Same seed, same bytes: the shared path draws the identical stream.
+        // Same seed, same bytes: the shared path draws the identical
+        // stream and leaves it at the identical position.
         let mut inj2 = FaultInjector::new(model(0.5, 0.0), 9);
         let mut plain = vec![0u8; 8];
         inj2.scramble(&mut plain);
         assert_eq!(&scrambled[..], &plain[..]);
+        assert_eq!(inj.snapshot(), inj2.snapshot());
     }
 
     #[test]

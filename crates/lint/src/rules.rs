@@ -53,8 +53,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "hot-path-panic",
-        invariant: "per-round engine paths (engine.rs, checkpoint.rs, send_buffer.rs, \
-                    injector.rs) carry no unwrap/expect/panic!",
+        invariant: "per-round engine paths (engine.rs, shard.rs, wire.rs, checkpoint.rs, \
+                    send_buffer.rs, injector.rs) carry no unwrap/expect/panic!",
     },
     RuleInfo {
         name: "stdout-in-lib",
@@ -127,6 +127,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/frontier.rs",
     "crates/core/src/send_buffer.rs",
     "crates/core/src/shard.rs",
+    "crates/core/src/wire.rs",
     "crates/faults/src/injector.rs",
 ];
 
