@@ -310,6 +310,10 @@ impl SimulationBuilder {
             .validate()
             // noc-lint: allow(hot-path-panic, reason = "builder-time validation; runs once before the round loop, never per step")
             .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
+        self.fault_model
+            .validate()
+            // noc-lint: allow(hot-path-panic, reason = "builder-time validation; runs once before the round loop, never per step")
+            .unwrap_or_else(|e| panic!("{e}"));
         self.adversary
             .validate()
             // noc-lint: allow(hot-path-panic, reason = "builder-time validation; runs once before the round loop, never per step")
@@ -1032,6 +1036,11 @@ impl<S: EventSink> Simulation<S> {
         {
             return Err(CheckpointError::Mismatch("byzantine replay tile index"));
         }
+        // Scaled by σ_synch, the spare is the next skew handed to
+        // `ClockDomain::advance`, which loops once per whole round of it.
+        if ck.injector_spare.is_some_and(|spare| !spare.is_finite()) {
+            return Err(CheckpointError::Mismatch("non-finite Gaussian spare"));
+        }
         if ck.buffers.iter().flat_map(|b| &b.messages).any(|msg| {
             msg.source >= n as u64
                 || msg.destination >= n as u64
@@ -1085,7 +1094,8 @@ impl<S: EventSink> Simulation<S> {
             .clocks
             .iter()
             .map(|&(skew, slips)| ClockDomain::from_parts(skew, slips))
-            .collect();
+            .collect::<Option<_>>()
+            .ok_or(CheckpointError::Mismatch("clock skew outside (-0.5, 0.5]"))?;
         self.egress_next = ck.egress_next.iter().map(|o| o.map(MessageId)).collect();
         // Tiles buffering the same message share its payload bytes, as
         // they do in a live run.
@@ -1344,10 +1354,11 @@ impl<S: EventSink> Simulation<S> {
                         // what they decode to. Most arrivals in a flood
                         // are duplicates of an already-buffered message:
                         // they die right here on the entry's id, without
-                        // a look at the bytes.
+                        // a look at the bytes — on the seen-probe, so the
+                        // `BTreeSet` walk runs only for the 1 % that pass it.
                         Some(message) => {
                             let id = message.id;
-                            if terminated.contains(&id) || buffers[tile].has_seen(id) {
+                            if buffers[tile].has_seen(id) || terminated.contains(&id) {
                                 sink.emit(SimEvent::DuplicateDrop {
                                     round,
                                     tile: node,
@@ -1457,96 +1468,19 @@ impl<S: EventSink> Simulation<S> {
         // copies the 8-byte handle per link.
         let span = span_start(&obs);
         {
-            let Simulation {
-                ref topology,
-                ref config,
-                ref crash_schedule,
-                ref adversary,
-                ref mut chaos_streams,
-                ref mut byz_streams,
-                ref mut byz_last_frame,
-                ref mut injector,
-                ref codec,
-                ref mut wires,
-                ref tiles_alive,
-                ref links_alive,
-                ref buffers,
-                ref mut clocks,
-                ref mut inbox_next,
-                ref mut inbox_later,
-                ref egress_limits,
-                ref mut egress_next,
-                ref forward_overrides,
-                ref mut report,
-                ref mut sink,
-                ref buffer_frontier,
-                ref mut inflight,
-                ..
-            } = *self;
-            let mut tx = TxContext {
-                topology,
-                links_alive,
-                crash_schedule,
-                adversary,
-                injector,
-                chaos_streams,
-                wires,
-                report,
-                stats: &mut stats,
-                round,
-            };
-            for tile in buffer_frontier.iter() {
-                let node = NodeId(tile);
-                let msgs = buffers[tile].messages();
-                if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) || msgs.is_empty() {
+            let (mut tx, mut out) = self.forward_split(&mut stats);
+            for tile in out.frontier.iter() {
+                let Some(slips) = tx.open_tile(tile) else {
                     continue;
-                }
-                let p = forward_overrides[tile].unwrap_or(config.forward_probability);
-                // Synchronization: a slipped tile delivers one round late.
-                let skew = tx.injector.round_skew();
-                let slips = clocks[tile].advance(skew);
+                };
+                let node = NodeId(tile);
                 for _ in 0..slips {
-                    sink.emit(SimEvent::ClockSlip { round, tile: node });
+                    out.sink.emit(SimEvent::ClockSlip { round, tile: node });
                 }
-                let slipped = slips > 0;
-                let len = msgs.len();
-                let (start, count) =
-                    egress_window(egress_limits[tile], &mut egress_next[tile], msgs);
-                for k in 0..count {
-                    let message = &msgs[(start + k) % len];
-                    let wire = tx.wires.frame_for(codec, message);
-                    sink.emit(ServeKind::Buffer.event(round, node, message.id));
-                    if byz_streams.contains_key(&tile) {
-                        byz_last_frame[tile] = Some((message.id, tx.wires.entry(wire).clone()));
-                    }
-                    let serve = Serve {
-                        id: message.id,
-                        wire,
-                        frame_len: codec.frame_bytes(message.payload.len()),
-                        p,
-                        slipped,
-                    };
-                    tx.transmit(sink, inbox_next, inbox_later, inflight, node, serve);
-                }
-                // A compromised tile attacks after its legitimate service:
-                // one activation draw per armed round (from the tile's own
-                // stream), then a forged equivocation or a stale replay is
-                // flooded to *every* output link, ignoring the protocol's
-                // forwarding probability.
-                let victim = &msgs[start % len];
-                if let Some((kind, id, entry)) =
-                    tx.byzantine_attack(byz_streams, byz_last_frame, codec, tile, victim)
-                {
-                    sink.emit(kind.event(round, node, id));
-                    let serve = Serve {
-                        id,
-                        frame_len: entry.bytes.len(),
-                        wire: tx.wires.push(entry),
-                        p: 1.0,
-                        slipped,
-                    };
-                    tx.transmit(sink, inbox_next, inbox_later, inflight, node, serve);
-                }
+                tx.serve_tile(tile, slips > 0, |tx, kind, serve| {
+                    out.sink.emit(kind.event(round, node, serve.id));
+                    tx.transmit(&mut out, node, serve);
+                });
             }
         }
         span_end(&obs, EnginePhase::Forward, span);
@@ -1942,7 +1876,7 @@ impl<S: EventSink> Simulation<S> {
             outs
         } else {
             let tape_span = span_start(&obs);
-            self.build_forward_tape(round, &mut stats);
+            self.build_forward_tape(&mut stats);
             span_end(&obs, EnginePhase::Tape, tape_span);
             let fan_span = span_start(&obs);
             let Simulation {
@@ -2029,92 +1963,65 @@ impl<S: EventSink> Simulation<S> {
     /// activity — and records the outcomes, wire handles included, on
     /// the tape for the RNG-free workers. All transmission counters
     /// accumulate here, in draw order.
-    fn build_forward_tape(&mut self, round: u64, stats: &mut RoundStats) {
-        let Simulation {
-            ref topology,
-            ref config,
-            ref crash_schedule,
-            ref adversary,
-            ref mut chaos_streams,
-            ref mut byz_streams,
-            ref mut byz_last_frame,
-            ref mut injector,
-            ref codec,
-            ref mut wires,
-            ref tiles_alive,
-            ref links_alive,
-            ref buffers,
-            ref mut clocks,
-            ref egress_limits,
-            ref mut egress_next,
-            ref forward_overrides,
-            ref mut report,
-            ref buffer_frontier,
-            ref mut forward_tape,
-            ..
-        } = *self;
-        forward_tape.clear();
-        let mut tx = TxContext {
-            topology,
-            links_alive,
-            crash_schedule,
-            adversary,
-            injector,
-            chaos_streams,
-            wires,
-            report,
+    fn build_forward_tape(&mut self, stats: &mut RoundStats) {
+        let (mut tx, ForwardSinks { frontier, tape, .. }) = self.forward_split(stats);
+        tape.clear();
+        for tile in frontier.iter() {
+            let Some(slips) = tx.open_tile(tile) else {
+                continue;
+            };
+            let serves_start = tape.serves.len() as u32;
+            tx.serve_tile(tile, slips > 0, |tx, kind, serve| {
+                tx.plan(tape, NodeId(tile), kind, serve);
+            });
+            tape.plans.push(TilePlan {
+                tile: tile as u32,
+                slips,
+                serves: (serves_start, tape.serves.len() as u32),
+            });
+        }
+    }
+
+    /// Splits the simulation for the forward phase: the decision
+    /// context both walks draw through, and what each files into.
+    fn forward_split<'a>(
+        &'a mut self,
+        stats: &'a mut RoundStats,
+    ) -> (TxContext<'a>, ForwardSinks<'a, S>) {
+        let round = self.round;
+        let tx = TxContext {
+            topology: &self.topology,
+            tiles_alive: &self.tiles_alive,
+            links_alive: &self.links_alive,
+            links_scheduled: self.crash_schedule.any_link_dead(round)
+                || self.adversary.partitions.any_active(round),
+            crash_schedule: &self.crash_schedule,
+            adversary: &self.adversary,
+            injector: &mut self.injector,
+            chaos_streams: &mut self.chaos_streams,
+            byz_streams: &mut self.byz_streams,
+            byz_last_frame: &mut self.byz_last_frame,
+            codec: &self.codec,
+            wires: &mut self.wires,
+            buffers: &self.buffers,
+            clocks: &mut self.clocks,
+            egress_limits: &self.egress_limits,
+            egress_next: &mut self.egress_next,
+            forward_overrides: &self.forward_overrides,
+            forward_probability: self.config.forward_probability,
+            report: &mut self.report,
             stats,
             round,
         };
-        for tile in buffer_frontier.iter() {
-            let node = NodeId(tile);
-            let msgs = buffers[tile].messages();
-            if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) || msgs.is_empty() {
-                continue;
-            }
-            let p = forward_overrides[tile].unwrap_or(config.forward_probability);
-            let skew = tx.injector.round_skew();
-            let slips = clocks[tile].advance(skew);
-            let slipped = slips > 0;
-            let serves_start = forward_tape.serves.len() as u32;
-            let len = msgs.len();
-            let (start, count) = egress_window(egress_limits[tile], &mut egress_next[tile], msgs);
-            for k in 0..count {
-                let message = &msgs[(start + k) % len];
-                let wire = tx.wires.frame_for(codec, message);
-                if byz_streams.contains_key(&tile) {
-                    byz_last_frame[tile] = Some((message.id, tx.wires.entry(wire).clone()));
-                }
-                let serve = Serve {
-                    id: message.id,
-                    wire,
-                    frame_len: codec.frame_bytes(message.payload.len()),
-                    p,
-                    slipped,
-                };
-                tx.plan(forward_tape, node, ServeKind::Buffer, serve);
-            }
-            // Byzantine attack after legitimate service, same stream
-            // discipline as the sequential engine.
-            let victim = &msgs[start % len];
-            if let Some((kind, id, entry)) =
-                tx.byzantine_attack(byz_streams, byz_last_frame, codec, tile, victim)
-            {
-                let serve = Serve {
-                    id,
-                    frame_len: entry.bytes.len(),
-                    wire: tx.wires.push(entry),
-                    p: 1.0,
-                    slipped,
-                };
-                tx.plan(forward_tape, node, kind, serve);
-            }
-            forward_tape.plans.push(TilePlan {
-                tile: tile as u32,
-                slips,
-                serves: (serves_start, forward_tape.serves.len() as u32),
-            });
-        }
+        let sinks = ForwardSinks {
+            frontier: &self.buffer_frontier,
+            sink: &mut self.sink,
+            inbox_next: &mut self.inbox_next,
+            inbox_later: &mut self.inbox_later,
+            inflight: &mut self.inflight,
+            tape: &mut self.forward_tape,
+        };
+        (tx, sinks)
     }
 }
 
@@ -2154,42 +2061,135 @@ struct Serve {
     slipped: bool,
 }
 
-/// The forward phase's split borrows that decide a transmission's fate.
-/// Both forward walks — the sequential loop, which files each frame at
-/// once, and the sharded pre-pass, which records it on the tape — draw
-/// through this one type, so their per-link decision sequence (and with
-/// it the RNG draw order) cannot diverge.
+/// The frontier a forward walk covers and what it files its decisions
+/// into, beside the [`TxContext`] it draws them through: the sequential
+/// loop files each frame into the arenas at once, the sharded pre-pass
+/// records it on the tape.
+struct ForwardSinks<'a, S> {
+    frontier: &'a TileSet,
+    sink: &'a mut S,
+    inbox_next: &'a mut [Vec<Frame>],
+    inbox_later: &'a mut [Vec<Frame>],
+    inflight: &'a mut Inflight,
+    tape: &'a mut ForwardTape,
+}
+
+/// The forward phase's split borrows: everything that decides which
+/// tile serves what and each transmission's fate. Both forward walks —
+/// the sequential loop and the sharded pre-pass — run every tile through
+/// [`TxContext::open_tile`] and [`TxContext::serve_tile`] and differ
+/// only in the filing closure, so their decision sequence (and with it
+/// the RNG draw order) cannot diverge.
 struct TxContext<'a> {
     topology: &'a Topology,
+    tiles_alive: &'a [bool],
     links_alive: &'a [bool],
+    /// Some scheduled link crash or partition cut is in effect this
+    /// round. When none is, `links_alive[link]` is the whole liveness
+    /// check and neither schedule is scanned per transmission.
+    links_scheduled: bool,
     crash_schedule: &'a CrashSchedule,
     adversary: &'a AdversarialScenario,
     injector: &'a mut FaultInjector,
     chaos_streams: &'a mut [StdRng],
+    byz_streams: &'a mut BTreeMap<usize, StdRng>,
+    byz_last_frame: &'a mut [Option<(MessageId, WireEntry)>],
+    codec: &'a WireCodec,
     wires: &'a mut WireTable,
+    buffers: &'a [SendBuffer],
+    clocks: &'a mut [ClockDomain],
+    egress_limits: &'a [Option<usize>],
+    egress_next: &'a mut [Option<MessageId>],
+    forward_overrides: &'a [Option<f64>],
+    forward_probability: f64,
     report: &'a mut SimulationReport,
     stats: &'a mut RoundStats,
     round: u64,
 }
 
 impl TxContext<'_> {
-    /// Decides one transmission onto `link_id`: counts it, swallows it
-    /// on a dead or partitioned link, registers a scrambled copy on an
-    /// upset, and draws chaos jitter from the link's dedicated stream.
+    /// Opens `tile`'s forward service: `None` (and no draw) when the
+    /// tile is dead or buffers nothing, else the round boundaries its
+    /// clock slipped after this round's skew draw — a slipped tile
+    /// delivers one round late.
+    fn open_tile(&mut self, tile: usize) -> Option<u32> {
+        if !self.tiles_alive[tile]
+            || self.crash_schedule.tile_dead(tile, self.round)
+            || self.buffers[tile].is_empty()
+        {
+            return None;
+        }
+        let skew = self.injector.round_skew();
+        Some(self.clocks[tile].advance(skew))
+    }
+
+    /// Serves an opened tile, handing each service to `file`: every
+    /// message of its egress window (encoded at most once per round
+    /// through the wire table's memo), then the Byzantine attack a
+    /// compromised tile makes after its legitimate service.
+    fn serve_tile(
+        &mut self,
+        tile: usize,
+        slipped: bool,
+        mut file: impl FnMut(&mut Self, ServeKind, Serve),
+    ) {
+        let (buffers, codec) = (self.buffers, self.codec);
+        let msgs = buffers[tile].messages();
+        let p = self.forward_overrides[tile].unwrap_or(self.forward_probability);
+        let compromised = self.byz_streams.contains_key(&tile);
+        let (start, count) =
+            egress_window(self.egress_limits[tile], &mut self.egress_next[tile], msgs);
+        let mut at = start;
+        for _ in 0..count {
+            let message = &msgs[at];
+            at += 1;
+            if at == msgs.len() {
+                at = 0;
+            }
+            let wire = self.wires.frame_for(codec, message);
+            if compromised {
+                self.byz_last_frame[tile] = Some((message.id, self.wires.entry(wire).clone()));
+            }
+            let serve = Serve {
+                id: message.id,
+                wire,
+                frame_len: codec.frame_bytes(message.payload.len()),
+                p,
+                slipped,
+            };
+            file(self, ServeKind::Buffer, serve);
+        }
+        // One activation draw per armed round (from the tile's own
+        // stream), then a forged equivocation or a stale replay is
+        // flooded to *every* output link, ignoring the protocol's
+        // forwarding probability.
+        if let Some((kind, id, entry)) = self.byzantine_attack(tile, &msgs[start]) {
+            let serve = Serve {
+                id,
+                frame_len: entry.bytes.len(),
+                wire: self.wires.push(entry),
+                p: 1.0,
+                slipped,
+            };
+            file(self, kind, serve);
+        }
+    }
+
+    /// Decides one transmission onto `link_id`: swallows it on a dead or
+    /// partitioned link, registers a scrambled copy on an upset, and
+    /// draws chaos jitter from the link's dedicated stream.
+    #[inline]
     fn decide(&mut self, link_id: LinkId, serve: &Serve) -> TxOutcome {
-        let round = self.round;
-        self.stats.transmissions += 1;
-        self.report.packets_sent += 1;
-        self.report.bits_sent += Bits((serve.frame_len * 8) as u64);
-        if !self.links_alive[link_id.index()]
-            || self.crash_schedule.link_dead(link_id.index(), round)
+        let (link, round) = (link_id.index(), self.round);
+        if !self.links_alive[link]
+            || (self.links_scheduled && self.crash_schedule.link_dead(link, round))
         {
             self.report.crash_drops += 1;
             return TxOutcome::DeadLink;
         }
         // Partition cuts are pure schedule lookups — no RNG draw — so a
         // benign scenario leaves the main fault stream untouched.
-        if self.adversary.partitions.link_cut(link_id.index(), round) {
+        if self.links_scheduled && self.adversary.partitions.link_cut(link, round) {
             self.report.partition_drops += 1;
             return TxOutcome::Partitioned;
         }
@@ -2206,13 +2206,13 @@ impl TxContext<'_> {
             // reorder. `gen_bool_p` short-circuits p = 0 without a draw, so
             // a delay-only (or reorder-only) configuration consumes exactly
             // one draw per frame from the link's stream.
-            let stream = &mut self.chaos_streams[link_id.index()];
-            if stream.gen_bool_p(self.adversary.chaos.delay_probability) {
+            let stream = &mut self.chaos_streams[link];
+            if gen_bool_p(stream, self.adversary.chaos.delay_probability) {
                 self.report.adversarial_delays += 1;
                 held = true;
                 delayed = true;
             }
-            if stream.gen_bool_p(self.adversary.chaos.reorder_probability) {
+            if gen_bool_p(stream, self.adversary.chaos.reorder_probability) {
                 self.report.adversarial_reorders += 1;
                 reordered = true;
             }
@@ -2226,16 +2226,23 @@ impl TxContext<'_> {
     }
 
     /// Offers `serve` to each output link of `from` (one forwarding
-    /// Bernoulli per link when `p < 1`) and hands every transmission's
-    /// decided fate to `file`.
+    /// Bernoulli per link when `p < 1`), hands every transmission's
+    /// decided fate to `file`, and counts the transmissions once for
+    /// the whole service.
+    #[inline]
     fn offer(&mut self, from: NodeId, serve: &Serve, mut file: impl FnMut(LinkId, TxOutcome)) {
         let topology = self.topology;
+        let mut sent = 0;
         for &link_id in topology.out_links(from) {
-            if serve.p < 1.0 && !self.injector.rng().gen_bool_p(serve.p) {
+            if serve.p < 1.0 && !gen_bool_p(self.injector.rng(), serve.p) {
                 continue;
             }
+            sent += 1;
             file(link_id, self.decide(link_id, serve));
         }
+        self.stats.transmissions += sent;
+        self.report.packets_sent += sent;
+        self.report.bits_sent += Bits(sent * (serve.frame_len * 8) as u64);
     }
 
     /// The sequential engine's service: emits each transmission's
@@ -2243,24 +2250,21 @@ impl TxContext<'_> {
     /// (`inbox_later` when held; queue-front when reordered).
     fn transmit<S: EventSink>(
         &mut self,
-        sink: &mut S,
-        inbox_next: &mut [Vec<Frame>],
-        inbox_later: &mut [Vec<Frame>],
-        inflight: &mut Inflight,
+        out: &mut ForwardSinks<'_, S>,
         from: NodeId,
         serve: Serve,
     ) {
         let (round, topology) = (self.round, self.topology);
         self.offer(from, &serve, |link_id, outcome| {
             let to = topology.link(link_id).to;
-            sink.emit(SimEvent::FrameSent {
+            out.sink.emit(SimEvent::FrameSent {
                 round,
                 from,
                 link: link_id,
                 to,
                 message: serve.id,
             });
-            outcome.emit_after_send(round, link_id, |event| sink.emit(event));
+            outcome.emit_after_send(round, link_id, |event| out.sink.emit(event));
             if let TxOutcome::Deliver {
                 wire,
                 held,
@@ -2269,9 +2273,9 @@ impl TxContext<'_> {
             } = outcome
             {
                 let (inbox, track) = if held {
-                    (&mut inbox_later[to.index()], &mut inflight.later)
+                    (&mut out.inbox_later[to.index()], &mut out.inflight.later)
                 } else {
-                    (&mut inbox_next[to.index()], &mut inflight.next)
+                    (&mut out.inbox_next[to.index()], &mut out.inflight.next)
                 };
                 if inbox.is_empty() {
                     track.tiles.insert(to.index());
@@ -2307,9 +2311,6 @@ impl TxContext<'_> {
     /// tile's last legitimate frame, as the wire entry to flood.
     fn byzantine_attack(
         &mut self,
-        byz_streams: &mut BTreeMap<usize, StdRng>,
-        byz_last_frame: &[Option<(MessageId, WireEntry)>],
-        codec: &WireCodec,
         tile: usize,
         victim: &Message,
     ) -> Option<(ServeKind, MessageId, WireEntry)> {
@@ -2317,8 +2318,8 @@ impl TxContext<'_> {
         if !byzantine.armed(tile, self.round) {
             return None;
         }
-        let stream = byz_streams.get_mut(&tile)?;
-        if !stream.gen_bool_p(byzantine.activation_probability) {
+        let stream = self.byz_streams.get_mut(&tile)?;
+        if !gen_bool_p(stream, byzantine.activation_probability) {
             return None;
         }
         match byzantine.mode {
@@ -2342,11 +2343,11 @@ impl TxContext<'_> {
                 Some((
                     ServeKind::Forge,
                     victim.id,
-                    WireEntry::encode(codec, forged),
+                    WireEntry::encode(self.codec, forged),
                 ))
             }
             ByzantineMode::Replay => {
-                let (id, entry) = byz_last_frame[tile].clone()?;
+                let (id, entry) = self.byz_last_frame[tile].clone()?;
                 self.report.byzantine_replays += 1;
                 Some((ServeKind::Replay, id, entry))
             }
@@ -2431,23 +2432,17 @@ fn apply_overflow_in_place<S: EventSink>(
     }
 }
 
-/// Extension trait so the engine can draw Bernoulli samples through the
-/// injector's deterministic stream without importing `rand` traits at
-/// every call site.
-trait GenBool {
-    fn gen_bool_p(&mut self, p: f64) -> bool;
-}
-
-impl GenBool for rand::rngs::StdRng {
-    fn gen_bool_p(&mut self, p: f64) -> bool {
-        use rand::Rng;
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.gen_bool(p)
-        }
+/// A Bernoulli draw from one of the engine's deterministic streams
+/// that spends no draw on a certain outcome (`p` of 0 or 1).
+#[inline]
+fn gen_bool_p(rng: &mut StdRng, p: f64) -> bool {
+    use rand::Rng;
+    if p <= 0.0 {
+        false
+    } else if p >= 1.0 {
+        true
+    } else {
+        rng.gen_bool(p)
     }
 }
 

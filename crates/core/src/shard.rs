@@ -307,7 +307,8 @@ pub(crate) fn receive_shard(
                 },
                 Some(message) => {
                     let id = message.id;
-                    if spread_terminated(id, &local_term) || buffer.has_seen(id) {
+                    // Seen-probe first, as in the sequential loop.
+                    if buffer.has_seen(id) || spread_terminated(id, &local_term) {
                         if ctx.record_events {
                             out.events.push(SimEvent::DuplicateDrop {
                                 round,
@@ -734,6 +735,9 @@ pub(crate) fn forward_shard_uniform(
     let round = ctx.round;
     let mut out = ForwardOut::default();
     let mut segment = ctx.wires.segment();
+    // As the tape pre-pass: no schedule scan when none is in effect.
+    let links_scheduled =
+        ctx.crash_schedule.any_link_dead(round) || ctx.adversary.partitions.any_active(round);
     for tile in ctx.frontier.iter_range(lo, hi) {
         let node = NodeId(tile);
         let msgs = ctx.buffers[tile].messages();
@@ -756,9 +760,10 @@ pub(crate) fn forward_shard_uniform(
             }
             let wire = segment.frame_for(ctx.codec, message);
             let frame_bits = (ctx.codec.frame_bytes(message.payload.len()) * 8) as u64;
-            for &link_id in ctx.topology.out_links(node) {
-                out.transmissions += 1;
-                out.bits += frame_bits;
+            let links = ctx.topology.out_links(node);
+            out.transmissions += links.len() as u64;
+            out.bits += frame_bits * links.len() as u64;
+            for &link_id in links {
                 let to = ctx.topology.link(link_id).to;
                 if ctx.record_events {
                     out.events.push(SimEvent::FrameSent {
@@ -770,7 +775,7 @@ pub(crate) fn forward_shard_uniform(
                     });
                 }
                 if !ctx.links_alive[link_id.index()]
-                    || ctx.crash_schedule.link_dead(link_id.index(), round)
+                    || (links_scheduled && ctx.crash_schedule.link_dead(link_id.index(), round))
                 {
                     out.crash_drops += 1;
                     if ctx.record_events {
@@ -781,7 +786,7 @@ pub(crate) fn forward_shard_uniform(
                     }
                     continue;
                 }
-                if ctx.adversary.partitions.link_cut(link_id.index(), round) {
+                if links_scheduled && ctx.adversary.partitions.link_cut(link_id.index(), round) {
                     out.partition_drops += 1;
                     if ctx.record_events {
                         out.events.push(SimEvent::PartitionDrop {

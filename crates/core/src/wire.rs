@@ -19,16 +19,15 @@
 //! two-bit generation tag, so debug builds catch a handle that outlived
 //! its generation.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use noc_fabric::{LinkId, Message, MessageId, WireCodec};
+use noc_fabric::{LinkId, Message, WireCodec};
 use noc_faults::FaultInjector;
 
 use crate::seed::mix64;
 
-/// Hasher for [`MessageId`]-keyed maps whose order is never observed:
+/// Hasher for [`MessageId`]-keyed sets whose order is never observed:
 /// one SplitMix64 finalizer per written word. Ids are engine-assigned
 /// counters, not outside input, so SipHash's collision resistance buys
 /// nothing on the per-frame path.
@@ -46,21 +45,14 @@ impl Hasher for IdHasher {
         }
     }
 
-    fn write_u8(&mut self, value: u8) {
-        self.write_u64(u64::from(value));
-    }
-
     #[inline]
     fn write_u64(&mut self, value: u64) {
         self.0 = mix64(self.0 ^ value);
     }
 }
 
-/// [`std::hash::BuildHasher`] of the engine's id-keyed sets and maps.
+/// [`std::hash::BuildHasher`] of the engine's id-keyed seen-sets.
 pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
-
-// noc-lint: allow(map-iteration-order, reason = "lookup-only encode memo keyed by message id; never iterated, so hash order cannot reach any report")
-type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
 
 /// Bits of a [`Wire`] that index into its generation; the two above
 /// carry the generation tag.
@@ -102,6 +94,7 @@ const _: fn() = || {
 
 impl Frame {
     /// A frame arriving over `via` (`None` for a local loopback).
+    #[inline]
     pub(crate) fn new(wire: Wire, via: Option<LinkId>) -> Self {
         Frame {
             wire,
@@ -147,6 +140,7 @@ impl WireEntry {
     /// TTL are the memo key; an undetected upset can put a different
     /// source, destination or payload into circulation under the same
     /// key, and the two copies must keep encoding differently.
+    #[inline]
     fn encodes(&self, message: &Message) -> bool {
         self.message.as_ref().is_some_and(|own| {
             own.source == message.source
@@ -156,37 +150,157 @@ impl WireEntry {
     }
 }
 
+/// One slot of a [`MemoTable`]: live while `epoch` equals the table's,
+/// free otherwise (zeroed, or stamped by an earlier round).
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoSlot {
+    epoch: u32,
+    tag: u8,
+    index: u32,
+    key: u64,
+}
+
+/// Slots of a [`MemoTable`]'s first allocation.
+const MEMO_INITIAL_SLOTS: usize = 64;
+
+/// A lookup-only multimap from `(key, tag)` to entry indices — for the
+/// encode memo `(message id, ttl)`, for the restore interner `(content
+/// hash, scrambled)`. One flat open-addressing table, probed linearly
+/// from `mix64(key ^ tag << 56)`; it is never iterated, so its order
+/// cannot reach a report.
+///
+/// Several indices may be filed under one `(key, tag)` (twins); they
+/// sit in successive probe slots and the caller's predicate tells them
+/// apart. Nothing is ever removed within an epoch, so a probe that
+/// meets a free slot has seen every live candidate.
+#[derive(Debug)]
+struct MemoTable {
+    /// Power-of-two length; empty until the first lookup.
+    slots: Vec<MemoSlot>,
+    /// Stamp of the live slots. Never 0, so a zeroed slot is free.
+    epoch: u32,
+    /// Slots stamped `epoch`.
+    live: usize,
+}
+
+impl Default for MemoTable {
+    fn default() -> Self {
+        MemoTable {
+            slots: Vec::new(),
+            epoch: 1,
+            live: 0,
+        }
+    }
+}
+
+impl MemoTable {
+    /// Forgets every key without touching the slots: bumping the epoch
+    /// turns them all stale. Only a wrapped epoch, which would make
+    /// stamps from 2^32 clears ago read as live, zeroes the table.
+    fn clear(&mut self) {
+        self.live = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(MemoSlot::default());
+            self.epoch = 1;
+        }
+    }
+
+    #[inline]
+    fn home(key: u64, tag: u8, mask: usize) -> usize {
+        mix64(key ^ (u64::from(tag) << 56)) as usize & mask
+    }
+
+    /// The index filed under `(key, tag)` that `matches` accepts, or
+    /// else the free slot to [`MemoTable::fill`] with a new one.
+    #[inline]
+    fn find(&mut self, key: u64, tag: u8, matches: impl Fn(u32) -> bool) -> Result<u32, usize> {
+        // At most half full, so the probe below always meets a free slot.
+        if self.live * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = Self::home(key, tag, mask);
+        loop {
+            let slot = self.slots[at];
+            if slot.epoch != self.epoch {
+                return Err(at);
+            }
+            if slot.key == key && slot.tag == tag && matches(slot.index) {
+                return Ok(slot.index);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Files `index` under `(key, tag)` in the free slot `at` that the
+    /// preceding [`MemoTable::find`] returned.
+    #[inline]
+    fn fill(&mut self, at: usize, key: u64, tag: u8, index: u32) {
+        self.slots[at] = MemoSlot {
+            epoch: self.epoch,
+            tag,
+            index,
+            key,
+        };
+        self.live += 1;
+    }
+
+    /// Doubles the table, rehashing the live slots only.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MEMO_INITIAL_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![MemoSlot::default(); len]);
+        let mask = len - 1;
+        for slot in old.into_iter().filter(|slot| slot.epoch == self.epoch) {
+            let mut at = Self::home(slot.key, slot.tag, mask);
+            while self.slots[at].epoch == self.epoch {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
+    }
+}
+
 /// Memo of the frames encoded into one generation (or segment) this
 /// round: every tile holding a message at the same TTL produces the
 /// identical wire frame, so the CRC/LFSR encode runs once per
 /// `(message, ttl)` per round. TTLs decrement every round, so the memo
-/// is dropped with the round.
+/// is forgotten with the round.
 #[derive(Debug, Default)]
 struct EncodeMemo {
-    map: IdMap<(MessageId, u8), Vec<u32>>,
+    table: MemoTable,
     scratch: Vec<u8>,
 }
 
 impl EncodeMemo {
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-
     /// Index in `entries` of the frame encoding `message`, appending it
     /// on first use.
+    #[inline]
     fn index_for(
         &mut self,
         entries: &mut Vec<WireEntry>,
         codec: &WireCodec,
         message: &Message,
     ) -> u32 {
-        let slots = self.map.entry((message.id, message.ttl)).or_default();
-        if let Some(&index) = slots
-            .iter()
-            .find(|&&index| entries[index as usize].encodes(message))
-        {
-            return index;
-        }
+        let (key, tag) = (message.id.0, message.ttl);
+        let found = self
+            .table
+            .find(key, tag, |index| entries[index as usize].encodes(message));
+        found.unwrap_or_else(|free| self.encode(free, entries, codec, message))
+    }
+
+    /// The miss path, kept out of line so a hit — all but one serve per
+    /// `(message, ttl)` per round — stays a probe: encodes `message`,
+    /// appends the entry and files it in the `free` slot the probe found.
+    #[cold]
+    fn encode(
+        &mut self,
+        free: usize,
+        entries: &mut Vec<WireEntry>,
+        codec: &WireCodec,
+        message: &Message,
+    ) -> u32 {
         self.scratch.clear();
         codec.encode_into(message, &mut self.scratch);
         let index = push_entry(
@@ -196,7 +310,7 @@ impl EncodeMemo {
                 message: Some(message.clone()),
             },
         );
-        slots.push(index);
+        self.table.fill(free, message.id.0, message.ttl, index);
         index
     }
 }
@@ -228,7 +342,7 @@ impl WireTable {
         self.generations.rotate_right(1);
         self.generations[0].clear();
         self.epoch = self.epoch.wrapping_add(1);
-        self.memo.clear();
+        self.memo.table.clear();
     }
 
     fn tag(&self) -> u32 {
@@ -254,6 +368,7 @@ impl WireTable {
 
     /// The wire frame encoding `message`, shared with every other
     /// transmission of the same message and TTL this round.
+    #[inline]
     pub(crate) fn frame_for(&mut self, codec: &WireCodec, message: &Message) -> Wire {
         let index = self
             .memo
@@ -286,7 +401,7 @@ impl WireTable {
     pub(crate) fn interner(&self) -> WireInterner {
         WireInterner {
             segment: self.segment(),
-            by_content: IdMap::default(),
+            by_content: MemoTable::default(),
         }
     }
 
@@ -334,7 +449,7 @@ impl WireSegment {
 #[derive(Debug)]
 pub(crate) struct WireInterner {
     segment: WireSegment,
-    by_content: IdMap<(u64, bool), Vec<u32>>,
+    by_content: MemoTable,
 }
 
 impl WireInterner {
@@ -353,16 +468,19 @@ impl WireInterner {
             mix64(hash ^ u64::from_le_bytes(word))
         });
         let entries = &self.segment.entries;
-        let slots = self.by_content.entry((hash, scrambled)).or_default();
-        if let Some(&index) = slots.iter().find(|&&index| {
+        let tag = u8::from(scrambled);
+        let found = self.by_content.find(hash, tag, |index| {
             let entry = &entries[index as usize];
             entry.message.is_none() == scrambled && *entry.bytes == *bytes
-        }) {
-            return Ok(Wire(self.segment.tag | index));
+        });
+        match found {
+            Ok(index) => Ok(Wire(self.segment.tag | index)),
+            Err(free) => {
+                let wire = self.segment.push(make()?);
+                self.by_content.fill(free, hash, tag, wire.0 & INDEX_MASK);
+                Ok(wire)
+            }
         }
-        let wire = self.segment.push(make()?);
-        slots.push(wire.0 & INDEX_MASK);
-        Ok(wire)
     }
 
     /// The filled segment, ready for [`WireTable::adopt`].
@@ -374,7 +492,8 @@ impl WireInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_fabric::NodeId;
+    use noc_fabric::{MessageId, NodeId};
+    use proptest::prelude::*;
     use std::hash::BuildHasher;
 
     fn message(id: u64, ttl: u8) -> Message {
@@ -445,6 +564,111 @@ mod tests {
             a,
             "the memo does not outlive its round"
         );
+    }
+
+    /// `message(id, ttl)` with every payload byte set to `content`: the
+    /// same memo key, a different frame.
+    fn twin(id: u64, ttl: u8, content: u8) -> Message {
+        let mut message = message(id, ttl);
+        message.payload = vec![content; 4].into();
+        message
+    }
+
+    #[test]
+    fn a_table_grown_mid_round_returns_every_earlier_index_and_keeps_twins_apart() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let keys: Vec<Message> = (0..96u64)
+            .flat_map(|id| [twin(id, 5, 0), twin(id, 5, 1)])
+            .collect();
+        let first: Vec<Wire> = keys.iter().map(|m| table.frame_for(&codec, m)).collect();
+        assert!(
+            table.memo.table.slots.len() > MEMO_INITIAL_SLOTS,
+            "192 keys outgrow the first allocation"
+        );
+        for (at, (message, &wire)) in keys.iter().zip(&first).enumerate() {
+            assert_eq!(wire.0 & INDEX_MASK, at as u32, "one entry per key");
+            assert_eq!(table.frame_for(&codec, message), wire, "key {at}");
+            assert_eq!(
+                &table.entry(wire).bytes[..],
+                &codec.encode(message)[..],
+                "key {at} kept its own frame across the rehashes"
+            );
+        }
+        assert_eq!(table.generations[0].len(), keys.len(), "nothing re-encoded");
+    }
+
+    #[test]
+    fn rotate_forgets_the_round_without_touching_the_slots() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let old = table.frame_for(&codec, &message(1, 5));
+        let stamps = |table: &WireTable| -> Vec<(u32, u64)> {
+            let slots = &table.memo.table.slots;
+            slots.iter().map(|slot| (slot.epoch, slot.key)).collect()
+        };
+        let before = stamps(&table);
+        assert_eq!(before.iter().filter(|&&(epoch, _)| epoch != 0).count(), 1);
+        table.rotate();
+        assert_eq!(stamps(&table), before, "clear is an epoch bump");
+        assert_eq!(table.memo.table.live, 0);
+        let new = table.frame_for(&codec, &message(1, 5));
+        assert_ne!(new, old, "last round's key is a miss");
+        assert_eq!(new.0 & INDEX_MASK, 0, "first entry of the new generation");
+    }
+
+    #[test]
+    fn epoch_wrap_cannot_resurrect_a_stale_slot() {
+        let mut memo = MemoTable::default();
+        let free = memo.find(7, 3, |_| true).unwrap_err();
+        memo.fill(free, 7, 3, 42);
+        assert_eq!(memo.find(7, 3, |_| true), Ok(42));
+        // 2^32 − 2 clears later the counter is about to wrap onto the
+        // stamp that slot still carries.
+        memo.epoch = u32::MAX;
+        memo.live = 0;
+        assert!(memo.find(7, 3, |_| true).is_err(), "stale at u32::MAX");
+        memo.clear();
+        assert_eq!(memo.epoch, 1, "0 is reserved for free slots");
+        assert!(memo.find(7, 3, |_| true).is_err(), "the wrap zeroed it");
+        assert!(memo.slots.iter().all(|slot| slot.epoch == 0));
+    }
+
+    #[test]
+    fn a_default_segment_allocates_nothing() {
+        let segment = WireTable::default().segment();
+        assert_eq!(segment.entries.capacity(), 0);
+        assert_eq!(segment.memo.table.slots.capacity(), 0);
+        assert_eq!(segment.memo.scratch.capacity(), 0);
+    }
+
+    proptest! {
+        /// The table against a naive scan of this round's keys: the
+        /// same insert/rotate sequence must share exactly the same
+        /// indices (a key's index is its rank of first use in the round).
+        #[test]
+        fn memo_shares_indices_exactly_like_a_linear_scan(
+            ops in proptest::collection::vec((0u8..64, 0u64..48, 1u8..3, 0u8..2), 0..400)
+        ) {
+            let codec = WireCodec::default();
+            let mut table = WireTable::default();
+            let mut naive: Vec<(u64, u8, u8)> = Vec::new();
+            for (op, id, ttl, content) in ops {
+                if op == 0 {
+                    table.rotate();
+                    naive.clear();
+                    continue;
+                }
+                let key = (id, ttl, content);
+                let expected = naive.iter().position(|&seen| seen == key).unwrap_or_else(|| {
+                    naive.push(key);
+                    naive.len() - 1
+                });
+                let wire = table.frame_for(&codec, &twin(id, ttl, content));
+                prop_assert_eq!((wire.0 & INDEX_MASK) as usize, expected);
+                prop_assert_eq!(table.generations[0].len(), naive.len());
+            }
+        }
     }
 
     #[test]
@@ -532,9 +756,5 @@ mod tests {
         }
         // hashbrown buckets by the low bits and tags by the top seven.
         assert!(low.len() > 64 && high.len() > 64, "{low:?} {high:?}");
-        assert_ne!(
-            build.hash_one((MessageId(1), 2u8)),
-            build.hash_one((MessageId(2), 1u8))
-        );
     }
 }

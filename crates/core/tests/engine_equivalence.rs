@@ -16,8 +16,8 @@ use common::{
     adversary_strategy, build_adversary, build_schedule, crash_strategy, fault_model_strategy,
     observe, topology_strategy,
 };
-use noc_fabric::NodeId;
-use noc_faults::CrashSchedule;
+use noc_fabric::{NodeId, Topology};
+use noc_faults::{AdversarialScenario, CrashSchedule, FaultModel};
 use proptest::prelude::*;
 use stochastic_noc::reference::ReferenceSimulation;
 use stochastic_noc::{SimulationBuilder, StochasticConfig};
@@ -117,5 +117,55 @@ proptest! {
         let fast = observe(&optimized.run());
         let naive = observe(&reference.run());
         prop_assert_eq!(fast, naive);
+    }
+}
+
+/// The forward walk decides once per round whether any link crash or
+/// partition cut is in effect and skips both schedule scans when none
+/// is. The strategies above already draw link crashes at rounds 0–9 and
+/// cuts that heal; this run pins one schedule that crosses every edge of
+/// that flag — nothing in effect (rounds 0–1), a cut alone (2), cut and
+/// crash (3–4), the crash alone once the cut heals (5 on) — and must
+/// lose frames to both.
+#[test]
+fn link_schedules_coming_into_effect_mid_run_match_the_reference() {
+    let topology = Topology::grid(4, 4);
+    let hub = topology.out_links(NodeId(5));
+    let (cut, crashed) = ([hub[0].index(), hub[1].index()], hub[2].index());
+    let adversary = AdversarialScenario::builder()
+        .cut_links(cut, 2, Some(5))
+        .build()
+        .expect("valid scenario");
+    let mut schedule = CrashSchedule::new();
+    schedule.kill_link(crashed, 3);
+    let model = FaultModel::builder().p_upset(0.1).build().expect("valid");
+    let config = StochasticConfig::new(0.75, 12)
+        .expect("valid config")
+        .with_max_rounds(50);
+    let mut reference = ReferenceSimulation::new_with_adversary(
+        topology.clone(),
+        config,
+        model,
+        schedule.clone(),
+        adversary.clone(),
+        11,
+    );
+    reference.inject(NodeId(5), NodeId(15), vec![7; 6]);
+    let naive = observe(&reference.run());
+    assert!(
+        naive.partition_drops > 0 && naive.crash_drops > 0,
+        "{naive:?}"
+    );
+    for shards in [1, 2, 3] {
+        let mut optimized = SimulationBuilder::new(topology.clone())
+            .config(config)
+            .fault_model(model)
+            .crash_schedule(schedule.clone())
+            .adversary(adversary.clone())
+            .seed(11)
+            .shards(shards)
+            .build();
+        optimized.inject(NodeId(5), NodeId(15), vec![7; 6]);
+        assert_eq!(observe(&optimized.run()), naive, "shards {shards}");
     }
 }

@@ -1,9 +1,12 @@
-//! Wire-format limits are enforced where input enters the engine —
-//! `SimulationBuilder::build*`, `Simulation::inject` and an IP core's
-//! outbox — not rounds later by an assert inside the frame encoder.
+//! Limits are enforced where input enters the engine —
+//! `SimulationBuilder::build*`, `SimulationBuilder::resume`,
+//! `Simulation::inject` and an IP core's outbox — not rounds later by an
+//! assert inside the frame encoder, a panic inside a Bernoulli draw or a
+//! clock-slip loop that never ends.
 
 use noc_fabric::{IpContext, IpCore, NodeId, Topology, MAX_NODES, MAX_PAYLOAD_BYTES};
-use stochastic_noc::{SimulationBuilder, StochasticConfig};
+use noc_faults::FaultModel;
+use stochastic_noc::{Checkpoint, CheckpointError, SimulationBuilder, StochasticConfig};
 
 #[test]
 fn the_largest_payload_and_topology_are_accepted() {
@@ -51,4 +54,104 @@ fn oversized_payload_from_an_ip_core_is_rejected_as_it_leaves_the_outbox() {
 #[should_panic(expected = "the wire format addresses at most 65536")]
 fn topology_beyond_the_node_field_is_rejected_at_build() {
     let _ = SimulationBuilder::new(Topology::grid(257, 256)).build();
+}
+
+/// A hand-built model bypasses `FaultModelBuilder::build`; every field
+/// is `pub`.
+fn hand_built(edit: impl FnOnce(&mut FaultModel)) -> FaultModel {
+    let mut model = FaultModel::none();
+    edit(&mut model);
+    model
+}
+
+#[test]
+#[should_panic(expected = "invalid fault model: p_upset = NaN")]
+fn nan_probability_in_a_hand_built_model_is_rejected_at_build() {
+    let _ = SimulationBuilder::square_grid(2)
+        .fault_model(hand_built(|m| m.p_upset = f64::NAN))
+        .build();
+}
+
+#[test]
+#[should_panic(expected = "invalid fault model: sigma_synch = inf")]
+fn infinite_sigma_in_a_hand_built_model_is_rejected_at_build() {
+    let _ = SimulationBuilder::square_grid(2)
+        .fault_model(hand_built(|m| m.sigma_synch = f64::INFINITY))
+        .build();
+}
+
+/// A 2×2 simulation under clock skew, stepped until the skew sampler
+/// holds a Box–Muller spare, as checkpoint bytes — with the offsets of
+/// the spare and of tile 0's accumulated skew in format v1.
+fn skewed_checkpoint() -> (impl Fn() -> SimulationBuilder, Vec<u8>, usize, usize) {
+    let builder = || {
+        SimulationBuilder::square_grid(2)
+            .config(StochasticConfig::flooding(8).with_max_rounds(32))
+            .fault_model(FaultModel::builder().sigma_synch(0.2).build().unwrap())
+            .seed(5)
+    };
+    let mut sim = builder().build();
+    sim.inject(NodeId(0), NodeId(3), vec![1, 2, 3]);
+    // magic, version, digest, round, next id, started, completed, rng.
+    let spare_tag = 8 + 4 + 8 + 8 + 8 + 1 + 1 + 32;
+    let bytes = loop {
+        sim.step();
+        let bytes = sim.checkpoint().to_bytes();
+        if bytes[spare_tag] == 1 {
+            break bytes;
+        }
+    };
+    let (n, m) = (4, 8);
+    // spare, three tallies, three empty adversary lists, the two
+    // liveness vectors, the clock count.
+    let skew = spare_tag + 9 + 24 + 24 + (8 + n) + (8 + m) + 8;
+    let read = |at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert!(read(spare_tag + 1).is_finite(), "spare offset drifted");
+    assert!(
+        read(skew) != 0.0 && read(skew).abs() <= 0.5,
+        "skew offset drifted: {}",
+        read(skew)
+    );
+    (builder, bytes, spare_tag + 1, skew)
+}
+
+fn resume_with(
+    builder: &impl Fn() -> SimulationBuilder,
+    bytes: &[u8],
+    at: usize,
+    value: f64,
+) -> Result<(), CheckpointError> {
+    let mut bytes = bytes.to_vec();
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let checkpoint = Checkpoint::from_bytes(&bytes).expect("still well-formed");
+    builder().resume(&checkpoint).map(|mut sim| {
+        sim.run();
+    })
+}
+
+#[test]
+fn a_checkpoint_whose_clock_skew_would_spin_the_slip_loop_is_rejected() {
+    let (builder, bytes, _, skew) = skewed_checkpoint();
+    assert_eq!(resume_with(&builder, &bytes, skew, 0.25), Ok(()));
+    assert_eq!(resume_with(&builder, &bytes, skew, 0.5), Ok(()));
+    for hostile in [1e300, -1e300, f64::INFINITY, f64::NAN, -0.5, 0.75] {
+        assert_eq!(
+            resume_with(&builder, &bytes, skew, hostile),
+            Err(CheckpointError::Mismatch("clock skew outside (-0.5, 0.5]")),
+            "skew {hostile}"
+        );
+    }
+}
+
+#[test]
+fn a_checkpoint_whose_gaussian_spare_is_not_finite_is_rejected() {
+    let (builder, bytes, spare, _) = skewed_checkpoint();
+    assert_eq!(resume_with(&builder, &bytes, spare, -1.5), Ok(()));
+    for hostile in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        assert_eq!(
+            resume_with(&builder, &bytes, spare, hostile),
+            Err(CheckpointError::Mismatch("non-finite Gaussian spare")),
+            "spare {hostile}"
+        );
+    }
 }

@@ -48,6 +48,12 @@ impl ClockDomain {
     /// the appropriate direction, so a `skew_fraction` larger than 1.5
     /// slips more than once and the residual skew is always restored to
     /// the documented `(-0.5, 0.5]` range.
+    ///
+    /// The loop runs once per boundary crossed, so an infinite (or
+    /// astronomically large) accumulated skew never terminates: fault
+    /// models and checkpoints are validated where they enter so neither
+    /// can produce one.
+    #[inline]
     pub fn advance(&mut self, skew_fraction: f64) -> u32 {
         self.skew += skew_fraction;
         let mut count = 0;
@@ -62,11 +68,11 @@ impl ClockDomain {
     /// Rebuilds a domain from previously captured `skew`/`slips`
     /// values, for checkpoint restore.
     ///
-    /// `skew` is taken verbatim — the caller is trusted to hand back a
-    /// value previously read via [`ClockDomain::skew`], which the
-    /// advance loop keeps inside `(-0.5, 0.5]`.
-    pub fn from_parts(skew: f64, slips: u64) -> Self {
-        Self { skew, slips }
+    /// Returns `None` unless `skew` lies inside the `(-0.5, 0.5]` that
+    /// [`ClockDomain::advance`] maintains — a restored value outside it
+    /// (or a non-finite one) would make the next advance spin.
+    pub fn from_parts(skew: f64, slips: u64) -> Option<Self> {
+        (skew > -0.5 && skew <= 0.5).then_some(Self { skew, slips })
     }
 
     /// Current accumulated skew, as a fraction of `T_R` in `(-0.5, 0.5]`.
@@ -127,6 +133,17 @@ mod tests {
         let mut fast = ClockDomain::new();
         assert_eq!(fast.advance(-1.6), 2);
         assert!((fast.skew() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_rejects_skews_advance_never_leaves() {
+        let mut c = ClockDomain::new();
+        c.advance(0.9);
+        assert_eq!(ClockDomain::from_parts(c.skew(), c.slips()), Some(c));
+        assert!(ClockDomain::from_parts(0.5, 0).is_some());
+        for skew in [-0.5, 0.75, 1e300, f64::INFINITY, f64::NAN] {
+            assert_eq!(ClockDomain::from_parts(skew, 0), None, "skew {skew}");
+        }
     }
 
     #[test]

@@ -68,11 +68,16 @@ pub struct PartitionCut {
 }
 
 impl PartitionCut {
+    /// True if `round` falls inside this cut's window, whatever the link.
+    #[inline]
+    fn active(&self, round: u64) -> bool {
+        round >= self.from_round && self.heal_round.is_none_or(|heal| round < heal)
+    }
+
     /// True if this cut severs `link` during `round`.
+    #[inline]
     pub fn severs(&self, link: usize, round: u64) -> bool {
-        round >= self.from_round
-            && self.heal_round.is_none_or(|heal| round < heal)
-            && self.links.contains(&link)
+        self.active(round) && self.links.contains(&link)
     }
 }
 
@@ -109,8 +114,15 @@ impl PartitionSchedule {
     }
 
     /// True if any cut severs `link` during `round`.
+    #[inline]
     pub fn link_cut(&self, link: usize, round: u64) -> bool {
         self.cuts.iter().any(|cut| cut.severs(link, round))
+    }
+
+    /// True if some cut's window covers `round` — when none does,
+    /// [`PartitionSchedule::link_cut`] is `false` for every link.
+    pub fn any_active(&self, round: u64) -> bool {
+        self.cuts.iter().any(|cut| cut.active(round))
     }
 
     /// True if the schedule contains no cuts.
@@ -246,6 +258,7 @@ impl ByzantineSet {
 
     /// True if `tile` is compromised and the attack window covers
     /// `round`.
+    #[inline]
     pub fn armed(&self, tile: usize, round: u64) -> bool {
         self.active_until.is_none_or(|until| round < until) && self.tiles.contains(&tile)
     }
@@ -457,6 +470,10 @@ mod tests {
         assert!(sched.link_cut(1, 2));
         assert!(!sched.link_cut(1, 5));
         assert!(sched.link_cut(1, 9));
+        // No cut in its window at a round means no link is cut then.
+        assert!(sched.any_active(3) && !sched.any_active(4));
+        assert!(!sched.any_active(7) && sched.any_active(8));
+        assert!(!PartitionSchedule::new().any_active(0));
     }
 
     #[test]
@@ -576,6 +593,7 @@ mod tests {
                 sched.cut([link], from, Some(from + span));
                 let expect = round >= from && round < from + span;
                 prop_assert_eq!(sched.link_cut(link, round), expect);
+                prop_assert_eq!(sched.any_active(round), expect);
             }
 
             #[test]

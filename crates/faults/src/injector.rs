@@ -51,13 +51,21 @@ impl CrashSchedule {
     }
 
     /// Is `tile` dead at `round`?
+    #[inline]
     pub fn tile_dead(&self, tile: usize, round: u64) -> bool {
         self.tiles.iter().any(|&(t, r)| t == tile && round >= r)
     }
 
     /// Is `link` dead at `round`?
+    #[inline]
     pub fn link_dead(&self, link: usize, round: u64) -> bool {
         self.links.iter().any(|&(l, r)| l == link && round >= r)
+    }
+
+    /// Has any link's scheduled death come into effect by `round`? When
+    /// none has, [`CrashSchedule::link_dead`] is `false` for every link.
+    pub fn any_link_dead(&self, round: u64) -> bool {
+        self.links.iter().any(|&(_, r)| round >= r)
     }
 
     /// Number of tiles ever scheduled to die.
@@ -193,6 +201,7 @@ impl FaultInjector {
     }
 
     /// Does a data upset scramble the packet on this link traversal?
+    #[inline]
     pub fn upset_occurs(&mut self) -> bool {
         let hit = self.bernoulli(self.model.p_upset);
         self.tally.upsets += u64::from(hit);
@@ -234,6 +243,7 @@ impl FaultInjector {
     }
 
     /// Is a received packet dropped by (probabilistic) buffer overflow?
+    #[inline]
     pub fn overflow_drop(&mut self) -> bool {
         let hit = self.bernoulli(self.model.p_overflow);
         self.tally.overflow_drops += u64::from(hit);
@@ -242,6 +252,7 @@ impl FaultInjector {
 
     /// Samples this tile's round-duration skew as a *fraction of `T_R`*
     /// drawn from `N(0, sigma_synch²)`.
+    #[inline]
     pub fn round_skew(&mut self) -> f64 {
         if self.model.sigma_synch == 0.0 {
             0.0
@@ -277,6 +288,7 @@ impl FaultInjector {
         self.tally = snapshot.tally;
     }
 
+    #[inline]
     fn bernoulli(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -398,6 +410,11 @@ mod tests {
         assert!(s.tile_dead(2, 999));
         assert!(!s.tile_dead(3, 999));
         assert!(s.link_dead(7, 0));
+        assert!(s.any_link_dead(0));
+        let mut later = CrashSchedule::new();
+        later.kill_tile(1, 0).kill_link(4, 6);
+        assert!(!later.any_link_dead(5), "tile deaths do not count");
+        assert!(later.any_link_dead(6) && later.link_dead(4, 6));
         assert_eq!(s.dead_tile_count(), 1);
         assert_eq!(s.dead_link_count(), 1);
         assert_eq!(s.tile_events().collect::<Vec<_>>(), vec![(2, 10)]);

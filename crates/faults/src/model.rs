@@ -28,7 +28,7 @@ pub enum OverflowMode {
 /// Construct via [`FaultModel::builder`]; [`FaultModel::none`] is the
 /// fault-free configuration. All probabilities are validated to lie in
 /// `[0, 1]` and `sigma_synch` (expressed as a fraction of the round
-/// duration `T_R`) must be non-negative.
+/// duration `T_R`) must be finite and non-negative.
 ///
 /// # Examples
 ///
@@ -124,10 +124,12 @@ impl FaultModel {
                 });
             }
         }
-        if self.sigma_synch < 0.0 || self.sigma_synch.is_nan() {
+        // An infinite σ hands `ClockDomain::advance` an infinite skew,
+        // which no number of whole-round slips brings back in range.
+        if !(self.sigma_synch >= 0.0 && self.sigma_synch.is_finite()) {
             return Err(InvalidFaultModel {
                 parameter: "sigma_synch",
-                reason: format!("= {} must be non-negative", self.sigma_synch),
+                reason: format!("= {} must be finite and non-negative", self.sigma_synch),
             });
         }
         if let OverflowMode::Structural { capacity } = self.overflow_mode {
@@ -254,6 +256,17 @@ mod tests {
     fn negative_sigma_is_rejected() {
         let err = FaultModel::builder().sigma_synch(-0.1).build().unwrap_err();
         assert_eq!(err.parameter, "sigma_synch");
+    }
+
+    #[test]
+    fn non_finite_sigma_is_rejected() {
+        for sigma in [f64::INFINITY, f64::NAN] {
+            let err = FaultModel::builder()
+                .sigma_synch(sigma)
+                .build()
+                .unwrap_err();
+            assert_eq!(err.parameter, "sigma_synch", "sigma {sigma}");
+        }
     }
 
     #[test]

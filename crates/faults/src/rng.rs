@@ -39,6 +39,7 @@ impl GaussianSampler {
     /// # Panics
     ///
     /// Panics if `std_dev` is negative.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "standard deviation cannot be negative");
         mean + std_dev * self.sample_standard(rng)
@@ -58,6 +59,7 @@ impl GaussianSampler {
     }
 
     /// Draws one standard-normal sample.
+    #[inline]
     pub fn sample_standard<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if let Some(z) = self.spare.take() {
             return z;
