@@ -248,7 +248,10 @@ impl ReferenceSimulation {
             self.step();
         }
         let mut report = self.report.clone();
-        report.clock_slips = self.clocks.iter().map(ClockDomain::slips).sum();
+        report.clock_slips = self
+            .clocks
+            .iter()
+            .fold(0, |sum, clock| sum.saturating_add(clock.slips()));
         report.ttl_expirations = self.buffers.iter().map(SendBuffer::expired_count).sum();
         report
     }

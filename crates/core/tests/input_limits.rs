@@ -1,8 +1,8 @@
 //! Limits are enforced where input enters the engine —
 //! `SimulationBuilder::build*`, `SimulationBuilder::resume`,
 //! `Simulation::inject` and an IP core's outbox — not rounds later by an
-//! assert inside the frame encoder, a panic inside a Bernoulli draw or a
-//! clock-slip loop that never ends.
+//! assert inside the frame encoder or a panic inside a Bernoulli draw —
+//! and a value that is let in costs bounded time.
 
 use noc_fabric::{IpContext, IpCore, NodeId, Topology, MAX_NODES, MAX_PAYLOAD_BYTES};
 use noc_faults::FaultModel;
@@ -80,6 +80,27 @@ fn infinite_sigma_in_a_hand_built_model_is_rejected_at_build() {
         .build();
 }
 
+/// A finite σ of 1e300 rounds is let in. Every tile's every round then
+/// slips more boundaries than a counter holds; stepping takes the time
+/// it takes at σ = 0.1, and the slip counts saturate.
+#[test]
+fn astronomic_sigma_steps_in_bounded_time_with_saturated_slip_counts() {
+    let run = |shards: usize| {
+        let mut sim = SimulationBuilder::square_grid(2)
+            .config(StochasticConfig::flooding(8).with_max_rounds(16))
+            .fault_model(hand_built(|m| m.sigma_synch = 1e300))
+            .shards(shards)
+            .seed(5)
+            .build();
+        let id = sim.inject(NodeId(0), NodeId(3), vec![1, 2, 3]);
+        let report = sim.run();
+        assert!(report.delivered(id), "slips delay frames, they drop none");
+        assert_eq!(report.clock_slips, u64::MAX);
+        report
+    };
+    assert_eq!(format!("{:?}", run(1)), format!("{:?}", run(2)));
+}
+
 /// A 2×2 simulation under clock skew, stepped until the skew sampler
 /// holds a Box–Muller spare, as checkpoint bytes — with the offsets of
 /// the spare and of tile 0's accumulated skew in format v1.
@@ -130,7 +151,7 @@ fn resume_with(
 }
 
 #[test]
-fn a_checkpoint_whose_clock_skew_would_spin_the_slip_loop_is_rejected() {
+fn a_checkpoint_whose_clock_skew_is_outside_the_range_advance_keeps_is_rejected() {
     let (builder, bytes, _, skew) = skewed_checkpoint();
     assert_eq!(resume_with(&builder, &bytes, skew, 0.25), Ok(()));
     assert_eq!(resume_with(&builder, &bytes, skew, 0.5), Ok(()));

@@ -196,6 +196,31 @@ mod tests {
         assert!(s.contains("0xab") && s.contains("0xcd"));
     }
 
+    #[test]
+    fn round_trip_and_single_bit_flips_at_every_word_and_tail_length() {
+        // The slice kernel's every word and tail length, on the encode
+        // and on the verify side.
+        for params in CrcParams::sweep() {
+            let codec = PacketCodec::new(params);
+            for len in 0..=CrcParams::SWEEP_MAX_LEN {
+                let payload: Vec<u8> = (0..len).map(|i| (i * 89 + 7) as u8).collect();
+                let framed = codec.encode(&payload);
+                assert_eq!(codec.decode(&framed), Ok(payload.as_slice()));
+                // A tag narrower than its bytes leaves padding bits that
+                // `decode` compares too, so every flipped bit must show.
+                for bit in 0..framed.len() * 8 {
+                    let mut upset = framed.clone();
+                    upset[bit / 8] ^= 1 << (bit % 8);
+                    assert!(
+                        !codec.verify(&upset),
+                        "{}: flip of bit {bit} in a {len}-byte payload",
+                        params.name
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn encode_decode_round_trips(payload in proptest::collection::vec(any::<u8>(), 0..200)) {

@@ -7,8 +7,10 @@
 //! to deliver another clean copy. The paper notes that "CRC encoders and
 //! decoders are easy to implement in hardware, as they only require one
 //! shift register"; [`BitwiseCrc`] models exactly that linear-feedback shift
-//! register, while [`TableCrc`] is the byte-at-a-time software equivalent
-//! (the two are proven equivalent by property tests).
+//! register, while [`TableCrc`] is the software equivalent that every
+//! encode and verify of the simulator runs: a slice-by-8 kernel folding
+//! eight input bytes per step (the two are proven equivalent by property
+//! tests at every word and tail length).
 //!
 //! # Examples
 //!
@@ -51,7 +53,7 @@ pub use table::TableCrc;
 
 /// A CRC implementation over a fixed parameter set.
 ///
-/// Both the hardware-faithful [`BitwiseCrc`] and the byte-table [`TableCrc`]
+/// Both the hardware-faithful [`BitwiseCrc`] and the table-driven [`TableCrc`]
 /// implement this trait, so higher layers can be generic over the codec
 /// style.
 pub trait CrcAlgorithm {
@@ -79,6 +81,8 @@ mod tests {
         (CrcParams::CRC16_IBM, 0xBB3D),
         (CrcParams::CRC32, 0xCBF43926),
         (CrcParams::CRC5_USB, 0x19),
+        (CrcParams::CRC64_XZ, 0x995D_C9BB_DF19_39FA),
+        (CrcParams::CRC64_ECMA_182, 0x6C40_DF5F_0B49_7347),
     ];
 
     #[test]

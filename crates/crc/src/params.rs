@@ -144,6 +144,45 @@ impl CrcParams {
     }
 }
 
+/// Full-width sets for the tests: at 64 bits the working register fills
+/// the word the slice kernel folds, so no alignment shift hides a mistake.
+#[cfg(test)]
+impl CrcParams {
+    /// CRC-64/XZ (reflected); check value `0x995DC9BBDF1939FA`.
+    pub(crate) const CRC64_XZ: CrcParams = CrcParams {
+        name: "CRC-64/XZ",
+        width: 64,
+        poly: 0x42F0_E1EB_A9EA_3693,
+        init: u64::MAX,
+        reflect_in: true,
+        reflect_out: true,
+        xor_out: u64::MAX,
+    };
+
+    /// CRC-64/ECMA-182 (MSB-first); check value `0x6C40DF5F0B497347`.
+    pub(crate) const CRC64_ECMA_182: CrcParams = CrcParams {
+        name: "CRC-64/ECMA-182",
+        width: 64,
+        poly: 0x42F0_E1EB_A9EA_3693,
+        init: 0,
+        reflect_in: false,
+        reflect_out: false,
+        xor_out: 0,
+    };
+
+    /// Input lengths `0..=SWEEP_MAX_LEN` put every tail of 0–7 bytes
+    /// after 0–9 whole words of the slice kernel.
+    pub(crate) const SWEEP_MAX_LEN: usize = 72;
+
+    /// [`CrcParams::ALL`] plus the two 64-bit sets.
+    pub(crate) fn sweep() -> impl Iterator<Item = CrcParams> {
+        Self::ALL
+            .iter()
+            .copied()
+            .chain([Self::CRC64_XZ, Self::CRC64_ECMA_182])
+    }
+}
+
 impl fmt::Display for CrcParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -38,14 +38,20 @@ pub fn mdct(frame: &[f64]) -> Vec<f64> {
     for k in 0..m {
         let mut acc = 0.0;
         for (j, &x) in frame.iter().enumerate() {
-            let angle = std::f64::consts::PI / m as f64
-                * (j as f64 + 0.5 + m as f64 / 2.0)
-                * (k as f64 + 0.5);
-            acc += x * angle.cos();
+            acc += x * twiddle(m, j, k);
         }
         out.push(acc);
     }
     out
+}
+
+/// The kernel both transforms share: `cos(π/M (n + 0.5 + M/2)(k + 0.5))`.
+/// [`MdctFrame`] tabulates it, so its sums equal theirs bit for bit.
+#[inline]
+fn twiddle(m: usize, n: usize, k: usize) -> f64 {
+    let angle =
+        std::f64::consts::PI / m as f64 * (n as f64 + 0.5 + m as f64 / 2.0) * (k as f64 + 0.5);
+    angle.cos()
 }
 
 /// Inverse MDCT of `M` coefficients back into `2M` (aliased) samples.
@@ -65,10 +71,7 @@ pub fn imdct(coeffs: &[f64]) -> Vec<f64> {
     for j in 0..n {
         let mut acc = 0.0;
         for (k, &c) in coeffs.iter().enumerate() {
-            let angle = std::f64::consts::PI / m as f64
-                * (j as f64 + 0.5 + m as f64 / 2.0)
-                * (k as f64 + 0.5);
-            acc += c * angle.cos();
+            acc += c * twiddle(m, j, k);
         }
         out.push(acc * 2.0 / m as f64);
     }
@@ -98,6 +101,8 @@ pub fn imdct(coeffs: &[f64]) -> Vec<f64> {
 pub struct MdctFrame {
     frame_len: usize,
     window: Vec<f64>,
+    /// Row `k` holds `twiddle(M, n, k)` for `n` in `0..N`, evaluated once.
+    twiddles: Vec<f64>,
     history: Vec<f64>,
     overlap: Vec<f64>,
 }
@@ -114,9 +119,14 @@ impl MdctFrame {
             n >= 4 && n.is_multiple_of(2),
             "frame length must be even and at least 4"
         );
+        let m = n / 2;
+        let twiddles = (0..m)
+            .flat_map(|k| (0..n).map(move |j| twiddle(m, j, k)))
+            .collect();
         Self {
             frame_len: n,
             window: sine_window(n),
+            twiddles,
             history: vec![0.0; n / 2],
             overlap: vec![0.0; n / 2],
         }
@@ -147,7 +157,18 @@ impl MdctFrame {
             *x *= w;
         }
         self.history.copy_from_slice(samples);
-        mdct(&frame)
+        // `mdct(&frame)`, cosines from the table, each sum in the same
+        // order.
+        self.twiddles
+            .chunks_exact(self.frame_len)
+            .map(|row| {
+                let mut acc = 0.0;
+                for (&x, &c) in frame.iter().zip(row) {
+                    acc += x * c;
+                }
+                acc
+            })
+            .collect()
     }
 
     /// Consumes `hop()` coefficients, returns `hop()` reconstructed
@@ -163,9 +184,20 @@ impl MdctFrame {
             m,
             "synthesize expects exactly one hop of coefficients"
         );
-        let mut frame = imdct(coeffs);
+        // `imdct(coeffs)`, cosines from the table: sample `j` still adds
+        // its terms in coefficient order, all samples advancing together
+        // along a table row.
+        let mut frame = vec![0.0; self.frame_len];
+        for (&c, row) in coeffs
+            .iter()
+            .zip(self.twiddles.chunks_exact(self.frame_len))
+        {
+            for (acc, &t) in frame.iter_mut().zip(row) {
+                *acc += c * t;
+            }
+        }
         for (x, w) in frame.iter_mut().zip(&self.window) {
-            *x *= w;
+            *x = *x * 2.0 / m as f64 * w;
         }
         let out: Vec<f64> = (0..m).map(|j| self.overlap[j] + frame[j]).collect();
         self.overlap.copy_from_slice(&frame[m..]);
@@ -207,6 +239,49 @@ mod tests {
                 signal[j]
             );
         }
+    }
+
+    #[test]
+    fn table_driven_frames_equal_the_free_transforms_bit_for_bit() {
+        for n in [4, 16, 36, 128] {
+            let hop = n / 2;
+            let window = sine_window(n);
+            let signal: Vec<f64> = (0..hop * 6)
+                .map(|j| (j as f64 * 0.37).sin() - 0.25 * (j as f64 * 1.9).cos())
+                .collect();
+            let mut analysis = MdctFrame::new(n);
+            let mut synthesis = MdctFrame::new(n);
+            let mut history = vec![0.0; hop];
+            let mut overlap = vec![0.0; hop];
+            for chunk in signal.chunks(hop) {
+                let frame: Vec<f64> = history
+                    .iter()
+                    .chain(chunk)
+                    .zip(&window)
+                    .map(|(x, w)| x * w)
+                    .collect();
+                let coeffs = mdct(&frame);
+                assert_eq!(bits(&analysis.analyze(chunk)), bits(&coeffs), "n = {n}");
+                history.copy_from_slice(chunk);
+
+                let aliased: Vec<f64> = imdct(&coeffs)
+                    .iter()
+                    .zip(&window)
+                    .map(|(y, w)| y * w)
+                    .collect();
+                let expected: Vec<f64> = overlap.iter().zip(&aliased).map(|(o, y)| o + y).collect();
+                assert_eq!(
+                    bits(&synthesis.synthesize(&coeffs)),
+                    bits(&expected),
+                    "n = {n}"
+                );
+                overlap.copy_from_slice(&aliased[hop..]);
+            }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

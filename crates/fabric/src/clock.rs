@@ -49,28 +49,45 @@ impl ClockDomain {
     /// slips more than once and the residual skew is always restored to
     /// the documented `(-0.5, 0.5]` range.
     ///
-    /// The loop runs once per boundary crossed, so an infinite (or
-    /// astronomically large) accumulated skew never terminates: fault
-    /// models and checkpoints are validated where they enter so neither
-    /// can produce one.
+    /// Constant time whatever the deviation: the boundaries crossed are
+    /// counted in closed form, the returned count saturates at `u32::MAX`
+    /// and [`ClockDomain::slips`] at `u64::MAX`. From 2⁵³ rounds of skew
+    /// on, an `f64` holds no fraction of a round and the residual is 0,
+    /// as it is for a non-finite deviation.
     #[inline]
     pub fn advance(&mut self, skew_fraction: f64) -> u32 {
         self.skew += skew_fraction;
-        let mut count = 0;
-        while self.skew <= -0.5 || self.skew > 0.5 {
-            self.skew -= self.skew.signum();
-            self.slips += 1;
-            count += 1;
+        if self.skew > -0.5 && self.skew <= 0.5 {
+            return 0;
         }
-        count
+        // Whole rounds to give back: the nearest integer, with the tie
+        // at +k.5 going down (0.5 itself is in range) and the tie at
+        // -k.5 going away from zero (-0.5 is not), which is how `round`
+        // already breaks it. Below 2⁵³ the subtraction is exact, so the
+        // residual is the one that `|crossed|` unit steps would leave.
+        let nearest = self.skew.round();
+        let crossed = if nearest - self.skew == 0.5 {
+            nearest - 1.0
+        } else {
+            nearest
+        };
+        self.skew = if crossed.is_finite() {
+            self.skew - crossed
+        } else {
+            0.0
+        };
+        // Float-to-integer `as` saturates (and maps NaN to 0).
+        let crossed = crossed.abs();
+        self.slips = self.slips.saturating_add(crossed as u64);
+        crossed as u32
     }
 
     /// Rebuilds a domain from previously captured `skew`/`slips`
     /// values, for checkpoint restore.
     ///
     /// Returns `None` unless `skew` lies inside the `(-0.5, 0.5]` that
-    /// [`ClockDomain::advance`] maintains — a restored value outside it
-    /// (or a non-finite one) would make the next advance spin.
+    /// [`ClockDomain::advance`] maintains: no run of the engine leaves a
+    /// value outside it (or a non-finite one) behind.
     pub fn from_parts(skew: f64, slips: u64) -> Option<Self> {
         (skew > -0.5 && skew <= 0.5).then_some(Self { skew, slips })
     }
@@ -176,7 +193,68 @@ mod tests {
         assert_eq!(run(&calm), 0);
     }
 
+    /// `advance` as it was: one loop turn per boundary crossed.
+    fn advance_by_unit_steps(skew: &mut f64, slips: &mut u64, skew_fraction: f64) -> u32 {
+        *skew += skew_fraction;
+        let mut count = 0;
+        while *skew <= -0.5 || *skew > 0.5 {
+            *skew -= skew.signum();
+            *slips += 1;
+            count += 1;
+        }
+        count
+    }
+
+    #[test]
+    fn ties_at_half_a_round_break_as_the_unit_steps_broke_them() {
+        for skew in [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1e4 + 0.5, -1e4 - 0.5] {
+            let mut c = ClockDomain::new();
+            let (mut old_skew, mut old_slips) = (0.0, 0);
+            let expected = advance_by_unit_steps(&mut old_skew, &mut old_slips, skew);
+            assert_eq!(c.advance(skew), expected, "skew {skew}");
+            assert_eq!(c.skew().to_bits(), old_skew.to_bits(), "skew {skew}");
+        }
+    }
+
+    #[test]
+    fn astronomic_and_non_finite_skews_return_at_once_and_saturate() {
+        for skew in [1e300, -1e300, f64::MAX, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = ClockDomain::new();
+            assert_eq!(c.advance(skew), u32::MAX, "skew {skew}");
+            assert_eq!(c.slips(), u64::MAX);
+            assert_eq!(c.skew(), 0.0);
+            assert_eq!(c.advance(-skew), u32::MAX, "slips stay saturated");
+            assert_eq!(c.slips(), u64::MAX);
+        }
+        // 2⁵³ + 2 is the first skew the unit steps could not reduce.
+        let mut c = ClockDomain::new();
+        assert_eq!(c.advance(9_007_199_254_740_994.0), u32::MAX);
+        assert_eq!(c.slips(), 9_007_199_254_740_994);
+        assert_eq!(c.skew(), 0.0);
+        let mut c = ClockDomain::new();
+        assert_eq!(c.advance(f64::NAN), 0);
+        assert_eq!((c.skew(), c.slips()), (0.0, 0));
+    }
+
     proptest! {
+        #[test]
+        fn closed_form_equals_the_unit_step_loop(
+            skews in proptest::collection::vec(-1.0e4f64..1.0e4, 1..40),
+            scale in 0usize..4,
+        ) {
+            // Scaled down, most deviations stay within a few rounds, where
+            // the ties and the range edges are.
+            let scale = [1.0, 1e-2, 1e-3, 1e-4][scale];
+            let mut c = ClockDomain::new();
+            let (mut old_skew, mut old_slips) = (0.0, 0);
+            for s in skews {
+                let expected = advance_by_unit_steps(&mut old_skew, &mut old_slips, s * scale);
+                prop_assert_eq!(c.advance(s * scale), expected);
+                prop_assert_eq!(c.skew().to_bits(), old_skew.to_bits());
+                prop_assert_eq!(c.slips(), old_slips);
+            }
+        }
+
         #[test]
         fn skew_stays_bounded(skews in proptest::collection::vec(-3.0f64..3.0, 0..500)) {
             let mut c = ClockDomain::new();

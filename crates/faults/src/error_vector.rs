@@ -41,47 +41,40 @@ impl ErrorModel {
     pub fn scramble<R: Rng + ?Sized>(&self, rng: &mut R, payload: &mut [u8], p_upset: f64) {
         assert!(!payload.is_empty(), "cannot scramble an empty payload");
         let n_bits = payload.len() * 8;
+        // Both models XOR their draws straight into `payload`: an attempt
+        // that drew the null vector XORed nothing but zeros, so the bytes
+        // are untouched for the retry.
         match self {
             ErrorModel::RandomErrorVector => {
                 // Uniform over non-null vectors: sample uniform bytes and
-                // reject the (vanishingly unlikely) null vector.
-                loop {
-                    let mut any = false;
-                    let mut vector = vec![0u8; payload.len()];
-                    rng.fill(vector.as_mut_slice());
-                    for &b in &vector {
-                        if b != 0 {
-                            any = true;
-                            break;
-                        }
-                    }
-                    if any {
-                        for (dst, v) in payload.iter_mut().zip(&vector) {
+                // reject the (vanishingly unlikely) null vector. `fill`
+                // spends one word per 8 bytes, so word-sized fills draw
+                // what one fill of a whole vector would.
+                let mut any = false;
+                while !any {
+                    let mut word = [0u8; 8];
+                    for chunk in payload.chunks_mut(word.len()) {
+                        let vector = &mut word[..chunk.len()];
+                        rng.fill(vector);
+                        for (dst, &v) in chunk.iter_mut().zip(vector.iter()) {
                             *dst ^= v;
+                            any |= v != 0;
                         }
-                        return;
                     }
                 }
             }
             ErrorModel::RandomBitError => {
                 let p_b = bit_error_probability(p_upset, n_bits).max(1.0 / n_bits as f64);
-                loop {
-                    let mut any = false;
-                    let mut vector = vec![0u8; payload.len()];
-                    for byte in vector.iter_mut() {
+                let mut any = false;
+                while !any {
+                    for byte in payload.iter_mut() {
                         for bit in 0..8 {
                             // noc-lint: allow(rng-draw-site, reason = "draws from the caller's RNG handed in by a sanctioned site; the scramble itself owns no stream")
                             if rng.gen_bool(p_b) {
-                                *byte |= 1 << bit;
+                                *byte ^= 1 << bit;
                                 any = true;
                             }
                         }
-                    }
-                    if any {
-                        for (dst, v) in payload.iter_mut().zip(&vector) {
-                            *dst ^= v;
-                        }
-                        return;
                     }
                 }
             }
@@ -130,6 +123,58 @@ mod tests {
                 model.scramble(&mut rng, &mut copy, 0.5);
                 assert_ne!(copy, original, "scramble produced the null vector");
             }
+        }
+    }
+
+    /// The scramble as it was before it XORed in place: each attempt
+    /// draws a whole error vector into a buffer of its own.
+    fn scramble_buffered(model: ErrorModel, rng: &mut StdRng, payload: &mut [u8], p_upset: f64) {
+        let n_bits = payload.len() * 8;
+        loop {
+            let mut vector = vec![0u8; payload.len()];
+            match model {
+                ErrorModel::RandomErrorVector => rng.fill(vector.as_mut_slice()),
+                ErrorModel::RandomBitError => {
+                    let p_b = bit_error_probability(p_upset, n_bits).max(1.0 / n_bits as f64);
+                    for byte in vector.iter_mut() {
+                        for bit in 0..8 {
+                            if rng.gen_bool(p_b) {
+                                *byte |= 1 << bit;
+                            }
+                        }
+                    }
+                }
+            }
+            if vector.iter().any(|&b| b != 0) {
+                for (dst, v) in payload.iter_mut().zip(&vector) {
+                    *dst ^= v;
+                }
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_scramble_draws_and_flips_what_the_buffered_one_did() {
+        for model in [ErrorModel::RandomErrorVector, ErrorModel::RandomBitError] {
+            let mut in_place = StdRng::seed_from_u64(2003);
+            let mut buffered = StdRng::seed_from_u64(2003);
+            // One-byte payloads draw the null vector (and retry) once in
+            // 256 attempts under the first model, a third of the time
+            // under the second; 9 and 277 bytes end on a partial word.
+            for round in 0..600usize {
+                let len = [1, 1, 1, 8, 9, 32, 277][round % 7];
+                let original: Vec<u8> = (0..len).map(|i| (i * 31 + round) as u8).collect();
+                let (mut a, mut b) = (original.clone(), original);
+                model.scramble(&mut in_place, &mut a, 0.3);
+                scramble_buffered(model, &mut buffered, &mut b, 0.3);
+                assert_eq!(a, b, "{model:?}, round {round}");
+            }
+            assert_eq!(
+                in_place.gen::<u64>(),
+                buffered.gen::<u64>(),
+                "{model:?} left its stream elsewhere"
+            );
         }
     }
 

@@ -124,8 +124,8 @@ impl FaultModel {
                 });
             }
         }
-        // An infinite σ hands `ClockDomain::advance` an infinite skew,
-        // which no number of whole-round slips brings back in range.
+        // An infinite σ makes every round's skew infinite or, times a
+        // zero draw, NaN: no round duration at all.
         if !(self.sigma_synch >= 0.0 && self.sigma_synch.is_finite()) {
             return Err(InvalidFaultModel {
                 parameter: "sigma_synch",
