@@ -29,10 +29,9 @@
 #![warn(missing_docs)]
 
 use noc_energy::{communication_energy, Bits, EnergyDelay, Joules, Seconds, TechnologyLibrary};
-use serde::Serialize;
 
 /// Bus arbitration policy: who wins when several masters request the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Arbitration {
     /// Grants rotate fairly between requesting modules.
     #[default]
@@ -42,7 +41,7 @@ pub enum Arbitration {
 }
 
 /// Configuration of a bus simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusConfig {
     /// Electrical parameters (frequency, energy/bit).
     pub tech: TechnologyLibrary,
@@ -61,7 +60,7 @@ impl Default for BusConfig {
 }
 
 /// A requested bus transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     /// Sending module index.
     pub source: usize,
@@ -91,7 +90,7 @@ impl Transfer {
 }
 
 /// Outcome of one completed transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedTransfer {
     /// The original request.
     pub transfer: Transfer,
@@ -109,7 +108,7 @@ impl CompletedTransfer {
 }
 
 /// Aggregated result of a bus run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BusReport {
     /// Transfers that completed.
     pub completed_transfers: usize,

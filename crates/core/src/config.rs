@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable parameters of the gossip protocol.
 ///
 /// The two knobs the paper exposes to designers are
@@ -34,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StochasticConfig {
     /// Probability `p` of forwarding a buffered message over a link.
     pub forward_probability: f64,

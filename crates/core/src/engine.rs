@@ -47,10 +47,8 @@ use crate::obs::{span_end, span_start, EngineObs, EnginePhase};
 use crate::seed::{derive_labeled_seed, derive_trial_seed};
 use crate::send_buffer::{InsertOutcome, SendBuffer};
 use crate::shard::{
-    age_shard, file_shard, forward_shard_tape, forward_shard_uniform, plan_terminations,
-    receive_shard, shard_ranges, split_chunks, AgeOut, FileOut, ForwardOut, ForwardTape, LinkTx,
-    OverflowPlan, OverflowSpan, ReceiveCtx, ReceiveOut, ReceiveTape, ServeCmd, ServeKind, TilePlan,
-    TxOutcome, UniformForwardCtx,
+    age_shard, plan_terminations, receive_shard, shard_ranges, split_chunks, AgeOut, OverflowPlan,
+    OverflowSpan, ReceiveCtx, ReceiveOut, ReceiveTape,
 };
 use crate::wire::{Frame, Wire, WireEntry, WireTable, NO_LINK};
 
@@ -123,13 +121,17 @@ impl SimulationBuilder {
         }
     }
 
-    /// Sets how many tile-partitioned shards each round executes on
-    /// (scoped worker threads inside a single trial). `0` means auto
-    /// (one shard per available core); the count is clamped to the tile
-    /// count. Defaults to 1 — the sequential engine.
+    /// Sets how many tile-partitioned shards a round's receive and age
+    /// phases run on (scoped worker threads inside a single trial): CRC
+    /// decode, dedup, buffer insertion and TTL aging go parallel; the
+    /// overflow draws, compute and the whole forward phase stay on the
+    /// calling thread at every count. `0` means auto (one shard per
+    /// available core); the count is clamped to the tile count.
+    /// Defaults to 1, which spawns nothing; DESIGN.md §12 has what the
+    /// fan-out costs and what it has bought on the hosts measured.
     ///
     /// Reports, digests and event streams are byte-identical for every
-    /// shard count: all RNG draws stay on the main thread in sequential
+    /// shard count: all RNG draws stay on the main thread in ascending
     /// tile order, and cross-shard merges replay that order.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -261,9 +263,11 @@ impl SimulationBuilder {
     }
 
     /// Installs the wall-clock observability plane: the round loop will
-    /// time its phases (tape pre-pass, shard fan-out, merge, quiescence
-    /// detection) into `obs`'s `engine_phase_seconds` histograms and
-    /// count rounds into `engine_rounds_total`.
+    /// time its phases (receive, age, forward, quiescence detection and
+    /// the whole round; with more than one shard also the overflow tape
+    /// pre-pass, shard fan-out and merge inside receive and age) into
+    /// `obs`'s `engine_phase_seconds` histograms and count rounds into
+    /// `engine_rounds_total`.
     ///
     /// The two-plane contract (DESIGN.md §13) holds by construction:
     /// the engine only ever *writes* through these handles, so reports,
@@ -389,26 +393,6 @@ impl SimulationBuilder {
             s => s,
         }
         .clamp(1, n.max(1));
-        // The forward phase consumes no RNG at all when every effective
-        // forwarding probability is exactly 0 or 1 and no upset, skew,
-        // chaos or Byzantine draw is configured. Sharded rounds then
-        // skip the serial forward pre-pass: workers recompute the
-        // deterministic outcomes locally (the mega-grid flooding fast
-        // path).
-        let deterministic = |p: f64| p <= 0.0 || p >= 1.0;
-        let uniform_forward = {
-            let model = injector.model();
-            model.p_upset == 0.0
-                && model.sigma_synch == 0.0
-                && !self.adversary.chaos.is_active()
-                && !self.adversary.byzantine.is_active()
-                && self.egress_limits.iter().all(Option::is_none)
-                && deterministic(self.config.forward_probability)
-                && self
-                    .forward_overrides
-                    .iter()
-                    .all(|o| o.is_none_or(deterministic))
-        };
         Simulation {
             sink,
             obs: self.obs,
@@ -440,14 +424,12 @@ impl SimulationBuilder {
             ip_is_custom,
             custom_ip_tiles,
             shards,
-            uniform_forward,
             inflight: Inflight::new(n),
             buffer_frontier: TileSet::new(n),
             live_total: 0,
             pending_purge: Vec::new(),
             emptied_scratch: Vec::new(),
             receive_tape: ReceiveTape::default(),
-            forward_tape: ForwardTape::default(),
             seed: self.seed,
             round: 0,
             next_message_id: 0,
@@ -575,13 +557,9 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// worklist.
     // noc-lint: allow(checkpoint-coverage, reason = "derived from ips at build/resume time")
     custom_ip_tiles: Vec<usize>,
-    /// Tile-partitioned shard count for the round loop (1 = sequential).
-    // noc-lint: allow(checkpoint-coverage, reason = "execution-plan knob, deliberately outside the digest: any shard count replays the same tapes byte-identically")
+    /// Tile ranges the receive and age phases fan out over (1 = none).
+    // noc-lint: allow(checkpoint-coverage, reason = "execution-plan knob, deliberately outside the digest: every shard count makes the same draws in the same order")
     shards: usize,
-    /// True when the forward phase can never draw RNG (see
-    /// [`SimulationBuilder::shards`] resolution in `build_with_sink`).
-    // noc-lint: allow(checkpoint-coverage, reason = "derived from config and shard plan in build_with_sink; recomputed on resume")
-    uniform_forward: bool,
     /// Frame counts and non-empty tile sets of the arrival arenas,
     /// rotated in lockstep with them.
     // noc-lint: allow(checkpoint-coverage, reason = "derived frontier state: restore_from rebuilds it from the deserialized inbox arenas")
@@ -601,12 +579,10 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// Recycled scratch for tiles whose buffer drained during aging.
     // noc-lint: allow(checkpoint-coverage, reason = "recycled scratch, logically empty between rounds")
     emptied_scratch: Vec<u32>,
-    /// Recycled pre-drawn overflow verdicts (sharded rounds).
+    /// Recycled pre-drawn overflow verdicts (rounds on more than one
+    /// shard).
     // noc-lint: allow(checkpoint-coverage, reason = "pre-drawn tape storage, fully re-drawn from the checkpointed RNG streams at the start of each round")
     receive_tape: ReceiveTape,
-    /// Recycled pre-drawn forward outcomes (sharded rounds).
-    // noc-lint: allow(checkpoint-coverage, reason = "pre-drawn tape storage, fully re-drawn from the checkpointed RNG streams at the start of each round")
-    forward_tape: ForwardTape,
     /// The base seed the simulation was built with — part of the
     /// checkpoint config digest (two runs with different seeds are
     /// never resume-compatible).
@@ -1156,10 +1132,6 @@ impl<S: EventSink> Simulation<S> {
                 }
             }
         }
-        // A freshly built table is empty, so the segment's relative
-        // handles are already in place.
-        let base = self.wires.adopt(interner.finish());
-        debug_assert_eq!(base, 0, "restore_from runs on a freshly built simulation");
         self.informed = ck
             .informed
             .iter()
@@ -1223,39 +1195,19 @@ impl<S: EventSink> Simulation<S> {
         Ok(())
     }
 
-    /// Executes one gossip round.
+    /// Executes one gossip round: rotate → receive → compute → age →
+    /// forward → finish. This is the only round loop. With more than
+    /// one shard the receive and age phases fan out over contiguous
+    /// tile ranges on scoped threads ([`crate::shard`]) and merge in
+    /// tile order; forward is one serial walk at every shard count,
+    /// because every one of its decisions is a draw from the main
+    /// thread's streams. Reports, digests and event streams are
+    /// byte-identical for every shard count.
     pub fn step(&mut self) -> RoundStats {
-        if self.shards > 1 {
-            self.step_sharded()
-        } else {
-            self.step_sequential()
-        }
-    }
-
-    /// Shifts the delay line through persistent arenas: the old `next`
-    /// becomes this round's arrivals (in `inbox_scratch`), the old
-    /// `later` becomes `next`, and the vectors drained last round
-    /// rotate back in as the fresh `later` — steady-state rounds
-    /// allocate no inbox memory. The inflight trackers and the wire
-    /// table's generations rotate in lockstep.
-    fn rotate_arenas(&mut self) {
-        std::mem::swap(&mut self.inbox_next, &mut self.inbox_scratch);
-        std::mem::swap(&mut self.inbox_next, &mut self.inbox_later);
-        self.inflight.rotate();
-        self.wires.rotate();
-    }
-
-    /// The single-shard round loop: the historical sequential engine,
-    /// now iterating each phase over the active frontier instead of
-    /// every tile. The frontier sets are exact and walked in ascending
-    /// tile order, so the visit — and therefore RNG draw — sequence is
-    /// identical to the old full `0..n` scans and every pre-frontier
-    /// golden digest still holds.
-    fn step_sequential(&mut self) -> RoundStats {
         let round = self.round;
-        // Sequential rounds have no tape/fan-out/merge breakdown; inside
-        // the whole-round span the wall-clock plane gets one span per
-        // phase (compute runs user IP code and stays unattributed).
+        // Wall-clock plane handles, cloned once so spans never contend
+        // with the phase borrows. Compute runs user IP code and stays
+        // unattributed inside the whole-round span.
         let obs = self.obs.clone();
         let round_span = span_start(&obs);
         let mut stats = RoundStats {
@@ -1263,156 +1215,14 @@ impl<S: EventSink> Simulation<S> {
             ..RoundStats::default()
         };
         self.rotate_arenas();
+        let sharded = self.shards > 1;
 
         // Phase 1: receive.
         let span = span_start(&obs);
-        {
-            let Simulation {
-                ref config,
-                ref crash_schedule,
-                ref mut injector,
-                ref codec,
-                ref wires,
-                ref tiles_alive,
-                ref mut buffers,
-                ref mut inbox_scratch,
-                ref mut delivery_scratch,
-                ref mut terminated,
-                ref mut pending_purge,
-                ref mut informed,
-                ref mut report,
-                ref mut sink,
-                ref inflight,
-                ref mut buffer_frontier,
-                ref mut live_total,
-                ref ip_is_custom,
-                ..
-            } = *self;
-            for tile in inflight.scratch.tiles.iter() {
-                let frames = &mut inbox_scratch[tile];
-                if frames.is_empty() {
-                    continue;
-                }
-                let node = NodeId(tile);
-                if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) {
-                    report.crash_drops += frames.len() as u64;
-                    for _ in 0..frames.len() {
-                        sink.emit(SimEvent::CrashDrop {
-                            round,
-                            site: DropSite::Tile(node),
-                        });
-                    }
-                    frames.clear();
-                    continue;
-                }
-                apply_overflow_in_place(injector, report, sink, round, node, frames);
-                for frame in frames.drain(..) {
-                    let entry = wires.entry(frame.wire);
-                    let message = match &entry.message {
-                        // A scrambled frame must take the real CRC check:
-                        // it is usually discarded here, and the residual
-                        // undetected-error rate is faithfully possible.
-                        None => match codec.decode_view(&entry.bytes) {
-                            Ok(view) => {
-                                if terminated.contains(&view.id) {
-                                    // Spread already terminated.
-                                    sink.emit(SimEvent::DuplicateDrop {
-                                        round,
-                                        tile: node,
-                                        message: view.id,
-                                    });
-                                    continue;
-                                }
-                                // The CRC failed to notice the upset: the
-                                // corrupt message proceeds, faithfully.
-                                report.upsets_undetected += 1;
-                                sink.emit(SimEvent::UndetectedUpset {
-                                    round,
-                                    tile: node,
-                                    message: view.id,
-                                });
-                                if buffers[tile].has_seen(view.id) {
-                                    // Duplicate: insertion is a no-op.
-                                    sink.emit(SimEvent::DuplicateDrop {
-                                        round,
-                                        tile: node,
-                                        message: view.id,
-                                    });
-                                    continue;
-                                }
-                                view.to_message()
-                            }
-                            Err(_) => {
-                                report.upsets_detected += 1;
-                                sink.emit(SimEvent::CrcReject {
-                                    round,
-                                    tile: node,
-                                    link: frame.via(),
-                                });
-                                continue;
-                            }
-                        },
-                        // Never-scrambled frames are bit-identical to our
-                        // own encoder's output, so the entry's message is
-                        // what they decode to. Most arrivals in a flood
-                        // are duplicates of an already-buffered message:
-                        // they die right here on the entry's id, without
-                        // a look at the bytes — on the seen-probe, so the
-                        // `BTreeSet` walk runs only for the 1 % that pass it.
-                        Some(message) => {
-                            let id = message.id;
-                            if buffers[tile].has_seen(id) || terminated.contains(&id) {
-                                sink.emit(SimEvent::DuplicateDrop {
-                                    round,
-                                    tile: node,
-                                    message: id,
-                                });
-                                continue;
-                            }
-                            // First sighting: shares the payload bytes.
-                            message.clone()
-                        }
-                    };
-                    *informed.entry(message.id).or_insert(0) += 1;
-                    if message.destination == node {
-                        if report.record_delivery(message.id, round) {
-                            sink.emit(SimEvent::Delivery {
-                                round,
-                                tile: node,
-                                message: message.id,
-                                source: message.source,
-                            });
-                        }
-                        stats.deliveries += 1;
-                        if ip_is_custom[tile] {
-                            delivery_scratch[tile]
-                                .push((message.source, Arc::clone(&message.payload)));
-                        }
-                        if config.terminate_on_delivery && terminated.insert(message.id) {
-                            pending_purge.push(message.id);
-                        }
-                    }
-                    let id = message.id;
-                    match buffers[tile].insert_checked(message) {
-                        InsertOutcome::Inserted => {
-                            *live_total += 1;
-                            buffer_frontier.insert(tile);
-                        }
-                        InsertOutcome::ExpiredOnArrival => {
-                            // Only reachable when an undetected upset zeroed
-                            // the TTL field: the id is consumed, the buffer
-                            // counts an expiry, and the event stream must
-                            // agree.
-                            sink.emit(SimEvent::TtlExpiry {
-                                round,
-                                tile: node,
-                                message: id,
-                            });
-                        }
-                        InsertOutcome::AlreadySeen => {}
-                    }
-                }
-            }
+        if sharded {
+            self.receive_sharded(&mut stats, &obs);
+        } else {
+            self.receive_sequential(&mut stats);
         }
         self.inflight.scratch.clear();
         span_end(&obs, EnginePhase::Receive, span);
@@ -1425,44 +1235,12 @@ impl<S: EventSink> Simulation<S> {
         // (Spreads terminated in earlier rounds were purged then and can
         // never re-enter a buffer — the receive phase suppresses them.)
         let span = span_start(&obs);
-        {
-            let Simulation {
-                ref mut buffers,
-                ref mut sink,
-                ref buffer_frontier,
-                ref pending_purge,
-                ref mut live_total,
-                ref mut emptied_scratch,
-                ..
-            } = *self;
-            emptied_scratch.clear();
-            for tile in buffer_frontier.iter() {
-                let buffer = &mut buffers[tile];
-                for &id in pending_purge.iter() {
-                    if buffer.remove(id) {
-                        *live_total -= 1;
-                    }
-                }
-                let before = buffer.len() as u64;
-                buffer.age_with(|id| {
-                    sink.emit(SimEvent::TtlExpiry {
-                        round,
-                        tile: NodeId(tile),
-                        message: id,
-                    });
-                });
-                *live_total -= before - buffer.len() as u64;
-                if buffer.is_empty() {
-                    emptied_scratch.push(tile as u32);
-                }
-            }
+        if sharded {
+            self.age_sharded(&obs);
+        } else {
+            self.age_sequential();
         }
         self.pending_purge.clear();
-        let emptied = std::mem::take(&mut self.emptied_scratch);
-        for &tile in &emptied {
-            self.buffer_frontier.remove(tile as usize);
-        }
-        self.emptied_scratch = emptied;
         span_end(&obs, EnginePhase::Age, span);
 
         // Phase 4: forward with probability p per (message, link). The
@@ -1493,9 +1271,442 @@ impl<S: EventSink> Simulation<S> {
         }
         span_end(&obs, EnginePhase::Forward, span);
 
-        self.finish_round(&mut stats);
+        self.finish_round(&mut stats, &obs);
         span_end(&obs, EnginePhase::Round, round_span);
         stats
+    }
+
+    /// Shifts the delay line through persistent arenas: the old `next`
+    /// becomes this round's arrivals (in `inbox_scratch`), the old
+    /// `later` becomes `next`, and the vectors drained last round
+    /// rotate back in as the fresh `later` — steady-state rounds
+    /// allocate no inbox memory. The inflight trackers and the wire
+    /// table's generations rotate in lockstep.
+    fn rotate_arenas(&mut self) {
+        std::mem::swap(&mut self.inbox_next, &mut self.inbox_scratch);
+        std::mem::swap(&mut self.inbox_next, &mut self.inbox_later);
+        self.inflight.rotate();
+        self.wires.rotate();
+    }
+
+    /// The one-shard receive phase, over the arrival frontier in
+    /// ascending tile order: the visit, and therefore RNG draw, sequence
+    /// of a full `0..n` scan.
+    fn receive_sequential(&mut self, stats: &mut RoundStats) {
+        let round = self.round;
+        let Simulation {
+            ref config,
+            ref crash_schedule,
+            ref mut injector,
+            ref codec,
+            ref wires,
+            ref tiles_alive,
+            ref mut buffers,
+            ref mut inbox_scratch,
+            ref mut delivery_scratch,
+            ref mut terminated,
+            ref mut pending_purge,
+            ref mut informed,
+            ref mut report,
+            ref mut sink,
+            ref inflight,
+            ref mut buffer_frontier,
+            ref mut live_total,
+            ref ip_is_custom,
+            ..
+        } = *self;
+        for tile in inflight.scratch.tiles.iter() {
+            let frames = &mut inbox_scratch[tile];
+            if frames.is_empty() {
+                continue;
+            }
+            let node = NodeId(tile);
+            if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) {
+                report.crash_drops += frames.len() as u64;
+                for _ in 0..frames.len() {
+                    sink.emit(SimEvent::CrashDrop {
+                        round,
+                        site: DropSite::Tile(node),
+                    });
+                }
+                frames.clear();
+                continue;
+            }
+            apply_overflow_in_place(injector, report, sink, round, node, frames);
+            for frame in frames.drain(..) {
+                let entry = wires.entry(frame.wire);
+                let message = match &entry.message {
+                    // A scrambled frame must take the real CRC check:
+                    // it is usually discarded here, and the residual
+                    // undetected-error rate is faithfully possible.
+                    None => match codec.decode_view(&entry.bytes) {
+                        Ok(view) => {
+                            if terminated.contains(&view.id) {
+                                // Spread already terminated.
+                                sink.emit(SimEvent::DuplicateDrop {
+                                    round,
+                                    tile: node,
+                                    message: view.id,
+                                });
+                                continue;
+                            }
+                            // The CRC failed to notice the upset: the
+                            // corrupt message proceeds, faithfully.
+                            report.upsets_undetected += 1;
+                            sink.emit(SimEvent::UndetectedUpset {
+                                round,
+                                tile: node,
+                                message: view.id,
+                            });
+                            if buffers[tile].has_seen(view.id) {
+                                // Duplicate: insertion is a no-op.
+                                sink.emit(SimEvent::DuplicateDrop {
+                                    round,
+                                    tile: node,
+                                    message: view.id,
+                                });
+                                continue;
+                            }
+                            view.to_message()
+                        }
+                        Err(_) => {
+                            report.upsets_detected += 1;
+                            sink.emit(SimEvent::CrcReject {
+                                round,
+                                tile: node,
+                                link: frame.via(),
+                            });
+                            continue;
+                        }
+                    },
+                    // Never-scrambled frames are bit-identical to our
+                    // own encoder's output, so the entry's message is
+                    // what they decode to. Most arrivals in a flood
+                    // are duplicates of an already-buffered message:
+                    // they die right here on the entry's id, without
+                    // a look at the bytes — on the seen-probe, so the
+                    // `BTreeSet` walk runs only for the 1 % that pass it.
+                    Some(message) => {
+                        let id = message.id;
+                        if buffers[tile].has_seen(id) || terminated.contains(&id) {
+                            sink.emit(SimEvent::DuplicateDrop {
+                                round,
+                                tile: node,
+                                message: id,
+                            });
+                            continue;
+                        }
+                        // First sighting: shares the payload bytes.
+                        message.clone()
+                    }
+                };
+                *informed.entry(message.id).or_insert(0) += 1;
+                if message.destination == node {
+                    if report.record_delivery(message.id, round) {
+                        sink.emit(SimEvent::Delivery {
+                            round,
+                            tile: node,
+                            message: message.id,
+                            source: message.source,
+                        });
+                    }
+                    stats.deliveries += 1;
+                    if ip_is_custom[tile] {
+                        delivery_scratch[tile].push((message.source, Arc::clone(&message.payload)));
+                    }
+                    if config.terminate_on_delivery && terminated.insert(message.id) {
+                        pending_purge.push(message.id);
+                    }
+                }
+                let id = message.id;
+                match buffers[tile].insert_checked(message) {
+                    InsertOutcome::Inserted => {
+                        *live_total += 1;
+                        buffer_frontier.insert(tile);
+                    }
+                    InsertOutcome::ExpiredOnArrival => {
+                        // Only reachable when an undetected upset zeroed
+                        // the TTL field: the id is consumed, the buffer
+                        // counts an expiry, and the event stream must
+                        // agree.
+                        sink.emit(SimEvent::TtlExpiry {
+                            round,
+                            tile: node,
+                            message: id,
+                        });
+                    }
+                    InsertOutcome::AlreadySeen => {}
+                }
+            }
+        }
+    }
+
+    /// The receive phase on more than one shard (see [`crate::shard`]):
+    /// the overflow draws happen here on the main thread, in a serial
+    /// pre-pass that walks tiles in exactly the one-shard order; scoped
+    /// workers execute the recorded verdicts over disjoint tile ranges;
+    /// the merge walks shards in ascending tile order.
+    fn receive_sharded(&mut self, stats: &mut RoundStats, obs: &Option<EngineObs>) {
+        let round = self.round;
+        let record_events = S::RECORDS;
+        let ranges = shard_ranges(self.node_count(), self.shards);
+
+        // Receive pre-pass: probabilistic overflow draws one Bernoulli
+        // per arriving frame at each alive tile — replay them onto the
+        // tape in tile order.
+        self.receive_tape.clear();
+        let tape_mode = matches!(
+            self.injector.model().overflow_mode,
+            OverflowMode::Probabilistic
+        ) && self.injector.model().p_overflow > 0.0;
+        if tape_mode {
+            let tape_span = span_start(obs);
+            let Simulation {
+                ref mut receive_tape,
+                ref mut injector,
+                ref inbox_scratch,
+                ref inflight,
+                ref tiles_alive,
+                ref crash_schedule,
+                ..
+            } = *self;
+            for tile in inflight.scratch.tiles.iter() {
+                let frames = &inbox_scratch[tile];
+                if frames.is_empty() || !tiles_alive[tile] || crash_schedule.tile_dead(tile, round)
+                {
+                    continue;
+                }
+                let start = receive_tape.keeps.len() as u32;
+                for _ in 0..frames.len() {
+                    receive_tape.keeps.push(!injector.overflow_drop());
+                }
+                receive_tape.spans.push(OverflowSpan {
+                    tile: tile as u32,
+                    start,
+                    len: frames.len() as u32,
+                });
+            }
+            span_end(obs, EnginePhase::Tape, tape_span);
+        }
+        let overflow_plan = if tape_mode {
+            OverflowPlan::Tape(&self.receive_tape)
+        } else {
+            match self.injector.model().overflow_mode {
+                OverflowMode::Structural { capacity } => OverflowPlan::Structural { capacity },
+                OverflowMode::Probabilistic => OverflowPlan::None,
+            }
+        };
+
+        // Termination plan: under terminate-on-delivery one tile's
+        // delivery suppresses later copies of the id — cross-shard
+        // information a worker cannot observe, so the delivering tiles
+        // are computed up front (RNG-free).
+        let newly_terminated = if self.config.terminate_on_delivery {
+            plan_terminations(
+                round,
+                &self.inflight.scratch.tiles,
+                &self.inbox_scratch,
+                &self.buffers,
+                &self.codec,
+                &self.wires,
+                &self.tiles_alive,
+                &self.crash_schedule,
+                &overflow_plan,
+                &self.terminated,
+            )
+        } else {
+            BTreeMap::new()
+        };
+
+        // Phase 1: receive, one RNG-free worker per shard.
+        let fan_span = if self.inflight.scratch.frames == 0 {
+            None
+        } else {
+            span_start(obs)
+        };
+        let receive_outs: Vec<ReceiveOut> = if self.inflight.scratch.frames == 0 {
+            Vec::new()
+        } else {
+            let Simulation {
+                ref config,
+                ref crash_schedule,
+                ref codec,
+                ref wires,
+                ref tiles_alive,
+                ref mut buffers,
+                ref mut inbox_scratch,
+                ref mut delivery_scratch,
+                ref terminated,
+                ref inflight,
+                ref ip_is_custom,
+                ..
+            } = *self;
+            let ctx = ReceiveCtx {
+                round,
+                frontier: &inflight.scratch.tiles,
+                codec,
+                wires,
+                tiles_alive,
+                crash_schedule,
+                overflow: overflow_plan,
+                terminated,
+                newly_terminated: &newly_terminated,
+                terminate_on_delivery: config.terminate_on_delivery,
+                ip_is_custom,
+                record_events,
+            };
+            let inboxes = split_chunks(inbox_scratch, &ranges);
+            let buffers = split_chunks(buffers, &ranges);
+            let scratch = split_chunks(delivery_scratch, &ranges);
+            let work: Vec<_> = ranges
+                .iter()
+                .zip(inboxes)
+                .zip(buffers)
+                .zip(scratch)
+                .map(|(((&(lo, _), inbox), buf), ds)| (lo, inbox, buf, ds))
+                .collect();
+            run_shards(work, |(lo, inbox, buf, ds)| {
+                receive_shard(&ctx, lo, inbox, buf, ds)
+            })
+        };
+        span_end(obs, EnginePhase::ShardFanout, fan_span);
+        let merge_span = if receive_outs.is_empty() {
+            None
+        } else {
+            span_start(obs)
+        };
+        for out in &receive_outs {
+            self.report.crash_drops += out.crash_drops;
+            self.report.overflow_drops += out.overflow_drops;
+            self.report.upsets_detected += out.upsets_detected;
+            self.report.upsets_undetected += out.upsets_undetected;
+            for &id in &out.informed {
+                *self.informed.entry(id).or_insert(0) += 1;
+            }
+            stats.deliveries += out.deliveries.len() as u64;
+            if record_events {
+                // Delivery events are candidates: first-delivery
+                // arbitration replays here, in shard (= tile) order.
+                for &event in &out.events {
+                    if let SimEvent::Delivery { round, message, .. } = event {
+                        if self.report.record_delivery(message, round) {
+                            self.sink.emit(event);
+                        }
+                    } else {
+                        self.sink.emit(event);
+                    }
+                }
+            } else {
+                for &id in &out.deliveries {
+                    self.report.record_delivery(id, round);
+                }
+            }
+            self.live_total += out.inserted;
+            for &tile in &out.touched {
+                self.buffer_frontier.insert(tile as usize);
+            }
+        }
+        span_end(obs, EnginePhase::Merge, merge_span);
+        for &id in newly_terminated.keys() {
+            if self.terminated.insert(id) {
+                self.pending_purge.push(id);
+            }
+        }
+    }
+
+    /// The one-shard age phase over the buffer frontier.
+    fn age_sequential(&mut self) {
+        let round = self.round;
+        let Simulation {
+            ref mut buffers,
+            ref mut sink,
+            ref buffer_frontier,
+            ref pending_purge,
+            ref mut live_total,
+            ref mut emptied_scratch,
+            ..
+        } = *self;
+        emptied_scratch.clear();
+        for tile in buffer_frontier.iter() {
+            let buffer = &mut buffers[tile];
+            for &id in pending_purge.iter() {
+                if buffer.remove(id) {
+                    *live_total -= 1;
+                }
+            }
+            let before = buffer.len() as u64;
+            buffer.age_with(|id| {
+                sink.emit(SimEvent::TtlExpiry {
+                    round,
+                    tile: NodeId(tile),
+                    message: id,
+                });
+            });
+            *live_total -= before - buffer.len() as u64;
+            if buffer.is_empty() {
+                emptied_scratch.push(tile as u32);
+            }
+        }
+        let emptied = std::mem::take(&mut self.emptied_scratch);
+        for &tile in &emptied {
+            self.buffer_frontier.remove(tile as usize);
+        }
+        self.emptied_scratch = emptied;
+    }
+
+    /// The age phase on more than one shard: one RNG-free worker per
+    /// shard over the buffer frontier, merged in ascending tile order.
+    fn age_sharded(&mut self, obs: &Option<EngineObs>) {
+        let round = self.round;
+        let record_events = S::RECORDS;
+        let ranges = shard_ranges(self.node_count(), self.shards);
+        let fan_span = if self.buffer_frontier.is_empty() {
+            None
+        } else {
+            span_start(obs)
+        };
+        let age_outs: Vec<AgeOut> = if self.buffer_frontier.is_empty() {
+            Vec::new()
+        } else {
+            let Simulation {
+                ref buffer_frontier,
+                ref mut buffers,
+                ref pending_purge,
+                ..
+            } = *self;
+            let chunks = split_chunks(buffers, &ranges);
+            let work: Vec<_> = ranges
+                .iter()
+                .zip(chunks)
+                .map(|(&(lo, _), chunk)| (lo, chunk))
+                .collect();
+            run_shards(work, |(lo, chunk)| {
+                age_shard(
+                    round,
+                    lo,
+                    buffer_frontier,
+                    chunk,
+                    pending_purge,
+                    record_events,
+                )
+            })
+        };
+        span_end(obs, EnginePhase::ShardFanout, fan_span);
+        let merge_span = if age_outs.is_empty() {
+            None
+        } else {
+            span_start(obs)
+        };
+        for out in &age_outs {
+            for &event in &out.events {
+                self.sink.emit(event);
+            }
+            self.live_total -= out.purged + out.expired;
+            for &tile in &out.emptied {
+                self.buffer_frontier.remove(tile as usize);
+            }
+        }
+        span_end(obs, EnginePhase::Merge, merge_span);
     }
 
     /// Phase 2: compute (IPs run with zero computation time). Only
@@ -1529,17 +1740,13 @@ impl<S: EventSink> Simulation<S> {
         self.started = true;
     }
 
-    /// Round epilogue shared by the sequential and sharded paths:
-    /// advances the round, evaluates completion and quiescence from the
-    /// frontier counters (O(1) instead of the old O(n) scans), and
-    /// fills the live-message stat. Debug builds re-assert every
-    /// counter and frontier bit against the ground-truth scans.
-    fn finish_round(&mut self, stats: &mut RoundStats) {
-        // Wall-clock plane only: cloning the handles (cheap `Arc`
-        // bumps, or a no-op `None`) decouples the span from the `&mut
-        // self` borrows below.
-        let obs = self.obs.clone();
-        let span = span_start(&obs);
+    /// Round epilogue: advances the round, evaluates completion and
+    /// quiescence from the frontier counters (O(1) instead of the old
+    /// O(n) scans), and fills the live-message stat. Debug builds
+    /// re-assert every counter and frontier bit against the
+    /// ground-truth scans.
+    fn finish_round(&mut self, stats: &mut RoundStats, obs: &Option<EngineObs>) {
+        let span = span_start(obs);
         self.round += 1;
         stats.live_messages = self.live_total;
         #[cfg(debug_assertions)]
@@ -1593,405 +1800,14 @@ impl<S: EventSink> Simulation<S> {
                 inflight: self.inflight.pending_frames(),
             });
         }
-        span_end(&obs, EnginePhase::Quiescence, span);
-        if let Some(obs) = &obs {
+        span_end(obs, EnginePhase::Quiescence, span);
+        if let Some(obs) = obs {
             obs.count_round();
         }
     }
 
-    /// The tile-partitioned round loop (`shards > 1`).
-    ///
-    /// Division of labour (see [`crate::shard`]): every RNG draw
-    /// happens here on the main thread, in serial pre-passes that walk
-    /// tiles in exactly the sequential engine's order; scoped shard
-    /// workers execute the recorded outcomes over disjoint tile ranges;
-    /// merges walk shards in ascending tile order. Reports, digests and
-    /// event streams are byte-identical to `shards = 1`.
-    fn step_sharded(&mut self) -> RoundStats {
-        let round = self.round;
-        let n = self.node_count();
-        let record_events = S::RECORDS;
-        let mut stats = RoundStats {
-            round,
-            ..RoundStats::default()
-        };
-        // Wall-clock plane handles, cloned once so spans never contend
-        // with the phase destructuring borrows. Spans only start when a
-        // phase actually runs — skipped phases record nothing. The
-        // whole-round span wraps the breakdown, so `phase=round` is
-        // comparable between the sequential and sharded loops.
-        let obs = self.obs.clone();
-        let round_span = span_start(&obs);
-        self.rotate_arenas();
-        let ranges = shard_ranges(n, self.shards);
-
-        // Receive pre-pass: probabilistic overflow draws one Bernoulli
-        // per arriving frame at each alive tile — replay them onto the
-        // tape in tile order.
-        self.receive_tape.clear();
-        let tape_mode = matches!(
-            self.injector.model().overflow_mode,
-            OverflowMode::Probabilistic
-        ) && self.injector.model().p_overflow > 0.0;
-        if tape_mode {
-            let tape_span = span_start(&obs);
-            let Simulation {
-                ref mut receive_tape,
-                ref mut injector,
-                ref inbox_scratch,
-                ref inflight,
-                ref tiles_alive,
-                ref crash_schedule,
-                ..
-            } = *self;
-            for tile in inflight.scratch.tiles.iter() {
-                let frames = &inbox_scratch[tile];
-                if frames.is_empty() || !tiles_alive[tile] || crash_schedule.tile_dead(tile, round)
-                {
-                    continue;
-                }
-                let start = receive_tape.keeps.len() as u32;
-                for _ in 0..frames.len() {
-                    receive_tape.keeps.push(!injector.overflow_drop());
-                }
-                receive_tape.spans.push(OverflowSpan {
-                    tile: tile as u32,
-                    start,
-                    len: frames.len() as u32,
-                });
-            }
-            span_end(&obs, EnginePhase::Tape, tape_span);
-        }
-        let overflow_plan = if tape_mode {
-            OverflowPlan::Tape(&self.receive_tape)
-        } else {
-            match self.injector.model().overflow_mode {
-                OverflowMode::Structural { capacity } => OverflowPlan::Structural { capacity },
-                OverflowMode::Probabilistic => OverflowPlan::None,
-            }
-        };
-
-        // Termination plan: under terminate-on-delivery one tile's
-        // delivery suppresses later copies of the id — cross-shard
-        // information a worker cannot observe, so the delivering tiles
-        // are computed up front (RNG-free).
-        let newly_terminated = if self.config.terminate_on_delivery {
-            plan_terminations(
-                round,
-                &self.inflight.scratch.tiles,
-                &self.inbox_scratch,
-                &self.buffers,
-                &self.codec,
-                &self.wires,
-                &self.tiles_alive,
-                &self.crash_schedule,
-                &overflow_plan,
-                &self.terminated,
-            )
-        } else {
-            BTreeMap::new()
-        };
-
-        // Phase 1: receive, one RNG-free worker per shard.
-        let fan_span = if self.inflight.scratch.frames == 0 {
-            None
-        } else {
-            span_start(&obs)
-        };
-        let receive_outs: Vec<ReceiveOut> = if self.inflight.scratch.frames == 0 {
-            Vec::new()
-        } else {
-            let Simulation {
-                ref config,
-                ref crash_schedule,
-                ref codec,
-                ref wires,
-                ref tiles_alive,
-                ref mut buffers,
-                ref mut inbox_scratch,
-                ref mut delivery_scratch,
-                ref terminated,
-                ref inflight,
-                ref ip_is_custom,
-                ..
-            } = *self;
-            let ctx = ReceiveCtx {
-                round,
-                frontier: &inflight.scratch.tiles,
-                codec,
-                wires,
-                tiles_alive,
-                crash_schedule,
-                overflow: overflow_plan,
-                terminated,
-                newly_terminated: &newly_terminated,
-                terminate_on_delivery: config.terminate_on_delivery,
-                ip_is_custom,
-                record_events,
-            };
-            let inboxes = split_chunks(inbox_scratch, &ranges);
-            let buffers = split_chunks(buffers, &ranges);
-            let scratch = split_chunks(delivery_scratch, &ranges);
-            let work: Vec<_> = ranges
-                .iter()
-                .zip(inboxes)
-                .zip(buffers)
-                .zip(scratch)
-                .map(|(((&(lo, _), inbox), buf), ds)| (lo, inbox, buf, ds))
-                .collect();
-            run_shards(work, |(lo, inbox, buf, ds)| {
-                receive_shard(&ctx, lo, inbox, buf, ds)
-            })
-        };
-        span_end(&obs, EnginePhase::ShardFanout, fan_span);
-        let merge_span = if receive_outs.is_empty() {
-            None
-        } else {
-            span_start(&obs)
-        };
-        for out in &receive_outs {
-            self.report.crash_drops += out.crash_drops;
-            self.report.overflow_drops += out.overflow_drops;
-            self.report.upsets_detected += out.upsets_detected;
-            self.report.upsets_undetected += out.upsets_undetected;
-            for &id in &out.informed {
-                *self.informed.entry(id).or_insert(0) += 1;
-            }
-            stats.deliveries += out.deliveries.len() as u64;
-            if record_events {
-                // Delivery events are candidates: first-delivery
-                // arbitration replays here, in shard (= tile) order.
-                for &event in &out.events {
-                    if let SimEvent::Delivery { round, message, .. } = event {
-                        if self.report.record_delivery(message, round) {
-                            self.sink.emit(event);
-                        }
-                    } else {
-                        self.sink.emit(event);
-                    }
-                }
-            } else {
-                for &id in &out.deliveries {
-                    self.report.record_delivery(id, round);
-                }
-            }
-            self.live_total += out.inserted;
-            for &tile in &out.touched {
-                self.buffer_frontier.insert(tile as usize);
-            }
-        }
-        span_end(&obs, EnginePhase::Merge, merge_span);
-        self.inflight.scratch.clear();
-        for &id in newly_terminated.keys() {
-            if self.terminated.insert(id) {
-                self.pending_purge.push(id);
-            }
-        }
-
-        // Phase 2: compute.
-        self.run_compute(round);
-
-        // Phase 3: age over the buffer frontier, one worker per shard.
-        let fan_span = if self.buffer_frontier.is_empty() {
-            None
-        } else {
-            span_start(&obs)
-        };
-        let age_outs: Vec<AgeOut> = if self.buffer_frontier.is_empty() {
-            Vec::new()
-        } else {
-            let Simulation {
-                ref buffer_frontier,
-                ref mut buffers,
-                ref pending_purge,
-                ..
-            } = *self;
-            let chunks = split_chunks(buffers, &ranges);
-            let work: Vec<_> = ranges
-                .iter()
-                .zip(chunks)
-                .map(|(&(lo, _), chunk)| (lo, chunk))
-                .collect();
-            run_shards(work, |(lo, chunk)| {
-                age_shard(
-                    round,
-                    lo,
-                    buffer_frontier,
-                    chunk,
-                    pending_purge,
-                    record_events,
-                )
-            })
-        };
-        span_end(&obs, EnginePhase::ShardFanout, fan_span);
-        let merge_span = if age_outs.is_empty() {
-            None
-        } else {
-            span_start(&obs)
-        };
-        for out in &age_outs {
-            for &event in &out.events {
-                self.sink.emit(event);
-            }
-            self.live_total -= out.purged + out.expired;
-            for &tile in &out.emptied {
-                self.buffer_frontier.remove(tile as usize);
-            }
-        }
-        span_end(&obs, EnginePhase::Merge, merge_span);
-        self.pending_purge.clear();
-
-        // Phase 4: forward. Fully-deterministic configurations skip the
-        // tape: workers recompute outcomes locally (and return the
-        // counter deltas the pre-pass would have accumulated).
-        let mut forward_outs: Vec<ForwardOut> = if self.buffer_frontier.is_empty() {
-            Vec::new()
-        } else if self.uniform_forward {
-            let fan_span = span_start(&obs);
-            let Simulation {
-                ref buffer_frontier,
-                ref buffers,
-                ref topology,
-                ref codec,
-                ref wires,
-                ref tiles_alive,
-                ref links_alive,
-                ref crash_schedule,
-                ref adversary,
-                ref forward_overrides,
-                ref config,
-                ..
-            } = *self;
-            let ctx = UniformForwardCtx {
-                round,
-                frontier: buffer_frontier,
-                buffers,
-                topology,
-                codec,
-                wires,
-                tiles_alive,
-                links_alive,
-                crash_schedule,
-                adversary,
-                forward_overrides,
-                forward_probability: config.forward_probability,
-                record_events,
-            };
-            let outs = run_shards(ranges.clone(), |(lo, hi)| {
-                forward_shard_uniform(&ctx, lo, hi)
-            });
-            span_end(&obs, EnginePhase::ShardFanout, fan_span);
-            outs
-        } else {
-            let tape_span = span_start(&obs);
-            self.build_forward_tape(&mut stats);
-            span_end(&obs, EnginePhase::Tape, tape_span);
-            let fan_span = span_start(&obs);
-            let Simulation {
-                ref forward_tape,
-                ref topology,
-                ..
-            } = *self;
-            let outs = run_shards(ranges.clone(), |(lo, hi)| {
-                forward_shard_tape(round, lo, hi, forward_tape, topology, record_events)
-            });
-            span_end(&obs, EnginePhase::ShardFanout, fan_span);
-            outs
-        };
-        let merge_span = if forward_outs.is_empty() {
-            None
-        } else {
-            span_start(&obs)
-        };
-        for out in &mut forward_outs {
-            for &event in &out.events {
-                self.sink.emit(event);
-            }
-            // Uniform-mode frames and counter deltas; the tape pre-pass
-            // registers and accumulates these itself and leaves the
-            // worker's segment absent and its deltas at zero.
-            if let Some(segment) = out.segment.take() {
-                out.wire_base = self.wires.adopt(segment);
-            }
-            stats.transmissions += out.transmissions;
-            self.report.packets_sent += out.transmissions;
-            self.report.bits_sent += Bits(out.bits);
-            self.report.crash_drops += out.crash_drops;
-            self.report.partition_drops += out.partition_drops;
-        }
-        span_end(&obs, EnginePhase::Merge, merge_span);
-
-        // File egress into the arrival arenas, one worker per
-        // destination shard, walking producers in shard order so each
-        // inbox fills in exactly the sequential filing order.
-        if forward_outs.iter().any(|out| !out.egress.is_empty()) {
-            let fan_span = span_start(&obs);
-            let file_outs: Vec<FileOut> = {
-                let Simulation {
-                    ref mut inbox_next,
-                    ref mut inbox_later,
-                    ..
-                } = *self;
-                let next = split_chunks(inbox_next, &ranges);
-                let later = split_chunks(inbox_later, &ranges);
-                let outs = &forward_outs;
-                let work: Vec<_> = ranges
-                    .iter()
-                    .zip(next)
-                    .zip(later)
-                    .map(|((&(lo, _), next), later)| (lo, next, later))
-                    .collect();
-                run_shards(work, |(lo, next, later)| file_shard(lo, outs, next, later))
-            };
-            span_end(&obs, EnginePhase::ShardFanout, fan_span);
-            let merge_span = span_start(&obs);
-            for out in &file_outs {
-                self.inflight.next.frames += out.next_frames;
-                self.inflight.later.frames += out.later_frames;
-                for &tile in &out.next_tiles {
-                    self.inflight.next.tiles.insert(tile as usize);
-                }
-                for &tile in &out.later_tiles {
-                    self.inflight.later.tiles.insert(tile as usize);
-                }
-            }
-            span_end(&obs, EnginePhase::Merge, merge_span);
-        }
-
-        self.finish_round(&mut stats);
-        span_end(&obs, EnginePhase::Round, round_span);
-        stats
-    }
-
-    /// The forward phase's serial RNG pre-pass (sharded, non-uniform
-    /// configurations): walks the buffer frontier in sequential tile
-    /// order consuming every draw — forwarding Bernoullis, clock skew,
-    /// upsets (each registered as a scrambled wire-table entry, exactly
-    /// as the sequential engine does), chaos jitter and Byzantine
-    /// activity — and records the outcomes, wire handles included, on
-    /// the tape for the RNG-free workers. All transmission counters
-    /// accumulate here, in draw order.
-    fn build_forward_tape(&mut self, stats: &mut RoundStats) {
-        let (mut tx, ForwardSinks { frontier, tape, .. }) = self.forward_split(stats);
-        tape.clear();
-        for tile in frontier.iter() {
-            let Some(slips) = tx.open_tile(tile) else {
-                continue;
-            };
-            let serves_start = tape.serves.len() as u32;
-            tx.serve_tile(tile, slips > 0, |tx, kind, serve| {
-                tx.plan(tape, NodeId(tile), kind, serve);
-            });
-            tape.plans.push(TilePlan {
-                tile: tile as u32,
-                slips,
-                serves: (serves_start, tape.serves.len() as u32),
-            });
-        }
-    }
-
     /// Splits the simulation for the forward phase: the decision
-    /// context both walks draw through, and what each files into.
+    /// context the walk draws through, and what it files into.
     fn forward_split<'a>(
         &'a mut self,
         stats: &'a mut RoundStats,
@@ -2027,7 +1843,6 @@ impl<S: EventSink> Simulation<S> {
             inbox_next: &mut self.inbox_next,
             inbox_later: &mut self.inbox_later,
             inflight: &mut self.inflight,
-            tape: &mut self.forward_tape,
         };
         (tx, sinks)
     }
@@ -2058,6 +1873,84 @@ fn egress_window(
     }
 }
 
+/// Where a transmission ends up, as decided (with every RNG draw) by
+/// the engine's forward walk.
+#[derive(Debug, Clone, Copy)]
+enum TxOutcome {
+    /// Swallowed by a dead link.
+    DeadLink,
+    /// Swallowed by an active partition cut.
+    Partitioned,
+    /// Filed into the destination inbox.
+    Deliver {
+        /// The frame that arrives: the served one, or its scrambled
+        /// copy when an upset fired.
+        wire: Wire,
+        /// Arrives one round late (sender slipped or link delayed).
+        held: bool,
+        /// Chaos delay fired (event attribution).
+        delayed: bool,
+        /// Chaos reorder fired: jumps to the front of the destination
+        /// queue.
+        reordered: bool,
+    },
+}
+
+impl TxOutcome {
+    /// Emits the events this fate owes after the transmission's
+    /// `FrameSent`, in the engine's order.
+    fn emit_after_send(&self, round: u64, link: LinkId, mut emit: impl FnMut(SimEvent)) {
+        match *self {
+            TxOutcome::DeadLink => emit(SimEvent::CrashDrop {
+                round,
+                site: DropSite::Link(link),
+            }),
+            TxOutcome::Partitioned => emit(SimEvent::PartitionDrop { round, link }),
+            TxOutcome::Deliver {
+                delayed, reordered, ..
+            } => {
+                if delayed {
+                    emit(SimEvent::AdversarialDelay { round, link });
+                }
+                if reordered {
+                    emit(SimEvent::AdversarialReorder { round, link });
+                }
+            }
+        }
+    }
+}
+
+/// What an egress service transmits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ServeKind {
+    /// A message of the tile's send buffer.
+    Buffer,
+    /// A Byzantine forgery (its corruption drawn from the tile's
+    /// adversary stream).
+    Forge,
+    /// A Byzantine replay of the tile's last legitimate frame.
+    Replay,
+}
+
+impl ServeKind {
+    /// The event announcing a service of this kind at `tile`.
+    fn event(self, round: u64, tile: NodeId, message: MessageId) -> SimEvent {
+        match self {
+            ServeKind::Buffer => SimEvent::Forwarded {
+                round,
+                tile,
+                message,
+            },
+            ServeKind::Forge => SimEvent::ByzantineForge {
+                round,
+                tile,
+                message,
+            },
+            ServeKind::Replay => SimEvent::ByzantineReplay { round, tile },
+        }
+    }
+}
+
 /// One egress service: a wire frame offered to each output link of the
 /// serving tile with probability `p`.
 struct Serve {
@@ -2069,25 +1962,22 @@ struct Serve {
     slipped: bool,
 }
 
-/// The frontier a forward walk covers and what it files its decisions
-/// into, beside the [`TxContext`] it draws them through: the sequential
-/// loop files each frame into the arenas at once, the sharded pre-pass
-/// records it on the tape.
+/// The frontier the forward walk covers and what it files its decisions
+/// into — the event sink and the arrival arenas — beside the
+/// [`TxContext`] it draws them through.
 struct ForwardSinks<'a, S> {
     frontier: &'a TileSet,
     sink: &'a mut S,
     inbox_next: &'a mut [Vec<Frame>],
     inbox_later: &'a mut [Vec<Frame>],
     inflight: &'a mut Inflight,
-    tape: &'a mut ForwardTape,
 }
 
 /// The forward phase's split borrows: everything that decides which
-/// tile serves what and each transmission's fate. Both forward walks —
-/// the sequential loop and the sharded pre-pass — run every tile through
-/// [`TxContext::open_tile`] and [`TxContext::serve_tile`] and differ
-/// only in the filing closure, so their decision sequence (and with it
-/// the RNG draw order) cannot diverge.
+/// tile serves what and each transmission's fate. [`Simulation::step`]
+/// runs every frontier tile through [`TxContext::open_tile`] and
+/// [`TxContext::serve_tile`] at every shard count, so the decision
+/// sequence (and with it the RNG draw order) has one definition.
 struct TxContext<'a> {
     topology: &'a Topology,
     tiles_alive: &'a [bool],
@@ -2253,9 +2143,9 @@ impl TxContext<'_> {
         self.report.bits_sent += Bits(sent * (serve.frame_len * 8) as u64);
     }
 
-    /// The sequential engine's service: emits each transmission's
-    /// events and files the frame into the destination inbox
-    /// (`inbox_later` when held; queue-front when reordered).
+    /// One service: emits each transmission's events and files the
+    /// frame into the destination inbox (`inbox_later` when held;
+    /// queue-front when reordered).
     fn transmit<S: EventSink>(
         &mut self,
         out: &mut ForwardSinks<'_, S>,
@@ -2296,20 +2186,6 @@ impl TxContext<'_> {
                     inbox.push(frame);
                 }
             }
-        });
-    }
-
-    /// The sharded pre-pass's service: records each transmission's fate
-    /// on the tape.
-    fn plan(&mut self, tape: &mut ForwardTape, from: NodeId, kind: ServeKind, serve: Serve) {
-        let txs_start = tape.txs.len() as u32;
-        self.offer(from, &serve, |link, outcome| {
-            tape.txs.push(LinkTx { link, outcome });
-        });
-        tape.serves.push(ServeCmd {
-            kind,
-            id: serve.id,
-            txs: (txs_start, tape.txs.len() as u32),
         });
     }
 

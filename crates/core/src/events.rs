@@ -13,9 +13,10 @@
 //! over the sink type, so the default [`NullSink`] monomorphizes every
 //! emission into nothing — a simulation built with
 //! [`crate::SimulationBuilder::build`] pays zero cost for the
-//! instrumentation (guarded by the `perf_baseline` harness and by the
-//! golden-report digests, which are byte-identical with any sink
-//! installed: sinks observe, they never influence).
+//! instrumentation (guarded by the golden-report digests, which are
+//! byte-identical with any sink installed: sinks observe, they never
+//! influence; `noc_benchmark` reports what a recording sink costs as
+//! `trace.overhead_pct`).
 //!
 //! Provided sinks:
 //!
@@ -271,9 +272,7 @@ pub trait EventSink {
 ///
 /// Because the engine is monomorphized per sink type, a simulation built
 /// with `NullSink` compiles every emission point down to nothing — the
-/// zero-overhead-when-disabled guarantee (asserted at ≤ 2% by the
-/// `perf_baseline` harness, which measures the default build against an
-/// explicit `build_with_sink(NullSink)` build).
+/// zero-overhead-when-disabled guarantee.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NullSink;
 
@@ -802,10 +801,10 @@ impl<A: EventSink, B: EventSink> EventSink for TeeSink<A, B> {
 /// {"event":"crc_reject","round":4,"tile":6,"link":17}
 /// ```
 ///
-/// The encoding is hand-rolled (the workspace vendors a no-op `serde`
-/// shim) but stable: field order is fixed per event kind, and every
-/// value is an integer or the kind tag. Rounds are non-decreasing within
-/// one simulation, so a JSONL file sorts naturally by emission order.
+/// The encoding is hand-rolled but stable: field order is fixed per
+/// event kind, and every value is an integer or the kind tag. Rounds are
+/// non-decreasing within one simulation, so a JSONL file sorts naturally
+/// by emission order.
 ///
 /// # Panics
 ///

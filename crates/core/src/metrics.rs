@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 
 use noc_energy::{communication_energy, Bits, Joules, TechnologyLibrary};
 use noc_fabric::{MessageId, NodeId};
-use serde::Serialize;
 
 /// Lifecycle record of one logical message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageRecord {
     /// The message's id.
     pub id: MessageId,
@@ -46,7 +45,7 @@ impl MessageRecord {
 ///     assert!(report.average_latency().unwrap() >= 1.0);
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// Rounds executed before stopping.
     pub rounds_executed: u64,

@@ -18,32 +18,32 @@ use noc_obs::{Counter, Histogram, Metrics, Stopwatch};
 
 /// The engine phases timed on the wall-clock plane.
 ///
-/// `Tape` covers the serial main-thread pre-passes that draw RNG onto
-/// replay tapes (receive-fault tape, forward tape); `ShardFanout` the
-/// scoped-worker execution of a phase across shards; `Merge` the
-/// main-thread replay of worker results in deterministic order;
-/// `Quiescence` the end-of-round frontier/inflight bookkeeping that
-/// decides termination; `Round` a whole round of either loop. The
-/// sequential (shards = 1) loop has no tape/fan-out/merge breakdown:
-/// inside its `Round` span it times its `Receive`, `Age` and `Forward`
-/// phases instead.
+/// Every round, at every shard count, records one `Round` span and
+/// inside it one `Receive`, one `Age`, one `Forward` and one
+/// `Quiescence` span. With more than one shard, receive and age break
+/// down further: `Tape` is the serial main-thread pre-pass that draws
+/// the overflow verdicts onto the replay tape, `ShardFanout` the
+/// scoped-worker execution of the phase across shards, `Merge` the
+/// main-thread replay of worker results in tile order. Forward is one
+/// main-thread walk at every shard count and has no breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePhase {
-    /// Serial RNG pre-pass building a replay tape.
+    /// Serial overflow-draw pre-pass of a receive phase on more than
+    /// one shard (recorded only when probabilistic overflow is on).
     Tape,
-    /// Fan-out of one phase across scoped shard workers.
+    /// Fan-out of a receive or age phase across scoped shard workers.
     ShardFanout,
-    /// Deterministic main-thread merge of shard outputs.
+    /// Deterministic main-thread merge of the workers' outputs.
     Merge,
     /// End-of-round quiescence detection and termination bookkeeping.
     Quiescence,
     /// One whole round.
     Round,
-    /// The sequential loop's receive phase.
+    /// The receive phase (tape, fan-out and merge included).
     Receive,
-    /// The sequential loop's age phase.
+    /// The age phase (fan-out and merge included).
     Age,
-    /// The sequential loop's forward phase.
+    /// The forward phase: one serial walk on the calling thread.
     Forward,
 }
 

@@ -4,17 +4,13 @@
 //! [`Simulation::step`](crate::Simulation::step) — every frame is a fresh
 //! `Vec<u8>` clone, every tile re-encodes every buffered message each
 //! round, and every round allocates fresh inbox/delivery vectors. It
-//! exists for two reasons:
-//!
-//! 1. **Specification oracle.** The zero-copy engine (shared `Arc`
-//!    frames, per-round CRC memoization, reusable round arenas) must be
-//!    observably indistinguishable from this one: same `(topology,
-//!    config, fault model, seed)` → byte-identical [`SimulationReport`].
-//!    The `engine_equivalence` property test drives both across random
-//!    workloads and compares every counter and per-message record.
-//! 2. **Perf baseline.** The `perf_baseline` harness in `noc-bench`
-//!    times this engine against the optimized one to measure the
-//!    step-throughput win (`BENCH_PR2.json`).
+//! exists as the **specification oracle**: the zero-copy engine (shared
+//! wire-table frames, per-round CRC memoization, reusable round arenas)
+//! must be observably indistinguishable from this one: same `(topology,
+//! config, fault model, seed)` → byte-identical [`SimulationReport`].
+//! The `engine_equivalence` property test drives both across random
+//! workloads and compares every counter and per-message record, and
+//! `noc_benchmark` counts disagreements as `reference.oracle_mismatches`.
 //!
 //! It intentionally supports only the protocol core — injected
 //! messages, fault injection, crash schedules — not IP cores, egress

@@ -1,22 +1,25 @@
 //! Tile-partitioned shard workers for the intra-trial parallel engine.
 //!
-//! The sharded round loop splits the grid into contiguous tile ranges
-//! and runs each range's receive/age/forward/file work on a scoped
-//! thread. Determinism is preserved by a strict division of labour:
+//! With more than one shard, [`Simulation::step`](crate::Simulation::step)
+//! splits the grid into contiguous tile ranges and runs each range's
+//! receive and age work on a scoped thread. Forward stays one serial
+//! walk on the main thread at every shard count: it is one Bernoulli per
+//! (message, link) from one stream, so unless the configuration draws
+//! nothing at all (fault-free, every `p` 0 or 1) there is nothing in it
+//! a worker could do without the main thread having drawn it first.
+//! Determinism is preserved by a strict division of labour:
 //!
-//! * **Every RNG draw happens on the main thread**, in a sequential
-//!   pre-pass that walks tiles in exactly the order the single-shard
-//!   engine does and records the outcomes (overflow keep/drop verdicts
-//!   in a [`ReceiveTape`], transmission outcomes in a [`ForwardTape`]).
+//! * **Every RNG draw happens on the main thread.** The only draws the
+//!   parallel phases need are the probabilistic-overflow keep/drop
+//!   verdicts, which a sequential pre-pass records in a [`ReceiveTape`],
+//!   walking tiles in exactly the order the single-shard engine does.
 //!   The shared fault stream is therefore consumed in the identical
 //!   sequence for every shard count, which is what keeps reports
 //!   byte-identical across `--shards N`.
 //! * **Shard workers are RNG-free.** They execute the recorded
-//!   outcomes: CRC decode, dedup, buffer insertion and egress
-//!   bucketing. Frames travel as handles into the engine's
-//!   [`WireTable`]: the forward pre-pass registers every frame it
-//!   plans — scrambled copies included — so the tape carries handles
-//!   and workers never encode or scramble.
+//!   verdicts: CRC decode, dedup, buffer insertion, TTL aging. Frames
+//!   arrive as handles into the engine's [`WireTable`], which workers
+//!   only read.
 //! * **Merges walk shards in ascending tile order**, so per-location
 //!   event order, report counter accumulation and delivery arbitration
 //!   replay the sequential engine's order exactly.
@@ -24,15 +27,7 @@
 //! The worker functions here are pure with respect to the engine's RNG
 //! and report state: they read shared topology/config/fault metadata,
 //! mutate only their own tile chunk, and return everything else
-//! (events, counter deltas, egress) for the main thread to merge.
-//!
-//! Fully-deterministic configurations (no upsets, no skew, no chaos, no
-//! Byzantine tiles, every effective forwarding probability 0 or 1) skip
-//! the forward tape entirely: [`forward_shard_uniform`] recomputes the
-//! deterministic outcomes locally — encoding into a per-shard
-//! [`WireSegment`](crate::wire::WireSegment) the main thread adopts in
-//! shard order — which is the mega-grid flooding fast path the
-//! `perf_baseline` gate measures.
+//! (events, counter deltas) for the main thread to merge.
 //!
 //! The same division of labour extends to the wall-clock plane
 //! (DESIGN.md §13): **workers never read the clock**. Timing spans for
@@ -45,13 +40,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use noc_fabric::{LinkId, MessageId, NodeId, Topology, WireCodec};
-use noc_faults::{AdversarialScenario, CrashSchedule};
+use noc_fabric::{MessageId, NodeId, WireCodec};
+use noc_faults::CrashSchedule;
 
 use crate::events::{DropSite, SimEvent};
 use crate::frontier::TileSet;
 use crate::send_buffer::{InsertOutcome, SendBuffer};
-use crate::wire::{Frame, Wire, WireSegment, WireTable};
+use crate::wire::{Frame, WireTable};
 
 /// Contiguous tile ranges `[lo, hi)` covering `0..n`, one per shard,
 /// sized as evenly as integer division allows.
@@ -486,381 +481,6 @@ pub(crate) fn age_shard(
         out.expired += (before - buffer.len()) as u64;
         if buffer.is_empty() {
             out.emptied.push(tile as u32);
-        }
-    }
-    out
-}
-
-/// Where a transmission ends up, as decided (with every RNG draw) by
-/// the engine's forward walk.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TxOutcome {
-    /// Swallowed by a dead link.
-    DeadLink,
-    /// Swallowed by an active partition cut.
-    Partitioned,
-    /// Filed into the destination inbox.
-    Deliver {
-        /// The frame that arrives: the served one, or its scrambled
-        /// copy when an upset fired.
-        wire: Wire,
-        /// Arrives one round late (sender slipped or link delayed).
-        held: bool,
-        /// Chaos delay fired (event attribution).
-        delayed: bool,
-        /// Chaos reorder fired: jumps to the front of the destination
-        /// queue.
-        reordered: bool,
-    },
-}
-
-impl TxOutcome {
-    /// Emits the events this fate owes after the transmission's
-    /// `FrameSent`, in the engine's order.
-    pub(crate) fn emit_after_send(&self, round: u64, link: LinkId, mut emit: impl FnMut(SimEvent)) {
-        match *self {
-            TxOutcome::DeadLink => emit(SimEvent::CrashDrop {
-                round,
-                site: DropSite::Link(link),
-            }),
-            TxOutcome::Partitioned => emit(SimEvent::PartitionDrop { round, link }),
-            TxOutcome::Deliver {
-                delayed, reordered, ..
-            } => {
-                if delayed {
-                    emit(SimEvent::AdversarialDelay { round, link });
-                }
-                if reordered {
-                    emit(SimEvent::AdversarialReorder { round, link });
-                }
-            }
-        }
-    }
-}
-
-/// One planned transmission onto a link.
-#[derive(Debug)]
-pub(crate) struct LinkTx {
-    pub link: LinkId,
-    pub outcome: TxOutcome,
-}
-
-/// What a planned egress service transmits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ServeKind {
-    /// A message of the tile's send buffer.
-    Buffer,
-    /// A Byzantine forgery (its corruption drawn from the tile's
-    /// adversary stream by the pre-pass).
-    Forge,
-    /// A Byzantine replay of the tile's last legitimate frame.
-    Replay,
-}
-
-impl ServeKind {
-    /// The event announcing a service of this kind at `tile`.
-    pub(crate) fn event(self, round: u64, tile: NodeId, message: MessageId) -> SimEvent {
-        match self {
-            ServeKind::Buffer => SimEvent::Forwarded {
-                round,
-                tile,
-                message,
-            },
-            ServeKind::Forge => SimEvent::ByzantineForge {
-                round,
-                tile,
-                message,
-            },
-            ServeKind::Replay => SimEvent::ByzantineReplay { round, tile },
-        }
-    }
-}
-
-/// One egress service: what is served and its planned transmissions
-/// (each carrying the wire handle that arrives).
-#[derive(Debug)]
-pub(crate) struct ServeCmd {
-    pub kind: ServeKind,
-    pub id: MessageId,
-    /// Index range into [`ForwardTape::txs`].
-    pub txs: (u32, u32),
-}
-
-/// One forwarding tile's plan for the round.
-#[derive(Debug)]
-pub(crate) struct TilePlan {
-    pub tile: u32,
-    /// Whole-round clock slips to attribute (events only; the `held`
-    /// consequence is already baked into each transmission's outcome).
-    pub slips: u32,
-    /// Index range into [`ForwardTape::serves`].
-    pub serves: (u32, u32),
-}
-
-/// The forward phase's pre-drawn outcomes: a flat, reusable encoding of
-/// every decision the sequential engine would have made, in the exact
-/// order it would have drawn them.
-#[derive(Debug, Default)]
-pub(crate) struct ForwardTape {
-    pub plans: Vec<TilePlan>,
-    pub serves: Vec<ServeCmd>,
-    pub txs: Vec<LinkTx>,
-}
-
-impl ForwardTape {
-    pub fn clear(&mut self) {
-        self.plans.clear();
-        self.serves.clear();
-        self.txs.clear();
-    }
-}
-
-/// A frame bound for another tile's inbox, produced by a forward worker
-/// and filed by the destination's file worker.
-#[derive(Debug)]
-pub(crate) struct EgressRecord {
-    pub to: u32,
-    pub frame: Frame,
-    pub held: bool,
-    pub front: bool,
-}
-
-/// A forward worker's report: events, egress records in emission order,
-/// and (uniform mode only) the frames it encoded and the counter deltas
-/// the tape pre-pass would otherwise have accumulated.
-#[derive(Debug, Default)]
-pub(crate) struct ForwardOut {
-    pub events: Vec<SimEvent>,
-    pub egress: Vec<EgressRecord>,
-    /// Uniform mode: the frames this worker encoded; the `egress`
-    /// handles are relative to it until the merge adopts it.
-    pub segment: Option<WireSegment>,
-    /// Where the merge placed `segment` in the wire table.
-    pub wire_base: u32,
-    pub transmissions: u64,
-    pub bits: u64,
-    pub crash_drops: u64,
-    pub partition_drops: u64,
-}
-
-/// Executes this shard's slice of the [`ForwardTape`]: emits events and
-/// egress in the sequential engine's order. RNG-free and encode-free;
-/// all counters were accumulated by the pre-pass.
-pub(crate) fn forward_shard_tape(
-    round: u64,
-    lo: usize,
-    hi: usize,
-    tape: &ForwardTape,
-    topology: &Topology,
-    record_events: bool,
-) -> ForwardOut {
-    let mut out = ForwardOut::default();
-    let first = tape.plans.partition_point(|p| (p.tile as usize) < lo);
-    for plan in &tape.plans[first..] {
-        let tile = plan.tile as usize;
-        if tile >= hi {
-            break;
-        }
-        let node = NodeId(tile);
-        if record_events {
-            for _ in 0..plan.slips {
-                out.events.push(SimEvent::ClockSlip { round, tile: node });
-            }
-        }
-        for serve in &tape.serves[plan.serves.0 as usize..plan.serves.1 as usize] {
-            if record_events {
-                out.events.push(serve.kind.event(round, node, serve.id));
-            }
-            for tx in &tape.txs[serve.txs.0 as usize..serve.txs.1 as usize] {
-                let to = topology.link(tx.link).to;
-                if record_events {
-                    out.events.push(SimEvent::FrameSent {
-                        round,
-                        from: node,
-                        link: tx.link,
-                        to,
-                        message: serve.id,
-                    });
-                    tx.outcome
-                        .emit_after_send(round, tx.link, |event| out.events.push(event));
-                }
-                if let TxOutcome::Deliver {
-                    wire,
-                    held,
-                    reordered,
-                    ..
-                } = tx.outcome
-                {
-                    out.egress.push(EgressRecord {
-                        to: to.index() as u32,
-                        frame: Frame::new(wire, Some(tx.link)),
-                        held,
-                        front: reordered,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Shared context for the tape-free uniform forward workers.
-pub(crate) struct UniformForwardCtx<'a> {
-    pub round: u64,
-    /// Tiles with non-empty send buffers.
-    pub frontier: &'a TileSet,
-    pub buffers: &'a [SendBuffer],
-    pub topology: &'a Topology,
-    pub codec: &'a WireCodec,
-    pub wires: &'a WireTable,
-    pub tiles_alive: &'a [bool],
-    pub links_alive: &'a [bool],
-    pub crash_schedule: &'a CrashSchedule,
-    pub adversary: &'a AdversarialScenario,
-    pub forward_overrides: &'a [Option<f64>],
-    pub forward_probability: f64,
-    pub record_events: bool,
-}
-
-/// The fully-deterministic forward fast path: every effective
-/// forwarding probability is 0 or 1 and no upset/skew/chaos/Byzantine
-/// draw is possible, so each worker recomputes its tiles' outcomes
-/// locally with no pre-pass and no RNG. Counter deltas ride back in the
-/// [`ForwardOut`].
-pub(crate) fn forward_shard_uniform(
-    ctx: &UniformForwardCtx<'_>,
-    lo: usize,
-    hi: usize,
-) -> ForwardOut {
-    let round = ctx.round;
-    let mut out = ForwardOut::default();
-    let mut segment = ctx.wires.segment();
-    // As the tape pre-pass: no schedule scan when none is in effect.
-    let links_scheduled =
-        ctx.crash_schedule.any_link_dead(round) || ctx.adversary.partitions.any_active(round);
-    for tile in ctx.frontier.iter_range(lo, hi) {
-        let node = NodeId(tile);
-        let msgs = ctx.buffers[tile].messages();
-        if !ctx.tiles_alive[tile] || ctx.crash_schedule.tile_dead(tile, round) || msgs.is_empty() {
-            continue;
-        }
-        let p = ctx.forward_overrides[tile].unwrap_or(ctx.forward_probability);
-        for message in msgs {
-            if ctx.record_events {
-                out.events.push(SimEvent::Forwarded {
-                    round,
-                    tile: node,
-                    message: message.id,
-                });
-            }
-            if p < 1.0 {
-                // Uniform mode guarantees p is exactly 0 here: the tile
-                // is serviced (event above) but transmits nothing.
-                continue;
-            }
-            let wire = segment.frame_for(ctx.codec, message);
-            let frame_bits = (ctx.codec.frame_bytes(message.payload.len()) * 8) as u64;
-            let links = ctx.topology.out_links(node);
-            out.transmissions += links.len() as u64;
-            out.bits += frame_bits * links.len() as u64;
-            for &link_id in links {
-                let to = ctx.topology.link(link_id).to;
-                if ctx.record_events {
-                    out.events.push(SimEvent::FrameSent {
-                        round,
-                        from: node,
-                        link: link_id,
-                        to,
-                        message: message.id,
-                    });
-                }
-                if !ctx.links_alive[link_id.index()]
-                    || (links_scheduled && ctx.crash_schedule.link_dead(link_id.index(), round))
-                {
-                    out.crash_drops += 1;
-                    if ctx.record_events {
-                        out.events.push(SimEvent::CrashDrop {
-                            round,
-                            site: DropSite::Link(link_id),
-                        });
-                    }
-                    continue;
-                }
-                if links_scheduled && ctx.adversary.partitions.link_cut(link_id.index(), round) {
-                    out.partition_drops += 1;
-                    if ctx.record_events {
-                        out.events.push(SimEvent::PartitionDrop {
-                            round,
-                            link: link_id,
-                        });
-                    }
-                    continue;
-                }
-                out.egress.push(EgressRecord {
-                    to: to.index() as u32,
-                    frame: Frame::new(wire, Some(link_id)),
-                    held: false,
-                    front: false,
-                });
-            }
-        }
-    }
-    out.segment = Some(segment);
-    out
-}
-
-/// A file worker's inflight bookkeeping deltas.
-#[derive(Debug, Default)]
-pub(crate) struct FileOut {
-    pub next_frames: u64,
-    pub later_frames: u64,
-    /// Tiles whose `next` vector went from empty to non-empty.
-    pub next_tiles: Vec<u32>,
-    /// Tiles whose `later` vector went from empty to non-empty.
-    pub later_tiles: Vec<u32>,
-}
-
-/// Files every egress record destined for tiles `[lo, lo + chunk)` into
-/// this shard's inbox chunks, walking producer shards in ascending
-/// order so each inbox receives its frames in exactly the sequential
-/// engine's filing order.
-pub(crate) fn file_shard(
-    lo: usize,
-    outs: &[ForwardOut],
-    inbox_next: &mut [Vec<Frame>],
-    inbox_later: &mut [Vec<Frame>],
-) -> FileOut {
-    let hi = lo + inbox_next.len();
-    let mut out = FileOut::default();
-    for produced in outs {
-        for record in &produced.egress {
-            let to = record.to as usize;
-            if to < lo || to >= hi {
-                continue;
-            }
-            let (inbox, frames, tiles) = if record.held {
-                (
-                    &mut inbox_later[to - lo],
-                    &mut out.later_frames,
-                    &mut out.later_tiles,
-                )
-            } else {
-                (
-                    &mut inbox_next[to - lo],
-                    &mut out.next_frames,
-                    &mut out.next_tiles,
-                )
-            };
-            if inbox.is_empty() {
-                tiles.push(record.to);
-            }
-            *frames += 1;
-            let frame = record.frame.rebased(produced.wire_base);
-            if record.front {
-                inbox.insert(0, frame);
-            } else {
-                inbox.push(frame);
-            }
         }
     }
     out

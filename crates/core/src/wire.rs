@@ -70,14 +70,6 @@ pub(crate) const NO_LINK: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Wire(u32);
 
-impl Wire {
-    /// Shifts a handle minted by a [`WireSegment`] to where
-    /// [`WireTable::adopt`] placed that segment.
-    pub(crate) fn rebased(self, base: u32) -> Self {
-        Wire(self.0 + base)
-    }
-}
-
 /// A frame in flight on a link: which wire frame, and the link it
 /// arrives over (event attribution only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,14 +97,6 @@ impl Frame {
     /// The arrival link, `None` for a local loopback.
     pub(crate) fn via(self) -> Option<LinkId> {
         (self.via != NO_LINK).then_some(LinkId(self.via as usize))
-    }
-
-    /// [`Wire::rebased`] on the frame's handle.
-    pub(crate) fn rebased(self, base: u32) -> Self {
-        Frame {
-            wire: self.wire.rebased(base),
-            ..self
-        }
     }
 }
 
@@ -262,7 +246,7 @@ impl MemoTable {
     }
 }
 
-/// Memo of the frames encoded into one generation (or segment) this
+/// Memo of the frames encoded into the current generation this
 /// round: every tile holding a message at the same TTL produces the
 /// identical wire frame, so the CRC/LFSR encode runs once per
 /// `(message, ttl)` per round. TTLs decrement every round, so the memo
@@ -388,71 +372,26 @@ impl WireTable {
         })
     }
 
-    /// An empty per-worker extension of the current generation.
-    pub(crate) fn segment(&self) -> WireSegment {
-        WireSegment {
-            tag: self.tag(),
-            entries: Vec::new(),
-            memo: EncodeMemo::default(),
-        }
-    }
-
-    /// An empty content-interning extension of the current generation.
-    pub(crate) fn interner(&self) -> WireInterner {
+    /// Fills the current generation by content (checkpoint restore).
+    pub(crate) fn interner(&mut self) -> WireInterner<'_> {
         WireInterner {
-            segment: self.segment(),
+            table: self,
             by_content: MemoTable::default(),
         }
     }
-
-    /// Appends a finished segment to the current generation and returns
-    /// the offset its handles must be [`Wire::rebased`] by.
-    pub(crate) fn adopt(&mut self, segment: WireSegment) -> u32 {
-        debug_assert_eq!(segment.tag, self.tag(), "segment of another round");
-        let current = &mut self.generations[0];
-        assert!(
-            current.len() + segment.entries.len() <= INDEX_MASK as usize,
-            "a wire generation holds at most 2^30 distinct frames"
-        );
-        let base = current.len() as u32;
-        current.extend(segment.entries);
-        base
-    }
 }
 
-/// Entries a shard worker (or checkpoint restore) registers on its own,
-/// with handles relative to the segment until [`WireTable::adopt`]
-/// places it: workers run concurrently, so each appends to its own
-/// segment and the main thread adopts them in shard order.
+/// Registers entries in a [`WireTable`]'s current generation by content,
+/// for checkpoint restore: a capture resolved every in-flight handle to
+/// bytes, and interning them makes the many copies of one wire frame
+/// share one entry again.
 #[derive(Debug)]
-pub(crate) struct WireSegment {
-    tag: u32,
-    entries: Vec<WireEntry>,
-    memo: EncodeMemo,
-}
-
-impl WireSegment {
-    /// [`WireTable::push`], segment-relative.
-    pub(crate) fn push(&mut self, entry: WireEntry) -> Wire {
-        Wire(self.tag | push_entry(&mut self.entries, entry))
-    }
-
-    /// [`WireTable::frame_for`], segment-relative.
-    pub(crate) fn frame_for(&mut self, codec: &WireCodec, message: &Message) -> Wire {
-        Wire(self.tag | self.memo.index_for(&mut self.entries, codec, message))
-    }
-}
-
-/// A [`WireSegment`] filled by content, for checkpoint restore: a
-/// capture resolved every in-flight handle to bytes, and interning them
-/// makes the many copies of one wire frame share one entry again.
-#[derive(Debug)]
-pub(crate) struct WireInterner {
-    segment: WireSegment,
+pub(crate) struct WireInterner<'a> {
+    table: &'a mut WireTable,
     by_content: MemoTable,
 }
 
-impl WireInterner {
+impl WireInterner<'_> {
     /// The handle of the entry holding exactly `bytes` with this
     /// `scrambled` flag, registering `make`'s entry for them on first
     /// sight.
@@ -467,25 +406,20 @@ impl WireInterner {
             word[..chunk.len()].copy_from_slice(chunk);
             mix64(hash ^ u64::from_le_bytes(word))
         });
-        let entries = &self.segment.entries;
+        let entries = &self.table.generations[0];
         let tag = u8::from(scrambled);
         let found = self.by_content.find(hash, tag, |index| {
             let entry = &entries[index as usize];
             entry.message.is_none() == scrambled && *entry.bytes == *bytes
         });
         match found {
-            Ok(index) => Ok(Wire(self.segment.tag | index)),
+            Ok(index) => Ok(Wire(self.table.tag() | index)),
             Err(free) => {
-                let wire = self.segment.push(make()?);
+                let wire = self.table.push(make()?);
                 self.by_content.fill(free, hash, tag, wire.0 & INDEX_MASK);
                 Ok(wire)
             }
         }
-    }
-
-    /// The filled segment, ready for [`WireTable::adopt`].
-    pub(crate) fn finish(self) -> WireSegment {
-        self.segment
     }
 }
 
@@ -634,14 +568,6 @@ mod tests {
         assert!(memo.slots.iter().all(|slot| slot.epoch == 0));
     }
 
-    #[test]
-    fn a_default_segment_allocates_nothing() {
-        let segment = WireTable::default().segment();
-        assert_eq!(segment.entries.capacity(), 0);
-        assert_eq!(segment.memo.table.slots.capacity(), 0);
-        assert_eq!(segment.memo.scratch.capacity(), 0);
-    }
-
     proptest! {
         /// The table against a naive scan of this round's keys: the
         /// same insert/rotate sequence must share exactly the same
@@ -691,29 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn adopted_segments_never_alias() {
-        let codec = WireCodec::default();
-        let mut table = WireTable::default();
-        table.rotate();
-        let own = table.frame_for(&codec, &message(1, 5));
-        let mut segments = [table.segment(), table.segment()];
-        let local: Vec<Wire> = segments
-            .iter_mut()
-            .zip([2u64, 3])
-            .map(|(segment, id)| segment.frame_for(&codec, &message(id, 5)))
-            .collect();
-        assert_eq!(local[0], local[1], "segment-relative handles coincide");
-        let placed: Vec<Wire> = segments
-            .into_iter()
-            .zip(&local)
-            .map(|(segment, wire)| wire.rebased(table.adopt(segment)))
-            .collect();
-        assert_eq!(id_of(&table, own), Some(1));
-        assert_eq!(id_of(&table, placed[0]), Some(2));
-        assert_eq!(id_of(&table, placed[1]), Some(3));
-    }
-
-    #[test]
     fn interner_shares_equal_bytes_and_keeps_the_scrambled_flag_apart() {
         let codec = WireCodec::default();
         let mut table = WireTable::default();
@@ -738,8 +641,6 @@ mod tests {
         assert_eq!(intern(true, &bytes), upset);
         assert_ne!(intern(false, &bytes[1..]), clean);
         assert_eq!(made, 3);
-        let base = table.adopt(interner.finish());
-        assert_eq!(base, 0);
         assert_eq!(id_of(&table, clean), Some(1));
         assert_eq!(id_of(&table, upset), None);
     }

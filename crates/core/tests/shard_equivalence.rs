@@ -152,6 +152,59 @@ proptest! {
     }
 }
 
+/// Fault-free flooding draws nothing in the forward phase (every
+/// forwarding probability is 1, no upset, no skew): an input class the
+/// proptest above, with `p` and every fault rate drawn from continuous
+/// ranges, does not generate. The one forward walk must serve it like
+/// any other.
+#[test]
+fn fault_free_flooding_is_shard_count_independent() {
+    let topology = Topology::grid(8, 8);
+    let config = StochasticConfig::flooding(12).with_max_rounds(40);
+    let (model, schedule, adversary) = (
+        FaultModel::none(),
+        CrashSchedule::new(),
+        AdversarialScenario::benign(),
+    );
+    let injections = vec![
+        (0, 63, vec![0x5A; 8]),
+        (27, 36, vec![0xA5; 3]),
+        (63, 0, Vec::new()),
+    ];
+    let run = |shards: usize| {
+        run_trial(
+            &topology,
+            config,
+            model,
+            &schedule,
+            &adversary,
+            7,
+            shards,
+            &injections,
+        )
+    };
+
+    let (base_obs, base_quiescent, base_events) = run(1);
+    assert!(base_obs.packets_sent > 0 && !base_events.is_empty());
+    let mut reference =
+        ReferenceSimulation::new(topology.clone(), config, model, schedule.clone(), 7);
+    for (src, dst, payload) in &injections {
+        reference.inject(NodeId(*src), NodeId(*dst), payload.clone());
+    }
+    assert_eq!(base_obs, observe(&reference.run()), "shards=1 vs reference");
+    for shards in [2, 3, 8] {
+        let (obs, quiescent, events) = run(shards);
+        assert_eq!(obs, base_obs, "report diverged at shards={shards}");
+        assert_eq!(quiescent, base_quiescent, "shards={shards}");
+        if let Some((line, want, got)) = first_divergence(&base_events, &events) {
+            panic!(
+                "event stream diverged at shards={shards} line {line}:\n  \
+                 shards=1: {want}\n  shards={shards}: {got}"
+            );
+        }
+    }
+}
+
 /// A faulty, adversarial 6×6 scenario reused by the deterministic
 /// regression tests below.
 fn faulty_scenario() -> (Topology, StochasticConfig, FaultModel, CrashSchedule) {
@@ -239,8 +292,8 @@ fn history_stats_match_full_grid_recount_under_faults() {
 /// deterministic plane: running the faulty regression scenario with a
 /// [`noc_obs::Metrics`] registry and [`stochastic_noc::EngineObs`]
 /// installed must reproduce the uninstrumented JSONL event stream and
-/// report byte-for-byte, at shards=1 and through the sharded loop —
-/// while the registry itself proves the spans actually recorded.
+/// report byte-for-byte, at one shard and at several — while the
+/// registry itself proves every round recorded its phase spans.
 #[test]
 fn event_streams_are_byte_identical_with_obs_plane_enabled() {
     let (topology, config, model, schedule) = faulty_scenario();
@@ -292,10 +345,25 @@ fn event_streams_are_byte_identical_with_obs_plane_enabled() {
                  plain: {want}\n  obs:   {got}"
             );
         }
+        let rounds = metrics.counter_value("engine_rounds_total").unwrap_or(0);
         assert!(
-            metrics.counter_value("engine_rounds_total").unwrap_or(0) > 0,
+            rounds > 0,
             "obs plane recorded no rounds at shards={shards}"
         );
+        // One loop at every shard count: each round times its receive,
+        // age and forward phases once, whoever executes them.
+        let snap = metrics.snapshot();
+        for phase in ["round", "receive", "age", "forward"] {
+            let spans = snap
+                .histograms
+                .iter()
+                .find(|h| {
+                    h.name == "engine_phase_seconds"
+                        && h.labels == vec![("phase".to_string(), phase.to_string())]
+                })
+                .map_or(0, |h| h.count);
+            assert_eq!(spans, rounds, "{phase} spans per round at shards={shards}");
+        }
     }
 }
 

@@ -2,10 +2,9 @@
 //! with a uniform logical-placement interface.
 
 use noc_fabric::{NodeId, Topology};
-use serde::Serialize;
 
 /// Which fabric an [`Architecture`] instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchitectureKind {
     /// One flat `2s × 2s` grid.
     Flat,
@@ -53,7 +52,7 @@ impl ArchitectureKind {
 /// assert!(a.index() < flat.topology().node_count());
 /// assert!(b.index() < hier.topology().node_count());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
     kind: ArchitectureKind,
     quadrant_side: usize,

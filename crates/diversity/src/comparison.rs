@@ -3,7 +3,6 @@
 
 use noc_apps::beamforming::{run_with_builder, BeamformingParams};
 use noc_faults::{AdversarialScenario, FaultModel};
-use serde::Serialize;
 use stochastic_noc::{SimulationBuilder, StochasticConfig};
 
 use crate::architecture::{Architecture, ArchitectureKind};
@@ -87,7 +86,7 @@ impl ComparisonParams {
 }
 
 /// Result of running the workload on one fabric.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArchitectureResult {
     /// Which fabric.
     pub kind: ArchitectureKind,

@@ -1,7 +1,5 @@
 //! Running energy/traffic accounting for a simulation.
 
-use serde::Serialize;
-
 use crate::metrics::{communication_energy, energy_delay_product, EnergyDelay};
 use crate::tech::TechnologyLibrary;
 use crate::units::{Bits, Joules, Seconds};
@@ -25,7 +23,7 @@ use crate::units::{Bits, Joules, Seconds};
 /// assert_eq!(account.total_bits(), Bits(192));
 /// assert!(account.total_energy().joules() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyAccount {
     tech: TechnologyLibrary,
     transmissions: u64,

@@ -1,7 +1,5 @@
 //! Technology library: per-bit energies and link frequencies.
 
-use serde::Serialize;
-
 use crate::units::{Hertz, Joules};
 
 /// Electrical parameters of an interconnect in a given technology node.
@@ -21,7 +19,7 @@ use crate::units::{Hertz, Joules};
 /// assert!(link.max_frequency.hertz() > bus.max_frequency.hertz());
 /// assert!(link.energy_per_bit.joules() < bus.energy_per_bit.joules());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechnologyLibrary {
     /// Descriptive name of the extraction point.
     pub name: &'static str,

@@ -5,27 +5,33 @@
 //! experiments all [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--progress]
 //! ```
 //!
+//! The command line is validated before any figure runs: an unknown
+//! flag, an unknown figure, or a flag that none of the named figures
+//! honours exits 2 with a one-line reason (`all` honours every flag).
+//!
 //! `--threads N` pins the Monte-Carlo worker count (default:
 //! auto-detect); output tables are bit-identical for every `N`.
-//! `--shards N` splits each simulation's tiles across N scoped worker
-//! threads inside a trial (default 1 = sequential, 0 = auto-detect);
-//! tables are bit-identical for every `N` here too.
+//! `--shards N` fans the receive and age phases of each simulation out
+//! over N tile ranges on scoped threads inside a trial (default 1 =
+//! none, 0 = auto-detect); tables are bit-identical for every `N` here
+//! too. Honoured by the figures that build the engine themselves:
+//! `fig3-3`, `fig4-6`, `fig5-3`, `ablations`, `grid-spread`, `hostile`,
+//! `mega-grid`.
 //! `--seed N` re-roots every figure's trial-seed derivation (default 0).
 //! `--trace-events PATH` streams a JSONL event log of one representative
-//! trial to PATH (currently supported by `fig3-3` and `hostile`); it
-//! composes with `--metrics-out` — the traced trial runs once, feeding
-//! both sinks.
+//! trial to PATH (`fig3-3` and `hostile`); it composes with
+//! `--metrics-out` — the traced trial runs once, feeding both sinks.
 //! `--reconcile-json PATH` writes the CounterSink-vs-report
-//! reconciliation summary to PATH (currently supported by `hostile`).
+//! reconciliation summary to PATH (`hostile`).
 //! `--metrics-out PATH` turns on the wall-clock observability plane: a
 //! metrics snapshot (engine-phase spans, per-trial timings, throughput)
 //! is written to PATH as JSON and to PATH.prom as Prometheus text when
 //! all figures finish. Tables and digests are byte-identical either way.
 //! `--checkpoint-every N` (with optional `--checkpoint-dir PATH`,
 //! default `.`) writes a resumable engine checkpoint every N rounds of
-//! each mega-grid simulation, as
+//! each `mega-grid` simulation, as
 //! `<dir>/mega-grid-<side>-<regime>-round-<R>.ckpt`.
-//! `--resume PATH` restores the mega-grid simulation whose
+//! `--resume PATH` restores the `mega-grid` simulation whose
 //! configuration digest matches the checkpoint at PATH and continues it
 //! from the captured round; non-matching configurations rerun from
 //! round 0, and the tables are byte-identical either way.
@@ -57,7 +63,8 @@ const FIGURES: &[&str] = &[
     "mega-grid",
 ];
 
-fn run_figure(name: &str, scale: Scale) -> bool {
+/// Runs and prints one figure of [`FIGURES`].
+fn run_figure(name: &str, scale: Scale) {
     match name {
         "fig3-1" => fig3_1::print(&fig3_1::run(scale)),
         "fig3-3" => fig3_3::print(&fig3_3::run(scale)),
@@ -74,9 +81,8 @@ fn run_figure(name: &str, scale: Scale) -> bool {
         "grid-spread" => grid_spread::print(&grid_spread::run(scale)),
         "hostile" => hostile::print(&hostile::run(scale)),
         "mega-grid" => mega_grid::print(&mega_grid::run(scale)),
-        _ => return false,
+        _ => unreachable!("targets_of admits only FIGURES, and `{name}` is not one"),
     }
-    true
 }
 
 /// Summarises the runner reports a figure deposited while it ran, as
@@ -123,6 +129,87 @@ fn write_metrics_snapshot(metrics: &noc_obs::Metrics, path: &str) {
     );
 }
 
+/// Every flag: its name, whether a value follows it, and the figures
+/// that honour it (`None`: every figure does).
+type Flag = (&'static str, bool, Option<&'static [&'static str]>);
+
+const FLAGS: &[Flag] = &[
+    ("--full", false, None),
+    ("--progress", false, None),
+    ("--threads", true, None),
+    ("--seed", true, None),
+    ("--metrics-out", true, None),
+    (
+        "--shards",
+        true,
+        Some(&[
+            "fig3-3",
+            "fig4-6",
+            "fig5-3",
+            "ablations",
+            "grid-spread",
+            "hostile",
+            "mega-grid",
+        ]),
+    ),
+    ("--trace-events", true, Some(&["fig3-3", "hostile"])),
+    ("--reconcile-json", true, Some(&["hostile"])),
+    ("--checkpoint-every", true, Some(&["mega-grid"])),
+    ("--checkpoint-dir", true, Some(&["mega-grid"])),
+    ("--resume", true, Some(&["mega-grid"])),
+];
+
+/// Splits `args` into the figure targets, or gives the one-line reason
+/// the command line is rejected: an unknown flag, a flag missing its
+/// value, an unknown figure, or a flag that none of the named figures
+/// honours (`all` honours every flag). Runs before any figure does, so
+/// a typo never costs a run at the wrong scale.
+fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
+    let mut targets = Vec::new();
+    let mut given: Vec<&Flag> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            targets.push(arg.as_str());
+            continue;
+        }
+        let Some(flag @ &(_, takes_value, _)) = FLAGS.iter().find(|(name, ..)| name == arg) else {
+            return Err(format!("unknown flag '{arg}'"));
+        };
+        if takes_value && rest.next().is_none() {
+            return Err(format!("{arg} requires a value"));
+        }
+        given.push(flag);
+    }
+    if targets == ["help"] {
+        return Ok(targets);
+    }
+    if let Some(name) = targets
+        .iter()
+        .find(|t| **t != "all" && !FIGURES.contains(t))
+    {
+        return Err(format!(
+            "unknown figure '{name}'; known: {}",
+            FIGURES.join(", ")
+        ));
+    }
+    if !targets.is_empty() && !targets.contains(&"all") {
+        for &(name, _, honoured_by) in given {
+            let Some(figures) = honoured_by else {
+                continue;
+            };
+            if !targets.iter().any(|t| figures.contains(t)) {
+                return Err(format!(
+                    "{name} is honoured only by {}; {} would ignore it",
+                    figures.join(", "),
+                    targets.join(", "),
+                ));
+            }
+        }
+    }
+    Ok(targets)
+}
+
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
     let value = parse_string_flag(args, flag)?;
     Some(value.parse().unwrap_or_else(|_| {
@@ -131,17 +218,27 @@ fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
     }))
 }
 
+/// The value after the first occurrence of `flag` ([`targets_of`] has
+/// checked that one follows).
 fn parse_string_flag(args: &[String], flag: &str) -> Option<String> {
     let position = args.iter().position(|a| a == flag)?;
-    let value = args.get(position + 1).unwrap_or_else(|| {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
-    });
-    Some(value.clone())
+    args.get(position + 1).cloned()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let targets = targets_of(&args).unwrap_or_else(|reason| {
+        eprintln!("{reason}");
+        std::process::exit(2);
+    });
+    if targets.is_empty() || targets == ["help"] {
+        eprintln!(
+            "usage: experiments <figure>|all [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--checkpoint-every N] [--checkpoint-dir PATH] [--resume PATH] [--progress]"
+        );
+        eprintln!("figures: {}", FIGURES.join(", "));
+        std::process::exit(if targets.is_empty() { 2 } else { 0 });
+    }
+
     let scale = if args.iter().any(|a| a == "--full") {
         Scale::Full
     } else {
@@ -170,47 +267,14 @@ fn main() {
         metrics
     });
     runner::set_progress(args.iter().any(|a| a == "--progress"));
-    let mut skip_next = false;
-    let targets: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--threads"
-                || *a == "--shards"
-                || *a == "--seed"
-                || *a == "--trace-events"
-                || *a == "--reconcile-json"
-                || *a == "--metrics-out"
-                || *a == "--checkpoint-every"
-                || *a == "--checkpoint-dir"
-                || *a == "--resume"
-            {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
 
-    if targets.is_empty() || targets == ["help"] {
-        eprintln!(
-            "usage: experiments <figure>|all [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--checkpoint-every N] [--checkpoint-dir PATH] [--resume PATH] [--progress]"
-        );
-        eprintln!("figures: {}", FIGURES.join(", "));
-        std::process::exit(if targets.is_empty() { 2 } else { 0 });
-    }
-
-    let run_all = targets.contains(&"all");
-    let list: Vec<&str> = if run_all { FIGURES.to_vec() } else { targets };
+    let list: Vec<&str> = if targets.contains(&"all") {
+        FIGURES.to_vec()
+    } else {
+        targets
+    };
     for name in list {
-        if !run_figure(name, scale) {
-            eprintln!("unknown figure '{name}'; known: {}", FIGURES.join(", "));
-            std::process::exit(2);
-        }
+        run_figure(name, scale);
         print_runner_summary(name);
     }
 

@@ -240,9 +240,9 @@ mod tests {
     fn sharded_run_records_engine_phase_spans() {
         use std::sync::Arc;
 
-        // A sharded run with the wall-clock plane installed must time
-        // every sharded-path phase — and produce the same deterministic
-        // row as an uninstrumented run.
+        // A two-shard run with the wall-clock plane installed must time
+        // the fan-out's sub-spans and the forward walk — and produce the
+        // same deterministic row as an uninstrumented run.
         let _guard = runner::GLOBAL_STATE_TEST_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -259,20 +259,27 @@ mod tests {
         assert_eq!(observed.delivered, baseline.delivered);
 
         let snap = registry.snapshot();
-        for phase in ["tape", "shard_fanout", "merge", "quiescence"] {
-            let hist = snap
-                .histograms
+        let span = |phase: &str| {
+            snap.histograms
                 .iter()
                 .find(|h| {
                     h.name == "engine_phase_seconds"
                         && h.labels == vec![("phase".to_string(), phase.to_string())]
                 })
-                .unwrap_or_else(|| panic!("{phase} histogram registered"));
-            assert!(hist.count > 0, "{phase} phase recorded spans");
-            assert!(hist.sum_nanos > 0, "{phase} spans took nonzero time");
+                .unwrap_or_else(|| panic!("{phase} histogram registered"))
+        };
+        for phase in ["tape", "shard_fanout", "merge", "quiescence", "forward"] {
+            assert!(span(phase).count > 0, "{phase} phase recorded spans");
+            assert!(span(phase).sum_nanos > 0, "{phase} spans took nonzero time");
         }
         // `>=` rather than `==`: other concurrently-running figure tests
         // may record into the installed registry while it is live.
+        assert!(
+            span("forward").count >= baseline.rounds,
+            "every two-shard round timed its forward walk: {} vs {}",
+            span("forward").count,
+            baseline.rounds
+        );
         let rounds = registry.counter_value("engine_rounds_total");
         assert!(
             rounds.unwrap_or(0) >= baseline.rounds,

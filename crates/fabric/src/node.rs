@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a tile in the network (0-based).
 ///
 /// The paper numbers tiles 1..=16 in its figures; this library uses the
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(producer.index(), 5);
 /// assert_eq!(producer.to_string(), "n5");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
 /// Index of a *directed* link in the network (0-based).
@@ -28,9 +24,7 @@ pub struct NodeId(pub usize);
 /// Every bidirectional wire of the grid appears as two directed links, one
 /// per direction, each with its own id — crash faults and upsets are
 /// applied per directed link.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub usize);
 
 impl NodeId {

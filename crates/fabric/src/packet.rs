@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use noc_crc::{CrcParams, DecodeError, PacketCodec};
 use noc_energy::Bits;
-use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
 
@@ -22,9 +21,7 @@ use crate::node::NodeId;
 /// The send-buffer deduplication of the gossip algorithm ("if a message is
 /// already present, a duplicate message will not be inserted") keys on this
 /// id, as does exactly-once delivery to the destination IP.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MessageId(pub u64);
 
 impl fmt::Display for MessageId {
@@ -44,7 +41,7 @@ impl fmt::Display for MessageId {
 /// assert_eq!(m.ttl, 12);
 /// assert!(!m.expired());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Unique message identity (assigned at injection).
     pub id: MessageId,

@@ -4,13 +4,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::LinkId;
 use crate::topology::Grid2d;
 
 /// One of the four edges of a grid tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Direction {
     /// Towards smaller `y`.
     North,

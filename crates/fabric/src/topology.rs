@@ -3,12 +3,10 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
-
 use crate::node::{LinkId, NodeId};
 
 /// One *directed* link of the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     /// This link's identifier.
     pub id: LinkId,
@@ -36,7 +34,7 @@ pub struct Link {
 /// // A corner tile has 2:
 /// assert_eq!(t.out_links(NodeId(0)).len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     node_count: usize,
@@ -278,7 +276,7 @@ impl Topology {
 /// assert_eq!(g.node_at(2, 3), NodeId(17));
 /// assert_eq!(g.coordinates(NodeId(17)), (2, 3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid2d {
     width: usize,
     height: usize,

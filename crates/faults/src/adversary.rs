@@ -49,14 +49,12 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::injector::CrashSchedule;
 
 /// One scheduled partition: a set of links severed at `from_round`
 /// (inclusive) and restored at `heal_round` (exclusive), or never when
 /// `heal_round` is `None`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionCut {
     /// Link indices severed by this cut.
     pub links: BTreeSet<usize>,
@@ -86,7 +84,7 @@ impl PartitionCut {
 /// Frames forwarded onto a cut link during its active window are lost
 /// (the sender still spends the transmission energy, exactly like a
 /// dead link), and the engine reports each loss as a partition drop.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionSchedule {
     cuts: Vec<PartitionCut>,
 }
@@ -173,7 +171,7 @@ impl PartitionSchedule {
 /// index): first a delay draw, then a reorder draw. A delayed frame
 /// arrives one round later than the synchronous schedule; a reordered
 /// frame jumps the receive queue of its destination tile.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkChaos {
     /// Probability that a delivered frame jumps to the front of its
     /// destination's receive queue.
@@ -217,7 +215,7 @@ impl LinkChaos {
 }
 
 /// What a Byzantine tile does when its activation draw fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ByzantineMode {
     /// Forge an equivocation: re-encode a buffered message with a
     /// corrupted payload, producing a *CRC-valid* frame whose content
@@ -231,7 +229,7 @@ pub enum ByzantineMode {
 }
 
 /// The set of Byzantine tiles and their behaviour.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ByzantineSet {
     /// Indices of the compromised tiles.
     pub tiles: BTreeSet<usize>,
@@ -307,7 +305,7 @@ impl Error for InvalidScenario {}
 /// The default scenario is [benign](AdversarialScenario::is_benign):
 /// attaching it to a simulation changes nothing, consumes no RNG
 /// draws, and leaves every digest byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdversarialScenario {
     /// Scheduled partitions with optional heals.
     // noc-lint: allow(checkpoint-coverage, reason = "immutable run config, not evolving state: the whole scenario is hashed into the checkpoint config digest")

@@ -9,10 +9,9 @@
 //!   `p_b ≈ p_upset / n`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which analytical model generates error vectors for upset packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErrorModel {
     /// All `2^n − 1` non-null error vectors equally likely.
     #[default]

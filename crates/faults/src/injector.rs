@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::model::FaultModel;
 use crate::rng::GaussianSampler;
@@ -26,7 +25,7 @@ use crate::rng::GaussianSampler;
 /// assert!(!schedule.link_dead(12, 29));
 /// assert!(schedule.link_dead(12, 30));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrashSchedule {
     tiles: Vec<(usize, u64)>,
     links: Vec<(usize, u64)>,

@@ -3,12 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error_vector::ErrorModel;
 
 /// How buffer overflow losses are modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowMode {
     /// Each received packet is independently dropped with `p_overflow`
     /// (the sweep axis used by the paper's MP3 experiments).
@@ -47,7 +45,7 @@ pub enum OverflowMode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultModel {
     /// Probability that a tile is affected by a crash failure.
     pub p_tiles: f64,

@@ -251,7 +251,7 @@ fn ambient_rng(rel_path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
 
 fn nondeterministic_time(rel_path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
     // noc-obs wraps the one sanctioned clock read (`Stopwatch::start`);
-    // every other crate — bench harness and linter included — times
+    // every other crate — the linter included — times
     // wall-clock spans through that API.
     if rel_path.starts_with("crates/obs/") {
         return;
@@ -465,10 +465,9 @@ mod tests {
             rules_of(&run("crates/experiments/src/runner.rs", src)),
             ["nondeterministic-time"]
         );
-        // The bench harness must also go through noc_obs::Stopwatch
+        // The linter itself must also go through noc_obs::Stopwatch
         // (crate-root audit still applies, so compare rule-by-rule).
-        assert!(rules_of(&run("crates/bench/src/bin/perf_baseline.rs", src))
-            .contains(&"nondeterministic-time"));
+        assert!(rules_of(&run("crates/lint/src/main.rs", src)).contains(&"nondeterministic-time"));
         // noc-obs wraps the sanctioned clock read.
         assert!(run("crates/obs/src/time.rs", src).is_empty());
         // Going through the Stopwatch API is clean anywhere.

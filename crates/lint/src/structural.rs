@@ -92,7 +92,6 @@ const DRAW_SCOPED_PREFIXES: &[&str] = &[
     "crates/diversity/",
     "crates/obs/",
     "crates/experiments/",
-    "crates/bench/",
     "src/",
     "examples/",
 ];

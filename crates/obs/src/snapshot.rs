@@ -3,10 +3,9 @@
 //! validation) and Prometheus text exposition (for scraping).
 //!
 //! Both writers are hand-rolled string formatting, like every other
-//! serializer in the workspace (the vendored `serde` is a no-op shim).
-//! Durations are carried as integer nanoseconds end-to-end and rendered
-//! to decimal seconds exactly, so snapshot bytes never depend on float
-//! formatting quirks.
+//! serializer in the workspace. Durations are carried as integer
+//! nanoseconds end-to-end and rendered to decimal seconds exactly, so
+//! snapshot bytes never depend on float formatting quirks.
 
 use crate::registry::{bucket_upper_nanos, HISTOGRAM_BUCKETS};
 
