@@ -29,11 +29,17 @@
 //! [`Simulation::inject`](crate::Simulation::inject) and are unaffected.
 //!
 //! The wire format is a hand-rolled versioned little-endian binary
-//! encoding (magic + version header), dependency-free by construction:
-//! the build environment has no serialization crates beyond the local
-//! shims. The encoding of a checkpoint is deterministic — hash-ordered
-//! collections are sorted before writing — so two checkpoints of
-//! identical engine state are byte-identical.
+//! encoding (magic + version header). The encoding of a checkpoint is
+//! deterministic — hash-ordered collections are sorted before writing —
+//! so two checkpoints of identical engine state are byte-identical.
+//!
+//! A [`Checkpoint`] value *is* that encoding: one owned byte string
+//! whose structure has been checked, and no tree of fields beside it.
+//! Capture writes the bytes straight from engine state,
+//! [`Checkpoint::from_bytes`] walks every length prefix of its input and
+//! keeps one copy of it (its only allocation, whatever the prefixes
+//! claim), and resume reads the state back out of the bytes, borrowing
+//! every frame and payload.
 //!
 //! # Examples
 //!
@@ -59,7 +65,9 @@
 
 use std::error::Error;
 use std::fmt;
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every serialized checkpoint.
 const MAGIC: &[u8; 8] = b"NOCSIMCK";
@@ -110,65 +118,11 @@ impl fmt::Display for CheckpointError {
 
 impl Error for CheckpointError {}
 
-/// One buffered message, flattened to plain words and bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MessageState {
-    pub(crate) id: u64,
-    pub(crate) source: u64,
-    pub(crate) destination: u64,
-    pub(crate) ttl: u8,
-    pub(crate) payload: Vec<u8>,
-}
-
-/// One tile's send buffer: live messages in insertion order, the
-/// seen-set sorted ascending, and the running expiry count.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct BufferState {
-    pub(crate) messages: Vec<MessageState>,
-    pub(crate) seen: Vec<u64>,
-    pub(crate) expired: u64,
-}
-
-/// One in-flight frame in an arrival arena.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FrameState {
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) scrambled: bool,
-    pub(crate) via: Option<u64>,
-}
-
-/// One message's report record.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RecordState {
-    pub(crate) id: u64,
-    pub(crate) source: u64,
-    pub(crate) destination: u64,
-    pub(crate) injected_round: u64,
-    pub(crate) delivered_round: Option<u64>,
-    pub(crate) frame_bits: u64,
-}
-
-/// The report-so-far: every public counter plus the per-message records.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct ReportState {
-    pub(crate) rounds_executed: u64,
-    pub(crate) completed: bool,
-    pub(crate) packets_sent: u64,
-    pub(crate) bits_sent: u64,
-    pub(crate) upsets_detected: u64,
-    pub(crate) upsets_undetected: u64,
-    pub(crate) overflow_drops: u64,
-    pub(crate) crash_drops: u64,
-    pub(crate) clock_slips: u64,
-    pub(crate) ttl_expirations: u64,
-    pub(crate) partition_drops: u64,
-    pub(crate) byzantine_forges: u64,
-    pub(crate) byzantine_replays: u64,
-    pub(crate) adversarial_delays: u64,
-    pub(crate) adversarial_reorders: u64,
-    pub(crate) quiescent_rounds: u64,
-    pub(crate) records: Vec<RecordState>,
-}
+/// Byte offsets of the two header words the accessors read: the magic
+/// and the version come first, then the digest, then the round.
+const DIGEST_AT: usize = MAGIC.len() + 4;
+const ROUND_AT: usize = DIGEST_AT + 8;
+const BODY_AT: usize = ROUND_AT + 8;
 
 /// A round-boundary snapshot of a [`Simulation`](crate::Simulation).
 ///
@@ -180,394 +134,101 @@ pub(crate) struct ReportState {
 /// [`SimulationBuilder::resume`](crate::SimulationBuilder::resume) on a
 /// builder configured identically (the shard count and event sink are
 /// free to differ — neither is observable).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The value is its encoding: one owned, structurally validated v1 byte
+/// string. Equality is byte equality, which the deterministic encoding
+/// makes state equality.
+#[derive(Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Digest of the defining tuple `(topology, config, fault model,
-    /// crash schedule, adversary, seed)`; resume refuses a mismatch.
-    pub(crate) config_digest: u64,
-    pub(crate) round: u64,
-    pub(crate) next_message_id: u64,
-    pub(crate) started: bool,
-    pub(crate) completed: bool,
-    pub(crate) injector_rng: [u64; 4],
-    pub(crate) injector_spare: Option<f64>,
-    pub(crate) tally_upsets: u64,
-    pub(crate) tally_overflow_drops: u64,
-    pub(crate) tally_skew_draws: u64,
-    pub(crate) chaos_states: Vec<[u64; 4]>,
-    pub(crate) byz_states: Vec<(u64, [u64; 4])>,
-    pub(crate) byz_last_frames: Vec<(u64, u64, Vec<u8>)>,
-    pub(crate) tiles_alive: Vec<bool>,
-    pub(crate) links_alive: Vec<bool>,
-    pub(crate) clocks: Vec<(f64, u64)>,
-    pub(crate) egress_next: Vec<Option<u64>>,
-    pub(crate) buffers: Vec<BufferState>,
-    pub(crate) inbox_next: Vec<Vec<FrameState>>,
-    pub(crate) inbox_later: Vec<Vec<FrameState>>,
-    pub(crate) informed: Vec<(u64, u64)>,
-    pub(crate) terminated: Vec<u64>,
-    pub(crate) report: ReportState,
+    /// Written by [`Writer`] or accepted by [`validate`], so every
+    /// length prefix and optional inside it has been bounds-checked.
+    bytes: Vec<u8>,
+}
+
+impl fmt::Debug for Checkpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Checkpoint")
+            .field("round", &self.round())
+            .field("digest", &format_args!("{:#x}", self.config_digest()))
+            .field("len", &self.bytes.len())
+            .finish()
+    }
 }
 
 impl Checkpoint {
+    fn header_word(&self, at: usize) -> u64 {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(&self.bytes[at..at + 8]);
+        u64::from_le_bytes(le)
+    }
+
     /// The round boundary this checkpoint was taken at (number of
     /// rounds fully executed before capture).
     pub fn round(&self) -> u64 {
-        self.round
+        self.header_word(ROUND_AT)
     }
 
     /// Digest of the simulation's defining configuration tuple. Two
     /// checkpoints are resumable into the same builder iff their
     /// digests agree.
     pub fn config_digest(&self) -> u64 {
-        self.config_digest
+        self.header_word(DIGEST_AT)
     }
 
-    /// Serializes into the versioned binary wire format.
-    ///
-    /// The encoding is deterministic: the same engine state always
+    /// A reader over everything after the header, for
+    /// `Simulation::restore_from`.
+    pub(crate) fn body(&self) -> Reader<'_> {
+        Reader {
+            data: &self.bytes,
+            pos: BODY_AT,
+        }
+    }
+
+    /// The versioned binary wire format — a copy of the bytes this value
+    /// holds. The encoding is deterministic: the same engine state always
     /// produces the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes_raw(MAGIC);
-        w.u32(VERSION);
-        w.u64(self.config_digest);
-        w.u64(self.round);
-        w.u64(self.next_message_id);
-        w.bool(self.started);
-        w.bool(self.completed);
-        for word in self.injector_rng {
-            w.u64(word);
-        }
-        w.opt_f64(self.injector_spare);
-        w.u64(self.tally_upsets);
-        w.u64(self.tally_overflow_drops);
-        w.u64(self.tally_skew_draws);
-        w.u64(self.chaos_states.len() as u64);
-        for state in &self.chaos_states {
-            for &word in state {
-                w.u64(word);
-            }
-        }
-        w.u64(self.byz_states.len() as u64);
-        for (tile, state) in &self.byz_states {
-            w.u64(*tile);
-            for &word in state {
-                w.u64(word);
-            }
-        }
-        w.u64(self.byz_last_frames.len() as u64);
-        for (tile, id, frame) in &self.byz_last_frames {
-            w.u64(*tile);
-            w.u64(*id);
-            w.bytes(frame);
-        }
-        w.bools(&self.tiles_alive);
-        w.bools(&self.links_alive);
-        w.u64(self.clocks.len() as u64);
-        for &(skew, slips) in &self.clocks {
-            w.f64(skew);
-            w.u64(slips);
-        }
-        w.u64(self.egress_next.len() as u64);
-        for &cursor in &self.egress_next {
-            w.opt_u64(cursor);
-        }
-        w.u64(self.buffers.len() as u64);
-        for buffer in &self.buffers {
-            w.u64(buffer.messages.len() as u64);
-            for m in &buffer.messages {
-                w.u64(m.id);
-                w.u64(m.source);
-                w.u64(m.destination);
-                w.u8(m.ttl);
-                w.bytes(&m.payload);
-            }
-            w.u64(buffer.seen.len() as u64);
-            for &id in &buffer.seen {
-                w.u64(id);
-            }
-            w.u64(buffer.expired);
-        }
-        for arena in [&self.inbox_next, &self.inbox_later] {
-            w.u64(arena.len() as u64);
-            for frames in arena {
-                w.u64(frames.len() as u64);
-                for frame in frames {
-                    w.bytes(&frame.bytes);
-                    w.bool(frame.scrambled);
-                    w.opt_u64(frame.via);
-                }
-            }
-        }
-        w.u64(self.informed.len() as u64);
-        for &(id, count) in &self.informed {
-            w.u64(id);
-            w.u64(count);
-        }
-        w.u64(self.terminated.len() as u64);
-        for &id in &self.terminated {
-            w.u64(id);
-        }
-        let r = &self.report;
-        w.u64(r.rounds_executed);
-        w.bool(r.completed);
-        w.u64(r.packets_sent);
-        w.u64(r.bits_sent);
-        w.u64(r.upsets_detected);
-        w.u64(r.upsets_undetected);
-        w.u64(r.overflow_drops);
-        w.u64(r.crash_drops);
-        w.u64(r.clock_slips);
-        w.u64(r.ttl_expirations);
-        w.u64(r.partition_drops);
-        w.u64(r.byzantine_forges);
-        w.u64(r.byzantine_replays);
-        w.u64(r.adversarial_delays);
-        w.u64(r.adversarial_reorders);
-        w.u64(r.quiescent_rounds);
-        w.u64(r.records.len() as u64);
-        for rec in &r.records {
-            w.u64(rec.id);
-            w.u64(rec.source);
-            w.u64(rec.destination);
-            w.u64(rec.injected_round);
-            w.opt_u64(rec.delivered_round);
-            w.u64(rec.frame_bits);
-        }
-        w.into_bytes()
+        self.bytes.clone()
     }
 
     /// Decodes a checkpoint previously produced by
-    /// [`Checkpoint::to_bytes`].
+    /// [`Checkpoint::to_bytes`]: checks the structure and keeps one copy
+    /// of `data`, the only allocation whatever the length prefixes say.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError`] on a bad magic, an unsupported
     /// version, truncation, or trailing bytes.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader::new(data);
-        if r.bytes_raw(8)? != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let config_digest = r.u64()?;
-        let round = r.u64()?;
-        let next_message_id = r.u64()?;
-        let started = r.bool()?;
-        let completed = r.bool()?;
-        let mut injector_rng = [0u64; 4];
-        for word in &mut injector_rng {
-            *word = r.u64()?;
-        }
-        let injector_spare = r.opt_f64()?;
-        let tally_upsets = r.u64()?;
-        let tally_overflow_drops = r.u64()?;
-        let tally_skew_draws = r.u64()?;
-        let chaos_states = {
-            let count = r.len()?;
-            let mut states = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mut state = [0u64; 4];
-                for word in &mut state {
-                    *word = r.u64()?;
-                }
-                states.push(state);
-            }
-            states
-        };
-        let byz_states = {
-            let count = r.len()?;
-            let mut states = Vec::with_capacity(count);
-            for _ in 0..count {
-                let tile = r.u64()?;
-                let mut state = [0u64; 4];
-                for word in &mut state {
-                    *word = r.u64()?;
-                }
-                states.push((tile, state));
-            }
-            states
-        };
-        let byz_last_frames = {
-            let count = r.len()?;
-            let mut frames = Vec::with_capacity(count);
-            for _ in 0..count {
-                let tile = r.u64()?;
-                let id = r.u64()?;
-                let frame = r.bytes()?;
-                frames.push((tile, id, frame));
-            }
-            frames
-        };
-        let tiles_alive = r.bools()?;
-        let links_alive = r.bools()?;
-        let clocks = {
-            let count = r.len()?;
-            let mut clocks = Vec::with_capacity(count);
-            for _ in 0..count {
-                let skew = r.f64()?;
-                let slips = r.u64()?;
-                clocks.push((skew, slips));
-            }
-            clocks
-        };
-        let egress_next = {
-            let count = r.len()?;
-            let mut cursors = Vec::with_capacity(count);
-            for _ in 0..count {
-                cursors.push(r.opt_u64()?);
-            }
-            cursors
-        };
-        let buffers = {
-            let count = r.len()?;
-            let mut buffers = Vec::with_capacity(count);
-            for _ in 0..count {
-                let messages = {
-                    let count = r.len()?;
-                    let mut messages = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        messages.push(MessageState {
-                            id: r.u64()?,
-                            source: r.u64()?,
-                            destination: r.u64()?,
-                            ttl: r.u8()?,
-                            payload: r.bytes()?,
-                        });
-                    }
-                    messages
-                };
-                let seen = {
-                    let count = r.len()?;
-                    let mut seen = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        seen.push(r.u64()?);
-                    }
-                    seen
-                };
-                let expired = r.u64()?;
-                buffers.push(BufferState {
-                    messages,
-                    seen,
-                    expired,
-                });
-            }
-            buffers
-        };
-        let mut arenas = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let tiles = r.len()?;
-            let mut arena = Vec::with_capacity(tiles);
-            for _ in 0..tiles {
-                let count = r.len()?;
-                let mut frames = Vec::with_capacity(count);
-                for _ in 0..count {
-                    frames.push(FrameState {
-                        bytes: r.bytes()?,
-                        scrambled: r.bool()?,
-                        via: r.opt_u64()?,
-                    });
-                }
-                arena.push(frames);
-            }
-            arenas.push(arena);
-        }
-        let inbox_later = arenas.pop().unwrap_or_default();
-        let inbox_next = arenas.pop().unwrap_or_default();
-        let informed = {
-            let count = r.len()?;
-            let mut informed = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = r.u64()?;
-                let n = r.u64()?;
-                informed.push((id, n));
-            }
-            informed
-        };
-        let terminated = {
-            let count = r.len()?;
-            let mut terminated = Vec::with_capacity(count);
-            for _ in 0..count {
-                terminated.push(r.u64()?);
-            }
-            terminated
-        };
-        let report = ReportState {
-            rounds_executed: r.u64()?,
-            completed: r.bool()?,
-            packets_sent: r.u64()?,
-            bits_sent: r.u64()?,
-            upsets_detected: r.u64()?,
-            upsets_undetected: r.u64()?,
-            overflow_drops: r.u64()?,
-            crash_drops: r.u64()?,
-            clock_slips: r.u64()?,
-            ttl_expirations: r.u64()?,
-            partition_drops: r.u64()?,
-            byzantine_forges: r.u64()?,
-            byzantine_replays: r.u64()?,
-            adversarial_delays: r.u64()?,
-            adversarial_reorders: r.u64()?,
-            quiescent_rounds: r.u64()?,
-            records: {
-                let count = r.len()?;
-                let mut records = Vec::with_capacity(count);
-                for _ in 0..count {
-                    records.push(RecordState {
-                        id: r.u64()?,
-                        source: r.u64()?,
-                        destination: r.u64()?,
-                        injected_round: r.u64()?,
-                        delivered_round: r.opt_u64()?,
-                        frame_bits: r.u64()?,
-                    });
-                }
-                records
-            },
-        };
-        let remaining = r.remaining();
-        if remaining != 0 {
-            return Err(CheckpointError::TrailingBytes(remaining));
-        }
-        Ok(Checkpoint {
-            config_digest,
-            round,
-            next_message_id,
-            started,
-            completed,
-            injector_rng,
-            injector_spare,
-            tally_upsets,
-            tally_overflow_drops,
-            tally_skew_draws,
-            chaos_states,
-            byz_states,
-            byz_last_frames,
-            tiles_alive,
-            links_alive,
-            clocks,
-            egress_next,
-            buffers,
-            inbox_next,
-            inbox_later,
-            informed,
-            terminated,
-            report,
+        validate(data)?;
+        Ok(Self {
+            bytes: data.to_vec(),
         })
     }
 
-    /// Writes the serialized checkpoint to `path`.
+    /// Writes the serialized checkpoint to `path`, atomically: the bytes
+    /// go to `<path>.tmp` beside the target, are synced, and are renamed
+    /// over it, so a file that exists under `path` is complete.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Io`] if the write fails.
+    /// Returns [`CheckpointError::Io`] if the write or the rename fails;
+    /// the temporary is removed and `path` is left as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        std::fs::write(path.as_ref(), self.to_bytes())
-            .map_err(|e| CheckpointError::Io(e.to_string()))
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let write = || {
+            let mut file = File::create(&tmp)?;
+            file.write_all(&self.bytes)?;
+            file.sync_all()?;
+            fs::rename(&tmp, path)
+        };
+        write().map_err(|e| {
+            let _ = fs::remove_file(&tmp);
+            CheckpointError::Io(e.to_string())
+        })
     }
 
     /// Reads and decodes a checkpoint from `path`.
@@ -577,50 +238,129 @@ impl Checkpoint {
     /// Returns [`CheckpointError::Io`] if the read fails, or any decode
     /// error from [`Checkpoint::from_bytes`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let data = std::fs::read(path.as_ref()).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        Self::from_bytes(&data)
+        let bytes = fs::read(path.as_ref()).map_err(|e| CheckpointError::Io(e.to_string()))?;
+        validate(&bytes)?;
+        Ok(Self { bytes })
     }
 }
 
-/// Little-endian binary writer over a growable buffer.
-struct Writer {
+/// Walks format v1 over `data` without keeping anything: magic, version,
+/// every length prefix, every optional tag, the end of the stream. The
+/// layout is the order `Simulation::checkpoint` writes; each
+/// [`Reader::count`] argument is the smallest encoding of one item.
+fn validate(data: &[u8]) -> Result<(), CheckpointError> {
+    let mut r = Reader { data, pos: 0 };
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(CheckpointError::BadMagic);
+    }
+    let version = r.u32()?;
+    if version != VERSION {
+        return Err(CheckpointError::UnsupportedVersion(version));
+    }
+    // Digest, round, next id, started, completed, injector stream.
+    r.take(8 + 8 + 8 + 1 + 1 + 32)?;
+    r.opt_u64()?; // Gaussian spare
+    r.take(3 * 8)?; // injection tally
+    let link_streams = r.count(32)?;
+    r.take(link_streams * 32)?;
+    let tile_streams = r.count(8 + 32)?;
+    r.take(tile_streams * (8 + 32))?;
+    for _ in 0..r.count(8 + 8 + 8)? {
+        r.take(8 + 8)?; // tile, message id
+        r.bytes()?; // replay frame
+    }
+    r.bytes()?; // tile liveness
+    r.bytes()?; // link liveness
+    let clocks = r.count(8 + 8)?;
+    r.take(clocks * (8 + 8))?;
+    for _ in 0..r.count(1)? {
+        r.opt_u64()?; // egress cursor
+    }
+    for _ in 0..r.count(8 + 8 + 8)? {
+        for _ in 0..r.count(8 + 8 + 8 + 1 + 8)? {
+            r.take(8 + 8 + 8 + 1)?; // id, source, destination, ttl
+            r.bytes()?; // payload
+        }
+        let seen = r.count(8)?;
+        r.take(seen * 8 + 8)?; // seen-set, expiry count
+    }
+    for _arena in 0..2 {
+        for _tile in 0..r.count(8)? {
+            for _frame in 0..r.count(8 + 1 + 1)? {
+                r.bytes()?;
+                r.take(1)?; // scrambled
+                r.opt_u64()?; // arrival link
+            }
+        }
+    }
+    let informed = r.count(8 + 8)?;
+    r.take(informed * (8 + 8))?;
+    let terminated = r.count(8)?;
+    r.take(terminated * 8)?;
+    r.take(8 + 1 + 14 * 8)?; // report counters
+    for _ in 0..r.count(4 * 8 + 1 + 8)? {
+        r.take(4 * 8)?; // id, source, destination, injected round
+        r.opt_u64()?; // delivered round
+        r.take(8)?; // frame bits
+    }
+    match data.len() - r.pos {
+        0 => Ok(()),
+        extra => Err(CheckpointError::TrailingBytes(extra)),
+    }
+}
+
+/// Little-endian binary writer of format v1 over a growable buffer.
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
+    /// Opens a checkpoint: magic, version and the two header words.
+    pub(crate) fn new(config_digest: u64, round: u64) -> Self {
+        let mut w = Self { buf: Vec::new() };
+        w.buf.extend_from_slice(MAGIC);
+        w.buf.extend_from_slice(&VERSION.to_le_bytes());
+        w.u64(config_digest);
+        w.u64(round);
+        w
     }
 
-    fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    /// The finished checkpoint; what a `Writer` wrote needs no
+    /// validation.
+    pub(crate) fn finish(self) -> Checkpoint {
+        Checkpoint { bytes: self.buf }
     }
 
-    fn bytes_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn u8(&mut self, v: u8) {
+    #[inline]
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    fn bool(&mut self, v: bool) {
+    #[inline]
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
-    fn u32(&mut self, v: u32) {
+    #[inline]
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// A length prefix.
+    #[inline]
+    pub(crate) fn count(&mut self, n: usize) {
+        self.u64(n as u64);
     }
 
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+    #[inline]
+    pub(crate) fn rng_state(&mut self, state: [u64; 4]) {
+        for word in state {
+            self.u64(word);
+        }
     }
 
-    fn opt_u64(&mut self, v: Option<u64>) {
+    #[inline]
+    pub(crate) fn opt_u64(&mut self, v: Option<u64>) {
         match v {
             Some(v) => {
                 self.u8(1);
@@ -630,45 +370,29 @@ impl Writer {
         }
     }
 
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-            None => self.u8(0),
-        }
+    #[inline]
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.count(bytes.len());
+        self.buf.extend_from_slice(bytes);
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.u64(bytes.len() as u64);
-        self.bytes_raw(bytes);
-    }
-
-    fn bools(&mut self, bools: &[bool]) {
-        self.u64(bools.len() as u64);
-        for &b in bools {
-            self.bool(b);
-        }
+    pub(crate) fn bools(&mut self, bools: &[bool]) {
+        self.count(bools.len());
+        self.buf.extend(bools.iter().map(|&b| u8::from(b)));
     }
 }
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Reader<'a> {
+/// Bounds-checked little-endian reader over a byte slice: every read
+/// borrows from the slice, so nothing is copied or allocated.
+pub(crate) struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn bytes_raw(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    /// The next `n` bytes; dropping the result skips them.
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self
             .pos
             .checked_add(n)
@@ -679,43 +403,49 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.bytes_raw(1)?[0])
+    #[inline]
+    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
+        Ok(self.take(1)?[0])
     }
 
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
+    #[inline]
+    pub(crate) fn bool(&mut self) -> Result<bool, CheckpointError> {
         Ok(self.u8()? != 0)
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let raw = self.bytes_raw(4)?;
         let mut le = [0u8; 4];
-        le.copy_from_slice(raw);
+        le.copy_from_slice(self.take(4)?);
         Ok(u32::from_le_bytes(le))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let raw = self.bytes_raw(8)?;
+    #[inline]
+    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
         let mut le = [0u8; 8];
-        le.copy_from_slice(raw);
+        le.copy_from_slice(self.take(8)?);
         Ok(u64::from_le_bytes(le))
     }
 
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
+    /// A count prefix, accepted only when that many items of at least
+    /// `min_item` bytes each fit in what remains — so a loop or a
+    /// reservation sized by it is backed by bytes that are there.
+    #[inline]
+    pub(crate) fn count(&mut self, min_item: usize) -> Result<usize, CheckpointError> {
+        let count = self.u64()?;
+        count
+            .checked_mul(min_item as u64)
+            .filter(|&total| total <= (self.data.len() - self.pos) as u64)
+            .map(|_| count as usize)
+            .ok_or(CheckpointError::Truncated)
     }
 
-    /// A length prefix, sanity-bounded by the remaining byte count so a
-    /// corrupt stream cannot trigger a huge allocation.
-    fn len(&mut self) -> Result<usize, CheckpointError> {
-        let len = self.u64()?;
-        if len > self.remaining() as u64 * 8 + 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(len as usize)
+    #[inline]
+    pub(crate) fn rng_state(&mut self) -> Result<[u64; 4], CheckpointError> {
+        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
     }
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
+    #[inline]
+    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
         if self.bool()? {
             Ok(Some(self.u64()?))
         } else {
@@ -723,23 +453,11 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn opt_f64(&mut self) -> Result<Option<f64>, CheckpointError> {
-        if self.bool()? {
-            Ok(Some(self.f64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
-        let len = self.len()?;
-        Ok(self.bytes_raw(len)?.to_vec())
-    }
-
-    fn bools(&mut self) -> Result<Vec<bool>, CheckpointError> {
-        let len = self.len()?;
-        let raw = self.bytes_raw(len)?;
-        Ok(raw.iter().map(|&b| b != 0).collect())
+    /// A length-prefixed byte string, borrowed from the checkpoint.
+    #[inline]
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
+        let len = self.count(1)?;
+        self.take(len)
     }
 }
 
@@ -761,83 +479,156 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimulationBuilder;
+    use noc_fabric::NodeId;
+    use noc_faults::{AdversarialScenario, ByzantineMode, ErrorModel, FaultModel};
 
-    fn tiny_checkpoint() -> Checkpoint {
-        Checkpoint {
-            config_digest: 0xDEAD_BEEF,
-            round: 3,
-            next_message_id: 2,
-            started: true,
-            completed: false,
-            injector_rng: [1, 2, 3, 4],
-            injector_spare: Some(-0.75),
-            tally_upsets: 5,
-            tally_overflow_drops: 6,
-            tally_skew_draws: 7,
-            chaos_states: vec![[9, 8, 7, 6]],
-            byz_states: vec![(2, [5, 4, 3, 2])],
-            byz_last_frames: vec![(2, 0, vec![0xAA, 0xBB])],
-            tiles_alive: vec![true, false, true],
-            links_alive: vec![true, true],
-            clocks: vec![(0.25, 1), (0.0, 0), (-0.4, 3)],
-            egress_next: vec![None, Some(1), None],
-            buffers: vec![
-                BufferState {
-                    messages: vec![MessageState {
-                        id: 0,
-                        source: 0,
-                        destination: 2,
-                        ttl: 4,
-                        payload: vec![1, 2, 3],
-                    }],
-                    seen: vec![0],
-                    expired: 1,
-                },
-                BufferState::default(),
-                BufferState::default(),
-            ],
-            inbox_next: vec![
-                vec![FrameState {
-                    bytes: vec![7, 7, 7],
-                    scrambled: true,
-                    via: Some(1),
-                }],
-                Vec::new(),
-                Vec::new(),
-            ],
-            inbox_later: vec![Vec::new(), Vec::new(), Vec::new()],
-            informed: vec![(0, 2)],
-            terminated: vec![1],
-            report: ReportState {
-                rounds_executed: 3,
-                completed: false,
-                packets_sent: 11,
-                bits_sent: 1776,
-                records: vec![RecordState {
-                    id: 0,
-                    source: 0,
-                    destination: 2,
-                    injected_round: 0,
-                    delivered_round: Some(2),
-                    frame_bits: 88,
-                }],
-                ..ReportState::default()
-            },
+    /// What the tests below need to know of a v1 byte string: where its
+    /// length prefixes sit and what the sections hold. Written out
+    /// independently of [`validate`], as a second statement of format v1.
+    #[derive(Debug, Default)]
+    struct Shape {
+        prefixes: Vec<usize>,
+        spare: bool,
+        replay_frames: usize,
+        buffered: usize,
+        scrambled: usize,
+        clean: usize,
+        records: usize,
+    }
+
+    fn shape(data: &[u8]) -> Shape {
+        fn count(r: &mut Reader<'_>, shape: &mut Shape, min_item: usize) -> usize {
+            shape.prefixes.push(r.pos);
+            r.count(min_item).unwrap()
         }
+        fn bytes(r: &mut Reader<'_>, shape: &mut Shape) {
+            let len = count(r, shape, 1);
+            r.take(len).unwrap();
+        }
+        let mut s = Shape::default();
+        let mut r = Reader {
+            data,
+            pos: BODY_AT + 8 + 1 + 1 + 32,
+        };
+        s.spare = r.opt_u64().unwrap().is_some();
+        r.take(24).unwrap();
+        let link_streams = count(&mut r, &mut s, 32);
+        r.take(link_streams * 32).unwrap();
+        let tile_streams = count(&mut r, &mut s, 40);
+        r.take(tile_streams * 40).unwrap();
+        s.replay_frames = count(&mut r, &mut s, 24);
+        for _ in 0..s.replay_frames {
+            r.take(16).unwrap();
+            bytes(&mut r, &mut s);
+        }
+        bytes(&mut r, &mut s);
+        bytes(&mut r, &mut s);
+        let clocks = count(&mut r, &mut s, 16);
+        r.take(clocks * 16).unwrap();
+        for _ in 0..count(&mut r, &mut s, 1) {
+            r.opt_u64().unwrap();
+        }
+        for _ in 0..count(&mut r, &mut s, 24) {
+            let live = count(&mut r, &mut s, 33);
+            s.buffered += live;
+            for _ in 0..live {
+                r.take(25).unwrap();
+                bytes(&mut r, &mut s);
+            }
+            let seen = count(&mut r, &mut s, 8);
+            r.take(seen * 8 + 8).unwrap();
+        }
+        for _ in 0..2 {
+            for _ in 0..count(&mut r, &mut s, 8) {
+                for _ in 0..count(&mut r, &mut s, 10) {
+                    bytes(&mut r, &mut s);
+                    match r.bool().unwrap() {
+                        true => s.scrambled += 1,
+                        false => s.clean += 1,
+                    }
+                    r.opt_u64().unwrap();
+                }
+            }
+        }
+        let informed = count(&mut r, &mut s, 16);
+        r.take(informed * 16).unwrap();
+        let terminated = count(&mut r, &mut s, 8);
+        r.take(terminated * 8).unwrap();
+        r.take(8 + 1 + 14 * 8).unwrap();
+        s.records = count(&mut r, &mut s, 41);
+        for _ in 0..s.records {
+            r.take(32).unwrap();
+            r.opt_u64().unwrap();
+            r.take(8).unwrap();
+        }
+        assert_eq!(r.pos, data.len(), "the shape walk must end at the end");
+        s
+    }
+
+    /// A 4×4 gossip under upsets and clock skew with a replaying
+    /// Byzantine tile.
+    fn busy_builder() -> SimulationBuilder {
+        let model = FaultModel::builder()
+            .p_upset(0.3)
+            .sigma_synch(0.2)
+            .error_model(ErrorModel::RandomErrorVector)
+            .build()
+            .unwrap();
+        let adversary = AdversarialScenario::builder()
+            .byzantine_tile(5)
+            .byzantine_mode(ByzantineMode::Replay)
+            .byzantine_activation(0.5)
+            .build()
+            .unwrap();
+        SimulationBuilder::square_grid(4)
+            .forward_probability(0.6)
+            .ttl(12)
+            .max_rounds(40)
+            .fault_model(model)
+            .adversary(adversary)
+            .seed(3)
+    }
+
+    /// [`busy_builder`] stepped until one checkpoint holds every kind of
+    /// section: buffered messages, scrambled and clean frames in flight,
+    /// a replay frame and a Box–Muller spare.
+    fn busy_checkpoint() -> Checkpoint {
+        let mut sim = busy_builder().build();
+        sim.inject(NodeId(0), NodeId(15), b"corner to corner".to_vec());
+        sim.inject(NodeId(10), NodeId(1), b"x".to_vec());
+        while sim.round() < 40 {
+            sim.step();
+            let ck = sim.checkpoint();
+            let s = shape(&ck.bytes);
+            if s.spare && s.replay_frames > 0 && s.buffered > 0 && s.scrambled > 0 && s.clean > 0 {
+                assert_eq!(s.records, 2);
+                assert_eq!(ck.round(), sim.round());
+                return ck;
+            }
+        }
+        panic!("no round of the workload holds every kind of section");
     }
 
     #[test]
-    fn round_trips_byte_identically() {
-        let ck = tiny_checkpoint();
+    fn decoding_then_encoding_is_the_identity() {
+        let ck = busy_checkpoint();
         let bytes = ck.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(ck, back);
-        assert_eq!(bytes, back.to_bytes(), "re-encoding is stable");
+        assert_eq!(back, ck);
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.round(), ck.round());
+        assert_eq!(back.config_digest(), ck.config_digest());
+        let debug = format!("{back:?}");
+        assert!(
+            debug.len() < 120 && debug.contains(&format!("len: {}", bytes.len())),
+            "Debug prints the header and the length, not the bytes: {debug}"
+        );
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = tiny_checkpoint().to_bytes();
+        let mut bytes = busy_checkpoint().to_bytes();
         bytes[0] ^= 0xFF;
         assert_eq!(
             Checkpoint::from_bytes(&bytes),
@@ -847,7 +638,7 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_version() {
-        let mut bytes = tiny_checkpoint().to_bytes();
+        let mut bytes = busy_checkpoint().to_bytes();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
             Checkpoint::from_bytes(&bytes),
@@ -857,24 +648,19 @@ mod tests {
 
     #[test]
     fn rejects_every_truncation() {
-        let bytes = tiny_checkpoint().to_bytes();
+        let bytes = busy_checkpoint().to_bytes();
         for cut in 0..bytes.len() {
-            let err = Checkpoint::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::Truncated
-                        | CheckpointError::BadMagic
-                        | CheckpointError::TrailingBytes(_)
-                ),
-                "cut at {cut} gave {err:?}"
+            assert_eq!(
+                Checkpoint::from_bytes(&bytes[..cut]),
+                Err(CheckpointError::Truncated),
+                "cut at {cut}"
             );
         }
     }
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut bytes = tiny_checkpoint().to_bytes();
+        let mut bytes = busy_checkpoint().to_bytes();
         bytes.push(0);
         assert_eq!(
             Checkpoint::from_bytes(&bytes),
@@ -882,18 +668,68 @@ mod tests {
         );
     }
 
+    /// A length prefix is the one field that sizes a loop or a
+    /// reservation. Overwritten with a count nothing could back, or with
+    /// the largest count the old cap (8 × the remaining bytes) let
+    /// through, every prefix of the checkpoint is refused by arithmetic
+    /// on what remains, not by an allocation. With one item too many the
+    /// walk usually runs off the end; where the shifted bytes happen to
+    /// be well-formed v1 again (17 clocks and no egress cursors, when all
+    /// 16 cursors were `None`), resume refuses the lengths.
     #[test]
-    fn nan_spare_survives_the_round_trip_bitwise() {
-        // f64 fields travel as raw bits, so even a NaN spare (never
-        // produced by Box–Muller, but the format must not care) is
-        // restored bit-exactly.
-        let mut ck = tiny_checkpoint();
-        ck.injector_spare = Some(f64::from_bits(0x7FF8_0000_0000_0001));
-        let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
-        assert_eq!(
-            back.injector_spare.map(f64::to_bits),
-            ck.injector_spare.map(f64::to_bits)
-        );
+    fn hostile_length_prefixes_are_refused() {
+        let bytes = busy_checkpoint().to_bytes();
+        let prefixes = shape(&bytes).prefixes;
+        assert!(prefixes.len() > 100, "{} prefixes", prefixes.len());
+        let with = |at: usize, hostile: u64| {
+            let mut mutated = bytes.clone();
+            mutated[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            Checkpoint::from_bytes(&mutated)
+        };
+        for &at in &prefixes {
+            let count = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let remaining = (bytes.len() - at - 8) as u64;
+            for hostile in [u64::MAX, remaining * 8] {
+                assert_eq!(
+                    with(at, hostile),
+                    Err(CheckpointError::Truncated),
+                    "prefix at {at}: {count} -> {hostile}"
+                );
+            }
+            match with(at, count + 1) {
+                Err(CheckpointError::Truncated | CheckpointError::TrailingBytes(_)) => {}
+                Ok(ck) => assert_eq!(
+                    busy_builder().resume(&ck).err(),
+                    Some(CheckpointError::Mismatch("per-tile state length")),
+                    "prefix at {at}: {count} + 1 decoded"
+                ),
+                other => panic!("prefix at {at}: {count} + 1 gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn save_renames_a_complete_file_into_place() {
+        let ck = busy_checkpoint();
+        let dir = std::env::temp_dir().join(format!("noc-checkpoint-save-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("run.ckpt");
+        // Saving over an older file replaces it whole.
+        fs::write(&target, b"stale").unwrap();
+        ck.save(&target).unwrap();
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["run.ckpt"], "the target and no temporary");
+        assert_eq!(fs::read(&target).unwrap(), ck.to_bytes());
+        assert_eq!(Checkpoint::load(&target).unwrap(), ck);
+
+        let missing = dir.join("no-such-dir");
+        let saved = ck.save(missing.join("run.ckpt"));
+        assert!(matches!(saved, Err(CheckpointError::Io(_))), "{saved:?}");
+        assert!(!missing.exists(), "a failed save creates nothing");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

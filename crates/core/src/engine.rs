@@ -35,10 +35,7 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::checkpoint::{
-    fnv1a, BufferState, Checkpoint, CheckpointError, FrameState, MessageState, RecordState,
-    ReportState,
-};
+use crate::checkpoint::{fnv1a, Checkpoint, CheckpointError, Writer};
 use crate::config::StochasticConfig;
 use crate::events::{DropSite, EventSink, NullSink, SimEvent};
 use crate::frontier::{Inflight, TileSet};
@@ -856,126 +853,129 @@ impl<S: EventSink> Simulation<S> {
     /// replays the remaining rounds byte-identically. Custom IP-core
     /// state is *not* captured (see [`Checkpoint`]).
     pub fn checkpoint(&self) -> Checkpoint {
+        let mut w = Writer::new(self.config_digest_value(), self.round);
+        w.u64(self.next_message_id);
+        w.bool(self.started);
+        w.bool(self.completed);
         let snap = self.injector.snapshot();
-        let arena = |arena: &[Vec<Frame>]| -> Vec<Vec<FrameState>> {
-            arena
-                .iter()
-                .map(|frames| {
-                    frames
-                        .iter()
-                        .map(|f| {
-                            let entry = self.wires.entry(f.wire);
-                            FrameState {
-                                bytes: entry.bytes.to_vec(),
-                                scrambled: entry.message.is_none(),
-                                via: f.via().map(|l| l.index() as u64),
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        Checkpoint {
-            config_digest: self.config_digest_value(),
-            round: self.round,
-            next_message_id: self.next_message_id,
-            started: self.started,
-            completed: self.completed,
-            injector_rng: snap.rng_state,
-            injector_spare: snap.gauss_spare,
-            tally_upsets: snap.tally.upsets,
-            tally_overflow_drops: snap.tally.overflow_drops,
-            tally_skew_draws: snap.tally.skew_draws,
-            chaos_states: self.chaos_streams.iter().map(StdRng::state).collect(),
-            byz_states: self
-                .byz_streams
-                .iter()
-                .map(|(&tile, rng)| (tile as u64, rng.state()))
-                .collect(),
-            byz_last_frames: self
-                .byz_last_frame
-                .iter()
-                .enumerate()
-                .filter_map(|(tile, slot)| {
-                    slot.as_ref()
-                        .map(|(id, frame)| (tile as u64, id.0, frame.bytes.to_vec()))
-                })
-                .collect(),
-            tiles_alive: self.tiles_alive.clone(),
-            links_alive: self.links_alive.clone(),
-            clocks: self.clocks.iter().map(|c| (c.skew(), c.slips())).collect(),
-            egress_next: self.egress_next.iter().map(|o| o.map(|id| id.0)).collect(),
-            buffers: self
-                .buffers
-                .iter()
-                .map(|buf| {
-                    let (messages, seen, expired) = buf.snapshot();
-                    BufferState {
-                        messages: messages
-                            .into_iter()
-                            .map(|m| MessageState {
-                                id: m.id.0,
-                                source: m.source.index() as u64,
-                                destination: m.destination.index() as u64,
-                                ttl: m.ttl,
-                                payload: m.payload.to_vec(),
-                            })
-                            .collect(),
-                        seen: seen.into_iter().map(|id| id.0).collect(),
-                        expired,
-                    }
-                })
-                .collect(),
-            inbox_next: arena(&self.inbox_next),
-            inbox_later: arena(&self.inbox_later),
-            informed: self
-                .informed
-                .iter()
-                .map(|(&id, &count)| (id.0, count as u64))
-                .collect(),
-            terminated: self.terminated.iter().map(|id| id.0).collect(),
-            report: ReportState {
-                rounds_executed: self.report.rounds_executed,
-                completed: self.report.completed,
-                packets_sent: self.report.packets_sent,
-                bits_sent: self.report.bits_sent.bits(),
-                upsets_detected: self.report.upsets_detected,
-                upsets_undetected: self.report.upsets_undetected,
-                overflow_drops: self.report.overflow_drops,
-                crash_drops: self.report.crash_drops,
-                clock_slips: self.report.clock_slips,
-                ttl_expirations: self.report.ttl_expirations,
-                partition_drops: self.report.partition_drops,
-                byzantine_forges: self.report.byzantine_forges,
-                byzantine_replays: self.report.byzantine_replays,
-                adversarial_delays: self.report.adversarial_delays,
-                adversarial_reorders: self.report.adversarial_reorders,
-                quiescent_rounds: self.report.quiescent_rounds,
-                records: self
-                    .report
-                    .records()
-                    .map(|rec| RecordState {
-                        id: rec.id.0,
-                        source: rec.source.index() as u64,
-                        destination: rec.destination.index() as u64,
-                        injected_round: rec.injected_round,
-                        delivered_round: rec.delivered_round,
-                        frame_bits: rec.frame_bits.bits(),
-                    })
-                    .collect(),
-            },
+        w.rng_state(snap.rng_state);
+        w.opt_u64(snap.gauss_spare.map(f64::to_bits));
+        w.u64(snap.tally.upsets);
+        w.u64(snap.tally.overflow_drops);
+        w.u64(snap.tally.skew_draws);
+        w.count(self.chaos_streams.len());
+        for stream in &self.chaos_streams {
+            w.rng_state(stream.state());
         }
+        w.count(self.byz_streams.len());
+        for (&tile, stream) in &self.byz_streams {
+            w.u64(tile as u64);
+            w.rng_state(stream.state());
+        }
+        w.count(self.byz_last_frame.iter().flatten().count());
+        for (tile, slot) in self.byz_last_frame.iter().enumerate() {
+            if let Some((id, frame)) = slot {
+                w.u64(tile as u64);
+                w.u64(id.0);
+                w.bytes(&frame.bytes);
+            }
+        }
+        w.bools(&self.tiles_alive);
+        w.bools(&self.links_alive);
+        w.count(self.clocks.len());
+        for clock in &self.clocks {
+            w.u64(clock.skew().to_bits());
+            w.u64(clock.slips());
+        }
+        w.count(self.egress_next.len());
+        for cursor in &self.egress_next {
+            w.opt_u64(cursor.map(|id| id.0));
+        }
+        w.count(self.buffers.len());
+        let mut seen = Vec::new();
+        for buffer in &self.buffers {
+            let (messages, expired) = buffer.snapshot(&mut seen);
+            w.count(messages.len());
+            for m in messages {
+                w.u64(m.id.0);
+                w.u64(m.source.index() as u64);
+                w.u64(m.destination.index() as u64);
+                w.u8(m.ttl);
+                w.bytes(&m.payload);
+            }
+            w.count(seen.len());
+            for id in &seen {
+                w.u64(id.0);
+            }
+            w.u64(expired);
+        }
+        for arena in [&self.inbox_next, &self.inbox_later] {
+            w.count(arena.len());
+            for frames in arena {
+                w.count(frames.len());
+                for f in frames {
+                    let entry = self.wires.entry(f.wire);
+                    w.bytes(&entry.bytes);
+                    w.bool(entry.message.is_none());
+                    w.opt_u64(f.via().map(|l| l.index() as u64));
+                }
+            }
+        }
+        w.count(self.informed.len());
+        for (id, &count) in &self.informed {
+            w.u64(id.0);
+            w.u64(count as u64);
+        }
+        w.count(self.terminated.len());
+        for id in &self.terminated {
+            w.u64(id.0);
+        }
+        let report = &self.report;
+        w.u64(report.rounds_executed);
+        w.bool(report.completed);
+        for counter in [
+            report.packets_sent,
+            report.bits_sent.bits(),
+            report.upsets_detected,
+            report.upsets_undetected,
+            report.overflow_drops,
+            report.crash_drops,
+            report.clock_slips,
+            report.ttl_expirations,
+            report.partition_drops,
+            report.byzantine_forges,
+            report.byzantine_replays,
+            report.adversarial_delays,
+            report.adversarial_reorders,
+            report.quiescent_rounds,
+        ] {
+            w.u64(counter);
+        }
+        w.count(report.records().count());
+        for rec in report.records() {
+            w.u64(rec.id.0);
+            w.u64(rec.source.index() as u64);
+            w.u64(rec.destination.index() as u64);
+            w.u64(rec.injected_round);
+            w.opt_u64(rec.delivered_round);
+            w.u64(rec.frame_bits.bits());
+        }
+        w.finish()
     }
 
     /// Overwrites this (freshly built) simulation's state with a
-    /// checkpoint's, rebuilding the derived frontier bookkeeping
-    /// (`Inflight` counters, buffer frontier, live total) exactly from
-    /// the restored arenas and buffers. Only called from
-    /// [`SimulationBuilder::resume_with_sink`] on a simulation that has
-    /// executed zero rounds, so every scratch structure is empty.
+    /// checkpoint's, streaming the validated bytes section by section
+    /// in the order [`Simulation::checkpoint`] wrote them and rebuilding
+    /// the derived frontier bookkeeping (`Inflight` counters, buffer
+    /// frontier, live total) as the arenas and buffers fill. Only called
+    /// from [`SimulationBuilder::resume_with_sink`] on a simulation that
+    /// has executed zero rounds, so that bookkeeping and every scratch
+    /// structure start empty; a restore that fails midway leaves a
+    /// half-written simulation for the caller to drop.
     fn restore_from(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        if ck.config_digest != self.config_digest_value() {
-            return Err(CheckpointError::Mismatch(
+        use CheckpointError::Mismatch;
+        if ck.config_digest() != self.config_digest_value() {
+            return Err(Mismatch(
                 "configuration digest differs (topology, config, fault model, \
                  crash schedule, adversary, seed, codec, technology, egress \
                  limits or forwarding overrides changed)",
@@ -983,73 +983,45 @@ impl<S: EventSink> Simulation<S> {
         }
         let n = self.topology.node_count();
         let m = self.topology.link_count();
-        if ck.tiles_alive.len() != n {
-            return Err(CheckpointError::Mismatch("tile liveness length"));
-        }
-        if ck.links_alive.len() != m {
-            return Err(CheckpointError::Mismatch("link liveness length"));
-        }
-        if ck.clocks.len() != n
-            || ck.egress_next.len() != n
-            || ck.buffers.len() != n
-            || ck.inbox_next.len() != n
-            || ck.inbox_later.len() != n
-        {
-            return Err(CheckpointError::Mismatch("per-tile state length"));
-        }
-        if ck.chaos_states.len() != self.chaos_streams.len() {
-            return Err(CheckpointError::Mismatch("chaos stream count"));
-        }
-        if ck.byz_states.len() != self.byz_streams.len()
-            || !ck
-                .byz_states
-                .iter()
-                .all(|&(tile, _)| self.byz_streams.contains_key(&(tile as usize)))
-        {
-            return Err(CheckpointError::Mismatch("byzantine tile set"));
-        }
-        if ck
-            .byz_last_frames
-            .iter()
-            .any(|&(tile, _, _)| tile as usize >= n)
-        {
-            return Err(CheckpointError::Mismatch("byzantine replay tile index"));
-        }
+        let per_tile = |count: usize| {
+            (count == n)
+                .then_some(())
+                .ok_or(Mismatch("per-tile state length"))
+        };
+        let mut r = ck.body();
+        self.round = ck.round();
+        self.next_message_id = r.u64()?;
+        self.started = r.bool()?;
+        self.completed = r.bool()?;
+        let rng_state = r.rng_state()?;
         // Scaled by σ_synch, the spare is the next skew handed to
         // `ClockDomain::advance`.
-        if ck.injector_spare.is_some_and(|spare| !spare.is_finite()) {
-            return Err(CheckpointError::Mismatch("non-finite Gaussian spare"));
+        let gauss_spare = r.opt_u64()?.map(f64::from_bits);
+        if gauss_spare.is_some_and(|spare| !spare.is_finite()) {
+            return Err(Mismatch("non-finite Gaussian spare"));
         }
-        if ck.buffers.iter().flat_map(|b| &b.messages).any(|msg| {
-            msg.source >= n as u64
-                || msg.destination >= n as u64
-                || msg.payload.len() > MAX_PAYLOAD_BYTES
-        }) {
-            return Err(CheckpointError::Mismatch(
-                "buffered message does not fit the wire format",
-            ));
-        }
-
-        self.round = ck.round;
-        self.next_message_id = ck.next_message_id;
-        self.started = ck.started;
-        self.completed = ck.completed;
         self.injector.restore(&InjectorSnapshot {
-            rng_state: ck.injector_rng,
-            gauss_spare: ck.injector_spare,
+            rng_state,
+            gauss_spare,
             tally: InjectionTally {
-                upsets: ck.tally_upsets,
-                overflow_drops: ck.tally_overflow_drops,
-                skew_draws: ck.tally_skew_draws,
+                upsets: r.u64()?,
+                overflow_drops: r.u64()?,
+                skew_draws: r.u64()?,
             },
         });
-        for (stream, &state) in self.chaos_streams.iter_mut().zip(&ck.chaos_states) {
-            *stream = StdRng::from_state(state);
+        if r.count(32)? != self.chaos_streams.len() {
+            return Err(Mismatch("chaos stream count"));
         }
-        for &(tile, state) in &ck.byz_states {
-            if let Some(stream) = self.byz_streams.get_mut(&(tile as usize)) {
-                *stream = StdRng::from_state(state);
-            }
+        for stream in &mut self.chaos_streams {
+            *stream = StdRng::from_state(r.rng_state()?);
+        }
+        if r.count(40)? != self.byz_streams.len() {
+            return Err(Mismatch("byzantine tile set"));
+        }
+        for _ in 0..self.byz_streams.len() {
+            let tile = r.u64()? as usize;
+            let stream = self.byz_streams.get_mut(&tile);
+            *stream.ok_or(Mismatch("byzantine tile set"))? = StdRng::from_state(r.rng_state()?);
         }
         // Unscrambled frames carry the message they encode; one that
         // fails the CRC or does not parse is not this engine's output.
@@ -1059,138 +1031,141 @@ impl<S: EventSink> Simulation<S> {
                 bytes: Arc::from(bytes),
                 message: Some(message),
             }),
-            Err(_) => Err(CheckpointError::Mismatch(
-                "unscrambled frame does not decode",
-            )),
+            Err(_) => Err(Mismatch("unscrambled frame does not decode")),
         };
-        self.byz_last_frame = vec![None; n];
-        for (tile, id, frame) in &ck.byz_last_frames {
-            self.byz_last_frame[*tile as usize] = Some((MessageId(*id), unscrambled(frame)?));
+        for _ in 0..r.count(24)? {
+            let (tile, id, frame) = (r.u64()? as usize, r.u64()?, r.bytes()?);
+            let slot = self.byz_last_frame.get_mut(tile);
+            *slot.ok_or(Mismatch("byzantine replay tile index"))? =
+                Some((MessageId(id), unscrambled(frame)?));
         }
-        self.tiles_alive = ck.tiles_alive.clone();
-        self.links_alive = ck.links_alive.clone();
-        self.clocks = ck
-            .clocks
-            .iter()
-            .map(|&(skew, slips)| ClockDomain::from_parts(skew, slips))
-            .collect::<Option<_>>()
-            .ok_or(CheckpointError::Mismatch("clock skew outside (-0.5, 0.5]"))?;
-        self.egress_next = ck.egress_next.iter().map(|o| o.map(MessageId)).collect();
+        for (alive, len, what) in [
+            (&mut self.tiles_alive, n, "tile liveness length"),
+            (&mut self.links_alive, m, "link liveness length"),
+        ] {
+            let flags = r.bytes()?;
+            if flags.len() != len {
+                return Err(Mismatch(what));
+            }
+            alive.clear();
+            alive.extend(flags.iter().map(|&flag| flag != 0));
+        }
+        per_tile(r.count(16)?)?;
+        for clock in &mut self.clocks {
+            *clock = ClockDomain::from_parts(f64::from_bits(r.u64()?), r.u64()?)
+                .ok_or(Mismatch("clock skew outside (-0.5, 0.5]"))?;
+        }
+        per_tile(r.count(1)?)?;
+        for cursor in &mut self.egress_next {
+            *cursor = r.opt_u64()?.map(MessageId);
+        }
+        per_tile(r.count(24)?)?;
         // Tiles buffering the same message share its payload bytes, as
         // they do in a live run.
         let mut payloads: BTreeMap<&[u8], Arc<[u8]>> = BTreeMap::new();
-        self.buffers = ck
-            .buffers
-            .iter()
-            .map(|buf| {
-                SendBuffer::from_parts(
-                    buf.messages
-                        .iter()
-                        .map(|msg| {
-                            let payload = payloads
-                                .entry(&msg.payload)
-                                .or_insert_with(|| Arc::from(msg.payload.as_slice()));
-                            Message::new(
-                                MessageId(msg.id),
-                                NodeId(msg.source as usize),
-                                NodeId(msg.destination as usize),
-                                msg.ttl,
-                                Arc::clone(payload),
-                            )
-                        })
-                        .collect(),
-                    buf.seen.iter().map(|&id| MessageId(id)).collect(),
-                    buf.expired,
-                )
-            })
-            .collect();
+        for (tile, buffer) in self.buffers.iter_mut().enumerate() {
+            let live = r.count(33)?;
+            let mut messages = Vec::with_capacity(live);
+            for _ in 0..live {
+                let (id, source, destination) = (r.u64()?, r.u64()?, r.u64()?);
+                let (ttl, payload) = (r.u8()?, r.bytes()?);
+                if source >= n as u64
+                    || destination >= n as u64
+                    || payload.len() > MAX_PAYLOAD_BYTES
+                {
+                    return Err(Mismatch("buffered message does not fit the wire format"));
+                }
+                let payload = payloads
+                    .entry(payload)
+                    .or_insert_with(|| Arc::from(payload));
+                messages.push(Message::new(
+                    MessageId(id),
+                    NodeId(source as usize),
+                    NodeId(destination as usize),
+                    ttl,
+                    Arc::clone(payload),
+                ));
+            }
+            let seen = (0..r.count(8)?)
+                .map(|_| r.u64().map(MessageId))
+                .collect::<Result<_, _>>()?;
+            if live > 0 {
+                self.buffer_frontier.insert(tile);
+                self.live_total += live as u64;
+            }
+            *buffer = SendBuffer::from_parts(messages, seen, r.u64()?);
+        }
         // Arena frames are interned by content: the many in-flight
         // copies of one wire frame share one entry again, as they did
         // before the capture resolved their handles to bytes.
         let mut interner = self.wires.interner();
-        for (saved, inboxes) in [
-            (&ck.inbox_next, &mut self.inbox_next),
-            (&ck.inbox_later, &mut self.inbox_later),
+        for (inboxes, track) in [
+            (&mut self.inbox_next, &mut self.inflight.next),
+            (&mut self.inbox_later, &mut self.inflight.later),
         ] {
-            for (frames, inbox) in saved.iter().zip(inboxes.iter_mut()) {
-                inbox.reserve(frames.len());
-                for f in frames {
-                    if f.via.is_some_and(|link| link >= m as u64) {
-                        return Err(CheckpointError::Mismatch("arena frame link index"));
+            per_tile(r.count(8)?)?;
+            for (tile, inbox) in inboxes.iter_mut().enumerate() {
+                let frames = r.count(10)?;
+                if frames > 0 {
+                    track.tiles.insert(tile);
+                    track.frames += frames as u64;
+                }
+                inbox.reserve(frames);
+                for _ in 0..frames {
+                    let (bytes, scrambled, via) = (r.bytes()?, r.bool()?, r.opt_u64()?);
+                    if via.is_some_and(|link| link >= m as u64) {
+                        return Err(Mismatch("arena frame link index"));
                     }
-                    let wire = interner.intern(f.scrambled, &f.bytes, || {
-                        if f.scrambled {
+                    let wire = interner.intern(scrambled, bytes, || {
+                        if scrambled {
                             Ok(WireEntry {
-                                bytes: Arc::from(f.bytes.as_slice()),
+                                bytes: Arc::from(bytes),
                                 message: None,
                             })
                         } else {
-                            unscrambled(&f.bytes)
+                            unscrambled(bytes)
                         }
                     })?;
-                    inbox.push(Frame::new(wire, f.via.map(|l| LinkId(l as usize))));
+                    inbox.push(Frame::new(wire, via.map(|l| LinkId(l as usize))));
                 }
             }
         }
-        self.informed = ck
-            .informed
-            .iter()
-            .map(|&(id, count)| (MessageId(id), count as usize))
-            .collect();
-        self.terminated = ck.terminated.iter().map(|&id| MessageId(id)).collect();
-        let tech = *self.report.technology();
-        let mut report = SimulationReport::new(tech);
-        report.rounds_executed = ck.report.rounds_executed;
-        report.completed = ck.report.completed;
-        report.packets_sent = ck.report.packets_sent;
-        report.bits_sent = Bits(ck.report.bits_sent);
-        report.upsets_detected = ck.report.upsets_detected;
-        report.upsets_undetected = ck.report.upsets_undetected;
-        report.overflow_drops = ck.report.overflow_drops;
-        report.crash_drops = ck.report.crash_drops;
-        report.clock_slips = ck.report.clock_slips;
-        report.ttl_expirations = ck.report.ttl_expirations;
-        report.partition_drops = ck.report.partition_drops;
-        report.byzantine_forges = ck.report.byzantine_forges;
-        report.byzantine_replays = ck.report.byzantine_replays;
-        report.adversarial_delays = ck.report.adversarial_delays;
-        report.adversarial_reorders = ck.report.adversarial_reorders;
-        report.quiescent_rounds = ck.report.quiescent_rounds;
-        for rec in &ck.report.records {
+        for _ in 0..r.count(16)? {
+            self.informed.insert(MessageId(r.u64()?), r.u64()? as usize);
+        }
+        for _ in 0..r.count(8)? {
+            self.terminated.insert(MessageId(r.u64()?));
+        }
+        let report = &mut self.report;
+        report.rounds_executed = r.u64()?;
+        report.completed = r.bool()?;
+        report.packets_sent = r.u64()?;
+        report.bits_sent = Bits(r.u64()?);
+        for counter in [
+            &mut report.upsets_detected,
+            &mut report.upsets_undetected,
+            &mut report.overflow_drops,
+            &mut report.crash_drops,
+            &mut report.clock_slips,
+            &mut report.ttl_expirations,
+            &mut report.partition_drops,
+            &mut report.byzantine_forges,
+            &mut report.byzantine_replays,
+            &mut report.adversarial_delays,
+            &mut report.adversarial_reorders,
+            &mut report.quiescent_rounds,
+        ] {
+            *counter = r.u64()?;
+        }
+        for _ in 0..r.count(41)? {
             report.record_injection(MessageRecord {
-                id: MessageId(rec.id),
-                source: NodeId(rec.source as usize),
-                destination: NodeId(rec.destination as usize),
-                injected_round: rec.injected_round,
-                delivered_round: rec.delivered_round,
-                frame_bits: Bits(rec.frame_bits),
+                id: MessageId(r.u64()?),
+                source: NodeId(r.u64()? as usize),
+                destination: NodeId(r.u64()? as usize),
+                injected_round: r.u64()?,
+                delivered_round: r.opt_u64()?,
+                frame_bits: Bits(r.u64()?),
             });
-        }
-        self.report = report;
-
-        // Derived bookkeeping is rebuilt, never serialized: the
-        // Inflight counters and frontier sets are exact functions of
-        // the restored arenas and buffers.
-        self.inflight = Inflight::new(n);
-        for (tile, frames) in self.inbox_next.iter().enumerate() {
-            if !frames.is_empty() {
-                self.inflight.next.tiles.insert(tile);
-                self.inflight.next.frames += frames.len() as u64;
-            }
-        }
-        for (tile, frames) in self.inbox_later.iter().enumerate() {
-            if !frames.is_empty() {
-                self.inflight.later.tiles.insert(tile);
-                self.inflight.later.frames += frames.len() as u64;
-            }
-        }
-        self.buffer_frontier = TileSet::new(n);
-        self.live_total = 0;
-        for (tile, buf) in self.buffers.iter().enumerate() {
-            if !buf.is_empty() {
-                self.buffer_frontier.insert(tile);
-                self.live_total += buf.len() as u64;
-            }
         }
         Ok(())
     }

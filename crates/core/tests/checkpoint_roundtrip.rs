@@ -14,6 +14,7 @@ use noc_faults::{
 };
 use proptest::prelude::*;
 use stochastic_noc::events::JsonlSink;
+use stochastic_noc::seed::derive_trial_seed;
 use stochastic_noc::{
     Checkpoint, CheckpointError, Simulation, SimulationBuilder, SimulationReport, StochasticConfig,
 };
@@ -284,6 +285,8 @@ fn assert_every_round_resumes_byte_identically(w: &Workload) {
         let bytes = ck.to_bytes();
         let decoded = Checkpoint::from_bytes(&bytes)
             .unwrap_or_else(|e| panic!("{}: decode at round {round}: {e}", w.name));
+        assert_eq!(decoded, *ck, "{}: decode at round {round}", w.name);
+        assert_eq!(decoded.round(), round as u64, "{}", w.name);
         for shards in [1usize, 2, 8] {
             let mut resumed = (w.builder)()
                 .shards(shards)
@@ -425,6 +428,36 @@ fn checkpoint_bytes_match_the_pinned_v1_digests() {
                 "{name}: v1 checkpoint bytes drifted at round {round}, shards {shards}"
             );
         }
+    }
+}
+
+/// `from_bytes` and `resume` are an input boundary: whatever one flipped
+/// byte does to a mid-run checkpoint of each workload, they return `Ok`
+/// or `Err` and never panic. A mutant that decodes and matches is
+/// trusted state by contract, so it is resumed and dropped, not run.
+#[test]
+fn single_byte_mutations_decode_and_resume_without_panicking() {
+    for (index, w) in workloads().iter().enumerate() {
+        let (checkpoints, _) = checkpoints_and_digest(w);
+        let bytes = checkpoints[checkpoints.len() / 2].to_bytes();
+        let base = derive_trial_seed(0xC4EC, index as u64);
+        let (mut refused, mut resumed) = (0, 0);
+        for trial in 0..2_000 {
+            let draw = derive_trial_seed(base, trial);
+            let mut mutated = bytes.clone();
+            let at = (draw >> 8) as usize % mutated.len();
+            // Never the identity: the low byte is remapped off zero.
+            mutated[at] ^= (draw as u8).max(1);
+            match Checkpoint::from_bytes(&mutated).and_then(|ck| (w.builder)().resume(&ck)) {
+                Ok(_) => resumed += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            refused > 0 && resumed > 0,
+            "{}: {refused} refused, {resumed} resumed — both outcomes must be exercised",
+            w.name
+        );
     }
 }
 

@@ -34,7 +34,9 @@
 //! `--resume PATH` restores the `mega-grid` simulation whose
 //! configuration digest matches the checkpoint at PATH and continues it
 //! from the captured round; non-matching configurations rerun from
-//! round 0, and the tables are byte-identical either way.
+//! round 0, and the tables are byte-identical either way. A PATH that
+//! cannot be read or does not decode is rejected with exit 2 before any
+//! figure runs.
 //! `--progress` emits throttled JSONL heartbeats on stderr while sweeps
 //! run (trials done/total, trials/sec, ETA).
 
@@ -259,7 +261,14 @@ fn main() {
         runner::set_checkpoint_every(every);
     }
     runner::set_checkpoint_dir(parse_string_flag(&args, "--checkpoint-dir"));
-    runner::set_resume_path(parse_string_flag(&args, "--resume"));
+    // A digest that matches none of the configurations is not an error
+    // (that is how one file addresses one row); a file that is no
+    // checkpoint at all would resume nothing and is.
+    let resume = parse_string_flag(&args, "--resume");
+    if let Err(err) = runner::set_resume_path(resume.clone()) {
+        eprintln!("--resume {}: {err}", resume.unwrap_or_default());
+        std::process::exit(2);
+    }
     let metrics_out = parse_string_flag(&args, "--metrics-out");
     let metrics = metrics_out.as_ref().map(|_| {
         let metrics = std::sync::Arc::new(noc_obs::Metrics::new());

@@ -12,9 +12,7 @@
 
 use noc_fabric::{MessageId, NodeId, Topology};
 use noc_faults::FaultModel;
-use stochastic_noc::{
-    Checkpoint, Simulation, SimulationBuilder, SimulationReport, StochasticConfig,
-};
+use stochastic_noc::{Simulation, SimulationBuilder, SimulationReport, StochasticConfig};
 
 use crate::{runner, Scale, TrialRunner};
 
@@ -70,33 +68,19 @@ fn make_builder(side: usize, regime: &'static str, seed: u64) -> SimulationBuild
     builder
 }
 
-/// Restores the simulation for this configuration from `--resume PATH`
-/// when the checkpoint's configuration digest matches; `None` means
-/// "start fresh" (no resume requested, unreadable file, or a checkpoint
-/// belonging to one of the *other* mega-grid configurations).
+/// Restores the simulation for this configuration from the `--resume`
+/// checkpoint when its configuration digest matches; `None` means
+/// "start fresh": no resume requested, or a checkpoint belonging to one
+/// of the *other* mega-grid configurations — that one will pick it up,
+/// and this one's table row is deterministic either way.
 fn try_resume(side: usize, regime: &'static str, seed: u64) -> Option<Simulation> {
-    let path = runner::resume_path()?;
-    let checkpoint = match Checkpoint::load(&path) {
-        Ok(ck) => ck,
-        Err(err) => {
-            eprintln!("mega-grid: cannot read checkpoint {path}: {err}");
-            return None;
-        }
-    };
-    match make_builder(side, regime, seed).resume(&checkpoint) {
-        Ok(sim) => {
-            eprintln!(
-                "{{\"event\":\"resumed\",\"figure\":\"mega-grid-{side}-{regime}\",\"round\":{}}}",
-                sim.round(),
-            );
-            Some(sim)
-        }
-        // Digest mismatch: the checkpoint is for a different
-        // side/regime/seed. That configuration will pick it up; this
-        // one reruns from round 0 (its table row is deterministic
-        // either way).
-        Err(_) => None,
-    }
+    let checkpoint = runner::resume_checkpoint()?;
+    let sim = make_builder(side, regime, seed).resume(&checkpoint).ok()?;
+    eprintln!(
+        "{{\"event\":\"resumed\",\"figure\":\"mega-grid-{side}-{regime}\",\"round\":{}}}",
+        sim.round(),
+    );
+    Some(sim)
 }
 
 /// Steps `sim` to completion, writing a checkpoint into
@@ -308,12 +292,13 @@ mod tests {
         // ...and resuming from a mid-run checkpoint reaches it too.
         let ckpt = dir.join("mega-grid-32-faulty-round-000005.ckpt");
         assert!(ckpt.exists(), "round-5 checkpoint written");
-        runner::set_resume_path(Some(ckpt.to_string_lossy().into_owned()));
+        runner::set_resume_path(Some(ckpt.to_string_lossy().into_owned()))
+            .expect("the checkpoint loads");
         let resumed = run_one(32, "faulty", 4, 7);
         // A non-matching configuration ignores the checkpoint and runs
         // fresh instead of panicking or corrupting its row.
         let other = run_one(32, "fault-free", 4, 7);
-        runner::set_resume_path(None);
+        runner::set_resume_path(None).expect("clearing cannot fail");
         let other_baseline = run_one(32, "fault-free", 4, 7);
         assert_eq!(format!("{resumed:?}"), format!("{baseline:?}"));
         assert_eq!(format!("{other:?}"), format!("{other_baseline:?}"));

@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use noc_obs::{Counter, Gauge, Histogram, Metrics, Stopwatch};
 use stochastic_noc::seed::{derive_labeled_seed, derive_trial_seed};
-use stochastic_noc::EngineObs;
+use stochastic_noc::{Checkpoint, CheckpointError, EngineObs};
 
 /// Process-wide default worker count; 0 means "auto-detect".
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -152,10 +152,10 @@ static CHECKPOINT_EVERY: AtomicU64 = AtomicU64::new(0);
 /// PATH`); `None` falls back to the current directory.
 static CHECKPOINT_DIR: Mutex<Option<String>> = Mutex::new(None);
 
-/// Process-wide resume source (`--resume PATH`); when set, figures
-/// that support checkpointing restore the matching simulation from the
-/// file instead of starting it from round 0.
-static RESUME_PATH: Mutex<Option<String>> = Mutex::new(None);
+/// Process-wide resume source (`--resume PATH`), loaded once when it is
+/// set; figures that support checkpointing restore the matching
+/// simulation from it instead of starting it from round 0.
+static RESUME: Mutex<Option<Arc<Checkpoint>>> = Mutex::new(None);
 
 /// Sets the checkpoint cadence (`--checkpoint-every N`). `0` turns
 /// checkpointing off.
@@ -182,14 +182,25 @@ pub fn checkpoint_dir() -> Option<String> {
     CHECKPOINT_DIR.lock().expect("checkpoint dir lock").clone()
 }
 
-/// Sets (or, with `None`, clears) the resume source path.
-pub fn set_resume_path(path: Option<String>) {
-    *RESUME_PATH.lock().expect("resume path lock") = path;
+/// Loads the checkpoint at `path` as the resume source (or, with
+/// `None`, clears it).
+///
+/// # Errors
+///
+/// Returns the load's error — the file is unreadable or is not a
+/// well-formed checkpoint — and leaves the resume source cleared.
+pub fn set_resume_path(path: Option<String>) -> Result<(), CheckpointError> {
+    let mut resume = RESUME.lock().expect("resume lock");
+    *resume = None;
+    if let Some(path) = path {
+        *resume = Some(Arc::new(Checkpoint::load(path)?));
+    }
+    Ok(())
 }
 
-/// The resume source installed by `--resume`, if any.
-pub fn resume_path() -> Option<String> {
-    RESUME_PATH.lock().expect("resume path lock").clone()
+/// The checkpoint installed by `--resume`, if any.
+pub fn resume_checkpoint() -> Option<Arc<Checkpoint>> {
+    RESUME.lock().expect("resume lock").clone()
 }
 
 /// Sets the process-wide default worker count (`--threads N`).

@@ -40,6 +40,16 @@ fn unknown_figure_is_rejected_before_the_figures_ahead_of_it_run() {
 }
 
 #[test]
+fn resume_of_a_file_that_is_no_checkpoint_is_rejected_not_run_fresh() {
+    assert_rejected(&["mega-grid", "--resume", "/nonexistent"], "--resume");
+    let path = std::env::temp_dir().join(format!("cli-zeros-{}.ckpt", std::process::id()));
+    std::fs::write(&path, [0u8; 100]).expect("the temp file is written");
+    let zeros = path.to_str().expect("utf-8 temp path");
+    assert_rejected(&["mega-grid", "--resume", zeros], "bad magic");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn honoured_flag_runs_and_leaves_stdout_as_the_plain_run() {
     let path = std::env::temp_dir().join(format!("cli-trace-{}.jsonl", std::process::id()));
     let traced = experiments(&[
