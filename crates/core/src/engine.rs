@@ -494,10 +494,8 @@ impl SimulationBuilder {
 /// full packet lifecycle without changing a single observable (enforced
 /// by the golden-report digests).
 pub struct Simulation<S: EventSink = NullSink> {
-    // noc-lint: allow(checkpoint-coverage, reason = "observer handle, not simulation state: a resumed run re-installs its own sink")
     sink: S,
     /// Wall-clock plane handles; `None` (the default) records nothing.
-    // noc-lint: allow(checkpoint-coverage, reason = "wall-clock observability plane; write-only and proven digest-neutral, never resumed")
     obs: Option<EngineObs>,
     topology: Topology,
     config: StochasticConfig,
@@ -523,11 +521,9 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// Recycled per-round arrival storage: after the receive phase drains
     /// a round's frames, the emptied vectors rotate back in as the next
     /// `inbox_later`, so steady-state rounds allocate no inbox memory.
-    // noc-lint: allow(checkpoint-coverage, reason = "recycled empty arena; drained before any checkpoint boundary, rebuilt empty on restore")
     inbox_scratch: Vec<Vec<Frame>>,
     /// Persistent per-tile `(from, payload)` delivery staging between the
     /// receive and compute phases.
-    // noc-lint: allow(checkpoint-coverage, reason = "intra-round staging, always empty at the round boundary where checkpoints are taken")
     delivery_scratch: Vec<Vec<(NodeId, Arc<[u8]>)>>,
     /// The bytes behind every in-flight [`Frame`] handle, rotated with
     /// the arenas (a checkpoint resolves the handles to bytes).
@@ -537,7 +533,6 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// Ordered so the purge loop and any future iteration are seeded-run
     /// deterministic.
     informed: BTreeMap<MessageId, usize>,
-    // noc-lint: allow(checkpoint-coverage, reason = "user-supplied trait objects are not serializable; resume re-maps IP cores via the builder, enforced by the config digest")
     ips: Vec<Box<dyn IpCore>>,
     egress_limits: Vec<Option<usize>>,
     /// Round-robin egress resume point per tile: the *id* of the next
@@ -548,37 +543,28 @@ pub struct Simulation<S: EventSink = NullSink> {
     terminated: BTreeSet<MessageId>,
     report: SimulationReport,
     /// `ips[tile]` is a user-mapped core (not the [`NullIp`] filler).
-    // noc-lint: allow(checkpoint-coverage, reason = "derived from ips at build/resume time")
     ip_is_custom: Vec<bool>,
     /// Ascending tile indices with a custom IP — the compute phase's
     /// worklist.
-    // noc-lint: allow(checkpoint-coverage, reason = "derived from ips at build/resume time")
     custom_ip_tiles: Vec<usize>,
     /// Tile ranges the receive and age phases fan out over (1 = none).
-    // noc-lint: allow(checkpoint-coverage, reason = "execution-plan knob, deliberately outside the digest: every shard count makes the same draws in the same order")
     shards: usize,
     /// Frame counts and non-empty tile sets of the arrival arenas,
     /// rotated in lockstep with them.
-    // noc-lint: allow(checkpoint-coverage, reason = "derived frontier state: restore_from rebuilds it from the deserialized inbox arenas")
     inflight: Inflight,
     /// Tiles whose send buffer is non-empty — the age/forward frontier.
-    // noc-lint: allow(checkpoint-coverage, reason = "derived frontier state: restore_from rebuilds it from the deserialized send buffers")
     buffer_frontier: TileSet,
     /// Total live messages across all send buffers.
-    // noc-lint: allow(checkpoint-coverage, reason = "derived tally: restore_from recounts it from the deserialized send buffers")
     live_total: u64,
     /// Message ids whose spread terminated *this* round (purged from
     /// frontier buffers in the age phase, then cleared). Earlier
     /// terminations cannot re-enter any buffer: the receive phase
     /// suppresses them at insertion.
-    // noc-lint: allow(checkpoint-coverage, reason = "cleared within every step; empty at each round boundary a checkpoint can observe")
     pending_purge: Vec<MessageId>,
     /// Recycled scratch for tiles whose buffer drained during aging.
-    // noc-lint: allow(checkpoint-coverage, reason = "recycled scratch, logically empty between rounds")
     emptied_scratch: Vec<u32>,
     /// Recycled pre-drawn overflow verdicts (rounds on more than one
     /// shard).
-    // noc-lint: allow(checkpoint-coverage, reason = "pre-drawn tape storage, fully re-drawn from the checkpointed RNG streams at the start of each round")
     receive_tape: ReceiveTape,
     /// The base seed the simulation was built with — part of the
     /// checkpoint config digest (two runs with different seeds are
@@ -852,48 +838,109 @@ impl<S: EventSink> Simulation<S> {
     /// report-so-far — so a [`SimulationBuilder::resume`]d simulation
     /// replays the remaining rounds byte-identically. Custom IP-core
     /// state is *not* captured (see [`Checkpoint`]).
+    #[deny(unused_variables)]
     pub fn checkpoint(&self) -> Checkpoint {
-        let mut w = Writer::new(self.config_digest_value(), self.round);
-        w.u64(self.next_message_id);
-        w.bool(self.started);
-        w.bool(self.completed);
-        let snap = self.injector.snapshot();
+        // The compiler is the coverage check: no `..` here, so a new field
+        // fails the build (E0027) until it is written below or ignored by
+        // name, and a bound field no longer written is an `unused variable`
+        // error. A `_` is a reviewed decision: file it under its reason.
+        let Simulation {
+            // Plan: fixed at build and hashed by `config_digest_value`, so
+            // a resume under any other value is refused.
+            topology: _,
+            config: _,
+            crash_schedule: _,
+            adversary: _,
+            codec: _,
+            egress_limits: _,
+            forward_overrides: _,
+            seed: _,
+            // Not state. Observers a resumed run installs itself: `sink`,
+            // `obs`, and `ips` (trait objects the builder re-maps;
+            // `ip_is_custom` / `custom_ip_tiles` derive from them). The
+            // execution-plan knob `shards`: every shard count makes the
+            // same draws. Scratch that is empty at every round boundary:
+            // `inbox_scratch`, `delivery_scratch`, `pending_purge`,
+            // `emptied_scratch`, and `receive_tape`, re-drawn each round.
+            // Bookkeeping `restore_from` rebuilds from arenas and buffers:
+            // `inflight`, `buffer_frontier`, `live_total`.
+            sink: _,
+            obs: _,
+            ips: _,
+            ip_is_custom: _,
+            custom_ip_tiles: _,
+            shards: _,
+            inbox_scratch: _,
+            delivery_scratch: _,
+            inflight: _,
+            buffer_frontier: _,
+            live_total: _,
+            pending_purge: _,
+            emptied_scratch: _,
+            receive_tape: _,
+            // State: written below, in this order.
+            round,
+            next_message_id,
+            started,
+            completed,
+            injector,
+            chaos_streams,
+            byz_streams,
+            byz_last_frame,
+            tiles_alive,
+            links_alive,
+            clocks,
+            egress_next,
+            buffers,
+            inbox_next,
+            inbox_later,
+            wires,
+            informed,
+            terminated,
+            report,
+        } = self;
+        let mut w = Writer::new(self.config_digest_value(), *round);
+        w.u64(*next_message_id);
+        w.bool(*started);
+        w.bool(*completed);
+        let snap = injector.snapshot();
         w.rng_state(snap.rng_state);
         w.opt_u64(snap.gauss_spare.map(f64::to_bits));
         w.u64(snap.tally.upsets);
         w.u64(snap.tally.overflow_drops);
         w.u64(snap.tally.skew_draws);
-        w.count(self.chaos_streams.len());
-        for stream in &self.chaos_streams {
+        w.count(chaos_streams.len());
+        for stream in chaos_streams {
             w.rng_state(stream.state());
         }
-        w.count(self.byz_streams.len());
-        for (&tile, stream) in &self.byz_streams {
+        w.count(byz_streams.len());
+        for (&tile, stream) in byz_streams {
             w.u64(tile as u64);
             w.rng_state(stream.state());
         }
-        w.count(self.byz_last_frame.iter().flatten().count());
-        for (tile, slot) in self.byz_last_frame.iter().enumerate() {
+        w.count(byz_last_frame.iter().flatten().count());
+        for (tile, slot) in byz_last_frame.iter().enumerate() {
             if let Some((id, frame)) = slot {
                 w.u64(tile as u64);
                 w.u64(id.0);
                 w.bytes(&frame.bytes);
             }
         }
-        w.bools(&self.tiles_alive);
-        w.bools(&self.links_alive);
-        w.count(self.clocks.len());
-        for clock in &self.clocks {
-            w.u64(clock.skew().to_bits());
-            w.u64(clock.slips());
+        w.bools(tiles_alive);
+        w.bools(links_alive);
+        w.count(clocks.len());
+        for clock in clocks {
+            let (skew, slips) = clock.to_parts();
+            w.u64(skew.to_bits());
+            w.u64(slips);
         }
-        w.count(self.egress_next.len());
-        for cursor in &self.egress_next {
+        w.count(egress_next.len());
+        for cursor in egress_next {
             w.opt_u64(cursor.map(|id| id.0));
         }
-        w.count(self.buffers.len());
+        w.count(buffers.len());
         let mut seen = Vec::new();
-        for buffer in &self.buffers {
+        for buffer in buffers {
             let (messages, expired) = buffer.snapshot(&mut seen);
             w.count(messages.len());
             for m in messages {
@@ -909,28 +956,27 @@ impl<S: EventSink> Simulation<S> {
             }
             w.u64(expired);
         }
-        for arena in [&self.inbox_next, &self.inbox_later] {
+        for arena in [inbox_next, inbox_later] {
             w.count(arena.len());
             for frames in arena {
                 w.count(frames.len());
                 for f in frames {
-                    let entry = self.wires.entry(f.wire);
+                    let entry = wires.entry(f.wire);
                     w.bytes(&entry.bytes);
                     w.bool(entry.message.is_none());
                     w.opt_u64(f.via().map(|l| l.index() as u64));
                 }
             }
         }
-        w.count(self.informed.len());
-        for (id, &count) in &self.informed {
+        w.count(informed.len());
+        for (id, &count) in informed {
             w.u64(id.0);
             w.u64(count as u64);
         }
-        w.count(self.terminated.len());
-        for id in &self.terminated {
+        w.count(terminated.len());
+        for id in terminated {
             w.u64(id.0);
         }
-        let report = &self.report;
         w.u64(report.rounds_executed);
         w.bool(report.completed);
         for counter in [

@@ -668,6 +668,12 @@ impl CounterSink {
 }
 
 impl EventSink for CounterSink {
+    // Every `SimEvent` variant gets an arm of its own: a new variant is
+    // E0004 here, and a `_` arm standing in for one fails clippy.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     #[inline]
     fn emit(&mut self, event: SimEvent) {
         match event {
@@ -840,6 +846,12 @@ impl<W: Write> JsonlSink<W> {
 }
 
 impl<W: Write> EventSink for JsonlSink<W> {
+    // Every `SimEvent` variant gets an arm of its own: a new variant is
+    // E0004 here, and a `_` arm standing in for one fails clippy.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn emit(&mut self, event: SimEvent) {
         let result = match event {
             SimEvent::FrameSent {

@@ -127,7 +127,9 @@ fn write_metrics_snapshot(metrics: &noc_obs::Metrics, path: &str) {
         std::process::exit(1);
     }
     eprintln!(
-        "{{\"event\":\"metrics_written\",\"json\":\"{path}\",\"prometheus\":\"{prom_path}\"}}"
+        "{{\"event\":\"metrics_written\",\"json\":\"{}\",\"prometheus\":\"{}\"}}",
+        noc_obs::json_escape(path),
+        noc_obs::json_escape(&prom_path),
     );
 }
 

@@ -94,8 +94,9 @@ fn run_with_checkpoints(mut sim: Simulation, label: &str, every: u64) -> Simulat
             let path = format!("{dir}/{label}-round-{:06}.ckpt", sim.round());
             match sim.checkpoint().save(&path) {
                 Ok(()) => eprintln!(
-                    "{{\"event\":\"checkpoint\",\"figure\":\"{label}\",\"round\":{},\"path\":\"{path}\"}}",
+                    "{{\"event\":\"checkpoint\",\"figure\":\"{label}\",\"round\":{},\"path\":\"{}\"}}",
                     sim.round(),
+                    noc_obs::json_escape(&path),
                 ),
                 Err(err) => eprintln!("mega-grid: cannot write checkpoint {path}: {err}"),
             }

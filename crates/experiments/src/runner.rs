@@ -360,7 +360,7 @@ impl Heartbeat {
         };
         eprintln!(
             "{{\"event\":\"progress\",\"figure\":\"{}\",\"trials_done\":{},\"trials_total\":{},\"elapsed_secs\":{:.3},\"trials_per_sec\":{:.2},\"eta_secs\":{:.1},\"rounds_per_sec\":{:.1}}}",
-            escape_label(&self.label),
+            noc_obs::json_escape(&self.label),
             completed,
             self.total,
             finite_or_zero(elapsed),
@@ -383,11 +383,6 @@ fn finite_or_zero(value: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Minimal JSON string escaping for figure labels in heartbeats.
-fn escape_label(label: &str) -> String {
-    label.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// A deterministic parallel Monte-Carlo sweep: a base seed, a trial

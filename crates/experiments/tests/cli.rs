@@ -73,3 +73,19 @@ fn honoured_flag_runs_and_leaves_stdout_as_the_plain_run() {
     let mixed = experiments(&["fig3-1", "fig3-3", "--shards", "2", "--seed", "0"]);
     assert_eq!(mixed.status.code(), Some(0));
 }
+
+#[test]
+fn a_path_with_a_quote_in_it_stays_json_on_stderr() {
+    let path = std::env::temp_dir().join(format!("cli-a\"b-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    let out = experiments(&["fig3-1", "--metrics-out", path]);
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(format!("{path}.prom")).ok();
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("\"event\":\"metrics_written\""))
+        .expect("a metrics_written line");
+    assert!(line.contains("a\\\"b"), "{line}");
+}

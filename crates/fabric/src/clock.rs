@@ -92,6 +92,14 @@ impl ClockDomain {
         (skew > -0.5 && skew <= 0.5).then_some(Self { skew, slips })
     }
 
+    /// The `(skew, slips)` pair [`ClockDomain::from_parts`] rebuilds the
+    /// domain from: everything a checkpoint must carry. The pattern names
+    /// every field, so a new one fails the build here.
+    pub fn to_parts(&self) -> (f64, u64) {
+        let Self { skew, slips } = *self;
+        (skew, slips)
+    }
+
     /// Current accumulated skew, as a fraction of `T_R` in `(-0.5, 0.5]`.
     pub fn skew(&self) -> f64 {
         self.skew
@@ -156,7 +164,8 @@ mod tests {
     fn from_parts_round_trips_and_rejects_skews_advance_never_leaves() {
         let mut c = ClockDomain::new();
         c.advance(0.9);
-        assert_eq!(ClockDomain::from_parts(c.skew(), c.slips()), Some(c));
+        let (skew, slips) = c.to_parts();
+        assert_eq!(ClockDomain::from_parts(skew, slips), Some(c));
         assert!(ClockDomain::from_parts(0.5, 0).is_some());
         for skew in [-0.5, 0.75, 1e300, f64::INFINITY, f64::NAN] {
             assert_eq!(ClockDomain::from_parts(skew, 0), None, "skew {skew}");

@@ -308,16 +308,12 @@ impl Error for InvalidScenario {}
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdversarialScenario {
     /// Scheduled partitions with optional heals.
-    // noc-lint: allow(checkpoint-coverage, reason = "immutable run config, not evolving state: the whole scenario is hashed into the checkpoint config digest")
     pub partitions: PartitionSchedule,
     /// Permanent link/tile death schedule (never heals).
-    // noc-lint: allow(checkpoint-coverage, reason = "immutable run config, not evolving state: the whole scenario is hashed into the checkpoint config digest")
     pub permanent: CrashSchedule,
     /// Per-link reordering and latency jitter.
-    // noc-lint: allow(checkpoint-coverage, reason = "immutable run config, not evolving state: the whole scenario is hashed into the checkpoint config digest")
     pub chaos: LinkChaos,
     /// Byzantine forge/replay tiles.
-    // noc-lint: allow(checkpoint-coverage, reason = "immutable run config, not evolving state: the whole scenario is hashed into the checkpoint config digest")
     pub byzantine: ByzantineSet,
 }
 

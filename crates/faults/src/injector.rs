@@ -270,11 +270,21 @@ impl FaultInjector {
 
     /// Captures the injector's mutable position (RNG state, Gaussian
     /// spare, tally) for checkpointing.
+    #[deny(unused_variables)]
     pub fn snapshot(&self) -> InjectorSnapshot {
+        // No `..`: a new field fails the build here until it is captured.
+        // `model` is fixed at build; the engine hashes it into the
+        // checkpoint's config digest.
+        let Self {
+            model: _,
+            rng,
+            gauss,
+            tally,
+        } = self;
         InjectorSnapshot {
-            rng_state: self.rng.state(),
-            gauss_spare: self.gauss.spare(),
-            tally: self.tally,
+            rng_state: rng.state(),
+            gauss_spare: gauss.spare(),
+            tally: *tally,
         }
     }
 

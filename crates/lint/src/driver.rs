@@ -1,15 +1,14 @@
-//! Workspace walking, test-code filtering, the two-tier rule pipeline,
+//! Workspace walking, test-code filtering, the rule pipeline,
 //! suppression accounting, and rendering.
 //!
-//! The pipeline runs in phases over the whole scanned set:
+//! The pipeline runs in phases over the scanned set:
 //!
-//! 1. lex + test-strip + annotation-parse + item-model every file;
-//! 2. lexical rules per file ([`crate::rules`]);
-//! 3. structural rules across the set ([`crate::structural`]);
-//! 4. suppression: allows cover matching findings, then every allow
+//! 1. lex + test-strip + annotation-parse every file and run the rules
+//!    over it ([`crate::rules`]);
+//! 2. suppression: allows cover matching findings, then every allow
 //!    that covered *nothing* becomes a `suppression-debt` finding
 //!    (itself coverable only by an `allow(suppression-debt, …)`);
-//! 5. the full suppression inventory — rule, file, line, reason, used —
+//! 3. the full suppression inventory — rule, file, line, reason, used —
 //!    is kept on the [`Report`] and shipped in the JSON artifact so CI
 //!    can trend the debt.
 
@@ -18,10 +17,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::annotations::{self, Allow, BadAnnotation};
-use crate::items;
 use crate::lexer::{self, Token};
 use crate::rules::{self, Finding};
-use crate::structural::{self, SourceUnit};
 
 /// Directory names never descended into: generated output, third-party
 /// stand-ins, test code (exempt from the shipped-code invariants), and
@@ -90,46 +87,30 @@ pub fn lint_root(root: &Path) -> Result<Report, String> {
 }
 
 /// Lints one file's source text under its workspace-relative path.
-/// Structural rules see a one-file set, so anchored cross-file rules
-/// fire only when the file itself carries the anchor items.
 /// Exposed for unit tests and callers with in-memory sources.
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     lint_files(&[(rel_path.to_string(), source.to_string())]).findings
 }
 
-/// Lints a set of (workspace-relative path, source) pairs as one
-/// workspace — the core entry point for the walker, the corpus
-/// harness, and mutation tests that inject drift into scratch copies.
+/// Lints a set of (workspace-relative path, source) pairs — the core
+/// entry point for the walker, the corpus harness, and the mutation
+/// test that injects drift into a scratch copy.
 pub fn lint_files(inputs: &[(String, String)]) -> Report {
-    // Phase 1: per-file analysis inputs.
-    let mut units: Vec<SourceUnit> = Vec::with_capacity(inputs.len());
-    let mut all_tokens: Vec<Vec<Token>> = Vec::with_capacity(inputs.len());
+    // Phase 1: the rules, file by file.
+    let mut findings = Vec::new();
     let mut notes: Vec<(Vec<Allow>, Vec<BadAnnotation>)> = Vec::with_capacity(inputs.len());
     for (rel_path, source) in inputs {
         let lexed = lexer::lex(source);
         let filtered = strip_test_items(&lexed.tokens);
+        findings.extend(rules::check_file(rel_path, &filtered, &lexed.tokens));
         notes.push(annotations::parse(&lexed.comments));
-        let items = items::extract(&filtered);
-        units.push(SourceUnit {
-            rel_path: rel_path.clone(),
-            tokens: filtered,
-            items,
-        });
-        all_tokens.push(lexed.tokens);
     }
 
-    // Phase 2 + 3: lexical rules per file, structural rules per set.
-    let mut findings = Vec::new();
-    for (u, all) in units.iter().zip(&all_tokens) {
-        findings.extend(rules::check_file(&u.rel_path, &u.tokens, all));
-    }
-    findings.extend(structural::check_workspace(&units));
-
-    // Phase 4: suppression accounting.
-    let index: BTreeMap<&str, usize> = units
+    // Phase 2: suppression accounting.
+    let index: BTreeMap<&str, usize> = inputs
         .iter()
         .enumerate()
-        .map(|(i, u)| (u.rel_path.as_str(), i))
+        .map(|(i, (rel_path, _))| (rel_path.as_str(), i))
         .collect();
     let mut used: Vec<Vec<bool>> = notes.iter().map(|(a, _)| vec![false; a.len()]).collect();
     for f in &mut findings {
@@ -167,7 +148,7 @@ pub fn lint_files(inputs: &[(String, String)]) -> Report {
             };
             debt.push(Finding {
                 rule: "suppression-debt",
-                file: units[fi].rel_path.clone(),
+                file: inputs[fi].0.clone(),
                 line: a.line,
                 column: 1,
                 message,
@@ -194,7 +175,7 @@ pub fn lint_files(inputs: &[(String, String)]) -> Report {
             if !used[fi][ai] && a.rule == "suppression-debt" {
                 findings.push(Finding {
                     rule: "suppression-debt",
-                    file: units[fi].rel_path.clone(),
+                    file: inputs[fi].0.clone(),
                     line: a.line,
                     column: 1,
                     message: "allow(suppression-debt) suppresses no stale allow; delete it"
@@ -212,7 +193,7 @@ pub fn lint_files(inputs: &[(String, String)]) -> Report {
         for b in bad {
             findings.push(Finding {
                 rule: "bad-annotation",
-                file: units[fi].rel_path.clone(),
+                file: inputs[fi].0.clone(),
                 line: b.line,
                 column: 1,
                 message: b.message.clone(),
@@ -222,13 +203,13 @@ pub fn lint_files(inputs: &[(String, String)]) -> Report {
         }
     }
 
-    // Phase 5: the inventory.
+    // Phase 3: the inventory.
     let mut suppressions: Vec<Suppression> = Vec::new();
     for (fi, (allows, _)) in notes.iter().enumerate() {
         for (ai, a) in allows.iter().enumerate() {
             suppressions.push(Suppression {
                 rule: a.rule.clone(),
-                file: units[fi].rel_path.clone(),
+                file: inputs[fi].0.clone(),
                 line: a.line,
                 reason: a.reason.clone(),
                 used: used[fi][ai],

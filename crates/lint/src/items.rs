@@ -1,298 +1,17 @@
-//! The item model: structs with named fields, enum variants, fn
-//! signatures, impl blocks, and closure bodies, extracted from the
-//! token trees of [`crate::parser`].
+//! Closure bodies, recovered from the flat token stream.
 //!
-//! This is deliberately *not* a Rust parser. It recovers exactly the
-//! shapes the structural rules consume — which fields a state struct
-//! declares, which variants an event enum carries, where a fn or impl
-//! body starts and ends, where a closure body lives — and shrugs at
-//! everything else. Over-approximation is fine (a `-> impl Trait`
-//! return type records a vacuous [`ImplItem`]; a const-generic brace in
-//! a return type may be mistaken for a body) because every consumer
-//! matches on names the workspace controls; under-approximation is the
-//! failure mode the unit tests pin against.
+//! This is deliberately *not* a Rust parser: it finds where a closure's
+//! body starts and ends — all `rng-draw-site` needs to tell a draw
+//! inside a fan-out worker from one beside it — and shrugs at
+//! everything else.
 
 use crate::lexer::{Token, TokenKind};
-use crate::parser::{self, Delim, Group, Tree};
-
-/// One named field of a struct.
-#[derive(Debug)]
-pub struct Field {
-    pub name: String,
-    pub line: usize,
-    pub column: usize,
-}
-
-/// A struct declaration. Tuple and unit structs record no fields.
-#[derive(Debug)]
-pub struct StructItem {
-    pub name: String,
-    pub line: usize,
-    pub fields: Vec<Field>,
-}
-
-/// One variant of an enum.
-#[derive(Debug)]
-pub struct Variant {
-    pub name: String,
-    pub line: usize,
-    pub column: usize,
-}
-
-/// An enum declaration.
-#[derive(Debug)]
-pub struct EnumItem {
-    pub name: String,
-    pub line: usize,
-    pub variants: Vec<Variant>,
-}
-
-/// A fn declaration. `body` is the inclusive token-index range of the
-/// brace-delimited body, delimiters included; `None` for trait method
-/// declarations ending in `;`.
-#[derive(Debug)]
-pub struct FnItem {
-    pub name: String,
-    pub line: usize,
-    pub body: Option<(usize, usize)>,
-}
-
-/// An impl block. `header` holds every identifier between `impl` and
-/// the body brace (`EventSink`, the self type, generic params), which
-/// is all the structural rules need to recognise `impl EventSink for
-/// CounterSink`-shaped blocks.
-#[derive(Debug)]
-pub struct ImplItem {
-    pub line: usize,
-    pub header: Vec<String>,
-    pub body: (usize, usize),
-}
 
 /// A closure. `body` is the inclusive token-index range of the body —
 /// the brace group for block bodies, the expression span otherwise.
 #[derive(Debug)]
 pub struct Closure {
-    pub line: usize,
     pub body: (usize, usize),
-}
-
-/// Everything the structural rules know about one file.
-#[derive(Debug, Default)]
-pub struct ItemModel {
-    pub structs: Vec<StructItem>,
-    pub enums: Vec<EnumItem>,
-    pub fns: Vec<FnItem>,
-    pub impls: Vec<ImplItem>,
-    pub closures: Vec<Closure>,
-}
-
-/// Extracts the item model from one file's (test-stripped) tokens.
-pub fn extract(tokens: &[Token]) -> ItemModel {
-    let trees = parser::parse(tokens);
-    let mut model = ItemModel::default();
-    walk(tokens, &trees, &mut model);
-    model.closures = closures(tokens);
-    model
-}
-
-fn is_kw(tokens: &[Token], tree: &Tree, kw: &str) -> bool {
-    match tree {
-        Tree::Leaf(i) => tokens[*i].kind == TokenKind::Ident && tokens[*i].text == kw,
-        Tree::Group(_) => false,
-    }
-}
-
-fn leaf_ident<'t>(tokens: &'t [Token], tree: Option<&Tree>) -> Option<&'t Token> {
-    match tree {
-        Some(Tree::Leaf(i)) if tokens[*i].kind == TokenKind::Ident => Some(&tokens[*i]),
-        _ => None,
-    }
-}
-
-fn leaf_text<'t>(tokens: &'t [Token], tree: &Tree) -> Option<&'t str> {
-    match tree {
-        Tree::Leaf(i) => Some(tokens[*i].text.as_str()),
-        Tree::Group(_) => None,
-    }
-}
-
-/// Walks every sibling list (groups recursed), recording items wherever
-/// they appear — module level, impl bodies, fn bodies.
-fn walk(tokens: &[Token], siblings: &[Tree], model: &mut ItemModel) {
-    for (i, tree) in siblings.iter().enumerate() {
-        match tree {
-            Tree::Group(g) => walk(tokens, &g.children, model),
-            Tree::Leaf(t) if tokens[*t].kind == TokenKind::Ident => {
-                match tokens[*t].text.as_str() {
-                    "struct" => struct_item(tokens, siblings, i, model),
-                    "enum" => enum_item(tokens, siblings, i, model),
-                    "fn" => fn_item(tokens, siblings, i, model),
-                    "impl" => impl_item(tokens, siblings, i, model),
-                    _ => {}
-                }
-            }
-            Tree::Leaf(_) => {}
-        }
-    }
-}
-
-/// Finds the defining brace group of an item starting at sibling `kw`:
-/// the first brace group before a top-level `;`. A paren group seen
-/// before any `where` ends the search too (tuple struct).
-fn defining_braces<'s>(
-    tokens: &[Token],
-    siblings: &'s [Tree],
-    kw: usize,
-    stop_at_paren: bool,
-) -> Option<&'s Group> {
-    let mut seen_where = false;
-    for tree in &siblings[kw + 1..] {
-        match tree {
-            Tree::Leaf(_) => {
-                let text = leaf_text(tokens, tree).unwrap_or("");
-                if text == ";" {
-                    return None;
-                }
-                if text == "where" {
-                    seen_where = true;
-                }
-            }
-            Tree::Group(g) => match g.delim {
-                Delim::Brace => return Some(g),
-                Delim::Paren if stop_at_paren && !seen_where => return None,
-                _ => {}
-            },
-        }
-    }
-    None
-}
-
-fn struct_item(tokens: &[Token], siblings: &[Tree], kw: usize, model: &mut ItemModel) {
-    let Some(name) = leaf_ident(tokens, siblings.get(kw + 1)) else {
-        return;
-    };
-    let fields = match defining_braces(tokens, siblings, kw + 1, true) {
-        Some(body) => named_fields(tokens, &body.children),
-        None => Vec::new(),
-    };
-    model.structs.push(StructItem {
-        name: name.text.clone(),
-        line: name.line,
-        fields,
-    });
-}
-
-/// Splits a brace group's children on top-level commas and reads each
-/// chunk as `[attrs] [pub[(..)]] name : type`.
-fn named_fields(tokens: &[Token], children: &[Tree]) -> Vec<Field> {
-    let mut fields = Vec::new();
-    for chunk in split_on_commas(tokens, children) {
-        let chunk = skip_modifiers(tokens, chunk);
-        let Some(name) = leaf_ident(tokens, chunk.first()) else {
-            continue;
-        };
-        // `::` is fused by the lexer, so a lone `:` means a field type
-        // follows (angle-bracket comma junk chunks never look like this).
-        if chunk.get(1).and_then(|t| leaf_text(tokens, t)) == Some(":") {
-            fields.push(Field {
-                name: name.text.clone(),
-                line: name.line,
-                column: name.column,
-            });
-        }
-    }
-    fields
-}
-
-fn enum_item(tokens: &[Token], siblings: &[Tree], kw: usize, model: &mut ItemModel) {
-    let Some(name) = leaf_ident(tokens, siblings.get(kw + 1)) else {
-        return;
-    };
-    let mut variants = Vec::new();
-    if let Some(body) = defining_braces(tokens, siblings, kw + 1, false) {
-        for chunk in split_on_commas(tokens, &body.children) {
-            let chunk = skip_modifiers(tokens, chunk);
-            if let Some(v) = leaf_ident(tokens, chunk.first()) {
-                variants.push(Variant {
-                    name: v.text.clone(),
-                    line: v.line,
-                    column: v.column,
-                });
-            }
-        }
-    }
-    model.enums.push(EnumItem {
-        name: name.text.clone(),
-        line: name.line,
-        variants,
-    });
-}
-
-fn fn_item(tokens: &[Token], siblings: &[Tree], kw: usize, model: &mut ItemModel) {
-    // `fn(u32) -> u32` pointer types have no name ident after `fn`.
-    let Some(name) = leaf_ident(tokens, siblings.get(kw + 1)) else {
-        return;
-    };
-    let body = defining_braces(tokens, siblings, kw + 1, false).map(|g| (g.open, g.close));
-    model.fns.push(FnItem {
-        name: name.text.clone(),
-        line: name.line,
-        body,
-    });
-}
-
-fn impl_item(tokens: &[Token], siblings: &[Tree], kw: usize, model: &mut ItemModel) {
-    let Some(body) = defining_braces(tokens, siblings, kw, false) else {
-        return;
-    };
-    let start = siblings[kw].start() + 1;
-    let header = tokens[start..body.open]
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.clone())
-        .collect();
-    model.impls.push(ImplItem {
-        line: tokens[siblings[kw].start()].line,
-        header,
-        body: (body.open, body.close),
-    });
-}
-
-/// Splits a sibling list on top-level `,` leaves.
-fn split_on_commas<'s>(tokens: &[Token], children: &'s [Tree]) -> Vec<&'s [Tree]> {
-    let mut chunks = Vec::new();
-    let mut start = 0;
-    for (i, tree) in children.iter().enumerate() {
-        if leaf_text(tokens, tree) == Some(",") {
-            chunks.push(&children[start..i]);
-            start = i + 1;
-        }
-    }
-    if start < children.len() {
-        chunks.push(&children[start..]);
-    }
-    chunks
-}
-
-/// Skips leading `#[…]` attributes and `pub`/`pub(crate)` visibility
-/// from a field or variant chunk.
-fn skip_modifiers<'s>(tokens: &[Token], mut chunk: &'s [Tree]) -> &'s [Tree] {
-    loop {
-        match chunk {
-            [attr, Tree::Group(g), ..]
-                if leaf_text(tokens, attr) == Some("#") && g.delim == Delim::Bracket =>
-            {
-                chunk = &chunk[2..];
-            }
-            [vis, ..] if is_kw(tokens, vis, "pub") => {
-                chunk = &chunk[1..];
-                if matches!(chunk.first(), Some(Tree::Group(g)) if g.delim == Delim::Paren) {
-                    chunk = &chunk[1..];
-                }
-            }
-            _ => return chunk,
-        }
-    }
 }
 
 /// Closure-start detection: a `|` opens a closure when what precedes it
@@ -371,19 +90,16 @@ fn closure_body(tokens: &[Token], start: usize) -> (usize, usize) {
     (start, end)
 }
 
-/// Linear closure scan over the raw tokens (closures are expression-
-/// level, so the tree walk's item chunking is the wrong lens for them).
-fn closures(tokens: &[Token]) -> Vec<Closure> {
+/// Every closure in the token stream, nested ones included, by one
+/// linear scan.
+pub fn closures(tokens: &[Token]) -> Vec<Closure> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
         if tokens[i].text == "|" && is_closure_start(tokens, i) {
             if let Some(params_end) = closure_params_end(tokens, i) {
                 let body = closure_body(tokens, params_end + 1);
-                out.push(Closure {
-                    line: tokens[i].line,
-                    body,
-                });
+                out.push(Closure { body });
                 // Resume inside the body so nested closures are found.
                 i = params_end + 1;
                 continue;
@@ -399,116 +115,41 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn model(src: &str) -> (Vec<Token>, ItemModel) {
+    fn scan(src: &str) -> (Vec<Token>, Vec<Closure>) {
         let tokens = lex(src).tokens;
-        let model = extract(&tokens);
-        (tokens, model)
-    }
-
-    #[test]
-    fn struct_fields_with_generics_and_visibility() {
-        let src = "pub struct Simulation<S: Sink = Null> {\n    pub(crate) round: u64,\n    informed: BTreeMap<MessageId, usize>,\n    byz: Vec<Option<(u64, Arc<[u8]>)>>,\n}\n";
-        let (_, m) = model(src);
-        assert_eq!(m.structs.len(), 1);
-        assert_eq!(m.structs[0].name, "Simulation");
-        let names: Vec<&str> = m.structs[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        // The angle-bracket comma in BTreeMap<K, V> must not invent a
-        // field; the tuple comma is nested in a paren group.
-        assert_eq!(names, ["round", "informed", "byz"]);
-        assert_eq!(m.structs[0].fields[0].line, 2);
-    }
-
-    #[test]
-    fn tuple_and_unit_structs_record_no_fields() {
-        let (_, m) =
-            model("struct P(u32, u32);\nstruct U;\nstruct W<T> where T: Fn() -> u32 { f: T }\n");
-        assert_eq!(m.structs.len(), 3);
-        assert!(m.structs[0].fields.is_empty());
-        assert!(m.structs[1].fields.is_empty());
-        // A where-clause `Fn()` paren is not a tuple-struct body.
-        assert_eq!(m.structs[2].fields.len(), 1);
-        assert_eq!(m.structs[2].fields[0].name, "f");
-    }
-
-    #[test]
-    fn enum_variants_with_payloads_and_attributes() {
-        let src = "pub enum SimEvent {\n    FrameSent { round: u64, hop: (u8, u8) },\n    #[allow(dead_code)]\n    CrcReject(u32),\n    RoundQuiescent,\n}\n";
-        let (_, m) = model(src);
-        assert_eq!(m.enums.len(), 1);
-        assert_eq!(m.enums[0].name, "SimEvent");
-        let names: Vec<&str> = m.enums[0]
-            .variants
-            .iter()
-            .map(|v| v.name.as_str())
-            .collect();
-        assert_eq!(names, ["FrameSent", "CrcReject", "RoundQuiescent"]);
-        assert_eq!(m.enums[0].variants[1].line, 4);
-    }
-
-    #[test]
-    fn fns_record_bodies_and_nested_items_are_found() {
-        let src = "impl Sim {\n    fn checkpoint(&self) -> Checkpoint { self.round }\n    fn decl_only(&self);\n}\nfn free() { struct Inner { x: u32 } }\n";
-        let (tokens, m) = model(src);
-        let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["checkpoint", "decl_only", "free"]);
-        let body = m.fns[0].body.expect("checkpoint has a body");
-        assert_eq!(tokens[body.0].text, "{");
-        assert_eq!(tokens[body.1].text, "}");
-        assert!(m.fns[1].body.is_none());
-        // The struct nested inside free() is still extracted.
-        assert_eq!(m.structs[0].name, "Inner");
-    }
-
-    #[test]
-    fn fn_pointer_types_are_not_fns() {
-        let (_, m) = model("struct S { cb: fn(u32) -> u32 }\n");
-        assert!(m.fns.is_empty());
-    }
-
-    #[test]
-    fn impl_headers_capture_trait_and_self_type() {
-        let src = "impl<W: Write> EventSink for JsonlSink<W> {\n    fn emit(&mut self) {}\n}\n";
-        let (_, m) = model(src);
-        assert_eq!(m.impls.len(), 1);
-        let header = &m.impls[0].header;
-        assert!(header.iter().any(|h| h == "EventSink"));
-        assert!(header.iter().any(|h| h == "JsonlSink"));
+        let found = closures(&tokens);
+        (tokens, found)
     }
 
     #[test]
     fn closures_block_and_expression_bodies() {
         let src = "fn f() {\n    run(work, move |w| {\n        w.step()\n    });\n    let g = |x| x + 1;\n    let or = a | b;\n    let pat = matches!(v, Some(1 | 2));\n}\n";
-        let (tokens, m) = model(src);
-        assert_eq!(m.closures.len(), 2, "{:?}", m.closures);
-        let block = &m.closures[0];
+        let (tokens, found) = scan(src);
+        assert_eq!(found.len(), 2, "{found:?}");
+        let block = &found[0];
         assert_eq!(tokens[block.body.0].text, "{");
         assert_eq!(tokens[block.body.1].text, "}");
-        let expr = &m.closures[1];
+        let expr = &found[1];
         assert_eq!(tokens[expr.body.0].text, "x");
         assert_eq!(tokens[expr.body.1].text, "1");
     }
 
     #[test]
     fn nested_closures_are_both_found() {
-        let src = "fn f() { outer(|a| inner(|b| a + b)); }\n";
-        let (_, m) = model(src);
-        assert_eq!(m.closures.len(), 2);
+        let (_, found) = scan("fn f() { outer(|a| inner(|b| a + b)); }\n");
+        assert_eq!(found.len(), 2);
     }
 
     #[test]
     fn empty_param_closure() {
-        let (tokens, m) = model("fn f() { spawn(move || replay(w)); }\n");
-        assert_eq!(m.closures.len(), 1);
-        assert_eq!(tokens[m.closures[0].body.0].text, "replay");
+        let (tokens, found) = scan("fn f() { spawn(move || replay(w)); }\n");
+        assert_eq!(found.len(), 1);
+        assert_eq!(tokens[found[0].body.0].text, "replay");
     }
 
     #[test]
     fn logical_or_is_not_a_closure() {
-        let (_, m) = model("fn f(a: bool, b: bool) -> bool { a || b }\n");
-        assert!(m.closures.is_empty());
+        let (_, found) = scan("fn f(a: bool, b: bool) -> bool { a || b }\n");
+        assert!(found.is_empty());
     }
 }

@@ -1,11 +1,13 @@
 //! The repo-specific invariant rules.
 //!
 //! Every rule encodes one determinism or hot-path invariant of the
-//! simulator (see DESIGN.md §10). Rules are purely lexical: they match
-//! significant-token patterns produced by [`crate::lexer`], scoped by
-//! workspace-relative path, with findings suppressible only through the
-//! reasoned [`crate::annotations`] grammar.
+//! simulator (see DESIGN.md §10). Rules are per-file and lexical: they
+//! match significant-token patterns produced by [`crate::lexer`]
+//! (`rng-draw-site` also asks [`crate::items`] where closure bodies
+//! lie), scoped by workspace-relative path, with findings suppressible
+//! only through the reasoned [`crate::annotations`] grammar.
 
+use crate::items;
 use crate::lexer::{Token, TokenKind};
 
 /// One reported (or suppressed) rule violation.
@@ -66,25 +68,11 @@ pub const RULES: &[RuleInfo] = &[
         invariant: "every crate root carries #![forbid(unsafe_code)] and no file uses unsafe",
     },
     RuleInfo {
-        name: "checkpoint-coverage",
-        invariant: "every named field of the engine state structs (Simulation, SendBuffer, \
-                    ClockDomain, AdversarialScenario, FaultInjector) is referenced by \
-                    checkpoint serialization code — checkpoint.rs or a checkpoint()/\
-                    config_digest_value()/snapshot() body — or carries a reasoned allow \
-                    naming it derived state; otherwise a resumed run silently diverges",
-    },
-    RuleInfo {
         name: "rng-draw-site",
         invariant: "RNG draws (gen/gen_range/gen_bool/next_u64/seed_from_u64/…) happen only \
                     in the sanctioned modules (seed.rs, engine.rs tape construction, \
                     reference.rs oracle, injector.rs, rng.rs) and never inside a closure \
                     passed to the shard fan-out — workers replay pre-drawn tapes",
-    },
-    RuleInfo {
-        name: "event-coverage",
-        invariant: "every SimEvent variant is matched by CounterSink (reconciling counters) \
-                    and JsonlSink (trace serialization); a variant added without both \
-                    consumers is an unaccounted decision point in the observability plane",
     },
     RuleInfo {
         name: "suppression-debt",
@@ -140,6 +128,55 @@ const SEED_OPS: &[&str] = &["+", "-", "*", "^", "%"];
 /// Macros that write to stdout/stderr.
 const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
 
+/// Identifiers that draw from (or construct) an RNG stream.
+const DRAW_CALLS: &[&str] = &[
+    "next_u64",
+    "next_u32",
+    "next_f64",
+    "gen",
+    "gen_range",
+    "gen_bool",
+    "fill_bytes",
+    "seed_from_u64",
+    "from_seed",
+    "from_state",
+];
+
+/// The sanctioned draw sites: seed derivation, the engine's main-thread
+/// tape construction (and checkpoint restore), the reference oracle
+/// that mirrors the engine's draw order, the fault injector, and the
+/// Gaussian sampler it owns.
+const DRAW_ALLOWED_FILES: &[&str] = &[
+    "crates/core/src/seed.rs",
+    "crates/core/src/engine.rs",
+    "crates/core/src/reference.rs",
+    "crates/faults/src/injector.rs",
+    "crates/faults/src/rng.rs",
+];
+
+/// Path prefixes the rng-draw-site rule applies to. Scoping by real
+/// workspace prefixes keeps fixture trees for *other* rules from
+/// cross-firing this one.
+const DRAW_SCOPED_PREFIXES: &[&str] = &[
+    "crates/core/",
+    "crates/faults/",
+    "crates/fabric/",
+    "crates/crc/",
+    "crates/energy/",
+    "crates/bus/",
+    "crates/dsp/",
+    "crates/apps/",
+    "crates/diversity/",
+    "crates/obs/",
+    "crates/experiments/",
+    "src/",
+    "examples/",
+];
+
+/// Callees whose closure arguments are worker fan-out bodies and must
+/// stay RNG-free everywhere — allowlisted files included.
+const FAN_OUT_CALLEES: &[&str] = &["run_shards", "spawn"];
+
 /// Runs every applicable rule over one file's significant tokens.
 ///
 /// `tokens` must already have `#[cfg(test)]`/`#[test]` items filtered
@@ -154,6 +191,7 @@ pub fn check_file(rel_path: &str, tokens: &[Token], all_tokens: &[Token]) -> Vec
     hot_path_panic(rel_path, tokens, &mut findings);
     stdout_in_lib(rel_path, tokens, &mut findings);
     unsafe_audit(rel_path, tokens, all_tokens, &mut findings);
+    rng_draw_site(rel_path, tokens, &mut findings);
     findings
 }
 
@@ -418,6 +456,94 @@ fn unsafe_audit(
     }
 }
 
+/// Index of the `)` matching the `(` at `open`.
+fn matching_paren(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, tok) in tokens.iter().enumerate().skip(open) {
+        match tok.text.as_str() {
+            "(" => depth += 1,
+            ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len().saturating_sub(1)
+}
+
+/// rng-draw-site: draw calls only in the allowlisted modules, and never
+/// inside a closure passed to the shard/thread fan-out.
+fn rng_draw_site(rel_path: &str, toks: &[Token], findings: &mut Vec<Finding>) {
+    if !DRAW_SCOPED_PREFIXES.iter().any(|p| rel_path.starts_with(p)) {
+        return;
+    }
+    let closures = items::closures(toks);
+    // Closure bodies handed to a fan-out callee, with the callee name.
+    let mut worker_bodies: Vec<(usize, usize, &str)> = Vec::new();
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.kind != TokenKind::Ident || !FAN_OUT_CALLEES.contains(&tok.text.as_str()) {
+            continue;
+        }
+        if toks.get(i + 1).is_none_or(|t| t.text != "(") {
+            continue;
+        }
+        let close = matching_paren(toks, i + 1);
+        for c in &closures {
+            if c.body.0 > i && c.body.1 <= close {
+                worker_bodies.push((c.body.0, c.body.1, tok.text.as_str()));
+            }
+        }
+    }
+    let allowed_file = DRAW_ALLOWED_FILES.contains(&rel_path);
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.kind != TokenKind::Ident || !DRAW_CALLS.contains(&tok.text.as_str()) {
+            continue;
+        }
+        // A draw is a *call* reached through `.` or `::` — method
+        // or constructor — never a bare definition or field.
+        let callish = toks
+            .get(i + 1)
+            .is_some_and(|t| t.text == "(" || t.text == "::");
+        let reached = i
+            .checked_sub(1)
+            .is_some_and(|p| toks[p].text == "." || toks[p].text == "::");
+        if !callish || !reached {
+            continue;
+        }
+        if let Some((_, _, callee)) = worker_bodies.iter().find(|(a, b, _)| i >= *a && i <= *b) {
+            findings.push(finding(
+                "rng-draw-site",
+                rel_path,
+                tok.line,
+                tok.column,
+                format!(
+                    "RNG draw `{}` inside a closure passed to `{}`: shard workers \
+                     replay pre-drawn tapes and must stay RNG-free, or reports stop \
+                     being byte-identical across shard counts",
+                    tok.text, callee
+                ),
+            ));
+        } else if !allowed_file {
+            findings.push(finding(
+                "rng-draw-site",
+                rel_path,
+                tok.line,
+                tok.column,
+                format!(
+                    "RNG draw `{}` outside the sanctioned draw sites (seed.rs, \
+                     engine.rs tape construction, reference.rs oracle, injector.rs, \
+                     rng.rs); derive the stream via stochastic_noc::seed and draw it \
+                     at a sanctioned site, or annotate a self-contained generator",
+                    tok.text
+                ),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,5 +664,48 @@ mod tests {
             "unsafe { core::hint::unreachable_unchecked() }",
         );
         assert_eq!(rules_of(&f), ["unsafe-audit"]);
+    }
+
+    #[test]
+    fn draw_outside_allowlist_is_flagged() {
+        let f = run(
+            "crates/experiments/src/traffic.rs",
+            "fn t(seed: u64) -> u64 { let mut r = StdRng::seed_from_u64(seed); r.next_u64() }\n",
+        );
+        assert_eq!(rules_of(&f), ["rng-draw-site", "rng-draw-site"]);
+    }
+
+    #[test]
+    fn draw_in_allowlisted_file_is_clean() {
+        let f = run(
+            "crates/core/src/engine.rs",
+            "fn tape(seed: u64) -> u64 { let mut r = StdRng::seed_from_u64(seed); r.next_u64() }\n",
+        );
+        assert!(f.is_empty());
+    }
+
+    #[test]
+    fn draw_inside_fan_out_closure_is_flagged_even_in_engine() {
+        let f = run(
+            "crates/core/src/engine.rs",
+            "fn fan(w: Vec<u64>) { run_shards(w, move |x| { rng.next_u64() }); }\n",
+        );
+        assert_eq!(rules_of(&f), ["rng-draw-site"]);
+        assert!(f[0].message.contains("run_shards"));
+    }
+
+    #[test]
+    fn draw_definitions_and_bare_idents_are_not_calls() {
+        let f = run(
+            "crates/experiments/src/traffic.rs",
+            "fn next_u64() -> u64 { 7 }\nfn f(gen_range: u64) -> u64 { gen_range }\n",
+        );
+        assert!(f.is_empty());
+    }
+
+    #[test]
+    fn fixture_paths_outside_scope_are_exempt() {
+        let f = run("crates/sim/src/x.rs", "fn t() -> u64 { rng.next_u64() }\n");
+        assert!(f.is_empty());
     }
 }

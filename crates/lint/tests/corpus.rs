@@ -20,32 +20,6 @@ fn fixture_name(rule: &str) -> String {
     rule.replace('-', "_")
 }
 
-// Satellite proof that the checkpoint-coverage fixture pair is real,
-// compiling Rust, not pseudo-code the lexer happens to accept: both
-// files are included verbatim and exercised below.
-#[allow(dead_code)]
-mod checkpoint_fixture {
-    include!("corpus/checkpoint_coverage/crates/core/src/engine.rs");
-    include!("corpus/checkpoint_coverage/crates/core/src/checkpoint.rs");
-}
-
-#[test]
-fn checkpoint_fixture_pair_compiles_and_captures() {
-    let mut sim = checkpoint_fixture::Simulation {
-        round: 0,
-        droppable_cache: Vec::new(),
-        frontier_cache: Vec::new(),
-    };
-    sim.step();
-    let ckpt = checkpoint_fixture::Checkpoint::capture(&sim);
-    assert_eq!(ckpt.round, 1, "the fixture checkpoint captures `round`");
-    assert_eq!(
-        sim.droppable_cache,
-        vec![1],
-        "`droppable_cache` exists but no checkpoint site references it"
-    );
-}
-
 #[test]
 fn every_rule_has_a_nonempty_explain_entry() {
     let mut seen = std::collections::BTreeSet::new();

@@ -34,5 +34,7 @@ mod snapshot;
 mod time;
 
 pub use registry::{Counter, Gauge, Histogram, Metrics, HISTOGRAM_BUCKETS};
-pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
+pub use snapshot::{
+    escape as json_escape, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot,
+};
 pub use time::Stopwatch;

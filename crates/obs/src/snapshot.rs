@@ -80,7 +80,9 @@ pub struct MetricsSnapshot {
 
 /// Escapes a string for a JSON string literal or a Prometheus label
 /// value (the required escapes coincide: backslash, quote, newline).
-fn escape(s: &str) -> String {
+/// Exported as `noc_obs::json_escape`: every JSONL line the workspace
+/// prints interpolates outside input (paths, labels) through it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
