@@ -20,6 +20,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use noc_dsp::bitstream::BitReservoir;
 use noc_dsp::psycho::PsychoModel;
@@ -267,6 +268,18 @@ impl IpCore for PsychoIp {
     fn name(&self) -> &str {
         "psychoacoustic"
     }
+}
+
+/// A fresh MDCT engine for one run. Its 64 KiB cosine table is built
+/// once per process and shared: a sweep runs thousands of trials, and
+/// each used to pay 8 192 `cos` calls for the same table. The template
+/// sits behind `&'static`, so nothing can feed it samples and every
+/// clone starts from zero history and overlap.
+fn mdct_engine() -> MdctFrame {
+    static TEMPLATE: OnceLock<MdctFrame> = OnceLock::new();
+    TEMPLATE
+        .get_or_init(|| MdctFrame::new(FRAME_SAMPLES * 2))
+        .clone()
 }
 
 struct MdctIp {
@@ -551,7 +564,7 @@ impl Mp3App {
                 m.mdct,
                 Box::new(MdctIp {
                     encoder: m.encoder,
-                    engine: MdctFrame::new(FRAME_SAMPLES * 2),
+                    engine: mdct_engine(),
                     frames: p.frames,
                     processed: 0,
                 }),

@@ -702,13 +702,17 @@ impl<S: EventSink> Simulation<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `payload` is longer than [`MAX_PAYLOAD_BYTES`], the
-    /// most the wire format's length field can declare.
+    /// Panics if `payload` is longer than [`MAX_PAYLOAD_BYTES`] or a node
+    /// index is not below [`MAX_NODES`], the wire format's field widths.
     pub fn inject(&mut self, source: NodeId, destination: NodeId, payload: Vec<u8>) -> MessageId {
         assert!(
             payload.len() <= MAX_PAYLOAD_BYTES,
             "payload of {} bytes exceeds the wire format's {MAX_PAYLOAD_BYTES}-byte limit",
             payload.len()
+        );
+        assert!(
+            source.index() < MAX_NODES && destination.index() < MAX_NODES,
+            "node index too large for wire format"
         );
         let id = MessageId(self.next_message_id);
         self.next_message_id += 1;
@@ -735,7 +739,7 @@ impl<S: EventSink> Simulation<S> {
                 });
             }
             // Local loopback skips the network; the IP sees it next round.
-            let wire = self.wires.push(WireEntry::encode(&self.codec, message));
+            let wire = self.wires.push(WireEntry::clean(message));
             let inbox = &mut self.inbox_next[source.index()];
             if inbox.is_empty() {
                 self.inflight.next.tiles.insert(source.index());
@@ -923,7 +927,7 @@ impl<S: EventSink> Simulation<S> {
             if let Some((id, frame)) = slot {
                 w.u64(tile as u64);
                 w.u64(id.0);
-                w.bytes(&frame.bytes);
+                w.bytes(frame.bytes(&self.codec));
             }
         }
         w.bools(tiles_alive);
@@ -962,8 +966,8 @@ impl<S: EventSink> Simulation<S> {
                 w.count(frames.len());
                 for f in frames {
                     let entry = wires.entry(f.wire);
-                    w.bytes(&entry.bytes);
-                    w.bool(entry.message.is_none());
+                    w.bytes(entry.bytes(&self.codec));
+                    w.bool(entry.message().is_none());
                     w.opt_u64(f.via().map(|l| l.index() as u64));
                 }
             }
@@ -1069,21 +1073,13 @@ impl<S: EventSink> Simulation<S> {
             let stream = self.byz_streams.get_mut(&tile);
             *stream.ok_or(Mismatch("byzantine tile set"))? = StdRng::from_state(r.rng_state()?);
         }
-        // Unscrambled frames carry the message they encode; one that
-        // fails the CRC or does not parse is not this engine's output.
         let codec = &self.codec;
-        let unscrambled = |bytes: &[u8]| match codec.decode(bytes) {
-            Ok(message) => Ok(WireEntry {
-                bytes: Arc::from(bytes),
-                message: Some(message),
-            }),
-            Err(_) => Err(Mismatch("unscrambled frame does not decode")),
-        };
+        let undecodable = |_| Mismatch("unscrambled frame does not decode");
         for _ in 0..r.count(24)? {
             let (tile, id, frame) = (r.u64()? as usize, r.u64()?, r.bytes()?);
+            let entry = WireEntry::with_bytes(codec, frame, false).map_err(undecodable)?;
             let slot = self.byz_last_frame.get_mut(tile);
-            *slot.ok_or(Mismatch("byzantine replay tile index"))? =
-                Some((MessageId(id), unscrambled(frame)?));
+            *slot.ok_or(Mismatch("byzantine replay tile index"))? = Some((MessageId(id), entry));
         }
         for (alive, len, what) in [
             (&mut self.tiles_alive, n, "tile liveness length"),
@@ -1144,7 +1140,7 @@ impl<S: EventSink> Simulation<S> {
         // Arena frames are interned by content: the many in-flight
         // copies of one wire frame share one entry again, as they did
         // before the capture resolved their handles to bytes.
-        let mut interner = self.wires.interner();
+        let mut interner = self.wires.interner(codec);
         for (inboxes, track) in [
             (&mut self.inbox_next, &mut self.inflight.next),
             (&mut self.inbox_later, &mut self.inflight.later),
@@ -1162,16 +1158,7 @@ impl<S: EventSink> Simulation<S> {
                     if via.is_some_and(|link| link >= m as u64) {
                         return Err(Mismatch("arena frame link index"));
                     }
-                    let wire = interner.intern(scrambled, bytes, || {
-                        if scrambled {
-                            Ok(WireEntry {
-                                bytes: Arc::from(bytes),
-                                message: None,
-                            })
-                        } else {
-                            unscrambled(bytes)
-                        }
-                    })?;
+                    let wire = interner.intern(scrambled, bytes).map_err(undecodable)?;
                     inbox.push(Frame::new(wire, via.map(|l| LinkId(l as usize))));
                 }
             }
@@ -1265,9 +1252,9 @@ impl<S: EventSink> Simulation<S> {
         span_end(&obs, EnginePhase::Age, span);
 
         // Phase 4: forward with probability p per (message, link). The
-        // buffer is walked by reference, each frame is encoded at most
-        // once per round through the wire table's memo, and fan-out
-        // copies the 8-byte handle per link.
+        // buffer is walked by reference, each frame is registered once
+        // per round through the wire table's memo (and encoded only if an
+        // upset reads its bytes), and fan-out copies the 8-byte handle.
         let span = span_start(&obs);
         {
             let (mut tx, mut out) = self.forward_split(&mut stats);
@@ -1356,11 +1343,11 @@ impl<S: EventSink> Simulation<S> {
             apply_overflow_in_place(injector, report, sink, round, node, frames);
             for frame in frames.drain(..) {
                 let entry = wires.entry(frame.wire);
-                let message = match &entry.message {
+                let message = match entry.message() {
                     // A scrambled frame must take the real CRC check:
                     // it is usually discarded here, and the residual
                     // undetected-error rate is faithfully possible.
-                    None => match codec.decode_view(&entry.bytes) {
+                    None => match codec.decode_view(entry.bytes(codec)) {
                         Ok(view) => {
                             if terminated.contains(&view.id) {
                                 // Spread already terminated.
@@ -2043,8 +2030,8 @@ impl TxContext<'_> {
     }
 
     /// Serves an opened tile, handing each service to `file`: every
-    /// message of its egress window (encoded at most once per round
-    /// through the wire table's memo), then the Byzantine attack a
+    /// message of its egress window (one wire entry per round through
+    /// the wire table's memo), then the Byzantine attack a
     /// compromised tile makes after its legitimate service.
     fn serve_tile(
         &mut self,
@@ -2065,7 +2052,7 @@ impl TxContext<'_> {
             if at == msgs.len() {
                 at = 0;
             }
-            let wire = self.wires.frame_for(codec, message);
+            let wire = self.wires.frame_for(message);
             if compromised {
                 self.byz_last_frame[tile] = Some((message.id, self.wires.entry(wire).clone()));
             }
@@ -2085,7 +2072,7 @@ impl TxContext<'_> {
         if let Some((kind, id, entry)) = self.byzantine_attack(tile, &msgs[start]) {
             let serve = Serve {
                 id,
-                frame_len: entry.bytes.len(),
+                frame_len: entry.frame_len(codec),
                 wire: self.wires.push(entry),
                 p: 1.0,
                 slipped,
@@ -2113,7 +2100,8 @@ impl TxContext<'_> {
             return TxOutcome::Partitioned;
         }
         let wire = if self.injector.upset_occurs() {
-            self.wires.scrambled_copy(self.injector, serve.wire)
+            self.wires
+                .scrambled_copy(self.codec, self.injector, serve.wire)
         } else {
             serve.wire
         };
@@ -2245,11 +2233,7 @@ impl TxContext<'_> {
                     payload,
                 );
                 self.report.byzantine_forges += 1;
-                Some((
-                    ServeKind::Forge,
-                    victim.id,
-                    WireEntry::encode(self.codec, forged),
-                ))
+                Some((ServeKind::Forge, victim.id, WireEntry::clean(forged)))
             }
             ByzantineMode::Replay => {
                 let (id, entry) = self.byz_last_frame[tile].clone()?;
@@ -2876,5 +2860,76 @@ mod tests {
         sim.step();
         sim.step();
         assert!(sim.buffer_len(NodeId(6)) >= 1, "neighbour holds a copy");
+    }
+
+    /// A 4×4 flood of two messages (one of them a loopback) under
+    /// `p_upset`, stepped to its round budget with `each_round` looking
+    /// at the simulation after every step.
+    fn flood_watching_the_wires(p_upset: f64, mut each_round: impl FnMut(&Simulation)) {
+        let mut sim = SimulationBuilder::new(grid4())
+            .config(StochasticConfig::flooding(6).with_max_rounds(10))
+            .fault_model(FaultModel::builder().p_upset(p_upset).build().unwrap())
+            .seed(11)
+            .build();
+        sim.inject(NodeId(0), NodeId(15), vec![7; 40]);
+        sim.inject(NodeId(5), NodeId(5), vec![9; 8]);
+        let mut served = 0;
+        while sim.round() < 10 {
+            sim.step();
+            served += sim.wires.clean_entries().count();
+            each_round(&sim);
+        }
+        assert!(served > 10, "the watched rounds served frames: {served}");
+    }
+
+    #[test]
+    fn a_fault_free_run_materialises_zero_frames() {
+        flood_watching_the_wires(0.0, |sim| {
+            let built = sim
+                .wires
+                .clean_entries()
+                .filter(|(_, bytes)| bytes.is_some());
+            assert_eq!(built.count(), 0, "round {}", sim.round());
+        });
+    }
+
+    #[test]
+    fn under_certain_upset_every_served_entry_is_materialised_as_its_encoding() {
+        flood_watching_the_wires(1.0, |sim| {
+            for (message, bytes) in sim.wires.clean_entries() {
+                // The loopback's inject entry crosses no link, so no
+                // upset reads it.
+                if message.source == message.destination {
+                    continue;
+                }
+                let bytes = bytes.expect("each of its transmissions was upset");
+                assert_eq!(bytes[..], sim.codec.encode(message)[..]);
+            }
+        });
+    }
+
+    #[test]
+    fn a_checkpoint_of_a_fault_free_flood_encodes_each_entry_at_most_once() {
+        flood_watching_the_wires(0.0, |sim| {
+            if sim.round() != 3 {
+                return;
+            }
+            let first = sim.checkpoint();
+            let encodings = |sim: &Simulation| -> Vec<Option<*const u8>> {
+                let entries = sim.wires.clean_entries();
+                entries
+                    .map(|(_, bytes)| bytes.map(|b| b.as_ptr()))
+                    .collect()
+            };
+            let built = encodings(sim);
+            assert!(built.iter().any(Option::is_some), "capture read bytes");
+            assert_eq!(sim.checkpoint().to_bytes(), first.to_bytes());
+            assert_eq!(encodings(sim), built, "the second capture built none");
+            for (message, bytes) in sim.wires.clean_entries() {
+                if let Some(bytes) = bytes {
+                    assert_eq!(bytes[..], sim.codec.encode(message)[..]);
+                }
+            }
+        });
     }
 }

@@ -255,8 +255,8 @@ pub(crate) fn receive_shard(
                     || local.contains(&id)
             };
             let entry = ctx.wires.entry(frame.wire);
-            let message = match &entry.message {
-                None => match ctx.codec.decode_view(&entry.bytes) {
+            let message = match entry.message() {
+                None => match ctx.codec.decode_view(entry.bytes(ctx.codec)) {
                     Ok(view) => {
                         if spread_terminated(view.id, &local_term) {
                             if ctx.record_events {
@@ -412,9 +412,9 @@ pub(crate) fn plan_terminations(
                 continue;
             }
             let entry = wires.entry(frame.wire);
-            let (id, destination) = match &entry.message {
+            let (id, destination) = match entry.message() {
                 Some(message) => (message.id, message.destination),
-                None => match codec.decode_view(&entry.bytes) {
+                None => match codec.decode_view(entry.bytes(codec)) {
                     Ok(view) => (view.id, view.destination),
                     Err(_) => continue,
                 },

@@ -1,14 +1,14 @@
-//! The round-scoped wire table: where in-flight frame bytes live.
+//! The round-scoped wire table: where in-flight frames live.
 //!
 //! A frame in an arrival arena is an 8-byte `Copy` [`Frame`] — a handle
 //! into the [`WireTable`] plus the arrival link — not a refcounted byte
 //! buffer. The table holds one [`WireEntry`] per *distinct* wire frame:
-//! each `(MessageId, ttl)` encoding the forward phase produces (shared
-//! by every tile and link that transmits it, through the encode memo),
-//! each loopback inject, each Byzantine emission, and one entry per
-//! upset copy. Fan-out therefore copies 8 bytes with no atomic, and the
-//! receive phase rejects a duplicate on the entry's message id without
-//! touching the bytes.
+//! each `(MessageId, ttl)` the forward phase serves (shared by every
+//! tile and link that transmits it, through the round's memo), each
+//! loopback inject, each Byzantine emission, and one entry per upset
+//! copy. Fan-out therefore copies 8 bytes with no atomic, and receive
+//! rejects a duplicate on the entry's message id. A clean frame *is* its
+//! message: [`WireEntry::bytes`] encodes it for the first reader, if any.
 //!
 //! **Lifetime rule.** A frame sent in round `r` is read in round `r + 1`
 //! (the `next` arena) or, when the sender slipped or the link delayed
@@ -20,9 +20,9 @@
 //! its generation.
 
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use noc_fabric::{LinkId, Message, WireCodec};
+use noc_fabric::{LinkId, Message, ParsePacketError, WireCodec};
 use noc_faults::FaultInjector;
 
 use crate::seed::mix64;
@@ -102,31 +102,81 @@ impl Frame {
 
 /// One distinct wire frame.
 #[derive(Debug, Clone)]
-pub(crate) struct WireEntry {
-    pub(crate) bytes: Arc<[u8]>,
-    /// The message `bytes` encode. `None` marks a copy scrambled in
-    /// flight, which must take the real CRC check; `Some` entries are
-    /// bit-identical to our own encoder's output, so receivers trust
-    /// this message instead of parsing the bytes.
-    pub(crate) message: Option<Message>,
+pub(crate) enum WireEntry {
+    /// Bit-identical to our own encoder's output, so receivers trust
+    /// `message` instead of parsing bytes.
+    Clean {
+        message: Message,
+        /// `codec.encode(message)`, built for its first reader and kept. A
+        /// cache, not state: `Debug` shows whether it is filled, so nothing
+        /// hashed into a digest may format a `WireEntry` or `WireTable`.
+        encoding: OnceLock<Arc<[u8]>>,
+    },
+    /// A copy scrambled in flight, which must take the real CRC check.
+    Scrambled(Arc<[u8]>),
 }
 
 impl WireEntry {
-    /// The entry of an unscrambled frame: `message` as `codec` frames it.
-    pub(crate) fn encode(codec: &WireCodec, message: Message) -> Self {
-        WireEntry {
-            bytes: codec.encode(&message).into(),
-            message: Some(message),
+    /// The entry of an unscrambled frame carrying `message`.
+    pub(crate) fn clean(message: Message) -> Self {
+        WireEntry::Clean {
+            message,
+            encoding: OnceLock::new(),
         }
     }
 
-    /// Does this (unscrambled) entry encode exactly `message`? Id and
+    /// The entry of a frame a checkpoint captured as `bytes`, which an
+    /// unscrambled one keeps beside the message they decode to; one that
+    /// fails the CRC or does not parse is not this engine's output.
+    pub(crate) fn with_bytes(
+        codec: &WireCodec,
+        bytes: &[u8],
+        scrambled: bool,
+    ) -> Result<Self, ParsePacketError> {
+        if scrambled {
+            return Ok(WireEntry::Scrambled(bytes.into()));
+        }
+        Ok(WireEntry::Clean {
+            message: codec.decode(bytes)?,
+            encoding: OnceLock::from(Arc::from(bytes)),
+        })
+    }
+
+    /// The message of an unscrambled frame, `None` for a scrambled one.
+    #[inline]
+    pub(crate) fn message(&self) -> Option<&Message> {
+        match self {
+            WireEntry::Clean { message, .. } => Some(message),
+            WireEntry::Scrambled(_) => None,
+        }
+    }
+
+    /// The frame on the wire, and the one way to read it: a clean entry
+    /// is encoded by the first call, however many copies or upsets share it.
+    pub(crate) fn bytes(&self, codec: &WireCodec) -> &Arc<[u8]> {
+        match self {
+            WireEntry::Clean { message, encoding } => {
+                encoding.get_or_init(|| codec.encode(message).into())
+            }
+            WireEntry::Scrambled(bytes) => bytes,
+        }
+    }
+
+    /// `self.bytes(codec).len()`, without building them.
+    pub(crate) fn frame_len(&self, codec: &WireCodec) -> usize {
+        match self {
+            WireEntry::Clean { message, .. } => codec.frame_bytes(message.payload.len()),
+            WireEntry::Scrambled(bytes) => bytes.len(),
+        }
+    }
+
+    /// Does this (unscrambled) entry carry exactly `message`? Id and
     /// TTL are the memo key; an undetected upset can put a different
     /// source, destination or payload into circulation under the same
     /// key, and the two copies must keep encoding differently.
     #[inline]
     fn encodes(&self, message: &Message) -> bool {
-        self.message.as_ref().is_some_and(|own| {
+        self.message().is_some_and(|own| {
             own.source == message.source
                 && own.destination == message.destination
                 && (Arc::ptr_eq(&own.payload, &message.payload) || own.payload == message.payload)
@@ -148,7 +198,7 @@ struct MemoSlot {
 const MEMO_INITIAL_SLOTS: usize = 64;
 
 /// A lookup-only multimap from `(key, tag)` to entry indices — for the
-/// encode memo `(message id, ttl)`, for the restore interner `(content
+/// round's memo `(message id, ttl)`, for the restore interner `(content
 /// hash, scrambled)`. One flat open-addressing table, probed linearly
 /// from `mix64(key ^ tag << 56)`; it is never iterated, so its order
 /// cannot reach a report.
@@ -246,77 +296,20 @@ impl MemoTable {
     }
 }
 
-/// Memo of the frames encoded into the current generation this
-/// round: every tile holding a message at the same TTL produces the
-/// identical wire frame, so the CRC/LFSR encode runs once per
-/// `(message, ttl)` per round. TTLs decrement every round, so the memo
-/// is forgotten with the round.
-#[derive(Debug, Default)]
-struct EncodeMemo {
-    table: MemoTable,
-    scratch: Vec<u8>,
-}
-
-impl EncodeMemo {
-    /// Index in `entries` of the frame encoding `message`, appending it
-    /// on first use.
-    #[inline]
-    fn index_for(
-        &mut self,
-        entries: &mut Vec<WireEntry>,
-        codec: &WireCodec,
-        message: &Message,
-    ) -> u32 {
-        let (key, tag) = (message.id.0, message.ttl);
-        let found = self
-            .table
-            .find(key, tag, |index| entries[index as usize].encodes(message));
-        found.unwrap_or_else(|free| self.encode(free, entries, codec, message))
-    }
-
-    /// The miss path, kept out of line so a hit — all but one serve per
-    /// `(message, ttl)` per round — stays a probe: encodes `message`,
-    /// appends the entry and files it in the `free` slot the probe found.
-    #[cold]
-    fn encode(
-        &mut self,
-        free: usize,
-        entries: &mut Vec<WireEntry>,
-        codec: &WireCodec,
-        message: &Message,
-    ) -> u32 {
-        self.scratch.clear();
-        codec.encode_into(message, &mut self.scratch);
-        let index = push_entry(
-            entries,
-            WireEntry {
-                bytes: Arc::from(&self.scratch[..]),
-                message: Some(message.clone()),
-            },
-        );
-        self.table.fill(free, message.id.0, message.ttl, index);
-        index
-    }
-}
-
-fn push_entry(entries: &mut Vec<WireEntry>, entry: WireEntry) -> u32 {
-    assert!(
-        entries.len() < INDEX_MASK as usize,
-        "a wire generation holds at most 2^30 distinct frames"
-    );
-    entries.push(entry);
-    (entries.len() - 1) as u32
-}
-
-/// Three generations of wire entries plus the current round's encode
-/// memo. See the module docs for the lifetime rule.
+/// Three generations of wire entries plus the current round's memo.
+/// See the module docs for the lifetime rule.
 #[derive(Debug, Default)]
 pub(crate) struct WireTable {
     /// `generations[age]`: 0 is written this round, 1 and 2 are read.
     generations: [Vec<WireEntry>; GENERATIONS],
     /// Rotations so far; a handle's tag is its generation's epoch mod 4.
     epoch: u32,
-    memo: EncodeMemo,
+    /// This round's clean entries by `(message id, ttl)`: every tile
+    /// holding a message at the same TTL sends the identical frame, so
+    /// they share one entry (twins under one key are told apart by
+    /// [`WireEntry::encodes`]). TTLs decrement every round, so the memo
+    /// is forgotten with the round.
+    served: MemoTable,
 }
 
 impl WireTable {
@@ -326,7 +319,7 @@ impl WireTable {
         self.generations.rotate_right(1);
         self.generations[0].clear();
         self.epoch = self.epoch.wrapping_add(1);
-        self.memo.table.clear();
+        self.served.clear();
     }
 
     fn tag(&self) -> u32 {
@@ -347,35 +340,57 @@ impl WireTable {
 
     /// Registers an entry in the current generation.
     pub(crate) fn push(&mut self, entry: WireEntry) -> Wire {
-        Wire(self.tag() | push_entry(&mut self.generations[0], entry))
+        let index = self.generations[0].len();
+        assert!(
+            index < INDEX_MASK as usize,
+            "a wire generation holds at most 2^30 distinct frames"
+        );
+        self.generations[0].push(entry);
+        Wire(self.tag() | index as u32)
     }
 
-    /// The wire frame encoding `message`, shared with every other
+    /// The wire frame carrying `message`, shared with every other
     /// transmission of the same message and TTL this round.
     #[inline]
-    pub(crate) fn frame_for(&mut self, codec: &WireCodec, message: &Message) -> Wire {
-        let index = self
-            .memo
-            .index_for(&mut self.generations[0], codec, message);
-        Wire(self.tag() | index)
+    pub(crate) fn frame_for(&mut self, message: &Message) -> Wire {
+        let entries = &self.generations[0];
+        let found = self.served.find(message.id.0, message.ttl, |index| {
+            entries[index as usize].encodes(message)
+        });
+        match found {
+            Ok(index) => Wire(self.tag() | index),
+            Err(free) => self.serve_first(free, message),
+        }
     }
 
-    /// Registers an upset copy of `wire`: the bytes are copied once and
-    /// scrambled by `injector` (the draws [`FaultInjector::scramble`]
-    /// spends on the same bytes); `wire`'s other holders are unaffected.
-    pub(crate) fn scrambled_copy(&mut self, injector: &mut FaultInjector, wire: Wire) -> Wire {
-        let mut bytes = Arc::clone(&self.entry(wire).bytes);
+    /// The miss path, out of line so that a hit stays a probe.
+    #[cold]
+    fn serve_first(&mut self, free: usize, message: &Message) -> Wire {
+        let wire = self.push(WireEntry::clean(message.clone()));
+        self.served
+            .fill(free, message.id.0, message.ttl, wire.0 & INDEX_MASK);
+        wire
+    }
+
+    /// Registers an upset copy of `wire`: its bytes, built now if nothing
+    /// read them before, are copied once and scrambled on the draws
+    /// [`FaultInjector::scramble`] spends; other holders are unaffected.
+    pub(crate) fn scrambled_copy(
+        &mut self,
+        codec: &WireCodec,
+        injector: &mut FaultInjector,
+        wire: Wire,
+    ) -> Wire {
+        let mut bytes = Arc::clone(self.entry(wire).bytes(codec));
         injector.scramble_shared(&mut bytes);
-        self.push(WireEntry {
-            bytes,
-            message: None,
-        })
+        self.push(WireEntry::Scrambled(bytes))
     }
 
     /// Fills the current generation by content (checkpoint restore).
-    pub(crate) fn interner(&mut self) -> WireInterner<'_> {
+    pub(crate) fn interner<'a>(&'a mut self, codec: &'a WireCodec) -> WireInterner<'a> {
         WireInterner {
             table: self,
+            codec,
             by_content: MemoTable::default(),
         }
     }
@@ -388,19 +403,19 @@ impl WireTable {
 #[derive(Debug)]
 pub(crate) struct WireInterner<'a> {
     table: &'a mut WireTable,
+    codec: &'a WireCodec,
     by_content: MemoTable,
 }
 
 impl WireInterner<'_> {
     /// The handle of the entry holding exactly `bytes` with this
-    /// `scrambled` flag, registering `make`'s entry for them on first
-    /// sight.
-    pub(crate) fn intern<E>(
+    /// `scrambled` flag, registering [`WireEntry::with_bytes`] for them
+    /// on first sight.
+    pub(crate) fn intern(
         &mut self,
         scrambled: bool,
         bytes: &[u8],
-        make: impl FnOnce() -> Result<WireEntry, E>,
-    ) -> Result<Wire, E> {
+    ) -> Result<Wire, ParsePacketError> {
         let hash = bytes.chunks(8).fold(bytes.len() as u64, |hash, chunk| {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
@@ -410,12 +425,13 @@ impl WireInterner<'_> {
         let tag = u8::from(scrambled);
         let found = self.by_content.find(hash, tag, |index| {
             let entry = &entries[index as usize];
-            entry.message.is_none() == scrambled && *entry.bytes == *bytes
+            entry.message().is_none() == scrambled && **entry.bytes(self.codec) == *bytes
         });
         match found {
             Ok(index) => Ok(Wire(self.table.tag() | index)),
             Err(free) => {
-                let wire = self.table.push(make()?);
+                let entry = WireEntry::with_bytes(self.codec, bytes, scrambled)?;
+                let wire = self.table.push(entry);
                 self.by_content.fill(free, hash, tag, wire.0 & INDEX_MASK);
                 Ok(wire)
             }
@@ -435,33 +451,33 @@ mod tests {
     }
 
     fn id_of(table: &WireTable, wire: Wire) -> Option<u64> {
-        table.entry(wire).message.as_ref().map(|m| m.id.0)
+        table.entry(wire).message().map(|m| m.id.0)
     }
 
     #[test]
     fn via_round_trips_through_the_handle() {
         let mut table = WireTable::default();
-        let wire = table.frame_for(&WireCodec::default(), &message(1, 5));
+        let wire = table.frame_for(&message(1, 5));
         assert_eq!(Frame::new(wire, Some(LinkId(7))).via(), Some(LinkId(7)));
         assert_eq!(Frame::new(wire, None).via(), None);
     }
 
     #[test]
     fn handle_resolves_across_two_rotations_and_its_generation_empties_on_the_third() {
-        let codec = WireCodec::default();
         let mut table = WireTable::default();
-        let wire = table.frame_for(&codec, &message(7, 5));
+        let wire = table.frame_for(&message(7, 5));
         assert_eq!(id_of(&table, wire), Some(7));
         for _ in 0..2 {
             table.rotate();
-            table.frame_for(&codec, &message(8, 4));
+            table.frame_for(&message(8, 4));
             assert_eq!(id_of(&table, wire), Some(7), "still in flight");
         }
         table.rotate();
         assert!(
-            table.generations.iter().all(|g| g
+            table
+                .generations
                 .iter()
-                .all(|e| e.message.as_ref().is_some_and(|m| m.id.0 == 8))),
+                .all(|g| g.iter().all(|e| e.message().is_some_and(|m| m.id.0 == 8))),
             "the generation that held message 7 was emptied"
         );
     }
@@ -471,7 +487,7 @@ mod tests {
     #[should_panic(expected = "outlived its generation")]
     fn stale_generation_tag_trips_the_debug_assert() {
         let mut table = WireTable::default();
-        let wire = table.frame_for(&WireCodec::default(), &message(7, 5));
+        let wire = table.frame_for(&message(7, 5));
         for _ in 0..3 {
             table.rotate();
         }
@@ -485,16 +501,19 @@ mod tests {
         let clean = message(1, 5);
         let mut corrupt = clean.clone();
         corrupt.payload = vec![0xFF; 4].into();
-        let a = table.frame_for(&codec, &clean);
-        assert_eq!(table.frame_for(&codec, &clean.clone()), a);
-        let b = table.frame_for(&codec, &corrupt);
+        let a = table.frame_for(&clean);
+        assert_eq!(table.frame_for(&clean.clone()), a);
+        let b = table.frame_for(&corrupt);
         assert_ne!(a, b, "same id and ttl, different payload");
-        assert_eq!(table.frame_for(&codec, &corrupt), b);
-        assert_eq!(&table.entry(a).bytes[..], &codec.encode(&clean)[..]);
-        assert_eq!(&table.entry(b).bytes[..], &codec.encode(&corrupt)[..]);
+        assert_eq!(table.frame_for(&corrupt), b);
+        assert_eq!(&table.entry(a).bytes(&codec)[..], &codec.encode(&clean)[..]);
+        assert_eq!(
+            &table.entry(b).bytes(&codec)[..],
+            &codec.encode(&corrupt)[..]
+        );
         table.rotate();
         assert_ne!(
-            table.frame_for(&codec, &clean),
+            table.frame_for(&clean),
             a,
             "the memo does not outlive its round"
         );
@@ -515,16 +534,16 @@ mod tests {
         let keys: Vec<Message> = (0..96u64)
             .flat_map(|id| [twin(id, 5, 0), twin(id, 5, 1)])
             .collect();
-        let first: Vec<Wire> = keys.iter().map(|m| table.frame_for(&codec, m)).collect();
+        let first: Vec<Wire> = keys.iter().map(|m| table.frame_for(m)).collect();
         assert!(
-            table.memo.table.slots.len() > MEMO_INITIAL_SLOTS,
+            table.served.slots.len() > MEMO_INITIAL_SLOTS,
             "192 keys outgrow the first allocation"
         );
         for (at, (message, &wire)) in keys.iter().zip(&first).enumerate() {
             assert_eq!(wire.0 & INDEX_MASK, at as u32, "one entry per key");
-            assert_eq!(table.frame_for(&codec, message), wire, "key {at}");
+            assert_eq!(table.frame_for(message), wire, "key {at}");
             assert_eq!(
-                &table.entry(wire).bytes[..],
+                &table.entry(wire).bytes(&codec)[..],
                 &codec.encode(message)[..],
                 "key {at} kept its own frame across the rehashes"
             );
@@ -534,19 +553,18 @@ mod tests {
 
     #[test]
     fn rotate_forgets_the_round_without_touching_the_slots() {
-        let codec = WireCodec::default();
         let mut table = WireTable::default();
-        let old = table.frame_for(&codec, &message(1, 5));
+        let old = table.frame_for(&message(1, 5));
         let stamps = |table: &WireTable| -> Vec<(u32, u64)> {
-            let slots = &table.memo.table.slots;
+            let slots = &table.served.slots;
             slots.iter().map(|slot| (slot.epoch, slot.key)).collect()
         };
         let before = stamps(&table);
         assert_eq!(before.iter().filter(|&&(epoch, _)| epoch != 0).count(), 1);
         table.rotate();
         assert_eq!(stamps(&table), before, "clear is an epoch bump");
-        assert_eq!(table.memo.table.live, 0);
-        let new = table.frame_for(&codec, &message(1, 5));
+        assert_eq!(table.served.live, 0);
+        let new = table.frame_for(&message(1, 5));
         assert_ne!(new, old, "last round's key is a miss");
         assert_eq!(new.0 & INDEX_MASK, 0, "first entry of the new generation");
     }
@@ -576,7 +594,6 @@ mod tests {
         fn memo_shares_indices_exactly_like_a_linear_scan(
             ops in proptest::collection::vec((0u8..64, 0u64..48, 1u8..3, 0u8..2), 0..400)
         ) {
-            let codec = WireCodec::default();
             let mut table = WireTable::default();
             let mut naive: Vec<(u64, u8, u8)> = Vec::new();
             for (op, id, ttl, content) in ops {
@@ -590,59 +607,121 @@ mod tests {
                     naive.push(key);
                     naive.len() - 1
                 });
-                let wire = table.frame_for(&codec, &twin(id, ttl, content));
+                let wire = table.frame_for(&twin(id, ttl, content));
                 prop_assert_eq!((wire.0 & INDEX_MASK) as usize, expected);
                 prop_assert_eq!(table.generations[0].len(), naive.len());
             }
         }
     }
 
-    #[test]
-    fn scrambled_copy_leaves_the_clean_entry_alone() {
+    fn upset_injector() -> FaultInjector {
         let model = noc_faults::FaultModel::builder()
             .p_upset(0.5)
             .build()
             .unwrap();
-        let mut injector = FaultInjector::new(model, 3);
+        FaultInjector::new(model, 3)
+    }
+
+    impl WireTable {
+        /// Every clean entry of every generation with the encoding it
+        /// holds so far — what the engine's tests count.
+        pub(crate) fn clean_entries(&self) -> impl Iterator<Item = (&Message, Option<&Arc<[u8]>>)> {
+            self.generations.iter().flatten().filter_map(|entry| {
+                let WireEntry::Clean { message, encoding } = entry else {
+                    return None;
+                };
+                Some((message, encoding.get()))
+            })
+        }
+    }
+
+    /// The encoding a clean entry holds so far.
+    fn built(table: &WireTable, wire: Wire) -> Option<&Arc<[u8]>> {
+        match table.entry(wire) {
+            WireEntry::Clean { encoding, .. } => encoding.get(),
+            WireEntry::Scrambled(_) => panic!("not a clean entry"),
+        }
+    }
+
+    #[test]
+    fn a_clean_entry_holds_no_bytes_until_they_are_read() {
         let codec = WireCodec::default();
         let mut table = WireTable::default();
-        let clean = table.frame_for(&codec, &message(1, 5));
-        let upset = table.scrambled_copy(&mut injector, clean);
-        assert!(table.entry(upset).message.is_none());
-        assert_ne!(table.entry(upset).bytes, table.entry(clean).bytes);
-        assert_eq!(
-            &table.entry(clean).bytes[..],
-            &codec.encode(&message(1, 5))[..]
+        let wire = table.frame_for(&message(1, 5));
+        assert_eq!(table.frame_for(&message(1, 5)), wire);
+        assert!(built(&table, wire).is_none(), "serving builds nothing");
+        let entry = table.entry(wire);
+        assert_eq!(entry.frame_len(&codec), codec.frame_bytes(4));
+        assert!(built(&table, wire).is_none(), "nor does asking the length");
+        assert_eq!(entry.bytes(&codec)[..], codec.encode(&message(1, 5))[..]);
+        assert_eq!(entry.frame_len(&codec), entry.bytes(&codec).len());
+        assert!(
+            Arc::ptr_eq(entry.bytes(&codec), built(&table, wire).unwrap()),
+            "the second read is the first one's bytes"
         );
+    }
+
+    #[test]
+    fn scrambled_copies_encode_their_source_once_and_leave_it_alone() {
+        let mut injector = upset_injector();
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let clean = table.frame_for(&message(1, 5));
+        let first = table.scrambled_copy(&codec, &mut injector, clean);
+        let source = Arc::clone(built(&table, clean).expect("the upset built them"));
+        let second = table.scrambled_copy(&codec, &mut injector, clean);
+        assert!(Arc::ptr_eq(&source, built(&table, clean).unwrap()));
+        assert_eq!(source[..], codec.encode(&message(1, 5))[..]);
+        for upset in [first, second] {
+            let entry = table.entry(upset);
+            assert!(matches!(entry, WireEntry::Scrambled(_)), "born with bytes");
+            assert!(entry.message().is_none());
+            assert_ne!(entry.bytes(&codec), &source);
+            assert_eq!(entry.frame_len(&codec), source.len());
+        }
+        assert_ne!(
+            table.entry(first).bytes(&codec),
+            table.entry(second).bytes(&codec),
+            "each copy spends its own draws"
+        );
+    }
+
+    /// What [`WireTable::scrambled_copy`] registers is the scramble of
+    /// exactly `codec.encode(message)`, on the draws `scramble` spends.
+    #[test]
+    fn a_scrambled_copy_is_the_scramble_of_the_eager_encoding() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let clean = table.frame_for(&message(9, 3));
+        let upset = table.scrambled_copy(&codec, &mut upset_injector(), clean);
+        let mut eager = codec.encode(&message(9, 3));
+        upset_injector().scramble(&mut eager);
+        assert_eq!(table.entry(upset).bytes(&codec)[..], eager[..]);
     }
 
     #[test]
     fn interner_shares_equal_bytes_and_keeps_the_scrambled_flag_apart() {
         let codec = WireCodec::default();
         let mut table = WireTable::default();
-        let mut interner = table.interner();
+        let mut interner = table.interner(&codec);
         let bytes = codec.encode(&message(1, 5));
-        let mut made = 0;
-        let mut intern = |scrambled: bool, bytes: &[u8]| {
-            interner
-                .intern(scrambled, bytes, || {
-                    made += 1;
-                    Ok::<_, ()>(WireEntry {
-                        bytes: bytes.into(),
-                        message: (!scrambled).then(|| message(1, 5)),
-                    })
-                })
-                .unwrap()
-        };
+        let mut intern = |scrambled: bool, bytes: &[u8]| interner.intern(scrambled, bytes);
+        assert!(intern(false, &bytes[1..]).is_err(), "no frame of ours");
+        let mut intern = |scrambled: bool, bytes: &[u8]| intern(scrambled, bytes).unwrap();
         let clean = intern(false, &bytes);
         assert_eq!(intern(false, &bytes), clean);
         let upset = intern(true, &bytes);
         assert_ne!(upset, clean);
         assert_eq!(intern(true, &bytes), upset);
-        assert_ne!(intern(false, &bytes[1..]), clean);
-        assert_eq!(made, 3);
+        assert_ne!(intern(true, &bytes[1..]), upset);
+        assert_eq!(table.generations[0].len(), 3);
         assert_eq!(id_of(&table, clean), Some(1));
         assert_eq!(id_of(&table, upset), None);
+        assert_eq!(
+            built(&table, clean).unwrap()[..],
+            bytes[..],
+            "kept, not rebuilt"
+        );
     }
 
     #[test]

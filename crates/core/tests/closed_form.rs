@@ -1,6 +1,7 @@
 //! The engine against arithmetic it did not write: a 1×2 grid, one
-//! message 0 → 1, `σ_synch = 0`.
+//! message 0 → 1, and a 1×3 line, one message 0 → 2; `σ_synch = 0`.
 //!
+//! **1×2.**
 //! From PAPER.md §3.2 (Fig 3-4: TTL, per-link forwarding probability
 //! `p`, CRC-gated receive) and the fault model of §2, with nothing taken
 //! from engine code: each round the one copy of the message is offered
@@ -20,9 +21,27 @@
 //! **The convention this test found:** a message injected with TTL `t`
 //! is aged before its first forward, so `k = t − 1`, not `t`.
 //!
+//! **1×3, two hops under flooding** (`p = 1`, upsets only, `s = 1 −
+//! p_upset`). Tile 0 offers the message to tile 1 at each of its `t − 1`
+//! opportunities, and each frame survives with probability `s`, so tile
+//! 1 first hears at opportunity `j` with probability `s(1 − s)^(j−1)`.
+//! The copy it hears has been aged `j` times and, by the same
+//! convention, is aged once more before tile 1's first forward: tile 1
+//! has `k(j) = t − 1 − j` opportunities of its own towards tile 2, each
+//! surviving with probability `s`. Later copies from tile 0 (and tile
+//! 1's echoes back to it) are duplicates and change nothing. So
+//!
+//! ```text
+//! delivery = Σ_{j=1}^{t−1} s(1 − s)^(j−1) · (1 − (1 − s)^(t−1−j))
+//! ```
+//!
+//! (`k = t − j` and `k = t − 2 − j` miss it by 0.08 to 0.6 at the points
+//! below, far outside the intervals.) This is the path on which a frame
+//! is encoded only because an upset asks for its bytes.
+//!
 //! Tolerances are binomial intervals from the trial count, `z = 4.5`
 //! standard errors (two-sided tail 6.8·10⁻⁶ per check, ≈ 10⁻⁴ over the
-//! 15 checks here) — never a hand-tuned epsilon. A scrambled frame
+//! 18 checks here) — never a hand-tuned epsilon. A scrambled frame
 //! slips past the default 16-bit CRC ≈ 2⁻¹⁶ of the time: 1.5·10⁻⁵,
 //! against a narrowest interval below of ± 7·10⁻³.
 
@@ -97,4 +116,39 @@ fn upsets_thin_each_rounds_success() {
 #[test]
 fn upset_and_overflow_together_multiply() {
     check(0x3F2, 0.7, 5, 0.2, 0.25);
+}
+
+/// The 1×3 line of the header: flooding, upsets only.
+fn check_two_hops(base_seed: u64, ttl: u8, p_upset: f64) {
+    let model = FaultModel::builder()
+        .p_upset(p_upset)
+        .build()
+        .expect("probability in [0, 1]");
+    let mut delivered = 0u64;
+    for trial in 0..TRIALS {
+        let mut sim = SimulationBuilder::new(Topology::grid(1, 3))
+            .config(StochasticConfig::flooding(ttl))
+            .fault_model(model)
+            .seed(derive_trial_seed(base_seed, trial))
+            .build();
+        let id = sim.inject(NodeId(0), NodeId(2), vec![0xA5; 8]);
+        delivered += u64::from(sim.run().delivered(id));
+    }
+    let s = 1.0 - p_upset;
+    let t = i32::from(ttl);
+    let expected: f64 = (1..t)
+        .map(|j| s * (1.0 - s).powi(j - 1) * (1.0 - (1.0 - s).powi(t - 1 - j)))
+        .sum();
+    assert_binomial(
+        &format!("1x3 ttl={ttl} p_upset={p_upset}: delivery"),
+        delivered,
+        expected,
+    );
+}
+
+#[test]
+fn two_hops_under_upsets_follow_the_first_hearing_sum() {
+    check_two_hops(0x4F2, 4, 0.3);
+    check_two_hops(0x5F2, 6, 0.5);
+    check_two_hops(0x6F2, 5, 0.7);
 }

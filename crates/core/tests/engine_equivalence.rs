@@ -4,8 +4,10 @@
 //! [`stochastic_noc::reference::ReferenceSimulation`] preserves the
 //! pre-optimization data flow (per-round allocations, full decode, one
 //! encode per tile, byte-cloned fan-out). The optimized engine replaces
-//! all of that with shared `Arc` frames, a per-round encode memo,
-//! persistent arenas, and a sharded round loop — none of which may change
+//! all of that with 8-byte frame handles, one wire entry per (message,
+//! TTL) per round whose bytes are built only when an upset or a
+//! checkpoint reads them, persistent arenas, and a sharded round loop —
+//! none of which may change
 //! a single observable: every counter, the delivered set, and every
 //! latency must match across random topologies, fault models, crash
 //! schedules, seeds, and shard counts.

@@ -50,6 +50,31 @@ fn oversized_payload_from_an_ip_core_is_rejected_as_it_leaves_the_outbox() {
     sim.step();
 }
 
+/// Fault-free, this frame is never built: the encoder's assert would
+/// never run, so `inject` is what refuses the index.
+#[test]
+#[should_panic(expected = "node index too large for wire format")]
+fn destination_beyond_the_node_field_is_rejected_at_inject() {
+    let mut sim = SimulationBuilder::square_grid(2).build();
+    sim.inject(NodeId(0), NodeId(MAX_NODES), vec![1]);
+}
+
+#[test]
+#[should_panic(expected = "node index too large for wire format")]
+fn destination_beyond_the_node_field_from_an_ip_core_is_rejected_as_it_leaves_the_outbox() {
+    struct Misaddresser;
+    impl IpCore for Misaddresser {
+        fn on_round(&mut self, ctx: &mut IpContext) {
+            ctx.send(NodeId(MAX_NODES), vec![1]);
+        }
+    }
+    let mut sim = SimulationBuilder::square_grid(2)
+        .config(StochasticConfig::flooding(2).with_max_rounds(4))
+        .with_ip(NodeId(0), Box::new(Misaddresser))
+        .build();
+    sim.run();
+}
+
 #[test]
 #[should_panic(expected = "the wire format addresses at most 65536")]
 fn topology_beyond_the_node_field_is_rejected_at_build() {

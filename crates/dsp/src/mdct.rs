@@ -7,6 +7,8 @@
 //! overlap-adding consecutive inverse transforms reconstructs the signal
 //! exactly (time-domain alias cancellation).
 
+use std::sync::Arc;
+
 use crate::window::sine_window;
 
 /// Forward MDCT of one `N`-sample frame into `N/2` coefficients.
@@ -101,8 +103,10 @@ pub fn imdct(coeffs: &[f64]) -> Vec<f64> {
 pub struct MdctFrame {
     frame_len: usize,
     window: Vec<f64>,
-    /// Row `k` holds `twiddle(M, n, k)` for `n` in `0..N`, evaluated once.
-    twiddles: Vec<f64>,
+    /// Row `k` holds `twiddle(M, n, k)` for `n` in `0..N`, evaluated once
+    /// and shared by every clone: a caller that needs an engine per run
+    /// clones a template instead of paying `N²/2` cosines again.
+    twiddles: Arc<[f64]>,
     history: Vec<f64>,
     overlap: Vec<f64>,
 }
@@ -278,6 +282,29 @@ mod tests {
                 overlap.copy_from_slice(&aliased[hop..]);
             }
         }
+    }
+
+    #[test]
+    fn a_clone_shares_the_table_and_transforms_like_a_new_engine() {
+        let template = MdctFrame::new(128);
+        let (mut cloned, mut built) = (template.clone(), MdctFrame::new(128));
+        assert!(Arc::ptr_eq(&template.twiddles, &cloned.twiddles));
+        for hop in 0..3 {
+            let chunk: Vec<f64> = (0..64)
+                .map(|j| ((hop * 64 + j) as f64 * 0.37).sin())
+                .collect();
+            let coeffs = cloned.analyze(&chunk);
+            assert_eq!(bits(&coeffs), bits(&built.analyze(&chunk)));
+            assert_eq!(
+                bits(&cloned.synthesize(&coeffs)),
+                bits(&built.synthesize(&coeffs))
+            );
+        }
+        assert!(template
+            .history
+            .iter()
+            .chain(&template.overlap)
+            .all(|&x| x == 0.0));
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {

@@ -100,40 +100,38 @@ pub fn rate_control(coeffs: &[f64], bit_budget: usize) -> RateControlResult {
     let mut iterations = 0;
 
     // Ensure the coarse end fits (it always does for sane budgets).
-    let q_coarse = quantize_all(coeffs, coarse);
-    let b_coarse = coded_size(&q_coarse);
-    if b_coarse > bit_budget {
-        return RateControlResult {
-            step: coarse,
-            quantized: q_coarse,
-            bits: b_coarse,
-            iterations,
-        };
-    }
-    let mut best = Some((coarse, q_coarse, b_coarse));
-
-    for _ in 0..40 {
-        iterations += 1;
-        let mid = (fine.ln() + coarse.ln()) / 2.0;
-        let step = mid.exp();
-        let q = quantize_all(coeffs, step);
-        let bits = coded_size(&q);
-        if bits <= bit_budget {
-            // Fits: try finer.
-            coarse = step;
-            best = Some((step, q, bits));
-        } else {
-            fine = step;
+    // `best` is the quantization at `coarse`, the finest step known to
+    // fit; each probe fills `trial` and the two swap when it fits, so the
+    // up-to-40 steps share two buffers.
+    let mut best = quantize_all(coeffs, coarse);
+    let mut best_bits = coded_size(&best);
+    if best_bits <= bit_budget {
+        let mut trial = vec![0i32; coeffs.len()];
+        for _ in 0..40 {
+            iterations += 1;
+            let mid = (fine.ln() + coarse.ln()) / 2.0;
+            let step = mid.exp();
+            for (q, &c) in trial.iter_mut().zip(coeffs) {
+                *q = quantize(c, step);
+            }
+            let bits = coded_size(&trial);
+            if bits <= bit_budget {
+                // Fits: try finer.
+                coarse = step;
+                best_bits = bits;
+                std::mem::swap(&mut best, &mut trial);
+            } else {
+                fine = step;
+            }
+            if (coarse / fine - 1.0).abs() < 1e-6 {
+                break;
+            }
         }
-        if (coarse / fine - 1.0).abs() < 1e-6 {
-            break;
-        }
     }
-    let (step, quantized, bits) = best.expect("coarse end verified to fit");
     RateControlResult {
-        step,
-        quantized,
-        bits,
+        step: coarse,
+        quantized: best,
+        bits: best_bits,
         iterations,
     }
 }
@@ -221,6 +219,71 @@ mod tests {
         assert!(err(&large) < err(&small));
     }
 
+    /// The loop as it was before it reused two buffers: a fresh vector
+    /// per bisection step. The reference [`rate_control`] must equal.
+    fn rate_control_allocating(coeffs: &[f64], bit_budget: usize) -> RateControlResult {
+        assert!(!coeffs.is_empty(), "nothing to quantize");
+        assert!(bit_budget > 0, "bit budget must be positive");
+
+        let peak = coeffs.iter().fold(0.0f64, |m, &c| m.max(c.abs()));
+        if peak == 0.0 {
+            // Silence: the finest step works trivially.
+            let quantized = vec![0i32; coeffs.len()];
+            let bits = coded_size(&quantized);
+            return RateControlResult {
+                step: 1.0,
+                quantized,
+                bits,
+                iterations: 0,
+            };
+        }
+
+        // Search window: from very fine (peak/2^16) to coarse enough that
+        // everything quantizes to zero (step > peak means |x/step| < 1 and
+        // the 3/4-power round gives 0 or ±1; 4*peak forces all-zero).
+        let mut fine = peak / 65_536.0;
+        let mut coarse = peak * 4.0;
+        let mut iterations = 0;
+
+        // Ensure the coarse end fits (it always does for sane budgets).
+        let q_coarse = quantize_all(coeffs, coarse);
+        let b_coarse = coded_size(&q_coarse);
+        if b_coarse > bit_budget {
+            return RateControlResult {
+                step: coarse,
+                quantized: q_coarse,
+                bits: b_coarse,
+                iterations,
+            };
+        }
+        let mut best = Some((coarse, q_coarse, b_coarse));
+
+        for _ in 0..40 {
+            iterations += 1;
+            let mid = (fine.ln() + coarse.ln()) / 2.0;
+            let step = mid.exp();
+            let q = quantize_all(coeffs, step);
+            let bits = coded_size(&q);
+            if bits <= bit_budget {
+                // Fits: try finer.
+                coarse = step;
+                best = Some((step, q, bits));
+            } else {
+                fine = step;
+            }
+            if (coarse / fine - 1.0).abs() < 1e-6 {
+                break;
+            }
+        }
+        let (step, quantized, bits) = best.expect("coarse end verified to fit");
+        RateControlResult {
+            step,
+            quantized,
+            bits,
+            iterations,
+        }
+    }
+
     #[test]
     fn silence_needs_minimal_bits() {
         let r = rate_control(&[0.0; 32], 1000);
@@ -249,6 +312,26 @@ mod tests {
             let r = rate_control(&coeffs, budget);
             prop_assert!(r.bits <= budget);
             prop_assert_eq!(r.quantized.len(), 32);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every field, on every path: silence (all-zero input), a
+        /// budget even the coarsest step overshoots (under one bit per
+        /// coefficient), and the bisection proper.
+        #[test]
+        fn rate_control_equals_the_allocating_loop(
+            raw in proptest::collection::vec(-1.0f64..1.0, 1..96),
+            scale in prop_oneof![Just(0.0f64), 1e-9f64..1e9],
+            budget in prop_oneof![1usize..48, 48usize..4096],
+        ) {
+            let coeffs: Vec<f64> = raw.iter().map(|x| x * scale).collect();
+            prop_assert_eq!(
+                rate_control(&coeffs, budget),
+                rate_control_allocating(&coeffs, budget)
+            );
         }
     }
 }

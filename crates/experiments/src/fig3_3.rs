@@ -65,7 +65,7 @@ pub fn run(scale: Scale) -> Vec<ProducerConsumerTrace> {
     TrialRunner::for_figure("fig3-3", scale.repetitions()).run_indexed(|index, seed| {
         if let (Some(path), 0) = (&trace_to, index) {
             let file = File::create(path)
-                .unwrap_or_else(|e| panic!("--trace-events: cannot create {path}: {e}"));
+                .unwrap_or_else(|e| crate::runner::output_failed("--trace-events", path, &e));
             let sim = builder(seed).build_with_sink(JsonlSink::new(BufWriter::new(file)));
             let (trace, sink) = run_one(sim);
             let events = sink.events_written();

@@ -183,8 +183,9 @@ pub fn run(scale: Scale) -> Vec<HostileRow> {
                     // The traced trial runs ONCE with a tee: the JSONL
                     // stream and the row's reconciled CounterSink observe
                     // the same event sequence from the same run.
-                    let file = File::create(path)
-                        .unwrap_or_else(|e| panic!("--trace-events: cannot create {path}: {e}"));
+                    let file = File::create(path).unwrap_or_else(|e| {
+                        crate::runner::output_failed("--trace-events", path, &e)
+                    });
                     let tee =
                         TeeSink::new(JsonlSink::new(BufWriter::new(file)), CounterSink::new());
                     let mut sim = builder(scale, &adversary, seed).build_with_sink(tee);
@@ -249,7 +250,7 @@ pub fn run(scale: Scale) -> Vec<HostileRow> {
     }
     if let Some(path) = crate::runner::reconcile_json_path() {
         write_reconcile_json(&path, &rows)
-            .unwrap_or_else(|e| panic!("--reconcile-json: cannot write {path}: {e}"));
+            .unwrap_or_else(|e| crate::runner::output_failed("--reconcile-json", &path, &e));
         eprintln!("[reconcile] hostile: {} scenarios -> {path}", rows.len());
     }
     rows

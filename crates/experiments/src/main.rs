@@ -6,8 +6,9 @@
 //! ```
 //!
 //! The command line is validated before any figure runs: an unknown
-//! flag, an unknown figure, or a flag that none of the named figures
-//! honours exits 2 with a one-line reason (`all` honours every flag).
+//! flag, an unknown figure, a flag that none of the named figures
+//! honours (`all` honours every flag), or an output path that cannot be
+//! written exits 2 with a one-line reason.
 //!
 //! `--threads N` pins the Monte-Carlo worker count (default:
 //! auto-detect); output tables are bit-identical for every `N`.
@@ -119,12 +120,10 @@ fn write_metrics_snapshot(metrics: &noc_obs::Metrics, path: &str) {
     let snapshot = metrics.snapshot();
     let prom_path = format!("{path}.prom");
     if let Err(err) = std::fs::write(path, snapshot.to_json()) {
-        eprintln!("failed to write metrics snapshot to {path}: {err}");
-        std::process::exit(1);
+        runner::output_failed("--metrics-out", path, &err);
     }
     if let Err(err) = std::fs::write(&prom_path, snapshot.to_prometheus()) {
-        eprintln!("failed to write metrics snapshot to {prom_path}: {err}");
-        std::process::exit(1);
+        runner::output_failed("--metrics-out", &prom_path, &err);
     }
     eprintln!(
         "{{\"event\":\"metrics_written\",\"json\":\"{}\",\"prometheus\":\"{}\"}}",
@@ -163,14 +162,24 @@ const FLAGS: &[Flag] = &[
     ("--resume", true, Some(&["mega-grid"])),
 ];
 
+/// Opens `path` for writing, creating it empty if it is absent and
+/// leaving its contents alone if it is not: what a later
+/// `File::create` needs, tried now.
+fn creatable(path: &str) -> std::io::Result<()> {
+    let mut options = std::fs::OpenOptions::new();
+    options.create(true).append(true).open(path).map(drop)
+}
+
 /// Splits `args` into the figure targets, or gives the one-line reason
 /// the command line is rejected: an unknown flag, a flag missing its
-/// value, an unknown figure, or a flag that none of the named figures
-/// honours (`all` honours every flag). Runs before any figure does, so
-/// a typo never costs a run at the wrong scale.
+/// value, an unknown figure, a flag that none of the named figures
+/// honours (`all` honours every flag), or an output path that cannot
+/// be written — a file that cannot be created, a checkpoint directory
+/// that neither exists nor can be made. Runs before any figure does, so
+/// a typo never costs a run at the wrong scale, or its results.
 fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
     let mut targets = Vec::new();
-    let mut given: Vec<&Flag> = Vec::new();
+    let mut given: Vec<(&Flag, &str)> = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
@@ -180,10 +189,13 @@ fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
         let Some(flag @ &(_, takes_value, _)) = FLAGS.iter().find(|(name, ..)| name == arg) else {
             return Err(format!("unknown flag '{arg}'"));
         };
-        if takes_value && rest.next().is_none() {
-            return Err(format!("{arg} requires a value"));
-        }
-        given.push(flag);
+        let value = if takes_value {
+            let value = rest.next();
+            value.ok_or_else(|| format!("{arg} requires a value"))?
+        } else {
+            ""
+        };
+        given.push((flag, value));
     }
     if targets == ["help"] {
         return Ok(targets);
@@ -198,7 +210,7 @@ fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
         ));
     }
     if !targets.is_empty() && !targets.contains(&"all") {
-        for &(name, _, honoured_by) in given {
+        for &(&(name, _, honoured_by), _) in &given {
             let Some(figures) = honoured_by else {
                 continue;
             };
@@ -210,6 +222,15 @@ fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
                 ));
             }
         }
+    }
+    for (&(name, ..), path) in given {
+        let checked = match name {
+            "--trace-events" | "--reconcile-json" => creatable(path),
+            "--metrics-out" => creatable(path).and_then(|()| creatable(&format!("{path}.prom"))),
+            "--checkpoint-dir" => std::fs::create_dir_all(path),
+            _ => continue,
+        };
+        checked.map_err(|err| format!("{name} {path}: {err}"))?;
     }
     Ok(targets)
 }

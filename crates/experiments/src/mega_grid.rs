@@ -98,7 +98,7 @@ fn run_with_checkpoints(mut sim: Simulation, label: &str, every: u64) -> Simulat
                     sim.round(),
                     noc_obs::json_escape(&path),
                 ),
-                Err(err) => eprintln!("mega-grid: cannot write checkpoint {path}: {err}"),
+                Err(err) => runner::output_failed("--checkpoint-dir", &path, &err),
             }
         }
     }

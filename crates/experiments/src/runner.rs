@@ -73,6 +73,15 @@ pub fn trace_path() -> Option<String> {
     TRACE_PATH.lock().expect("trace path lock").clone()
 }
 
+/// Ends the process with one line on stderr and exit status 1: an
+/// output file the command line named, and `main` found creatable
+/// before any figure ran, could not be written after all. A failure of
+/// the run (a disk filled, a directory vanished), not a bug to unwind.
+pub fn output_failed(flag: &str, path: &str, err: &dyn std::fmt::Display) -> ! {
+    eprintln!("{flag}: cannot write {path}: {err}");
+    std::process::exit(1)
+}
+
 /// Process-wide wall-clock metrics registry (`--metrics-out PATH`);
 /// `None` when the observability plane is off, which is the default.
 static METRICS: Mutex<Option<Arc<Metrics>>> = Mutex::new(None);

@@ -10,16 +10,18 @@ fn experiments(args: &[&str]) -> Output {
         .expect("the experiments binary runs")
 }
 
-/// Exit 2, nothing on stdout, and a stderr line that names the offence.
-fn assert_rejected(args: &[&str], names: &str) {
+/// Exit 2, nothing on stdout, and a stderr line that names the offence;
+/// returns what stderr said.
+fn assert_rejected(args: &[&str], names: &str) -> String {
     let out = experiments(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(
         out.stdout.is_empty(),
         "{args:?} ran a figure before failing"
     );
     assert!(stderr.contains(names), "{args:?}: {stderr}");
+    stderr
 }
 
 #[test]
@@ -69,6 +71,9 @@ fn honoured_flag_runs_and_leaves_stdout_as_the_plain_run() {
     let plain = experiments(&["hostile", "--seed", "0"]);
     assert_eq!(plain.status.code(), Some(0));
     assert_eq!(traced.stdout, plain.stdout);
+    // A flag without a value takes none: what follows it is still read.
+    let valueless_first = experiments(&["--progress", "fig3-1", "--seed", "0"]);
+    assert_eq!(valueless_first.status.code(), Some(0));
     // A flag only one of the named figures honours is accepted.
     let mixed = experiments(&["fig3-1", "fig3-3", "--shards", "2", "--seed", "0"]);
     assert_eq!(mixed.status.code(), Some(0));
@@ -88,4 +93,80 @@ fn a_path_with_a_quote_in_it_stays_json_on_stderr() {
         .find(|l| l.contains("\"event\":\"metrics_written\""))
         .expect("a metrics_written line");
     assert!(line.contains("a\\\"b"), "{line}");
+}
+
+/// Runs `check` with a path nothing can be created at, for any user: it
+/// lies under a regular file.
+fn with_unwritable_path(tag: &str, check: impl FnOnce(&str)) {
+    let file = std::env::temp_dir().join(format!("cli-{tag}-{}", std::process::id()));
+    std::fs::write(&file, b"").expect("the temp file is written");
+    check(file.join("d/x.json").to_str().expect("utf-8 temp path"));
+    std::fs::remove_file(&file).ok();
+}
+
+/// Like [`assert_rejected`], and the rejection is one line, not a panic.
+fn assert_rejected_without_a_panic(args: &[&str], names: &str) {
+    let stderr = assert_rejected(args, names);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+}
+
+#[test]
+fn trace_events_path_that_cannot_be_created_is_rejected_not_a_panic() {
+    with_unwritable_path("trace", |path| {
+        assert_rejected_without_a_panic(&["fig3-3", "--trace-events", path], "--trace-events");
+    });
+}
+
+#[test]
+fn reconcile_json_path_that_cannot_be_created_is_rejected_not_a_panic() {
+    with_unwritable_path("reconcile", |path| {
+        assert_rejected_without_a_panic(&["hostile", "--reconcile-json", path], "--reconcile-json");
+    });
+}
+
+#[test]
+fn metrics_out_path_that_cannot_be_created_is_rejected_before_the_figures_run() {
+    with_unwritable_path("metrics", |path| {
+        assert_rejected_without_a_panic(&["fig4-9", "--metrics-out", path], "--metrics-out");
+    });
+}
+
+#[test]
+fn checkpoint_dir_that_cannot_be_made_is_rejected_not_reported_per_checkpoint() {
+    with_unwritable_path("ckpt-dir", |path| {
+        let args = [
+            "mega-grid",
+            "--checkpoint-every",
+            "50",
+            "--checkpoint-dir",
+            path,
+        ];
+        assert_rejected_without_a_panic(&args, "--checkpoint-dir");
+    });
+}
+
+#[test]
+fn a_checkpoint_dir_that_is_absent_but_creatable_is_made_and_written_to() {
+    let root = std::env::temp_dir().join(format!("cli-made-{}", std::process::id()));
+    let dir = root.join("ckpt");
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    // Rejected for another reason: the paths are looked at last, so
+    // nothing was created.
+    assert_rejected(
+        &["mega-grid", "nosuch", "--checkpoint-dir", dir_arg],
+        "nosuch",
+    );
+    assert!(!root.exists(), "a rejected command line creates nothing");
+    let out = experiments(&[
+        "mega-grid",
+        "--checkpoint-every",
+        "50",
+        "--checkpoint-dir",
+        dir_arg,
+    ]);
+    let written = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(written > 0, "checkpoints landed in the directory it made");
 }

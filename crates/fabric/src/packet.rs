@@ -54,7 +54,7 @@ pub struct Message {
     /// message is garbage-collected at zero.
     pub ttl: u8,
     /// Application payload bytes, shared by reference between the copies a
-    /// simulation holds (send-buffer entries, deliveries, encode memos), so
+    /// simulation holds (send-buffer entries, deliveries, wire entries), so
     /// gossip fan-out never duplicates the bytes.
     pub payload: Arc<[u8]>,
 }
