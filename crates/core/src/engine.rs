@@ -35,10 +35,11 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use crate::arrivals::{Arrivals, Grouped, Pending};
 use crate::checkpoint::{fnv1a, Checkpoint, CheckpointError, Writer};
 use crate::config::StochasticConfig;
 use crate::events::{DropSite, EventSink, NullSink, SimEvent};
-use crate::frontier::{Inflight, TileSet};
+use crate::frontier::TileSet;
 use crate::metrics::{MessageRecord, SimulationReport};
 use crate::obs::{span_end, span_start, EngineObs, EnginePhase};
 use crate::seed::{derive_labeled_seed, derive_trial_seed};
@@ -400,9 +401,7 @@ impl SimulationBuilder {
             report: SimulationReport::new(self.tech),
             buffers: (0..n).map(|_| SendBuffer::new()).collect(),
             clocks: vec![ClockDomain::new(); n],
-            inbox_next: vec![Vec::new(); n],
-            inbox_later: vec![Vec::new(); n],
-            inbox_scratch: vec![Vec::new(); n],
+            arrivals: Arrivals::new(n),
             delivery_scratch: vec![Vec::new(); n],
             wires: WireTable::default(),
             informed: BTreeMap::new(),
@@ -421,7 +420,6 @@ impl SimulationBuilder {
             ip_is_custom,
             custom_ip_tiles,
             shards,
-            inflight: Inflight::new(n),
             buffer_frontier: TileSet::new(n),
             live_total: 0,
             pending_purge: Vec::new(),
@@ -516,12 +514,8 @@ pub struct Simulation<S: EventSink = NullSink> {
     links_alive: Vec<bool>,
     buffers: Vec<SendBuffer>,
     clocks: Vec<ClockDomain>,
-    inbox_next: Vec<Vec<Frame>>,
-    inbox_later: Vec<Vec<Frame>>,
-    /// Recycled per-round arrival storage: after the receive phase drains
-    /// a round's frames, the emptied vectors rotate back in as the next
-    /// `inbox_later`, so steady-state rounds allocate no inbox memory.
-    inbox_scratch: Vec<Vec<Frame>>,
+    /// The delay line: frames sent and not yet received.
+    arrivals: Arrivals,
     /// Persistent per-tile `(from, payload)` delivery staging between the
     /// receive and compute phases.
     delivery_scratch: Vec<Vec<(NodeId, Arc<[u8]>)>>,
@@ -549,9 +543,6 @@ pub struct Simulation<S: EventSink = NullSink> {
     custom_ip_tiles: Vec<usize>,
     /// Tile ranges the receive and age phases fan out over (1 = none).
     shards: usize,
-    /// Frame counts and non-empty tile sets of the arrival arenas,
-    /// rotated in lockstep with them.
-    inflight: Inflight,
     /// Tiles whose send buffer is non-empty — the age/forward frontier.
     buffer_frontier: TileSet,
     /// Total live messages across all send buffers.
@@ -740,12 +731,8 @@ impl<S: EventSink> Simulation<S> {
             }
             // Local loopback skips the network; the IP sees it next round.
             let wire = self.wires.push(WireEntry::clean(message));
-            let inbox = &mut self.inbox_next[source.index()];
-            if inbox.is_empty() {
-                self.inflight.next.tiles.insert(source.index());
-            }
-            self.inflight.next.frames += 1;
-            inbox.push(Frame::new(wire, None));
+            let frame = Frame::new(wire, None);
+            self.arrivals.next.push(source.index(), frame, false);
             return id;
         }
         if self.buffers[source.index()].insert(message) {
@@ -864,19 +851,17 @@ impl<S: EventSink> Simulation<S> {
             // `ip_is_custom` / `custom_ip_tiles` derive from them). The
             // execution-plan knob `shards`: every shard count makes the
             // same draws. Scratch that is empty at every round boundary:
-            // `inbox_scratch`, `delivery_scratch`, `pending_purge`,
-            // `emptied_scratch`, and `receive_tape`, re-drawn each round.
-            // Bookkeeping `restore_from` rebuilds from arenas and buffers:
-            // `inflight`, `buffer_frontier`, `live_total`.
+            // `delivery_scratch`, `pending_purge`, `emptied_scratch`, the
+            // arrivals grouped for the round (below), and `receive_tape`,
+            // re-drawn each round. Bookkeeping `restore_from` rebuilds
+            // from the buffers: `buffer_frontier`, `live_total`.
             sink: _,
             obs: _,
             ips: _,
             ip_is_custom: _,
             custom_ip_tiles: _,
             shards: _,
-            inbox_scratch: _,
             delivery_scratch: _,
-            inflight: _,
             buffer_frontier: _,
             live_total: _,
             pending_purge: _,
@@ -896,8 +881,12 @@ impl<S: EventSink> Simulation<S> {
             clocks,
             egress_next,
             buffers,
-            inbox_next,
-            inbox_later,
+            arrivals:
+                Arrivals {
+                    next,
+                    later,
+                    grouped: _,
+                },
             wires,
             informed,
             terminated,
@@ -960,9 +949,17 @@ impl<S: EventSink> Simulation<S> {
             }
             w.u64(expired);
         }
-        for arena in [inbox_next, inbox_later] {
-            w.count(arena.len());
-            for frames in arena {
+        // v1 writes an arena tile by tile: each list is grouped through
+        // one scratch, and a tile the grouping skips has no frames.
+        let n = buffers.len();
+        let mut arena = Grouped::new(n);
+        for pending in [next, later] {
+            arena.group(pending);
+            w.count(n);
+            let mut tiles = arena.tiles(0, n).peekable();
+            for tile in 0..n {
+                let frames = tiles.next_if(|&(at, _)| at == tile);
+                let frames = frames.map_or(&[][..], |(_, frames)| frames);
                 w.count(frames.len());
                 for f in frames {
                     let entry = wires.entry(f.wire);
@@ -1016,10 +1013,10 @@ impl<S: EventSink> Simulation<S> {
     /// Overwrites this (freshly built) simulation's state with a
     /// checkpoint's, streaming the validated bytes section by section
     /// in the order [`Simulation::checkpoint`] wrote them and rebuilding
-    /// the derived frontier bookkeeping (`Inflight` counters, buffer
-    /// frontier, live total) as the arenas and buffers fill. Only called
-    /// from [`SimulationBuilder::resume_with_sink`] on a simulation that
-    /// has executed zero rounds, so that bookkeeping and every scratch
+    /// the derived bookkeeping (buffer frontier, live total) as the
+    /// buffers fill. Only called from
+    /// [`SimulationBuilder::resume_with_sink`] on a simulation that has
+    /// executed zero rounds, so that bookkeeping and every scratch
     /// structure start empty; a restore that fails midway leaves a
     /// half-written simulation for the caller to drop.
     fn restore_from(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
@@ -1105,6 +1102,7 @@ impl<S: EventSink> Simulation<S> {
         // Tiles buffering the same message share its payload bytes, as
         // they do in a live run.
         let mut payloads: BTreeMap<&[u8], Arc<[u8]>> = BTreeMap::new();
+        let mut live_ids = Vec::new();
         for (tile, buffer) in self.buffers.iter_mut().enumerate() {
             let live = r.count(33)?;
             let mut messages = Vec::with_capacity(live);
@@ -1130,7 +1128,21 @@ impl<S: EventSink> Simulation<S> {
             }
             let seen = (0..r.count(8)?)
                 .map(|_| r.u64().map(MessageId))
-                .collect::<Result<_, _>>()?;
+                .collect::<Result<Vec<_>, _>>()?;
+            // A buffer keeps one copy of a message because its id is in
+            // the seen list: a live id missing from it would be buffered
+            // a second time by the next copy to arrive.
+            if !seen.windows(2).all(|pair| pair[0] < pair[1]) {
+                return Err(Mismatch("seen ids are not strictly ascending"));
+            }
+            live_ids.clear();
+            live_ids.extend(messages.iter().map(|m| m.id));
+            live_ids.sort_unstable();
+            if !live_ids.windows(2).all(|pair| pair[0] < pair[1])
+                || !live_ids.iter().all(|id| seen.binary_search(id).is_ok())
+            {
+                return Err(Mismatch("buffered message repeats or was never seen"));
+            }
             if live > 0 {
                 self.buffer_frontier.insert(tile);
                 self.live_total += live as u64;
@@ -1141,25 +1153,19 @@ impl<S: EventSink> Simulation<S> {
         // copies of one wire frame share one entry again, as they did
         // before the capture resolved their handles to bytes.
         let mut interner = self.wires.interner(codec);
-        for (inboxes, track) in [
-            (&mut self.inbox_next, &mut self.inflight.next),
-            (&mut self.inbox_later, &mut self.inflight.later),
-        ] {
+        // Appended tile by tile, each tile's frames in arrival order: the
+        // order grouping gives them back in.
+        for pending in [&mut self.arrivals.next, &mut self.arrivals.later] {
             per_tile(r.count(8)?)?;
-            for (tile, inbox) in inboxes.iter_mut().enumerate() {
-                let frames = r.count(10)?;
-                if frames > 0 {
-                    track.tiles.insert(tile);
-                    track.frames += frames as u64;
-                }
-                inbox.reserve(frames);
-                for _ in 0..frames {
+            for tile in 0..n {
+                for _ in 0..r.count(10)? {
                     let (bytes, scrambled, via) = (r.bytes()?, r.bool()?, r.opt_u64()?);
                     if via.is_some_and(|link| link >= m as u64) {
                         return Err(Mismatch("arena frame link index"));
                     }
                     let wire = interner.intern(scrambled, bytes).map_err(undecodable)?;
-                    inbox.push(Frame::new(wire, via.map(|l| LinkId(l as usize))));
+                    let frame = Frame::new(wire, via.map(|l| LinkId(l as usize)));
+                    pending.push(tile, frame, false);
                 }
             }
         }
@@ -1232,7 +1238,7 @@ impl<S: EventSink> Simulation<S> {
         } else {
             self.receive_sequential(&mut stats);
         }
-        self.inflight.scratch.clear();
+        self.arrivals.grouped.clear();
         span_end(&obs, EnginePhase::Receive, span);
 
         // Phase 2: compute (IPs run with zero computation time).
@@ -1284,16 +1290,11 @@ impl<S: EventSink> Simulation<S> {
         stats
     }
 
-    /// Shifts the delay line through persistent arenas: the old `next`
-    /// becomes this round's arrivals (in `inbox_scratch`), the old
-    /// `later` becomes `next`, and the vectors drained last round
-    /// rotate back in as the fresh `later` — steady-state rounds
-    /// allocate no inbox memory. The inflight trackers and the wire
-    /// table's generations rotate in lockstep.
+    /// Shifts the delay line: the frames due this round are grouped by
+    /// tile, the held ones become due next ([`Arrivals::rotate`]), and
+    /// the wire table's generations rotate in lockstep.
     fn rotate_arenas(&mut self) {
-        std::mem::swap(&mut self.inbox_next, &mut self.inbox_scratch);
-        std::mem::swap(&mut self.inbox_next, &mut self.inbox_later);
-        self.inflight.rotate();
+        self.arrivals.rotate();
         self.wires.rotate();
     }
 
@@ -1310,24 +1311,19 @@ impl<S: EventSink> Simulation<S> {
             ref wires,
             ref tiles_alive,
             ref mut buffers,
-            ref mut inbox_scratch,
+            ref mut arrivals,
             ref mut delivery_scratch,
             ref mut terminated,
             ref mut pending_purge,
             ref mut informed,
             ref mut report,
             ref mut sink,
-            ref inflight,
             ref mut buffer_frontier,
             ref mut live_total,
             ref ip_is_custom,
             ..
         } = *self;
-        for tile in inflight.scratch.tiles.iter() {
-            let frames = &mut inbox_scratch[tile];
-            if frames.is_empty() {
-                continue;
-            }
+        for (tile, frames) in arrivals.grouped.tiles_mut() {
             let node = NodeId(tile);
             if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) {
                 report.crash_drops += frames.len() as u64;
@@ -1337,11 +1333,9 @@ impl<S: EventSink> Simulation<S> {
                         site: DropSite::Tile(node),
                     });
                 }
-                frames.clear();
                 continue;
             }
-            apply_overflow_in_place(injector, report, sink, round, node, frames);
-            for frame in frames.drain(..) {
+            for &frame in apply_overflow_in_place(injector, report, sink, round, node, frames) {
                 let entry = wires.entry(frame.wire);
                 let message = match entry.message() {
                     // A scrambled frame must take the real CRC check:
@@ -1472,16 +1466,13 @@ impl<S: EventSink> Simulation<S> {
             let Simulation {
                 ref mut receive_tape,
                 ref mut injector,
-                ref inbox_scratch,
-                ref inflight,
+                ref arrivals,
                 ref tiles_alive,
                 ref crash_schedule,
                 ..
             } = *self;
-            for tile in inflight.scratch.tiles.iter() {
-                let frames = &inbox_scratch[tile];
-                if frames.is_empty() || !tiles_alive[tile] || crash_schedule.tile_dead(tile, round)
-                {
+            for (tile, frames) in arrivals.grouped.tiles(0, tiles_alive.len()) {
+                if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) {
                     continue;
                 }
                 let start = receive_tape.keeps.len() as u32;
@@ -1512,8 +1503,7 @@ impl<S: EventSink> Simulation<S> {
         let newly_terminated = if self.config.terminate_on_delivery {
             plan_terminations(
                 round,
-                &self.inflight.scratch.tiles,
-                &self.inbox_scratch,
+                &self.arrivals.grouped,
                 &self.buffers,
                 &self.codec,
                 &self.wires,
@@ -1527,12 +1517,12 @@ impl<S: EventSink> Simulation<S> {
         };
 
         // Phase 1: receive, one RNG-free worker per shard.
-        let fan_span = if self.inflight.scratch.frames == 0 {
+        let fan_span = if self.arrivals.grouped.is_empty() {
             None
         } else {
             span_start(obs)
         };
-        let receive_outs: Vec<ReceiveOut> = if self.inflight.scratch.frames == 0 {
+        let receive_outs: Vec<ReceiveOut> = if self.arrivals.grouped.is_empty() {
             Vec::new()
         } else {
             let Simulation {
@@ -1542,16 +1532,15 @@ impl<S: EventSink> Simulation<S> {
                 ref wires,
                 ref tiles_alive,
                 ref mut buffers,
-                ref mut inbox_scratch,
+                ref arrivals,
                 ref mut delivery_scratch,
                 ref terminated,
-                ref inflight,
                 ref ip_is_custom,
                 ..
             } = *self;
             let ctx = ReceiveCtx {
                 round,
-                frontier: &inflight.scratch.tiles,
+                arrivals: &arrivals.grouped,
                 codec,
                 wires,
                 tiles_alive,
@@ -1563,19 +1552,15 @@ impl<S: EventSink> Simulation<S> {
                 ip_is_custom,
                 record_events,
             };
-            let inboxes = split_chunks(inbox_scratch, &ranges);
             let buffers = split_chunks(buffers, &ranges);
             let scratch = split_chunks(delivery_scratch, &ranges);
             let work: Vec<_> = ranges
                 .iter()
-                .zip(inboxes)
                 .zip(buffers)
                 .zip(scratch)
-                .map(|(((&(lo, _), inbox), buf), ds)| (lo, inbox, buf, ds))
+                .map(|((&(lo, _), buf), ds)| (lo, buf, ds))
                 .collect();
-            run_shards(work, |(lo, inbox, buf, ds)| {
-                receive_shard(&ctx, lo, inbox, buf, ds)
-            })
+            run_shards(work, |(lo, buf, ds)| receive_shard(&ctx, lo, buf, ds))
         };
         span_end(obs, EnginePhase::ShardFanout, fan_span);
         let merge_span = if receive_outs.is_empty() {
@@ -1761,28 +1746,15 @@ impl<S: EventSink> Simulation<S> {
         {
             let live: u64 = self.buffers.iter().map(|b| b.len() as u64).sum();
             debug_assert_eq!(live, self.live_total, "live-message counter drifted");
-            let next: u64 = self.inbox_next.iter().map(|v| v.len() as u64).sum();
-            debug_assert_eq!(
-                next, self.inflight.next.frames,
-                "next-arena counter drifted"
-            );
-            let later: u64 = self.inbox_later.iter().map(|v| v.len() as u64).sum();
-            debug_assert_eq!(
-                later, self.inflight.later.frames,
-                "later-arena counter drifted"
+            debug_assert!(
+                self.arrivals.grouped.is_reset(),
+                "this round's arrivals outlived the receive phase, or a grouping cursor is set"
             );
             for (tile, buffer) in self.buffers.iter().enumerate() {
                 debug_assert_eq!(
                     !buffer.is_empty(),
                     self.buffer_frontier.contains(tile),
                     "buffer frontier inexact at tile {tile}"
-                );
-            }
-            for (tile, inbox) in self.inbox_next.iter().enumerate() {
-                debug_assert_eq!(
-                    !inbox.is_empty(),
-                    self.inflight.next.tiles.contains(tile),
-                    "next-arena frontier inexact at tile {tile}"
                 );
             }
         }
@@ -1793,7 +1765,7 @@ impl<S: EventSink> Simulation<S> {
         // termination mechanism.) Chaos-delayed frames parked in the
         // `later` arena count as in flight, so quiescence cannot fire
         // early.
-        let drained = self.live_total == 0 && self.inflight.pending_frames() == 0;
+        let drained = self.live_total == 0 && self.arrivals.pending_frames() == 0;
         self.completed = drained && self.custom_ip_tiles.iter().all(|&t| self.ips[t].is_done());
         self.report.rounds_executed = self.round;
         self.report.completed = self.completed;
@@ -1805,7 +1777,7 @@ impl<S: EventSink> Simulation<S> {
             self.report.quiescent_rounds += 1;
             self.sink.emit(SimEvent::RoundQuiescent {
                 round: stats.round,
-                inflight: self.inflight.pending_frames(),
+                inflight: self.arrivals.pending_frames(),
             });
         }
         span_end(obs, EnginePhase::Quiescence, span);
@@ -1848,9 +1820,8 @@ impl<S: EventSink> Simulation<S> {
         let sinks = ForwardSinks {
             frontier: &self.buffer_frontier,
             sink: &mut self.sink,
-            inbox_next: &mut self.inbox_next,
-            inbox_later: &mut self.inbox_later,
-            inflight: &mut self.inflight,
+            next: &mut self.arrivals.next,
+            later: &mut self.arrivals.later,
         };
         (tx, sinks)
     }
@@ -1976,9 +1947,8 @@ struct Serve {
 struct ForwardSinks<'a, S> {
     frontier: &'a TileSet,
     sink: &'a mut S,
-    inbox_next: &'a mut [Vec<Frame>],
-    inbox_later: &'a mut [Vec<Frame>],
-    inflight: &'a mut Inflight,
+    next: &'a mut Pending,
+    later: &'a mut Pending,
 }
 
 /// The forward phase's split borrows: everything that decides which
@@ -2152,9 +2122,9 @@ impl TxContext<'_> {
         self.report.bits_sent += Bits(sent * (serve.frame_len * 8) as u64);
     }
 
-    /// One service: emits each transmission's events and files the
-    /// frame into the destination inbox (`inbox_later` when held;
-    /// queue-front when reordered).
+    /// One service: emits each transmission's events and appends the
+    /// frame to the list it arrives from (`later` when held; at its
+    /// destination's queue front when reordered).
     fn transmit<S: EventSink>(
         &mut self,
         out: &mut ForwardSinks<'_, S>,
@@ -2179,21 +2149,8 @@ impl TxContext<'_> {
                 ..
             } = outcome
             {
-                let (inbox, track) = if held {
-                    (&mut out.inbox_later[to.index()], &mut out.inflight.later)
-                } else {
-                    (&mut out.inbox_next[to.index()], &mut out.inflight.next)
-                };
-                if inbox.is_empty() {
-                    track.tiles.insert(to.index());
-                }
-                track.frames += 1;
-                let frame = Frame::new(wire, Some(link_id));
-                if reordered {
-                    inbox.insert(0, frame);
-                } else {
-                    inbox.push(frame);
-                }
+                let pending = if held { &mut out.later } else { &mut out.next };
+                pending.push(to.index(), Frame::new(wire, Some(link_id)), reordered);
             }
         });
     }
@@ -2280,45 +2237,44 @@ where
     })
 }
 
-/// Applies the configured overflow policy to one tile's arrivals in place,
-/// reusing the arrival arena's allocation.
+/// Applies the configured overflow policy to one tile's arrivals,
+/// compacting the survivors in place, and returns them.
 ///
 /// Equivalent to filtering through [`noc_fabric::ReceiveBuffer`]: the
 /// probabilistic mode draws one Bernoulli sample per frame in arrival
 /// order, the structural mode keeps the newest `capacity` frames
 /// (drop-oldest).
-fn apply_overflow_in_place<S: EventSink>(
+fn apply_overflow_in_place<'f, S: EventSink>(
     injector: &mut FaultInjector,
     report: &mut SimulationReport,
     sink: &mut S,
     round: u64,
     tile: NodeId,
-    frames: &mut Vec<Frame>,
-) {
-    match injector.model().overflow_mode {
+    frames: &'f mut [Frame],
+) -> &'f [Frame] {
+    let (skip, kept) = match injector.model().overflow_mode {
+        OverflowMode::Probabilistic if injector.model().p_overflow == 0.0 => return frames,
         OverflowMode::Probabilistic => {
-            if injector.model().p_overflow == 0.0 {
-                return;
-            }
-            let before = frames.len();
-            frames.retain(|_| !injector.overflow_drop());
-            let dropped = (before - frames.len()) as u64;
-            report.overflow_drops += dropped;
-            for _ in 0..dropped {
-                sink.emit(SimEvent::OverflowDrop { round, tile });
-            }
-        }
-        OverflowMode::Structural { capacity } => {
-            if frames.len() > capacity {
-                let excess = frames.len() - capacity;
-                frames.drain(..excess);
-                report.overflow_drops += excess as u64;
-                for _ in 0..excess {
-                    sink.emit(SimEvent::OverflowDrop { round, tile });
+            let mut kept = 0;
+            for at in 0..frames.len() {
+                if !injector.overflow_drop() {
+                    frames[kept] = frames[at];
+                    kept += 1;
                 }
             }
+            (0, kept)
         }
+        OverflowMode::Structural { capacity } => {
+            let excess = frames.len().saturating_sub(capacity);
+            (excess, frames.len() - excess)
+        }
+    };
+    let dropped = (frames.len() - kept) as u64;
+    report.overflow_drops += dropped;
+    for _ in 0..dropped {
+        sink.emit(SimEvent::OverflowDrop { round, tile });
     }
+    &frames[skip..skip + kept]
 }
 
 /// A Bernoulli draw from one of the engine's deterministic streams

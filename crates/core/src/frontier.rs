@@ -2,22 +2,15 @@
 //!
 //! A mega-grid trial spends most of its late rounds quiescent — the
 //! epidemic has died down, yet the engine used to walk every tile in
-//! every phase. This module provides the two structures that make each
-//! phase O(active) instead of O(n):
+//! every phase. [`TileSet`] — a dense bitset over tile indices with
+//! ascending-order iteration — makes each phase O(active) instead of
+//! O(n): a frontier walk visits tiles in exactly the order the full
+//! `0..n` loop did (the draw-order invariant every golden digest depends
+//! on).
 //!
-//! * [`TileSet`] — a dense bitset over tile indices with ascending-order
-//!   iteration, so frontier walks visit tiles in exactly the order the
-//!   full `0..n` loop did (the draw-order invariant every golden digest
-//!   depends on);
-//! * [`Inflight`] — per-arena frame counters plus the tile sets of
-//!   non-empty inbox vectors, rotated in lockstep with the engine's
-//!   arrival arenas. Quiescence detection reads these counters instead
-//!   of scanning the arenas, and correctly sees chaos-delayed frames
-//!   parked in the `later` arena as still-pending work.
-//!
-//! The sets are *exact* (maintained at every transition from empty to
-//! non-empty and back), which `Simulation::step` re-asserts against the
-//! O(n) scans in debug builds.
+//! The buffer frontier is *exact* (maintained at every transition from
+//! empty to non-empty and back), which `Simulation::step` re-asserts
+//! against the O(n) scan in debug builds.
 
 /// A dense bitset over tile indices `0..n` with ascending iteration.
 #[derive(Debug, Clone, Default)]
@@ -50,11 +43,6 @@ impl TileSet {
     #[allow(dead_code)] // used by the engine's debug-build exactness asserts and unit tests
     pub fn contains(&self, tile: usize) -> bool {
         (self.words[tile / 64] >> (tile % 64)) & 1 == 1
-    }
-
-    /// Empties the set, keeping its capacity.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
     }
 
     /// True when no tile is set.
@@ -120,62 +108,6 @@ impl Iterator for TileSetIter<'_> {
             }
             self.current = self.words[self.word];
         }
-    }
-}
-
-/// Frame count and non-empty tile set of one arrival arena.
-#[derive(Debug, Clone)]
-pub(crate) struct ArenaTrack {
-    /// Total frames parked in this arena.
-    pub frames: u64,
-    /// Tiles whose vector in this arena is non-empty.
-    pub tiles: TileSet,
-}
-
-impl ArenaTrack {
-    pub fn new(n: usize) -> Self {
-        Self {
-            frames: 0,
-            tiles: TileSet::new(n),
-        }
-    }
-
-    /// Resets to the empty-arena state.
-    pub fn clear(&mut self) {
-        self.frames = 0;
-        self.tiles.clear();
-    }
-}
-
-/// Tracks the engine's three arrival arenas through their per-round
-/// rotation: `next` arrives next round, `later` the round after, and
-/// `scratch` is the arena being drained this round.
-#[derive(Debug, Clone)]
-pub(crate) struct Inflight {
-    pub next: ArenaTrack,
-    pub later: ArenaTrack,
-    pub scratch: ArenaTrack,
-}
-
-impl Inflight {
-    pub fn new(n: usize) -> Self {
-        Self {
-            next: ArenaTrack::new(n),
-            later: ArenaTrack::new(n),
-            scratch: ArenaTrack::new(n),
-        }
-    }
-
-    /// Mirrors the engine's arena rotation (`next` → `scratch`,
-    /// `later` → `next`, drained `scratch` → `later`).
-    pub fn rotate(&mut self) {
-        std::mem::swap(&mut self.next, &mut self.scratch);
-        std::mem::swap(&mut self.next, &mut self.later);
-    }
-
-    /// Frames currently in flight (arriving this round or later).
-    pub fn pending_frames(&self) -> u64 {
-        self.next.frames + self.later.frames
     }
 }
 
@@ -246,30 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_empty() {
+    fn remove_and_empty() {
         let mut set = TileSet::new(10);
         assert!(set.is_empty());
         set.insert(7);
         assert!(!set.is_empty());
-        set.clear();
+        set.remove(7);
         assert!(set.is_empty());
         assert_eq!(set.iter().count(), 0);
-    }
-
-    #[test]
-    fn inflight_rotation_cycles_arenas() {
-        let mut inflight = Inflight::new(8);
-        inflight.next.frames = 1;
-        inflight.next.tiles.insert(1);
-        inflight.later.frames = 2;
-        inflight.later.tiles.insert(2);
-        inflight.rotate();
-        // Old `next` is now being drained; old `later` arrives next.
-        assert_eq!(inflight.scratch.frames, 1);
-        assert!(inflight.scratch.tiles.contains(1));
-        assert_eq!(inflight.next.frames, 2);
-        assert!(inflight.next.tiles.contains(2));
-        assert_eq!(inflight.later.frames, 0);
-        assert_eq!(inflight.pending_frames(), 2);
     }
 }

@@ -51,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arrivals;
 mod checkpoint;
 mod config;
 mod engine;

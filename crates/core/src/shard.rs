@@ -43,10 +43,11 @@ use std::sync::Arc;
 use noc_fabric::{MessageId, NodeId, WireCodec};
 use noc_faults::CrashSchedule;
 
+use crate::arrivals::Grouped;
 use crate::events::{DropSite, SimEvent};
 use crate::frontier::TileSet;
 use crate::send_buffer::{InsertOutcome, SendBuffer};
-use crate::wire::{Frame, WireTable};
+use crate::wire::WireTable;
 
 /// Contiguous tile ranges `[lo, hi)` covering `0..n`, one per shard,
 /// sized as evenly as integer division allows.
@@ -110,11 +111,37 @@ pub(crate) enum OverflowPlan<'a> {
     Tape(&'a ReceiveTape),
 }
 
+impl<'a> OverflowPlan<'a> {
+    /// What overflow does to the `arrivals` frames of `tile`: how many of
+    /// the oldest are dropped, and the per-frame keep verdicts when they
+    /// were drawn. `cursor` steps through the tape's spans, which were
+    /// generated from the same walk over the alive tiles with arrivals.
+    fn verdicts(
+        &self,
+        cursor: &mut usize,
+        tile: usize,
+        arrivals: usize,
+    ) -> (usize, Option<&'a [bool]>) {
+        match *self {
+            OverflowPlan::None => (0, None),
+            OverflowPlan::Structural { capacity } => (arrivals.saturating_sub(capacity), None),
+            OverflowPlan::Tape(tape) => {
+                let span = &tape.spans[*cursor];
+                debug_assert_eq!(span.tile as usize, tile, "overflow tape out of step");
+                debug_assert_eq!(span.len as usize, arrivals);
+                *cursor += 1;
+                let keeps = &tape.keeps[span.start as usize..(span.start + span.len) as usize];
+                (0, Some(keeps))
+            }
+        }
+    }
+}
+
 /// Shared read-only context for the receive workers of one round.
 pub(crate) struct ReceiveCtx<'a> {
     pub round: u64,
-    /// Tiles with a non-empty arrival vector this round.
-    pub frontier: &'a TileSet,
+    /// This round's arrivals, grouped by tile.
+    pub arrivals: &'a Grouped,
     pub codec: &'a WireCodec,
     pub wires: &'a WireTable,
     pub tiles_alive: &'a [bool],
@@ -157,21 +184,20 @@ pub(crate) struct ReceiveOut {
     pub upsets_undetected: u64,
 }
 
-/// Runs the receive phase over tiles `[lo, lo + inbox.len())`.
+/// Runs the receive phase over tiles `[lo, lo + buffers.len())`.
 ///
-/// `inbox`, `buffers` and `delivery_scratch` are this shard's chunks
-/// (index `tile - lo`); everything in `ctx` is shared read-only state.
-/// Consumes no RNG: probabilistic overflow verdicts come pre-drawn on
-/// the tape.
+/// `buffers` and `delivery_scratch` are this shard's chunks (index
+/// `tile - lo`); everything in `ctx`, the grouped arrivals included, is
+/// shared read-only state. Consumes no RNG: probabilistic overflow
+/// verdicts come pre-drawn on the tape.
 #[allow(clippy::type_complexity)] // mirrors the engine's per-tile delivery scratch layout
 pub(crate) fn receive_shard(
     ctx: &ReceiveCtx<'_>,
     lo: usize,
-    inbox: &mut [Vec<Frame>],
     buffers: &mut [SendBuffer],
     delivery_scratch: &mut [Vec<(NodeId, Arc<[u8]>)>],
 ) -> ReceiveOut {
-    let hi = lo + inbox.len();
+    let hi = lo + buffers.len();
     let round = ctx.round;
     let mut out = ReceiveOut::default();
     // Ids this shard has delivered (and terminated) itself, so a second
@@ -182,11 +208,7 @@ pub(crate) fn receive_shard(
         OverflowPlan::Tape(tape) => tape.spans.partition_point(|s| (s.tile as usize) < lo),
         _ => 0,
     };
-    for tile in ctx.frontier.iter_range(lo, hi) {
-        let frames = &mut inbox[tile - lo];
-        if frames.is_empty() {
-            continue;
-        }
+    for (tile, frames) in ctx.arrivals.tiles(lo, hi) {
         let node = NodeId(tile);
         if !ctx.tiles_alive[tile] || ctx.crash_schedule.tile_dead(tile, round) {
             out.crash_drops += frames.len() as u64;
@@ -198,54 +220,25 @@ pub(crate) fn receive_shard(
                     });
                 }
             }
-            frames.clear();
             continue;
         }
-        // Overflow: apply the pre-drawn verdicts (or the deterministic
-        // structural policy) in place, then drain survivors.
-        match &ctx.overflow {
-            OverflowPlan::None => {}
-            OverflowPlan::Structural { capacity } => {
-                if frames.len() > *capacity {
-                    let excess = frames.len() - capacity;
-                    frames.drain(..excess);
-                    out.overflow_drops += excess as u64;
-                    if ctx.record_events {
-                        for _ in 0..excess {
-                            out.events
-                                .push(SimEvent::OverflowDrop { round, tile: node });
-                        }
-                    }
-                }
-            }
-            OverflowPlan::Tape(tape) => {
-                // Spans were generated from the same frontier walk, so
-                // the next span in range is this tile's.
-                let span = &tape.spans[span_cursor];
-                debug_assert_eq!(span.tile as usize, tile, "overflow tape out of step");
-                span_cursor += 1;
-                let keeps = &tape.keeps[span.start as usize..(span.start + span.len) as usize];
-                debug_assert_eq!(keeps.len(), frames.len());
-                let before = frames.len();
-                let mut k = 0;
-                frames.retain(|_| {
-                    let keep = keeps[k];
-                    k += 1;
-                    keep
-                });
-                let dropped = (before - frames.len()) as u64;
-                out.overflow_drops += dropped;
-                if ctx.record_events {
-                    for _ in 0..dropped {
-                        out.events
-                            .push(SimEvent::OverflowDrop { round, tile: node });
-                    }
-                }
+        // Overflow: the pre-drawn verdicts (or the deterministic
+        // structural policy) say which frames of the slice survive.
+        let (skip, keeps) = ctx.overflow.verdicts(&mut span_cursor, tile, frames.len());
+        let dropped = skip + keeps.map_or(0, |keeps| keeps.iter().filter(|&&keep| !keep).count());
+        out.overflow_drops += dropped as u64;
+        if ctx.record_events {
+            for _ in 0..dropped {
+                out.events
+                    .push(SimEvent::OverflowDrop { round, tile: node });
             }
         }
         let buffer = &mut buffers[tile - lo];
         let mut inserted_here = false;
-        for frame in frames.drain(..) {
+        for (k, frame) in frames.iter().enumerate().skip(skip) {
+            if keeps.is_some_and(|keeps| !keeps[k]) {
+                continue;
+            }
             // Suppression check shared by both decode paths: spreads
             // terminated in earlier rounds, spreads terminated this
             // round by a lower-index tile, or by this shard itself.
@@ -371,8 +364,7 @@ pub(crate) fn receive_shard(
 #[allow(clippy::too_many_arguments)] // the receive phase's split borrows, passed explicitly
 pub(crate) fn plan_terminations(
     round: u64,
-    frontier: &TileSet,
-    inbox: &[Vec<Frame>],
+    arrivals: &Grouped,
     buffers: &[SendBuffer],
     codec: &WireCodec,
     wires: &WireTable,
@@ -384,31 +376,15 @@ pub(crate) fn plan_terminations(
     let mut newly: BTreeMap<MessageId, usize> = BTreeMap::new();
     let mut local_seen: BTreeSet<MessageId> = BTreeSet::new();
     let mut span_cursor = 0usize;
-    for tile in frontier.iter() {
-        let frames = &inbox[tile];
-        if frames.is_empty() {
-            continue;
-        }
+    for (tile, frames) in arrivals.tiles(0, tiles_alive.len()) {
         if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) {
             continue;
         }
         let node = NodeId(tile);
         local_seen.clear();
-        // Index of the first surviving frame under structural overflow;
-        // under the tape, per-frame verdicts.
-        let (skip, keeps): (usize, Option<&[bool]>) = match overflow {
-            OverflowPlan::None => (0, None),
-            OverflowPlan::Structural { capacity } => (frames.len().saturating_sub(*capacity), None),
-            OverflowPlan::Tape(tape) => {
-                let span = &tape.spans[span_cursor];
-                debug_assert_eq!(span.tile as usize, tile, "overflow tape out of step");
-                span_cursor += 1;
-                let keeps = &tape.keeps[span.start as usize..(span.start + span.len) as usize];
-                (0, Some(keeps))
-            }
-        };
-        for (k, frame) in frames.iter().enumerate() {
-            if k < skip || keeps.is_some_and(|keeps| !keeps[k]) {
+        let (skip, keeps) = overflow.verdicts(&mut span_cursor, tile, frames.len());
+        for (k, frame) in frames.iter().enumerate().skip(skip) {
+            if keeps.is_some_and(|keeps| !keeps[k]) {
                 continue;
             }
             let entry = wires.entry(frame.wire);

@@ -461,6 +461,49 @@ fn single_byte_mutations_decode_and_resume_without_panicking() {
     }
 }
 
+/// What the mutation fuzz cannot see, because it only asks for no panic:
+/// §3.2.3's "only one copy is kept" holds because every live id is in its
+/// buffer's seen list. On a 1×2 flood one message is in flight; turning a
+/// zero byte of a round-1 checkpoint into 7 either leaves that true or is
+/// refused. Before `restore_from` checked it, the 16 bytes of tile 0's
+/// seen id and live id (0 → 7) resumed, and within six rounds a tile
+/// buffered a second copy of the message beside the one it held.
+#[test]
+fn a_seen_list_that_disowns_a_live_message_is_refused() {
+    let make = || {
+        SimulationBuilder::new(Topology::grid(1, 2))
+            .config(StochasticConfig::flooding(8))
+            .seed(3)
+    };
+    let mut sim = make().build();
+    sim.inject(NodeId(0), NodeId(1), b"x".to_vec());
+    sim.step();
+    let bytes = sim.checkpoint().to_bytes();
+    let mut disowned = 0;
+    for at in (0..bytes.len()).filter(|&at| bytes[at] == 0) {
+        let mut mutated = bytes.clone();
+        mutated[at] = 7;
+        match Checkpoint::from_bytes(&mutated).and_then(|ck| make().resume(&ck)) {
+            Ok(mut resumed) => {
+                for _ in 0..8 {
+                    resumed.step();
+                    for tile in [NodeId(0), NodeId(1)] {
+                        assert!(
+                            resumed.buffer_len(tile) <= 1,
+                            "byte {at}: {tile} buffers two copies of the only message"
+                        );
+                    }
+                }
+            }
+            Err(CheckpointError::Mismatch(why)) if why.contains("never seen") => disowned += 1,
+            Err(_) => {}
+        }
+    }
+    // Tile 0 alone has heard of the message by round 1: eight bytes of
+    // its seen id, eight of its live id.
+    assert_eq!(disowned, 16);
+}
+
 /// The event-stream half of the guarantee: the JSONL bytes emitted
 /// before the checkpoint plus the bytes emitted by the resumed run are
 /// exactly the straight-through run's bytes, at every checkpoint round.

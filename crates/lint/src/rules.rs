@@ -55,8 +55,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "hot-path-panic",
-        invariant: "per-round engine paths (engine.rs, shard.rs, wire.rs, checkpoint.rs, \
-                    send_buffer.rs, injector.rs) carry no unwrap/expect/panic!",
+        invariant: "per-round engine paths (engine.rs, shard.rs, arrivals.rs, wire.rs, \
+                    checkpoint.rs, send_buffer.rs, injector.rs) carry no unwrap/expect/panic!",
     },
     RuleInfo {
         name: "stdout-in-lib",
@@ -110,6 +110,7 @@ const LIB_CRATES: &[&str] = &[
 
 /// Files forming the per-round hot path.
 const HOT_PATH_FILES: &[&str] = &[
+    "crates/core/src/arrivals.rs",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/frontier.rs",
