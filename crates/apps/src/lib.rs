@@ -27,8 +27,12 @@
 //! assert!((pi - std::f64::consts::PI).abs() < 1e-6);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "unit tests seed streams")
+)]
 
 pub mod beamforming;
 pub mod fft2d;

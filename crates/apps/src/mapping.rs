@@ -105,6 +105,10 @@ pub struct Mapping {
 /// # Panics
 ///
 /// Panics if the grid has fewer tiles than the graph has roles.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "self-contained mapping shuffle seeded by the caller; runs before any engine is built, no tape interaction"
+)]
 pub fn random_mapping(graph: &TrafficGraph, grid: &Grid2d, seed: u64) -> Mapping {
     let tiles = grid.width() * grid.height();
     assert!(
@@ -113,12 +117,10 @@ pub fn random_mapping(graph: &TrafficGraph, grid: &Grid2d, seed: u64) -> Mapping
         graph.roles(),
         tiles
     );
-    // noc-lint: allow(rng-draw-site, reason = "self-contained mapping shuffle seeded by the caller; runs before any engine is built, no tape interaction")
     let mut rng = StdRng::seed_from_u64(seed);
     // Partial Fisher-Yates over the tile indices.
     let mut pool: Vec<usize> = (0..tiles).collect();
     for i in 0..graph.roles() {
-        // noc-lint: allow(rng-draw-site, reason = "self-contained mapping shuffle seeded by the caller; runs before any engine is built, no tape interaction")
         let j = rng.gen_range(i..tiles);
         pool.swap(i, j);
     }

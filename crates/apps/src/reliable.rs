@@ -171,7 +171,10 @@ impl IpCore for ReliableReceiver {
 /// assert_eq!(status.borrow().acked.len(), 2);
 /// assert_eq!(inbox.borrow()[0].as_deref(), Some(b"alpha".as_slice()));
 /// ```
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "the two cores and their two shared handles, returned once"
+)]
 pub fn reliable_pair(
     sender_tile: NodeId,
     receiver_tile: NodeId,

@@ -25,7 +25,7 @@
 //! # let _ = Arbitration::RoundRobin;
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 use noc_energy::{communication_energy, Bits, EnergyDelay, Joules, Seconds, TechnologyLibrary};

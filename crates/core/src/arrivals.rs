@@ -22,6 +22,8 @@
 //! bitset, never a visit of every tile, and the per-tile cursors it uses
 //! are back at zero when it returns.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::frontier::TileSet;
 use crate::wire::Frame;
 

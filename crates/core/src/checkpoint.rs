@@ -63,6 +63,8 @@
 //! assert_eq!(format!("{straight:?}"), format!("{:?}", resumed.run()));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::error::Error;
 use std::fmt;
 use std::fs::{self, File};

@@ -20,6 +20,8 @@
 //! The engine is deterministic: `(topology, config, fault model, seed)`
 //! exactly reproduce a run.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use noc_energy::{Bits, TechnologyLibrary};
 use noc_fabric::{
     ClockDomain, Grid2d, IpContext, IpCore, LinkId, Message, MessageId, NodeId, NullIp, Topology,
@@ -307,18 +309,23 @@ impl SimulationBuilder {
     /// (construct them through their checked builders to avoid this),
     /// or if the topology has more tiles than the wire format's 16-bit
     /// node fields address or more links than a frame handle does.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "seeds the per-link chaos and per-tile Byzantine streams from labels of the run seed, once, before any round"
+    )]
+    #[expect(
+        clippy::panic,
+        reason = "builder-time validation; runs once before the round loop, never per step"
+    )]
     pub fn build_with_sink<S: EventSink>(self, sink: S) -> Simulation<S> {
         self.config
             .validate()
-            // noc-lint: allow(hot-path-panic, reason = "builder-time validation; runs once before the round loop, never per step")
             .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
         self.fault_model
             .validate()
-            // noc-lint: allow(hot-path-panic, reason = "builder-time validation; runs once before the round loop, never per step")
             .unwrap_or_else(|e| panic!("{e}"));
         self.adversary
             .validate()
-            // noc-lint: allow(hot-path-panic, reason = "builder-time validation; runs once before the round loop, never per step")
             .unwrap_or_else(|e| panic!("invalid adversarial scenario: {e}"));
         let n = self.topology.node_count();
         let m = self.topology.link_count();
@@ -1019,6 +1026,10 @@ impl<S: EventSink> Simulation<S> {
     /// executed zero rounds, so that bookkeeping and every scratch
     /// structure start empty; a restore that fails midway leaves a
     /// half-written simulation for the caller to drop.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "puts the adversary streams back at their checkpointed positions; main thread, before any round"
+    )]
     fn restore_from(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         use CheckpointError::Mismatch;
         if ck.config_digest() != self.config_digest_value() {
@@ -1706,7 +1717,10 @@ impl<S: EventSink> Simulation<S> {
     /// tiles with a custom IP participate — [`NullIp`]'s hooks are
     /// no-ops and it reports done, so skipping unmapped tiles changes
     /// nothing observable.
-    #[allow(clippy::needless_range_loop)] // body needs `&mut self` per tile
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "body needs `&mut self` per tile"
+    )]
     fn run_compute(&mut self, round: u64) {
         for i in 0..self.custom_ip_tiles.len() {
             let tile = self.custom_ip_tiles[i];
@@ -2159,6 +2173,10 @@ impl TxContext<'_> {
     /// its activation draw fires: a forgery of `victim` (one corrupted
     /// payload byte, re-encoded so the CRC holds) or a replay of the
     /// tile's last legitimate frame, as the wire entry to flood.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "draws the forged byte from the compromised tile's own stream, in the serial forward walk"
+    )]
     fn byzantine_attack(
         &mut self,
         tile: usize,
@@ -2228,7 +2246,6 @@ where
             .into_iter()
             .map(|handle| match handle.join() {
                 Ok(out) => out,
-                // noc-lint: allow(hot-path-panic, reason = "re-raises a worker thread's panic payload on the main thread; not a new panic site")
                 Err(payload) => std::panic::resume_unwind(payload),
             })
             .collect();
@@ -2280,6 +2297,10 @@ fn apply_overflow_in_place<'f, S: EventSink>(
 /// A Bernoulli draw from one of the engine's deterministic streams
 /// that spends no draw on a certain outcome (`p` of 0 or 1).
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the engine's one Bernoulli draw: its callers are the serial forward walk, handing in a stream the engine owns"
+)]
 fn gen_bool_p(rng: &mut StdRng, p: f64) -> bool {
     use rand::Rng;
     if p <= 0.0 {

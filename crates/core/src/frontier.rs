@@ -12,6 +12,8 @@
 //! empty to non-empty and back), which `Simulation::step` re-asserts
 //! against the O(n) scan in debug builds.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// A dense bitset over tile indices `0..n` with ascending iteration.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TileSet {
@@ -40,7 +42,10 @@ impl TileSet {
 
     /// Is `tile` in the set?
     #[inline]
-    #[allow(dead_code)] // used by the engine's debug-build exactness asserts and unit tests
+    #[allow(
+        dead_code,
+        reason = "used by the engine's debug-build exactness asserts and unit tests"
+    )]
     pub fn contains(&self, tile: usize) -> bool {
         (self.words[tile / 64] >> (tile % 64)) & 1 == 1
     }
@@ -51,7 +56,10 @@ impl TileSet {
     }
 
     /// Number of tiles in the set.
-    #[allow(dead_code)] // exercised by unit tests; kept as the bitset's natural API
+    #[allow(
+        dead_code,
+        reason = "exercised by unit tests; kept as the bitset's natural API"
+    )]
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }

@@ -48,8 +48,12 @@
 //! assert!(report.delivered(msg), "gossip delivered the message");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "unit tests seed streams")
+)]
 
 mod arrivals;
 mod checkpoint;

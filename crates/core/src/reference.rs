@@ -27,6 +27,11 @@
 //! (activation, then forge offset and mask) — see
 //! [`ReferenceSimulation::new_with_adversary`].
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the oracle seeds and draws the streams the engine does, in the engine's order, on one thread; no fan-out here"
+)]
+
 use noc_energy::{Bits, TechnologyLibrary};
 use noc_fabric::{
     ClockDomain, LinkId, Message, MessageId, NodeId, ReceiveBuffer, Topology, WireCodec,

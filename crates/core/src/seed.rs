@@ -75,7 +75,7 @@ pub fn derive_labeled_seed(base_seed: u64, label: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn derivation_is_stable_across_runs() {
@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn trial_seeds_are_distinct() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for base in [0u64, 1, 42, u64::MAX] {
             for index in 0..1000u64 {
                 assert!(

@@ -37,6 +37,8 @@
 //! what a worker computes, and the deterministic plane stays
 //! byte-identical with observability enabled.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -190,7 +192,10 @@ pub(crate) struct ReceiveOut {
 /// `tile - lo`); everything in `ctx`, the grouped arrivals included, is
 /// shared read-only state. Consumes no RNG: probabilistic overflow
 /// verdicts come pre-drawn on the tape.
-#[allow(clippy::type_complexity)] // mirrors the engine's per-tile delivery scratch layout
+#[allow(
+    clippy::type_complexity,
+    reason = "mirrors the engine's per-tile delivery scratch layout"
+)]
 pub(crate) fn receive_shard(
     ctx: &ReceiveCtx<'_>,
     lo: usize,
@@ -361,7 +366,10 @@ pub(crate) fn receive_shard(
 ///
 /// Runs on the main thread before the workers; consumes no RNG
 /// (probabilistic overflow verdicts are read from the tape).
-#[allow(clippy::too_many_arguments)] // the receive phase's split borrows, passed explicitly
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the receive phase's split borrows, passed explicitly"
+)]
 pub(crate) fn plan_terminations(
     round: u64,
     arrivals: &Grouped,

@@ -78,9 +78,12 @@ pub fn rounds_to_inform_all(n: usize) -> f64 {
 /// assert_eq!(curve[0], 1);
 /// assert!(curve.windows(2).all(|w| w[1] >= w[0]), "monotone growth");
 /// ```
+#[expect(
+    clippy::disallowed_methods,
+    reason = "self-contained analytic-validation Monte Carlo with its own caller-provided seed; no engine or tape involved"
+)]
 pub fn simulate_rumor(n: usize, rounds: usize, seed: u64) -> Vec<usize> {
     assert!(n > 0, "population must be positive");
-    // noc-lint: allow(rng-draw-site, reason = "self-contained analytic-validation Monte Carlo with its own caller-provided seed; no engine or tape involved")
     let mut rng = StdRng::seed_from_u64(seed);
     let mut informed = vec![false; n];
     informed[0] = true;
@@ -90,7 +93,6 @@ pub fn simulate_rumor(n: usize, rounds: usize, seed: u64) -> Vec<usize> {
     for _ in 0..rounds {
         let holders: Vec<usize> = (0..n).filter(|&i| informed[i]).collect();
         for _ in holders {
-            // noc-lint: allow(rng-draw-site, reason = "self-contained analytic-validation Monte Carlo with its own caller-provided seed; no engine or tape involved")
             let target = rng.gen_range(0..n);
             if !informed[target] {
                 informed[target] = true;

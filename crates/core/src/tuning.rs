@@ -240,15 +240,15 @@ mod tests {
     fn adjacent_trial_rng_streams_are_uncorrelated() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
 
         // The old affine derivation (`seed * 1_000_003 + trial`) handed
         // consecutive integers to `seed_from_u64`, correlating adjacent
         // trials. The SplitMix64 route must give every trial in a window
         // a distinct seed *and* a distinct first draw, for several bases.
         for base in [0u64, 7, 42, u64::MAX - 3] {
-            let mut seeds = HashSet::new();
-            let mut first_draws = HashSet::new();
+            let mut seeds = BTreeSet::new();
+            let mut first_draws = BTreeSet::new();
             for trial in 0..256u64 {
                 let s = derive_trial_seed(base, trial);
                 assert!(seeds.insert(s), "seed collision at trial {trial}");

@@ -19,6 +19,8 @@
 //! two-bit generation tag, so debug builds catch a handle that outlived
 //! its generation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 

@@ -8,6 +8,8 @@
 //! JSONL event stream) against the uninterrupted run. A property test
 //! sweeps random checkpoint rounds × shard counts on top.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
+
 use noc_fabric::{NodeId, Topology};
 use noc_faults::{
     AdversarialScenario, ByzantineMode, CrashSchedule, ErrorModel, FaultModel, OverflowMode,

@@ -12,6 +12,8 @@
 //! latency must match across random topologies, fault models, crash
 //! schedules, seeds, and shard counts.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
+
 mod common;
 
 use common::{

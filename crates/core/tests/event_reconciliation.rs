@@ -9,6 +9,8 @@
 //! every CRC verdict (reject or undetected acceptance) traces back to
 //! one fired upset in the [`noc_faults::FaultInjector`]'s tally.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
+
 use noc_fabric::{NodeId, Topology};
 use noc_faults::{
     AdversarialScenario, ByzantineMode, CrashSchedule, ErrorModel, FaultModel, OverflowMode,

@@ -11,6 +11,8 @@
 //! point carries no traffic before round `d`; healing at round `h <= d`
 //! makes the cut invisible.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
+
 use std::collections::VecDeque;
 
 use noc_fabric::{NodeId, Topology};

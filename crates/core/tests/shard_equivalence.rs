@@ -14,6 +14,8 @@
 //! full-grid buffer recounts under faults) and `RoundQuiescent`
 //! accounting for in-flight chaos-delayed frames.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
+
 mod common;
 
 use common::{
@@ -33,7 +35,10 @@ const SHARD_COUNTS: [usize; 4] = [2, 3, 7, 8];
 
 /// One full trial at a given shard count, capturing the report, the
 /// serialized event stream, and the quiescent-round tally.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one trial is its whole configuration, spelt out at each call"
+)]
 fn run_trial(
     topology: &Topology,
     config: StochasticConfig,

@@ -36,8 +36,12 @@
 //! assert!(!codec.verify(&corrupted));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "unit tests seed streams")
+)]
 
 mod analysis;
 mod bitwise;

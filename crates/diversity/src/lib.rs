@@ -27,7 +27,7 @@
 //! assert!(results.iter().all(|r| r.transmissions > 0));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod architecture;

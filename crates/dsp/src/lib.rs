@@ -30,8 +30,12 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "unit tests seed streams")
+)]
 
 pub mod bitstream;
 mod complex;

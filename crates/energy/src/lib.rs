@@ -25,7 +25,7 @@
 //! assert!((e.joules() - 1200.0 * 64.0 * 2.4e-10).abs() < 1e-18);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod account;

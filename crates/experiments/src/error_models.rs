@@ -59,7 +59,10 @@ pub fn run(scale: Scale) -> Vec<ErrorModelRow> {
     TrialRunner::for_figure("error-models", combos.len() as u64).run_indexed(|index, seed| {
         let (crc, model) = combos[index];
         let framed_len = message.len() + crc.tag_bytes();
-        // noc-lint: allow(rng-draw-site, reason = "stream construction from a TrialRunner-derived seed for the CRC study; engine-free figure, no tape interaction")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stream construction from a TrialRunner-derived seed for the CRC study; engine-free figure, no tape interaction"
+        )]
         let mut rng = StdRng::seed_from_u64(seed);
         let vectors = (0..trials).map(|_| {
             let mut v = vec![0u8; framed_len];

@@ -50,15 +50,16 @@ pub struct ComparisonRow {
 
 /// Random all-at-once traffic: every module sends one message to a
 /// distinct random peer.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "self-contained traffic-pattern generator from a TrialRunner-derived seed; engine-free energy figure"
+)]
 fn traffic(seed: u64) -> Vec<(usize, usize)> {
-    // noc-lint: allow(rng-draw-site, reason = "self-contained traffic-pattern generator from a TrialRunner-derived seed; engine-free energy figure")
     let mut rng = StdRng::seed_from_u64(seed);
     (0..MESSAGES)
         .map(|src| {
-            // noc-lint: allow(rng-draw-site, reason = "self-contained traffic-pattern generator from a TrialRunner-derived seed; engine-free energy figure")
             let mut dst = rng.gen_range(0..MESSAGES);
             while dst == src {
-                // noc-lint: allow(rng-draw-site, reason = "self-contained traffic-pattern generator from a TrialRunner-derived seed; engine-free energy figure")
                 dst = rng.gen_range(0..MESSAGES);
             }
             (src, dst)

@@ -5,10 +5,11 @@
 //! experiments all [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--progress]
 //! ```
 //!
-//! The command line is validated before any figure runs: an unknown
-//! flag, an unknown figure, a flag that none of the named figures
-//! honours (`all` honours every flag), or an output path that cannot be
-//! written exits 2 with a one-line reason.
+//! The command line is read once, before any figure runs: an unknown
+//! flag, a flag given twice or without its value, a number that is not
+//! one, an unknown figure, a flag that none of the named figures honours
+//! (`all` honours every flag), or an output path that cannot be written
+//! exits 2 with a one-line reason.
 //!
 //! `--threads N` pins the Monte-Carlo worker count (default:
 //! auto-detect); output tables are bit-identical for every `N`.
@@ -40,8 +41,6 @@
 //! figure runs.
 //! `--progress` emits throttled JSONL heartbeats on stderr while sweeps
 //! run (trials done/total, trials/sec, ETA).
-
-#![forbid(unsafe_code)]
 
 use noc_experiments::{
     ablations, error_models, fig3_1, fig3_3, fig4_10, fig4_11, fig4_4, fig4_5, fig4_6, fig4_8,
@@ -132,19 +131,27 @@ fn write_metrics_snapshot(metrics: &noc_obs::Metrics, path: &str) {
     );
 }
 
-/// Every flag: its name, whether a value follows it, and the figures
-/// that honour it (`None`: every figure does).
-type Flag = (&'static str, bool, Option<&'static [&'static str]>);
+/// What follows a flag on the command line.
+#[derive(Clone, Copy, PartialEq)]
+enum Takes {
+    Nothing,
+    Number,
+    Path,
+}
+
+/// Every flag: its name, what follows it, and the figures that honour
+/// it (`None`: every figure does).
+type Flag = (&'static str, Takes, Option<&'static [&'static str]>);
 
 const FLAGS: &[Flag] = &[
-    ("--full", false, None),
-    ("--progress", false, None),
-    ("--threads", true, None),
-    ("--seed", true, None),
-    ("--metrics-out", true, None),
+    ("--full", Takes::Nothing, None),
+    ("--progress", Takes::Nothing, None),
+    ("--threads", Takes::Number, None),
+    ("--seed", Takes::Number, None),
+    ("--metrics-out", Takes::Path, None),
     (
         "--shards",
-        true,
+        Takes::Number,
         Some(&[
             "fig3-3",
             "fig4-6",
@@ -155,12 +162,52 @@ const FLAGS: &[Flag] = &[
             "mega-grid",
         ]),
     ),
-    ("--trace-events", true, Some(&["fig3-3", "hostile"])),
-    ("--reconcile-json", true, Some(&["hostile"])),
-    ("--checkpoint-every", true, Some(&["mega-grid"])),
-    ("--checkpoint-dir", true, Some(&["mega-grid"])),
-    ("--resume", true, Some(&["mega-grid"])),
+    ("--trace-events", Takes::Path, Some(&["fig3-3", "hostile"])),
+    ("--reconcile-json", Takes::Path, Some(&["hostile"])),
+    ("--checkpoint-every", Takes::Number, Some(&["mega-grid"])),
+    ("--checkpoint-dir", Takes::Path, Some(&["mega-grid"])),
+    ("--resume", Takes::Path, Some(&["mega-grid"])),
 ];
+
+/// A flag's value, read.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Set,
+    Number(u64),
+    Path(&'a str),
+}
+
+/// A command line, read once: the figure targets and each flag given
+/// with its value.
+struct Command<'a> {
+    targets: Vec<&'a str>,
+    given: Vec<(&'static Flag, Value<'a>)>,
+}
+
+impl<'a> Command<'a> {
+    fn value(&self, flag: &str) -> Option<Value<'a>> {
+        let given = self.given.iter().find(|((name, ..), _)| *name == flag);
+        given.map(|&(_, value)| value)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    fn number(&self, flag: &str) -> Option<u64> {
+        match self.value(flag)? {
+            Value::Number(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    fn path(&self, flag: &str) -> Option<String> {
+        match self.value(flag)? {
+            Value::Path(path) => Some(path.to_string()),
+            _ => None,
+        }
+    }
+}
 
 /// Opens `path` for writing, creating it empty if it is absent and
 /// leaving its contents alone if it is not: what a later
@@ -170,35 +217,62 @@ fn creatable(path: &str) -> std::io::Result<()> {
     options.create(true).append(true).open(path).map(drop)
 }
 
-/// Splits `args` into the figure targets, or gives the one-line reason
-/// the command line is rejected: an unknown flag, a flag missing its
-/// value, an unknown figure, a flag that none of the named figures
-/// honours (`all` honours every flag), or an output path that cannot
-/// be written — a file that cannot be created, a checkpoint directory
-/// that neither exists nor can be made. Runs before any figure does, so
-/// a typo never costs a run at the wrong scale, or its results.
-fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
-    let mut targets = Vec::new();
-    let mut given: Vec<(&Flag, &str)> = Vec::new();
+/// The value that `takes` says follows the flag `name`, read off `rest`.
+fn value_of<'a>(
+    name: &str,
+    takes: Takes,
+    rest: &mut std::slice::Iter<'a, String>,
+) -> Result<Value<'a>, String> {
+    if takes == Takes::Nothing {
+        return Ok(Value::Set);
+    }
+    let is_flag = |value: &&String| FLAGS.iter().any(|(name, ..)| name == *value);
+    let value = rest.next().filter(|value| !is_flag(value));
+    let value = value.ok_or_else(|| format!("{name} requires a value"))?;
+    if takes == Takes::Path {
+        return Ok(Value::Path(value));
+    }
+    match value.parse() {
+        Ok(number) => Ok(Value::Number(number)),
+        Err(_) => Err(format!(
+            "{name} requires an unsigned integer, got '{value}'"
+        )),
+    }
+}
+
+/// Reads `args` into the command they spell, or gives the one-line
+/// reason the command line is rejected: an unknown flag, a flag given
+/// twice, a flag missing its value (another flag's name is not one), a
+/// number that is not an unsigned integer, an unknown figure, a flag
+/// that none of the named figures honours (`all` honours every flag), or
+/// an output path that cannot be written — a file that cannot be
+/// created, a checkpoint directory that neither exists nor can be made.
+/// Runs before any figure does, so a typo never costs a run at the wrong
+/// scale, or its results; the paths are tried last, so a rejected
+/// command line creates nothing.
+fn targets_of(args: &[String]) -> Result<Command<'_>, String> {
+    let mut command = Command {
+        targets: Vec::new(),
+        given: Vec::new(),
+    };
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
-            targets.push(arg.as_str());
+            command.targets.push(arg.as_str());
             continue;
         }
-        let Some(flag @ &(_, takes_value, _)) = FLAGS.iter().find(|(name, ..)| name == arg) else {
+        let Some(flag @ &(name, takes, _)) = FLAGS.iter().find(|(name, ..)| name == arg) else {
             return Err(format!("unknown flag '{arg}'"));
         };
-        let value = if takes_value {
-            let value = rest.next();
-            value.ok_or_else(|| format!("{arg} requires a value"))?
-        } else {
-            ""
-        };
-        given.push((flag, value));
+        if command.has(name) {
+            return Err(format!("{name} is given twice"));
+        }
+        let value = value_of(name, takes, &mut rest)?;
+        command.given.push((flag, value));
     }
-    if targets == ["help"] {
-        return Ok(targets);
+    let targets = &command.targets;
+    if *targets == ["help"] {
+        return Ok(command);
     }
     if let Some(name) = targets
         .iter()
@@ -210,7 +284,7 @@ fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
         ));
     }
     if !targets.is_empty() && !targets.contains(&"all") {
-        for &(&(name, _, honoured_by), _) in &given {
+        for &(&(name, _, honoured_by), _) in &command.given {
             let Some(figures) = honoured_by else {
                 continue;
             };
@@ -223,7 +297,10 @@ fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
             }
         }
     }
-    for (&(name, ..), path) in given {
+    for &(&(name, ..), value) in &command.given {
+        let Value::Path(path) = value else {
+            continue;
+        };
         let checked = match name {
             "--trace-events" | "--reconcile-json" => creatable(path),
             "--metrics-out" => creatable(path).and_then(|()| creatable(&format!("{path}.prom"))),
@@ -232,31 +309,17 @@ fn targets_of(args: &[String]) -> Result<Vec<&str>, String> {
         };
         checked.map_err(|err| format!("{name} {path}: {err}"))?;
     }
-    Ok(targets)
-}
-
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    let value = parse_string_flag(args, flag)?;
-    Some(value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} requires an unsigned integer, got '{value}'");
-        std::process::exit(2);
-    }))
-}
-
-/// The value after the first occurrence of `flag` ([`targets_of`] has
-/// checked that one follows).
-fn parse_string_flag(args: &[String], flag: &str) -> Option<String> {
-    let position = args.iter().position(|a| a == flag)?;
-    args.get(position + 1).cloned()
+    Ok(command)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let targets = targets_of(&args).unwrap_or_else(|reason| {
+    let command = targets_of(&args).unwrap_or_else(|reason| {
         eprintln!("{reason}");
         std::process::exit(2);
     });
-    if targets.is_empty() || targets == ["help"] {
+    let targets = &command.targets;
+    if targets.is_empty() || *targets == ["help"] {
         eprintln!(
             "usage: experiments <figure>|all [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--checkpoint-every N] [--checkpoint-dir PATH] [--resume PATH] [--progress]"
         );
@@ -264,44 +327,44 @@ fn main() {
         std::process::exit(if targets.is_empty() { 2 } else { 0 });
     }
 
-    let scale = if args.iter().any(|a| a == "--full") {
+    let scale = if command.has("--full") {
         Scale::Full
     } else {
         Scale::Quick
     };
-    if let Some(threads) = parse_flag(&args, "--threads") {
+    if let Some(threads) = command.number("--threads") {
         runner::set_default_threads(usize::try_from(threads).unwrap_or(usize::MAX));
     }
-    if let Some(shards) = parse_flag(&args, "--shards") {
+    if let Some(shards) = command.number("--shards") {
         runner::set_default_shards(usize::try_from(shards).unwrap_or(usize::MAX));
     }
-    if let Some(seed) = parse_flag(&args, "--seed") {
+    if let Some(seed) = command.number("--seed") {
         runner::set_base_seed(seed);
     }
-    runner::set_trace_path(parse_string_flag(&args, "--trace-events"));
-    runner::set_reconcile_json_path(parse_string_flag(&args, "--reconcile-json"));
-    if let Some(every) = parse_flag(&args, "--checkpoint-every") {
+    runner::set_trace_path(command.path("--trace-events"));
+    runner::set_reconcile_json_path(command.path("--reconcile-json"));
+    if let Some(every) = command.number("--checkpoint-every") {
         runner::set_checkpoint_every(every);
     }
-    runner::set_checkpoint_dir(parse_string_flag(&args, "--checkpoint-dir"));
+    runner::set_checkpoint_dir(command.path("--checkpoint-dir"));
     // A digest that matches none of the configurations is not an error
     // (that is how one file addresses one row); a file that is no
     // checkpoint at all would resume nothing and is.
-    let resume = parse_string_flag(&args, "--resume");
+    let resume = command.path("--resume");
     if let Err(err) = runner::set_resume_path(resume.clone()) {
         eprintln!("--resume {}: {err}", resume.unwrap_or_default());
         std::process::exit(2);
     }
-    let metrics_out = parse_string_flag(&args, "--metrics-out");
+    let metrics_out = command.path("--metrics-out");
     let metrics = metrics_out.as_ref().map(|_| {
         let metrics = std::sync::Arc::new(noc_obs::Metrics::new());
         runner::install_metrics(Some(std::sync::Arc::clone(&metrics)));
         metrics
     });
-    runner::set_progress(args.iter().any(|a| a == "--progress"));
+    runner::set_progress(command.has("--progress"));
 
-    let list: Vec<&str> = if targets.contains(&"all") {
-        FIGURES.to_vec()
+    let list: &[&str] = if targets.contains(&"all") {
+        FIGURES
     } else {
         targets
     };

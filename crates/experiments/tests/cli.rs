@@ -42,6 +42,36 @@ fn unknown_figure_is_rejected_before_the_figures_ahead_of_it_run() {
 }
 
 #[test]
+fn a_number_that_is_not_one_is_rejected_before_an_output_path_is_touched() {
+    let dir = std::env::temp_dir().join(format!("cli-nan-{}", std::process::id()));
+    std::fs::create_dir(&dir).expect("the temp directory is made");
+    let metrics = dir.join("m.json");
+    let metrics = metrics.to_str().expect("utf-8 temp path");
+    assert_rejected(
+        &["fig4-4", "--threads", "abc", "--metrics-out", metrics],
+        "--threads",
+    );
+    let left_behind = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(left_behind, 0, "a rejected command line creates nothing");
+    for flag in ["--shards", "--seed", "--checkpoint-every"] {
+        assert_rejected(&["mega-grid", flag, "-1"], flag);
+    }
+}
+
+#[test]
+fn a_flag_is_not_another_flags_value() {
+    let stderr = assert_rejected(&["fig3-3", "--trace-events", "--full"], "--trace-events");
+    assert!(stderr.contains("requires a value"), "{stderr}");
+}
+
+#[test]
+fn a_flag_given_twice_is_rejected_not_read_once() {
+    assert_rejected(&["fig4-9", "--threads", "1", "--threads", "x"], "twice");
+    assert_rejected(&["fig3-1", "--full", "--full"], "twice");
+}
+
+#[test]
 fn resume_of_a_file_that_is_no_checkpoint_is_rejected_not_run_fresh() {
     assert_rejected(&["mega-grid", "--resume", "/nonexistent"], "--resume");
     let path = std::env::temp_dir().join(format!("cli-zeros-{}.ckpt", std::process::id()));

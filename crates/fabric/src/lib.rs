@@ -21,8 +21,12 @@
 //! assert_eq!(grid.manhattan_distance(NodeId(5), NodeId(11)), 3);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "unit tests seed streams")
+)]
 
 mod buffer;
 mod clock;

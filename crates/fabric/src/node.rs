@@ -73,8 +73,10 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let set: HashSet<NodeId> = [NodeId(1), NodeId(2), NodeId(1)].into_iter().collect();
+        use std::collections::BTreeSet;
+        fn hashable(_: impl std::hash::Hash) {}
+        hashable((NodeId(1), LinkId(3)));
+        let set: BTreeSet<NodeId> = [NodeId(1), NodeId(2), NodeId(1)].into_iter().collect();
         assert_eq!(set.len(), 2);
         assert!(NodeId(1) < NodeId(2));
         assert!(LinkId(3) > LinkId(0));

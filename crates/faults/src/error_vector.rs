@@ -67,8 +67,11 @@ impl ErrorModel {
                 let mut any = false;
                 while !any {
                     for byte in payload.iter_mut() {
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "draws from the caller's RNG handed in by a sanctioned site; the scramble itself owns no stream"
+                        )]
                         for bit in 0..8 {
-                            // noc-lint: allow(rng-draw-site, reason = "draws from the caller's RNG handed in by a sanctioned site; the scramble itself owns no stream")
                             if rng.gen_bool(p_b) {
                                 *byte ^= 1 << bit;
                                 any = true;

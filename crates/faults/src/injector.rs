@@ -1,5 +1,11 @@
 //! The runtime fault injector that a simulation engine consults.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the injector owns the fault stream: it seeds it, draws from it on the engine's main thread and restores it from a checkpoint; no fan-out here"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,9 +145,12 @@ impl FaultInjector {
     /// Panics if `model` fails [`FaultModel::validate`] — build models via
     /// [`FaultModel::builder`] to get a checked result instead.
     pub fn new(model: FaultModel, seed: u64) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "constructor-time validation of a builder-produced model; outside the per-round sampling path"
+        )]
         model
             .validate()
-            // noc-lint: allow(hot-path-panic, reason = "constructor-time validation of a builder-produced model; outside the per-round sampling path")
             .unwrap_or_else(|e| panic!("invalid fault model: {e}"));
         Self {
             model,

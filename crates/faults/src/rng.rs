@@ -60,6 +60,10 @@ impl GaussianSampler {
 
     /// Draws one standard-normal sample.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "draws from the caller's RNG handed in by the injector; the sampler owns no stream"
+    )]
     pub fn sample_standard<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if let Some(z) = self.spare.take() {
             return z;

@@ -16,17 +16,16 @@
 //!   hand-rolled JSON ([`MetricsSnapshot::to_json`]) and Prometheus
 //!   text exposition ([`MetricsSnapshot::to_prometheus`]);
 //! * [`Stopwatch`] — the one sanctioned wrapper around
-//!   `std::time::Instant`. The `noc-lint` `nondeterministic-time` rule
-//!   flags raw `Instant::now()`/`SystemTime::now()` everywhere outside
-//!   this crate, so the two-plane split is enforced statically, not by
-//!   convention.
+//!   `std::time::Instant`. `clippy.toml` disallows `Instant` and
+//!   `SystemTime` everywhere outside `time.rs`, so the two-plane split
+//!   is enforced statically, not by convention.
 //!
 //! Handles returned by the registry are cheap `Arc`-backed clones whose
 //! record paths are single atomic operations — safe to call from scoped
 //! worker threads without locks. The registry lock is only taken at
 //! registration and snapshot time.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod registry;

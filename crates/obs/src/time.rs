@@ -1,10 +1,15 @@
 //! The sanctioned wall-clock read.
 //!
-//! `Stopwatch` is the only place in the workspace allowed to call
-//! `std::time::Instant::now()`; the `nondeterministic-time` lint rule
-//! exempts `crates/obs/` and flags every other call site. Keeping the
+//! `Stopwatch` is the only place in the workspace allowed to name
+//! `std::time::Instant`: `clippy.toml` disallows the type everywhere,
+//! and the expectation below is the one exception. Keeping the
 //! read behind one type makes the wall-clock plane auditable: grep for
 //! `Stopwatch::start` and you have every timing span in the system.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned clock read; every other crate times spans through Stopwatch"
+)]
 
 use std::time::{Duration, Instant};
 

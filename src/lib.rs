@@ -13,8 +13,6 @@
 //! assert_eq!(sim.node_count(), 16);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use noc_apps;
 pub use noc_bus;
 pub use noc_crc;

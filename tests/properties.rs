@@ -1,5 +1,7 @@
 //! Cross-crate property-based tests on protocol invariants.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
+
 use ocsc::noc_fabric::{Grid2d, NodeId, Topology};
 use ocsc::noc_faults::FaultModel;
 use ocsc::stochastic_noc::{SimulationBuilder, StochasticConfig};
