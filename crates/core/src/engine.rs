@@ -700,18 +700,21 @@ impl<S: EventSink> Simulation<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `payload` is longer than [`MAX_PAYLOAD_BYTES`] or a node
-    /// index is not below [`MAX_NODES`], the wire format's field widths.
+    /// Panics if `payload` is longer than [`MAX_PAYLOAD_BYTES`], the wire
+    /// format's field width, or if `source` or `destination` is outside
+    /// the topology.
     pub fn inject(&mut self, source: NodeId, destination: NodeId, payload: Vec<u8>) -> MessageId {
         assert!(
             payload.len() <= MAX_PAYLOAD_BYTES,
             "payload of {} bytes exceeds the wire format's {MAX_PAYLOAD_BYTES}-byte limit",
             payload.len()
         );
-        assert!(
-            source.index() < MAX_NODES && destination.index() < MAX_NODES,
-            "node index too large for wire format"
-        );
+        for node in [source, destination] {
+            assert!(
+                node.index() < self.topology.node_count(),
+                "{node} outside topology"
+            );
+        }
         let id = MessageId(self.next_message_id);
         self.next_message_id += 1;
         let frame_bits = self.codec.frame_bits(payload.len());
@@ -1120,8 +1123,11 @@ impl<S: EventSink> Simulation<S> {
             for _ in 0..live {
                 let (id, source, destination) = (r.u64()?, r.u64()?, r.u64()?);
                 let (ttl, payload) = (r.u8()?, r.bytes()?);
-                if source >= n as u64
-                    || destination >= n as u64
+                // Checked against the wire format, not the topology: an
+                // undetected upset can leave any 16-bit node index in a
+                // buffered header.
+                if source >= MAX_NODES as u64
+                    || destination >= MAX_NODES as u64
                     || payload.len() > MAX_PAYLOAD_BYTES
                 {
                     return Err(Mismatch("buffered message does not fit the wire format"));

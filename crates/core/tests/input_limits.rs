@@ -53,14 +53,31 @@ fn oversized_payload_from_an_ip_core_is_rejected_as_it_leaves_the_outbox() {
 /// Fault-free, this frame is never built: the encoder's assert would
 /// never run, so `inject` is what refuses the index.
 #[test]
-#[should_panic(expected = "node index too large for wire format")]
+#[should_panic(expected = "n65536 outside topology")]
 fn destination_beyond_the_node_field_is_rejected_at_inject() {
     let mut sim = SimulationBuilder::square_grid(2).build();
     sim.inject(NodeId(0), NodeId(MAX_NODES), vec![1]);
 }
 
+/// Index 20 fits the wire format's node field but names no tile of a
+/// 4×4 grid: a message to it would flood until its TTL ran out.
 #[test]
-#[should_panic(expected = "node index too large for wire format")]
+#[should_panic(expected = "n20 outside topology")]
+fn destination_outside_the_topology_is_rejected_at_inject() {
+    let mut sim = SimulationBuilder::square_grid(4).build();
+    sim.inject(NodeId(0), NodeId(20), vec![1]);
+}
+
+/// Not an index-out-of-bounds in the liveness lookup.
+#[test]
+#[should_panic(expected = "n20 outside topology")]
+fn source_outside_the_topology_is_rejected_at_inject() {
+    let mut sim = SimulationBuilder::square_grid(4).build();
+    sim.inject(NodeId(20), NodeId(0), vec![1]);
+}
+
+#[test]
+#[should_panic(expected = "n65536 outside topology")]
 fn destination_beyond_the_node_field_from_an_ip_core_is_rejected_as_it_leaves_the_outbox() {
     struct Misaddresser;
     impl IpCore for Misaddresser {
@@ -200,4 +217,39 @@ fn a_checkpoint_whose_gaussian_spare_is_not_finite_is_rejected() {
             "spare {hostile}"
         );
     }
+}
+
+/// An undetected upset can leave any 16-bit node index in the header a
+/// tile buffers, so `resume` holds a buffered message to the wire format,
+/// not to the topology: a destination of 40 000 in a 4×4 run is state the
+/// engine reaches, and it resumes and re-captures byte for byte.
+#[test]
+fn a_buffered_destination_outside_the_topology_resumes() {
+    let builder = || {
+        SimulationBuilder::square_grid(4)
+            .config(StochasticConfig::flooding(8))
+            .seed(5)
+    };
+    let payload = b"patch me";
+    let mut sim = builder().build();
+    sim.inject(NodeId(0), NodeId(15), payload.to_vec());
+    sim.step();
+    let mut bytes = sim.checkpoint().to_bytes();
+    // A buffered message is written as id, source, destination, TTL and
+    // the length-prefixed payload.
+    let mut patched = 0;
+    for at in 0..bytes.len() - 25 {
+        if bytes[at..at + 8] == 15u64.to_le_bytes()
+            && bytes[at + 9..at + 17] == 8u64.to_le_bytes()
+            && bytes[at + 17..at + 25] == *payload
+        {
+            bytes[at..at + 8].copy_from_slice(&40_000u64.to_le_bytes());
+            patched += 1;
+        }
+    }
+    assert!(patched > 0, "no buffered copy of the message found");
+    let checkpoint = Checkpoint::from_bytes(&bytes).expect("well-formed");
+    let mut resumed = builder().resume(&checkpoint).expect("fits the wire format");
+    assert_eq!(resumed.checkpoint().to_bytes(), bytes);
+    resumed.run();
 }

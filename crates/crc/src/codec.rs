@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn round_trip_and_single_bit_flips_at_every_word_and_tail_length() {
-        // The slice kernel's every word and tail length, on the encode
+        // The slice kernel's every block and tail length, on the encode
         // and on the verify side.
         for params in CrcParams::sweep() {
             let codec = PacketCodec::new(params);

@@ -8,9 +8,9 @@
 //! decoders are easy to implement in hardware, as they only require one
 //! shift register"; [`BitwiseCrc`] models exactly that linear-feedback shift
 //! register, while [`TableCrc`] is the software equivalent that every
-//! encode and verify of the simulator runs: a slice-by-8 kernel folding
-//! eight input bytes per step (the two are proven equivalent by property
-//! tests at every word and tail length).
+//! encode and verify of the simulator runs: a slice-by-16 kernel folding
+//! sixteen input bytes per step (the two are proven equivalent by tests at
+//! every block and tail length).
 //!
 //! # Examples
 //!

@@ -145,7 +145,8 @@ impl CrcParams {
 }
 
 /// Full-width sets for the tests: at 64 bits the working register fills
-/// the word the slice kernel folds, so no alignment shift hides a mistake.
+/// the eight leading bytes the slice kernel folds it into, so no alignment
+/// shift hides a mistake.
 #[cfg(test)]
 impl CrcParams {
     /// CRC-64/XZ (reflected); check value `0x995DC9BBDF1939FA`.
@@ -170,9 +171,10 @@ impl CrcParams {
         xor_out: 0,
     };
 
-    /// Input lengths `0..=SWEEP_MAX_LEN` put every tail of 0–7 bytes
-    /// after 0–9 whole words of the slice kernel.
-    pub(crate) const SWEEP_MAX_LEN: usize = 72;
+    /// Input lengths `0..=SWEEP_MAX_LEN` put every tail of 0–15 bytes
+    /// (with and without the eight-byte step) after 0–4 sixteen-byte
+    /// steps of the slice kernel.
+    pub(crate) const SWEEP_MAX_LEN: usize = 4 * 16 + 15;
 
     /// [`CrcParams::ALL`] plus the two 64-bit sets.
     pub(crate) fn sweep() -> impl Iterator<Item = CrcParams> {
@@ -193,16 +195,11 @@ impl fmt::Display for CrcParams {
     }
 }
 
-/// Reflects the low `width` bits of `value` (bit 0 swaps with bit width-1).
+/// Reflects the low `width` bits of `value` (bit 0 swaps with bit
+/// width-1); `width` is in `1..=64`.
 #[inline]
 pub(crate) fn reflect(value: u64, width: u32) -> u64 {
-    let mut out = 0u64;
-    for i in 0..width {
-        if value >> i & 1 == 1 {
-            out |= 1 << (width - 1 - i);
-        }
-    }
-    out
+    value.reverse_bits() >> (64 - width)
 }
 
 #[cfg(test)]

@@ -1,26 +1,30 @@
-//! Table-driven (slice-by-8) CRC computation.
+//! Table-driven (slice-by-16) CRC computation.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::params::{reflect, CrcParams};
 use crate::CrcAlgorithm;
 
-/// Input bytes folded per step of the slice kernel, and the number of
-/// 256-entry tables it reads.
-const SLICES: usize = 8;
+/// Input bytes folded per step of the kernel, and the number of 256-entry
+/// tables it reads.
+const SLICES: usize = 16;
 
-/// A slice-by-8 CRC engine: eight precomputed 256-entry tables fold one
-/// 64-bit word of input per step through eight independent lookups; a
-/// byte-at-a-time loop over the first table finishes the last 0–7 bytes.
+/// `tables[0]` is the classic byte table; `tables[k][i]` is
+/// `tables[k - 1][i]` advanced by one zero byte, i.e. the register left by
+/// byte `i` followed by `k` zero bytes.
+type Tables = [[u64; 256]; SLICES];
+
+/// A slice-by-16 CRC engine: sixteen precomputed 256-entry tables fold
+/// sixteen input bytes per step through sixteen independent lookups.
+/// Only the lookups of the bytes the register overlaps wait for the
+/// previous step; the rest are issued before it. One eight-byte step and
+/// a byte-at-a-time loop over the first table finish the last 0–15 bytes.
 ///
 /// Functionally identical to [`crate::BitwiseCrc`] (this equivalence is
-/// enforced by property tests at every tail length, for reflected and
+/// enforced by tests at every block and tail length, for reflected and
 /// MSB-first sets from 5 to 64 bits wide), so simulation inner loops use
-/// this type. Measured on 1 KiB of CRC-16/CCITT on the repository's
-/// 2-core benchmark host (`crc.table_ns_per_byte`, EXPERIMENTS.md "PR
-/// 17"): 0.86 ns per byte, against 11.4 ns per byte bit-serial (13x) and
-/// 3.2 ns per byte for the byte-at-a-time loop this kernel replaced
-/// (3.7x).
+/// this type. Clones share the tables.
 ///
 /// # Examples
 ///
@@ -33,15 +37,12 @@ const SLICES: usize = 8;
 #[derive(Clone)]
 pub struct TableCrc {
     params: CrcParams,
-    /// `tables[0]` is the classic byte table; `tables[k][i]` is
-    /// `tables[k - 1][i]` advanced by one zero byte, i.e. the register
-    /// left by byte `i` followed by `k` zero bytes.
-    tables: Box<[[u64; 256]; SLICES]>,
+    tables: Arc<Tables>,
 }
 
 impl TableCrc {
     /// Creates an engine for the given parameter set, precomputing the
-    /// byte table and the seven tables derived from it (16 KiB in all).
+    /// byte table and the fifteen tables derived from it (32 KiB in all).
     ///
     /// # Panics
     ///
@@ -88,7 +89,10 @@ impl TableCrc {
                 };
             }
         }
-        Self { params, tables }
+        Self {
+            params,
+            tables: Arc::from(tables),
+        }
     }
 
     /// Read-only access to the precomputed byte table (for
@@ -96,10 +100,24 @@ impl TableCrc {
     pub fn table(&self) -> &[u64; 256] {
         &self.tables[0]
     }
+
+    /// Runs the shifted-domain register `reg` over `data` with the kernel
+    /// whose `R` leading bytes of each block meet the register.
+    #[inline]
+    fn fold_all<const R: usize>(&self, reg: u64, data: &[u8]) -> u64 {
+        let shift_width = self.params.width.max(8);
+        if self.params.reflect_in {
+            let reg =
+                fold_stream::<R, true>(&self.tables, reflect(reg, shift_width), data, shift_width);
+            reflect(reg, shift_width)
+        } else {
+            fold_stream::<R, false>(&self.tables, reg, data, shift_width)
+        }
+    }
 }
 
 /// Renders the parameter set and the byte table, which determine the
-/// other seven. The simulator's checkpoint config digest hashes this text
+/// other fifteen. The simulator's checkpoint config digest hashes this text
 /// through its codec, so it stays what a one-table engine printed.
 impl fmt::Debug for TableCrc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -119,22 +137,71 @@ fn shift_mask(shift_width: u32) -> u64 {
     }
 }
 
-/// Advances eight bytes at once: `word[0]` is the byte the stream would
-/// have fed first, so it is followed by seven more and takes the table
-/// advanced by seven zero bytes. The register is at most 64 bits wide, so
-/// XORed onto the leading bytes of `word` it is consumed whole here; the
-/// lookups those bytes index come last in the chain, the others can be
-/// issued before the previous step's register is known.
+/// Advances `N` bytes at once (`N` is 16 or 8): `block[j]` is followed by
+/// `N - 1 - j` more bytes, so it indexes the table advanced by that many
+/// zero bytes. `lead` is the register's bytes in the order the stream
+/// meets them; it is at most 64 bits wide, so XORed onto the first `R`
+/// bytes of the block it is consumed whole here. The other `N - R`
+/// lookups do not depend on it: they are issued first and XOR-reduced as
+/// a tree, and only the `R` lookups the register reaches wait for the
+/// previous step.
 #[inline(always)]
-fn fold(t: &[[u64; 256]; SLICES], word: [u8; SLICES]) -> u64 {
-    t[0][word[7] as usize]
-        ^ t[1][word[6] as usize]
-        ^ t[2][word[5] as usize]
-        ^ t[3][word[4] as usize]
-        ^ t[4][word[3] as usize]
-        ^ t[5][word[2] as usize]
-        ^ t[6][word[1] as usize]
-        ^ t[7][word[0] as usize]
+fn fold<const N: usize, const R: usize>(t: &Tables, block: &[u8; N], lead: [u8; 8]) -> u64 {
+    let mut far = [0u64; N];
+    for j in R..N {
+        far[j] = t[N - 1 - j][block[j] as usize];
+    }
+    let mut half = N;
+    while half > 1 {
+        half /= 2;
+        for j in 0..half {
+            far[j] ^= far[j + half];
+        }
+    }
+    let mut near = 0;
+    for j in 0..R {
+        near ^= t[N - 1 - j][(block[j] ^ lead[j]) as usize];
+    }
+    far[0] ^ near
+}
+
+/// The one kernel: sixteen-byte steps, then at most one eight-byte step,
+/// then 0–7 single bytes through the byte table. `reg` is the working
+/// register of `shift_width` bits, bit-reflected when `REFLECTED`.
+#[inline(always)]
+fn fold_stream<const R: usize, const REFLECTED: bool>(
+    t: &Tables,
+    mut reg: u64,
+    data: &[u8],
+    shift_width: u32,
+) -> u64 {
+    // LSB-first: the register's low byte meets the first input byte.
+    // MSB-first: its top byte does, once aligned to the top of the word.
+    let align = 64 - shift_width;
+    let lead = |reg: u64| {
+        if REFLECTED {
+            reg.to_le_bytes()
+        } else {
+            (reg << align).to_be_bytes()
+        }
+    };
+    let (blocks, rest) = data.as_chunks::<SLICES>();
+    for block in blocks {
+        reg = fold::<SLICES, R>(t, block, lead(reg));
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    for word in words {
+        reg = fold::<8, R>(t, word, lead(reg));
+    }
+    for &b in tail {
+        reg = if REFLECTED {
+            (reg >> 8) ^ t[0][((reg ^ b as u64) & 0xFF) as usize]
+        } else {
+            let idx = ((reg >> (shift_width - 8)) ^ b as u64) & 0xFF;
+            ((reg << 8) & shift_mask(shift_width)) ^ t[0][idx as usize]
+        };
+    }
+    reg
 }
 
 impl CrcAlgorithm for TableCrc {
@@ -146,38 +213,16 @@ impl CrcAlgorithm for TableCrc {
         let p = &self.params;
         let width = p.width;
         let shift_width = width.max(8);
-        let shift_mask = shift_mask(shift_width);
-        let t = &*self.tables;
-        let (words, tail) = data.as_chunks::<SLICES>();
         // Work in the shifted register domain.
-        let mut reg = (p.init & p.mask()) << (shift_width - width);
-        if p.reflect_in {
-            // LSB-first: the register's low byte meets the first input
-            // byte, which a little-endian load puts in the low byte.
-            reg = reflect(reg, shift_width);
-            for word in words {
-                reg = fold(t, (reg ^ u64::from_le_bytes(*word)).to_le_bytes());
-            }
-            for &b in tail {
-                let idx = ((reg ^ b as u64) & 0xFF) as usize;
-                reg = (reg >> 8) ^ t[0][idx];
-            }
-            reg = reflect(reg, shift_width);
-        } else {
-            // MSB-first: the register's top byte meets the first input
-            // byte, which a big-endian load puts in the top byte.
-            let align = 64 - shift_width;
-            for word in words {
-                reg = fold(
-                    t,
-                    ((reg << align) ^ u64::from_be_bytes(*word)).to_be_bytes(),
-                );
-            }
-            for &b in tail {
-                let idx = (((reg >> (shift_width - 8)) ^ b as u64) & 0xFF) as usize;
-                reg = ((reg << 8) & shift_mask) ^ t[0][idx];
-            }
-        }
+        let reg = (p.init & p.mask()) << (shift_width - width);
+        // The register spans this many leading bytes of a block, rounded
+        // up to a kernel that exists.
+        let reg = match shift_width.div_ceil(8) {
+            1 => self.fold_all::<1>(reg, data),
+            2 => self.fold_all::<2>(reg, data),
+            3 | 4 => self.fold_all::<4>(reg, data),
+            _ => self.fold_all::<8>(reg, data),
+        };
         let mut out = reg >> (shift_width - width);
         if p.reflect_out {
             out = reflect(out, width);
@@ -228,22 +273,48 @@ mod tests {
         }
     }
 
+    /// A fig4-8 frame body, and the largest body the wire format carries
+    /// (a 65 535-byte payload behind the 15-byte header).
+    #[test]
+    fn slice_kernel_equals_bitwise_on_long_frames() {
+        for len in [530, 65_550] {
+            let data = pattern(len);
+            for params in CrcParams::sweep() {
+                assert_eq!(
+                    TableCrc::new(params).checksum(&data),
+                    BitwiseCrc::new(params).checksum(&data),
+                    "{}, {len} bytes",
+                    params.name
+                );
+            }
+        }
+    }
+
+    /// Tables 1–7 are first read by the eight-byte step (length 8), tables
+    /// 8–15 by the first sixteen-byte step (length 16).
     #[test]
     fn breaking_any_one_derived_table_fails_the_sweep() {
         for params in CrcParams::sweep() {
             for k in 1..SLICES {
                 let mut broken = TableCrc::new(params);
-                for entry in broken.tables[k].iter_mut() {
+                for entry in Arc::make_mut(&mut broken.tables)[k].iter_mut() {
                     *entry ^= 1;
                 }
+                let reached_at = if k < 8 { 8 } else { SLICES };
                 assert_eq!(
                     first_mismatch(&broken),
-                    Some(SLICES),
+                    Some(reached_at),
                     "{}: table {k} is not covered",
                     params.name
                 );
             }
         }
+    }
+
+    #[test]
+    fn clones_share_the_tables() {
+        let crc = TableCrc::new(CrcParams::CRC16_CCITT);
+        assert!(Arc::ptr_eq(&crc.tables, &crc.clone().tables));
     }
 
     proptest! {

@@ -9,7 +9,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use noc_crc::{CrcParams, DecodeError, PacketCodec};
 use noc_energy::Bits;
@@ -203,9 +203,14 @@ pub struct WireCodec {
 }
 
 impl Default for WireCodec {
-    /// CRC-16/CCITT protection, the library default.
+    /// CRC-16/CCITT protection, the library default. Its CRC tables are
+    /// built once per process and shared by every default codec: each
+    /// simulation holds one, and a sweep builds thousands.
     fn default() -> Self {
-        Self::new(CrcParams::CRC16_CCITT)
+        static TEMPLATE: OnceLock<WireCodec> = OnceLock::new();
+        TEMPLATE
+            .get_or_init(|| Self::new(CrcParams::CRC16_CCITT))
+            .clone()
     }
 }
 

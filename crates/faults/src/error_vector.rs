@@ -37,6 +37,10 @@ impl ErrorModel {
     ///
     /// Panics if `payload` is empty — a zero-length message cannot carry a
     /// bit error.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "draws from the caller's RNG handed in by a sanctioned site; the scramble itself owns no stream"
+    )]
     pub fn scramble<R: Rng + ?Sized>(&self, rng: &mut R, payload: &mut [u8], p_upset: f64) {
         assert!(!payload.is_empty(), "cannot scramble an empty payload");
         let n_bits = payload.len() * 8;
@@ -46,19 +50,24 @@ impl ErrorModel {
         match self {
             ErrorModel::RandomErrorVector => {
                 // Uniform over non-null vectors: sample uniform bytes and
-                // reject the (vanishingly unlikely) null vector. `fill`
-                // spends one word per 8 bytes, so word-sized fills draw
-                // what one fill of a whole vector would.
+                // reject the (vanishingly unlikely) null vector. One `u64`
+                // per 8-byte word, little-endian, and one for a 1–7-byte
+                // tail: the words and bytes one `fill` of the whole vector
+                // would spend.
                 let mut any = false;
                 while !any {
-                    let mut word = [0u8; 8];
-                    for chunk in payload.chunks_mut(word.len()) {
-                        let vector = &mut word[..chunk.len()];
-                        rng.fill(vector);
-                        for (dst, &v) in chunk.iter_mut().zip(vector.iter()) {
+                    let (words, tail) = payload.as_chunks_mut::<8>();
+                    for word in words {
+                        let v: u64 = rng.gen();
+                        *word = (u64::from_le_bytes(*word) ^ v).to_le_bytes();
+                        any |= v != 0;
+                    }
+                    if !tail.is_empty() {
+                        let v = rng.gen::<u64>() & (u64::MAX >> (64 - 8 * tail.len()));
+                        for (dst, v) in tail.iter_mut().zip(v.to_le_bytes()) {
                             *dst ^= v;
-                            any |= v != 0;
                         }
+                        any |= v != 0;
                     }
                 }
             }
@@ -67,10 +76,6 @@ impl ErrorModel {
                 let mut any = false;
                 while !any {
                     for byte in payload.iter_mut() {
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "draws from the caller's RNG handed in by a sanctioned site; the scramble itself owns no stream"
-                        )]
                         for bit in 0..8 {
                             if rng.gen_bool(p_b) {
                                 *byte ^= 1 << bit;
@@ -158,25 +163,28 @@ mod tests {
 
     #[test]
     fn in_place_scramble_draws_and_flips_what_the_buffered_one_did() {
+        // Every length up to five words, 277 bytes, a fig4-8 frame (530
+        // bytes) and 4 KiB; then a run of one-byte payloads, which draw
+        // the null vector (and retry) once in 256 attempts under the
+        // first model, a third of the time under the second.
+        let lengths = (1..=40)
+            .chain([277, 530, 4_096])
+            .flat_map(|len| [len; 8])
+            .chain([1; 1_024]);
         for model in [ErrorModel::RandomErrorVector, ErrorModel::RandomBitError] {
             let mut in_place = StdRng::seed_from_u64(2003);
             let mut buffered = StdRng::seed_from_u64(2003);
-            // One-byte payloads draw the null vector (and retry) once in
-            // 256 attempts under the first model, a third of the time
-            // under the second; 9 and 277 bytes end on a partial word.
-            for round in 0..600usize {
-                let len = [1, 1, 1, 8, 9, 32, 277][round % 7];
+            for (round, len) in lengths.clone().enumerate() {
                 let original: Vec<u8> = (0..len).map(|i| (i * 31 + round) as u8).collect();
                 let (mut a, mut b) = (original.clone(), original);
                 model.scramble(&mut in_place, &mut a, 0.3);
                 scramble_buffered(model, &mut buffered, &mut b, 0.3);
-                assert_eq!(a, b, "{model:?}, round {round}");
+                assert_eq!(a, b, "{model:?}, round {round}, {len} bytes");
+                assert_eq!(
+                    in_place, buffered,
+                    "{model:?}, round {round}: {len} bytes left the stream elsewhere"
+                );
             }
-            assert_eq!(
-                in_place.gen::<u64>(),
-                buffered.gen::<u64>(),
-                "{model:?} left its stream elsewhere"
-            );
         }
     }
 
