@@ -9,8 +9,8 @@
 //! * RNG stream positions — the trial fault stream (xoshiro256++ state
 //!   plus the Box–Muller spare of the skew sampler), every per-link
 //!   chaos stream, and every per-tile Byzantine stream;
-//! * per-tile [`SendBuffer`](crate::SendBuffer)s (live messages, the
-//!   seen-set, expiry counts) and round-robin egress cursors;
+//! * per-tile [`SendBuffer`](crate::SendBuffer)s (live messages, the ids
+//!   the tile has seen, expiry counts) and round-robin egress cursors;
 //! * per-tile clock domains (residual skew, slip totals);
 //! * the arrival arenas (`next` and `later` delay lines) with each
 //!   frame's bytes, scrambled flag and arrival link — the `Inflight`
@@ -434,11 +434,18 @@ impl<'a> Reader<'a> {
     #[inline]
     pub(crate) fn count(&mut self, min_item: usize) -> Result<usize, CheckpointError> {
         let count = self.u64()?;
+        self.holds(count, min_item)
+            .then_some(count as usize)
+            .ok_or(CheckpointError::Truncated)
+    }
+
+    /// Whether `count` items of at least `min_item` bytes each fit in
+    /// what remains.
+    #[inline]
+    pub(crate) fn holds(&self, count: u64, min_item: usize) -> bool {
         count
             .checked_mul(min_item as u64)
-            .filter(|&total| total <= (self.data.len() - self.pos) as u64)
-            .map(|_| count as usize)
-            .ok_or(CheckpointError::Truncated)
+            .is_some_and(|total| total <= (self.data.len() - self.pos) as u64)
     }
 
     #[inline]

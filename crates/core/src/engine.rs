@@ -38,6 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::arrivals::{Arrivals, Grouped, Pending};
+use crate::audience::Audience;
 use crate::checkpoint::{fnv1a, Checkpoint, CheckpointError, Writer};
 use crate::config::StochasticConfig;
 use crate::events::{DropSite, EventSink, NullSink, SimEvent};
@@ -45,7 +46,7 @@ use crate::frontier::TileSet;
 use crate::metrics::{MessageRecord, SimulationReport};
 use crate::obs::{span_end, span_start, EngineObs, EnginePhase};
 use crate::seed::{derive_labeled_seed, derive_trial_seed};
-use crate::send_buffer::{InsertOutcome, SendBuffer};
+use crate::send_buffer::SendBuffer;
 use crate::shard::{
     age_shard, plan_terminations, receive_shard, shard_ranges, split_chunks, AgeOut, OverflowPlan,
     OverflowSpan, ReceiveCtx, ReceiveOut, ReceiveTape,
@@ -411,7 +412,7 @@ impl SimulationBuilder {
             arrivals: Arrivals::new(n),
             delivery_scratch: vec![Vec::new(); n],
             wires: WireTable::default(),
-            informed: BTreeMap::new(),
+            audience: Audience::new(n, 0),
             tiles_alive,
             links_alive,
             topology: self.topology,
@@ -529,11 +530,10 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// The bytes behind every in-flight [`Frame`] handle, rotated with
     /// the arenas (a checkpoint resolves the handles to bytes).
     wires: WireTable,
-    /// Tiles whose send buffer has seen each message id — maintained at
-    /// first-sight so `informed_count` is cheap instead of an O(n) scan.
-    /// Ordered so the purge loop and any future iteration are seeded-run
-    /// deterministic.
-    informed: BTreeMap<MessageId, usize>,
+    /// Tiles whose send buffer has seen each message id: the one
+    /// seen-set receive dedups against, the informed population, and
+    /// every buffer's seen list in a checkpoint.
+    audience: Audience,
     ips: Vec<Box<dyn IpCore>>,
     egress_limits: Vec<Option<usize>>,
     /// Round-robin egress resume point per tile: the *id* of the next
@@ -614,7 +614,7 @@ impl<S: EventSink> Simulation<S> {
     /// "informed population" of the epidemic analogy. O(1): experiment
     /// harnesses poll this every round.
     pub fn informed_count(&self, id: MessageId) -> usize {
-        self.informed.get(&id).copied().unwrap_or(0)
+        self.audience.count(id)
     }
 
     /// Has this tile's send buffer ever seen message `id`?
@@ -623,7 +623,11 @@ impl<S: EventSink> Simulation<S> {
     ///
     /// Panics if `node` is outside the topology.
     pub fn node_informed(&self, node: NodeId, id: MessageId) -> bool {
-        self.buffers[node.index()].has_seen(id)
+        assert!(
+            node.index() < self.topology.node_count(),
+            "{node} outside topology"
+        );
+        self.audience.contains(id, node.index())
     }
 
     /// Number of live messages currently buffered at a tile.
@@ -717,6 +721,7 @@ impl<S: EventSink> Simulation<S> {
         }
         let id = MessageId(self.next_message_id);
         self.next_message_id += 1;
+        self.audience.assign(id);
         let frame_bits = self.codec.frame_bits(payload.len());
         self.report.record_injection(MessageRecord {
             id,
@@ -745,11 +750,12 @@ impl<S: EventSink> Simulation<S> {
             self.arrivals.next.push(source.index(), frame, false);
             return id;
         }
-        if self.buffers[source.index()].insert(message) {
+        if self.audience.insert(id, source.index())
+            && self.buffers[source.index()].insert_live(message)
+        {
             self.live_total += 1;
             self.buffer_frontier.insert(source.index());
         }
-        *self.informed.entry(id).or_insert(0) += 1;
         id
     }
 
@@ -898,7 +904,7 @@ impl<S: EventSink> Simulation<S> {
                     grouped: _,
                 },
             wires,
-            informed,
+            audience,
             terminated,
             report,
         } = self;
@@ -942,9 +948,13 @@ impl<S: EventSink> Simulation<S> {
             w.opt_u64(cursor.map(|id| id.0));
         }
         w.count(buffers.len());
-        let mut seen = Vec::new();
-        for buffer in buffers {
-            let (messages, expired) = buffer.snapshot(&mut seen);
+        // The buffers' own seen-sets stay empty: each tile's seen list is
+        // its row of the audience.
+        let seen_by_tile = audience.by_tile();
+        let mut unused = Vec::new();
+        for (tile, buffer) in buffers.iter().enumerate() {
+            let (messages, expired) = buffer.snapshot(&mut unused);
+            debug_assert!(unused.is_empty(), "the engine fills no buffer's seen-set");
             w.count(messages.len());
             for m in messages {
                 w.u64(m.id.0);
@@ -953,8 +963,9 @@ impl<S: EventSink> Simulation<S> {
                 w.u8(m.ttl);
                 w.bytes(&m.payload);
             }
+            let seen = seen_by_tile.tile(tile);
             w.count(seen.len());
-            for id in &seen {
+            for id in seen {
                 w.u64(id.0);
             }
             w.u64(expired);
@@ -979,8 +990,8 @@ impl<S: EventSink> Simulation<S> {
                 }
             }
         }
-        w.count(informed.len());
-        for (id, &count) in informed {
+        w.count(audience.counts().count());
+        for (id, count) in audience.counts() {
             w.u64(id.0);
             w.u64(count as u64);
         }
@@ -1023,8 +1034,8 @@ impl<S: EventSink> Simulation<S> {
     /// Overwrites this (freshly built) simulation's state with a
     /// checkpoint's, streaming the validated bytes section by section
     /// in the order [`Simulation::checkpoint`] wrote them and rebuilding
-    /// the derived bookkeeping (buffer frontier, live total) as the
-    /// buffers fill. Only called from
+    /// the derived bookkeeping (buffer frontier, live total, and the
+    /// audience from the seen lists) as the buffers fill. Only called from
     /// [`SimulationBuilder::resume_with_sink`] on a simulation that has
     /// executed zero rounds, so that bookkeeping and every scratch
     /// structure start empty; a restore that fails midway leaves a
@@ -1052,6 +1063,13 @@ impl<S: EventSink> Simulation<S> {
         let mut r = ck.body();
         self.round = ck.round();
         self.next_message_id = r.u64()?;
+        // Every `inject` records its id, so the bytes that follow hold a
+        // record (41 bytes at least) per id: refused here, before the
+        // audience is sized by it.
+        if !r.holds(self.next_message_id, 41) {
+            return Err(Mismatch("more message ids than records"));
+        }
+        self.audience = Audience::new(n, self.next_message_id as usize);
         self.started = r.bool()?;
         self.completed = r.bool()?;
         let rng_state = r.rng_state()?;
@@ -1116,7 +1134,7 @@ impl<S: EventSink> Simulation<S> {
         // Tiles buffering the same message share its payload bytes, as
         // they do in a live run.
         let mut payloads: BTreeMap<&[u8], Arc<[u8]>> = BTreeMap::new();
-        let mut live_ids = Vec::new();
+        let (mut seen, mut live_ids) = (Vec::new(), Vec::new());
         for (tile, buffer) in self.buffers.iter_mut().enumerate() {
             let live = r.count(33)?;
             let mut messages = Vec::with_capacity(live);
@@ -1143,9 +1161,10 @@ impl<S: EventSink> Simulation<S> {
                     Arc::clone(payload),
                 ));
             }
-            let seen = (0..r.count(8)?)
-                .map(|_| r.u64().map(MessageId))
-                .collect::<Result<Vec<_>, _>>()?;
+            seen.clear();
+            for _ in 0..r.count(8)? {
+                seen.push(MessageId(r.u64()?));
+            }
             // A buffer keeps one copy of a message because its id is in
             // the seen list: a live id missing from it would be buffered
             // a second time by the next copy to arrive.
@@ -1164,7 +1183,10 @@ impl<S: EventSink> Simulation<S> {
                 self.buffer_frontier.insert(tile);
                 self.live_total += live as u64;
             }
-            *buffer = SendBuffer::from_parts(messages, seen, r.u64()?);
+            for &id in &seen {
+                self.audience.insert(id, tile);
+            }
+            *buffer = SendBuffer::from_parts(messages, Vec::new(), r.u64()?);
         }
         // Arena frames are interned by content: the many in-flight
         // copies of one wire frame share one entry again, as they did
@@ -1186,8 +1208,16 @@ impl<S: EventSink> Simulation<S> {
                 }
             }
         }
+        // Derived from the seen lists: capture writes the audience's
+        // counts, so any other section contradicts them.
+        let mut counts = self.audience.counts().map(|(id, count)| (id, count as u64));
         for _ in 0..r.count(16)? {
-            self.informed.insert(MessageId(r.u64()?), r.u64()? as usize);
+            if counts.next() != Some((MessageId(r.u64()?), r.u64()?)) {
+                return Err(Mismatch("informed counts differ from the seen lists"));
+            }
+        }
+        if counts.next().is_some() {
+            return Err(Mismatch("informed counts differ from the seen lists"));
         }
         for _ in 0..r.count(8)? {
             self.terminated.insert(MessageId(r.u64()?));
@@ -1213,9 +1243,16 @@ impl<S: EventSink> Simulation<S> {
         ] {
             *counter = r.u64()?;
         }
-        for _ in 0..r.count(41)? {
+        if r.count(41)? as u64 != self.next_message_id {
+            return Err(Mismatch("records are not the ids injected"));
+        }
+        for next in 0..self.next_message_id {
+            let id = r.u64()?;
+            if id != next {
+                return Err(Mismatch("records are not the ids injected"));
+            }
             report.record_injection(MessageRecord {
-                id: MessageId(r.u64()?),
+                id: MessageId(id),
                 source: NodeId(r.u64()? as usize),
                 destination: NodeId(r.u64()? as usize),
                 injected_round: r.u64()?,
@@ -1332,7 +1369,7 @@ impl<S: EventSink> Simulation<S> {
             ref mut delivery_scratch,
             ref mut terminated,
             ref mut pending_purge,
-            ref mut informed,
+            ref mut audience,
             ref mut report,
             ref mut sink,
             ref mut buffer_frontier,
@@ -1377,7 +1414,7 @@ impl<S: EventSink> Simulation<S> {
                                 tile: node,
                                 message: view.id,
                             });
-                            if buffers[tile].has_seen(view.id) {
+                            if audience.contains(view.id, tile) {
                                 // Duplicate: insertion is a no-op.
                                 sink.emit(SimEvent::DuplicateDrop {
                                     round,
@@ -1403,11 +1440,11 @@ impl<S: EventSink> Simulation<S> {
                     // what they decode to. Most arrivals in a flood
                     // are duplicates of an already-buffered message:
                     // they die right here on the entry's id, without
-                    // a look at the bytes — on the seen-probe, so the
+                    // a look at the bytes — on one audience bit, so the
                     // `BTreeSet` walk runs only for the 1 % that pass it.
                     Some(message) => {
                         let id = message.id;
-                        if buffers[tile].has_seen(id) || terminated.contains(&id) {
+                        if audience.contains(id, tile) || terminated.contains(&id) {
                             sink.emit(SimEvent::DuplicateDrop {
                                 round,
                                 tile: node,
@@ -1419,7 +1456,7 @@ impl<S: EventSink> Simulation<S> {
                         message.clone()
                     }
                 };
-                *informed.entry(message.id).or_insert(0) += 1;
+                audience.insert(message.id, tile);
                 if message.destination == node {
                     if report.record_delivery(message.id, round) {
                         sink.emit(SimEvent::Delivery {
@@ -1438,23 +1475,18 @@ impl<S: EventSink> Simulation<S> {
                     }
                 }
                 let id = message.id;
-                match buffers[tile].insert_checked(message) {
-                    InsertOutcome::Inserted => {
-                        *live_total += 1;
-                        buffer_frontier.insert(tile);
-                    }
-                    InsertOutcome::ExpiredOnArrival => {
-                        // Only reachable when an undetected upset zeroed
-                        // the TTL field: the id is consumed, the buffer
-                        // counts an expiry, and the event stream must
-                        // agree.
-                        sink.emit(SimEvent::TtlExpiry {
-                            round,
-                            tile: node,
-                            message: id,
-                        });
-                    }
-                    InsertOutcome::AlreadySeen => {}
+                if buffers[tile].insert_live(message) {
+                    *live_total += 1;
+                    buffer_frontier.insert(tile);
+                } else {
+                    // Only reachable when an undetected upset zeroed the
+                    // TTL field: the id is consumed, the buffer counts an
+                    // expiry, and the event stream must agree.
+                    sink.emit(SimEvent::TtlExpiry {
+                        round,
+                        tile: node,
+                        message: id,
+                    });
                 }
             }
         }
@@ -1521,7 +1553,7 @@ impl<S: EventSink> Simulation<S> {
             plan_terminations(
                 round,
                 &self.arrivals.grouped,
-                &self.buffers,
+                &self.audience,
                 &self.codec,
                 &self.wires,
                 &self.tiles_alive,
@@ -1551,6 +1583,7 @@ impl<S: EventSink> Simulation<S> {
                 ref mut buffers,
                 ref arrivals,
                 ref mut delivery_scratch,
+                ref audience,
                 ref terminated,
                 ref ip_is_custom,
                 ..
@@ -1563,6 +1596,7 @@ impl<S: EventSink> Simulation<S> {
                 tiles_alive,
                 crash_schedule,
                 overflow: overflow_plan,
+                audience,
                 terminated,
                 newly_terminated: &newly_terminated,
                 terminate_on_delivery: config.terminate_on_delivery,
@@ -1590,8 +1624,8 @@ impl<S: EventSink> Simulation<S> {
             self.report.overflow_drops += out.overflow_drops;
             self.report.upsets_detected += out.upsets_detected;
             self.report.upsets_undetected += out.upsets_undetected;
-            for &id in &out.informed {
-                *self.informed.entry(id).or_insert(0) += 1;
+            for &(tile, id) in &out.first_sights {
+                self.audience.insert(id, tile as usize);
             }
             stats.deliveries += out.deliveries.len() as u64;
             if record_events {
@@ -2679,6 +2713,16 @@ mod tests {
     #[should_panic(expected = "outside topology")]
     fn mapping_ip_out_of_range_panics() {
         let _ = SimulationBuilder::new(grid4()).with_ip(NodeId(99), Box::new(NullIp));
+    }
+
+    /// The audience would answer `false` for any tile index; the doc
+    /// promises a panic.
+    #[test]
+    #[should_panic(expected = "n16 outside topology")]
+    fn asking_whether_a_tile_outside_the_topology_is_informed_panics() {
+        let mut sim = SimulationBuilder::new(grid4()).build();
+        let id = sim.inject(NodeId(0), NodeId(15), vec![1]);
+        sim.node_informed(NodeId(16), id);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! * [`Simulation`] — a deterministic, seeded, round-synchronous engine
 //!   over any [`noc_fabric::Topology`], with full fault injection from
 //!   [`noc_faults`];
-//! * [`SendBuffer`] — the per-tile deduplicating output buffer;
+//! * [`SendBuffer`] — the per-tile deduplicating output buffer (the
+//!   engine keeps its tiles' seen ids per message instead, so the
+//!   buffer's own seen-set is the reference oracle's and yours);
 //! * [`SimulationReport`] — latency, packet-count, energy and
 //!   fault-tolerance metrics;
 //! * [`Checkpoint`] — serializable round-boundary snapshots;
@@ -56,6 +58,7 @@
 )]
 
 mod arrivals;
+mod audience;
 mod checkpoint;
 mod config;
 mod engine;

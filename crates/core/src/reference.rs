@@ -209,6 +209,16 @@ impl ReferenceSimulation {
         self.completed
     }
 
+    /// Has this tile's send buffer ever seen message `id`? Read from the
+    /// buffer's own seen-set, which the engine does not use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the topology.
+    pub fn node_informed(&self, node: NodeId, id: MessageId) -> bool {
+        self.buffers[node.index()].has_seen(id)
+    }
+
     fn tile_alive(&self, node: NodeId) -> bool {
         self.tiles_alive[node.index()] && !self.crash_schedule.tile_dead(node.index(), self.round)
     }

@@ -18,8 +18,9 @@
 //!   byte-identical across `--shards N`.
 //! * **Shard workers are RNG-free.** They execute the recorded
 //!   verdicts: CRC decode, dedup, buffer insertion, TTL aging. Frames
-//!   arrive as handles into the engine's [`WireTable`], which workers
-//!   only read.
+//!   arrive as handles into the engine's [`WireTable`], and dedup probes
+//!   the engine's [`Audience`]; workers only read both, and hand their
+//!   first sights back for the merge to record.
 //! * **Merges walk shards in ascending tile order**, so per-location
 //!   event order, report counter accumulation and delivery arbitration
 //!   replay the sequential engine's order exactly.
@@ -46,9 +47,10 @@ use noc_fabric::{MessageId, NodeId, WireCodec};
 use noc_faults::CrashSchedule;
 
 use crate::arrivals::Grouped;
+use crate::audience::Audience;
 use crate::events::{DropSite, SimEvent};
 use crate::frontier::TileSet;
-use crate::send_buffer::{InsertOutcome, SendBuffer};
+use crate::send_buffer::SendBuffer;
 use crate::wire::WireTable;
 
 /// Contiguous tile ranges `[lo, hi)` covering `0..n`, one per shard,
@@ -149,6 +151,8 @@ pub(crate) struct ReceiveCtx<'a> {
     pub tiles_alive: &'a [bool],
     pub crash_schedule: &'a CrashSchedule,
     pub overflow: OverflowPlan<'a>,
+    /// Who had seen what when the round began.
+    pub audience: &'a Audience,
     /// Message ids whose spread terminated in an earlier round.
     pub terminated: &'a BTreeSet<MessageId>,
     /// Ids first delivered *this* round, mapped to the lowest-index
@@ -174,9 +178,9 @@ pub(crate) struct ReceiveOut {
     /// Delivery candidates in tile order (always collected, also when
     /// events are not).
     pub deliveries: Vec<MessageId>,
-    /// First-sighting message ids, in observation order, for the
-    /// informed-population map.
-    pub informed: Vec<MessageId>,
+    /// First sightings `(tile, id)`, in observation order, for the
+    /// merge to add to the audience.
+    pub first_sights: Vec<(u32, MessageId)>,
     /// Tiles whose buffer accepted at least one insertion.
     pub touched: Vec<u32>,
     pub inserted: u64,
@@ -209,6 +213,9 @@ pub(crate) fn receive_shard(
     // copy arriving at the same tile later in the round is suppressed
     // exactly like the sequential engine's immediate `terminated` insert.
     let mut local_term: BTreeSet<MessageId> = BTreeSet::new();
+    // The ids the current tile has accepted this round, which the
+    // audience learns only at the merge.
+    let mut accepted: Vec<MessageId> = Vec::new();
     let mut span_cursor = match &ctx.overflow {
         OverflowPlan::Tape(tape) => tape.spans.partition_point(|s| (s.tile as usize) < lo),
         _ => 0,
@@ -240,6 +247,10 @@ pub(crate) fn receive_shard(
         }
         let buffer = &mut buffers[tile - lo];
         let mut inserted_here = false;
+        accepted.clear();
+        let seen = |id: MessageId, accepted: &[MessageId]| {
+            ctx.audience.contains(id, tile) || accepted.contains(&id)
+        };
         for (k, frame) in frames.iter().enumerate().skip(skip) {
             if keeps.is_some_and(|keeps| !keeps[k]) {
                 continue;
@@ -274,7 +285,7 @@ pub(crate) fn receive_shard(
                                 message: view.id,
                             });
                         }
-                        if buffer.has_seen(view.id) {
+                        if seen(view.id, &accepted) {
                             if ctx.record_events {
                                 out.events.push(SimEvent::DuplicateDrop {
                                     round,
@@ -301,7 +312,7 @@ pub(crate) fn receive_shard(
                 Some(message) => {
                     let id = message.id;
                     // Seen-probe first, as in the sequential loop.
-                    if buffer.has_seen(id) || spread_terminated(id, &local_term) {
+                    if seen(id, &accepted) || spread_terminated(id, &local_term) {
                         if ctx.record_events {
                             out.events.push(SimEvent::DuplicateDrop {
                                 round,
@@ -314,7 +325,8 @@ pub(crate) fn receive_shard(
                     message.clone()
                 }
             };
-            out.informed.push(message.id);
+            accepted.push(message.id);
+            out.first_sights.push((tile as u32, message.id));
             if message.destination == node {
                 out.deliveries.push(message.id);
                 if ctx.record_events {
@@ -334,21 +346,15 @@ pub(crate) fn receive_shard(
                 }
             }
             let id = message.id;
-            match buffer.insert_checked(message) {
-                InsertOutcome::Inserted => {
-                    out.inserted += 1;
-                    inserted_here = true;
-                }
-                InsertOutcome::ExpiredOnArrival => {
-                    if ctx.record_events {
-                        out.events.push(SimEvent::TtlExpiry {
-                            round,
-                            tile: node,
-                            message: id,
-                        });
-                    }
-                }
-                InsertOutcome::AlreadySeen => {}
+            if buffer.insert_live(message) {
+                out.inserted += 1;
+                inserted_here = true;
+            } else if ctx.record_events {
+                out.events.push(SimEvent::TtlExpiry {
+                    round,
+                    tile: node,
+                    message: id,
+                });
             }
         }
         if inserted_here {
@@ -373,7 +379,7 @@ pub(crate) fn receive_shard(
 pub(crate) fn plan_terminations(
     round: u64,
     arrivals: &Grouped,
-    buffers: &[SendBuffer],
+    audience: &Audience,
     codec: &WireCodec,
     wires: &WireTable,
     tiles_alive: &[bool],
@@ -408,7 +414,7 @@ pub(crate) fn plan_terminations(
             if terminated.contains(&id) || newly.get(&id).is_some_and(|&d| d <= tile) {
                 continue;
             }
-            if buffers[tile].has_seen(id) || !local_seen.insert(id) {
+            if audience.contains(id, tile) || !local_seen.insert(id) {
                 continue;
             }
             if destination == node {

@@ -53,7 +53,7 @@ impl Hasher for IdHasher {
     }
 }
 
-/// [`std::hash::BuildHasher`] of the engine's id-keyed seen-sets.
+/// [`std::hash::BuildHasher`] of `SendBuffer`'s id-keyed seen-set.
 pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
 /// Bits of a [`Wire`] that index into its generation; the two above

@@ -219,6 +219,91 @@ fn a_checkpoint_whose_gaussian_spare_is_not_finite_is_rejected() {
     }
 }
 
+/// A 4×4 flood of one message after two rounds, as checkpoint bytes, with
+/// how many tiles have heard of it.
+fn flood_checkpoint() -> (impl Fn() -> SimulationBuilder, Vec<u8>, u64) {
+    let builder = || {
+        SimulationBuilder::square_grid(4)
+            .config(StochasticConfig::flooding(8))
+            .seed(5)
+    };
+    let mut sim = builder().build();
+    let id = sim.inject(NodeId(0), NodeId(15), vec![1, 2, 3]);
+    sim.step();
+    sim.step();
+    let informed = sim.informed_count(id) as u64;
+    assert!(informed > 1);
+    (builder, sim.checkpoint().to_bytes(), informed)
+}
+
+fn resume_patched(
+    builder: &impl Fn() -> SimulationBuilder,
+    bytes: &[u8],
+    at: usize,
+    value: u64,
+) -> Result<(), CheckpointError> {
+    let mut bytes = bytes.to_vec();
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let checkpoint = Checkpoint::from_bytes(&bytes).expect("still well-formed");
+    builder().resume(&checkpoint).map(drop)
+}
+
+/// The informed section restates the seen lists' sizes. A count patched
+/// to anything else once made `informed_count` return it; it is refused.
+#[test]
+fn an_informed_count_that_contradicts_the_seen_lists_is_refused() {
+    let (builder, bytes, informed) = flood_checkpoint();
+    // One entry (id 0, its count), no terminated ids, then rounds run.
+    let section: Vec<u8> = [1, 0, informed, 0, 2]
+        .iter()
+        .flat_map(|word: &u64| word.to_le_bytes())
+        .collect();
+    let found: Vec<usize> = (0..bytes.len() - section.len())
+        .filter(|&at| bytes[at..at + section.len()] == section[..])
+        .collect();
+    assert_eq!(found.len(), 1, "the informed section is where it was");
+    let count = found[0] + 16;
+    assert_eq!(resume_patched(&builder, &bytes, count, informed), Ok(()));
+    for hostile in [informed - 1, informed + 1, u64::MAX] {
+        assert_eq!(
+            resume_patched(&builder, &bytes, count, hostile),
+            Err(CheckpointError::Mismatch(
+                "informed counts differ from the seen lists"
+            )),
+            "count {hostile}"
+        );
+    }
+}
+
+/// `next_message_id` sizes the engine's per-message state, so a value the
+/// records that follow could not back is refused before anything is
+/// allocated: at 2⁶² ids of 48 bytes each, sizing first would abort the
+/// process. A value the bytes could back but the records do not name is
+/// refused too.
+#[test]
+fn a_next_message_id_the_records_do_not_back_is_refused() {
+    let (builder, bytes, _) = flood_checkpoint();
+    // Magic, version, digest, round.
+    let next_id = 8 + 4 + 8 + 8;
+    assert_eq!(resume_patched(&builder, &bytes, next_id, 1), Ok(()));
+    for hostile in [1 << 62, u64::MAX] {
+        assert_eq!(
+            resume_patched(&builder, &bytes, next_id, hostile),
+            Err(CheckpointError::Mismatch("more message ids than records")),
+            "next id {hostile}"
+        );
+    }
+    for hostile in [0, 2] {
+        assert_eq!(
+            resume_patched(&builder, &bytes, next_id, hostile),
+            Err(CheckpointError::Mismatch(
+                "records are not the ids injected"
+            )),
+            "next id {hostile}"
+        );
+    }
+}
+
 /// An undetected upset can leave any 16-bit node index in the header a
 /// tile buffers, so `resume` holds a buffered message to the wire format,
 /// not to the topology: a destination of 40 000 in a 4×4 run is state the
