@@ -19,12 +19,13 @@
 //!
 //! **Cost.** Grouping is a stable counting sort over the tiles the list
 //! names: O(frames + touched tiles) plus one walk of the touched-tile
-//! bitset, never a visit of every tile, and the per-tile cursors it uses
-//! are back at zero when it returns.
+//! bitset's n / 64 words, never a visit of every tile. Counting a frame
+//! ORs its tile's bit in without a branch; the walk that reads a word
+//! zeroes it, and the spans zero the per-tile cursors, so both are clear
+//! when it returns.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::frontier::TileSet;
 use crate::wire::Frame;
 
 /// Frames sent and not yet arrived, as `(destination tile, frame)`.
@@ -84,8 +85,9 @@ pub(crate) struct Grouped {
     /// Per-tile count, then write cursor, while grouping; all zero
     /// otherwise.
     cursors: Vec<u32>,
-    /// The tiles with a non-zero cursor; empty between groupings.
-    touched: TileSet,
+    /// One bit per tile with a non-zero cursor; all zero between
+    /// groupings.
+    touched: Vec<u64>,
 }
 
 impl Grouped {
@@ -95,7 +97,7 @@ impl Grouped {
             frames: Vec::new(),
             spans: Vec::new(),
             cursors: vec![0; n],
-            touched: TileSet::new(n),
+            touched: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -117,13 +119,22 @@ impl Grouped {
         } = self;
         pending.in_arrival_order(|to, _| {
             cursors[to] += 1;
-            touched.insert(to);
+            touched[to / 64] |= 1 << (to % 64);
         });
         let mut end = 0;
-        for tile in touched.iter() {
-            let start = end;
-            end += std::mem::replace(&mut cursors[tile], start);
-            spans.push((tile as u32, end));
+        for (at, word) in touched
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, word)| **word != 0)
+        {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let tile = at * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let start = end;
+                end += std::mem::replace(&mut cursors[tile], start);
+                spans.push((tile as u32, end));
+            }
         }
         frames.resize(end as usize, filler);
         pending.in_arrival_order(|to, frame| {
@@ -133,7 +144,6 @@ impl Grouped {
         });
         for &(tile, _) in spans.iter() {
             cursors[tile as usize] = 0;
-            touched.remove(tile as usize);
         }
     }
 
@@ -183,7 +193,9 @@ impl Grouped {
     /// debug-build round-boundary assert).
     #[cfg(any(debug_assertions, test))]
     pub(crate) fn is_reset(&self) -> bool {
-        self.is_empty() && self.touched.is_empty() && self.cursors.iter().all(|&c| c == 0)
+        self.is_empty()
+            && self.touched.iter().all(|&w| w == 0)
+            && self.cursors.iter().all(|&c| c == 0)
     }
 }
 
@@ -335,7 +347,7 @@ mod tests {
         }
         grouped.group(&pending);
         assert!(grouped.spans.len() <= sends.len());
-        assert!(grouped.touched.is_empty());
+        assert!(grouped.touched.iter().all(|&word| word == 0));
         assert!(grouped.cursors.iter().all(|&cursor| cursor == 0));
         let tiles: Vec<_> = grouped.tiles(0, n).collect();
         assert_eq!(

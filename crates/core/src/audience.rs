@@ -16,12 +16,12 @@
 //!   waits in an ordered map until `inject` assigns it, then moves into
 //!   the `Vec`. So every key of the map is above every index of the
 //!   `Vec`, and walking the `Vec` then the map is ascending id order.
-//! * A message's tiles are an ascending `u32` list until the list would
-//!   outweigh a bit per tile (`len · 32 > n`), then a bitset over
-//!   `0..n`. The switch is derived from `n`; nothing configures it.
-//! * Both forms live in one struct whose bitset, empty while the list is
-//!   in use, is tested first: a flood's probe is a bounds check and one
-//!   word, the compare the per-tile inline ids used to cost.
+//! * A message's tiles are a bitset over a window of words: the words
+//!   between its lowest and its highest tile, and no others. A probe is a subtraction, a bounds check and
+//!   one bit. An insert outside the window regrows it to exactly the
+//!   words needed, so a message costs at most `n / 8` bytes, and a
+//!   trickled message that reached a few dozen neighbouring tiles costs
+//!   the few rows of words they span.
 //!
 //! The sets only grow: a tile never forgets an id, since a copy still
 //! circulating would otherwise resurrect an expired broadcast.
@@ -43,13 +43,14 @@ pub(crate) struct Audience {
     stray: BTreeMap<MessageId, Tiles>,
 }
 
-/// One message's audience: a sorted list or a bitset, never both.
+/// One message's audience: a bitset over a window of words.
 #[derive(Debug, Clone, Default)]
 struct Tiles {
-    /// One bit per tile once dense; empty while `list` holds the set.
-    bits: Box<[u64]>,
-    /// Ascending tile indices while sparse; empty once dense.
-    list: Vec<u32>,
+    /// Bit `t % 64` of `words[t / 64 - first]` is tile `t`; empty until
+    /// the first insert.
+    words: Box<[u64]>,
+    /// The word of the fabric `words[0]` covers.
+    first: u32,
     /// Tiles in the set.
     len: u32,
 }
@@ -57,53 +58,70 @@ struct Tiles {
 impl Tiles {
     #[inline]
     fn contains(&self, tile: usize) -> bool {
-        match self.bits.get(tile / 64) {
-            Some(word) => (word >> (tile % 64)) & 1 == 1,
-            None => self.list.binary_search(&(tile as u32)).is_ok(),
+        let at = (tile / 64).wrapping_sub(self.first as usize);
+        self.words
+            .get(at)
+            .is_some_and(|word| (word >> (tile % 64)) & 1 == 1)
+    }
+
+    /// The window of words that holds it and `word`.
+    fn span_with(&self, word: usize) -> (usize, usize) {
+        let first = self.first as usize;
+        if self.words.is_empty() {
+            (word, word + 1)
+        } else {
+            (first.min(word), (first + self.words.len()).max(word + 1))
         }
     }
 
-    /// Adds `tile` (below `n`); false if it was there.
+    /// Words `insert(tile)` would add to the window.
+    fn growth(&self, tile: usize) -> usize {
+        let (lo, hi) = self.span_with(tile / 64);
+        hi - lo - self.words.len()
+    }
+
+    /// Adds `tile`; false if it was there.
     #[inline]
-    fn insert(&mut self, tile: usize, n: usize) -> bool {
-        if let Some(word) = self.bits.get_mut(tile / 64) {
-            let bit = 1 << (tile % 64);
-            if *word & bit != 0 {
-                return false;
-            }
-            *word |= bit;
-        } else {
-            let Err(at) = self.list.binary_search(&(tile as u32)) else {
-                return false;
-            };
-            if (self.list.len() + 1) * 32 > n {
-                let mut bits = vec![0u64; n.div_ceil(64)].into_boxed_slice();
-                self.list.push(tile as u32);
-                for t in std::mem::take(&mut self.list) {
-                    bits[t as usize / 64] |= 1 << (t % 64);
-                }
-                self.bits = bits;
-            } else {
-                self.list.insert(at, tile as u32);
-            }
+    fn insert(&mut self, tile: usize) -> bool {
+        let mut at = (tile / 64).wrapping_sub(self.first as usize);
+        if at >= self.words.len() {
+            self.regrow(tile / 64);
+            at = tile / 64 - self.first as usize;
         }
+        let (word, bit) = (&mut self.words[at], 1 << (tile % 64));
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
         self.len += 1;
         true
     }
 
+    /// Widens the window to exactly the words from its first to `word`,
+    /// or from `word` to its last.
+    fn regrow(&mut self, word: usize) {
+        let (lo, hi) = self.span_with(word);
+        let mut words = vec![0; hi - lo].into_boxed_slice();
+        if !self.words.is_empty() {
+            let keep = self.first as usize - lo;
+            words[keep..keep + self.words.len()].copy_from_slice(&self.words);
+        }
+        (self.words, self.first) = (words, lo as u32);
+    }
+
     /// The tiles, ascending.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let dense = self.bits.iter().enumerate().flat_map(|(at, &word)| {
+        let first = self.first as usize;
+        self.words.iter().enumerate().flat_map(move |(at, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
                 (rest != 0).then(|| {
                     let bit = rest.trailing_zeros() as usize;
                     rest &= rest - 1;
-                    at * 64 + bit
+                    (first + at) * 64 + bit
                 })
             })
-        });
-        dense.chain(self.list.iter().map(|&t| t as usize))
+        })
     }
 }
 
@@ -143,11 +161,17 @@ impl Audience {
     /// Records that `tile` (below `n`) has seen `id`; false if it had.
     #[inline]
     pub(crate) fn insert(&mut self, id: MessageId, tile: usize) -> bool {
+        debug_assert!(tile < self.tiles, "tile {tile} outside 0..{}", self.tiles);
         let tiles = match self.index(id) {
             Some(at) => &mut self.assigned[at],
             None => self.stray.entry(id).or_default(),
         };
-        tiles.insert(tile, self.tiles)
+        tiles.insert(tile)
+    }
+
+    /// Bytes `insert(id, tile)` would allocate for `id`'s window.
+    pub(crate) fn growth_bytes(&self, id: MessageId, tile: usize) -> usize {
+        8 * self.get(id).map_or(1, |tiles| tiles.growth(tile))
     }
 
     /// `inject` hands out `id`, the next one: the tiles that already hold
@@ -228,7 +252,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    /// What an [`Audience`] is, with nothing sparse or dense about it.
+    /// What an [`Audience`] is, with no window about it.
     #[derive(Default)]
     struct Model {
         seen: BTreeMap<MessageId, BTreeSet<usize>>,
@@ -236,21 +260,31 @@ mod tests {
     }
 
     proptest! {
-        /// `n` is below, near and far above the first switch (32 tiles
-        /// per listed one); with two ids, a 1 000-tile set crosses it
-        /// too. An operation is `(kind, id, tile)`: kinds 0–4 insert (ids
-        /// past the assigned ones are stray), 5 assigns the next id, as
-        /// `inject` does.
+        /// `n` is one word, one word exactly, a tile past two words and
+        /// sixteen words. An operation is `(kind, id, tile)`: kinds 0–4
+        /// insert (ids past the assigned ones are stray), 5 assigns the
+        /// next id, as `inject` does. `order` 1 sorts the operations by
+        /// tile, so every window grows upward only, and 2 sorts them the
+        /// other way, so every window grows downward only.
         #[test]
         fn every_operation_agrees_with_the_model(
-            n in prop_oneof![Just(16usize), Just(64), Just(1_000)],
+            n in prop_oneof![Just(16usize), Just(64), Just(130), Just(1_000)],
             ids in prop_oneof![Just(2u64), Just(24)],
-            ops in proptest::collection::vec((0u8..6, 0u64..24, 0usize..1_000), 0..400),
+            order in 0u8..3,
+            mut ops in proptest::collection::vec((0u8..6, 0u64..24, 0usize..1_000), 0..400),
         ) {
+            for op in &mut ops {
+                op.2 %= n;
+            }
+            match order {
+                1 => ops.sort_by_key(|op| op.2),
+                2 => ops.sort_by_key(|op| std::cmp::Reverse(op.2)),
+                _ => {}
+            }
             let mut audience = Audience::new(n, 0);
             let mut model = Model::default();
             for (kind, id, tile) in ops {
-                let (id, tile) = (MessageId(id % ids), tile % n);
+                let id = MessageId(id % ids);
                 if kind == 5 {
                     let next = MessageId(model.assigned);
                     audience.assign(next);
@@ -258,7 +292,9 @@ mod tests {
                     continue;
                 }
                 let fresh = model.seen.entry(id).or_default().insert(tile);
+                let (words, growth) = (window(&audience, id).len(), audience.growth_bytes(id, tile));
                 prop_assert_eq!(audience.insert(id, tile), fresh);
+                prop_assert_eq!(8 * (window(&audience, id).len() - words), growth);
             }
             for id in (0..24).map(MessageId) {
                 let want = model.seen.get(&id);
@@ -268,6 +304,10 @@ mod tests {
                         audience.contains(id, tile),
                         want.is_some_and(|tiles| tiles.contains(&tile))
                     );
+                }
+                // Exactly the words between the lowest and highest tile.
+                if let Some((&lo, &hi)) = want.and_then(|tiles| tiles.first().zip(tiles.last())) {
+                    prop_assert_eq!(window(&audience, id).len(), hi / 64 - lo / 64 + 1);
                 }
             }
             let counts: Vec<_> = audience.counts().collect();
@@ -291,21 +331,29 @@ mod tests {
         }
     }
 
+    /// `id`'s window of words; empty if no tile has seen it.
+    fn window(audience: &Audience, id: MessageId) -> &[u64] {
+        audience.get(id).map_or(&[], |tiles| &tiles.words)
+    }
+
     #[test]
-    fn a_list_turns_into_a_bitset_once_it_would_outweigh_one() {
-        let n = 1_000;
+    fn a_window_holds_exactly_the_words_its_tiles_span() {
         let mut tiles = Tiles::default();
-        // 31 listed tiles are 992 bits: still a list.
-        for tile in (0..31).rev().map(|k| 3 * k) {
-            assert!(tiles.insert(tile, n));
-        }
-        assert!(tiles.bits.is_empty());
-        assert!(tiles.insert(999, n), "the 32nd is 1 024 bits");
-        assert_eq!((tiles.bits.len(), tiles.list.len()), (16, 0));
-        assert!(!tiles.insert(999, n) && !tiles.insert(30, n));
-        let want: Vec<usize> = (0..31).map(|k| 3 * k).chain([999]).collect();
-        assert_eq!(tiles.iter().collect::<Vec<_>>(), want);
-        assert_eq!(tiles.len, 32);
+        assert!(!tiles.contains(0) && tiles.growth(500) == 1);
+        assert!(tiles.insert(500));
+        assert_eq!((tiles.first, tiles.words.len()), (7, 1));
+        assert!(!tiles.contains(499) && !tiles.contains(64 * 8));
+        assert_eq!(
+            (tiles.growth(10), tiles.growth(511), tiles.growth(999)),
+            (7, 0, 8)
+        );
+        assert!(tiles.insert(10), "grows downward");
+        assert_eq!((tiles.first, tiles.words.len()), (0, 8));
+        assert!(tiles.insert(999), "grows upward");
+        assert_eq!((tiles.first, tiles.words.len()), (0, 16));
+        assert!(!tiles.insert(999) && !tiles.insert(10) && !tiles.insert(500));
+        assert_eq!(tiles.iter().collect::<Vec<_>>(), [10, 500, 999]);
+        assert_eq!(tiles.len, 3);
     }
 
     #[test]

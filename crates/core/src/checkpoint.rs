@@ -177,6 +177,11 @@ impl Checkpoint {
         self.header_word(DIGEST_AT)
     }
 
+    /// Bytes in the encoding.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
     /// A reader over everything after the header, for
     /// `Simulation::restore_from`.
     pub(crate) fn body(&self) -> Reader<'_> {

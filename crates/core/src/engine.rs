@@ -53,6 +53,13 @@ use crate::shard::{
 };
 use crate::wire::{Frame, Wire, WireEntry, WireTable, NO_LINK};
 
+/// What a restore's audience windows may allocate per byte of the
+/// checkpoint. A seen-list entry is 8 bytes; on the widest grid (256
+/// tiles, four words a row) a message that reached one tile a row spans
+/// four window words, 32 bytes, per entry, so a grid's windows fit before
+/// the per-tile sections (≈ 60 bytes a tile) are counted.
+const AUDIENCE_BYTES_PER_CHECKPOINT_BYTE: usize = 4;
+
 /// Per-round statistics returned by [`Simulation::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundStats {
@@ -606,8 +613,20 @@ impl<S: EventSink> Simulation<S> {
     }
 
     /// Is this tile currently alive?
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the topology.
     pub fn tile_alive(&self, node: NodeId) -> bool {
+        self.assert_in_topology(node);
         self.tiles_alive[node.index()] && !self.crash_schedule.tile_dead(node.index(), self.round)
+    }
+
+    fn assert_in_topology(&self, node: NodeId) {
+        assert!(
+            node.index() < self.topology.node_count(),
+            "{node} outside topology"
+        );
     }
 
     /// Number of tiles whose send buffer has seen message `id` — the
@@ -623,10 +642,7 @@ impl<S: EventSink> Simulation<S> {
     ///
     /// Panics if `node` is outside the topology.
     pub fn node_informed(&self, node: NodeId, id: MessageId) -> bool {
-        assert!(
-            node.index() < self.topology.node_count(),
-            "{node} outside topology"
-        );
+        self.assert_in_topology(node);
         self.audience.contains(id, node.index())
     }
 
@@ -636,6 +652,7 @@ impl<S: EventSink> Simulation<S> {
     ///
     /// Panics if `node` is outside the topology.
     pub fn buffer_len(&self, node: NodeId) -> usize {
+        self.assert_in_topology(node);
         self.buffers[node.index()].len()
     }
 
@@ -713,12 +730,8 @@ impl<S: EventSink> Simulation<S> {
             "payload of {} bytes exceeds the wire format's {MAX_PAYLOAD_BYTES}-byte limit",
             payload.len()
         );
-        for node in [source, destination] {
-            assert!(
-                node.index() < self.topology.node_count(),
-                "{node} outside topology"
-            );
-        }
+        self.assert_in_topology(source);
+        self.assert_in_topology(destination);
         let id = MessageId(self.next_message_id);
         self.next_message_id += 1;
         self.audience.assign(id);
@@ -1135,6 +1148,11 @@ impl<S: EventSink> Simulation<S> {
         // they do in a live run.
         let mut payloads: BTreeMap<&[u8], Arc<[u8]>> = BTreeMap::new();
         let (mut seen, mut live_ids) = (Vec::new(), Vec::new());
+        // A message's window spans the words between its lowest and its
+        // highest tile, so two listed tiles far apart cost up to n / 8
+        // bytes: what the windows allocate is bounded by the checkpoint's
+        // own length, and checked before each one grows.
+        let mut audience_budget = AUDIENCE_BYTES_PER_CHECKPOINT_BYTE * ck.len();
         for (tile, buffer) in self.buffers.iter_mut().enumerate() {
             let live = r.count(33)?;
             let mut messages = Vec::with_capacity(live);
@@ -1184,6 +1202,11 @@ impl<S: EventSink> Simulation<S> {
                 self.live_total += live as u64;
             }
             for &id in &seen {
+                audience_budget = audience_budget
+                    .checked_sub(self.audience.growth_bytes(id, tile))
+                    .ok_or(Mismatch(
+                        "seen lists span more audience than the checkpoint backs",
+                    ))?;
                 self.audience.insert(id, tile);
             }
             *buffer = SendBuffer::from_parts(messages, Vec::new(), r.u64()?);
@@ -2157,19 +2180,25 @@ impl TxContext<'_> {
     }
 
     /// Offers `serve` to each output link of `from` (one forwarding
-    /// Bernoulli per link when `p < 1`), hands every transmission's
-    /// decided fate to `file`, and counts the transmissions once for
-    /// the whole service.
+    /// Bernoulli per link when `p < 1`), hands every transmission's link,
+    /// target and decided fate to `file`, and counts the transmissions
+    /// once for the whole service.
     #[inline]
-    fn offer(&mut self, from: NodeId, serve: &Serve, mut file: impl FnMut(LinkId, TxOutcome)) {
+    fn offer(
+        &mut self,
+        from: NodeId,
+        serve: &Serve,
+        mut file: impl FnMut(LinkId, NodeId, TxOutcome),
+    ) {
         let topology = self.topology;
         let mut sent = 0;
-        for &link_id in topology.out_links(from) {
+        let links = topology.out_links(from).iter();
+        for (&link_id, &to) in links.zip(topology.out_targets(from)) {
             if serve.p < 1.0 && !gen_bool_p(self.injector.rng(), serve.p) {
                 continue;
             }
             sent += 1;
-            file(link_id, self.decide(link_id, serve));
+            file(link_id, to, self.decide(link_id, serve));
         }
         self.stats.transmissions += sent;
         self.report.packets_sent += sent;
@@ -2185,9 +2214,8 @@ impl TxContext<'_> {
         from: NodeId,
         serve: Serve,
     ) {
-        let (round, topology) = (self.round, self.topology);
-        self.offer(from, &serve, |link_id, outcome| {
-            let to = topology.link(link_id).to;
+        let round = self.round;
+        self.offer(from, &serve, |link_id, to, outcome| {
             out.sink.emit(SimEvent::FrameSent {
                 round,
                 from,
@@ -2723,6 +2751,23 @@ mod tests {
         let mut sim = SimulationBuilder::new(grid4()).build();
         let id = sim.inject(NodeId(0), NodeId(15), vec![1]);
         sim.node_informed(NodeId(16), id);
+    }
+
+    /// An index error, not the documented panic, before they asserted.
+    #[test]
+    #[should_panic(expected = "n16 outside topology")]
+    fn the_buffer_length_of_a_tile_outside_the_topology_panics() {
+        let _ = SimulationBuilder::new(grid4())
+            .build()
+            .buffer_len(NodeId(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "n16 outside topology")]
+    fn the_liveness_of_a_tile_outside_the_topology_panics() {
+        let _ = SimulationBuilder::new(grid4())
+            .build()
+            .tile_alive(NodeId(16));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! assert inside the frame encoder or a panic inside a Bernoulli draw —
 //! and a value that is let in costs bounded time.
 
-use noc_fabric::{IpContext, IpCore, NodeId, Topology, MAX_NODES, MAX_PAYLOAD_BYTES};
+use noc_fabric::{IpContext, IpCore, MessageId, NodeId, Topology, MAX_NODES, MAX_PAYLOAD_BYTES};
 use noc_faults::FaultModel;
 use stochastic_noc::{Checkpoint, CheckpointError, SimulationBuilder, StochasticConfig};
 
@@ -337,4 +337,65 @@ fn a_buffered_destination_outside_the_topology_resumes() {
     let mut resumed = builder().resume(&checkpoint).expect("fits the wire format");
     assert_eq!(resumed.checkpoint().to_bytes(), bytes);
     resumed.run();
+}
+
+/// A 256×256 checkpoint taken before anything was injected, in which
+/// tiles 0 and n − 1 have each seen the ids `0..ids` — ids no `inject`
+/// handed out, as an undetected upset can leave in a header — and whose
+/// informed section agrees. Each such id costs 16 bytes of seen lists and
+/// a window of n / 64 words, 8 KiB, between its two tiles.
+fn far_apart_strays(ids: u64) -> (impl Fn() -> SimulationBuilder, Vec<u8>) {
+    let builder = || SimulationBuilder::new(Topology::grid(256, 256));
+    let bytes = builder().build().checkpoint().to_bytes();
+    let (n, m) = (MAX_NODES, 2 * 2 * 256 * 255);
+    // Header, next id, two flags, the fault stream, no spare, three
+    // tallies, three empty adversary lists; two liveness vectors, the
+    // clocks and the egress cursors; then the buffers' count.
+    let buffers = 28 + 8 + 2 + 32 + 1 + 24 + 24 + (8 + n) + (8 + m) + (8 + 16 * n) + (8 + n);
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_eq!(word(buffers), n as u64, "buffer section offset drifted");
+    // A tile is its live count, its seen count and ids, its expiries.
+    let seen = |tile: usize| buffers + 8 + 24 * tile + 8;
+    let informed = buffers + 8 + 24 * n + 2 * (8 + 8 * n);
+    assert_eq!(word(informed + 16), 0, "no terminated ids, then rounds run");
+    let listed: Vec<u8> = std::iter::once(ids)
+        .chain(0..ids)
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let counts: Vec<u8> = std::iter::once(ids)
+        .chain((0..ids).flat_map(|id| [id, 2]))
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let mut patched = bytes[..seen(0)].to_vec();
+    patched.extend_from_slice(&listed);
+    patched.extend_from_slice(&bytes[seen(0) + 8..seen(n - 1)]);
+    patched.extend_from_slice(&listed);
+    patched.extend_from_slice(&bytes[seen(n - 1) + 8..informed]);
+    patched.extend_from_slice(&counts);
+    patched.extend_from_slice(&bytes[informed + 8..]);
+    (builder, patched)
+}
+
+/// Each stray id listed at tiles 0 and n − 1 turns 16 bytes of input into
+/// 8 KiB of audience. A few resume, and re-capture byte for byte; 4 096 —
+/// 32 MiB of windows from a 4 MiB checkpoint — are refused before the
+/// windows that would pass the bound are allocated.
+#[test]
+fn stray_ids_whose_windows_the_checkpoint_cannot_back_are_refused() {
+    let (builder, bytes) = far_apart_strays(64);
+    let checkpoint = Checkpoint::from_bytes(&bytes).expect("well-formed");
+    let resumed = builder()
+        .resume(&checkpoint)
+        .expect("64 windows are 512 KiB");
+    assert_eq!(resumed.informed_count(MessageId(63)), 2);
+    assert_eq!(resumed.checkpoint().to_bytes(), bytes);
+
+    let (builder, bytes) = far_apart_strays(4_096);
+    let checkpoint = Checkpoint::from_bytes(&bytes).expect("well-formed");
+    assert_eq!(
+        builder().resume(&checkpoint).map(drop),
+        Err(CheckpointError::Mismatch(
+            "seen lists span more audience than the checkpoint backs"
+        ))
+    );
 }

@@ -22,6 +22,11 @@ pub struct Link {
 /// convenience constructors build the two shapes studied by the paper, and
 /// [`Topology::from_links`] supports the custom hierarchies of Chapter 5.
 ///
+/// Out-links are stored as compressed sparse rows: one array of link ids
+/// grouped by source node, each node's in edge-insertion order (the order
+/// a forward walk draws in), and beside it the array of their targets, so
+/// a walk over a node's links reads both from two contiguous slices.
+///
 /// # Examples
 ///
 /// ```
@@ -39,7 +44,11 @@ pub struct Topology {
     name: String,
     node_count: usize,
     links: Vec<Link>,
-    out: Vec<Vec<LinkId>>,
+    /// Node `i`'s out-links are `out[out_start[i]..out_start[i + 1]]`.
+    out_start: Vec<usize>,
+    out: Vec<LinkId>,
+    /// `out_to[k]` is `link(out[k]).to`.
+    out_to: Vec<NodeId>,
 }
 
 impl Topology {
@@ -56,22 +65,39 @@ impl Topology {
     ) -> Self {
         assert!(node_count > 0, "a network needs at least one tile");
         let mut links = Vec::new();
-        let mut out = vec![Vec::new(); node_count];
+        // Out-degrees, then (a counting sort, stable in link id) where
+        // each node's rows start.
+        let mut out_start = vec![0; node_count + 1];
         for (from, to) in edges {
             assert!(
                 from.index() < node_count && to.index() < node_count,
                 "link {from}->{to} endpoint outside 0..{node_count}"
             );
             assert_ne!(from, to, "self-loop at {from}");
-            let id = LinkId(links.len());
-            links.push(Link { id, from, to });
-            out[from.index()].push(id);
+            links.push(Link {
+                id: LinkId(links.len()),
+                from,
+                to,
+            });
+            out_start[from.index() + 1] += 1;
+        }
+        for node in 0..node_count {
+            out_start[node + 1] += out_start[node];
+        }
+        let mut cursor = out_start.clone();
+        let (mut out, mut out_to) = (vec![LinkId(0); links.len()], vec![NodeId(0); links.len()]);
+        for link in &links {
+            let at = &mut cursor[link.from.index()];
+            (out[*at], out_to[*at]) = (link.id, link.to);
+            *at += 1;
         }
         Self {
             name: name.into(),
             node_count,
             links,
+            out_start,
             out,
+            out_to,
         }
     }
 
@@ -178,13 +204,30 @@ impl Topology {
         self.links[id.index()]
     }
 
-    /// Outgoing links of a node.
+    /// Outgoing links of a node, in the order their edges were added.
     ///
     /// # Panics
     ///
     /// Panics if the node is out of range.
+    #[inline]
     pub fn out_links(&self, node: NodeId) -> &[LinkId] {
-        &self.out[node.index()]
+        &self.out[self.out_range(node)]
+    }
+
+    /// The target of each of [`Topology::out_links`]`(node)`, in the same
+    /// order: `out_targets(node)[k] == link(out_links(node)[k]).to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is out of range.
+    #[inline]
+    pub fn out_targets(&self, node: NodeId) -> &[NodeId] {
+        &self.out_to[self.out_range(node)]
+    }
+
+    #[inline]
+    fn out_range(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.out_start[node.index()]..self.out_start[node.index() + 1]
     }
 
     /// Iterates over all node ids.
@@ -202,8 +245,7 @@ impl Topology {
         dist[from.index()] = 0;
         let mut queue = VecDeque::from([from]);
         while let Some(n) = queue.pop_front() {
-            for &l in self.out_links(n) {
-                let next = self.link(l).to;
+            for &next in self.out_targets(n) {
                 if dist[next.index()] == usize::MAX {
                     dist[next.index()] = dist[n.index()] + 1;
                     if next == to {
@@ -248,11 +290,10 @@ impl Topology {
         let mut queue = VecDeque::from([start]);
         let mut count = 1;
         while let Some(n) = queue.pop_front() {
-            for &l in self.out_links(n) {
+            for (&l, &next) in self.out_links(n).iter().zip(self.out_targets(n)) {
                 if !link_alive(l) {
                     continue;
                 }
-                let next = self.link(l).to;
                 if node_alive(next) && !seen[next.index()] {
                     seen[next.index()] = true;
                     count += 1;
@@ -466,6 +507,54 @@ mod tests {
         let r =
             std::panic::catch_unwind(|| Topology::from_links("bad", 2, [(NodeId(1), NodeId(1))]));
         assert!(r.is_err(), "self-loop must panic");
+    }
+
+    /// Every node's out-links in edge-insertion order, each beside its
+    /// target: the draw order of a forward walk, whatever the constructor.
+    fn assert_rows_follow_insertion_order(t: &Topology) {
+        for n in t.nodes() {
+            let want: Vec<LinkId> = t
+                .links()
+                .iter()
+                .filter(|l| l.from == n)
+                .map(|l| l.id)
+                .collect();
+            assert_eq!(t.out_links(n), &want[..], "{} at {n}", t.name());
+            let targets: Vec<NodeId> = want.iter().map(|&l| t.link(l).to).collect();
+            assert_eq!(t.out_targets(n), &targets[..], "{} at {n}", t.name());
+        }
+    }
+
+    #[test]
+    fn out_links_keep_insertion_order_beside_their_targets() {
+        for t in [
+            Topology::grid(4, 3),
+            Topology::grid(1, 1),
+            Topology::torus(3, 4),
+            Topology::fully_connected(5),
+        ] {
+            assert_rows_follow_insertion_order(&t);
+        }
+        let edges = [
+            (2, 0),
+            (0, 3),
+            (2, 1),
+            (1, 2),
+            (0, 1),
+            (2, 3),
+            (3, 0),
+            (0, 2),
+        ];
+        let t = Topology::from_links("interleaved", 4, edges.map(|(a, b)| (NodeId(a), NodeId(b))));
+        assert_rows_follow_insertion_order(&t);
+        assert_eq!(t.out_links(NodeId(0)), [LinkId(1), LinkId(4), LinkId(7)]);
+        assert_eq!(t.out_targets(NodeId(2)), [NodeId(0), NodeId(1), NodeId(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn out_targets_of_a_node_outside_the_topology_panics() {
+        let _ = Topology::grid(2, 2).out_targets(NodeId(4));
     }
 
     #[test]
