@@ -90,9 +90,13 @@ pub enum CheckpointError {
     UnsupportedVersion(u32),
     /// Bytes remained after the encoded structure ended.
     TrailingBytes(usize),
-    /// The checkpoint does not match the simulation it is being
-    /// restored into (different topology, config, fault model,
-    /// adversary, or seed — or internally inconsistent lengths).
+    /// The checkpoint was taken under another configuration: its digest
+    /// differs from the simulation's it is being restored into (topology,
+    /// config, fault model, crash schedule, adversary, seed, codec,
+    /// technology, egress limits or forwarding overrides).
+    ConfigMismatch,
+    /// The checkpoint's configuration matches, but its body does not fit
+    /// the simulation or contradicts itself (lengths, ranges, sets).
     Mismatch(&'static str),
     /// A file read/write failed (message carries the `io::Error` text).
     Io(String),
@@ -110,6 +114,10 @@ impl fmt::Display for CheckpointError {
                 )
             }
             Self::TrailingBytes(n) => write!(f, "{n} trailing bytes after checkpoint"),
+            Self::ConfigMismatch => write!(
+                f,
+                "checkpoint was taken under another configuration (its digest differs)"
+            ),
             Self::Mismatch(what) => {
                 write!(f, "checkpoint does not match this simulation: {what}")
             }
@@ -381,6 +389,16 @@ impl Writer {
     pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         self.count(bytes.len());
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// One arena frame record, after one reservation for all of it: the
+    /// length-prefixed bytes, the scrambled flag and the arrival link.
+    #[inline]
+    pub(crate) fn frame(&mut self, bytes: &[u8], scrambled: bool, via: Option<u64>) {
+        self.buf.reserve(8 + bytes.len() + 10);
+        self.bytes(bytes);
+        self.bool(scrambled);
+        self.opt_u64(via);
     }
 
     pub(crate) fn bools(&mut self, bools: &[bool]) {
@@ -760,5 +778,8 @@ mod tests {
             .to_string()
             .contains("denied"));
         assert!(CheckpointError::TrailingBytes(3).to_string().contains('3'));
+        assert!(CheckpointError::ConfigMismatch
+            .to_string()
+            .contains("configuration"));
     }
 }

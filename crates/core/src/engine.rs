@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::arrivals::{Arrivals, Grouped, Pending};
 use crate::audience::Audience;
@@ -441,6 +441,7 @@ impl SimulationBuilder {
             emptied_scratch: Vec::new(),
             receive_tape: ReceiveTape::default(),
             seed: self.seed,
+            config_digest: OnceLock::new(),
             round: 0,
             next_message_id: 0,
             started: false,
@@ -466,9 +467,10 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Mismatch`] when the checkpoint was
-    /// taken under a different configuration, or when its internal
-    /// lengths do not fit this topology.
+    /// Returns [`CheckpointError::ConfigMismatch`] when the checkpoint was
+    /// taken under a different configuration, and
+    /// [`CheckpointError::Mismatch`] when its body does not fit this
+    /// topology or contradicts itself.
     pub fn resume(self, checkpoint: &Checkpoint) -> Result<Simulation, CheckpointError> {
         self.resume_with_sink(checkpoint, NullSink)
     }
@@ -479,8 +481,7 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Mismatch`] as
-    /// [`SimulationBuilder::resume`] does.
+    /// As [`SimulationBuilder::resume`].
     pub fn resume_with_sink<S: EventSink>(
         self,
         checkpoint: &Checkpoint,
@@ -575,6 +576,9 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// checkpoint config digest (two runs with different seeds are
     /// never resume-compatible).
     seed: u64,
+    /// `config_digest_value`, computed by its first caller: the plan it
+    /// hashes is fixed at build.
+    config_digest: OnceLock<u64>,
     round: u64,
     next_message_id: u64,
     started: bool,
@@ -825,25 +829,28 @@ impl<S: EventSink> Simulation<S> {
     /// Everything that determines the draw sequence and the observables
     /// — and nothing that does not: the shard count, event sink and
     /// observability plane are excluded, so a checkpoint taken at one
-    /// shard count resumes at any other.
+    /// shard count resumes at any other. Computed once per simulation:
+    /// every field it hashes is fixed at build.
     fn config_digest_value(&self) -> u64 {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(self.topology.node_count() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(self.topology.link_count() as u64).to_le_bytes());
-        bytes.extend_from_slice(&self.seed.to_le_bytes());
-        let shape = format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            self.config,
-            self.injector.model(),
-            self.crash_schedule,
-            self.adversary,
-            self.codec,
-            self.report.technology(),
-            self.egress_limits,
-            self.forward_overrides,
-        );
-        bytes.extend_from_slice(shape.as_bytes());
-        fnv1a(&bytes)
+        *self.config_digest.get_or_init(|| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&(self.topology.node_count() as u64).to_le_bytes());
+            bytes.extend_from_slice(&(self.topology.link_count() as u64).to_le_bytes());
+            bytes.extend_from_slice(&self.seed.to_le_bytes());
+            let shape = format!(
+                "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+                self.config,
+                self.injector.model(),
+                self.crash_schedule,
+                self.adversary,
+                self.codec,
+                self.report.technology(),
+                self.egress_limits,
+                self.forward_overrides,
+            );
+            bytes.extend_from_slice(shape.as_bytes());
+            fnv1a(&bytes)
+        })
     }
 
     /// Captures a serializable snapshot of the full engine state at the
@@ -883,7 +890,9 @@ impl<S: EventSink> Simulation<S> {
             // `delivery_scratch`, `pending_purge`, `emptied_scratch`, the
             // arrivals grouped for the round (below), and `receive_tape`,
             // re-drawn each round. Bookkeeping `restore_from` rebuilds
-            // from the buffers: `buffer_frontier`, `live_total`.
+            // from the buffers: `buffer_frontier`, `live_total`. The memo
+            // `config_digest`: the plan's digest, which `Writer::new`
+            // writes through `config_digest_value`.
             sink: _,
             obs: _,
             ips: _,
@@ -896,6 +905,7 @@ impl<S: EventSink> Simulation<S> {
             pending_purge: _,
             emptied_scratch: _,
             receive_tape: _,
+            config_digest: _,
             // State: written below, in this order.
             round,
             next_message_id,
@@ -997,9 +1007,8 @@ impl<S: EventSink> Simulation<S> {
                 w.count(frames.len());
                 for f in frames {
                     let entry = wires.entry(f.wire);
-                    w.bytes(entry.bytes(&self.codec));
-                    w.bool(entry.message().is_none());
-                    w.opt_u64(f.via().map(|l| l.index() as u64));
+                    let via = f.via().map(|l| l.index() as u64);
+                    w.frame(entry.bytes(&self.codec), entry.message().is_none(), via);
                 }
             }
         }
@@ -1060,11 +1069,7 @@ impl<S: EventSink> Simulation<S> {
     fn restore_from(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         use CheckpointError::Mismatch;
         if ck.config_digest() != self.config_digest_value() {
-            return Err(Mismatch(
-                "configuration digest differs (topology, config, fault model, \
-                 crash schedule, adversary, seed, codec, technology, egress \
-                 limits or forwarding overrides changed)",
-            ));
+            return Err(CheckpointError::ConfigMismatch);
         }
         let n = self.topology.node_count();
         let m = self.topology.link_count();
@@ -1119,7 +1124,7 @@ impl<S: EventSink> Simulation<S> {
         let undecodable = |_| Mismatch("unscrambled frame does not decode");
         for _ in 0..r.count(24)? {
             let (tile, id, frame) = (r.u64()? as usize, r.u64()?, r.bytes()?);
-            let entry = WireEntry::with_bytes(codec, frame, false).map_err(undecodable)?;
+            let entry = WireEntry::decoded(codec, frame).map_err(undecodable)?;
             let slot = self.byz_last_frame.get_mut(tile);
             *slot.ok_or(Mismatch("byzantine replay tile index"))? = Some((MessageId(id), entry));
         }
@@ -1211,9 +1216,10 @@ impl<S: EventSink> Simulation<S> {
             }
             *buffer = SendBuffer::from_parts(messages, Vec::new(), r.u64()?);
         }
-        // Arena frames are interned by content: the many in-flight
+        // Clean arena frames are interned by content: the many in-flight
         // copies of one wire frame share one entry again, as they did
-        // before the capture resolved their handles to bytes.
+        // before the capture resolved their handles to bytes. Each upset
+        // copy was one transmission's, and gets its own entry again.
         let mut interner = self.wires.interner(codec);
         // Appended tile by tile, each tile's frames in arrival order: the
         // order grouping gives them back in.
@@ -3003,5 +3009,58 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn a_resumed_faulty_flood_holds_one_entry_per_clean_string_and_per_upset_copy() {
+        let builder = || {
+            SimulationBuilder::new(Topology::grid(8, 8))
+                .config(StochasticConfig::flooding(12))
+                .fault_model(FaultModel::builder().p_upset(0.2).build().unwrap())
+                .seed(5)
+        };
+        let mut sim = builder().build();
+        sim.inject(NodeId(0), NodeId(63), vec![7; 8]);
+        sim.inject(NodeId(36), NodeId(9), vec![9; 8]);
+        for _ in 0..4 {
+            sim.step();
+        }
+        let resumed = builder().resume(&sim.checkpoint()).unwrap();
+        let (mut frames, mut clean, mut scrambled) = (0, BTreeSet::new(), 0);
+        let mut arena = Grouped::new(64);
+        for pending in [&resumed.arrivals.next, &resumed.arrivals.later] {
+            arena.group(pending);
+            for f in arena.tiles(0, 64).flat_map(|(_, frames)| frames) {
+                let entry = resumed.wires.entry(f.wire);
+                frames += 1;
+                if entry.message().is_some() {
+                    clean.insert(entry.bytes(&resumed.codec).to_vec());
+                } else {
+                    scrambled += 1;
+                }
+            }
+            arena.clear();
+        }
+        assert!(
+            scrambled > 0 && frames > clean.len() + scrambled,
+            "{frames} frames"
+        );
+        let current = resumed.wires.current();
+        let upset_entries = current.iter().filter(|e| e.message().is_none()).count();
+        assert_eq!(current.len() - upset_entries, clean.len());
+        assert_eq!(upset_entries, scrambled);
+    }
+
+    #[test]
+    fn the_config_digest_is_computed_by_the_first_capture_or_by_a_resume() {
+        let builder = || SimulationBuilder::new(grid4()).seed(3);
+        let mut sim = builder().build();
+        sim.inject(NodeId(0), NodeId(15), vec![1]);
+        sim.step();
+        assert_eq!(sim.config_digest.get(), None, "a plain build computes none");
+        let ck = sim.checkpoint();
+        assert_eq!(sim.config_digest.get(), Some(&ck.config_digest()));
+        let resumed = builder().resume(&ck).unwrap();
+        assert_eq!(resumed.config_digest.get(), Some(&ck.config_digest()));
     }
 }

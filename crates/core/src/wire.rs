@@ -127,17 +127,10 @@ impl WireEntry {
         }
     }
 
-    /// The entry of a frame a checkpoint captured as `bytes`, which an
-    /// unscrambled one keeps beside the message they decode to; one that
-    /// fails the CRC or does not parse is not this engine's output.
-    pub(crate) fn with_bytes(
-        codec: &WireCodec,
-        bytes: &[u8],
-        scrambled: bool,
-    ) -> Result<Self, ParsePacketError> {
-        if scrambled {
-            return Ok(WireEntry::Scrambled(bytes.into()));
-        }
+    /// The entry of an unscrambled frame a checkpoint captured as `bytes`,
+    /// kept beside the message they decode to; bytes that fail the CRC or
+    /// do not parse are not this engine's output.
+    pub(crate) fn decoded(codec: &WireCodec, bytes: &[u8]) -> Result<Self, ParsePacketError> {
         Ok(WireEntry::Clean {
             message: codec.decode(bytes)?,
             encoding: OnceLock::from(Arc::from(bytes)),
@@ -200,8 +193,8 @@ struct MemoSlot {
 const MEMO_INITIAL_SLOTS: usize = 64;
 
 /// A lookup-only multimap from `(key, tag)` to entry indices — for the
-/// round's memo `(message id, ttl)`, for the restore interner `(content
-/// hash, scrambled)`. One flat open-addressing table, probed linearly
+/// round's memo `(message id, ttl)`, for the restore interner
+/// `(content_key, 0)`. One flat open-addressing table, probed linearly
 /// from `mix64(key ^ tag << 56)`; it is never iterated, so its order
 /// cannot reach a report.
 ///
@@ -388,53 +381,73 @@ impl WireTable {
         self.push(WireEntry::Scrambled(bytes))
     }
 
-    /// Fills the current generation by content (checkpoint restore).
+    /// Fills the current generation from captured bytes (checkpoint
+    /// restore).
     pub(crate) fn interner<'a>(&'a mut self, codec: &'a WireCodec) -> WireInterner<'a> {
         WireInterner {
             table: self,
             codec,
-            by_content: MemoTable::default(),
+            clean: MemoTable::default(),
         }
     }
 }
 
-/// Registers entries in a [`WireTable`]'s current generation by content,
-/// for checkpoint restore: a capture resolved every in-flight handle to
-/// bytes, and interning them makes the many copies of one wire frame
-/// share one entry again.
+/// The first eight bytes of `bytes` as a little-endian word, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let len = bytes.len().min(8);
+    word[..len].copy_from_slice(&bytes[..len]);
+    u64::from_le_bytes(word)
+}
+
+/// The interner's key of a frame: its first word (the message id), its
+/// last word (the payload tail and the CRC tag, which covers TTL, source,
+/// destination and payload) and its length. [`MemoTable`] mixes it once
+/// into a home slot; equal keys still take a full byte compare, so a
+/// collision costs a compare, never a wrong share.
+#[inline]
+fn content_key(bytes: &[u8]) -> u64 {
+    let last = &bytes[bytes.len().saturating_sub(8)..];
+    le_word(bytes) ^ le_word(last).rotate_left(32) ^ bytes.len() as u64
+}
+
+/// Registers entries in a [`WireTable`]'s current generation for
+/// checkpoint restore: a capture resolved every in-flight handle to
+/// bytes, and interning the clean ones by content makes the many copies
+/// of one wire frame share one entry again.
 #[derive(Debug)]
 pub(crate) struct WireInterner<'a> {
     table: &'a mut WireTable,
     codec: &'a WireCodec,
-    by_content: MemoTable,
+    /// This restore's clean entries by [`content_key`].
+    clean: MemoTable,
 }
 
 impl WireInterner<'_> {
-    /// The handle of the entry holding exactly `bytes` with this
-    /// `scrambled` flag, registering [`WireEntry::with_bytes`] for them
-    /// on first sight.
+    /// The handle of a frame captured as `bytes`. A clean one shares the
+    /// entry of the first equal byte string, registering
+    /// [`WireEntry::decoded`] on first sight. An upset copy gets an entry
+    /// of its own with no lookup: [`WireTable::scrambled_copy`] made it
+    /// for one transmission, and nothing reads its identity.
     pub(crate) fn intern(
         &mut self,
         scrambled: bool,
         bytes: &[u8],
     ) -> Result<Wire, ParsePacketError> {
-        let hash = bytes.chunks(8).fold(bytes.len() as u64, |hash, chunk| {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            mix64(hash ^ u64::from_le_bytes(word))
-        });
+        if scrambled {
+            return Ok(self.table.push(WireEntry::Scrambled(bytes.into())));
+        }
+        let key = content_key(bytes);
         let entries = &self.table.generations[0];
-        let tag = u8::from(scrambled);
-        let found = self.by_content.find(hash, tag, |index| {
-            let entry = &entries[index as usize];
-            entry.message().is_none() == scrambled && **entry.bytes(self.codec) == *bytes
+        let found = self.clean.find(key, 0, |index| {
+            **entries[index as usize].bytes(self.codec) == *bytes
         });
         match found {
             Ok(index) => Ok(Wire(self.table.tag() | index)),
             Err(free) => {
-                let entry = WireEntry::with_bytes(self.codec, bytes, scrambled)?;
-                let wire = self.table.push(entry);
-                self.by_content.fill(free, hash, tag, wire.0 & INDEX_MASK);
+                let wire = self.table.push(WireEntry::decoded(self.codec, bytes)?);
+                self.clean.fill(free, key, 0, wire.0 & INDEX_MASK);
                 Ok(wire)
             }
         }
@@ -635,6 +648,11 @@ mod tests {
                 Some((message, encoding.get()))
             })
         }
+
+        /// The current generation's entries, in registration order.
+        pub(crate) fn current(&self) -> &[WireEntry] {
+            &self.generations[0]
+        }
     }
 
     /// The encoding a clean entry holds so far.
@@ -702,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn interner_shares_equal_bytes_and_keeps_the_scrambled_flag_apart() {
+    fn interner_shares_equal_clean_bytes_and_gives_every_upset_copy_its_own_entry() {
         let codec = WireCodec::default();
         let mut table = WireTable::default();
         let mut interner = table.interner(&codec);
@@ -714,8 +732,8 @@ mod tests {
         assert_eq!(intern(false, &bytes), clean);
         let upset = intern(true, &bytes);
         assert_ne!(upset, clean);
-        assert_eq!(intern(true, &bytes), upset);
-        assert_ne!(intern(true, &bytes[1..]), upset);
+        assert_ne!(intern(true, &bytes), upset, "one entry per upset copy");
+        assert_eq!(intern(false, &bytes), clean, "upsets stay out of the key");
         assert_eq!(table.generations[0].len(), 3);
         assert_eq!(id_of(&table, clean), Some(1));
         assert_eq!(id_of(&table, upset), None);
@@ -724,6 +742,76 @@ mod tests {
             bytes[..],
             "kept, not rebuilt"
         );
+    }
+
+    /// Two frames of message 3 at TTL 5, payload `[p0, 0x5A × 7]`, from
+    /// sources 135 and 256 with `p0` 164 and 0: their CRC-16 tags agree,
+    /// so they share their first and last words and differ in between.
+    fn key_twins(codec: &WireCodec) -> [Vec<u8>; 2] {
+        [(135, 164), (256, 0)].map(|(source, p0)| {
+            let mut payload = vec![0x5A; 8];
+            payload[0] = p0;
+            codec.encode(&Message::new(
+                MessageId(3),
+                NodeId(source),
+                NodeId(1),
+                5,
+                payload,
+            ))
+        })
+    }
+
+    #[test]
+    fn key_twins_share_a_key_and_not_their_bytes() {
+        let codec = WireCodec::default();
+        let [a, b] = key_twins(&codec);
+        assert_eq!(content_key(&a), content_key(&b));
+        assert_ne!(a, b);
+        assert!(codec.decode(&a).is_ok() && codec.decode(&b).is_ok());
+    }
+
+    proptest! {
+        /// The interner against a linear scan of what it registered: a
+        /// clean byte string shares the entry of its first occurrence (key
+        /// twins and strings of 0–7 bytes included), one that does not
+        /// decode registers nothing, and every scrambled frame gets an
+        /// entry of its own.
+        #[test]
+        fn interner_shares_clean_bytes_exactly_like_a_linear_scan(
+            ops in proptest::collection::vec((0usize..18, 0u8..2), 0..200)
+        ) {
+            let codec = WireCodec::default();
+            let frame = codec.encode(&message(2, 4));
+            let mut pool: Vec<Vec<u8>> = key_twins(&codec).into();
+            pool.extend((1..5).map(|id| codec.encode(&message(id, 5))));
+            // `twin(1, 5, 1)` is `message(1, 5)` again, from another slot.
+            pool.extend((0..3).map(|content| codec.encode(&twin(1, 5, content))));
+            pool.extend((0..8).map(|len| frame[..len].to_vec()));
+            pool.push(frame[1..].to_vec());
+            prop_assert_eq!(pool.len(), 18);
+            let mut table = WireTable::default();
+            let mut interner = table.interner(&codec);
+            let mut naive: Vec<(bool, &[u8])> = Vec::new();
+            for (pick, flag) in ops {
+                let (bytes, scrambled) = (&pool[pick][..], flag == 1);
+                let shared = naive.iter().position(|&entry| entry == (false, bytes));
+                let expected = match shared {
+                    Some(index) if !scrambled => Some(index),
+                    _ if !scrambled && codec.decode(bytes).is_err() => None,
+                    _ => {
+                        naive.push((scrambled, bytes));
+                        Some(naive.len() - 1)
+                    }
+                };
+                let got = interner.intern(scrambled, bytes).ok();
+                prop_assert_eq!(got.map(|wire| (wire.0 & INDEX_MASK) as usize), expected);
+            }
+            prop_assert_eq!(table.generations[0].len(), naive.len());
+            for (entry, (scrambled, bytes)) in table.generations[0].iter().zip(&naive) {
+                prop_assert_eq!(entry.message().is_none(), *scrambled);
+                prop_assert_eq!(&entry.bytes(&codec)[..], *bytes);
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 
 use noc_fabric::{MessageId, NodeId, Topology};
 use noc_faults::FaultModel;
-use stochastic_noc::{Simulation, SimulationBuilder, SimulationReport, StochasticConfig};
+use stochastic_noc::{
+    CheckpointError, Simulation, SimulationBuilder, SimulationReport, StochasticConfig,
+};
 
 use crate::{runner, Scale, TrialRunner};
 
@@ -72,10 +74,15 @@ fn make_builder(side: usize, regime: &'static str, seed: u64) -> SimulationBuild
 /// checkpoint when its configuration digest matches; `None` means
 /// "start fresh": no resume requested, or a checkpoint belonging to one
 /// of the *other* mega-grid configurations — that one will pick it up,
-/// and this one's table row is deterministic either way.
+/// and this one's table row is deterministic either way. A checkpoint
+/// whose digest matches but whose body `resume` refuses ends the run.
 fn try_resume(side: usize, regime: &'static str, seed: u64) -> Option<Simulation> {
     let checkpoint = runner::resume_checkpoint()?;
-    let sim = make_builder(side, regime, seed).resume(&checkpoint).ok()?;
+    let sim = match make_builder(side, regime, seed).resume(&checkpoint) {
+        Ok(sim) => sim,
+        Err(CheckpointError::ConfigMismatch) => return None,
+        Err(err) => runner::resume_refused(&err),
+    };
     eprintln!(
         "{{\"event\":\"resumed\",\"figure\":\"mega-grid-{side}-{regime}\",\"round\":{}}}",
         sim.round(),

@@ -161,10 +161,10 @@ static CHECKPOINT_EVERY: AtomicU64 = AtomicU64::new(0);
 /// PATH`); `None` falls back to the current directory.
 static CHECKPOINT_DIR: Mutex<Option<String>> = Mutex::new(None);
 
-/// Process-wide resume source (`--resume PATH`), loaded once when it is
-/// set; figures that support checkpointing restore the matching
-/// simulation from it instead of starting it from round 0.
-static RESUME: Mutex<Option<Arc<Checkpoint>>> = Mutex::new(None);
+/// Process-wide resume source (`--resume PATH`) and its path, loaded once
+/// when it is set; figures that support checkpointing restore the
+/// matching simulation from it instead of starting it from round 0.
+static RESUME: Mutex<Option<(String, Arc<Checkpoint>)>> = Mutex::new(None);
 
 /// Sets the checkpoint cadence (`--checkpoint-every N`). `0` turns
 /// checkpointing off.
@@ -202,14 +202,29 @@ pub fn set_resume_path(path: Option<String>) -> Result<(), CheckpointError> {
     let mut resume = RESUME.lock().expect("resume lock");
     *resume = None;
     if let Some(path) = path {
-        *resume = Some(Arc::new(Checkpoint::load(path)?));
+        let checkpoint = Arc::new(Checkpoint::load(&path)?);
+        *resume = Some((path, checkpoint));
     }
     Ok(())
 }
 
 /// The checkpoint installed by `--resume`, if any.
 pub fn resume_checkpoint() -> Option<Arc<Checkpoint>> {
-    RESUME.lock().expect("resume lock").clone()
+    let resume = RESUME.lock().expect("resume lock");
+    resume
+        .as_ref()
+        .map(|(_, checkpoint)| Arc::clone(checkpoint))
+}
+
+/// Ends the process with one stderr line, `--resume PATH: reason`, and
+/// exit status 1: the `--resume` checkpoint matched a configuration's
+/// digest but `resume` refused its body, and running that configuration
+/// from round 0 instead would hide the refusal.
+pub fn resume_refused(err: &CheckpointError) -> ! {
+    let resume = RESUME.lock().expect("resume lock");
+    let path = resume.as_ref().map_or("", |(path, _)| path.as_str());
+    eprintln!("--resume {path}: {err}");
+    std::process::exit(1)
 }
 
 /// Sets the process-wide default worker count (`--threads N`).

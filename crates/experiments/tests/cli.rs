@@ -82,6 +82,32 @@ fn resume_of_a_file_that_is_no_checkpoint_is_rejected_not_run_fresh() {
 }
 
 #[test]
+fn resume_of_a_checkpoint_whose_body_is_refused_fails_instead_of_running_fresh() {
+    let dir = std::env::temp_dir().join(format!("cli-refused-{}", std::process::id()));
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let args = ["mega-grid", "--seed", "0", "--threads", "1"];
+    let every = ["--checkpoint-every", "50", "--checkpoint-dir", dir_arg];
+    let written = experiments(&[&args[..], &every].concat());
+    assert_eq!(written.status.code(), Some(0));
+    let path = dir.join("mega-grid-64-fault-free-round-000050.ckpt");
+    let mut bytes = std::fs::read(&path).expect("the round-50 checkpoint was written");
+    // The first body word, `next_message_id`: more ids than records.
+    bytes[28..36].fill(0xFF);
+    std::fs::write(&path, bytes).expect("the checkpoint is rewritten");
+    let path = path.to_str().expect("utf-8 temp path");
+    let refused = experiments(&[&args[..], &["--resume", path]].concat());
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(1), "{stderr}");
+    assert!(refused.stdout.is_empty(), "no mega-grid table");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("--resume {path}: ")) && stderr.contains("records"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn honoured_flag_runs_and_leaves_stdout_as_the_plain_run() {
     let path = std::env::temp_dir().join(format!("cli-trace-{}.jsonl", std::process::id()));
     let traced = experiments(&[
