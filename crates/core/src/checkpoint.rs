@@ -496,16 +496,34 @@ impl<'a> Reader<'a> {
 /// FNV-1a over a byte stream — the digest primitive behind
 /// [`Checkpoint::config_digest`]. Stable across processes and
 /// platforms; not cryptographic (it guards against honest mistakes,
-/// not adversaries).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// not adversaries). Text written through [`fmt::Write`] is hashed as it
+/// is formatted, never held.
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 
 use noc_energy::{Bits, TechnologyLibrary};
 use noc_fabric::{
-    ClockDomain, Grid2d, IpContext, IpCore, LinkId, Message, MessageId, NodeId, NullIp, Topology,
+    ClockDomain, Grid2d, IpContext, IpCore, LinkId, Message, MessageId, NodeId, Topology,
     WireCodec, MAX_NODES, MAX_PAYLOAD_BYTES,
 };
 use noc_faults::{
@@ -35,11 +35,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
 use crate::arrivals::{Arrivals, Grouped, Pending};
 use crate::audience::Audience;
-use crate::checkpoint::{fnv1a, Checkpoint, CheckpointError, Writer};
+use crate::checkpoint::{Checkpoint, CheckpointError, Fnv1a, Writer};
 use crate::config::StochasticConfig;
 use crate::events::{DropSite, EventSink, NullSink, SimEvent};
 use crate::frontier::TileSet;
@@ -100,7 +101,9 @@ pub struct SimulationBuilder {
     seed: u64,
     tech: TechnologyLibrary,
     codec: WireCodec,
-    ips: Vec<Option<Box<dyn IpCore>>>,
+    ips: BTreeMap<usize, Box<dyn IpCore>>,
+    /// Per-tile knob tables: empty until a knob is first set, then one
+    /// entry per tile.
     egress_limits: Vec<Option<usize>>,
     forward_overrides: Vec<Option<f64>>,
     shards: usize,
@@ -111,7 +114,6 @@ impl SimulationBuilder {
     /// Starts building a simulation over `topology`.
     pub fn new(topology: impl Into<Topology>) -> Self {
         let topology = topology.into();
-        let n = topology.node_count();
         Self {
             topology,
             config: StochasticConfig::default(),
@@ -121,9 +123,9 @@ impl SimulationBuilder {
             seed: 0,
             tech: TechnologyLibrary::NOC_LINK_0_25UM,
             codec: WireCodec::default(),
-            ips: (0..n).map(|_| None).collect(),
-            egress_limits: vec![None; n],
-            forward_overrides: vec![None; n],
+            ips: BTreeMap::new(),
+            egress_limits: Vec::new(),
+            forward_overrides: Vec::new(),
             shards: 1,
             obs: None,
         }
@@ -230,6 +232,7 @@ impl SimulationBuilder {
             "{node} outside topology"
         );
         assert!(limit > 0, "egress limit must be at least 1");
+        self.egress_limits.resize(self.topology.node_count(), None);
         self.egress_limits[node.index()] = Some(limit);
         self
     }
@@ -251,12 +254,14 @@ impl SimulationBuilder {
             "{node} outside topology"
         );
         assert!((0.0..=1.0).contains(&p), "probability {p} not in [0, 1]");
+        self.forward_overrides
+            .resize(self.topology.node_count(), None);
         self.forward_overrides[node.index()] = Some(p);
         self
     }
 
-    /// Maps an IP core onto a tile. Unmapped tiles get [`NullIp`] and
-    /// still participate in gossip forwarding.
+    /// Maps an IP core onto a tile, replacing any mapped there before.
+    /// Every tile, mapped or not, takes part in gossip forwarding.
     ///
     /// # Panics
     ///
@@ -266,7 +271,7 @@ impl SimulationBuilder {
             node.index() < self.topology.node_count(),
             "{node} outside topology"
         );
-        self.ips[node.index()] = Some(ip);
+        self.ips.insert(node.index(), ip);
         self
     }
 
@@ -370,36 +375,35 @@ impl SimulationBuilder {
         } else {
             Vec::new()
         };
-        let byz_streams: BTreeMap<usize, StdRng> = if self.adversary.byzantine.is_active() {
+        let compromised: BTreeMap<usize, Compromised> = if self.adversary.byzantine.is_active() {
             let base = derive_labeled_seed(self.seed, "adversary-tile");
             self.adversary
                 .byzantine
                 .tiles
                 .iter()
                 .map(|&tile| {
+                    let stream = StdRng::seed_from_u64(derive_trial_seed(base, tile as u64));
                     (
                         tile,
-                        StdRng::seed_from_u64(derive_trial_seed(base, tile as u64)),
+                        Compromised {
+                            stream,
+                            last_frame: None,
+                        },
                     )
                 })
                 .collect()
         } else {
             BTreeMap::new()
         };
-        // Which tiles carry a *custom* IP: `NullIp`'s hooks are no-ops
-        // and it reports done, so the compute phase (and delivery
-        // staging) can skip every unmapped tile without observable
-        // difference.
-        let ip_is_custom: Vec<bool> = self.ips.iter().map(Option::is_some).collect();
-        let custom_ip_tiles: Vec<usize> = ip_is_custom
-            .iter()
-            .enumerate()
-            .filter_map(|(tile, &custom)| custom.then_some(tile))
-            .collect();
-        let ips: Vec<Box<dyn IpCore>> = self
+        // Ascending by tile, as the map iterates.
+        let mapped_ips = self
             .ips
             .into_iter()
-            .map(|ip| ip.unwrap_or_else(|| Box::new(NullIp)))
+            .map(|(tile, ip)| MappedIp {
+                tile,
+                ip,
+                inbox: Vec::new(),
+            })
             .collect();
         let shards = match self.shards {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -417,7 +421,6 @@ impl SimulationBuilder {
             buffers: (0..n).map(|_| SendBuffer::new()).collect(),
             clocks: vec![ClockDomain::new(); n],
             arrivals: Arrivals::new(n),
-            delivery_scratch: vec![Vec::new(); n],
             wires: WireTable::default(),
             audience: Audience::new(n, 0),
             tiles_alive,
@@ -427,13 +430,10 @@ impl SimulationBuilder {
             crash_schedule,
             adversary: self.adversary,
             chaos_streams,
-            byz_streams,
-            byz_last_frame: vec![None; n],
+            compromised,
             injector,
             codec: self.codec,
-            ips,
-            ip_is_custom,
-            custom_ip_tiles,
+            mapped_ips,
             shards,
             buffer_frontier: TileSet::new(n),
             live_total: 0,
@@ -497,6 +497,35 @@ impl SimulationBuilder {
     }
 }
 
+/// A compromised tile's adversary state.
+struct Compromised {
+    /// The tile's activation/forgery RNG stream.
+    stream: StdRng,
+    /// The frame the tile most recently forwarded legitimately — the
+    /// replay attack's ammunition. Held by value: it outlives the
+    /// wire-table generation it was sent in.
+    last_frame: Option<(MessageId, WireEntry)>,
+}
+
+/// An IP core mapped onto a tile, with the deliveries staged for it
+/// between the receive and compute phases.
+struct MappedIp {
+    tile: usize,
+    ip: Box<dyn IpCore>,
+    /// `(from, payload)` of each delivery since the core last ran.
+    inbox: Vec<(NodeId, Arc<[u8]>)>,
+}
+
+impl MappedIp {
+    /// Stages a delivery at `tile` for its core, if one is mapped there;
+    /// `ips` is sorted by tile.
+    fn stage(ips: &mut [MappedIp], tile: usize, from: NodeId, payload: &Arc<[u8]>) {
+        if let Ok(at) = ips.binary_search_by_key(&tile, |mapped| mapped.tile) {
+            ips[at].inbox.push((from, Arc::clone(payload)));
+        }
+    }
+}
+
 /// A stochastic-communication simulation in progress.
 ///
 /// Drive it with [`Simulation::run`] (to completion or budget) or
@@ -518,12 +547,9 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// One chaos RNG stream per link; empty when chaos is inactive, so
     /// benign builds index nothing and draw nothing.
     chaos_streams: Vec<StdRng>,
-    /// One activation/forgery RNG stream per compromised tile.
-    byz_streams: BTreeMap<usize, StdRng>,
-    /// The frame each Byzantine tile most recently forwarded
-    /// legitimately — the replay attack's ammunition. Held by value: it
-    /// outlives the wire-table generation it was sent in.
-    byz_last_frame: Vec<Option<(MessageId, WireEntry)>>,
+    /// The adversary's state at each compromised tile; empty when the
+    /// Byzantine mechanism is inactive.
+    compromised: BTreeMap<usize, Compromised>,
     injector: FaultInjector,
     codec: WireCodec,
     tiles_alive: Vec<bool>,
@@ -532,9 +558,6 @@ pub struct Simulation<S: EventSink = NullSink> {
     clocks: Vec<ClockDomain>,
     /// The delay line: frames sent and not yet received.
     arrivals: Arrivals,
-    /// Persistent per-tile `(from, payload)` delivery staging between the
-    /// receive and compute phases.
-    delivery_scratch: Vec<Vec<(NodeId, Arc<[u8]>)>>,
     /// The bytes behind every in-flight [`Frame`] handle, rotated with
     /// the arenas (a checkpoint resolves the handles to bytes).
     wires: WireTable,
@@ -542,20 +565,21 @@ pub struct Simulation<S: EventSink = NullSink> {
     /// seen-set receive dedups against, the informed population, and
     /// every buffer's seen list in a checkpoint.
     audience: Audience,
-    ips: Vec<Box<dyn IpCore>>,
+    /// The mapped IP cores, ascending by tile: the compute phase's
+    /// worklist. An unmapped tile runs no core.
+    mapped_ips: Vec<MappedIp>,
+    /// Per-tile egress limits; empty when no tile has one.
     egress_limits: Vec<Option<usize>>,
     /// Round-robin egress resume point per tile: the *id* of the next
     /// message owed service, so buffer shrinkage between rounds (TTL
     /// expiry, termination purges) cannot skip or double-serve entries.
+    /// As long as `egress_limits`, and `None` at every tile without a
+    /// limit.
     egress_next: Vec<Option<MessageId>>,
+    /// Per-tile forwarding probabilities; empty when no tile has one.
     forward_overrides: Vec<Option<f64>>,
     terminated: BTreeSet<MessageId>,
     report: SimulationReport,
-    /// `ips[tile]` is a user-mapped core (not the [`NullIp`] filler).
-    ip_is_custom: Vec<bool>,
-    /// Ascending tile indices with a custom IP — the compute phase's
-    /// worklist.
-    custom_ip_tiles: Vec<usize>,
     /// Tile ranges the receive and age phases fan out over (1 = none).
     shards: usize,
     /// Tiles whose send buffer is non-empty — the age/forward frontier.
@@ -812,8 +836,8 @@ impl<S: EventSink> Simulation<S> {
     /// `max_rounds` budget is ignored: the loop steps for exactly as
     /// long as work remains.
     ///
-    /// With the default [`NullIp`] on every tile the TTL guarantees the
-    /// network drains, so the loop always terminates. A custom IP that
+    /// With no IP mapped the TTL guarantees the network drains, so the
+    /// loop always terminates. A mapped IP that
     /// never reports done (or emits messages forever) makes this loop
     /// run forever — that contract is the caller's to uphold.
     pub fn run_until_idle(&mut self) -> SimulationReport {
@@ -833,11 +857,15 @@ impl<S: EventSink> Simulation<S> {
     /// every field it hashes is fixed at build.
     fn config_digest_value(&self) -> u64 {
         *self.config_digest.get_or_init(|| {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&(self.topology.node_count() as u64).to_le_bytes());
-            bytes.extend_from_slice(&(self.topology.link_count() as u64).to_le_bytes());
-            bytes.extend_from_slice(&self.seed.to_le_bytes());
-            let shape = format!(
+            let n = self.topology.node_count();
+            let mut hash = Fnv1a::default();
+            hash.update(&(n as u64).to_le_bytes());
+            hash.update(&(self.topology.link_count() as u64).to_le_bytes());
+            hash.update(&self.seed.to_le_bytes());
+            // Hashed as it is formatted; `Fnv1a` takes every write, so
+            // formatting cannot fail.
+            let _ = write!(
+                hash,
                 "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
                 self.config,
                 self.injector.model(),
@@ -845,11 +873,10 @@ impl<S: EventSink> Simulation<S> {
                 self.adversary,
                 self.codec,
                 self.report.technology(),
-                self.egress_limits,
-                self.forward_overrides,
+                PerTile(&self.egress_limits, n),
+                PerTile(&self.forward_overrides, n),
             );
-            bytes.extend_from_slice(shape.as_bytes());
-            fnv1a(&bytes)
+            hash.finish()
         })
     }
 
@@ -873,7 +900,8 @@ impl<S: EventSink> Simulation<S> {
         // error. A `_` is a reviewed decision: file it under its reason.
         let Simulation {
             // Plan: fixed at build and hashed by `config_digest_value`, so
-            // a resume under any other value is refused.
+            // a resume under any other value is refused. That includes the
+            // knob tables, empty or not.
             topology: _,
             config: _,
             crash_schedule: _,
@@ -883,23 +911,20 @@ impl<S: EventSink> Simulation<S> {
             forward_overrides: _,
             seed: _,
             // Not state. Observers a resumed run installs itself: `sink`,
-            // `obs`, and `ips` (trait objects the builder re-maps;
-            // `ip_is_custom` / `custom_ip_tiles` derive from them). The
+            // `obs`, and `mapped_ips` (trait objects the builder re-maps,
+            // whose inboxes compute drains every round). The
             // execution-plan knob `shards`: every shard count makes the
             // same draws. Scratch that is empty at every round boundary:
-            // `delivery_scratch`, `pending_purge`, `emptied_scratch`, the
-            // arrivals grouped for the round (below), and `receive_tape`,
-            // re-drawn each round. Bookkeeping `restore_from` rebuilds
-            // from the buffers: `buffer_frontier`, `live_total`. The memo
-            // `config_digest`: the plan's digest, which `Writer::new`
-            // writes through `config_digest_value`.
+            // `pending_purge`, `emptied_scratch`, the arrivals grouped for
+            // the round (below), and `receive_tape`, re-drawn each round.
+            // Bookkeeping `restore_from` rebuilds from the buffers:
+            // `buffer_frontier`, `live_total`. The memo `config_digest`:
+            // the plan's digest, which `Writer::new` writes through
+            // `config_digest_value`.
             sink: _,
             obs: _,
-            ips: _,
-            ip_is_custom: _,
-            custom_ip_tiles: _,
+            mapped_ips: _,
             shards: _,
-            delivery_scratch: _,
             buffer_frontier: _,
             live_total: _,
             pending_purge: _,
@@ -913,8 +938,7 @@ impl<S: EventSink> Simulation<S> {
             completed,
             injector,
             chaos_streams,
-            byz_streams,
-            byz_last_frame,
+            compromised,
             tiles_alive,
             links_alive,
             clocks,
@@ -945,14 +969,19 @@ impl<S: EventSink> Simulation<S> {
         for stream in chaos_streams {
             w.rng_state(stream.state());
         }
-        w.count(byz_streams.len());
-        for (&tile, stream) in byz_streams {
+        w.count(compromised.len());
+        for (&tile, at) in compromised {
             w.u64(tile as u64);
-            w.rng_state(stream.state());
+            w.rng_state(at.stream.state());
         }
-        w.count(byz_last_frame.iter().flatten().count());
-        for (tile, slot) in byz_last_frame.iter().enumerate() {
-            if let Some((id, frame)) = slot {
+        w.count(
+            compromised
+                .values()
+                .filter(|at| at.last_frame.is_some())
+                .count(),
+        );
+        for (&tile, at) in compromised {
+            if let Some((id, frame)) = &at.last_frame {
                 w.u64(tile as u64);
                 w.u64(id.0);
                 w.bytes(frame.bytes(&self.codec));
@@ -966,8 +995,11 @@ impl<S: EventSink> Simulation<S> {
             w.u64(skew.to_bits());
             w.u64(slips);
         }
-        w.count(egress_next.len());
-        for cursor in egress_next {
+        // One cursor a tile, the tiles without a limit included.
+        let n = buffers.len();
+        w.count(n);
+        for tile in 0..n {
+            let cursor = egress_next.get(tile).copied().flatten();
             w.opt_u64(cursor.map(|id| id.0));
         }
         w.count(buffers.len());
@@ -995,7 +1027,6 @@ impl<S: EventSink> Simulation<S> {
         }
         // v1 writes an arena tile by tile: each list is grouped through
         // one scratch, and a tile the grouping skips has no frames.
-        let n = buffers.len();
         let mut arena = Grouped::new(n);
         for pending in [next, later] {
             arena.group(pending);
@@ -1112,21 +1143,29 @@ impl<S: EventSink> Simulation<S> {
         for stream in &mut self.chaos_streams {
             *stream = StdRng::from_state(r.rng_state()?);
         }
-        if r.count(40)? != self.byz_streams.len() {
+        if r.count(40)? != self.compromised.len() {
             return Err(Mismatch("byzantine tile set"));
         }
-        for _ in 0..self.byz_streams.len() {
+        for _ in 0..self.compromised.len() {
             let tile = r.u64()? as usize;
-            let stream = self.byz_streams.get_mut(&tile);
-            *stream.ok_or(Mismatch("byzantine tile set"))? = StdRng::from_state(r.rng_state()?);
+            let at = self.compromised.get_mut(&tile);
+            at.ok_or(Mismatch("byzantine tile set"))?.stream = StdRng::from_state(r.rng_state()?);
         }
         let codec = &self.codec;
         let undecodable = |_| Mismatch("unscrambled frame does not decode");
+        // Only a compromised tile replays, and capture lists each one
+        // once, in tile order.
+        let mut last_tile = None;
         for _ in 0..r.count(24)? {
             let (tile, id, frame) = (r.u64()? as usize, r.u64()?, r.bytes()?);
+            if last_tile.is_some_and(|last| tile <= last) {
+                return Err(Mismatch("byzantine replay slots out of tile order"));
+            }
+            last_tile = Some(tile);
+            let at = self.compromised.get_mut(&tile);
+            let at = at.ok_or(Mismatch("byzantine replay slot at an honest tile"))?;
             let entry = WireEntry::decoded(codec, frame).map_err(undecodable)?;
-            let slot = self.byz_last_frame.get_mut(tile);
-            *slot.ok_or(Mismatch("byzantine replay tile index"))? = Some((MessageId(id), entry));
+            at.last_frame = Some((MessageId(id), entry));
         }
         for (alive, len, what) in [
             (&mut self.tiles_alive, n, "tile liveness length"),
@@ -1144,9 +1183,16 @@ impl<S: EventSink> Simulation<S> {
             *clock = ClockDomain::from_parts(f64::from_bits(r.u64()?), r.u64()?)
                 .ok_or(Mismatch("clock skew outside (-0.5, 0.5]"))?;
         }
+        // Only a tile with a limit moves its cursor.
         per_tile(r.count(1)?)?;
-        for cursor in &mut self.egress_next {
-            *cursor = r.opt_u64()?.map(MessageId);
+        for tile in 0..n {
+            let Some(id) = r.opt_u64()? else {
+                continue;
+            };
+            let limited = matches!(self.egress_limits.get(tile), Some(Some(_)));
+            let cursor = self.egress_next.get_mut(tile).filter(|_| limited);
+            *cursor.ok_or(Mismatch("egress cursor at a tile without a limit"))? =
+                Some(MessageId(id));
         }
         per_tile(r.count(24)?)?;
         // Tiles buffering the same message share its payload bytes, as
@@ -1395,7 +1441,7 @@ impl<S: EventSink> Simulation<S> {
             ref tiles_alive,
             ref mut buffers,
             ref mut arrivals,
-            ref mut delivery_scratch,
+            ref mut mapped_ips,
             ref mut terminated,
             ref mut pending_purge,
             ref mut audience,
@@ -1403,7 +1449,6 @@ impl<S: EventSink> Simulation<S> {
             ref mut sink,
             ref mut buffer_frontier,
             ref mut live_total,
-            ref ip_is_custom,
             ..
         } = *self;
         for (tile, frames) in arrivals.grouped.tiles_mut() {
@@ -1496,9 +1541,7 @@ impl<S: EventSink> Simulation<S> {
                         });
                     }
                     stats.deliveries += 1;
-                    if ip_is_custom[tile] {
-                        delivery_scratch[tile].push((message.source, Arc::clone(&message.payload)));
-                    }
+                    MappedIp::stage(mapped_ips, tile, message.source, &message.payload);
                     if config.terminate_on_delivery && terminated.insert(message.id) {
                         pending_purge.push(message.id);
                     }
@@ -1611,10 +1654,8 @@ impl<S: EventSink> Simulation<S> {
                 ref tiles_alive,
                 ref mut buffers,
                 ref arrivals,
-                ref mut delivery_scratch,
                 ref audience,
                 ref terminated,
-                ref ip_is_custom,
                 ..
             } = *self;
             let ctx = ReceiveCtx {
@@ -1629,18 +1670,15 @@ impl<S: EventSink> Simulation<S> {
                 terminated,
                 newly_terminated: &newly_terminated,
                 terminate_on_delivery: config.terminate_on_delivery,
-                ip_is_custom,
                 record_events,
             };
             let buffers = split_chunks(buffers, &ranges);
-            let scratch = split_chunks(delivery_scratch, &ranges);
             let work: Vec<_> = ranges
                 .iter()
                 .zip(buffers)
-                .zip(scratch)
-                .map(|((&(lo, _), buf), ds)| (lo, buf, ds))
+                .map(|(&(lo, _), buf)| (lo, buf))
                 .collect();
-            run_shards(work, |(lo, buf, ds)| receive_shard(&ctx, lo, buf, ds))
+            run_shards(work, |(lo, buf)| receive_shard(&ctx, lo, buf))
         };
         span_end(obs, EnginePhase::ShardFanout, fan_span);
         let merge_span = if receive_outs.is_empty() {
@@ -1657,6 +1695,9 @@ impl<S: EventSink> Simulation<S> {
                 self.audience.insert(id, tile as usize);
             }
             stats.deliveries += out.deliveries.len() as u64;
+            for (tile, from, payload) in &out.staged {
+                MappedIp::stage(&mut self.mapped_ips, *tile as usize, *from, payload);
+            }
             if record_events {
                 // Delivery events are candidates: first-delivery
                 // arbitration replays here, in shard (= tile) order.
@@ -1783,36 +1824,30 @@ impl<S: EventSink> Simulation<S> {
     }
 
     /// Phase 2: compute (IPs run with zero computation time). Only
-    /// tiles with a custom IP participate — [`NullIp`]'s hooks are
-    /// no-ops and it reports done, so skipping unmapped tiles changes
-    /// nothing observable.
-    #[allow(
-        clippy::needless_range_loop,
-        reason = "body needs `&mut self` per tile"
-    )]
+    /// mapped tiles run a core; the list is taken out while its cores
+    /// inject.
     fn run_compute(&mut self, round: u64) {
-        for i in 0..self.custom_ip_tiles.len() {
-            let tile = self.custom_ip_tiles[i];
-            let node = NodeId(tile);
+        let mut mapped_ips = std::mem::take(&mut self.mapped_ips);
+        for MappedIp { tile, ip, inbox } in &mut mapped_ips {
+            let node = NodeId(*tile);
             if !self.tile_alive(node) {
                 continue;
             }
             let mut ctx = IpContext::new(node, round);
             if !self.started {
-                self.ips[tile].on_start(&mut ctx);
+                ip.on_start(&mut ctx);
             }
-            let mut delivered = std::mem::take(&mut self.delivery_scratch[tile]);
-            for (from, payload) in delivered.drain(..) {
-                self.ips[tile].on_message(&mut ctx, from, &payload);
+            for (from, payload) in inbox.drain(..) {
+                ip.on_message(&mut ctx, from, &payload);
             }
-            self.delivery_scratch[tile] = delivered;
-            self.ips[tile].on_round(&mut ctx);
+            ip.on_round(&mut ctx);
             // The tile is alive (checked above), so this is exactly an
             // outside injection at it.
             for (destination, payload) in ctx.take_outbox() {
                 self.inject(node, destination, payload);
             }
         }
+        self.mapped_ips = mapped_ips;
         self.started = true;
     }
 
@@ -1849,7 +1884,7 @@ impl<S: EventSink> Simulation<S> {
         // `later` arena count as in flight, so quiescence cannot fire
         // early.
         let drained = self.live_total == 0 && self.arrivals.pending_frames() == 0;
-        self.completed = drained && self.custom_ip_tiles.iter().all(|&t| self.ips[t].is_done());
+        self.completed = drained && self.mapped_ips.iter().all(|mapped| mapped.ip.is_done());
         self.report.rounds_executed = self.round;
         self.report.completed = self.completed;
         if self.live_total == 0 && !self.completed {
@@ -1886,8 +1921,7 @@ impl<S: EventSink> Simulation<S> {
             adversary: &self.adversary,
             injector: &mut self.injector,
             chaos_streams: &mut self.chaos_streams,
-            byz_streams: &mut self.byz_streams,
-            byz_last_frame: &mut self.byz_last_frame,
+            compromised: &mut self.compromised,
             codec: &self.codec,
             wires: &mut self.wires,
             buffers: &self.buffers,
@@ -1919,12 +1953,12 @@ impl<S: EventSink> Simulation<S> {
 /// survivors.
 fn egress_window(
     limit: Option<usize>,
-    next: &mut Option<MessageId>,
+    next: Option<&mut Option<MessageId>>,
     msgs: &[Message],
 ) -> (usize, usize) {
     let len = msgs.len();
-    match limit {
-        Some(limit) if len > limit => {
+    match (limit, next) {
+        (Some(limit), Some(next)) if len > limit => {
             let start = next
                 .and_then(|id| msgs.iter().position(|m| m.id == id))
                 .unwrap_or(0);
@@ -1932,6 +1966,20 @@ fn egress_window(
             (start, limit)
         }
         _ => (0, len),
+    }
+}
+
+/// A knob table as [`Simulation::config_digest_value`] hashes it: the
+/// `Debug` text of its dense form, `n` entries with the unset ones `None`,
+/// whether the table was ever allocated or not.
+struct PerTile<'a, T>(&'a [Option<T>], usize);
+
+impl<T: fmt::Debug> fmt::Debug for PerTile<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let PerTile(table, n) = *self;
+        f.debug_list()
+            .entries((0..n).map(|tile| table.get(tile).and_then(Option::as_ref)))
+            .finish()
     }
 }
 
@@ -2051,8 +2099,7 @@ struct TxContext<'a> {
     adversary: &'a AdversarialScenario,
     injector: &'a mut FaultInjector,
     chaos_streams: &'a mut [StdRng],
-    byz_streams: &'a mut BTreeMap<usize, StdRng>,
-    byz_last_frame: &'a mut [Option<(MessageId, WireEntry)>],
+    compromised: &'a mut BTreeMap<usize, Compromised>,
     codec: &'a WireCodec,
     wires: &'a mut WireTable,
     buffers: &'a [SendBuffer],
@@ -2094,10 +2141,11 @@ impl TxContext<'_> {
     ) {
         let (buffers, codec) = (self.buffers, self.codec);
         let msgs = buffers[tile].messages();
-        let p = self.forward_overrides[tile].unwrap_or(self.forward_probability);
-        let compromised = self.byz_streams.contains_key(&tile);
-        let (start, count) =
-            egress_window(self.egress_limits[tile], &mut self.egress_next[tile], msgs);
+        let p = self.forward_overrides.get(tile).copied().flatten();
+        let p = p.unwrap_or(self.forward_probability);
+        let compromised = self.compromised.contains_key(&tile);
+        let limit = self.egress_limits.get(tile).copied().flatten();
+        let (start, count) = egress_window(limit, self.egress_next.get_mut(tile), msgs);
         let mut at = start;
         for _ in 0..count {
             let message = &msgs[at];
@@ -2107,7 +2155,10 @@ impl TxContext<'_> {
             }
             let wire = self.wires.frame_for(message);
             if compromised {
-                self.byz_last_frame[tile] = Some((message.id, self.wires.entry(wire).clone()));
+                let entry = self.wires.entry(wire).clone();
+                if let Some(at) = self.compromised.get_mut(&tile) {
+                    at.last_frame = Some((message.id, entry));
+                }
             }
             let serve = Serve {
                 id: message.id,
@@ -2260,7 +2311,8 @@ impl TxContext<'_> {
         if !byzantine.armed(tile, self.round) {
             return None;
         }
-        let stream = self.byz_streams.get_mut(&tile)?;
+        let at = self.compromised.get_mut(&tile)?;
+        let stream = &mut at.stream;
         if !gen_bool_p(stream, byzantine.activation_probability) {
             return None;
         }
@@ -2285,7 +2337,7 @@ impl TxContext<'_> {
                 Some((ServeKind::Forge, victim.id, WireEntry::clean(forged)))
             }
             ByzantineMode::Replay => {
-                let (id, entry) = self.byz_last_frame[tile].clone()?;
+                let (id, entry) = at.last_frame.clone()?;
                 self.report.byzantine_replays += 1;
                 Some((ServeKind::Replay, id, entry))
             }
@@ -2746,7 +2798,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside topology")]
     fn mapping_ip_out_of_range_panics() {
-        let _ = SimulationBuilder::new(grid4()).with_ip(NodeId(99), Box::new(NullIp));
+        let _ = SimulationBuilder::new(grid4()).with_ip(NodeId(99), Box::new(noc_fabric::NullIp));
     }
 
     /// The audience would answer `false` for any tile index; the doc
@@ -2879,6 +2931,32 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_egress_limit_rejected() {
         let _ = SimulationBuilder::new(grid4()).egress_limit(NodeId(0), 0);
+    }
+
+    /// What a tile carries for a feature exists where the feature is set:
+    /// a knob-free 128² build allocates no knob table, replay slot or IP
+    /// slot, and the first egress limit allocates one table entry a tile.
+    #[test]
+    fn per_tile_extras_exist_only_where_set() {
+        let n = 128 * 128;
+        let plain = SimulationBuilder::square_grid(128).build();
+        assert_eq!(plain.node_count(), n);
+        assert!(plain.egress_limits.is_empty());
+        assert!(plain.egress_next.is_empty());
+        assert!(plain.forward_overrides.is_empty());
+        assert!(plain.compromised.is_empty());
+        assert!(plain.mapped_ips.is_empty());
+
+        let limited = SimulationBuilder::square_grid(128)
+            .egress_limit(NodeId(77), 2)
+            .build();
+        assert_eq!(limited.egress_limits.len(), n);
+        assert_eq!(limited.egress_next.len(), n);
+        let set: Vec<usize> = (0..n)
+            .filter(|&tile| limited.egress_limits[tile].is_some())
+            .collect();
+        assert_eq!(set, [77]);
+        assert!(limited.forward_overrides.is_empty());
     }
 
     #[test]

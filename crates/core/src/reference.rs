@@ -340,18 +340,24 @@ impl ReferenceSimulation {
             }
             let skew = self.injector.round_skew();
             let slipped = self.clocks[tile].advance(skew) > 0;
-            let out_links: Vec<_> = self.topology.out_links(node).to_vec();
+            let out_links: Vec<(LinkId, NodeId)> = self
+                .topology
+                .out_links(node)
+                .iter()
+                .copied()
+                .zip(self.topology.out_targets(node).iter().copied())
+                .collect();
             let messages: Vec<Message> = self.buffers[tile].iter().cloned().collect();
             for message in &messages {
                 let frame = self.codec.encode(message);
                 if self.byz_streams.contains_key(&tile) {
                     self.byz_last_frame[tile] = Some((message.id, frame.clone()));
                 }
-                for &link_id in &out_links {
+                for &(link_id, to) in &out_links {
                     if p < 1.0 && !bernoulli(self.injector.rng(), p) {
                         continue;
                     }
-                    self.transmit(&mut stats, round, link_id, &frame, slipped);
+                    self.transmit(&mut stats, round, link_id, to, &frame, slipped);
                 }
             }
             // Byzantine attack, mirroring the engine's draw order from
@@ -404,8 +410,8 @@ impl ReferenceSimulation {
                         }
                     };
                     if let Some((_, frame)) = attack {
-                        for &link_id in &out_links {
-                            self.transmit(&mut stats, round, link_id, &frame, slipped);
+                        for &(link_id, to) in &out_links {
+                            self.transmit(&mut stats, round, link_id, to, &frame, slipped);
                         }
                     }
                 }
@@ -430,6 +436,7 @@ impl ReferenceSimulation {
         stats: &mut RoundStats,
         round: u64,
         link_id: LinkId,
+        to: NodeId,
         frame: &[u8],
         slipped: bool,
     ) {
@@ -448,7 +455,6 @@ impl ReferenceSimulation {
             self.report.partition_drops += 1;
             return;
         }
-        let to = self.topology.link(link_id).to;
         let mut out = Frame {
             bytes: frame.to_vec(),
             scrambled: false,

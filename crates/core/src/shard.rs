@@ -161,7 +161,6 @@ pub(crate) struct ReceiveCtx<'a> {
     /// sequential engine's immediate `terminated.insert`.
     pub newly_terminated: &'a BTreeMap<MessageId, usize>,
     pub terminate_on_delivery: bool,
-    pub ip_is_custom: &'a [bool],
     /// False for sinks that discard events ([`crate::events::NullSink`]);
     /// workers then skip event collection entirely.
     pub record_events: bool,
@@ -178,6 +177,10 @@ pub(crate) struct ReceiveOut {
     /// Delivery candidates in tile order (always collected, also when
     /// events are not).
     pub deliveries: Vec<MessageId>,
+    /// Each delivery's tile, source and payload, for the merge to stage
+    /// at the tile's mapped IP, if it has one: IP cores stay on the main
+    /// thread.
+    pub staged: Vec<(u32, NodeId, Arc<[u8]>)>,
     /// First sightings `(tile, id)`, in observation order, for the
     /// merge to add to the audience.
     pub first_sights: Vec<(u32, MessageId)>,
@@ -192,19 +195,14 @@ pub(crate) struct ReceiveOut {
 
 /// Runs the receive phase over tiles `[lo, lo + buffers.len())`.
 ///
-/// `buffers` and `delivery_scratch` are this shard's chunks (index
-/// `tile - lo`); everything in `ctx`, the grouped arrivals included, is
-/// shared read-only state. Consumes no RNG: probabilistic overflow
-/// verdicts come pre-drawn on the tape.
-#[allow(
-    clippy::type_complexity,
-    reason = "mirrors the engine's per-tile delivery scratch layout"
-)]
+/// `buffers` is this shard's chunk (index `tile - lo`); everything in
+/// `ctx`, the grouped arrivals included, is shared read-only state.
+/// Consumes no RNG: probabilistic overflow verdicts come pre-drawn on the
+/// tape.
 pub(crate) fn receive_shard(
     ctx: &ReceiveCtx<'_>,
     lo: usize,
     buffers: &mut [SendBuffer],
-    delivery_scratch: &mut [Vec<(NodeId, Arc<[u8]>)>],
 ) -> ReceiveOut {
     let hi = lo + buffers.len();
     let round = ctx.round;
@@ -337,10 +335,8 @@ pub(crate) fn receive_shard(
                         source: message.source,
                     });
                 }
-                if ctx.ip_is_custom[tile] {
-                    delivery_scratch[tile - lo]
-                        .push((message.source, Arc::clone(&message.payload)));
-                }
+                out.staged
+                    .push((tile as u32, message.source, Arc::clone(&message.payload)));
                 if ctx.terminate_on_delivery {
                     local_term.insert(message.id);
                 }

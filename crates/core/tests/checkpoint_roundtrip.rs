@@ -1,7 +1,8 @@
 //! Checkpoint/resume determinism: resuming from a checkpoint must be
 //! provably indistinguishable from never having stopped.
 //!
-//! For each of the twelve golden/adversarial workloads, the suite
+//! For each of the twelve golden/adversarial workloads, and one that sets
+//! every per-tile knob, the suite
 //! checkpoints at *every* round boundary of a straight-through run,
 //! resumes each checkpoint at shard counts 1, 2 and 8, and byte-compares
 //! the final report digest (and, per checkpoint round, the concatenated
@@ -10,7 +11,7 @@
 
 #![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
 
-use noc_fabric::{NodeId, Topology};
+use noc_fabric::{NodeId, NullIp, Topology};
 use noc_faults::{
     AdversarialScenario, ByzantineMode, CrashSchedule, ErrorModel, FaultModel, OverflowMode,
 };
@@ -249,10 +250,33 @@ fn adversarial_workloads() -> Vec<Workload> {
     .collect()
 }
 
-/// All twelve workloads.
+/// A bus bridge (Chapter 5: egress limit 1, forwarding probability 1) on the
+/// hostile scenarios' base, and an IP mapped where two messages are
+/// delivered: the one workload whose config digest hashes set knob
+/// tables, and whose checkpoints carry a moving egress cursor.
+fn knob_workload() -> Workload {
+    Workload {
+        name: "grid6_bridge_tile_and_mapped_ip",
+        builder: Box::new(|| {
+            grid6_base()
+                .egress_limit(NodeId(14), 1)
+                .forward_probability_at(NodeId(14), 1.0)
+                .with_ip(NodeId(35), Box::new(NullIp))
+        }),
+        injections: vec![
+            (14, 3, b"from the bridge"),
+            (8, 35, b"to the ip"),
+            (20, 0, b"across"),
+            (0, 35, b"corner"),
+        ],
+    }
+}
+
+/// All thirteen workloads.
 fn workloads() -> Vec<Workload> {
     let mut all = golden_workloads();
     all.extend(adversarial_workloads());
+    all.push(knob_workload());
     all
 }
 
@@ -314,7 +338,7 @@ fn assert_every_round_resumes_byte_identically(w: &Workload) {
     }
 }
 
-/// The tentpole guarantee, over all twelve golden/adversarial workloads.
+/// The tentpole guarantee, over all thirteen workloads.
 #[test]
 fn every_checkpoint_round_resumes_byte_identically() {
     for w in workloads() {
@@ -382,10 +406,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// `(workload, round, serialized length, FNV-1a)` of
 /// `Checkpoint::to_bytes()` at a mid-run round boundary, computed at the
-/// commit before the wire table replaced refcounted frames. The
+/// commit before the wire table replaced refcounted frames (the knob
+/// workload's at the commit before the knob tables went sparse). The
 /// round-trip tests above prove the format self-consistent; these prove
-/// format v1 and its arena order did not drift.
-const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 12] = [
+/// format v1, its arena order and the config digest did not drift.
+const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 13] = [
     ("grid4_flooding_fault_free", 4, 4196, 0xF2C2_75C7_C1F6_95E2),
     ("grid8_gossip_under_faults", 4, 5548, 0x9D82_2ED0_BF13_7137),
     (
@@ -409,6 +434,12 @@ const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 12] = [
     ("byzantine_forge", 4, 5076, 0x2EDF_6B6B_889F_C8F3),
     ("byzantine_replay", 4, 5383, 0x7102_DDCA_CDF9_E83D),
     ("combined_hostile", 4, 8528, 0xD663_6092_8E9B_AEFC),
+    (
+        "grid6_bridge_tile_and_mapped_ip",
+        4,
+        9065,
+        0xC83B_32A9_70E1_00FB,
+    ),
 ];
 
 #[test]
@@ -540,7 +571,7 @@ fn jsonl_event_streams_concatenate_byte_identically() {
 }
 
 /// `run_until_idle` must agree with `run()` on every workload: all
-/// twelve quiesce within their round budget, so ignoring the budget
+/// thirteen quiesce within their round budget, so ignoring the budget
 /// changes nothing — same digest, same round count.
 #[test]
 fn run_until_idle_agrees_with_run_on_every_workload() {

@@ -5,7 +5,7 @@
 //! and a value that is let in costs bounded time.
 
 use noc_fabric::{IpContext, IpCore, MessageId, NodeId, Topology, MAX_NODES, MAX_PAYLOAD_BYTES};
-use noc_faults::FaultModel;
+use noc_faults::{AdversarialScenario, ByzantineMode, FaultModel};
 use stochastic_noc::{Checkpoint, CheckpointError, SimulationBuilder, StochasticConfig};
 
 #[test]
@@ -398,4 +398,127 @@ fn stray_ids_whose_windows_the_checkpoint_cannot_back_are_refused() {
             "seen lists span more audience than the checkpoint backs"
         ))
     );
+}
+
+/// A 3×3 flood from tile 0 in which the corners 2 and 6 are compromised
+/// replayers, stepped until both hold a replay slot, as checkpoint bytes,
+/// with the offsets of the two slots' tile words.
+fn replay_checkpoint() -> (impl Fn() -> SimulationBuilder, Vec<u8>, [usize; 2]) {
+    let builder = || {
+        let replayers = AdversarialScenario::builder()
+            .byzantine_tile(2)
+            .byzantine_tile(6)
+            .byzantine_mode(ByzantineMode::Replay)
+            .byzantine_activation(0.5)
+            .build()
+            .unwrap();
+        SimulationBuilder::square_grid(3)
+            .config(StochasticConfig::flooding(8))
+            .adversary(replayers)
+            .seed(5)
+    };
+    // Header, next id, two flags, the fault stream, no spare, three
+    // tallies, no chaos streams, two Byzantine streams.
+    let slots = 28 + 8 + 2 + 32 + 1 + 24 + 8 + (8 + 2 * 40);
+    let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut sim = builder().build();
+    sim.inject(NodeId(0), NodeId(8), vec![1, 2, 3]);
+    let bytes = loop {
+        sim.step();
+        let bytes = sim.checkpoint().to_bytes();
+        if word(&bytes, slots) == 2 {
+            break bytes;
+        }
+    };
+    // A slot is its tile, its message id and its length-prefixed frame.
+    let first = slots + 8;
+    let second = first + 16 + 8 + word(&bytes, first + 16) as usize;
+    assert_eq!(
+        (word(&bytes, first), word(&bytes, second)),
+        (2, 6),
+        "slot offsets drifted"
+    );
+    (builder, bytes, [first, second])
+}
+
+/// Only a compromised tile forwards a frame it could replay; a slot filed
+/// at any other tile was once resumed, and never read.
+#[test]
+fn a_replay_slot_at_an_honest_tile_is_refused() {
+    let (builder, bytes, [first, _]) = replay_checkpoint();
+    assert_eq!(resume_patched(&builder, &bytes, first, 2), Ok(()));
+    for honest in [0, 4, 8, 1_000] {
+        assert_eq!(
+            resume_patched(&builder, &bytes, first, honest),
+            Err(CheckpointError::Mismatch(
+                "byzantine replay slot at an honest tile"
+            )),
+            "tile {honest}"
+        );
+    }
+}
+
+/// Capture lists each compromised tile's slot once, in tile order.
+#[test]
+fn replay_slots_listed_twice_or_out_of_tile_order_are_refused() {
+    let (builder, bytes, [first, second]) = replay_checkpoint();
+    let refused = Err(CheckpointError::Mismatch(
+        "byzantine replay slots out of tile order",
+    ));
+    assert_eq!(
+        resume_patched(&builder, &bytes, second, 2),
+        refused,
+        "twice"
+    );
+    assert_eq!(resume_patched(&builder, &bytes, first, 6), refused, "twice");
+    let mut swapped = bytes.clone();
+    swapped[first..first + 8].copy_from_slice(&6u64.to_le_bytes());
+    swapped[second..second + 8].copy_from_slice(&2u64.to_le_bytes());
+    assert_eq!(
+        resume_patched(&builder, &swapped, first, 6),
+        refused,
+        "swapped"
+    );
+}
+
+/// A 3×3 checkpoint after one flooded round whose tile's egress cursor is
+/// set to message 0 — a cursor only a tile with an egress limit moves.
+fn resume_with_a_cursor_at(
+    builder: impl Fn() -> SimulationBuilder,
+    tile: usize,
+) -> Result<(), CheckpointError> {
+    let mut sim = builder().build();
+    sim.inject(NodeId(0), NodeId(8), vec![1, 2, 3]);
+    sim.step();
+    let bytes = sim.checkpoint().to_bytes();
+    let (n, m) = (9, 24);
+    // Header, next id, two flags, the fault stream, no spare, three
+    // tallies, three empty adversary lists, the two liveness vectors and
+    // the clocks; then the cursors' count.
+    let cursors = 28 + 8 + 2 + 32 + 1 + 24 + 24 + (8 + n) + (8 + m) + (8 + 16 * n);
+    assert_eq!(bytes[cursors..cursors + 8], (n as u64).to_le_bytes());
+    let at = cursors + 8 + tile;
+    assert_eq!(bytes[at], 0, "the cursor is unset");
+    let mut patched = bytes[..at].to_vec();
+    patched.push(1);
+    patched.extend_from_slice(&0u64.to_le_bytes());
+    patched.extend_from_slice(&bytes[at + 1..]);
+    let checkpoint = Checkpoint::from_bytes(&patched).expect("well-formed");
+    builder().resume(&checkpoint).map(drop)
+}
+
+#[test]
+fn an_egress_cursor_at_a_tile_without_a_limit_is_refused() {
+    let flood = || {
+        SimulationBuilder::square_grid(3)
+            .config(StochasticConfig::flooding(8))
+            .seed(5)
+    };
+    let bridged = move || flood().egress_limit(NodeId(4), 1);
+    let refused = Err(CheckpointError::Mismatch(
+        "egress cursor at a tile without a limit",
+    ));
+    assert_eq!(resume_with_a_cursor_at(bridged, 4), Ok(()));
+    assert_eq!(resume_with_a_cursor_at(bridged, 0), refused);
+    assert_eq!(resume_with_a_cursor_at(flood, 4), refused);
 }

@@ -118,8 +118,9 @@ pub trait IpCore {
     }
 }
 
-/// An IP that does nothing — the filler for unoccupied tiles, which still
-/// participate in the gossip forwarding.
+/// An IP that does nothing and is done from the start: a tile that runs
+/// it behaves as an unmapped one, which still takes part in gossip
+/// forwarding.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullIp;
 

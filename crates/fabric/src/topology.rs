@@ -25,7 +25,9 @@ pub struct Link {
 /// Out-links are stored as compressed sparse rows: one array of link ids
 /// grouped by source node, each node's in edge-insertion order (the order
 /// a forward walk draws in), and beside it the array of their targets, so
-/// a walk over a node's links reads both from two contiguous slices.
+/// a walk over a node's links reads both from two contiguous slices. The
+/// rows are the only copy of a link: [`Topology::link`] finds one through
+/// its row position.
 ///
 /// # Examples
 ///
@@ -43,12 +45,13 @@ pub struct Link {
 pub struct Topology {
     name: String,
     node_count: usize,
-    links: Vec<Link>,
     /// Node `i`'s out-links are `out[out_start[i]..out_start[i + 1]]`.
     out_start: Vec<usize>,
     out: Vec<LinkId>,
-    /// `out_to[k]` is `link(out[k]).to`.
+    /// `out_to[k]` is the target of `out[k]`.
     out_to: Vec<NodeId>,
+    /// Link `id` sits at row position `at[id]`: `out[at[id]] == id`.
+    at: Vec<u32>,
 }
 
 impl Topology {
@@ -56,17 +59,23 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `node_count` is zero, any endpoint is out of range, or an
-    /// edge is a self-loop.
+    /// Panics if `node_count` is zero or above `u32::MAX`, any endpoint is
+    /// out of range, an edge is a self-loop, or there are more than
+    /// `u32::MAX` edges.
     pub fn from_links(
         name: impl Into<String>,
         node_count: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Self {
         assert!(node_count > 0, "a network needs at least one tile");
-        let mut links = Vec::new();
-        // Out-degrees, then (a counting sort, stable in link id) where
-        // each node's rows start.
+        assert!(
+            u32::try_from(node_count).is_ok(),
+            "{node_count} tiles exceed a u32 index"
+        );
+        // Each link's source (its row position, once placed) and target
+        // in link-id order, and the out-degrees; then (a counting sort,
+        // stable in link id) where each node's rows start.
+        let (mut at, mut to_by_id) = (Vec::new(), Vec::new());
         let mut out_start = vec![0; node_count + 1];
         for (from, to) in edges {
             assert!(
@@ -74,30 +83,33 @@ impl Topology {
                 "link {from}->{to} endpoint outside 0..{node_count}"
             );
             assert_ne!(from, to, "self-loop at {from}");
-            links.push(Link {
-                id: LinkId(links.len()),
-                from,
-                to,
-            });
+            at.push(from.index() as u32);
+            to_by_id.push(to);
             out_start[from.index() + 1] += 1;
         }
+        let links = at.len();
+        assert!(
+            u32::try_from(links).is_ok(),
+            "{links} links exceed a u32 row position"
+        );
         for node in 0..node_count {
             out_start[node + 1] += out_start[node];
         }
         let mut cursor = out_start.clone();
-        let (mut out, mut out_to) = (vec![LinkId(0); links.len()], vec![NodeId(0); links.len()]);
-        for link in &links {
-            let at = &mut cursor[link.from.index()];
-            (out[*at], out_to[*at]) = (link.id, link.to);
-            *at += 1;
+        let (mut out, mut out_to) = (vec![LinkId(0); links], vec![NodeId(0); links]);
+        for (id, (at, &to)) in at.iter_mut().zip(&to_by_id).enumerate() {
+            let row = &mut cursor[*at as usize];
+            (out[*row], out_to[*row]) = (LinkId(id), to);
+            *at = *row as u32;
+            *row += 1;
         }
         Self {
             name: name.into(),
             node_count,
-            links,
             out_start,
             out,
             out_to,
+            at,
         }
     }
 
@@ -110,20 +122,17 @@ impl Topology {
     /// Panics if either dimension is zero.
     pub fn grid(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "grid dimensions must be positive");
-        let idx = |x: usize, y: usize| NodeId(y * width + x);
-        let mut edges = Vec::new();
-        for y in 0..height {
-            for x in 0..width {
-                if x + 1 < width {
-                    edges.push((idx(x, y), idx(x + 1, y)));
-                    edges.push((idx(x + 1, y), idx(x, y)));
-                }
-                if y + 1 < height {
-                    edges.push((idx(x, y), idx(x, y + 1)));
-                    edges.push((idx(x, y + 1), idx(x, y)));
-                }
-            }
-        }
+        // Row-major: each tile's pair of links to its right neighbour,
+        // then its pair to the one below.
+        let edges = (0..width * height).flat_map(move |tile| {
+            let here = NodeId(tile);
+            let right = (tile % width + 1 < width).then_some(NodeId(tile + 1));
+            let down = (tile / width + 1 < height).then_some(NodeId(tile + width));
+            [right, down]
+                .into_iter()
+                .flatten()
+                .flat_map(move |next| [(here, next), (next, here)])
+        });
         Self::from_links(format!("grid {width}x{height}"), width * height, edges)
     }
 
@@ -141,18 +150,13 @@ impl Topology {
             width >= 3 && height >= 3,
             "torus dimensions must be at least 3"
         );
-        let idx = |x: usize, y: usize| NodeId(y * width + x);
-        let mut edges = Vec::new();
-        for y in 0..height {
-            for x in 0..width {
-                let right = idx((x + 1) % width, y);
-                let down = idx(x, (y + 1) % height);
-                edges.push((idx(x, y), right));
-                edges.push((right, idx(x, y)));
-                edges.push((idx(x, y), down));
-                edges.push((down, idx(x, y)));
-            }
-        }
+        let edges = (0..width * height).flat_map(move |tile| {
+            let (x, y) = (tile % width, tile / width);
+            let here = NodeId(tile);
+            let right = NodeId(y * width + (x + 1) % width);
+            let down = NodeId((y + 1) % height * width + x);
+            [(here, right), (right, here), (here, down), (down, here)]
+        });
         Self::from_links(format!("torus {width}x{height}"), width * height, edges)
     }
 
@@ -164,14 +168,11 @@ impl Topology {
     /// Panics if `n` is zero.
     pub fn fully_connected(n: usize) -> Self {
         assert!(n > 0, "a network needs at least one tile");
-        let mut edges = Vec::new();
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    edges.push((NodeId(a), NodeId(b)));
-                }
-            }
-        }
+        let edges = (0..n).flat_map(move |a| {
+            (0..n)
+                .filter(move |&b| b != a)
+                .map(move |b| (NodeId(a), NodeId(b)))
+        });
         Self::from_links(format!("fully connected {n}"), n, edges)
     }
 
@@ -187,12 +188,12 @@ impl Topology {
 
     /// Number of directed links.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.at.len()
     }
 
-    /// All directed links.
-    pub fn links(&self) -> &[Link] {
-        &self.links
+    /// All directed links, in id order.
+    pub fn links(&self) -> impl ExactSizeIterator<Item = Link> + '_ {
+        (0..self.link_count()).map(|id| self.link(LinkId(id)))
     }
 
     /// The link with the given id.
@@ -201,7 +202,15 @@ impl Topology {
     ///
     /// Panics if the id is out of range.
     pub fn link(&self, id: LinkId) -> Link {
-        self.links[id.index()]
+        let k = self.at[id.index()] as usize;
+        // The row holding position `k`: the last one starting at or
+        // before it (rows before it may be empty and start there too).
+        let from = self.out_start.partition_point(|&start| start <= k) - 1;
+        Link {
+            id,
+            from: NodeId(from),
+            to: self.out_to[k],
+        }
     }
 
     /// Outgoing links of a node, in the order their edges were added.
@@ -513,12 +522,7 @@ mod tests {
     /// target: the draw order of a forward walk, whatever the constructor.
     fn assert_rows_follow_insertion_order(t: &Topology) {
         for n in t.nodes() {
-            let want: Vec<LinkId> = t
-                .links()
-                .iter()
-                .filter(|l| l.from == n)
-                .map(|l| l.id)
-                .collect();
+            let want: Vec<LinkId> = t.links().filter(|l| l.from == n).map(|l| l.id).collect();
             assert_eq!(t.out_links(n), &want[..], "{} at {n}", t.name());
             let targets: Vec<NodeId> = want.iter().map(|&l| t.link(l).to).collect();
             assert_eq!(t.out_targets(n), &targets[..], "{} at {n}", t.name());
@@ -564,7 +568,108 @@ mod tests {
         let _ = g.node_at(2, 0);
     }
 
+    /// The edges of a `w × h` grid, pushed in the order the constructor
+    /// documents: per row-major tile, the pair to its right neighbour,
+    /// then the pair to the one below.
+    fn grid_edges(w: usize, h: usize) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let here = NodeId(y * w + x);
+                if x + 1 < w {
+                    edges.push((here, NodeId(y * w + x + 1)));
+                    edges.push((NodeId(y * w + x + 1), here));
+                }
+                if y + 1 < h {
+                    edges.push((here, NodeId((y + 1) * w + x)));
+                    edges.push((NodeId((y + 1) * w + x), here));
+                }
+            }
+        }
+        edges
+    }
+
+    fn torus_edges(w: usize, h: usize) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let here = NodeId(y * w + x);
+                let right = NodeId(y * w + (x + 1) % w);
+                let down = NodeId((y + 1) % h * w + x);
+                edges.extend([(here, right), (right, here), (here, down), (down, here)]);
+            }
+        }
+        edges
+    }
+
+    fn fully_connected_edges(n: usize) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                edges.push((NodeId(a), NodeId(b)));
+            }
+        }
+        edges
+    }
+
+    /// Link `id` is the `id`-th edge, whether asked for alone, in the
+    /// iteration, or counted.
+    fn links_match_edges(t: &Topology, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
+        let want: Vec<Link> = edges
+            .iter()
+            .enumerate()
+            .map(|(id, &(from, to))| Link {
+                id: LinkId(id),
+                from,
+                to,
+            })
+            .collect();
+        let by_id: Vec<Link> = (0..want.len()).map(|id| t.link(LinkId(id))).collect();
+        let listed: Vec<Link> = t.links().collect();
+        if t.link_count() != want.len() || t.links().len() != want.len() {
+            return Err(format!(
+                "{}: {} links, want {}",
+                t.name(),
+                t.link_count(),
+                want.len()
+            ));
+        }
+        if by_id != want || listed != want {
+            return Err(format!("{}: links differ from the edge list", t.name()));
+        }
+        Ok(())
+    }
+
     proptest! {
+        #[test]
+        fn links_agree_with_the_constructors_edge_lists(w in 1usize..7, h in 1usize..7) {
+            let grid = links_match_edges(&Topology::grid(w, h), &grid_edges(w, h));
+            prop_assert_eq!(grid, Ok(()));
+            let n = w * h;
+            let full = links_match_edges(&Topology::fully_connected(n), &fully_connected_edges(n));
+            prop_assert_eq!(full, Ok(()));
+            if w >= 3 && h >= 3 {
+                let torus = links_match_edges(&Topology::torus(w, h), &torus_edges(w, h));
+                prop_assert_eq!(torus, Ok(()));
+            }
+        }
+
+        /// Random multigraphs: repeated edges, empty rows (leading,
+        /// trailing and between full ones) and edges in any order.
+        #[test]
+        fn links_agree_with_a_random_multigraphs_edge_list(
+            n in 2usize..10,
+            raw in proptest::collection::vec((0usize..64, 1usize..64), 0..40),
+        ) {
+            // `b` is an offset off `a`, never 0 mod n: no self-loops.
+            let edges: Vec<(NodeId, NodeId)> = raw
+                .iter()
+                .map(|&(a, b)| (NodeId(a % n), NodeId((a + 1 + b % (n - 1)) % n)))
+                .collect();
+            let t = Topology::from_links("random", n, edges.iter().copied());
+            prop_assert_eq!(links_match_edges(&t, &edges), Ok(()));
+        }
+
         #[test]
         fn grid_coordinates_round_trip(w in 1usize..8, h in 1usize..8) {
             let g = Grid2d::new(w, h);
