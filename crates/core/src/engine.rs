@@ -135,10 +135,11 @@ impl SimulationBuilder {
     /// phases run on (scoped worker threads inside a single trial): CRC
     /// decode, dedup, buffer insertion and TTL aging go parallel; the
     /// overflow draws, compute and the whole forward phase stay on the
-    /// calling thread at every count. `0` means auto (one shard per
-    /// available core); the count is clamped to the tile count.
-    /// Defaults to 1, which spawns nothing; DESIGN.md §12 has what the
-    /// fan-out costs and what it has bought on the hosts measured.
+    /// calling thread at every count. The count is clamped to
+    /// `1..=tile count`, so `0` means 1: the execution plan never
+    /// depends on the host. Defaults to 1, which spawns nothing;
+    /// DESIGN.md §12 has what the fan-out costs and what it has bought
+    /// on the hosts measured.
     ///
     /// Reports, digests and event streams are byte-identical for every
     /// shard count: all RNG draws stay on the main thread in ascending
@@ -405,11 +406,7 @@ impl SimulationBuilder {
                 inbox: Vec::new(),
             })
             .collect();
-        let shards = match self.shards {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            s => s,
-        }
-        .clamp(1, n.max(1));
+        let shards = self.shards.clamp(1, n.max(1));
         Simulation {
             sink,
             obs: self.obs,
@@ -2510,6 +2507,12 @@ mod tests {
         let report = sim.run();
         assert!(!report.delivered(id));
         assert_eq!(report.packets_sent, 0);
+    }
+
+    #[test]
+    fn zero_shards_build_one_shard_on_every_host() {
+        let sim = SimulationBuilder::new(grid4()).shards(0).build();
+        assert_eq!(sim.shards(), 1);
     }
 
     #[test]

@@ -298,7 +298,8 @@ fn history_stats_match_full_grid_recount_under_faults() {
 /// [`noc_obs::Metrics`] registry and [`stochastic_noc::EngineObs`]
 /// installed must reproduce the uninstrumented JSONL event stream and
 /// report byte-for-byte, at one shard and at several — while the
-/// registry itself proves every round recorded its phase spans.
+/// registry itself proves every round recorded its phase spans, and
+/// that only a sharded run records the fan-out's.
 #[test]
 fn event_streams_are_byte_identical_with_obs_plane_enabled() {
     let (topology, config, model, schedule) = faulty_scenario();
@@ -368,6 +369,25 @@ fn event_streams_are_byte_identical_with_obs_plane_enabled() {
                 })
                 .map_or(0, |h| h.count);
             assert_eq!(spans, rounds, "{phase} spans per round at shards={shards}");
+        }
+        // The fan-out's sub-spans: with probabilistic overflow on, every
+        // sharded round draws its receive tape, fans out and merges; one
+        // shard runs none of them.
+        for phase in ["tape", "shard_fanout", "merge"] {
+            let (count, nanos) = snap
+                .histograms
+                .iter()
+                .find(|h| {
+                    h.name == "engine_phase_seconds"
+                        && h.labels == vec![("phase".to_string(), phase.to_string())]
+                })
+                .map_or((0, 0), |h| (h.count, h.sum_nanos));
+            if shards > 1 {
+                assert!(count > 0, "no {phase} spans at shards={shards}");
+                assert!(nanos > 0, "{phase} spans took no time at shards={shards}");
+            } else {
+                assert_eq!(count, 0, "{phase} spans at one shard");
+            }
         }
     }
 }

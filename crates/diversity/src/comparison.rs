@@ -25,9 +25,6 @@ pub struct ComparisonParams {
     pub bus_rate: usize,
     /// Adversarial scenario applied to every fabric (benign by default).
     pub adversary: AdversarialScenario,
-    /// Intra-trial shard count passed to the engine (1 = sequential,
-    /// 0 = auto-detect); results are byte-identical for every value.
-    pub shards: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -45,7 +42,6 @@ impl ComparisonParams {
             fault_model: FaultModel::none(),
             bus_rate: 8,
             adversary: AdversarialScenario::benign(),
-            shards: 1,
             seed: 0,
         }
     }
@@ -62,7 +58,6 @@ impl ComparisonParams {
             fault_model: FaultModel::none(),
             bus_rate: 1,
             adversary: AdversarialScenario::benign(),
-            shards: 1,
             seed: 0,
         }
     }
@@ -141,9 +136,8 @@ fn run_one(arch: &Architecture, params: &ComparisonParams) -> ArchitectureResult
         "beamformer tile collides with a sensor"
     );
 
-    let mut builder = SimulationBuilder::new(arch.topology().clone())
-        .adversary(params.adversary.clone())
-        .shards(params.shards);
+    let mut builder =
+        SimulationBuilder::new(arch.topology().clone()).adversary(params.adversary.clone());
     if let Some((node, limit)) = arch.bridge_egress_limit() {
         // The shared bus serializes (egress limit) but every transaction
         // it does carry is a reliable broadcast to all listeners (p = 1).
@@ -253,26 +247,6 @@ mod tests {
             assert_eq!(x.completed, y.completed);
             assert_eq!(x.latency_rounds, y.latency_rounds);
             assert_eq!(x.transmissions, y.transmissions);
-        }
-    }
-
-    #[test]
-    fn results_are_shard_count_independent() {
-        let baseline = compare_architectures(&ComparisonParams::quick().hostile());
-        for shards in [2usize, 8] {
-            let params = ComparisonParams {
-                shards,
-                ..ComparisonParams::quick()
-            }
-            .hostile();
-            let sharded = compare_architectures(&params);
-            for (x, y) in baseline.iter().zip(&sharded) {
-                assert_eq!(x.kind, y.kind, "shards={shards}");
-                assert_eq!(x.completed, y.completed, "shards={shards}");
-                assert_eq!(x.latency_rounds, y.latency_rounds, "shards={shards}");
-                assert_eq!(x.transmissions, y.transmissions, "shards={shards}");
-                assert_eq!(x.energy_joules, y.energy_joules, "shards={shards}");
-            }
         }
     }
 

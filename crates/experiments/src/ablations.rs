@@ -41,9 +41,7 @@ fn probe(
 ) -> AblationRow {
     let label = format!("ablations/{group}/{variant}");
     let outcomes = TrialRunner::for_figure(&label, reps).run(|seed| {
-        let mut sim = builder(seed)
-            .shards(crate::runner::default_shards())
-            .build();
+        let mut sim = builder(seed).build();
         let n = sim.node_count();
         let id = sim.inject(NodeId(0), NodeId(n - 1), vec![0x5A; 16]);
         let report = sim.run_to_report();

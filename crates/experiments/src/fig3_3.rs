@@ -2,8 +2,8 @@
 //! by round, which tiles have become aware of the message and when the
 //! consumer receives it.
 //!
-//! When the CLI installs a trace path (`--trace-events PATH`), trial 0
-//! of this figure streams its full event log there as JSON Lines.
+//! Given a trace path (`--trace-events PATH`), trial 0 of this figure
+//! streams its full event log there as JSON Lines.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -32,7 +32,6 @@ fn builder(seed: u64) -> SimulationBuilder {
                 .expect("valid")
                 .with_max_rounds(40),
         )
-        .shards(crate::runner::default_shards())
         .seed(seed);
     if let Some(obs) = crate::runner::engine_obs() {
         builder = builder.obs(obs);
@@ -59,11 +58,11 @@ fn run_one<S: EventSink>(mut sim: Simulation<S>) -> (ProducerConsumerTrace, S) {
 }
 
 /// Runs the producer (tile 6, 0-based 5) → consumer (tile 12, 0-based
-/// 11) example at `p = 0.5` on a 4×4 grid.
-pub fn run(scale: Scale) -> Vec<ProducerConsumerTrace> {
-    let trace_to = crate::runner::trace_path();
+/// 11) example at `p = 0.5` on a 4×4 grid; with a `trace` path, trial 0
+/// also streams its events there.
+pub fn run(scale: Scale, trace: Option<&str>) -> Vec<ProducerConsumerTrace> {
     TrialRunner::for_figure("fig3-3", scale.repetitions()).run_indexed(|index, seed| {
-        if let (Some(path), 0) = (&trace_to, index) {
+        if let (Some(path), 0) = (trace, index) {
             let file = File::create(path)
                 .unwrap_or_else(|e| crate::runner::output_failed("--trace-events", path, &e));
             let sim = builder(seed).build_with_sink(JsonlSink::new(BufWriter::new(file)));
@@ -107,14 +106,14 @@ mod tests {
 
     #[test]
     fn consumer_is_reached_before_full_broadcast_usually() {
-        let traces = run(Scale::Quick);
+        let traces = run(Scale::Quick, None);
         let delivered = traces.iter().filter(|t| t.delivery_round.is_some()).count();
         assert!(delivered >= traces.len() - 1, "p=0.5 delivers reliably");
     }
 
     #[test]
     fn awareness_is_monotone() {
-        for t in run(Scale::Quick) {
+        for t in run(Scale::Quick, None) {
             assert!(t.informed_per_round.windows(2).all(|w| w[1] >= w[0]));
             assert_eq!(t.informed_per_round[0], 1, "only the producer at start");
         }
@@ -123,16 +122,11 @@ mod tests {
     #[test]
     fn traced_trial_matches_untraced_output() {
         // The JSONL sink observes; it must not perturb the figure data.
-        let _guard = crate::runner::GLOBAL_STATE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join("fig3_3_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-        crate::runner::set_trace_path(Some(path.to_string_lossy().into_owned()));
-        let traced = run(Scale::Quick);
-        crate::runner::set_trace_path(None);
-        let plain = run(Scale::Quick);
+        let traced = run(Scale::Quick, path.to_str());
+        let plain = run(Scale::Quick, None);
 
         assert_eq!(traced.len(), plain.len());
         for (a, b) in traced.iter().zip(&plain) {
@@ -171,16 +165,14 @@ mod tests {
         let _guard = crate::runner::GLOBAL_STATE_TEST_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let plain = run(Scale::Quick);
+        let plain = run(Scale::Quick, None);
 
         let dir = std::env::temp_dir().join("fig3_3_compose_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
         let registry = Arc::new(noc_obs::Metrics::new());
         crate::runner::install_metrics(Some(Arc::clone(&registry)));
-        crate::runner::set_trace_path(Some(path.to_string_lossy().into_owned()));
-        let observed = run(Scale::Quick);
-        crate::runner::set_trace_path(None);
+        let observed = run(Scale::Quick, path.to_str());
         crate::runner::install_metrics(None);
 
         assert_eq!(observed.len(), plain.len());

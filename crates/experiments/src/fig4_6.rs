@@ -78,7 +78,6 @@ fn run_noc(pairs: &[(usize, usize)], seed: u64) -> FabricMetrics {
                 .with_termination(true),
         )
         .technology(TechnologyLibrary::NOC_LINK_0_25UM)
-        .shards(crate::runner::default_shards())
         .seed(seed)
         .build();
     let ids: Vec<_> = pairs

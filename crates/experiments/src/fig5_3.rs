@@ -39,7 +39,6 @@ fn sweep(label: &'static str, base: &ComparisonParams, reps: u64) -> Vec<Vec<Arc
     let runs = TrialRunner::for_figure(label, reps).run(|seed| {
         let params = ComparisonParams {
             seed,
-            shards: crate::runner::default_shards(),
             ..base.clone()
         };
         compare_architectures(&params)

@@ -39,7 +39,6 @@ fn rounds_to_full_coverage(topology: &Topology, p: f64, seed: u64) -> Option<u64
                 .expect("valid")
                 .with_max_rounds(400),
         )
-        .shards(crate::runner::default_shards())
         .seed(seed)
         .build();
     let corner = NodeId(0);

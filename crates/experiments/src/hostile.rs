@@ -8,9 +8,9 @@
 //! against its report, so the table doubles as an end-to-end audit of
 //! the adversarial event plumbing.
 //!
-//! When the CLI installs a trace path (`--trace-events PATH`), trial 0
-//! of the `combined` scenario streams its full event log there as JSON
-//! Lines. When it installs `--reconcile-json PATH`, the merged
+//! Given a trace path (`--trace-events PATH`), trial 0 of the
+//! `combined` scenario streams its full event log there as JSON Lines.
+//! Given a reconciliation path (`--reconcile-json PATH`), the merged
 //! event-counter totals and report counters of every scenario are
 //! written there as a JSON document.
 
@@ -134,7 +134,6 @@ fn builder(scale: Scale, adversary: &AdversarialScenario, seed: u64) -> Simulati
         .max_rounds(60)
         .fault_model(model)
         .adversary(adversary.clone())
-        .shards(crate::runner::default_shards())
         .seed(seed);
     if let Some(obs) = crate::runner::engine_obs() {
         builder = builder.obs(obs);
@@ -167,9 +166,10 @@ fn run_one(
     (report, counters)
 }
 
-/// Runs every scenario over the sweep's seeds.
-pub fn run(scale: Scale) -> Vec<HostileRow> {
-    let trace_to = crate::runner::trace_path();
+/// Runs every scenario over the sweep's seeds; with a `trace` path, the
+/// `combined` scenario's trial 0 streams its events there, and with a
+/// `reconcile_json` path the reconciliation summary is written there.
+pub fn run(scale: Scale, trace: Option<&str>, reconcile_json: Option<&str>) -> Vec<HostileRow> {
     let side = match scale {
         Scale::Quick => 6,
         Scale::Full => 8,
@@ -179,7 +179,7 @@ pub fn run(scale: Scale) -> Vec<HostileRow> {
     for (name, adversary) in scenarios() {
         let results: Vec<(SimulationReport, CounterSink)> =
             TrialRunner::for_figure(&format!("hostile-{name}"), reps).run_indexed(|index, seed| {
-                if let (Some(path), 0, "combined") = (&trace_to, index, name) {
+                if let (Some(path), 0, "combined") = (trace, index, name) {
                     // The traced trial runs ONCE with a tee: the JSONL
                     // stream and the row's reconciled CounterSink observe
                     // the same event sequence from the same run.
@@ -248,9 +248,9 @@ pub fn run(scale: Scale) -> Vec<HostileRow> {
             report_totals,
         });
     }
-    if let Some(path) = crate::runner::reconcile_json_path() {
-        write_reconcile_json(&path, &rows)
-            .unwrap_or_else(|e| crate::runner::output_failed("--reconcile-json", &path, &e));
+    if let Some(path) = reconcile_json {
+        write_reconcile_json(path, &rows)
+            .unwrap_or_else(|e| crate::runner::output_failed("--reconcile-json", path, &e));
         eprintln!("[reconcile] hostile: {} scenarios -> {path}", rows.len());
     }
     rows
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn baseline_row_is_clean_and_hostile_rows_fire() {
-        let rows = run(Scale::Quick);
+        let rows = run(Scale::Quick, None, None);
         assert_eq!(rows[0].scenario, "baseline");
         assert_eq!(rows[0].partition_drops, 0);
         assert_eq!(rows[0].byzantine_frames, 0);
@@ -348,8 +348,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = run(Scale::Quick);
-        let b = run(Scale::Quick);
+        let a = run(Scale::Quick, None, None);
+        let b = run(Scale::Quick, None, None);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.scenario, y.scenario);
             assert_eq!(x.packets, y.packets);
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn event_totals_match_report_totals() {
-        for row in run(Scale::Quick) {
+        for row in run(Scale::Quick, None, None) {
             let t = &row.event_totals;
             assert_eq!(
                 (
@@ -384,9 +384,7 @@ mod tests {
         let dir = std::env::temp_dir().join("hostile_reconcile_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("reconcile.json");
-        crate::runner::set_reconcile_json_path(Some(path.to_string_lossy().into_owned()));
-        let rows = run(Scale::Quick);
-        crate::runner::set_reconcile_json_path(None);
+        let rows = run(Scale::Quick, None, path.to_str());
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"figure\":\"hostile\""));
         assert!(text.contains("\"reconciled\":true"));

@@ -1,8 +1,8 @@
 //! CLI entry point: regenerate any figure of the paper.
 //!
 //! ```text
-//! experiments <figure> [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--progress]
-//! experiments all [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--progress]
+//! experiments <figure> [--full] [--threads N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--progress]
+//! experiments all [--full] [--threads N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--progress]
 //! ```
 //!
 //! The command line is read once, before any figure runs: an unknown
@@ -13,12 +13,6 @@
 //!
 //! `--threads N` pins the Monte-Carlo worker count (default:
 //! auto-detect); output tables are bit-identical for every `N`.
-//! `--shards N` fans the receive and age phases of each simulation out
-//! over N tile ranges on scoped threads inside a trial (default 1 =
-//! none, 0 = auto-detect); tables are bit-identical for every `N` here
-//! too. Honoured by the figures that build the engine themselves:
-//! `fig3-3`, `fig4-6`, `fig5-3`, `ablations`, `grid-spread`, `hostile`,
-//! `mega-grid`.
 //! `--seed N` re-roots every figure's trial-seed derivation (default 0).
 //! `--trace-events PATH` streams a JSONL event log of one representative
 //! trial to PATH (`fig3-3` and `hostile`); it composes with
@@ -46,6 +40,7 @@ use noc_experiments::{
     ablations, error_models, fig3_1, fig3_3, fig4_10, fig4_11, fig4_4, fig4_5, fig4_6, fig4_8,
     fig4_9, fig5_3, grid_spread, hostile, mega_grid, runner, Scale,
 };
+use stochastic_noc::Checkpoint;
 
 const FIGURES: &[&str] = &[
     "fig3-1",
@@ -65,11 +60,18 @@ const FIGURES: &[&str] = &[
     "mega-grid",
 ];
 
-/// Runs and prints one figure of [`FIGURES`].
-fn run_figure(name: &str, scale: Scale) {
+/// Runs and prints one figure of [`FIGURES`], handing `fig3-3`,
+/// `hostile` and `mega-grid` what their flags ask of them.
+fn run_figure(
+    name: &str,
+    scale: Scale,
+    trace: Option<&str>,
+    reconcile_json: Option<&str>,
+    checkpoints: &mega_grid::Checkpoints,
+) {
     match name {
         "fig3-1" => fig3_1::print(&fig3_1::run(scale)),
-        "fig3-3" => fig3_3::print(&fig3_3::run(scale)),
+        "fig3-3" => fig3_3::print(&fig3_3::run(scale, trace)),
         "fig4-4" => fig4_4::print(&fig4_4::run(scale)),
         "fig4-5" => fig4_5::print(&fig4_5::run(scale)),
         "fig4-6" => fig4_6::print(&fig4_6::run(scale)),
@@ -81,8 +83,8 @@ fn run_figure(name: &str, scale: Scale) {
         "error-models" => error_models::print(&error_models::run(scale)),
         "ablations" => ablations::print(&ablations::run(scale)),
         "grid-spread" => grid_spread::print(&grid_spread::run(scale)),
-        "hostile" => hostile::print(&hostile::run(scale)),
-        "mega-grid" => mega_grid::print(&mega_grid::run(scale)),
+        "hostile" => hostile::print(&hostile::run(scale, trace, reconcile_json)),
+        "mega-grid" => mega_grid::print(&mega_grid::run(scale, checkpoints)),
         _ => unreachable!("targets_of admits only FIGURES, and `{name}` is not one"),
     }
 }
@@ -149,19 +151,6 @@ const FLAGS: &[Flag] = &[
     ("--threads", Takes::Number, None),
     ("--seed", Takes::Number, None),
     ("--metrics-out", Takes::Path, None),
-    (
-        "--shards",
-        Takes::Number,
-        Some(&[
-            "fig3-3",
-            "fig4-6",
-            "fig5-3",
-            "ablations",
-            "grid-spread",
-            "hostile",
-            "mega-grid",
-        ]),
-    ),
     ("--trace-events", Takes::Path, Some(&["fig3-3", "hostile"])),
     ("--reconcile-json", Takes::Path, Some(&["hostile"])),
     ("--checkpoint-every", Takes::Number, Some(&["mega-grid"])),
@@ -201,9 +190,9 @@ impl<'a> Command<'a> {
         }
     }
 
-    fn path(&self, flag: &str) -> Option<String> {
+    fn path(&self, flag: &str) -> Option<&'a str> {
         match self.value(flag)? {
-            Value::Path(path) => Some(path.to_string()),
+            Value::Path(path) => Some(path),
             _ => None,
         }
     }
@@ -321,7 +310,7 @@ fn main() {
     let targets = &command.targets;
     if targets.is_empty() || *targets == ["help"] {
         eprintln!(
-            "usage: experiments <figure>|all [--full] [--threads N] [--shards N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--checkpoint-every N] [--checkpoint-dir PATH] [--resume PATH] [--progress]"
+            "usage: experiments <figure>|all [--full] [--threads N] [--seed N] [--trace-events PATH] [--reconcile-json PATH] [--metrics-out PATH] [--checkpoint-every N] [--checkpoint-dir PATH] [--resume PATH] [--progress]"
         );
         eprintln!("figures: {}", FIGURES.join(", "));
         std::process::exit(if targets.is_empty() { 2 } else { 0 });
@@ -335,28 +324,30 @@ fn main() {
     if let Some(threads) = command.number("--threads") {
         runner::set_default_threads(usize::try_from(threads).unwrap_or(usize::MAX));
     }
-    if let Some(shards) = command.number("--shards") {
-        runner::set_default_shards(usize::try_from(shards).unwrap_or(usize::MAX));
-    }
     if let Some(seed) = command.number("--seed") {
         runner::set_base_seed(seed);
     }
-    runner::set_trace_path(command.path("--trace-events"));
-    runner::set_reconcile_json_path(command.path("--reconcile-json"));
-    if let Some(every) = command.number("--checkpoint-every") {
-        runner::set_checkpoint_every(every);
-    }
-    runner::set_checkpoint_dir(command.path("--checkpoint-dir"));
+    let trace = command.path("--trace-events");
+    let reconcile_json = command.path("--reconcile-json");
     // A digest that matches none of the configurations is not an error
     // (that is how one file addresses one row); a file that is no
     // checkpoint at all would resume nothing and is.
-    let resume = command.path("--resume");
-    if let Err(err) = runner::set_resume_path(resume.clone()) {
-        eprintln!("--resume {}: {err}", resume.unwrap_or_default());
-        std::process::exit(2);
-    }
+    let resume = command
+        .path("--resume")
+        .map(|path| match Checkpoint::load(path) {
+            Ok(checkpoint) => (path.to_string(), checkpoint),
+            Err(err) => {
+                eprintln!("--resume {path}: {err}");
+                std::process::exit(2);
+            }
+        });
+    let checkpoints = mega_grid::Checkpoints {
+        every: command.number("--checkpoint-every").unwrap_or(0),
+        dir: command.path("--checkpoint-dir").map(str::to_string),
+        resume,
+    };
     let metrics_out = command.path("--metrics-out");
-    let metrics = metrics_out.as_ref().map(|_| {
+    let metrics = metrics_out.map(|_| {
         let metrics = std::sync::Arc::new(noc_obs::Metrics::new());
         runner::install_metrics(Some(std::sync::Arc::clone(&metrics)));
         metrics
@@ -369,11 +360,11 @@ fn main() {
         targets
     };
     for name in list {
-        run_figure(name, scale);
+        run_figure(name, scale, trace, reconcile_json, &checkpoints);
         print_runner_summary(name);
     }
 
     if let (Some(metrics), Some(path)) = (metrics, metrics_out) {
-        write_metrics_snapshot(&metrics, &path);
+        write_metrics_snapshot(&metrics, path);
     }
 }

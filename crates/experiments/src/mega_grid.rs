@@ -1,22 +1,35 @@
-//! **Mega-grid** — shard-engine demonstration at scales far beyond the
-//! paper's 4×4 fabric.
+//! **Mega-grid** — the round engine at scales far beyond the paper's
+//! 4×4 fabric.
 //!
 //! Floods a 64×64 (and, at `--full`, a 128×128) grid with a burst of
 //! corner-to-corner broadcasts, fault-free and under the baseline fault
-//! model, exercising the intra-trial sharded round loop and the
-//! active-frontier worklist. The table reports only deterministic
-//! quantities (rounds, packets, deliveries, quiescent rounds), so its
-//! bytes are identical for every `--shards` and `--threads` value;
-//! wall-clock observability goes to the runner summary on stderr and,
-//! under `--metrics-out`, to per-phase engine span histograms.
+//! model, exercising the active-frontier worklist. The table reports
+//! only deterministic quantities (rounds, packets, deliveries, quiescent
+//! rounds), so its bytes are identical for every `--threads` value and
+//! with or without checkpoints; wall-clock observability goes to the
+//! runner summary on stderr and, under `--metrics-out`, to per-phase
+//! engine span histograms.
 
 use noc_fabric::{MessageId, NodeId, Topology};
 use noc_faults::FaultModel;
 use stochastic_noc::{
-    CheckpointError, Simulation, SimulationBuilder, SimulationReport, StochasticConfig,
+    Checkpoint, CheckpointError, Simulation, SimulationBuilder, SimulationReport, StochasticConfig,
 };
 
 use crate::{runner, Scale, TrialRunner};
+
+/// What `--checkpoint-every`, `--checkpoint-dir` and `--resume` ask of a
+/// mega-grid run. The default writes no checkpoint and resumes nothing.
+#[derive(Default)]
+pub struct Checkpoints {
+    /// Writes a checkpoint every this many rounds; 0 writes none.
+    pub every: u64,
+    /// The directory checkpoints are written to; `None` is the current
+    /// directory.
+    pub dir: Option<String>,
+    /// The checkpoint to resume from, with the path it was loaded from.
+    pub resume: Option<(String, Checkpoint)>,
+}
 
 /// One mega-grid configuration's aggregate outcome.
 #[derive(Debug, Clone)]
@@ -62,7 +75,6 @@ fn make_builder(side: usize, regime: &'static str, seed: u64) -> SimulationBuild
                 .with_termination(true),
         )
         .fault_model(model)
-        .shards(runner::default_shards())
         .seed(seed);
     if let Some(obs) = runner::engine_obs() {
         builder = builder.obs(obs);
@@ -75,13 +87,23 @@ fn make_builder(side: usize, regime: &'static str, seed: u64) -> SimulationBuild
 /// "start fresh": no resume requested, or a checkpoint belonging to one
 /// of the *other* mega-grid configurations — that one will pick it up,
 /// and this one's table row is deterministic either way. A checkpoint
-/// whose digest matches but whose body `resume` refuses ends the run.
-fn try_resume(side: usize, regime: &'static str, seed: u64) -> Option<Simulation> {
-    let checkpoint = runner::resume_checkpoint()?;
-    let sim = match make_builder(side, regime, seed).resume(&checkpoint) {
+/// whose digest matches but whose body `resume` refuses ends the process
+/// with one stderr line, `--resume PATH: reason`, and exit status 1:
+/// running the configuration from round 0 instead would hide the refusal.
+fn try_resume(
+    side: usize,
+    regime: &'static str,
+    seed: u64,
+    resume: Option<&(String, Checkpoint)>,
+) -> Option<Simulation> {
+    let (path, checkpoint) = resume?;
+    let sim = match make_builder(side, regime, seed).resume(checkpoint) {
         Ok(sim) => sim,
         Err(CheckpointError::ConfigMismatch) => return None,
-        Err(err) => runner::resume_refused(&err),
+        Err(err) => {
+            eprintln!("--resume {path}: {err}");
+            std::process::exit(1)
+        }
     };
     eprintln!(
         "{{\"event\":\"resumed\",\"figure\":\"mega-grid-{side}-{regime}\",\"round\":{}}}",
@@ -90,14 +112,18 @@ fn try_resume(side: usize, regime: &'static str, seed: u64) -> Option<Simulation
     Some(sim)
 }
 
-/// Steps `sim` to completion, writing a checkpoint into
-/// `--checkpoint-dir` every `every` rounds.
-fn run_with_checkpoints(mut sim: Simulation, label: &str, every: u64) -> SimulationReport {
-    let dir = runner::checkpoint_dir().unwrap_or_else(|| ".".to_string());
+/// Steps `sim` to completion, writing a checkpoint into `dir` every
+/// `every` rounds.
+fn run_with_checkpoints(
+    mut sim: Simulation,
+    label: &str,
+    every: u64,
+    dir: &str,
+) -> SimulationReport {
     let max_rounds = sim.config().max_rounds;
     while !sim.is_complete() && sim.round() < max_rounds {
         sim.step();
-        if every > 0 && sim.round() % every == 0 {
+        if sim.round() % every == 0 {
             let path = format!("{dir}/{label}-round-{:06}.ckpt", sim.round());
             match sim.checkpoint().save(&path) {
                 Ok(()) => eprintln!(
@@ -114,9 +140,15 @@ fn run_with_checkpoints(mut sim: Simulation, label: &str, every: u64) -> Simulat
     sim.run()
 }
 
-fn run_one(side: usize, regime: &'static str, messages: usize, seed: u64) -> MegaGridRow {
+fn run_one(
+    side: usize,
+    regime: &'static str,
+    messages: usize,
+    seed: u64,
+    checkpoints: &Checkpoints,
+) -> MegaGridRow {
     let n = side * side;
-    let (sim, ids) = match try_resume(side, regime, seed) {
+    let (sim, ids) = match try_resume(side, regime, seed, checkpoints.resume.as_ref()) {
         // Injections happened before the checkpoint was taken, so the
         // restored report already tracks them; ids are deterministic
         // (sequential from 0 in injection order).
@@ -128,7 +160,7 @@ fn run_one(side: usize, regime: &'static str, messages: usize, seed: u64) -> Meg
             let mut sim = make_builder(side, regime, seed).build();
             // Broadcast burst: sources striped across the fabric, each
             // targeting the diagonally opposite tile, so traffic crosses
-            // every shard boundary in both directions.
+            // the grid in both directions.
             let ids: Vec<_> = (0..messages)
                 .map(|i| {
                     let src = (i * n) / messages;
@@ -138,12 +170,13 @@ fn run_one(side: usize, regime: &'static str, messages: usize, seed: u64) -> Meg
             (sim, ids)
         }
     };
-    let report = match runner::checkpoint_every() {
-        Some(every) => {
+    let report = match checkpoints.every {
+        0 => sim.run_to_report(),
+        every => {
             let label = format!("mega-grid-{side}-{regime}");
-            run_with_checkpoints(sim, &label, every)
+            let dir = checkpoints.dir.as_deref().unwrap_or(".");
+            run_with_checkpoints(sim, &label, every, dir)
         }
-        None => sim.run_to_report(),
     };
     MegaGridRow {
         side,
@@ -156,8 +189,9 @@ fn run_one(side: usize, regime: &'static str, messages: usize, seed: u64) -> Meg
     }
 }
 
-/// Runs the mega-grid scenarios for the given scale.
-pub fn run(scale: Scale) -> Vec<MegaGridRow> {
+/// Runs the mega-grid scenarios for the given scale, checkpointing and
+/// resuming as `checkpoints` asks.
+pub fn run(scale: Scale, checkpoints: &Checkpoints) -> Vec<MegaGridRow> {
     let configs: Vec<(usize, &'static str, usize)> = match scale {
         Scale::Quick => vec![(64, "fault-free", 8), (64, "faulty", 8)],
         Scale::Full => vec![
@@ -173,7 +207,7 @@ pub fn run(scale: Scale) -> Vec<MegaGridRow> {
             let label = format!("mega-grid/{side}/{regime}");
             let seed = TrialRunner::for_figure(&label, 1).trial_seed(0);
             let rows = TrialRunner::for_figure(&label, 1)
-                .run(move |_| run_one(side, regime, messages, seed));
+                .run(move |_| run_one(side, regime, messages, seed, checkpoints));
             rows.into_iter().next().expect("one trial per config")
         })
         .collect()
@@ -214,7 +248,7 @@ mod tests {
 
     #[test]
     fn quick_scale_floods_the_64_grid() {
-        let rows = run(Scale::Quick);
+        let rows = run(Scale::Quick, &Checkpoints::default());
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert_eq!(row.side, 64);
@@ -229,111 +263,37 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_records_engine_phase_spans() {
-        use std::sync::Arc;
-
-        // A two-shard run with the wall-clock plane installed must time
-        // the fan-out's sub-spans and the forward walk — and produce the
-        // same deterministic row as an uninstrumented run.
-        let _guard = runner::GLOBAL_STATE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let baseline = run_one(32, "faulty", 4, 7);
-        let registry = Arc::new(noc_obs::Metrics::new());
-        runner::install_metrics(Some(Arc::clone(&registry)));
-        runner::set_default_shards(2);
-        let observed = run_one(32, "faulty", 4, 7);
-        runner::set_default_shards(1);
-        runner::install_metrics(None);
-
-        assert_eq!(observed.rounds, baseline.rounds);
-        assert_eq!(observed.packets_sent, baseline.packets_sent);
-        assert_eq!(observed.delivered, baseline.delivered);
-
-        let snap = registry.snapshot();
-        let span = |phase: &str| {
-            snap.histograms
-                .iter()
-                .find(|h| {
-                    h.name == "engine_phase_seconds"
-                        && h.labels == vec![("phase".to_string(), phase.to_string())]
-                })
-                .unwrap_or_else(|| panic!("{phase} histogram registered"))
-        };
-        for phase in ["tape", "shard_fanout", "merge", "quiescence", "forward"] {
-            assert!(span(phase).count > 0, "{phase} phase recorded spans");
-            assert!(span(phase).sum_nanos > 0, "{phase} spans took nonzero time");
-        }
-        // `>=` rather than `==`: other concurrently-running figure tests
-        // may record into the installed registry while it is live.
-        assert!(
-            span("forward").count >= baseline.rounds,
-            "every two-shard round timed its forward walk: {} vs {}",
-            span("forward").count,
-            baseline.rounds
-        );
-        let rounds = registry.counter_value("engine_rounds_total");
-        assert!(
-            rounds.unwrap_or(0) >= baseline.rounds,
-            "every round counted: {rounds:?} vs {}",
-            baseline.rounds
-        );
-    }
-
-    #[test]
     fn checkpointed_run_resumes_to_the_identical_row() {
-        let _guard = runner::GLOBAL_STATE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let baseline = run_one(32, "faulty", 4, 7);
+        let plain = Checkpoints::default();
+        let baseline = run_one(32, "faulty", 4, 7, &plain);
         let dir = std::env::temp_dir().join(format!("mega-grid-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create checkpoint dir");
 
         // A run with checkpointing on produces the same row...
-        runner::set_checkpoint_every(5);
-        runner::set_checkpoint_dir(Some(dir.to_string_lossy().into_owned()));
-        let checkpointed = run_one(32, "faulty", 4, 7);
-        runner::set_checkpoint_every(0);
-        runner::set_checkpoint_dir(None);
+        let writing = Checkpoints {
+            every: 5,
+            dir: Some(dir.to_string_lossy().into_owned()),
+            resume: None,
+        };
+        let checkpointed = run_one(32, "faulty", 4, 7, &writing);
         assert_eq!(format!("{checkpointed:?}"), format!("{baseline:?}"));
 
         // ...and resuming from a mid-run checkpoint reaches it too.
         let ckpt = dir.join("mega-grid-32-faulty-round-000005.ckpt");
         assert!(ckpt.exists(), "round-5 checkpoint written");
-        runner::set_resume_path(Some(ckpt.to_string_lossy().into_owned()))
-            .expect("the checkpoint loads");
-        let resumed = run_one(32, "faulty", 4, 7);
+        let checkpoint = Checkpoint::load(&ckpt).expect("the checkpoint loads");
+        let resuming = Checkpoints {
+            resume: Some((ckpt.to_string_lossy().into_owned(), checkpoint)),
+            ..Checkpoints::default()
+        };
+        let resumed = run_one(32, "faulty", 4, 7, &resuming);
         // A non-matching configuration ignores the checkpoint and runs
         // fresh instead of panicking or corrupting its row.
-        let other = run_one(32, "fault-free", 4, 7);
-        runner::set_resume_path(None).expect("clearing cannot fail");
-        let other_baseline = run_one(32, "fault-free", 4, 7);
+        let other = run_one(32, "fault-free", 4, 7, &resuming);
+        let other_baseline = run_one(32, "fault-free", 4, 7, &plain);
         assert_eq!(format!("{resumed:?}"), format!("{baseline:?}"));
         assert_eq!(format!("{other:?}"), format!("{other_baseline:?}"));
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rows_are_shard_count_independent() {
-        let _guard = runner::GLOBAL_STATE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let baseline = run_one(32, "faulty", 4, 99);
-        for shards in [2usize, 8] {
-            runner::set_default_shards(shards);
-            let sharded = run_one(32, "faulty", 4, 99);
-            runner::set_default_shards(1);
-            assert_eq!(sharded.rounds, baseline.rounds, "shards={shards}");
-            assert_eq!(sharded.delivered, baseline.delivered, "shards={shards}");
-            assert_eq!(
-                sharded.packets_sent, baseline.packets_sent,
-                "shards={shards}"
-            );
-            assert_eq!(
-                sharded.quiescent_rounds, baseline.quiescent_rounds,
-                "shards={shards}"
-            );
-        }
     }
 }

@@ -40,38 +40,16 @@ use std::time::Duration;
 
 use noc_obs::{Counter, Gauge, Histogram, Metrics, Stopwatch};
 use stochastic_noc::seed::{derive_labeled_seed, derive_trial_seed};
-use stochastic_noc::{Checkpoint, CheckpointError, EngineObs};
+use stochastic_noc::EngineObs;
 
 /// Process-wide default worker count; 0 means "auto-detect".
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide intra-trial shard count (`--shards N`); 0 means
-/// "auto-detect". Unlike `--threads` (which fans out whole trials),
-/// shards split the tiles of a single simulation across scoped worker
-/// threads; reports are byte-identical for every value.
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
 
 /// Process-wide base seed every figure derives its sweep seed from.
 static BASE_SEED: AtomicU64 = AtomicU64::new(0);
 
 /// Completed-run observability records awaiting [`take_reports`].
 static REPORTS: Mutex<Vec<RunnerReport>> = Mutex::new(Vec::new());
-
-/// Process-wide event-trace destination (`--trace-events PATH`); empty
-/// when tracing is off.
-static TRACE_PATH: Mutex<Option<String>> = Mutex::new(None);
-
-/// Sets (or, with `None`, clears) the process-wide event-trace path.
-/// Figures that support tracing write a JSONL event stream of one
-/// representative trial there.
-pub fn set_trace_path(path: Option<String>) {
-    *TRACE_PATH.lock().expect("trace path lock") = path;
-}
-
-/// The event-trace destination installed by `--trace-events`, if any.
-pub fn trace_path() -> Option<String> {
-    TRACE_PATH.lock().expect("trace path lock").clone()
-}
 
 /// Ends the process with one line on stderr and exit status 1: an
 /// output file the command line named, and `main` found creatable
@@ -86,9 +64,9 @@ pub fn output_failed(flag: &str, path: &str, err: &dyn std::fmt::Display) -> ! {
 /// `None` when the observability plane is off, which is the default.
 static METRICS: Mutex<Option<Arc<Metrics>>> = Mutex::new(None);
 
-/// Serialises tests (across this crate) that mutate process-wide runner
-/// state — the metrics registry, shard default, trace path — so
-/// parallel test execution can't interleave installs and reads.
+/// Serialises tests (across this crate) that install the process-wide
+/// metrics registry, so parallel test execution can't interleave
+/// installs and reads.
 #[cfg(test)]
 pub(crate) static GLOBAL_STATE_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -133,100 +111,6 @@ pub fn progress_enabled() -> bool {
     PROGRESS.load(Ordering::Relaxed)
 }
 
-/// Process-wide reconciliation-report destination (`--reconcile-json
-/// PATH`); empty when reporting is off.
-static RECONCILE_JSON_PATH: Mutex<Option<String>> = Mutex::new(None);
-
-/// Sets (or, with `None`, clears) the process-wide reconciliation-report
-/// path. Figures that support it write a JSON summary of their
-/// `CounterSink`-vs-report reconciliation there.
-pub fn set_reconcile_json_path(path: Option<String>) {
-    *RECONCILE_JSON_PATH.lock().expect("reconcile path lock") = path;
-}
-
-/// The reconciliation-report destination installed by
-/// `--reconcile-json`, if any.
-pub fn reconcile_json_path() -> Option<String> {
-    RECONCILE_JSON_PATH
-        .lock()
-        .expect("reconcile path lock")
-        .clone()
-}
-
-/// Process-wide checkpoint cadence in rounds (`--checkpoint-every N`);
-/// 0 means checkpointing is off, which is the default.
-static CHECKPOINT_EVERY: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide checkpoint destination directory (`--checkpoint-dir
-/// PATH`); `None` falls back to the current directory.
-static CHECKPOINT_DIR: Mutex<Option<String>> = Mutex::new(None);
-
-/// Process-wide resume source (`--resume PATH`) and its path, loaded once
-/// when it is set; figures that support checkpointing restore the
-/// matching simulation from it instead of starting it from round 0.
-static RESUME: Mutex<Option<(String, Arc<Checkpoint>)>> = Mutex::new(None);
-
-/// Sets the checkpoint cadence (`--checkpoint-every N`). `0` turns
-/// checkpointing off.
-pub fn set_checkpoint_every(rounds: u64) {
-    CHECKPOINT_EVERY.store(rounds, Ordering::Relaxed);
-}
-
-/// The checkpoint cadence in rounds; `None` when checkpointing is off.
-pub fn checkpoint_every() -> Option<u64> {
-    match CHECKPOINT_EVERY.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Sets (or, with `None`, clears) the checkpoint destination directory.
-pub fn set_checkpoint_dir(path: Option<String>) {
-    *CHECKPOINT_DIR.lock().expect("checkpoint dir lock") = path;
-}
-
-/// The checkpoint destination directory installed by
-/// `--checkpoint-dir`, if any.
-pub fn checkpoint_dir() -> Option<String> {
-    CHECKPOINT_DIR.lock().expect("checkpoint dir lock").clone()
-}
-
-/// Loads the checkpoint at `path` as the resume source (or, with
-/// `None`, clears it).
-///
-/// # Errors
-///
-/// Returns the load's error — the file is unreadable or is not a
-/// well-formed checkpoint — and leaves the resume source cleared.
-pub fn set_resume_path(path: Option<String>) -> Result<(), CheckpointError> {
-    let mut resume = RESUME.lock().expect("resume lock");
-    *resume = None;
-    if let Some(path) = path {
-        let checkpoint = Arc::new(Checkpoint::load(&path)?);
-        *resume = Some((path, checkpoint));
-    }
-    Ok(())
-}
-
-/// The checkpoint installed by `--resume`, if any.
-pub fn resume_checkpoint() -> Option<Arc<Checkpoint>> {
-    let resume = RESUME.lock().expect("resume lock");
-    resume
-        .as_ref()
-        .map(|(_, checkpoint)| Arc::clone(checkpoint))
-}
-
-/// Ends the process with one stderr line, `--resume PATH: reason`, and
-/// exit status 1: the `--resume` checkpoint matched a configuration's
-/// digest but `resume` refused its body, and running that configuration
-/// from round 0 instead would hide the refusal.
-pub fn resume_refused(err: &CheckpointError) -> ! {
-    let resume = RESUME.lock().expect("resume lock");
-    let path = resume.as_ref().map_or("", |(path, _)| path.as_str());
-    eprintln!("--resume {path}: {err}");
-    std::process::exit(1)
-}
-
 /// Sets the process-wide default worker count (`--threads N`).
 ///
 /// `0` restores auto-detection. Runs already in flight are unaffected.
@@ -237,21 +121,6 @@ pub fn set_default_threads(threads: usize) {
 /// The process-wide default worker count; `0` means auto-detect.
 pub fn default_threads() -> usize {
     DEFAULT_THREADS.load(Ordering::Relaxed)
-}
-
-/// Sets the process-wide intra-trial shard count (`--shards N`).
-///
-/// `0` requests auto-detection inside the engine
-/// ([`stochastic_noc::SimulationBuilder::shards`]); the default is 1
-/// (fully sequential rounds). Runs already in flight are unaffected.
-pub fn set_default_shards(shards: usize) {
-    DEFAULT_SHARDS.store(shards, Ordering::Relaxed);
-}
-
-/// The process-wide intra-trial shard count figures pass to
-/// [`stochastic_noc::SimulationBuilder::shards`]; `0` means auto-detect.
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
 }
 
 /// Sets the process-wide base seed (`--seed N`). Defaults to 0.
@@ -643,25 +512,6 @@ mod tests {
         // Stable for a fixed global base seed.
         let a2 = TrialRunner::for_figure("fig4-4", 4);
         assert_eq!(a.trial_seed(0), a2.trial_seed(0));
-    }
-
-    #[test]
-    fn shard_default_roundtrips() {
-        let _guard = GLOBAL_STATE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert_eq!(default_shards(), 1, "sequential rounds by default");
-        set_default_shards(8);
-        assert_eq!(default_shards(), 8);
-        set_default_shards(1);
-    }
-
-    #[test]
-    fn trace_path_roundtrips() {
-        set_trace_path(Some("events.jsonl".to_string()));
-        assert_eq!(trace_path().as_deref(), Some("events.jsonl"));
-        set_trace_path(None);
-        assert_eq!(trace_path(), None);
     }
 
     #[test]

@@ -27,6 +27,7 @@ fn assert_rejected(args: &[&str], names: &str) -> String {
 #[test]
 fn unknown_flag_is_rejected_not_dropped() {
     assert_rejected(&["fig3-1", "--ful"], "--ful");
+    assert_rejected(&["mega-grid", "--shards", "2"], "unknown flag '--shards'");
 }
 
 #[test]
@@ -54,7 +55,7 @@ fn a_number_that_is_not_one_is_rejected_before_an_output_path_is_touched() {
     let left_behind = std::fs::read_dir(&dir).map_or(0, Iterator::count);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(left_behind, 0, "a rejected command line creates nothing");
-    for flag in ["--shards", "--seed", "--checkpoint-every"] {
+    for flag in ["--threads", "--seed", "--checkpoint-every"] {
         assert_rejected(&["mega-grid", flag, "-1"], flag);
     }
 }
@@ -131,7 +132,10 @@ fn honoured_flag_runs_and_leaves_stdout_as_the_plain_run() {
     let valueless_first = experiments(&["--progress", "fig3-1", "--seed", "0"]);
     assert_eq!(valueless_first.status.code(), Some(0));
     // A flag only one of the named figures honours is accepted.
-    let mixed = experiments(&["fig3-1", "fig3-3", "--shards", "2", "--seed", "0"]);
+    let trace = std::env::temp_dir().join(format!("cli-mixed-{}.jsonl", std::process::id()));
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let mixed = experiments(&["fig3-1", "fig3-3", "--trace-events", trace, "--seed", "0"]);
+    std::fs::remove_file(trace).ok();
     assert_eq!(mixed.status.code(), Some(0));
 }
 

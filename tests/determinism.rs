@@ -87,7 +87,7 @@ fn figure_rows_are_identical_for_any_thread_count() {
         runner::set_default_threads(threads);
         let rows = format!(
             "{:?}|{:?}",
-            fig3_3::run(Scale::Quick),
+            fig3_3::run(Scale::Quick, None),
             fig4_9::run(Scale::Quick)
         );
         let _ = runner::take_reports();
