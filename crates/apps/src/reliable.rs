@@ -259,8 +259,9 @@ mod tests {
     #[test]
     fn strong_reliability_under_heavy_overflow() {
         // At 60% overflow a single gossip spread fails roughly half the
-        // time (see examples/fault_sweep.rs); verify that first, then
-        // show the retransmitting layer still gets everything through.
+        // time (see crates/core/examples/fault_sweep.rs); verify that
+        // first, then show the retransmitting layer still gets everything
+        // through.
         let model = FaultModel::builder().p_overflow(0.6).build().unwrap();
         let single_shot_failures = (0..8)
             .filter(|&seed| {

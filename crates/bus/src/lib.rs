@@ -201,11 +201,6 @@ impl BusSimulation {
         }
     }
 
-    /// Number of attached modules.
-    pub fn module_count(&self) -> usize {
-        self.modules
-    }
-
     /// Marks the bus as crashed: pending and future transfers are lost.
     /// Models the single-point-of-failure property of the shared medium.
     pub fn fail(&mut self) {

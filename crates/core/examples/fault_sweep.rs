@@ -7,18 +7,24 @@
 //! ```
 
 use noc_fabric::{Grid2d, NodeId};
-use noc_faults::{linspace, FaultModel, FaultSweep};
+use noc_faults::FaultModel;
 use stochastic_noc::{SimulationBuilder, StochasticConfig};
 
 fn main() {
-    let sweep = FaultSweep::new(FaultModel::none())
-        .upset(linspace(0.0, 0.8, 5))
-        .overflow(linspace(0.0, 0.8, 5));
+    let axis = || (0..5u8).map(|i| 0.2 * f64::from(i));
     let seeds = 5;
 
     println!("delivery ratio of one broadcast (4x4 grid, p=0.5, ttl=16)");
     println!("p_upset\tp_overflow\tdelivered\tavg latency [rounds]");
-    for model in sweep.models() {
+    for model in axis().flat_map(|upset| {
+        axis().map(move |overflow| {
+            FaultModel::builder()
+                .p_upset(upset)
+                .p_overflow(overflow)
+                .build()
+                .expect("probabilities in range")
+        })
+    }) {
         let mut delivered = 0u32;
         let mut latency_sum = 0u64;
         for seed in 0..seeds {

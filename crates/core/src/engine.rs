@@ -293,12 +293,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// [`SimulationBuilder::build`] with the wall-clock plane installed
-    /// — sugar for `.obs(obs).build()`.
-    pub fn build_with_obs(self, obs: EngineObs) -> Simulation {
-        self.obs(obs).build()
-    }
-
     /// Finalizes the simulation with the default [`NullSink`] — the
     /// zero-overhead engine; every event emission point monomorphizes
     /// away.
@@ -689,11 +683,6 @@ impl<S: EventSink> Simulation<S> {
     /// The installed event sink.
     pub fn sink(&self) -> &S {
         &self.sink
-    }
-
-    /// Mutable access to the installed event sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
     }
 
     /// Consumes the simulation, returning the installed sink by move.
@@ -1338,7 +1327,7 @@ impl<S: EventSink> Simulation<S> {
     /// Executes one gossip round: rotate → receive → compute → age →
     /// forward → finish. This is the only round loop. With more than
     /// one shard the receive and age phases fan out over contiguous
-    /// tile ranges on scoped threads ([`crate::shard`]) and merge in
+    /// tile ranges on scoped threads (the `shard` module) and merge in
     /// tile order; forward is one serial walk at every shard count,
     /// because every one of its decisions is a draw from the main
     /// thread's streams. Reports, digests and event streams are

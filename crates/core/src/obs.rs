@@ -3,8 +3,7 @@
 //! [`EngineObs`] bundles the `noc-obs` instruments the round loop
 //! records into: one `engine_phase_seconds{phase=...}` histogram per
 //! engine phase and an `engine_rounds_total` counter. It is installed
-//! through [`crate::SimulationBuilder::obs`] (or the
-//! [`crate::SimulationBuilder::build_with_obs`] shorthand) and lives in
+//! through [`crate::SimulationBuilder::obs`] and lives in
 //! `Option<EngineObs>` inside the engine, so the default path pays one
 //! `Option` test per phase per round and nothing else.
 //!

@@ -12,10 +12,6 @@ pub enum ArchitectureKind {
     /// "central router" option of Figure 5-2; the paper's Figure 5-3
     /// measurements use this as their hierarchical NoC).
     Hierarchical,
-    /// Four `s × s` quadrants whose gateways are directly interconnected
-    /// as an upper-level ring — a deeper hierarchy with no single bridge
-    /// node.
-    GatewayMesh,
     /// Four `s × s` quadrants joined by a shared-bus bridge node with a
     /// per-round forwarding limit.
     BusConnected,
@@ -27,7 +23,6 @@ impl ArchitectureKind {
         match self {
             ArchitectureKind::Flat => "flat NoC",
             ArchitectureKind::Hierarchical => "hierarchical NoC",
-            ArchitectureKind::GatewayMesh => "gateway-mesh NoC",
             ArchitectureKind::BusConnected => "bus-connected NoCs",
         }
     }
@@ -110,49 +105,6 @@ impl Architecture {
     /// Panics if `quadrant_side` is zero.
     pub fn bus_connected(quadrant_side: usize) -> Self {
         Self::bus_connected_with_rate(quadrant_side, 1)
-    }
-
-    /// Four `s × s` quadrant grids whose gateway tiles are joined
-    /// directly in an upper-level ring (0-1-3-2-0 in quadrant order), so
-    /// no extra router node exists and no single node bridges the
-    /// quadrants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quadrant_side` is zero.
-    pub fn gateway_mesh(quadrant_side: usize) -> Self {
-        assert!(quadrant_side > 0, "quadrant side must be positive");
-        let side = quadrant_side;
-        let per = side * side;
-        let local = |q: usize, x: usize, y: usize| NodeId(q * per + y * side + x);
-        let mut edges = Vec::new();
-        for q in 0..4 {
-            for y in 0..side {
-                for x in 0..side {
-                    if x + 1 < side {
-                        edges.push((local(q, x, y), local(q, x + 1, y)));
-                        edges.push((local(q, x + 1, y), local(q, x, y)));
-                    }
-                    if y + 1 < side {
-                        edges.push((local(q, x, y), local(q, x, y + 1)));
-                        edges.push((local(q, x, y + 1), local(q, x, y)));
-                    }
-                }
-            }
-        }
-        // Upper-level ring over the gateways, in planar quadrant order.
-        let gw = |q: usize| local(q, side / 2, side / 2);
-        for (a, b) in [(0, 1), (1, 3), (3, 2), (2, 0)] {
-            edges.push((gw(a), gw(b)));
-            edges.push((gw(b), gw(a)));
-        }
-        Self {
-            kind: ArchitectureKind::GatewayMesh,
-            quadrant_side,
-            topology: Topology::from_links("gateway-mesh NoC".to_string(), 4 * per, edges),
-            bridge: None,
-            bus_rate: 1,
-        }
     }
 
     /// Like [`Architecture::bus_connected`] with an explicit bus service
@@ -249,9 +201,9 @@ impl Architecture {
                 let (gx, gy) = (qx * s + x, qy * s + y);
                 NodeId(gy * 2 * s + gx)
             }
-            ArchitectureKind::Hierarchical
-            | ArchitectureKind::BusConnected
-            | ArchitectureKind::GatewayMesh => NodeId(quadrant * s * s + y * s + x),
+            ArchitectureKind::Hierarchical | ArchitectureKind::BusConnected => {
+                NodeId(quadrant * s * s + y * s + x)
+            }
         }
     }
 
@@ -344,62 +296,6 @@ mod tests {
         for q in 0..4 {
             assert_eq!(a.gateway(q), a.tile(q, 2, 2));
         }
-    }
-
-    #[test]
-    fn gateway_mesh_has_no_bridge_node() {
-        let a = Architecture::gateway_mesh(4);
-        assert_eq!(a.topology().node_count(), 64);
-        assert_eq!(a.bridge(), None);
-        assert!(a.topology().is_connected_with(|_| true, |_| true));
-        // Each gateway carries its 4 grid ports plus 2 ring ports.
-        for q in 0..4 {
-            assert_eq!(a.topology().out_links(a.gateway(q)).len(), 6);
-        }
-    }
-
-    #[test]
-    fn gateway_mesh_survives_any_single_gateway_crash() {
-        // Unlike the central-router fabric, the ring keeps the other
-        // three quadrants connected when one gateway dies.
-        let a = Architecture::gateway_mesh(3);
-        for q in 0..4 {
-            let dead = a.gateway(q);
-            let still_connected = a.topology().is_connected_with(|n| n != dead, |_| true);
-            // Killing gateway q isolates only quadrant q's remaining
-            // tiles; check the other quadrants still reach each other.
-            let others: Vec<_> = (0..4).filter(|&o| o != q).collect();
-            let from = a.tile(others[0], 0, 0);
-            let to = a.tile(others[2], 0, 0);
-            assert!(
-                path_exists(&a, from, to, dead),
-                "quadrants {} and {} separated by killing gateway {q}",
-                others[0],
-                others[2]
-            );
-            let _ = still_connected; // quadrant q itself is cut off, which is fine
-        }
-    }
-
-    fn path_exists(a: &Architecture, from: NodeId, to: NodeId, dead: NodeId) -> bool {
-        // BFS avoiding the dead node.
-        let t = a.topology();
-        let mut seen = vec![false; t.node_count()];
-        let mut queue = std::collections::VecDeque::from([from]);
-        seen[from.index()] = true;
-        while let Some(n) = queue.pop_front() {
-            if n == to {
-                return true;
-            }
-            for &l in t.out_links(n) {
-                let next = t.link(l).to;
-                if next != dead && !seen[next.index()] {
-                    seen[next.index()] = true;
-                    queue.push_back(next);
-                }
-            }
-        }
-        false
     }
 
     #[test]

@@ -178,10 +178,21 @@ mod tests {
     fn all_three_fabrics_run_the_workload() {
         let results = compare_architectures(&ComparisonParams::quick());
         assert_eq!(results.len(), 3);
+        // No wildcard: a kind added to `ArchitectureKind` fails to compile
+        // here until Figure 5-3 builds it (or it is deleted).
+        let slot = |kind| match kind {
+            ArchitectureKind::Flat => 0,
+            ArchitectureKind::Hierarchical => 1,
+            ArchitectureKind::BusConnected => 2,
+        };
+        let mut seen = [false; 3];
         for r in &results {
             assert!(r.transmissions > 0, "{:?} moved no traffic", r.kind);
             assert!(r.energy_joules > 0.0);
+            assert!(!seen[slot(r.kind)], "{:?} compared twice", r.kind);
+            seen[slot(r.kind)] = true;
         }
+        assert!(seen.iter().all(|&s| s), "a fabric kind was never compared");
     }
 
     #[test]

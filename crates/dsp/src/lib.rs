@@ -40,7 +40,6 @@
 pub mod bitstream;
 mod complex;
 mod fft;
-pub mod filterbank;
 mod mdct;
 pub mod psycho;
 pub mod quantize;

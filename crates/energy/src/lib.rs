@@ -28,12 +28,10 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
-mod account;
 mod metrics;
 mod tech;
 mod units;
 
-pub use account::EnergyAccount;
 pub use metrics::{communication_energy, energy_delay_product, round_duration, EnergyDelay};
 pub use tech::TechnologyLibrary;
 pub use units::{Bits, Hertz, Joules, Seconds};

@@ -200,8 +200,18 @@ struct Heartbeat {
     enabled: bool,
     label: String,
     total: u64,
+    /// `engine_rounds_total` when the sweep opened. The counter is
+    /// process-wide and also holds every earlier sweep's rounds.
+    rounds_at_open: u64,
     /// Sweep-relative time of the last beat, for ~2 Hz throttling.
     last_beat_secs: Mutex<f64>,
+}
+
+/// Engine rounds counted so far in the installed registry (0 without one).
+fn engine_rounds() -> u64 {
+    metrics()
+        .and_then(|m| m.counter_value("engine_rounds_total"))
+        .unwrap_or(0)
 }
 
 impl Heartbeat {
@@ -212,7 +222,18 @@ impl Heartbeat {
             enabled: progress_enabled(),
             label: label.to_string(),
             total,
+            rounds_at_open: engine_rounds(),
             last_beat_secs: Mutex::new(f64::NEG_INFINITY),
+        }
+    }
+
+    /// Engine rounds per second since the sweep opened, `elapsed`
+    /// seconds ago.
+    fn rounds_per_sec(&self, elapsed: f64) -> f64 {
+        if elapsed > 0.0 {
+            engine_rounds().saturating_sub(self.rounds_at_open) as f64 / elapsed
+        } else {
+            0.0
         }
     }
 
@@ -244,13 +265,7 @@ impl Heartbeat {
         } else {
             0.0
         };
-        let rounds_per_sec = match (
-            metrics().and_then(|m| m.counter_value("engine_rounds_total")),
-            elapsed > 0.0,
-        ) {
-            (Some(rounds), true) => rounds as f64 / elapsed,
-            _ => 0.0,
-        };
+        let rounds_per_sec = self.rounds_per_sec(elapsed);
         eprintln!(
             "{{\"event\":\"progress\",\"figure\":\"{}\",\"trials_done\":{},\"trials_total\":{},\"elapsed_secs\":{:.3},\"trials_per_sec\":{:.2},\"eta_secs\":{:.1},\"rounds_per_sec\":{:.1}}}",
             noc_obs::json_escape(&self.label),
@@ -441,21 +456,6 @@ impl TrialRunner {
             });
         results
     }
-
-    /// Runs every trial and folds the results **in trial-index order**
-    /// into an accumulator — the deterministic per-trial merge for
-    /// counter-style aggregates. Because [`TrialRunner::run`] already
-    /// restores index order, the fold sees the same sequence for any
-    /// worker count, so merged counters (e.g.
-    /// `stochastic_noc::events::CounterSink`) are `--threads`-independent.
-    pub fn run_fold<T, A, F, M>(&self, f: F, init: A, merge: M) -> A
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-        M: FnMut(A, T) -> A,
-    {
-        self.run(f).into_iter().fold(init, merge)
-    }
 }
 
 #[cfg(test)]
@@ -524,30 +524,29 @@ mod tests {
         // identical — per-tile, per-link, and in totals — whether the
         // trials ran on 1, 2 or 8 workers.
         let run_merged = |threads: usize| {
-            TrialRunner::new(1234, 12).threads(threads).run_fold(
-                |seed| {
-                    let mut sim = SimulationBuilder::square_grid(4)
-                        .config(StochasticConfig::new(0.5, 8).unwrap().with_max_rounds(20))
-                        .fault_model(
-                            noc_faults::FaultModel::builder()
-                                .p_upset(0.1)
-                                .sigma_synch(0.2)
-                                .build()
-                                .unwrap(),
-                        )
-                        .seed(seed)
-                        .build_with_sink(CounterSink::new());
-                    sim.inject(NodeId(5), NodeId(11), vec![1, 2, 3]);
-                    let (report, counters) = sim.run_to_report_and_sink();
-                    counters.reconcile(&report).expect("trial reconciles");
-                    counters
-                },
-                CounterSink::new(),
-                |mut acc, trial| {
+            let trials = TrialRunner::new(1234, 12).threads(threads).run(|seed| {
+                let mut sim = SimulationBuilder::square_grid(4)
+                    .config(StochasticConfig::new(0.5, 8).unwrap().with_max_rounds(20))
+                    .fault_model(
+                        noc_faults::FaultModel::builder()
+                            .p_upset(0.1)
+                            .sigma_synch(0.2)
+                            .build()
+                            .unwrap(),
+                    )
+                    .seed(seed)
+                    .build_with_sink(CounterSink::new());
+                sim.inject(NodeId(5), NodeId(11), vec![1, 2, 3]);
+                let (report, counters) = sim.run_to_report_and_sink();
+                counters.reconcile(&report).expect("trial reconciles");
+                counters
+            });
+            trials
+                .into_iter()
+                .fold(CounterSink::new(), |mut acc, trial| {
                     acc.merge(&trial);
                     acc
-                },
-            )
+                })
         };
 
         let serial = run_merged(1);
@@ -617,6 +616,25 @@ mod tests {
         install_metrics(Some(Arc::clone(&registry)));
         assert!(engine_obs().is_some(), "instruments bind to the registry");
         install_metrics(None);
+    }
+
+    #[test]
+    fn heartbeat_rate_counts_only_rounds_since_its_sweep_opened() {
+        // The counter is process-wide: rounds counted before the sweep
+        // opened belong to earlier sweeps and figures.
+        let _guard = GLOBAL_STATE_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let registry = Arc::new(Metrics::new());
+        install_metrics(Some(Arc::clone(&registry)));
+        let rounds = registry.counter("engine_rounds_total", &[]);
+        rounds.add(1_000_000);
+        let heartbeat = Heartbeat::new("rate-probe", 1);
+        rounds.add(30);
+        let rate = heartbeat.rounds_per_sec(2.0);
+        install_metrics(None);
+        assert_eq!(rate, 15.0);
+        assert_eq!(heartbeat.rounds_per_sec(0.0), 0.0);
     }
 
     #[test]

@@ -33,7 +33,6 @@ mod clock;
 mod ip;
 mod node;
 mod packet;
-mod port;
 mod topology;
 
 pub use buffer::ReceiveBuffer;
@@ -44,5 +43,4 @@ pub use packet::{
     Message, MessageId, MessageView, ParsePacketError, WireCodec, HEADER_BYTES, MAX_NODES,
     MAX_PAYLOAD_BYTES,
 };
-pub use port::Direction;
 pub use topology::{Grid2d, Link, Topology};

@@ -48,7 +48,6 @@ mod error_vector;
 mod injector;
 mod model;
 mod rng;
-mod sweep;
 
 pub use adversary::{
     AdversarialScenario, AdversarialScenarioBuilder, ByzantineMode, ByzantineSet, InvalidScenario,
@@ -58,4 +57,3 @@ pub use error_vector::{bit_error_probability, vector_probability, ErrorModel};
 pub use injector::{CrashSchedule, FaultInjector, InjectionTally, InjectorSnapshot};
 pub use model::{FaultModel, FaultModelBuilder, InvalidFaultModel, OverflowMode};
 pub use rng::GaussianSampler;
-pub use sweep::{linspace, FaultSweep};

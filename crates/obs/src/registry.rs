@@ -173,11 +173,6 @@ impl Histogram {
         self.sum_nanos() as f64 * 1e-9
     }
 
-    /// Largest single observation, in seconds.
-    pub fn max_secs(&self) -> f64 {
-        self.max_nanos() as f64 * 1e-9
-    }
-
     /// Upper-bound estimate of the `q`-quantile (0 < q <= 1) in
     /// nanoseconds: the upper edge of the first bucket whose cumulative
     /// count reaches `ceil(q * count)`, clamped to the exact maximum.
@@ -201,11 +196,6 @@ impl Histogram {
             }
         }
         max
-    }
-
-    /// [`Histogram::quantile_nanos`] converted to seconds.
-    pub fn quantile_secs(&self, q: f64) -> f64 {
-        self.quantile_nanos(q) as f64 * 1e-9
     }
 
     /// Per-bucket counts (non-cumulative), for snapshotting.

@@ -60,11 +60,6 @@ impl HistogramSample {
     pub fn sum_secs(&self) -> f64 {
         self.sum_nanos as f64 * 1e-9
     }
-
-    /// Largest observation, seconds.
-    pub fn max_secs(&self) -> f64 {
-        self.max_nanos as f64 * 1e-9
-    }
 }
 
 /// Everything a registry knew at one instant, in stable order.
