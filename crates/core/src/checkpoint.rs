@@ -391,14 +391,15 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// One arena frame record, after one reservation for all of it: the
-    /// length-prefixed bytes, the scrambled flag and the arrival link.
+    /// A length-prefixed byte string that `fill` appends in place, so it
+    /// is never built anywhere else first.
     #[inline]
-    pub(crate) fn frame(&mut self, bytes: &[u8], scrambled: bool, via: Option<u64>) {
-        self.buf.reserve(8 + bytes.len() + 10);
-        self.bytes(bytes);
-        self.bool(scrambled);
-        self.opt_u64(via);
+    pub(crate) fn bytes_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.buf.len();
+        self.count(0);
+        fill(&mut self.buf);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     pub(crate) fn bools(&mut self, bools: &[bool]) {

@@ -263,8 +263,8 @@ pub(crate) fn receive_shard(
             };
             let entry = ctx.wires.entry(frame.wire);
             let message = match entry.message() {
-                None => match ctx.codec.decode_view(entry.bytes(ctx.codec)) {
-                    Ok(view) => {
+                None => match entry.upset_view(ctx.codec) {
+                    Some(view) => {
                         if spread_terminated(view.id, &local_term) {
                             if ctx.record_events {
                                 out.events.push(SimEvent::DuplicateDrop {
@@ -295,7 +295,7 @@ pub(crate) fn receive_shard(
                         }
                         view.to_message()
                     }
-                    Err(_) => {
+                    None => {
                         out.upsets_detected += 1;
                         if ctx.record_events {
                             out.events.push(SimEvent::CrcReject {
@@ -400,9 +400,9 @@ pub(crate) fn plan_terminations(
             let entry = wires.entry(frame.wire);
             let (id, destination) = match entry.message() {
                 Some(message) => (message.id, message.destination),
-                None => match codec.decode_view(entry.bytes(codec)) {
-                    Ok(view) => (view.id, view.destination),
-                    Err(_) => continue,
+                None => match entry.upset_view(codec) {
+                    Some(view) => (view.id, view.destination),
+                    None => continue,
                 },
             };
             // A `newly` entry at this very tile means an earlier frame

@@ -9,6 +9,9 @@
 //! copy. Fan-out therefore copies 8 bytes with no atomic, and receive
 //! rejects a duplicate on the entry's message id. A clean frame *is* its
 //! message: [`WireEntry::bytes`] encodes it for the first reader, if any.
+//! An upset copy the CRC will catch is not built at all: the CRC is
+//! linear, so the error vector alone decides the receiver's verdict, and
+//! the copy is an [`Upset::Caught`] that only a checkpoint rebuilds.
 //!
 //! **Lifetime rule.** A frame sent in round `r` is read in round `r + 1`
 //! (the `next` arena) or, when the sender slipped or the link delayed
@@ -24,7 +27,7 @@
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use noc_fabric::{LinkId, Message, ParsePacketError, WireCodec};
+use noc_fabric::{LinkId, Message, MessageView, ParsePacketError, WireCodec};
 use noc_faults::FaultInjector;
 
 use crate::seed::mix64;
@@ -114,9 +117,26 @@ pub(crate) enum WireEntry {
         /// hashed into a digest may format a `WireEntry` or `WireTable`.
         encoding: OnceLock<Arc<[u8]>>,
     },
-    /// A copy scrambled in flight, which must take the real CRC check.
-    Scrambled(Arc<[u8]>),
+    /// A copy scrambled in flight. The two kinds share one variant so
+    /// that the entry stays the size of a clean one: the payload
+    /// pointer's one invalid value tells `Clean` from one other variant.
+    Upset(Upset),
 }
+
+/// An upset copy of a wire frame.
+#[derive(Debug, Clone)]
+pub(crate) enum Upset {
+    /// A copy whose upset the CRC misses (or one a checkpoint captured):
+    /// it must take the real CRC check.
+    Scrambled(Arc<[u8]>),
+    /// A copy of the clean entry `base` scrambled by an error vector the
+    /// CRC catches, so every receiver rejects it. It holds no bytes:
+    /// `state` is the fault stream's position before the draw, from which
+    /// [`WireTable::append_bytes`] rebuilds them for a checkpoint.
+    Caught { base: Wire, state: [u64; 4] },
+}
+
+const _: () = assert!(std::mem::size_of::<WireEntry>() == 72);
 
 impl WireEntry {
     /// The entry of an unscrambled frame carrying `message`.
@@ -137,32 +157,35 @@ impl WireEntry {
         })
     }
 
-    /// The message of an unscrambled frame, `None` for a scrambled one.
+    /// The message of an unscrambled frame, `None` for an upset copy.
     #[inline]
     pub(crate) fn message(&self) -> Option<&Message> {
         match self {
             WireEntry::Clean { message, .. } => Some(message),
-            WireEntry::Scrambled(_) => None,
+            WireEntry::Upset(_) => None,
         }
     }
 
-    /// The frame on the wire, and the one way to read it: a clean entry
-    /// is encoded by the first call, however many copies or upsets share it.
-    pub(crate) fn bytes(&self, codec: &WireCodec) -> &Arc<[u8]> {
+    /// The frame on the wire, if the entry holds it: a clean entry is
+    /// encoded by the first call, however many copies or upsets share it;
+    /// a caught copy holds none ([`WireTable::append_bytes`] rebuilds
+    /// them).
+    pub(crate) fn bytes(&self, codec: &WireCodec) -> Option<&Arc<[u8]>> {
         match self {
             WireEntry::Clean { message, encoding } => {
-                encoding.get_or_init(|| codec.encode(message).into())
+                Some(encoding.get_or_init(|| codec.encode(message).into()))
             }
-            WireEntry::Scrambled(bytes) => bytes,
+            WireEntry::Upset(Upset::Scrambled(bytes)) => Some(bytes),
+            WireEntry::Upset(Upset::Caught { .. }) => None,
         }
     }
 
-    /// `self.bytes(codec).len()`, without building them.
-    pub(crate) fn frame_len(&self, codec: &WireCodec) -> usize {
-        match self {
-            WireEntry::Clean { message, .. } => codec.frame_bytes(message.payload.len()),
-            WireEntry::Scrambled(bytes) => bytes.len(),
-        }
+    /// What a receiver's CRC check and parse make of an upset copy: the
+    /// message an upset the CRC missed carries, `None` when the frame is
+    /// rejected — always for a caught copy, without bytes to look at.
+    #[inline]
+    pub(crate) fn upset_view(&self, codec: &WireCodec) -> Option<MessageView<'_>> {
+        codec.decode_view(self.bytes(codec)?).ok()
     }
 
     /// Does this (unscrambled) entry carry exactly `message`? Id and
@@ -305,6 +328,9 @@ pub(crate) struct WireTable {
     /// [`WireEntry::encodes`]). TTLs decrement every round, so the memo
     /// is forgotten with the round.
     served: MemoTable,
+    /// The error vector of the latest upset, drawn here by
+    /// [`WireTable::scrambled_copy`].
+    error: Vec<u8>,
 }
 
 impl WireTable {
@@ -367,18 +393,62 @@ impl WireTable {
         wire
     }
 
-    /// Registers an upset copy of `wire`: its bytes, built now if nothing
-    /// read them before, are copied once and scrambled on the draws
-    /// [`FaultInjector::scramble`] spends; other holders are unaffected.
+    /// `wire`'s frame length in bytes, without building its bytes.
+    pub(crate) fn frame_len(&self, codec: &WireCodec, wire: Wire) -> usize {
+        match self.entry(wire) {
+            WireEntry::Clean { message, .. } => codec.frame_bytes(message.payload.len()),
+            WireEntry::Upset(Upset::Scrambled(bytes)) => bytes.len(),
+            WireEntry::Upset(Upset::Caught { base, .. }) => self.frame_len(codec, *base),
+        }
+    }
+
+    /// Registers an upset copy of `wire`, drawing its error vector on
+    /// exactly the draws [`FaultInjector::scramble`] spends on the frame.
+    /// The CRC is linear, so the vector alone says whether receivers
+    /// reject the copy: if it does and `wire` is clean, the copy is a
+    /// [`Upset::Caught`] that builds no bytes. Otherwise its bytes are
+    /// built now, `wire`'s encoding XOR the vector; other holders of
+    /// `wire` are unaffected.
     pub(crate) fn scrambled_copy(
         &mut self,
         codec: &WireCodec,
         injector: &mut FaultInjector,
         wire: Wire,
     ) -> Wire {
-        let mut bytes = Arc::clone(self.entry(wire).bytes(codec));
-        injector.scramble_shared(&mut bytes);
-        self.push(WireEntry::Scrambled(bytes))
+        let state = injector.stream_state();
+        self.error.clear();
+        self.error.resize(self.frame_len(codec, wire), 0);
+        injector.scramble(&mut self.error);
+        let entry = self.entry(wire);
+        if entry.message().is_some() && codec.catches(&self.error) {
+            return self.push(WireEntry::Upset(Upset::Caught { base: wire, state }));
+        }
+        let mut bytes = Vec::with_capacity(self.error.len());
+        self.append_bytes(codec, injector, entry, &mut bytes);
+        for (byte, flip) in bytes.iter_mut().zip(&self.error) {
+            *byte ^= flip;
+        }
+        self.push(WireEntry::Upset(Upset::Scrambled(bytes.into())))
+    }
+
+    /// Appends the bytes of `entry`, an entry of this table or a clone of
+    /// one, to `out` (checkpoint capture). A caught copy's are its base's
+    /// encoding scrambled again on the draws replayed from its stream
+    /// position.
+    pub(crate) fn append_bytes(
+        &self,
+        codec: &WireCodec,
+        injector: &FaultInjector,
+        entry: &WireEntry,
+        out: &mut Vec<u8>,
+    ) {
+        if let WireEntry::Upset(Upset::Caught { base, state }) = entry {
+            let start = out.len();
+            self.append_bytes(codec, injector, self.entry(*base), out);
+            injector.rescramble(*state, &mut out[start..]);
+        } else if let Some(bytes) = entry.bytes(codec) {
+            out.extend_from_slice(bytes);
+        }
     }
 
     /// Fills the current generation from captured bytes (checkpoint
@@ -436,12 +506,16 @@ impl WireInterner<'_> {
         bytes: &[u8],
     ) -> Result<Wire, ParsePacketError> {
         if scrambled {
-            return Ok(self.table.push(WireEntry::Scrambled(bytes.into())));
+            return Ok(self
+                .table
+                .push(WireEntry::Upset(Upset::Scrambled(bytes.into()))));
         }
         let key = content_key(bytes);
         let entries = &self.table.generations[0];
         let found = self.clean.find(key, 0, |index| {
-            **entries[index as usize].bytes(self.codec) == *bytes
+            entries[index as usize]
+                .bytes(self.codec)
+                .is_some_and(|own| **own == *bytes)
         });
         match found {
             Ok(index) => Ok(Wire(self.table.tag() | index)),
@@ -521,9 +595,12 @@ mod tests {
         let b = table.frame_for(&corrupt);
         assert_ne!(a, b, "same id and ttl, different payload");
         assert_eq!(table.frame_for(&corrupt), b);
-        assert_eq!(&table.entry(a).bytes(&codec)[..], &codec.encode(&clean)[..]);
         assert_eq!(
-            &table.entry(b).bytes(&codec)[..],
+            &table.entry(a).bytes(&codec).unwrap()[..],
+            &codec.encode(&clean)[..]
+        );
+        assert_eq!(
+            &table.entry(b).bytes(&codec).unwrap()[..],
             &codec.encode(&corrupt)[..]
         );
         table.rotate();
@@ -558,7 +635,7 @@ mod tests {
             assert_eq!(wire.0 & INDEX_MASK, at as u32, "one entry per key");
             assert_eq!(table.frame_for(message), wire, "key {at}");
             assert_eq!(
-                &table.entry(wire).bytes(&codec)[..],
+                &table.entry(wire).bytes(&codec).unwrap()[..],
                 &codec.encode(message)[..],
                 "key {at} kept its own frame across the rehashes"
             );
@@ -649,6 +726,17 @@ mod tests {
             })
         }
 
+        /// The caught and the missed (built) upset copies of every
+        /// generation.
+        pub(crate) fn upset_kinds(&self) -> (usize, usize) {
+            let upsets = self.generations.iter().flatten();
+            upsets.fold((0, 0), |(caught, missed), entry| match entry {
+                WireEntry::Upset(Upset::Caught { .. }) => (caught + 1, missed),
+                WireEntry::Upset(Upset::Scrambled(_)) => (caught, missed + 1),
+                WireEntry::Clean { .. } => (caught, missed),
+            })
+        }
+
         /// The current generation's entries, in registration order.
         pub(crate) fn current(&self) -> &[WireEntry] {
             &self.generations[0]
@@ -659,8 +747,21 @@ mod tests {
     fn built(table: &WireTable, wire: Wire) -> Option<&Arc<[u8]>> {
         match table.entry(wire) {
             WireEntry::Clean { encoding, .. } => encoding.get(),
-            WireEntry::Scrambled(_) => panic!("not a clean entry"),
+            WireEntry::Upset(_) => panic!("not a clean entry"),
         }
+    }
+
+    /// `wire`'s bytes as a checkpoint captures them.
+    fn captured(
+        table: &WireTable,
+        codec: &WireCodec,
+        injector: &FaultInjector,
+        wire: Wire,
+    ) -> Vec<u8> {
+        let mut out = vec![0xEE];
+        table.append_bytes(codec, injector, table.entry(wire), &mut out);
+        assert_eq!(out.remove(0), 0xEE, "appended, not overwritten");
+        out
     }
 
     #[test]
@@ -670,53 +771,84 @@ mod tests {
         let wire = table.frame_for(&message(1, 5));
         assert_eq!(table.frame_for(&message(1, 5)), wire);
         assert!(built(&table, wire).is_none(), "serving builds nothing");
-        let entry = table.entry(wire);
-        assert_eq!(entry.frame_len(&codec), codec.frame_bytes(4));
+        assert_eq!(table.frame_len(&codec, wire), codec.frame_bytes(4));
         assert!(built(&table, wire).is_none(), "nor does asking the length");
-        assert_eq!(entry.bytes(&codec)[..], codec.encode(&message(1, 5))[..]);
-        assert_eq!(entry.frame_len(&codec), entry.bytes(&codec).len());
+        let bytes = table.entry(wire).bytes(&codec).unwrap();
+        assert_eq!(bytes[..], codec.encode(&message(1, 5))[..]);
+        assert_eq!(table.frame_len(&codec, wire), bytes.len());
         assert!(
-            Arc::ptr_eq(entry.bytes(&codec), built(&table, wire).unwrap()),
+            Arc::ptr_eq(bytes, built(&table, wire).unwrap()),
             "the second read is the first one's bytes"
         );
     }
 
     #[test]
-    fn scrambled_copies_encode_their_source_once_and_leave_it_alone() {
+    fn caught_copies_build_no_bytes_and_each_is_rebuilt_from_its_own_draws() {
         let mut injector = upset_injector();
         let codec = WireCodec::default();
         let mut table = WireTable::default();
         let clean = table.frame_for(&message(1, 5));
-        let first = table.scrambled_copy(&codec, &mut injector, clean);
-        let source = Arc::clone(built(&table, clean).expect("the upset built them"));
-        let second = table.scrambled_copy(&codec, &mut injector, clean);
-        assert!(Arc::ptr_eq(&source, built(&table, clean).unwrap()));
-        assert_eq!(source[..], codec.encode(&message(1, 5))[..]);
-        for upset in [first, second] {
+        let copies = [0; 2].map(|_| table.scrambled_copy(&codec, &mut injector, clean));
+        assert!(built(&table, clean).is_none(), "the source was not encoded");
+        for upset in copies {
             let entry = table.entry(upset);
-            assert!(matches!(entry, WireEntry::Scrambled(_)), "born with bytes");
-            assert!(entry.message().is_none());
-            assert_ne!(entry.bytes(&codec), &source);
-            assert_eq!(entry.frame_len(&codec), source.len());
+            assert!(
+                matches!(entry, WireEntry::Upset(Upset::Caught { base, .. }) if *base == clean),
+                "a CRC-16 tag catches these draws"
+            );
+            assert!(entry.message().is_none() && entry.bytes(&codec).is_none());
+            assert!(entry.upset_view(&codec).is_none(), "rejected unread");
+            assert_eq!(table.frame_len(&codec, upset), codec.frame_bytes(4));
         }
+        let mut eager = upset_injector();
+        for upset in copies {
+            let mut bytes = codec.encode(&message(1, 5));
+            eager.scramble(&mut bytes);
+            assert_eq!(captured(&table, &codec, &injector, upset), bytes);
+        }
+        assert_eq!(
+            injector.snapshot(),
+            eager.snapshot(),
+            "rebuilding drew nothing"
+        );
         assert_ne!(
-            table.entry(first).bytes(&codec),
-            table.entry(second).bytes(&codec),
+            captured(&table, &codec, &injector, copies[0]),
+            captured(&table, &codec, &injector, copies[1]),
             "each copy spends its own draws"
         );
     }
 
-    /// What [`WireTable::scrambled_copy`] registers is the scramble of
-    /// exactly `codec.encode(message)`, on the draws `scramble` spends.
+    /// What [`WireTable::scrambled_copy`] registers reads, through the
+    /// capture path, as the scramble of exactly `codec.encode(message)`
+    /// on the draws `scramble` spends — for the copies a CRC-8 tag
+    /// catches and for the ones it misses, which are built at once.
     #[test]
     fn a_scrambled_copy_is_the_scramble_of_the_eager_encoding() {
-        let codec = WireCodec::default();
+        let codec = WireCodec::new(noc_crc::CrcParams::CRC8_ATM);
+        let (mut injector, mut eager) = (upset_injector(), upset_injector());
         let mut table = WireTable::default();
         let clean = table.frame_for(&message(9, 3));
-        let upset = table.scrambled_copy(&codec, &mut upset_injector(), clean);
-        let mut eager = codec.encode(&message(9, 3));
-        upset_injector().scramble(&mut eager);
-        assert_eq!(table.entry(upset).bytes(&codec)[..], eager[..]);
+        let (mut caught, mut missed) = (0, 0);
+        for _ in 0..2_000 {
+            let upset = table.scrambled_copy(&codec, &mut injector, clean);
+            let mut bytes = codec.encode(&message(9, 3));
+            eager.scramble(&mut bytes);
+            assert_eq!(captured(&table, &codec, &injector, upset), bytes);
+            match table.entry(upset) {
+                WireEntry::Upset(Upset::Caught { .. }) => caught += 1,
+                WireEntry::Upset(Upset::Scrambled(held)) => {
+                    assert_eq!(held[..], bytes[..]);
+                    let verdict = codec.decode(held);
+                    assert!(!matches!(verdict, Err(ParsePacketError::Crc(_))), "missed");
+                    missed += 1;
+                }
+                WireEntry::Clean { .. } => panic!("an upset copy is not clean"),
+            }
+        }
+        assert!(
+            caught > 1_900 && missed > 0,
+            "{caught} caught, {missed} missed"
+        );
     }
 
     #[test]
@@ -809,7 +941,7 @@ mod tests {
             prop_assert_eq!(table.generations[0].len(), naive.len());
             for (entry, (scrambled, bytes)) in table.generations[0].iter().zip(&naive) {
                 prop_assert_eq!(entry.message().is_none(), *scrambled);
-                prop_assert_eq!(&entry.bytes(&codec)[..], *bytes);
+                prop_assert_eq!(&entry.bytes(&codec).unwrap()[..], *bytes);
             }
         }
     }

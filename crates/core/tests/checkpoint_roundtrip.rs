@@ -1,8 +1,8 @@
 //! Checkpoint/resume determinism: resuming from a checkpoint must be
 //! provably indistinguishable from never having stopped.
 //!
-//! For each of the twelve golden/adversarial workloads, and one that sets
-//! every per-tile knob, the suite
+//! For each of the twelve golden/adversarial workloads, one that sets
+//! every per-tile knob and one whose weak CRC misses upsets, the suite
 //! checkpoints at *every* round boundary of a straight-through run,
 //! resumes each checkpoint at shard counts 1, 2 and 8, and byte-compares
 //! the final report digest (and, per checkpoint round, the concatenated
@@ -11,7 +11,8 @@
 
 #![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
 
-use noc_fabric::{NodeId, NullIp, Topology};
+use noc_crc::CrcParams;
+use noc_fabric::{NodeId, NullIp, Topology, WireCodec};
 use noc_faults::{
     AdversarialScenario, ByzantineMode, CrashSchedule, ErrorModel, FaultModel, OverflowMode,
 };
@@ -272,11 +273,39 @@ fn knob_workload() -> Workload {
     }
 }
 
-/// All thirteen workloads.
+/// CRC-8/ATM under heavy single- and few-bit upsets: the tag misses an
+/// upset now and then, so the run's checkpoints capture caught copies
+/// (rebuilt from their draws) beside missed ones (kept as bytes), and
+/// corrupt messages the CRC let through travel on.
+fn weak_crc_workload() -> Workload {
+    Workload {
+        name: "grid8_weak_crc_heavy_upsets",
+        builder: Box::new(|| {
+            let model = FaultModel::builder()
+                .p_upset(0.7)
+                .error_model(ErrorModel::RandomBitError)
+                .build()
+                .unwrap();
+            SimulationBuilder::new(Topology::grid(8, 8))
+                .config(StochasticConfig::flooding(16).with_max_rounds(30))
+                .fault_model(model)
+                .wire_codec(WireCodec::new(CrcParams::CRC8_ATM))
+                .seed(34)
+        }),
+        injections: vec![
+            (0, 63, b"a weak tag on a long frame"),
+            (27, 36, b"short"),
+            (56, 7, b"corner to corner, again"),
+        ],
+    }
+}
+
+/// All fourteen workloads.
 fn workloads() -> Vec<Workload> {
     let mut all = golden_workloads();
     all.extend(adversarial_workloads());
     all.push(knob_workload());
+    all.push(weak_crc_workload());
     all
 }
 
@@ -338,7 +367,19 @@ fn assert_every_round_resumes_byte_identically(w: &Workload) {
     }
 }
 
-/// The tentpole guarantee, over all thirteen workloads.
+/// The weak-CRC workload lets corrupt messages through: its checkpoints
+/// carry upsets the CRC missed, not only caught ones.
+#[test]
+fn the_weak_crc_workload_sees_undetected_upsets() {
+    let w = weak_crc_workload();
+    let mut sim = (w.builder)().build();
+    inject_all(&mut sim, &w);
+    let report = sim.run();
+    assert!(report.upsets_undetected >= 1, "{report:?}");
+    assert!(report.upsets_detected > 100 * report.upsets_undetected);
+}
+
+/// The tentpole guarantee, over all fourteen workloads.
 #[test]
 fn every_checkpoint_round_resumes_byte_identically() {
     for w in workloads() {
@@ -407,10 +448,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `(workload, round, serialized length, FNV-1a)` of
 /// `Checkpoint::to_bytes()` at a mid-run round boundary, computed at the
 /// commit before the wire table replaced refcounted frames (the knob
-/// workload's at the commit before the knob tables went sparse). The
-/// round-trip tests above prove the format self-consistent; these prove
-/// format v1, its arena order and the config digest did not drift.
-const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 13] = [
+/// workload's at the commit before the knob tables went sparse, the
+/// weak-CRC workload's at the commit before caught upset copies stopped
+/// being built). The round-trip tests above prove the format
+/// self-consistent; these prove format v1, its arena order and the
+/// config digest did not drift.
+const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 14] = [
     ("grid4_flooding_fault_free", 4, 4196, 0xF2C2_75C7_C1F6_95E2),
     ("grid8_gossip_under_faults", 4, 5548, 0x9D82_2ED0_BF13_7137),
     (
@@ -439,6 +482,12 @@ const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 13] = [
         4,
         9065,
         0xC83B_32A9_70E1_00FB,
+    ),
+    (
+        "grid8_weak_crc_heavy_upsets",
+        4,
+        9232,
+        0x1983_99ED_852D_104F,
     ),
 ];
 
@@ -571,7 +620,7 @@ fn jsonl_event_streams_concatenate_byte_identically() {
 }
 
 /// `run_until_idle` must agree with `run()` on every workload: all
-/// thirteen quiesce within their round budget, so ignoring the budget
+/// fourteen quiesce within their round budget, so ignoring the budget
 /// changes nothing — same digest, same round count.
 #[test]
 fn run_until_idle_agrees_with_run_on_every_workload() {

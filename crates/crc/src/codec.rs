@@ -107,6 +107,36 @@ impl PacketCodec {
         frame.extend_from_slice(&tag.to_be_bytes()[8 - n..]);
     }
 
+    /// Whether XORing `error` onto any frame this codec tagged makes
+    /// [`PacketCodec::decode`] fail, decided from the error vector alone:
+    /// the CRC is linear, so the tag check of `frame ⊕ error` fails
+    /// exactly when the error's body does not map to the error's tag
+    /// bytes under [`TableCrc::linear_checksum`]. The null vector is not
+    /// caught.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `error` is shorter than the tag (no tagged frame is).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_crc::{CrcParams, PacketCodec};
+    ///
+    /// let codec = PacketCodec::new(CrcParams::CRC16_CCITT);
+    /// let frame = codec.encode(b"gossip");
+    /// let mut error = vec![0u8; frame.len()];
+    /// error[2] = 0x10;
+    /// let upset: Vec<u8> = frame.iter().zip(&error).map(|(f, e)| f ^ e).collect();
+    /// assert!(codec.catches(&error));
+    /// assert!(codec.decode(&upset).is_err());
+    /// ```
+    #[inline]
+    pub fn catches(&self, error: &[u8]) -> bool {
+        let (body, tag) = error.split_at(error.len() - self.overhead_bytes());
+        self.crc.linear_checksum(body) != be_word(tag)
+    }
+
     /// Checks whether `frame` carries a consistent CRC tag.
     pub fn verify(&self, frame: &[u8]) -> bool {
         self.decode(frame).is_ok()
@@ -128,10 +158,7 @@ impl PacketCodec {
             });
         }
         let (payload, tag_bytes) = frame.split_at(frame.len() - n);
-        let mut tag = 0u64;
-        for &b in tag_bytes {
-            tag = tag << 8 | b as u64;
-        }
+        let tag = be_word(tag_bytes);
         let computed = self.crc.checksum(payload);
         if computed != tag {
             return Err(DecodeError::CrcMismatch {
@@ -141,6 +168,12 @@ impl PacketCodec {
         }
         Ok(payload)
     }
+}
+
+/// A tag's bytes as the big-endian word they encode.
+#[inline]
+fn be_word(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0, |word, &b| word << 8 | u64::from(b))
 }
 
 #[cfg(test)]
@@ -217,6 +250,57 @@ mod tests {
                         params.name
                     );
                 }
+            }
+        }
+    }
+
+    fn xor(frame: &[u8], error: &[u8]) -> Vec<u8> {
+        frame.iter().zip(error).map(|(f, e)| f ^ e).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// CRC linearity, over every sweep set and bodies of 0–600 bytes
+        /// (a fig4-8 frame body, 530, drawn one time in two): `catches`
+        /// is `decode`'s verdict on the upset frame for a random error,
+        /// which a CRC-5 or CRC-8 tag misses now and then, and for a
+        /// nonzero codeword — a random body and its linear tag — which
+        /// every tag misses.
+        #[test]
+        fn catches_is_the_verdict_of_decode_on_the_upset_frame(
+            len in prop_oneof![Just(530usize), 0usize..601],
+            seed in any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let bytes = |rng: &mut rand::rngs::StdRng, len: usize| -> Vec<u8> {
+                (0..len).map(|_| rng.gen()).collect()
+            };
+            let body = bytes(&mut rng, len);
+            for params in CrcParams::sweep() {
+                let codec = PacketCodec::new(params);
+                let frame = codec.encode(&body);
+                let error = bytes(&mut rng, frame.len());
+                prop_assert_eq!(
+                    codec.catches(&error),
+                    codec.decode(&xor(&frame, &error)).is_err(),
+                    "{}: random error", params.name
+                );
+                let mut codeword = bytes(&mut rng, len);
+                let tag = codec.crc.linear_checksum(&codeword);
+                let n = codec.overhead_bytes();
+                codeword.extend_from_slice(&tag.to_be_bytes()[8 - n..]);
+                if len > 0 {
+                    prop_assert!(codeword.iter().any(|&b| b != 0), "{}", params.name);
+                }
+                prop_assert!(!codec.catches(&codeword), "{}: codeword", params.name);
+                prop_assert!(codec.decode(&xor(&frame, &codeword)).is_ok(), "{}", params.name);
+                // One flipped bit more, and it is an error again.
+                let bit = rng.gen_range(0..codeword.len() * 8);
+                codeword[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(codec.catches(&codeword), "{}: codeword + bit {bit}", params.name);
+                prop_assert!(codec.decode(&xor(&frame, &codeword)).is_err(), "{}", params.name);
             }
         }
     }

@@ -204,17 +204,35 @@ fn fold_stream<const R: usize, const REFLECTED: bool>(
     reg
 }
 
-impl CrcAlgorithm for TableCrc {
-    fn params(&self) -> &CrcParams {
-        &self.params
+impl TableCrc {
+    /// The CRC of `data` from a zero register and without the XOR-out:
+    /// the linear part of [`CrcAlgorithm::checksum`]. For equal-length
+    /// `a` and `b`, `checksum(a ⊕ b) = checksum(a) ⊕ linear_checksum(b)`,
+    /// so whether a CRC check survives an error vector depends on the
+    /// vector alone.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_crc::{CrcAlgorithm, CrcParams, TableCrc};
+    ///
+    /// let crc = TableCrc::new(CrcParams::CRC32);
+    /// let (a, b) = (b"stochastic", b"\x01\0\0\0\0\0\0\0\x80\0");
+    /// let sum: Vec<u8> = a.iter().zip(b).map(|(x, y)| x ^ y).collect();
+    /// assert_eq!(crc.checksum(&sum), crc.checksum(a) ^ crc.linear_checksum(b));
+    /// ```
+    pub fn linear_checksum(&self, data: &[u8]) -> u64 {
+        self.register(0, data) & self.params.mask()
     }
 
-    fn checksum(&self, data: &[u8]) -> u64 {
+    /// Runs the register from `init` over `data` and reflects the result
+    /// as the parameter set asks, before any XOR-out.
+    fn register(&self, init: u64, data: &[u8]) -> u64 {
         let p = &self.params;
         let width = p.width;
         let shift_width = width.max(8);
         // Work in the shifted register domain.
-        let reg = (p.init & p.mask()) << (shift_width - width);
+        let reg = (init & p.mask()) << (shift_width - width);
         // The register spans this many leading bytes of a block, rounded
         // up to a kernel that exists.
         let reg = match shift_width.div_ceil(8) {
@@ -223,11 +241,23 @@ impl CrcAlgorithm for TableCrc {
             3 | 4 => self.fold_all::<4>(reg, data),
             _ => self.fold_all::<8>(reg, data),
         };
-        let mut out = reg >> (shift_width - width);
+        let out = reg >> (shift_width - width);
         if p.reflect_out {
-            out = reflect(out, width);
+            reflect(out, width)
+        } else {
+            out
         }
-        (out ^ p.xor_out) & p.mask()
+    }
+}
+
+impl CrcAlgorithm for TableCrc {
+    fn params(&self) -> &CrcParams {
+        &self.params
+    }
+
+    fn checksum(&self, data: &[u8]) -> u64 {
+        let p = &self.params;
+        (self.register(p.init, data) ^ p.xor_out) & p.mask()
     }
 }
 

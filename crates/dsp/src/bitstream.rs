@@ -164,7 +164,8 @@ impl<'a> BitReader<'a> {
         Some(out)
     }
 
-    /// Reads one signed Elias-gamma value; `None` on a truncated stream.
+    /// Reads one signed Elias-gamma value; `None` on a truncated stream
+    /// or on a code no `i32` writes (wider than 32 significant bits).
     pub fn read_signed_gamma(&mut self) -> Option<i32> {
         let mut zeros = 0u32;
         while !self.read_bit()? {
@@ -179,6 +180,9 @@ impl<'a> BitReader<'a> {
             self.read_bits(zeros)?
         };
         let z = (1u64 << zeros | rest) - 1;
+        if z > u64::from(u32::MAX) {
+            return None; // corrupt stream: no i32 zigzags this far
+        }
         Some(unzigzag(z))
     }
 }
@@ -318,6 +322,25 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes[..1]);
         assert_eq!(r.read_signed_gamma(), None);
+    }
+
+    #[test]
+    fn a_gamma_code_wider_than_any_i32_is_corrupt() {
+        // 40 zeros, then a 41-bit value: the zigzag of no `i32`, which
+        // once decoded to a truncated `Some`.
+        let mut w = BitWriter::new();
+        for _ in 0..40 {
+            w.write_bit(false);
+        }
+        w.write_bits(1 << 40 | 0x9_1A43, 41);
+        assert_eq!(BitReader::new(w.as_bytes()).read_signed_gamma(), None);
+        // The widest codes an `i32` writes still read back.
+        let mut w = BitWriter::new();
+        w.write_signed_gamma(i32::MIN);
+        w.write_signed_gamma(i32::MAX);
+        let mut r = BitReader::new(w.as_bytes());
+        assert_eq!(r.read_signed_gamma(), Some(i32::MIN));
+        assert_eq!(r.read_signed_gamma(), Some(i32::MAX));
     }
 
     #[test]

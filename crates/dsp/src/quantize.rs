@@ -29,7 +29,31 @@ pub fn quantize(x: f64, step: f64) -> i32 {
 /// Panics if `step` is not strictly positive.
 pub fn dequantize(q: i32, step: f64) -> f64 {
     assert!(step > 0.0, "quantizer step must be positive");
-    (q.abs() as f64).powf(4.0 / 3.0) * step * q.signum() as f64
+    (q.unsigned_abs() as f64).powf(4.0 / 3.0) * step * q.signum() as f64
+}
+
+/// Distance from a half-integer within which [`quantize_powered`] leaves
+/// the rounding to [`quantize`].
+const HALF_GUARD: f64 = 1e-9;
+
+/// Magnitudes from which [`quantize_powered`] leaves the rounding to
+/// [`quantize`]: 2^20.
+const POWERED_MAX: f64 = (1u32 << 20) as f64;
+
+/// [`quantize`]`(c, step)` from `powered = |c|^0.75` and `scale =
+/// step^-0.75`, whose product is `(|c| / step)^0.75` to within a few ulps
+/// — ≈ 5e-12 at the magnitudes up to 4096 the rate loop's window admits.
+/// Where the product lies within [`HALF_GUARD`] of a half-integer, is not
+/// below [`POWERED_MAX`] or is not finite, the two roundings could differ
+/// and `quantize` decides; everywhere else they round to the same integer.
+#[inline]
+fn quantize_powered(c: f64, powered: f64, scale: f64, step: f64) -> i32 {
+    let mag = powered * scale;
+    if mag < POWERED_MAX && (mag - mag.floor() - 0.5).abs() > HALF_GUARD {
+        mag.round() as i32 * c.signum() as i32
+    } else {
+        quantize(c, step)
+    }
 }
 
 /// Quantizes a whole coefficient vector.
@@ -57,6 +81,9 @@ pub struct RateControlResult {
 
 /// Finds (by bisection over the log-step) the smallest quantizer step
 /// whose coded size fits `bit_budget`, mimicking MP3's inner rate loop.
+/// Each coefficient's `|c|^0.75` is computed once per call and each
+/// probe's `step^-0.75` once per probe; their product quantizes exactly
+/// as [`quantize`] would (see `quantize_powered`).
 ///
 /// Returns the coarsest usable quantization if even the coarsest probe
 /// exceeds the budget (which, with Elias-gamma coding of zeros, cannot
@@ -107,12 +134,14 @@ pub fn rate_control(coeffs: &[f64], bit_budget: usize) -> RateControlResult {
     let mut best_bits = coded_size(&best);
     if best_bits <= bit_budget {
         let mut trial = vec![0i32; coeffs.len()];
+        let powered: Vec<f64> = coeffs.iter().map(|c| c.abs().powf(0.75)).collect();
         for _ in 0..40 {
             iterations += 1;
             let mid = (fine.ln() + coarse.ln()) / 2.0;
             let step = mid.exp();
-            for (q, &c) in trial.iter_mut().zip(coeffs) {
-                *q = quantize(c, step);
+            let scale = step.powf(-0.75);
+            for ((q, &c), &powered) in trial.iter_mut().zip(coeffs).zip(&powered) {
+                *q = quantize_powered(c, powered, scale, step);
             }
             let bits = coded_size(&trial);
             if bits <= bit_budget {
@@ -285,6 +314,40 @@ mod tests {
     }
 
     #[test]
+    fn dequantize_takes_the_most_negative_code() {
+        // A corrupt granule can decode to any `i32`; `abs` of this one
+        // overflows.
+        let x = dequantize(i32::MIN, 0.5);
+        assert_eq!(x, -(2f64.powi(31)).powf(4.0 / 3.0) * 0.5);
+    }
+
+    /// The rate loop's first probe on `[1.0, c, -c]`, with `c` placed so
+    /// that `(c / step)^0.75` is 2.5 to within rounding: the product of
+    /// the two powers lands in the guard band and `quantize` decides.
+    #[test]
+    fn a_product_in_the_guard_band_falls_back_to_quantize() {
+        let (fine, coarse) = (1.0f64 / 65_536.0, 4.0f64);
+        let step = ((fine.ln() + coarse.ln()) / 2.0).exp();
+        let c = step * 2.5f64.powf(4.0 / 3.0);
+        let (powered, scale) = (c.powf(0.75), step.powf(-0.75));
+        assert!((powered * scale - 2.5).abs() <= HALF_GUARD, "in the band");
+        assert_eq!(quantize_powered(c, powered, scale, step), quantize(c, step));
+        assert_eq!(
+            quantize_powered(-c, powered, scale, step),
+            quantize(-c, step)
+        );
+        let coeffs = [1.0, c, -c];
+        for budget in [8, 24, 64, 512] {
+            let (fast, reference) = (
+                rate_control(&coeffs, budget),
+                rate_control_allocating(&coeffs, budget),
+            );
+            assert_eq!(fast.step.to_bits(), reference.step.to_bits());
+            assert_eq!(fast, reference, "budget {budget}");
+        }
+    }
+
+    #[test]
     fn silence_needs_minimal_bits() {
         let r = rate_control(&[0.0; 32], 1000);
         assert_eq!(r.quantized, vec![0; 32]);
@@ -332,6 +395,35 @@ mod tests {
                 rate_control(&coeffs, budget),
                 rate_control_allocating(&coeffs, budget)
             );
+        }
+
+        /// The once-per-granule powers against the per-probe `powf`
+        /// reference on coefficients spread over eighteen decades, with
+        /// zeros and negative zeros among them: every probe must quantize
+        /// alike, so the step's bits, the codes, the size and the
+        /// iteration count all agree.
+        #[test]
+        fn rate_control_equals_the_per_probe_powf_reference(
+            draws in proptest::collection::vec((0u8..8, any::<bool>(), -9.0f64..9.0), 1..129),
+            budget in prop_oneof![1usize..48, 48usize..8192],
+        ) {
+            let coeffs: Vec<f64> = draws
+                .iter()
+                .map(|&(kind, negative, exponent)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ if negative => -(10f64.powf(exponent)),
+                    _ => 10f64.powf(exponent),
+                })
+                .collect();
+            let (fast, reference) = (
+                rate_control(&coeffs, budget),
+                rate_control_allocating(&coeffs, budget),
+            );
+            prop_assert_eq!(fast.step.to_bits(), reference.step.to_bits());
+            prop_assert_eq!(fast.quantized, reference.quantized);
+            prop_assert_eq!(fast.bits, reference.bits);
+            prop_assert_eq!(fast.iterations, reference.iterations);
         }
     }
 }

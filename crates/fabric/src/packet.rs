@@ -290,6 +290,19 @@ impl WireCodec {
         parse_body(body)
     }
 
+    /// Whether XORing `error` onto any frame this codec encoded fails its
+    /// CRC check: [`PacketCodec::catches`]. A caught upset is rejected by
+    /// [`WireCodec::decode_view`] whatever the frame, so a receiver need
+    /// not build the upset bytes to know it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `error` is shorter than the CRC tag.
+    #[inline]
+    pub fn catches(&self, error: &[u8]) -> bool {
+        self.codec.catches(error)
+    }
+
     /// Parses a frame *known to be exactly as this codec encoded it* —
     /// e.g. one that never left the simulator's control unscrambled —
     /// without recomputing the CRC: the tag is correct by construction.

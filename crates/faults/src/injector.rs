@@ -250,6 +250,30 @@ impl FaultInjector {
         *frame = copy;
     }
 
+    /// The fault stream's position: what [`FaultInjector::rescramble`]
+    /// replays a scramble drawn from here with.
+    #[inline]
+    pub fn stream_state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+
+    /// Redoes on `payload` the [`FaultInjector::scramble`] this injector
+    /// drew from stream position `state` (read by
+    /// [`FaultInjector::stream_state`] just before), on a copy of the
+    /// stream: this injector's own position does not move. A simulator
+    /// that kept only an upset's position can rebuild its bytes when
+    /// something does read them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is empty.
+    pub fn rescramble(&self, state: [u64; 4], payload: &mut [u8]) {
+        let mut replay = StdRng::from_state(state);
+        self.model
+            .error_model
+            .scramble(&mut replay, payload, self.model.p_upset);
+    }
+
     /// Is a received packet dropped by (probabilistic) buffer overflow?
     #[inline]
     pub fn overflow_drop(&mut self) -> bool {
@@ -457,6 +481,30 @@ mod tests {
         inj2.scramble(&mut plain);
         assert_eq!(&scrambled[..], &plain[..]);
         assert_eq!(inj.snapshot(), inj2.snapshot());
+    }
+
+    #[test]
+    fn rescramble_replays_the_scramble_drawn_from_a_position() {
+        for model in [
+            model(0.5, 0.0),
+            FaultModel::builder()
+                .p_upset(0.5)
+                .error_model(crate::ErrorModel::RandomBitError)
+                .build()
+                .unwrap(),
+        ] {
+            let mut inj = FaultInjector::new(model, 13);
+            for len in [1, 7, 8, 30, 530] {
+                let state = inj.stream_state();
+                let mut drawn = vec![0x3Cu8; len];
+                inj.scramble(&mut drawn);
+                let after = inj.snapshot();
+                let mut replayed = vec![0x3Cu8; len];
+                inj.rescramble(state, &mut replayed);
+                assert_eq!(replayed, drawn, "{len} bytes");
+                assert_eq!(inj.snapshot(), after, "the stream did not move");
+            }
+        }
     }
 
     #[test]
