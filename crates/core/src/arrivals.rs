@@ -17,6 +17,12 @@
 //! ones backwards. `ReferenceSimulation`'s per-tile `Vec`s with `push` /
 //! `insert(0, …)` are the oracle for this order.
 //!
+//! **Known duplicates.** A frame the forward walk has proved a duplicate
+//! at its receiver (DESIGN §8, "Known duplicates") is filed in a third
+//! list with its position among the pushed ones. Grouping for receive
+//! skips that list without reading it; capture's grouping merges it back
+//! at those positions, so a checkpoint reads as if it had been pushed.
+//!
 //! **Cost.** Grouping is a stable counting sort over the tiles the list
 //! names: O(frames + touched tiles) plus one walk of the touched-tile
 //! bitset's n / 64 words, never a visit of every tile. Counting a frame
@@ -36,6 +42,10 @@ pub(crate) struct Pending {
     /// Frames a chaos reorder moved to their queue's front, in push
     /// order: a later one overtakes an earlier one.
     reordered: Vec<(u32, Frame)>,
+    /// Frames the receiver will drop as duplicates, as `(seq, to,
+    /// frame)`: `seq` is the frame's position among `pushed` and these
+    /// at push time. Receive never sees them.
+    known: Vec<(u32, u32, Frame)>,
 }
 
 impl Pending {
@@ -51,19 +61,51 @@ impl Pending {
         list.push((to as u32, frame));
     }
 
-    /// Frames in the list.
+    /// Files `frame` for tile `to` as a known duplicate, at the back of
+    /// its queue.
+    #[inline]
+    pub(crate) fn push_known(&mut self, to: usize, frame: Frame) {
+        let seq = (self.pushed.len() + self.known.len()) as u32;
+        self.known.push((seq, to as u32, frame));
+    }
+
+    /// Frames in the list, known duplicates included.
     pub(crate) fn len(&self) -> usize {
-        self.pushed.len() + self.reordered.len()
+        self.pushed.len() + self.reordered.len() + self.known.len()
+    }
+
+    /// Known duplicates in the list.
+    #[cfg(test)]
+    pub(crate) fn known_len(&self) -> usize {
+        self.known.len()
     }
 
     /// Calls `visit` with every `(tile, frame)`, each tile's frames in
-    /// arrival order.
+    /// arrival order; the known duplicates only `with_known`, each at its
+    /// place among the pushed frames.
     #[inline]
-    fn in_arrival_order(&self, mut visit: impl FnMut(usize, Frame)) {
+    fn in_arrival_order(&self, with_known: bool, mut visit: impl FnMut(usize, Frame)) {
         for &(to, frame) in self.reordered.iter().rev() {
             visit(to as usize, frame);
         }
+        let known = if with_known { &self.known[..] } else { &[] };
+        if known.is_empty() {
+            for &(to, frame) in &self.pushed {
+                visit(to as usize, frame);
+            }
+            return;
+        }
+        let mut known = known.iter().peekable();
+        let mut seq = 0;
         for &(to, frame) in &self.pushed {
+            while let Some(&(_, to, frame)) = known.next_if(|&&(at, _, _)| at == seq) {
+                visit(to as usize, frame);
+                seq += 1;
+            }
+            visit(to as usize, frame);
+            seq += 1;
+        }
+        for &(_, to, frame) in known {
             visit(to as usize, frame);
         }
     }
@@ -71,6 +113,7 @@ impl Pending {
     fn clear(&mut self) {
         self.pushed.clear();
         self.reordered.clear();
+        self.known.clear();
     }
 }
 
@@ -101,10 +144,25 @@ impl Grouped {
         }
     }
 
-    /// Replaces the contents with `pending`'s frames.
+    /// Replaces the contents with `pending`'s frames, less the known
+    /// duplicates: what the receive phase reads.
     pub(crate) fn group(&mut self, pending: &Pending) {
+        self.fill(pending, false);
+    }
+
+    /// Replaces the contents with every frame of `pending`, each known
+    /// duplicate at its place: what a checkpoint writes.
+    pub(crate) fn group_with_known(&mut self, pending: &Pending) {
+        self.fill(pending, true);
+    }
+
+    #[inline]
+    fn fill(&mut self, pending: &Pending, with_known: bool) {
         self.clear();
-        let Some(&(_, filler)) = pending.pushed.first().or(pending.reordered.first()) else {
+        let plain = pending.pushed.first().or(pending.reordered.first());
+        let known = pending.known.first().filter(|_| with_known);
+        let filler = plain.map(|&(_, frame)| frame);
+        let Some(filler) = filler.or(known.map(|&(_, _, frame)| frame)) else {
             return;
         };
         assert!(
@@ -117,7 +175,7 @@ impl Grouped {
             cursors,
             touched,
         } = self;
-        pending.in_arrival_order(|to, _| {
+        pending.in_arrival_order(with_known, |to, _| {
             cursors[to] += 1;
             touched[to / 64] |= 1 << (to % 64);
         });
@@ -137,7 +195,7 @@ impl Grouped {
             }
         }
         frames.resize(end as usize, filler);
-        pending.in_arrival_order(|to, frame| {
+        pending.in_arrival_order(with_known, |to, frame| {
             let cursor = &mut cursors[to];
             frames[*cursor as usize] = frame;
             *cursor += 1;
@@ -228,6 +286,10 @@ impl Arrivals {
     /// storage `next` already has, so one list carries a round's worth of
     /// capacity, not both.
     pub(crate) fn rotate(&mut self) {
+        debug_assert!(
+            self.later.known.is_empty(),
+            "a known duplicate is never held"
+        );
         self.grouped.group(&self.next);
         self.next.clear();
         self.next.pushed.append(&mut self.later.pushed);
@@ -273,18 +335,24 @@ mod tests {
         /// The delay line the engine had before — one `Vec<Frame>` per
         /// tile and arena, `push` / `insert(0, …)`, the three-way swap —
         /// is the model: every tile reads the same frames in the same
-        /// order every round. A send is `(to, kind)`: 0 and 1 arrive next
-        /// round, 2 is held a round, 3 and 4 are those two reordered, and
-        /// 5 is a loopback `inject` — to the delay line one more frame
-        /// for next round, wherever among the sends it falls.
+        /// order every round. A send is `(to, kind, known)`: 0 and 1
+        /// arrive next round, 2 is held a round, 3 and 4 are those two
+        /// reordered, and 5 is a loopback `inject` — to the delay line one
+        /// more frame for next round, wherever among the sends it falls.
+        /// A kind-0 send with `known` set is filed as a known duplicate:
+        /// receive reads every other frame as the model does, and
+        /// capture's grouping reads what a twin delay line that pushed
+        /// every frame plainly groups.
         #[test]
         fn grouping_agrees_with_per_tile_vecs(
             rounds in proptest::collection::vec(
-                proptest::collection::vec((0..TILES, 0u8..6), 0..40),
+                proptest::collection::vec((0..TILES, 0u8..6, 0u8..2), 0..40),
                 1..8,
             ),
         ) {
             let mut arrivals = Arrivals::new(TILES);
+            let mut plain = Arrivals::new(TILES);
+            let mut capture = Grouped::new(TILES);
             let mut next = vec![Vec::new(); TILES];
             let mut later = vec![Vec::new(); TILES];
             let mut scratch = vec![Vec::new(); TILES];
@@ -292,6 +360,8 @@ mod tests {
             // Two empty rounds at the end drain what the last one held.
             for sends in rounds.iter().chain([&vec![], &vec![]]) {
                 arrivals.rotate();
+                plain.rotate();
+                plain.grouped.clear();
                 std::mem::swap(&mut next, &mut scratch);
                 std::mem::swap(&mut next, &mut later);
                 assert_reads(arrivals.grouped.tiles(0, TILES), &scratch);
@@ -304,10 +374,18 @@ mod tests {
                 arrivals.grouped.clear();
                 prop_assert!(arrivals.grouped.is_reset());
 
-                for &(to, kind) in sends {
+                let mut known = 0;
+                for &(to, kind, filed_known) in sends {
                     let frame = frame(sent);
                     sent += 1;
                     let (held, reordered) = (kind == 2 || kind == 4, kind == 3 || kind == 4);
+                    let twin = if held { &mut plain.later } else { &mut plain.next };
+                    twin.push(to, frame, reordered);
+                    if kind == 0 && filed_known == 1 {
+                        arrivals.next.push_known(to, frame);
+                        known += 1;
+                        continue;
+                    }
                     let (list, model) = if held {
                         (&mut arrivals.later, &mut later[to])
                     } else {
@@ -320,8 +398,18 @@ mod tests {
                         model.push(frame);
                     }
                 }
+                for (list, twin) in [(&arrivals.next, &plain.next), (&arrivals.later, &plain.later)] {
+                    capture.group_with_known(list);
+                    plain.grouped.group(twin);
+                    let read: Vec<_> = capture.tiles(0, TILES).collect();
+                    let want: Vec<_> = plain.grouped.tiles(0, TILES).collect();
+                    prop_assert_eq!(read, want);
+                    capture.clear();
+                    plain.grouped.clear();
+                }
                 let pending: usize = next.iter().chain(&later).map(Vec::len).sum();
-                prop_assert_eq!(arrivals.pending_frames(), pending as u64);
+                prop_assert_eq!(arrivals.pending_frames(), (pending + known) as u64);
+                prop_assert_eq!(arrivals.pending_frames(), plain.pending_frames());
             }
             prop_assert_eq!(arrivals.pending_frames(), 0);
         }

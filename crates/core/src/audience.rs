@@ -45,7 +45,7 @@ pub(crate) struct Audience {
 
 /// One message's audience: a bitset over a window of words.
 #[derive(Debug, Clone, Default)]
-struct Tiles {
+pub(crate) struct Tiles {
     /// Bit `t % 64` of `words[t / 64 - first]` is tile `t`; empty until
     /// the first insert.
     words: Box<[u64]>,
@@ -56,8 +56,9 @@ struct Tiles {
 }
 
 impl Tiles {
+    /// Has `tile` seen the message?
     #[inline]
-    fn contains(&self, tile: usize) -> bool {
+    pub(crate) fn contains(&self, tile: usize) -> bool {
         let at = (tile / 64).wrapping_sub(self.first as usize);
         self.words
             .get(at)
@@ -144,8 +145,9 @@ impl Audience {
             .filter(|&at| at < self.assigned.len())
     }
 
+    /// The tiles that have seen `id`, for probing many of them.
     #[inline]
-    fn get(&self, id: MessageId) -> Option<&Tiles> {
+    pub(crate) fn get(&self, id: MessageId) -> Option<&Tiles> {
         match self.index(id) {
             Some(at) => Some(&self.assigned[at]),
             None => self.stray.get(&id),

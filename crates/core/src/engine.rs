@@ -39,7 +39,7 @@ use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
 use crate::arrivals::{Arrivals, Grouped, Pending};
-use crate::audience::Audience;
+use crate::audience::{Audience, Tiles};
 use crate::checkpoint::{Checkpoint, CheckpointError, Fnv1a, Writer};
 use crate::config::StochasticConfig;
 use crate::events::{DropSite, EventSink, NullSink, SimEvent};
@@ -1012,10 +1012,11 @@ impl<S: EventSink> Simulation<S> {
             w.u64(expired);
         }
         // v1 writes an arena tile by tile: each list is grouped through
-        // one scratch, and a tile the grouping skips has no frames.
+        // one scratch, known duplicates back at their places, and a tile
+        // the grouping skips has no frames.
         let mut arena = Grouped::new(n);
         for pending in [next, later] {
-            arena.group(pending);
+            arena.group_with_known(pending);
             w.count(n);
             let mut tiles = arena.tiles(0, n).peekable();
             for tile in 0..n {
@@ -1900,12 +1901,23 @@ impl<S: EventSink> Simulation<S> {
         stats: &'a mut RoundStats,
     ) -> (TxContext<'a>, ForwardSinks<'a, S>) {
         let round = self.round;
+        let model = self.injector.model();
+        let elide = !S::RECORDS
+            && matches!(model.overflow_mode, OverflowMode::Probabilistic)
+            && model.p_overflow == 0.0;
         let tx = TxContext {
             topology: &self.topology,
             tiles_alive: &self.tiles_alive,
             links_alive: &self.links_alive,
             links_scheduled: self.crash_schedule.any_link_dead(round)
                 || self.adversary.partitions.any_active(round),
+            tiles_scheduled: self
+                .crash_schedule
+                .tile_events()
+                .any(|(_, from)| from <= round + 1),
+            elide,
+            audience: &self.audience,
+            terminated: &self.terminated,
             crash_schedule: &self.crash_schedule,
             adversary: &self.adversary,
             injector: &mut self.injector,
@@ -2084,6 +2096,18 @@ struct TxContext<'a> {
     /// round. When none is, `links_alive[link]` is the whole liveness
     /// check and neither schedule is scanned per transmission.
     links_scheduled: bool,
+    /// Some scheduled tile crash is in effect by next round. When none
+    /// is, `tiles_alive[tile]` is whether a frame's receiver will take
+    /// it.
+    tiles_scheduled: bool,
+    /// The sink records nothing and an arrival spends no overflow draw,
+    /// so a frame whose fate is already decided may be filed as a known
+    /// duplicate (DESIGN §8, "Known duplicates").
+    elide: bool,
+    /// The seen-set and the terminated spreads: receive will find each
+    /// a superset of what it is now.
+    audience: &'a Audience,
+    terminated: &'a BTreeSet<MessageId>,
     crash_schedule: &'a CrashSchedule,
     adversary: &'a AdversarialScenario,
     injector: &'a mut FaultInjector,
@@ -2102,7 +2126,7 @@ struct TxContext<'a> {
     round: u64,
 }
 
-impl TxContext<'_> {
+impl<'a> TxContext<'a> {
     /// Opens `tile`'s forward service: `None` (and no draw) when the
     /// tile is dead or buffers nothing, else the round boundaries its
     /// clock slipped after this round's skew draw — a slipped tile
@@ -2262,6 +2286,7 @@ impl TxContext<'_> {
         serve: Serve,
     ) {
         let round = self.round;
+        let known = self.known_at(&serve);
         self.offer(from, &serve, |link_id, to, outcome| {
             out.sink.emit(SimEvent::FrameSent {
                 round,
@@ -2278,10 +2303,39 @@ impl TxContext<'_> {
                 ..
             } = outcome
             {
-                let pending = if held { &mut out.later } else { &mut out.next };
-                pending.push(to.index(), Frame::new(wire, Some(link_id)), reordered);
+                let (to, frame) = (to.index(), Frame::new(wire, Some(link_id)));
+                if !held && !reordered && wire == serve.wire && known.holds(to) {
+                    out.next.push_known(to, frame);
+                } else {
+                    let pending = if held { &mut out.later } else { &mut out.next };
+                    pending.push(to, frame, reordered);
+                }
             }
         });
+    }
+
+    /// Where a clean, on-time frame of `serve` is already a duplicate:
+    /// the receive phase will drop it at a tile alive next round whose
+    /// buffer has seen the served entry's id, or anywhere once its spread
+    /// terminated. Both sets only grow, so what holds now holds then.
+    #[inline]
+    fn known_at(&self, serve: &Serve) -> KnownAt<'a> {
+        let audience: &'a Audience = self.audience;
+        let id = if self.elide {
+            let entry = self.wires.entry(serve.wire);
+            entry.message().map(|message| message.id)
+        } else {
+            None
+        };
+        KnownAt {
+            id,
+            seen: id.and_then(|id| audience.get(id)),
+            terminated: self.terminated,
+            tiles_alive: self.tiles_alive,
+            deaths: self
+                .tiles_scheduled
+                .then_some((self.crash_schedule, self.round + 1)),
+        }
     }
 
     /// A compromised tile's attack for this round, if it is armed and
@@ -2332,6 +2386,40 @@ impl TxContext<'_> {
                 Some((ServeKind::Replay, id, entry))
             }
         }
+    }
+}
+
+/// The receivers of one service at which its frame is a known
+/// duplicate ([`TxContext::known_at`]): looked up once per service, asked
+/// once per link.
+#[derive(Clone, Copy)]
+struct KnownAt<'a> {
+    /// The served entry's id; `None` when nothing may be filed as known.
+    id: Option<MessageId>,
+    /// The tiles whose buffer has seen it.
+    seen: Option<&'a Tiles>,
+    /// Its spread is a duplicate everywhere once terminated. Asked only
+    /// where `seen` is not enough: a terminated spread is purged from
+    /// every buffer, so only a Byzantine replay still serves it.
+    terminated: &'a BTreeSet<MessageId>,
+    tiles_alive: &'a [bool],
+    /// The crash schedule and next round, when a scheduled tile death is
+    /// in effect by then.
+    deaths: Option<(&'a CrashSchedule, u64)>,
+}
+
+impl KnownAt<'_> {
+    /// Will receive drop this frame at `to` as a duplicate?
+    #[inline]
+    fn holds(&self, to: usize) -> bool {
+        let Some(id) = self.id else {
+            return false;
+        };
+        (self.seen.is_some_and(|seen| seen.contains(to)) || self.terminated.contains(&id))
+            && self.tiles_alive[to]
+            && !self
+                .deaths
+                .is_some_and(|(schedule, round)| schedule.tile_dead(to, round))
     }
 }
 
@@ -2438,7 +2526,8 @@ impl SimulationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_faults::ErrorModel;
+    use crate::events::CounterSink;
+    use noc_faults::{AdversarialScenarioBuilder, ErrorModel};
 
     fn grid4() -> Grid2d {
         Grid2d::new(4, 4)
@@ -3131,6 +3220,152 @@ mod tests {
         let upset_entries = current.iter().filter(|e| e.message().is_none()).count();
         assert_eq!(current.len() - upset_entries, clean.len());
         assert_eq!(upset_entries, scrambled);
+    }
+
+    /// A 6×6 gossip under `adversary`.
+    fn grid6_under(adversary: AdversarialScenarioBuilder) -> SimulationBuilder {
+        SimulationBuilder::new(Topology::grid(6, 6))
+            .forward_probability(0.7)
+            .ttl(12)
+            .max_rounds(40)
+            .adversary(adversary.build().unwrap())
+            .seed(13)
+    }
+
+    /// A workload's name, builder and `(source, destination)` injections.
+    type SinkWorkload = (
+        &'static str,
+        fn() -> SimulationBuilder,
+        &'static [(usize, usize)],
+    );
+
+    /// Workloads with no overflow model: what a sink that records nothing
+    /// lets the forward walk prove duplicate covers every way a frame can
+    /// arrive.
+    const SINK_WORKLOADS: [SinkWorkload; 7] = [
+        (
+            "clean flood with termination",
+            || {
+                SimulationBuilder::new(Topology::grid(6, 6))
+                    .config(
+                        StochasticConfig::flooding(10)
+                            .with_max_rounds(30)
+                            .with_termination(true),
+                    )
+                    .seed(1)
+            },
+            &[(0, 35), (30, 5)],
+        ),
+        (
+            "chaos delay and reorder",
+            || {
+                grid6_under(
+                    AdversarialScenario::builder()
+                        .delay_probability(0.2)
+                        .reorder_probability(0.3),
+                )
+            },
+            &[(0, 35), (30, 5)],
+        ),
+        (
+            "tiles killed mid-run",
+            || {
+                let mut deaths = CrashSchedule::new();
+                deaths.kill_tile(7, 5).kill_tile(21, 6);
+                SimulationBuilder::new(Topology::grid(6, 6))
+                    .config(StochasticConfig::flooding(12).with_max_rounds(30))
+                    .crash_schedule(deaths)
+                    .seed(3)
+            },
+            &[(0, 35), (30, 5)],
+        ),
+        (
+            "Byzantine forge",
+            || {
+                grid6_under(
+                    AdversarialScenario::builder()
+                        .byzantine_tile(7)
+                        .byzantine_tile(28)
+                        .byzantine_mode(ByzantineMode::Forge)
+                        .byzantine_activation(0.5),
+                )
+            },
+            &[(0, 35), (30, 5)],
+        ),
+        (
+            "Byzantine replay",
+            || {
+                grid6_under(
+                    AdversarialScenario::builder()
+                        .byzantine_tile(7)
+                        .byzantine_tile(28)
+                        .byzantine_mode(ByzantineMode::Replay)
+                        .byzantine_activation(0.5),
+                )
+            },
+            &[(0, 35), (30, 5)],
+        ),
+        (
+            "self-addressed inject",
+            || {
+                SimulationBuilder::new(grid4())
+                    .config(StochasticConfig::flooding(8).with_max_rounds(20))
+                    .seed(4)
+            },
+            &[(5, 5), (0, 15), (9, 9)],
+        ),
+        (
+            "CRC-8 under upsets",
+            || {
+                let model = FaultModel::builder()
+                    .p_upset(0.5)
+                    .error_model(ErrorModel::RandomBitError)
+                    .build()
+                    .unwrap();
+                SimulationBuilder::new(Topology::grid(8, 8))
+                    .config(StochasticConfig::flooding(16).with_max_rounds(30))
+                    .fault_model(model)
+                    .wire_codec(WireCodec::new(noc_crc::CrcParams::CRC8_ATM))
+                    .seed(34)
+            },
+            &[(0, 63), (27, 36), (56, 7)],
+        ),
+    ];
+
+    /// The known-duplicate path is invisible: a run whose sink records
+    /// nothing, and so files known duplicates, and one whose sink counts
+    /// every event, and so files none, hold the same state at every
+    /// round boundary — checkpoint bytes and round stats — and end with
+    /// the same report.
+    #[test]
+    fn a_sink_that_records_nothing_changes_nothing() {
+        for (name, builder, injections) in SINK_WORKLOADS {
+            let mut null = builder().build();
+            let mut counter = builder().build_with_sink(CounterSink::new());
+            for &(from, to) in injections {
+                null.inject(NodeId(from), NodeId(to), b"sink equivalence".to_vec());
+                counter.inject(NodeId(from), NodeId(to), b"sink equivalence".to_vec());
+            }
+            let (mut known, mut counted_known) = (0, 0);
+            while !null.is_complete() && null.round() < null.config().max_rounds {
+                assert_eq!(null.step(), counter.step(), "{name}: round stats");
+                known += null.arrivals.next.known_len();
+                counted_known += counter.arrivals.next.known_len();
+                assert!(
+                    null.checkpoint() == counter.checkpoint(),
+                    "{name}: checkpoint after round {}",
+                    null.round()
+                );
+            }
+            assert!(counter.is_complete() == null.is_complete());
+            assert!(known > 0, "{name}: no frame was filed as a known duplicate");
+            assert_eq!(counted_known, 0, "{name}: a recording sink filed one");
+            assert_eq!(
+                format!("{:?}", null.into_report()),
+                format!("{:?}", counter.into_report()),
+                "{name}: final report"
+            );
+        }
     }
 
     #[test]

@@ -257,11 +257,13 @@ impl SimEvent {
 /// installed, which the golden-report digest tests enforce. `emit` is
 /// called on the hot path; implementations should be cheap or buffer.
 pub trait EventSink {
-    /// Does this sink actually record events? `false` lets the sharded
-    /// engine skip collecting per-worker event vectors entirely when the
-    /// sink would discard them anyway ([`NullSink`]); the sequential
-    /// engine monomorphizes emissions away regardless, so most sinks can
-    /// leave the default.
+    /// Does this sink actually record events? `false` promises that
+    /// every event is discarded ([`NullSink`]). It lets the sharded
+    /// engine skip collecting per-worker event vectors, and lets the
+    /// forward walk set aside a frame it can prove a duplicate at its
+    /// receiver, which then never reaches the receive phase or its
+    /// `DuplicateDrop`. Reports and checkpoints are the same either way.
+    /// A sink that keeps any event must leave the default.
     const RECORDS: bool = true;
 
     /// Observes one event.

@@ -12,6 +12,8 @@ use noc_faults::{AdversarialScenario, ByzantineMode, ErrorModel, FaultModel};
 use stochastic_noc::events::{CounterSink, EventSink};
 use stochastic_noc::{Simulation, SimulationBuilder, SimulationReport};
 
+mod fates;
+
 /// Serializes every observable field — including the adversarial
 /// counters absent from the pre-adversary digest format — into a
 /// stable string.
@@ -228,6 +230,20 @@ fn adversarial_digests_are_identical_with_obs_plane_enabled() {
             metrics.counter_value("engine_rounds_total").unwrap_or(0) > 0,
             "rounds were counted (shards={shards})"
         );
+    }
+}
+
+/// A recording sink sees every frame's fate, duplicates included, on
+/// every hostile scenario.
+#[test]
+fn adversarial_frame_fates_balance_under_a_counter_sink() {
+    for (name, adversary, _) in adversarial_workloads() {
+        let mut sim = grid6_base()
+            .adversary(adversary)
+            .build_with_sink(CounterSink::new());
+        inject_pair(&mut sim);
+        let report = sim.run();
+        fates::assert_frame_fates_balance(name, &sim, &report);
     }
 }
 

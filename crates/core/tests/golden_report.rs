@@ -13,6 +13,8 @@ use noc_faults::{CrashSchedule, ErrorModel, FaultModel, OverflowMode};
 use stochastic_noc::events::{CounterSink, JsonlSink};
 use stochastic_noc::{Simulation, SimulationBuilder, SimulationReport, StochasticConfig};
 
+mod fates;
+
 /// Serializes every observable field of a report into a stable string.
 fn digest(report: &SimulationReport) -> String {
     let mut out = String::new();
@@ -218,6 +220,20 @@ fn golden_digest_is_identical_with_counter_sink_installed() {
     sim.into_sink()
         .reconcile(&report)
         .expect("golden workload reconciles");
+}
+
+/// A recording sink sees every frame's fate, duplicates included, on
+/// every golden workload.
+#[test]
+fn golden_frame_fates_balance_under_a_counter_sink() {
+    for workload in golden_workloads() {
+        let mut sim = workload.builder.build_with_sink(CounterSink::new());
+        for (src, dst, payload) in &workload.injections {
+            sim.inject(NodeId(*src), NodeId(*dst), payload.to_vec());
+        }
+        let report = sim.run();
+        fates::assert_frame_fates_balance(workload.name, &sim, &report);
+    }
 }
 
 #[test]
