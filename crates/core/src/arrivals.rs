@@ -19,16 +19,19 @@
 //!
 //! **Known duplicates.** A frame the forward walk has proved a duplicate
 //! at its receiver (DESIGN §8, "Known duplicates") is filed in a third
-//! list with its position among the pushed ones. Grouping for receive
-//! skips that list without reading it; capture's grouping merges it back
-//! at those positions, so a checkpoint reads as if it had been pushed.
+//! list with its position among the pushed ones, 12 bytes: its receiver
+//! is the target of the link it crossed, which capture's grouping asks
+//! the topology for. Grouping for receive skips that list without reading
+//! it; capture's grouping merges it back at those positions, so a
+//! checkpoint reads as if it had been pushed.
 //!
 //! **Cost.** Grouping is a stable counting sort over the tiles the list
 //! names: O(frames + touched tiles) plus one walk of the touched-tile
-//! bitset's n / 64 words, never a visit of every tile. Counting a frame
-//! ORs its tile's bit in without a branch; the walk that reads a word
-//! zeroes it, and the spans zero the per-tile cursors, so both are clear
-//! when it returns.
+//! bitset's summary, n / 4096 words, never a visit of every tile.
+//! Counting a frame ORs its tile's bit and its word's summary bit in
+//! without a branch; the walk reads only the words the summary names and
+//! zeroes both as it goes, and the spans zero the per-tile cursors, so
+//! all three are clear when it returns.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -42,11 +45,14 @@ pub(crate) struct Pending {
     /// Frames a chaos reorder moved to their queue's front, in push
     /// order: a later one overtakes an earlier one.
     reordered: Vec<(u32, Frame)>,
-    /// Frames the receiver will drop as duplicates, as `(seq, to,
-    /// frame)`: `seq` is the frame's position among `pushed` and these
-    /// at push time. Receive never sees them.
-    known: Vec<(u32, u32, Frame)>,
+    /// Frames the receiver will drop as duplicates, as `(seq, frame)`:
+    /// `seq` is the frame's position among `pushed` and these at push
+    /// time. Each crossed a link, whose target is its receiver. Receive
+    /// never sees them.
+    known: Vec<(u32, Frame)>,
 }
+
+const _: () = assert!(std::mem::size_of::<(u32, Frame)>() == 12);
 
 impl Pending {
     /// Files `frame` for tile `to`, at the back of its queue or, when
@@ -61,12 +67,13 @@ impl Pending {
         list.push((to as u32, frame));
     }
 
-    /// Files `frame` for tile `to` as a known duplicate, at the back of
-    /// its queue.
+    /// Files `frame`, which crossed a link, as a known duplicate at the
+    /// back of its receiver's queue.
     #[inline]
-    pub(crate) fn push_known(&mut self, to: usize, frame: Frame) {
+    pub(crate) fn push_known(&mut self, frame: Frame) {
+        debug_assert!(frame.via().is_some(), "a known duplicate crossed a link");
         let seq = (self.pushed.len() + self.known.len()) as u32;
-        self.known.push((seq, to as u32, frame));
+        self.known.push((seq, frame));
     }
 
     /// Frames in the list, known duplicates included.
@@ -81,32 +88,35 @@ impl Pending {
     }
 
     /// Calls `visit` with every `(tile, frame)`, each tile's frames in
-    /// arrival order; the known duplicates only `with_known`, each at its
-    /// place among the pushed frames.
+    /// arrival order; the known duplicates only when `receiver` is given,
+    /// each at its place among the pushed frames.
     #[inline]
-    fn in_arrival_order(&self, with_known: bool, mut visit: impl FnMut(usize, Frame)) {
+    fn in_arrival_order(
+        &self,
+        receiver: Option<&impl Fn(Frame) -> usize>,
+        mut visit: impl FnMut(usize, Frame),
+    ) {
         for &(to, frame) in self.reordered.iter().rev() {
             visit(to as usize, frame);
         }
-        let known = if with_known { &self.known[..] } else { &[] };
-        if known.is_empty() {
+        let Some(receiver) = receiver.filter(|_| !self.known.is_empty()) else {
             for &(to, frame) in &self.pushed {
                 visit(to as usize, frame);
             }
             return;
-        }
-        let mut known = known.iter().peekable();
+        };
+        let mut known = self.known.iter().peekable();
         let mut seq = 0;
         for &(to, frame) in &self.pushed {
-            while let Some(&(_, to, frame)) = known.next_if(|&&(at, _, _)| at == seq) {
-                visit(to as usize, frame);
+            while let Some(&(_, frame)) = known.next_if(|&&(at, _)| at == seq) {
+                visit(receiver(frame), frame);
                 seq += 1;
             }
             visit(to as usize, frame);
             seq += 1;
         }
-        for &(_, to, frame) in known {
-            visit(to as usize, frame);
+        for &(_, frame) in known {
+            visit(receiver(frame), frame);
         }
     }
 
@@ -131,38 +141,48 @@ pub(crate) struct Grouped {
     /// One bit per tile with a non-zero cursor; all zero between
     /// groupings.
     touched: Vec<u64>,
+    /// Bit `k % 64` of `summary[k / 64]` is set iff `touched[k]` is not
+    /// 0, as in `TileSet`; all zero between groupings.
+    summary: Vec<u64>,
 }
 
 impl Grouped {
     /// An empty grouping over tiles `0..n`.
     pub(crate) fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
         Grouped {
             frames: Vec::new(),
             spans: Vec::new(),
             cursors: vec![0; n],
-            touched: vec![0; n.div_ceil(64)],
+            touched: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
         }
     }
 
     /// Replaces the contents with `pending`'s frames, less the known
     /// duplicates: what the receive phase reads.
     pub(crate) fn group(&mut self, pending: &Pending) {
-        self.fill(pending, false);
+        self.fill(pending, None::<&fn(Frame) -> usize>);
     }
 
     /// Replaces the contents with every frame of `pending`, each known
-    /// duplicate at its place: what a checkpoint writes.
-    pub(crate) fn group_with_known(&mut self, pending: &Pending) {
-        self.fill(pending, true);
+    /// duplicate at its place, at tile `receiver(frame)`: what a
+    /// checkpoint writes.
+    pub(crate) fn group_with_known(
+        &mut self,
+        pending: &Pending,
+        receiver: impl Fn(Frame) -> usize,
+    ) {
+        self.fill(pending, Some(&receiver));
     }
 
     #[inline]
-    fn fill(&mut self, pending: &Pending, with_known: bool) {
+    fn fill(&mut self, pending: &Pending, receiver: Option<&impl Fn(Frame) -> usize>) {
         self.clear();
         let plain = pending.pushed.first().or(pending.reordered.first());
-        let known = pending.known.first().filter(|_| with_known);
+        let known = pending.known.first().filter(|_| receiver.is_some());
         let filler = plain.map(|&(_, frame)| frame);
-        let Some(filler) = filler.or(known.map(|&(_, _, frame)| frame)) else {
+        let Some(filler) = filler.or(known.map(|&(_, frame)| frame)) else {
             return;
         };
         assert!(
@@ -174,28 +194,31 @@ impl Grouped {
             spans,
             cursors,
             touched,
+            summary,
         } = self;
-        pending.in_arrival_order(with_known, |to, _| {
+        pending.in_arrival_order(receiver, |to, _| {
             cursors[to] += 1;
             touched[to / 64] |= 1 << (to % 64);
+            summary[to / 4096] |= 1 << (to / 64 % 64);
         });
         let mut end = 0;
-        for (at, word) in touched
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, word)| **word != 0)
-        {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let tile = at * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let start = end;
-                end += std::mem::replace(&mut cursors[tile], start);
-                spans.push((tile as u32, end));
+        for (group, pending_words) in summary.iter_mut().enumerate() {
+            let mut words = std::mem::take(pending_words);
+            while words != 0 {
+                let at = group * 64 + words.trailing_zeros() as usize;
+                words &= words - 1;
+                let mut bits = std::mem::take(&mut touched[at]);
+                while bits != 0 {
+                    let tile = at * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let start = end;
+                    end += std::mem::replace(&mut cursors[tile], start);
+                    spans.push((tile as u32, end));
+                }
             }
         }
         frames.resize(end as usize, filler);
-        pending.in_arrival_order(with_known, |to, frame| {
+        pending.in_arrival_order(receiver, |to, frame| {
             let cursor = &mut cursors[to];
             frames[*cursor as usize] = frame;
             *cursor += 1;
@@ -252,6 +275,7 @@ impl Grouped {
     #[cfg(any(debug_assertions, test))]
     pub(crate) fn is_reset(&self) -> bool {
         self.is_empty()
+            && self.summary.iter().all(|&w| w == 0)
             && self.touched.iter().all(|&w| w == 0)
             && self.cursors.iter().all(|&c| c == 0)
     }
@@ -305,14 +329,15 @@ impl Arrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::body::Held;
     use crate::wire::{WireEntry, WireTable};
-    use noc_fabric::{LinkId, Message, MessageId, NodeId};
+    use noc_fabric::{LinkId, MessageId, NodeId};
     use proptest::prelude::*;
 
     /// Frame number `k`, told apart by its arrival link.
     fn frame(k: usize) -> Frame {
-        let message = Message::new(MessageId(0), NodeId(0), NodeId(1), 1, vec![]);
-        let wire = WireTable::default().push(WireEntry::clean(message));
+        let held = Held::new(MessageId(0), NodeId(0), NodeId(1), 1, vec![]);
+        let wire = WireTable::default().push(WireEntry::clean(held));
         Frame::new(wire, Some(LinkId(k)))
     }
 
@@ -356,6 +381,12 @@ mod tests {
             let mut next = vec![Vec::new(); TILES];
             let mut later = vec![Vec::new(); TILES];
             let mut scratch = vec![Vec::new(); TILES];
+            // Frame `k` crossed link `k`, whose target is `receivers[k]`.
+            let mut receivers = Vec::new();
+            let receiver = |receivers: &[usize]| {
+                let receivers = receivers.to_vec();
+                move |frame: Frame| receivers[frame.via().unwrap().index()]
+            };
             let mut sent = 0;
             // Two empty rounds at the end drain what the last one held.
             for sends in rounds.iter().chain([&vec![], &vec![]]) {
@@ -378,11 +409,12 @@ mod tests {
                 for &(to, kind, filed_known) in sends {
                     let frame = frame(sent);
                     sent += 1;
+                    receivers.push(to);
                     let (held, reordered) = (kind == 2 || kind == 4, kind == 3 || kind == 4);
                     let twin = if held { &mut plain.later } else { &mut plain.next };
                     twin.push(to, frame, reordered);
                     if kind == 0 && filed_known == 1 {
-                        arrivals.next.push_known(to, frame);
+                        arrivals.next.push_known(frame);
                         known += 1;
                         continue;
                     }
@@ -399,7 +431,7 @@ mod tests {
                     }
                 }
                 for (list, twin) in [(&arrivals.next, &plain.next), (&arrivals.later, &plain.later)] {
-                    capture.group_with_known(list);
+                    capture.group_with_known(list, receiver(&receivers));
                     plain.grouped.group(twin);
                     let read: Vec<_> = capture.tiles(0, TILES).collect();
                     let want: Vec<_> = plain.grouped.tiles(0, TILES).collect();
@@ -433,20 +465,42 @@ mod tests {
         for (k, &(to, reordered)) in sends.iter().enumerate() {
             pending.push(to, frame(k), reordered);
         }
-        grouped.group(&pending);
-        assert!(grouped.spans.len() <= sends.len());
-        assert!(grouped.touched.iter().all(|&word| word == 0));
-        assert!(grouped.cursors.iter().all(|&cursor| cursor == 0));
-        let tiles: Vec<_> = grouped.tiles(0, n).collect();
-        assert_eq!(
-            tiles,
-            [
-                (3, &[frame(3), frame(1)][..]),
-                (n / 2, &[frame(2)][..]),
-                (n - 1, &[frame(0), frame(4)][..]),
-            ]
-        );
-        grouped.clear();
-        assert!(grouped.is_reset());
+        pending.push_known(frame(sends.len()));
+        // Receive's grouping leaves the known frame out; a checkpoint's
+        // files it at its receiver: frame 5 crossed a link into tile
+        // n − 2.
+        let plain = [
+            (3, &[frame(3), frame(1)][..]),
+            (n / 2, &[frame(2)][..]),
+            (n - 1, &[frame(0), frame(4)][..]),
+        ];
+        let with_known = [
+            (3, &[frame(3), frame(1)][..]),
+            (n / 2, &[frame(2)][..]),
+            (n - 2, &[frame(5)][..]),
+            (n - 1, &[frame(0), frame(4)][..]),
+        ];
+        for known in [false, true] {
+            let want = if known { &with_known[..] } else { &plain[..] };
+            if known {
+                grouped.group_with_known(&pending, |frame: Frame| {
+                    assert_eq!(frame, self::frame(sends.len()), "only the known frame asks");
+                    n - 2
+                });
+            } else {
+                grouped.group(&pending);
+            }
+            assert!(grouped.spans.len() <= sends.len() + usize::from(known));
+            assert_eq!(grouped.summary.len(), n / 4096);
+            assert!(grouped.summary.iter().all(|&word| word == 0));
+            assert!(grouped.touched.iter().all(|&word| word == 0));
+            assert!(grouped.cursors.iter().all(|&cursor| cursor == 0));
+            let tiles: Vec<_> = grouped.tiles(0, n).collect();
+            assert_eq!(tiles, want);
+            grouped.clear();
+            assert!(grouped.is_reset());
+        }
+        grouped.summary[3] = 1;
+        assert!(!grouped.is_reset(), "a summary bit left set is caught");
     }
 }

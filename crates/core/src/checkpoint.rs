@@ -9,8 +9,9 @@
 //! * RNG stream positions — the trial fault stream (xoshiro256++ state
 //!   plus the Box–Muller spare of the skew sampler), every per-link
 //!   chaos stream, and every per-tile Byzantine stream;
-//! * per-tile [`SendBuffer`](crate::SendBuffer)s (live messages, the ids
-//!   the tile has seen, expiry counts) and round-robin egress cursors;
+//! * per-tile send buffers (live messages, each written whole with its
+//!   body, the ids the tile has seen, expiry counts) and round-robin
+//!   egress cursors;
 //! * per-tile clock domains (residual skew, slip totals);
 //! * the arrival arenas (`next` and `later` delay lines) with each
 //!   frame's bytes, scrambled flag and arrival link — the `Inflight`
@@ -324,15 +325,74 @@ fn validate(data: &[u8]) -> Result<(), CheckpointError> {
     }
 }
 
+/// What a capture writes, counted from above, so that [`Writer::new`]
+/// reserves the checkpoint in one block rather than growing it through
+/// a chain of doublings, whose copies and freed blocks the allocator
+/// must place anew every cycle. Each count is one kind of v1 record;
+/// [`Extent::bytes`] prices it at the most its fields take.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent {
+    /// Tiles: a slot in every per-tile table, a clock, a buffer's and a
+    /// seen list's counts, an expiry count and two arena counts each.
+    pub(crate) tiles: usize,
+    /// Links: one liveness byte each.
+    pub(crate) links: usize,
+    /// Buffered copies: id, source, destination, TTL and payload each.
+    pub(crate) copies: usize,
+    /// Entries of the seen lists: one id each.
+    pub(crate) seen: usize,
+    /// Frames in flight and replay slots: bytes, flags and link each.
+    pub(crate) frames: usize,
+    /// Chaos and Byzantine streams: a tile and a generator state each.
+    pub(crate) streams: usize,
+    /// Message ids with a record, an informed count or a terminated
+    /// spread.
+    pub(crate) ids: usize,
+    /// The longest frame any copy or frame encodes to.
+    pub(crate) frame_bytes: usize,
+}
+
+impl Extent {
+    /// Bytes a capture of this extent writes at most.
+    pub(crate) fn bytes(&self) -> usize {
+        const WORD: usize = 8;
+        // Header, the fault stream, the section counts and the report's
+        // counters.
+        const FIXED: usize = 128 * WORD;
+        // Liveness, clock, egress cursor, three buffer words and two
+        // arena counts.
+        const TILE: usize = 9 * WORD;
+        // Id, source, destination, TTL and the payload's length.
+        const COPY: usize = 5 * WORD + 1;
+        // Length, flag and link; a replay slot's tile, id and length.
+        const FRAME: usize = 3 * WORD + 3;
+        // A tile and a generator state.
+        const STREAM: usize = 6 * WORD;
+        // A record, an informed count and a terminated id.
+        const ID: usize = 9 * WORD;
+        FIXED
+            + TILE * self.tiles
+            + self.links
+            + (COPY + self.frame_bytes) * self.copies
+            + WORD * self.seen
+            + (FRAME + self.frame_bytes) * self.frames
+            + STREAM * self.streams
+            + ID * self.ids
+    }
+}
+
 /// Little-endian binary writer of format v1 over a growable buffer.
 pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    /// Opens a checkpoint: magic, version and the two header words.
-    pub(crate) fn new(config_digest: u64, round: u64) -> Self {
-        let mut w = Self { buf: Vec::new() };
+    /// Opens a checkpoint, reserving what `extent` may take: magic,
+    /// version and the two header words.
+    pub(crate) fn new(config_digest: u64, round: u64, extent: &Extent) -> Self {
+        let mut w = Self {
+            buf: Vec::with_capacity(extent.bytes()),
+        };
         w.buf.extend_from_slice(MAGIC);
         w.buf.extend_from_slice(&VERSION.to_le_bytes());
         w.u64(config_digest);

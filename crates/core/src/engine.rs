@@ -5,9 +5,11 @@
 //!
 //! 1. **Receive** — frames that were sent last round arrive; overflow
 //!    drops are applied, the CRC check discards scrambled packets, and
-//!    surviving messages are merged into the tile's deduplicating
-//!    [`SendBuffer`]. Messages whose destination field equals the tile id
-//!    are delivered to the local IP (exactly once per message id).
+//!    surviving messages are merged into the tile's send buffer, one copy
+//!    of each message id (a [`SendBuffer`](crate::SendBuffer) without its
+//!    seen-set, which the engine keeps per message for all its tiles).
+//!    Messages whose destination field equals the tile id are delivered
+//!    to the local IP (exactly once per message id).
 //! 2. **Compute** — the IP core runs (computation time is 0, as in the
 //!    paper) and may emit new messages, which join the send buffer.
 //! 3. **Age** — every buffered TTL is decremented; expired messages are
@@ -24,8 +26,8 @@
 
 use noc_energy::{Bits, TechnologyLibrary};
 use noc_fabric::{
-    ClockDomain, Grid2d, IpContext, IpCore, LinkId, Message, MessageId, NodeId, Topology,
-    WireCodec, MAX_NODES, MAX_PAYLOAD_BYTES,
+    ClockDomain, Grid2d, IpContext, IpCore, LinkId, MessageId, NodeId, Topology, WireCodec,
+    MAX_NODES, MAX_PAYLOAD_BYTES,
 };
 use noc_faults::{
     AdversarialScenario, ByzantineMode, CrashSchedule, FaultInjector, FaultModel, InjectionTally,
@@ -40,14 +42,15 @@ use std::sync::{Arc, OnceLock};
 
 use crate::arrivals::{Arrivals, Grouped, Pending};
 use crate::audience::{Audience, Tiles};
-use crate::checkpoint::{Checkpoint, CheckpointError, Fnv1a, Writer};
+use crate::body::{Held, Restored};
+use crate::checkpoint::{Checkpoint, CheckpointError, Extent, Fnv1a, Writer};
 use crate::config::StochasticConfig;
 use crate::events::{DropSite, EventSink, NullSink, SimEvent};
 use crate::frontier::TileSet;
 use crate::metrics::{MessageRecord, SimulationReport};
 use crate::obs::{span_end, span_start, EngineObs, EnginePhase};
 use crate::seed::{derive_labeled_seed, derive_trial_seed};
-use crate::send_buffer::SendBuffer;
+use crate::send_buffer::Live;
 use crate::shard::{
     age_shard, plan_terminations, receive_shard, shard_ranges, split_chunks, AgeOut, OverflowPlan,
     OverflowSpan, ReceiveCtx, ReceiveOut, ReceiveTape,
@@ -409,7 +412,8 @@ impl SimulationBuilder {
             forward_overrides: self.forward_overrides,
             terminated: BTreeSet::new(),
             report: SimulationReport::new(self.tech),
-            buffers: (0..n).map(|_| SendBuffer::new()).collect(),
+            buffers: (0..n).map(|_| Live::default()).collect(),
+            expired: vec![0; n],
             clocks: vec![ClockDomain::new(); n],
             arrivals: Arrivals::new(n),
             wires: WireTable::default(),
@@ -545,7 +549,11 @@ pub struct Simulation<S: EventSink = NullSink> {
     codec: WireCodec,
     tiles_alive: Vec<bool>,
     links_alive: Vec<bool>,
-    buffers: Vec<SendBuffer>,
+    /// Each tile's send buffer: the copies it holds, in insertion order.
+    buffers: Vec<Live<Held>>,
+    /// Each tile's TTL expiries so far, beside its buffer: only the report
+    /// and a checkpoint read them.
+    expired: Vec<u64>,
     clocks: Vec<ClockDomain>,
     /// The delay line: frames sent and not yet received.
     arrivals: Arrivals,
@@ -723,7 +731,7 @@ impl<S: EventSink> Simulation<S> {
             .clocks
             .iter()
             .fold(0, |sum, clock| sum.saturating_add(clock.slips()));
-        self.report.ttl_expirations = self.buffers.iter().map(SendBuffer::expired_count).sum();
+        self.report.ttl_expirations = self.expired.iter().sum();
         &self.report
     }
 
@@ -758,10 +766,10 @@ impl<S: EventSink> Simulation<S> {
             delivered_round: None,
             frame_bits,
         });
-        let message = Message::new(id, source, destination, self.config.default_ttl, payload);
         if !self.tile_alive(source) {
             return id;
         }
+        let held = Held::new(id, source, destination, self.config.default_ttl, payload);
         if destination == source {
             if self.report.record_delivery(id, self.round) {
                 self.sink.emit(SimEvent::Delivery {
@@ -772,16 +780,18 @@ impl<S: EventSink> Simulation<S> {
                 });
             }
             // Local loopback skips the network; the IP sees it next round.
-            let wire = self.wires.push(WireEntry::clean(message));
+            let wire = self.wires.push(WireEntry::clean(held));
             let frame = Frame::new(wire, None);
             self.arrivals.next.push(source.index(), frame, false);
             return id;
         }
-        if self.audience.insert(id, source.index())
-            && self.buffers[source.index()].insert_live(message)
-        {
-            self.live_total += 1;
-            self.buffer_frontier.insert(source.index());
+        if self.audience.insert(id, source.index()) {
+            if self.buffers[source.index()].insert(held) {
+                self.live_total += 1;
+                self.buffer_frontier.insert(source.index());
+            } else {
+                self.expired[source.index()] += 1;
+            }
         }
         id
     }
@@ -930,6 +940,7 @@ impl<S: EventSink> Simulation<S> {
             clocks,
             egress_next,
             buffers,
+            expired,
             arrivals:
                 Arrivals {
                     next,
@@ -941,7 +952,7 @@ impl<S: EventSink> Simulation<S> {
             terminated,
             report,
         } = self;
-        let mut w = Writer::new(self.config_digest_value(), *round);
+        let mut w = Writer::new(self.config_digest_value(), *round, &self.extent());
         w.u64(*next_message_id);
         w.bool(*started);
         w.bool(*completed);
@@ -989,20 +1000,18 @@ impl<S: EventSink> Simulation<S> {
             w.opt_u64(cursor.map(|id| id.0));
         }
         w.count(buffers.len());
-        // The buffers' own seen-sets stay empty: each tile's seen list is
-        // its row of the audience.
+        // A tile's seen list is its row of the audience, and each copy is
+        // written whole, its body resolved.
         let seen_by_tile = audience.by_tile();
-        let mut unused = Vec::new();
-        for (tile, buffer) in buffers.iter().enumerate() {
-            let (messages, expired) = buffer.snapshot(&mut unused);
-            debug_assert!(unused.is_empty(), "the engine fills no buffer's seen-set");
-            w.count(messages.len());
-            for m in messages {
-                w.u64(m.id.0);
-                w.u64(m.source.index() as u64);
-                w.u64(m.destination.index() as u64);
-                w.u8(m.ttl);
-                w.bytes(&m.payload);
+        for (tile, (buffer, &expired)) in buffers.iter().zip(expired).enumerate() {
+            w.count(buffer.len());
+            for held in buffer.as_slice() {
+                let body = &*held.body;
+                w.u64(body.id.0);
+                w.u64(body.source.index() as u64);
+                w.u64(body.destination.index() as u64);
+                w.u8(held.ttl);
+                w.bytes(&body.payload);
             }
             let seen = seen_by_tile.tile(tile);
             w.count(seen.len());
@@ -1012,11 +1021,18 @@ impl<S: EventSink> Simulation<S> {
             w.u64(expired);
         }
         // v1 writes an arena tile by tile: each list is grouped through
-        // one scratch, known duplicates back at their places, and a tile
-        // the grouping skips has no frames.
+        // one scratch, known duplicates back at their places (the target
+        // of the link each crossed), and a tile the grouping skips has no
+        // frames.
         let mut arena = Grouped::new(n);
+        let topology = &self.topology;
+        let receiver = |frame: Frame| {
+            frame
+                .via()
+                .map_or(usize::MAX, |link| topology.link(link).to.index())
+        };
         for pending in [next, later] {
-            arena.group_with_known(pending);
+            arena.group_with_known(pending, receiver);
             w.count(n);
             let mut tiles = arena.tiles(0, n).peekable();
             for tile in 0..n {
@@ -1025,8 +1041,10 @@ impl<S: EventSink> Simulation<S> {
                 w.count(frames.len());
                 for f in frames {
                     let entry = wires.entry(f.wire);
-                    w.bytes_with(|out| wires.append_bytes(&self.codec, injector, entry, out));
-                    w.bool(entry.message().is_none());
+                    w.bytes_with(|out| {
+                        wires.append_bytes(&self.codec, injector, entry, out);
+                    });
+                    w.bool(entry.held().is_none());
                     w.opt_u64(f.via().map(|l| l.index() as u64));
                 }
             }
@@ -1070,6 +1088,22 @@ impl<S: EventSink> Simulation<S> {
             w.u64(rec.frame_bits.bits());
         }
         w.finish()
+    }
+
+    /// What [`Simulation::checkpoint`] writes, counted: every frame
+    /// and copy priced at the longest frame of any message injected.
+    fn extent(&self) -> Extent {
+        let frame_bits = self.report.records().map(|rec| rec.frame_bits.bits());
+        Extent {
+            tiles: self.node_count(),
+            links: self.topology.link_count(),
+            copies: self.live_total as usize,
+            seen: self.audience.counts().map(|(_, count)| count).sum(),
+            frames: self.arrivals.pending_frames() as usize + self.compromised.len(),
+            streams: self.chaos_streams.len() + self.compromised.len(),
+            ids: self.next_message_id as usize + self.terminated.len(),
+            frame_bytes: frame_bits.max().unwrap_or(0).div_ceil(8) as usize,
+        }
     }
 
     /// Overwrites this (freshly built) simulation's state with a
@@ -1183,18 +1217,19 @@ impl<S: EventSink> Simulation<S> {
                 Some(MessageId(id));
         }
         per_tile(r.count(24)?)?;
-        // Tiles buffering the same message share its payload bytes, as
-        // they do in a live run.
-        let mut payloads: BTreeMap<&[u8], Arc<[u8]>> = BTreeMap::new();
+        // Tiles buffering the same message share its body, as they do in
+        // a live run.
+        let mut bodies = Restored::default();
         let (mut seen, mut live_ids) = (Vec::new(), Vec::new());
         // A message's window spans the words between its lowest and its
         // highest tile, so two listed tiles far apart cost up to n / 8
         // bytes: what the windows allocate is bounded by the checkpoint's
         // own length, and checked before each one grows.
         let mut audience_budget = AUDIENCE_BYTES_PER_CHECKPOINT_BYTE * ck.len();
-        for (tile, buffer) in self.buffers.iter_mut().enumerate() {
+        let tiles = self.buffers.iter_mut().zip(&mut self.expired);
+        for (tile, (buffer, expired)) in tiles.enumerate() {
             let live = r.count(33)?;
-            let mut messages = Vec::with_capacity(live);
+            let mut copies = Vec::with_capacity(live);
             for _ in 0..live {
                 let (id, source, destination) = (r.u64()?, r.u64()?, r.u64()?);
                 let (ttl, payload) = (r.u8()?, r.bytes()?);
@@ -1207,16 +1242,12 @@ impl<S: EventSink> Simulation<S> {
                 {
                     return Err(Mismatch("buffered message does not fit the wire format"));
                 }
-                let payload = payloads
-                    .entry(payload)
-                    .or_insert_with(|| Arc::from(payload));
-                messages.push(Message::new(
+                let (id, source, destination) = (
                     MessageId(id),
                     NodeId(source as usize),
                     NodeId(destination as usize),
-                    ttl,
-                    Arc::clone(payload),
-                ));
+                );
+                copies.push(bodies.held(id, source, destination, ttl, payload));
             }
             seen.clear();
             for _ in 0..r.count(8)? {
@@ -1229,7 +1260,7 @@ impl<S: EventSink> Simulation<S> {
                 return Err(Mismatch("seen ids are not strictly ascending"));
             }
             live_ids.clear();
-            live_ids.extend(messages.iter().map(|m| m.id));
+            live_ids.extend(copies.iter().map(Held::id));
             live_ids.sort_unstable();
             if !live_ids.windows(2).all(|pair| pair[0] < pair[1])
                 || !live_ids.iter().all(|id| seen.binary_search(id).is_ok())
@@ -1248,7 +1279,8 @@ impl<S: EventSink> Simulation<S> {
                     ))?;
                 self.audience.insert(id, tile);
             }
-            *buffer = SendBuffer::from_parts(messages, Vec::new(), r.u64()?);
+            *buffer = Live::from_vec(copies);
+            *expired = r.u64()?;
         }
         // Clean arena frames are interned by content: the many in-flight
         // copies of one wire frame share one entry again, as they did
@@ -1424,10 +1456,10 @@ impl<S: EventSink> Simulation<S> {
             ref config,
             ref crash_schedule,
             ref mut injector,
-            ref codec,
             ref wires,
             ref tiles_alive,
             ref mut buffers,
+            ref mut expired,
             ref mut arrivals,
             ref mut mapped_ips,
             ref mut terminated,
@@ -1453,20 +1485,21 @@ impl<S: EventSink> Simulation<S> {
             }
             for &frame in apply_overflow_in_place(injector, report, sink, round, node, frames) {
                 let entry = wires.entry(frame.wire);
-                let message = match entry.message() {
+                let held = match entry.held() {
                     // An upset copy is rejected here unless the CRC
                     // missed it (a caught one without a look at bytes
-                    // it never built); a missed one takes the real CRC
-                    // check, so the residual undetected-error rate is
-                    // faithfully possible.
-                    None => match entry.upset_view(codec) {
+                    // it never built); a missed one took the real CRC
+                    // check when it was made, so the residual
+                    // undetected-error rate is faithfully possible.
+                    None => match entry.upset_view() {
                         Some(view) => {
-                            if terminated.contains(&view.id) {
+                            let id = view.id();
+                            if terminated.contains(&id) {
                                 // Spread already terminated.
                                 sink.emit(SimEvent::DuplicateDrop {
                                     round,
                                     tile: node,
-                                    message: view.id,
+                                    message: id,
                                 });
                                 continue;
                             }
@@ -1476,18 +1509,18 @@ impl<S: EventSink> Simulation<S> {
                             sink.emit(SimEvent::UndetectedUpset {
                                 round,
                                 tile: node,
-                                message: view.id,
+                                message: id,
                             });
-                            if audience.contains(view.id, tile) {
+                            if audience.contains(id, tile) {
                                 // Duplicate: insertion is a no-op.
                                 sink.emit(SimEvent::DuplicateDrop {
                                     round,
                                     tile: node,
-                                    message: view.id,
+                                    message: id,
                                 });
                                 continue;
                             }
-                            view.to_message()
+                            view.clone()
                         }
                         None => {
                             report.upsets_detected += 1;
@@ -1506,8 +1539,8 @@ impl<S: EventSink> Simulation<S> {
                     // they die right here on the entry's id, without
                     // a look at the bytes — on one audience bit, so the
                     // `BTreeSet` walk runs only for the 1 % that pass it.
-                    Some(message) => {
-                        let id = message.id;
+                    Some(held) => {
+                        let id = held.id();
                         if audience.contains(id, tile) || terminated.contains(&id) {
                             sink.emit(SimEvent::DuplicateDrop {
                                 round,
@@ -1516,34 +1549,36 @@ impl<S: EventSink> Simulation<S> {
                             });
                             continue;
                         }
-                        // First sighting: shares the payload bytes.
-                        message.clone()
+                        // First sighting: shares the body.
+                        held.clone()
                     }
                 };
-                audience.insert(message.id, tile);
-                if message.destination == node {
-                    if report.record_delivery(message.id, round) {
+                let body = &*held.body;
+                let id = body.id;
+                audience.insert(id, tile);
+                if body.destination == node {
+                    if report.record_delivery(id, round) {
                         sink.emit(SimEvent::Delivery {
                             round,
                             tile: node,
-                            message: message.id,
-                            source: message.source,
+                            message: id,
+                            source: body.source,
                         });
                     }
                     stats.deliveries += 1;
-                    MappedIp::stage(mapped_ips, tile, message.source, &message.payload);
-                    if config.terminate_on_delivery && terminated.insert(message.id) {
-                        pending_purge.push(message.id);
+                    MappedIp::stage(mapped_ips, tile, body.source, &body.payload);
+                    if config.terminate_on_delivery && terminated.insert(id) {
+                        pending_purge.push(id);
                     }
                 }
-                let id = message.id;
-                if buffers[tile].insert_live(message) {
+                if buffers[tile].insert(held) {
                     *live_total += 1;
                     buffer_frontier.insert(tile);
                 } else {
                     // Only reachable when an undetected upset zeroed the
-                    // TTL field: the id is consumed, the buffer counts an
+                    // TTL field: the id is consumed, the tile counts an
                     // expiry, and the event stream must agree.
+                    expired[tile] += 1;
                     sink.emit(SimEvent::TtlExpiry {
                         round,
                         tile: node,
@@ -1616,7 +1651,6 @@ impl<S: EventSink> Simulation<S> {
                 round,
                 &self.arrivals.grouped,
                 &self.audience,
-                &self.codec,
                 &self.wires,
                 &self.tiles_alive,
                 &self.crash_schedule,
@@ -1639,10 +1673,10 @@ impl<S: EventSink> Simulation<S> {
             let Simulation {
                 ref config,
                 ref crash_schedule,
-                ref codec,
                 ref wires,
                 ref tiles_alive,
                 ref mut buffers,
+                ref mut expired,
                 ref arrivals,
                 ref audience,
                 ref terminated,
@@ -1651,7 +1685,6 @@ impl<S: EventSink> Simulation<S> {
             let ctx = ReceiveCtx {
                 round,
                 arrivals: &arrivals.grouped,
-                codec,
                 wires,
                 tiles_alive,
                 crash_schedule,
@@ -1663,12 +1696,15 @@ impl<S: EventSink> Simulation<S> {
                 record_events,
             };
             let buffers = split_chunks(buffers, &ranges);
+            let expired = split_chunks(expired, &ranges);
             let work: Vec<_> = ranges
                 .iter()
-                .zip(buffers)
-                .map(|(&(lo, _), buf)| (lo, buf))
+                .zip(buffers.into_iter().zip(expired))
+                .map(|(&(lo, _), tiles)| (lo, tiles))
                 .collect();
-            run_shards(work, |(lo, buf)| receive_shard(&ctx, lo, buf))
+            run_shards(work, |(lo, (buf, expired))| {
+                receive_shard(&ctx, lo, buf, expired)
+            })
         };
         span_end(obs, EnginePhase::ShardFanout, fan_span);
         let merge_span = if receive_outs.is_empty() {
@@ -1723,6 +1759,7 @@ impl<S: EventSink> Simulation<S> {
         let round = self.round;
         let Simulation {
             ref mut buffers,
+            ref mut expired,
             ref mut sink,
             ref buffer_frontier,
             ref pending_purge,
@@ -1738,15 +1775,15 @@ impl<S: EventSink> Simulation<S> {
                     *live_total -= 1;
                 }
             }
-            let before = buffer.len() as u64;
-            buffer.age_with(|id| {
+            let gone = buffer.age_with(|id| {
                 sink.emit(SimEvent::TtlExpiry {
                     round,
                     tile: NodeId(tile),
                     message: id,
                 });
-            });
-            *live_total -= before - buffer.len() as u64;
+            }) as u64;
+            expired[tile] += gone;
+            *live_total -= gone;
             if buffer.is_empty() {
                 emptied_scratch.push(tile as u32);
             }
@@ -1775,21 +1812,24 @@ impl<S: EventSink> Simulation<S> {
             let Simulation {
                 ref buffer_frontier,
                 ref mut buffers,
+                ref mut expired,
                 ref pending_purge,
                 ..
             } = *self;
             let chunks = split_chunks(buffers, &ranges);
+            let expired = split_chunks(expired, &ranges);
             let work: Vec<_> = ranges
                 .iter()
-                .zip(chunks)
-                .map(|(&(lo, _), chunk)| (lo, chunk))
+                .zip(chunks.into_iter().zip(expired))
+                .map(|(&(lo, _), tiles)| (lo, tiles))
                 .collect();
-            run_shards(work, |(lo, chunk)| {
+            run_shards(work, |(lo, (chunk, expired))| {
                 age_shard(
                     round,
                     lo,
                     buffer_frontier,
                     chunk,
+                    expired,
                     pending_purge,
                     record_events,
                 )
@@ -1955,15 +1995,15 @@ impl<S: EventSink> Simulation<S> {
 fn egress_window(
     limit: Option<usize>,
     next: Option<&mut Option<MessageId>>,
-    msgs: &[Message],
+    msgs: &[Held],
 ) -> (usize, usize) {
     let len = msgs.len();
     match (limit, next) {
         (Some(limit), Some(next)) if len > limit => {
             let start = next
-                .and_then(|id| msgs.iter().position(|m| m.id == id))
+                .and_then(|id| msgs.iter().position(|m| m.id() == id))
                 .unwrap_or(0);
-            *next = Some(msgs[(start + limit) % len].id);
+            *next = Some(msgs[(start + limit) % len].id());
             (start, limit)
         }
         _ => (0, len),
@@ -2115,7 +2155,7 @@ struct TxContext<'a> {
     compromised: &'a mut BTreeMap<usize, Compromised>,
     codec: &'a WireCodec,
     wires: &'a mut WireTable,
-    buffers: &'a [SendBuffer],
+    buffers: &'a [Live<Held>],
     clocks: &'a mut [ClockDomain],
     egress_limits: &'a [Option<usize>],
     egress_next: &'a mut [Option<MessageId>],
@@ -2153,7 +2193,7 @@ impl<'a> TxContext<'a> {
         mut file: impl FnMut(&mut Self, ServeKind, Serve),
     ) {
         let (buffers, codec) = (self.buffers, self.codec);
-        let msgs = buffers[tile].messages();
+        let msgs = buffers[tile].as_slice();
         let p = self.forward_overrides.get(tile).copied().flatten();
         let p = p.unwrap_or(self.forward_probability);
         let compromised = self.compromised.contains_key(&tile);
@@ -2161,22 +2201,22 @@ impl<'a> TxContext<'a> {
         let (start, count) = egress_window(limit, self.egress_next.get_mut(tile), msgs);
         let mut at = start;
         for _ in 0..count {
-            let message = &msgs[at];
+            let held = &msgs[at];
             at += 1;
             if at == msgs.len() {
                 at = 0;
             }
-            let wire = self.wires.frame_for(message);
+            let wire = self.wires.frame_for(held);
             if compromised {
                 let entry = self.wires.entry(wire).clone();
                 if let Some(at) = self.compromised.get_mut(&tile) {
-                    at.last_frame = Some((message.id, entry));
+                    at.last_frame = Some((held.id(), entry));
                 }
             }
             let serve = Serve {
-                id: message.id,
+                id: held.id(),
                 wire,
-                frame_len: codec.frame_bytes(message.payload.len()),
+                frame_len: codec.frame_bytes(held.body.payload.len()),
                 p,
                 slipped,
             };
@@ -2201,8 +2241,9 @@ impl<'a> TxContext<'a> {
 
     /// Decides one transmission onto `link_id`: swallows it on a dead or
     /// partitioned link, registers a scrambled copy on an upset, and
-    /// draws chaos jitter from the link's dedicated stream.
-    #[inline]
+    /// draws chaos jitter from the link's dedicated stream. Inlined into
+    /// the link loop whole; the upset branch is a call.
+    #[inline(always)]
     fn decide(&mut self, link_id: LinkId, serve: &Serve) -> TxOutcome {
         let (link, round) = (link_id.index(), self.round);
         if !self.links_alive[link]
@@ -2218,8 +2259,7 @@ impl<'a> TxContext<'a> {
             return TxOutcome::Partitioned;
         }
         let wire = if self.injector.upset_occurs() {
-            self.wires
-                .scrambled_copy(self.codec, self.injector, serve.wire)
+            self.upset(serve.wire)
         } else {
             serve.wire
         };
@@ -2248,6 +2288,13 @@ impl<'a> TxContext<'a> {
             delayed,
             reordered,
         }
+    }
+
+    /// The scrambled copy of `wire` an upset puts on the link: out of
+    /// line, so that a fault-free transmission's decision stays small.
+    #[inline(never)]
+    fn upset(&mut self, wire: Wire) -> Wire {
+        self.wires.scrambled_copy(self.codec, self.injector, wire)
     }
 
     /// Offers `serve` to each output link of `from` (one forwarding
@@ -2305,7 +2352,7 @@ impl<'a> TxContext<'a> {
             {
                 let (to, frame) = (to.index(), Frame::new(wire, Some(link_id)));
                 if !held && !reordered && wire == serve.wire && known.holds(to) {
-                    out.next.push_known(to, frame);
+                    out.next.push_known(frame);
                 } else {
                     let pending = if held { &mut out.later } else { &mut out.next };
                     pending.push(to, frame, reordered);
@@ -2323,7 +2370,7 @@ impl<'a> TxContext<'a> {
         let audience: &'a Audience = self.audience;
         let id = if self.elide {
             let entry = self.wires.entry(serve.wire);
-            entry.message().map(|message| message.id)
+            entry.held().map(Held::id)
         } else {
             None
         };
@@ -2349,7 +2396,7 @@ impl<'a> TxContext<'a> {
     fn byzantine_attack(
         &mut self,
         tile: usize,
-        victim: &Message,
+        victim: &Held,
     ) -> Option<(ServeKind, MessageId, WireEntry)> {
         let byzantine = &self.adversary.byzantine;
         if !byzantine.armed(tile, self.round) {
@@ -2362,7 +2409,8 @@ impl<'a> TxContext<'a> {
         }
         match byzantine.mode {
             ByzantineMode::Forge => {
-                let mut payload = victim.payload.to_vec();
+                let body = &*victim.body;
+                let mut payload = body.payload.to_vec();
                 if payload.is_empty() {
                     return None;
                 }
@@ -2370,15 +2418,9 @@ impl<'a> TxContext<'a> {
                 let at = stream.gen_range(0..payload.len());
                 let mask = stream.gen_range(1..=255u64) as u8;
                 payload[at] ^= mask;
-                let forged = Message::new(
-                    victim.id,
-                    victim.source,
-                    victim.destination,
-                    victim.ttl,
-                    payload,
-                );
+                let forged = Held::new(body.id, body.source, body.destination, victim.ttl, payload);
                 self.report.byzantine_forges += 1;
-                Some((ServeKind::Forge, victim.id, WireEntry::clean(forged)))
+                Some((ServeKind::Forge, body.id, WireEntry::clean(forged)))
             }
             ByzantineMode::Replay => {
                 let (id, entry) = at.last_frame.clone()?;
@@ -3148,9 +3190,10 @@ mod tests {
                 .clean_entries()
                 .filter(|(_, bytes)| bytes.is_some());
             assert!(built.count() <= missed, "round {}", sim.round());
-            for (message, bytes) in sim.wires.clean_entries() {
+            for (held, bytes) in sim.wires.clean_entries() {
                 if let Some(bytes) = bytes {
-                    assert_eq!(bytes[..], sim.codec.encode(message)[..]);
+                    let message = held.message();
+                    assert_eq!(bytes[..], sim.codec.encode(&message)[..]);
                 }
             }
         });
@@ -3174,9 +3217,10 @@ mod tests {
             assert!(built.iter().any(Option::is_some), "capture read bytes");
             assert_eq!(sim.checkpoint().to_bytes(), first.to_bytes());
             assert_eq!(encodings(sim), built, "the second capture built none");
-            for (message, bytes) in sim.wires.clean_entries() {
+            for (held, bytes) in sim.wires.clean_entries() {
                 if let Some(bytes) = bytes {
-                    assert_eq!(bytes[..], sim.codec.encode(message)[..]);
+                    let message = held.message();
+                    assert_eq!(bytes[..], sim.codec.encode(&message)[..]);
                 }
             }
         });
@@ -3204,8 +3248,9 @@ mod tests {
             for f in arena.tiles(0, 64).flat_map(|(_, frames)| frames) {
                 let entry = resumed.wires.entry(f.wire);
                 frames += 1;
-                if entry.message().is_some() {
-                    clean.insert(entry.bytes(&resumed.codec).unwrap().to_vec());
+                if entry.held().is_some() {
+                    let bytes = entry.bytes(&resumed.codec).unwrap();
+                    clean.insert(bytes.to_vec());
                 } else {
                     scrambled += 1;
                 }
@@ -3217,9 +3262,60 @@ mod tests {
             "{frames} frames"
         );
         let current = resumed.wires.current();
-        let upset_entries = current.iter().filter(|e| e.message().is_none()).count();
+        let upset_entries = current.iter().filter(|e| e.held().is_none()).count();
         assert_eq!(current.len() - upset_entries, clean.len());
         assert_eq!(upset_entries, scrambled);
+    }
+
+    /// An 8×8 flood of three messages under CRC-8 and random bit errors:
+    /// upsets the CRC misses put variants into circulation.
+    fn crc8_flood() -> SimulationBuilder {
+        let model = FaultModel::builder()
+            .p_upset(0.5)
+            .error_model(ErrorModel::RandomBitError)
+            .build()
+            .unwrap();
+        SimulationBuilder::new(Topology::grid(8, 8))
+            .config(StochasticConfig::flooding(16).with_max_rounds(30))
+            .fault_model(model)
+            .wire_codec(WireCodec::new(noc_crc::CrcParams::CRC8_ATM))
+            .seed(34)
+    }
+
+    /// A capture resolves every copy's body and a restore shares them
+    /// again: taken while buffers hold several copies and one holds a
+    /// corrupted variant of a live message, a checkpoint resumes into a
+    /// run that captures the same bytes at once and at every round after.
+    #[test]
+    fn a_capture_with_spilled_buffers_and_a_buffered_variant_recaptures_byte_identically() {
+        let mut sim = crc8_flood().build();
+        let mut originals = Vec::new();
+        for (from, to) in [(0, 63), (27, 36), (56, 7)] {
+            sim.inject(NodeId(from), NodeId(to), b"variant".to_vec());
+            originals.push(sim.buffers[from].as_slice()[0].clone());
+        }
+        // A copy none of the injected ones shares its body with: a
+        // variant under a live id, or under one the upset made up.
+        let variant_buffered = |sim: &Simulation| {
+            let mut held = sim.buffers.iter().flat_map(|buffer| buffer.as_slice());
+            held.any(|held| originals.iter().all(|original| !original.same_body(held)))
+        };
+        while !(variant_buffered(&sim) && sim.buffers.iter().any(|b| b.len() > 1)) {
+            assert!(sim.round() < 30, "no variant was buffered");
+            sim.step();
+        }
+        let checkpoint = sim.checkpoint();
+        let mut resumed = crc8_flood().resume(&checkpoint).unwrap();
+        assert_eq!(resumed.checkpoint().to_bytes(), checkpoint.to_bytes());
+        while sim.round() < 30 {
+            assert_eq!(sim.step(), resumed.step());
+            assert_eq!(
+                sim.checkpoint().to_bytes(),
+                resumed.checkpoint().to_bytes(),
+                "round {}",
+                sim.round()
+            );
+        }
     }
 
     /// A 6×6 gossip under `adversary`.
@@ -3365,6 +3461,23 @@ mod tests {
                 format!("{:?}", counter.into_report()),
                 "{name}: final report"
             );
+        }
+    }
+
+    /// Capture reserves what its `Extent` counts: every capture of every
+    /// sink workload, at every round, fits in it.
+    #[test]
+    fn every_capture_fits_its_reserve() {
+        for (name, builder, injections) in SINK_WORKLOADS {
+            let mut sim = builder().build();
+            for &(from, to) in injections {
+                sim.inject(NodeId(from), NodeId(to), b"reserve".to_vec());
+            }
+            while !sim.is_complete() && sim.round() < sim.config().max_rounds {
+                sim.step();
+                let (captured, reserve) = (sim.checkpoint().len(), sim.extent().bytes());
+                assert!(captured <= reserve, "{name}: round {}", sim.round());
+            }
         }
     }
 

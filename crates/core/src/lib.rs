@@ -59,6 +59,7 @@
 
 mod arrivals;
 mod audience;
+mod body;
 mod checkpoint;
 mod config;
 mod engine;

@@ -17,9 +17,10 @@
 //!   sequence for every shard count, which is what keeps reports
 //!   byte-identical across `--shards N`.
 //! * **Shard workers are RNG-free.** They execute the recorded
-//!   verdicts: CRC decode, dedup, buffer insertion, TTL aging. Frames
-//!   arrive as handles into the engine's [`WireTable`], and dedup probes
-//!   the engine's [`Audience`]; workers only read both, and hand their
+//!   verdicts: dedup, buffer insertion, TTL aging. Frames arrive as
+//!   handles into the engine's [`WireTable`] (an upset copy the CRC
+//!   missed was decoded when it was made), and dedup probes the
+//!   engine's [`Audience`]; workers only read both, and hand their
 //!   first sights back for the merge to record.
 //! * **Merges walk shards in ascending tile order**, so per-location
 //!   event order, report counter accumulation and delivery arbitration
@@ -43,14 +44,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use noc_fabric::{MessageId, NodeId, WireCodec};
+use noc_fabric::{MessageId, NodeId};
 use noc_faults::CrashSchedule;
 
 use crate::arrivals::Grouped;
 use crate::audience::Audience;
+use crate::body::Held;
 use crate::events::{DropSite, SimEvent};
 use crate::frontier::TileSet;
-use crate::send_buffer::SendBuffer;
+use crate::send_buffer::Live;
 use crate::wire::WireTable;
 
 /// Contiguous tile ranges `[lo, hi)` covering `0..n`, one per shard,
@@ -146,7 +148,6 @@ pub(crate) struct ReceiveCtx<'a> {
     pub round: u64,
     /// This round's arrivals, grouped by tile.
     pub arrivals: &'a Grouped,
-    pub codec: &'a WireCodec,
     pub wires: &'a WireTable,
     pub tiles_alive: &'a [bool],
     pub crash_schedule: &'a CrashSchedule,
@@ -195,14 +196,15 @@ pub(crate) struct ReceiveOut {
 
 /// Runs the receive phase over tiles `[lo, lo + buffers.len())`.
 ///
-/// `buffers` is this shard's chunk (index `tile - lo`); everything in
-/// `ctx`, the grouped arrivals included, is shared read-only state.
-/// Consumes no RNG: probabilistic overflow verdicts come pre-drawn on the
-/// tape.
+/// `buffers` and `expired` are this shard's chunks (index `tile - lo`);
+/// everything in `ctx`, the grouped arrivals included, is shared
+/// read-only state. Consumes no RNG: probabilistic overflow verdicts come
+/// pre-drawn on the tape.
 pub(crate) fn receive_shard(
     ctx: &ReceiveCtx<'_>,
     lo: usize,
-    buffers: &mut [SendBuffer],
+    buffers: &mut [Live<Held>],
+    expired: &mut [u64],
 ) -> ReceiveOut {
     let hi = lo + buffers.len();
     let round = ctx.round;
@@ -262,15 +264,16 @@ pub(crate) fn receive_shard(
                     || local.contains(&id)
             };
             let entry = ctx.wires.entry(frame.wire);
-            let message = match entry.message() {
-                None => match entry.upset_view(ctx.codec) {
+            let held = match entry.held() {
+                None => match entry.upset_view() {
                     Some(view) => {
-                        if spread_terminated(view.id, &local_term) {
+                        let id = view.id();
+                        if spread_terminated(id, &local_term) {
                             if ctx.record_events {
                                 out.events.push(SimEvent::DuplicateDrop {
                                     round,
                                     tile: node,
-                                    message: view.id,
+                                    message: id,
                                 });
                             }
                             continue;
@@ -280,20 +283,20 @@ pub(crate) fn receive_shard(
                             out.events.push(SimEvent::UndetectedUpset {
                                 round,
                                 tile: node,
-                                message: view.id,
+                                message: id,
                             });
                         }
-                        if seen(view.id, &accepted) {
+                        if seen(id, &accepted) {
                             if ctx.record_events {
                                 out.events.push(SimEvent::DuplicateDrop {
                                     round,
                                     tile: node,
-                                    message: view.id,
+                                    message: id,
                                 });
                             }
                             continue;
                         }
-                        view.to_message()
+                        view.clone()
                     }
                     None => {
                         out.upsets_detected += 1;
@@ -307,8 +310,8 @@ pub(crate) fn receive_shard(
                         continue;
                     }
                 },
-                Some(message) => {
-                    let id = message.id;
+                Some(held) => {
+                    let id = held.id();
                     // Seen-probe first, as in the sequential loop.
                     if seen(id, &accepted) || spread_terminated(id, &local_term) {
                         if ctx.record_events {
@@ -320,37 +323,41 @@ pub(crate) fn receive_shard(
                         }
                         continue;
                     }
-                    message.clone()
+                    held.clone()
                 }
             };
-            accepted.push(message.id);
-            out.first_sights.push((tile as u32, message.id));
-            if message.destination == node {
-                out.deliveries.push(message.id);
+            let body = &*held.body;
+            let id = body.id;
+            accepted.push(id);
+            out.first_sights.push((tile as u32, id));
+            if body.destination == node {
+                out.deliveries.push(id);
                 if ctx.record_events {
                     out.events.push(SimEvent::Delivery {
                         round,
                         tile: node,
-                        message: message.id,
-                        source: message.source,
+                        message: id,
+                        source: body.source,
                     });
                 }
                 out.staged
-                    .push((tile as u32, message.source, Arc::clone(&message.payload)));
+                    .push((tile as u32, body.source, Arc::clone(&body.payload)));
                 if ctx.terminate_on_delivery {
-                    local_term.insert(message.id);
+                    local_term.insert(id);
                 }
             }
-            let id = message.id;
-            if buffer.insert_live(message) {
+            if buffer.insert(held) {
                 out.inserted += 1;
                 inserted_here = true;
-            } else if ctx.record_events {
-                out.events.push(SimEvent::TtlExpiry {
-                    round,
-                    tile: node,
-                    message: id,
-                });
+            } else {
+                expired[tile - lo] += 1;
+                if ctx.record_events {
+                    out.events.push(SimEvent::TtlExpiry {
+                        round,
+                        tile: node,
+                        message: id,
+                    });
+                }
             }
         }
         if inserted_here {
@@ -376,7 +383,6 @@ pub(crate) fn plan_terminations(
     round: u64,
     arrivals: &Grouped,
     audience: &Audience,
-    codec: &WireCodec,
     wires: &WireTable,
     tiles_alive: &[bool],
     crash_schedule: &CrashSchedule,
@@ -398,13 +404,10 @@ pub(crate) fn plan_terminations(
                 continue;
             }
             let entry = wires.entry(frame.wire);
-            let (id, destination) = match entry.message() {
-                Some(message) => (message.id, message.destination),
-                None => match entry.upset_view(codec) {
-                    Some(view) => (view.id, view.destination),
-                    None => continue,
-                },
+            let Some(held) = entry.held().or_else(|| entry.upset_view()) else {
+                continue;
             };
+            let (id, destination) = (held.id(), held.body.destination);
             // A `newly` entry at this very tile means an earlier frame
             // in this loop already delivered the id here, so `<=`.
             if terminated.contains(&id) || newly.get(&id).is_some_and(|&d| d <= tile) {
@@ -432,13 +435,15 @@ pub(crate) struct AgeOut {
 }
 
 /// Runs the age phase (termination purge, then TTL decrement and GC)
-/// over this shard's buffer chunk. RNG-free and event-order-identical
-/// to the sequential engine's ascending-tile walk.
+/// over this shard's buffer chunk and the expiry counts beside it.
+/// RNG-free and event-order-identical to the sequential engine's
+/// ascending-tile walk.
 pub(crate) fn age_shard(
     round: u64,
     lo: usize,
     frontier: &TileSet,
-    buffers: &mut [SendBuffer],
+    buffers: &mut [Live<Held>],
+    expired: &mut [u64],
     pending_purge: &[MessageId],
     record_events: bool,
 ) -> AgeOut {
@@ -451,20 +456,18 @@ pub(crate) fn age_shard(
                 out.purged += 1;
             }
         }
-        let before = buffer.len();
-        {
-            let events = &mut out.events;
-            buffer.age_with(|id| {
-                if record_events {
-                    events.push(SimEvent::TtlExpiry {
-                        round,
-                        tile: NodeId(tile),
-                        message: id,
-                    });
-                }
-            });
-        }
-        out.expired += (before - buffer.len()) as u64;
+        let events = &mut out.events;
+        let gone = buffer.age_with(|id| {
+            if record_events {
+                events.push(SimEvent::TtlExpiry {
+                    round,
+                    tile: NodeId(tile),
+                    message: id,
+                });
+            }
+        }) as u64;
+        expired[tile - lo] += gone;
+        out.expired += gone;
         if buffer.is_empty() {
             out.emptied.push(tile as u32);
         }

@@ -8,7 +8,10 @@
 //! loopback inject, each Byzantine emission, and one entry per upset
 //! copy. Fan-out therefore copies 8 bytes with no atomic, and receive
 //! rejects a duplicate on the entry's message id. A clean frame *is* its
-//! message: [`WireEntry::bytes`] encodes it for the first reader, if any.
+//! message, held as a 16-byte copy that shares its message's body:
+//! [`WireTable::append_bytes`] encodes it for the first reader, if any.
+//! An upset copy the CRC misses is decoded once, when it is made, so its
+//! receiver reads the copy it carries, not its bytes.
 //! An upset copy the CRC will catch is not built at all: the CRC is
 //! linear, so the error vector alone decides the receiver's verdict, and
 //! the copy is an [`Upset::Caught`] that only a checkpoint rebuilds.
@@ -27,9 +30,10 @@
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use noc_fabric::{LinkId, Message, MessageView, ParsePacketError, WireCodec};
+use noc_fabric::{LinkId, ParsePacketError, WireCodec};
 use noc_faults::FaultInjector;
 
+use crate::body::Held;
 use crate::seed::mix64;
 
 /// Hasher for [`MessageId`]-keyed sets whose order is never observed:
@@ -109,17 +113,16 @@ impl Frame {
 #[derive(Debug, Clone)]
 pub(crate) enum WireEntry {
     /// Bit-identical to our own encoder's output, so receivers trust
-    /// `message` instead of parsing bytes.
+    /// `held` instead of parsing bytes.
     Clean {
-        message: Message,
-        /// `codec.encode(message)`, built for its first reader and kept. A
-        /// cache, not state: `Debug` shows whether it is filled, so nothing
-        /// hashed into a digest may format a `WireEntry` or `WireTable`.
+        held: Held,
+        /// `codec.encode` of `held`, built for its first reader and kept.
+        /// A cache, not state: `Debug` shows whether it is filled, so
+        /// nothing hashed into a digest may format a `WireEntry` or
+        /// `WireTable`.
         encoding: OnceLock<Arc<[u8]>>,
     },
-    /// A copy scrambled in flight. The two kinds share one variant so
-    /// that the entry stays the size of a clean one: the payload
-    /// pointer's one invalid value tells `Clean` from one other variant.
+    /// A copy scrambled in flight.
     Upset(Upset),
 }
 
@@ -127,8 +130,12 @@ pub(crate) enum WireEntry {
 #[derive(Debug, Clone)]
 pub(crate) enum Upset {
     /// A copy whose upset the CRC misses (or one a checkpoint captured):
-    /// it must take the real CRC check.
-    Scrambled(Arc<[u8]>),
+    /// `view` is what the receiver's CRC check and parse make of `bytes`,
+    /// `None` when they reject it.
+    Scrambled {
+        bytes: Arc<[u8]>,
+        view: Option<Held>,
+    },
     /// A copy of the clean entry `base` scrambled by an error vector the
     /// CRC catches, so every receiver rejects it. It holds no bytes:
     /// `state` is the fault stream's position before the draw, from which
@@ -136,33 +143,52 @@ pub(crate) enum Upset {
     Caught { base: Wire, state: [u64; 4] },
 }
 
-const _: () = assert!(std::mem::size_of::<WireEntry>() == 72);
+const _: () = assert!(std::mem::size_of::<WireEntry>() == 48);
 
 impl WireEntry {
-    /// The entry of an unscrambled frame carrying `message`.
-    pub(crate) fn clean(message: Message) -> Self {
+    /// The entry of an unscrambled frame carrying `held`.
+    pub(crate) fn clean(held: Held) -> Self {
         WireEntry::Clean {
-            message,
+            held,
             encoding: OnceLock::new(),
         }
     }
 
     /// The entry of an unscrambled frame a checkpoint captured as `bytes`,
-    /// kept beside the message they decode to; bytes that fail the CRC or
-    /// do not parse are not this engine's output.
+    /// kept beside the copy they decode to; bytes that fail the CRC or do
+    /// not parse are not this engine's output.
     pub(crate) fn decoded(codec: &WireCodec, bytes: &[u8]) -> Result<Self, ParsePacketError> {
         Ok(WireEntry::Clean {
-            message: codec.decode(bytes)?,
+            held: Held::from_view(&codec.decode_view(bytes)?),
             encoding: OnceLock::from(Arc::from(bytes)),
         })
     }
 
-    /// The message of an unscrambled frame, `None` for an upset copy.
+    /// The entry of an upset copy the CRC misses, or of one a checkpoint
+    /// captured: decoded here, once, as its receiver will.
+    fn scrambled(codec: &WireCodec, bytes: Arc<[u8]>) -> Self {
+        let view = codec.decode_view(&bytes).ok();
+        let view = view.map(|view| Held::from_view(&view));
+        WireEntry::Upset(Upset::Scrambled { bytes, view })
+    }
+
+    /// The copy an unscrambled frame carries, `None` for an upset copy.
     #[inline]
-    pub(crate) fn message(&self) -> Option<&Message> {
+    pub(crate) fn held(&self) -> Option<&Held> {
         match self {
-            WireEntry::Clean { message, .. } => Some(message),
+            WireEntry::Clean { held, .. } => Some(held),
             WireEntry::Upset(_) => None,
+        }
+    }
+
+    /// What a receiver's CRC check and parse make of an upset copy: the
+    /// copy an upset the CRC missed carries, `None` when the frame is
+    /// rejected — always for a caught copy, without bytes to look at.
+    #[inline]
+    pub(crate) fn upset_view(&self) -> Option<&Held> {
+        match self {
+            WireEntry::Upset(Upset::Scrambled { view, .. }) => view.as_ref(),
+            WireEntry::Upset(Upset::Caught { .. }) | WireEntry::Clean { .. } => None,
         }
     }
 
@@ -172,33 +198,22 @@ impl WireEntry {
     /// them).
     pub(crate) fn bytes(&self, codec: &WireCodec) -> Option<&Arc<[u8]>> {
         match self {
-            WireEntry::Clean { message, encoding } => {
-                Some(encoding.get_or_init(|| codec.encode(message).into()))
+            WireEntry::Clean { held, encoding } => {
+                Some(encoding.get_or_init(|| codec.encode(&held.message()).into()))
             }
-            WireEntry::Upset(Upset::Scrambled(bytes)) => Some(bytes),
+            WireEntry::Upset(Upset::Scrambled { bytes, .. }) => Some(bytes),
             WireEntry::Upset(Upset::Caught { .. }) => None,
         }
     }
 
-    /// What a receiver's CRC check and parse make of an upset copy: the
-    /// message an upset the CRC missed carries, `None` when the frame is
-    /// rejected — always for a caught copy, without bytes to look at.
+    /// Does this (unscrambled) entry carry exactly `held`? Id and TTL are
+    /// the memo key; an undetected upset can put a different source,
+    /// destination or payload into circulation under the same key, which
+    /// is decoded into a body of its own, and the two copies must keep
+    /// encoding differently.
     #[inline]
-    pub(crate) fn upset_view(&self, codec: &WireCodec) -> Option<MessageView<'_>> {
-        codec.decode_view(self.bytes(codec)?).ok()
-    }
-
-    /// Does this (unscrambled) entry carry exactly `message`? Id and
-    /// TTL are the memo key; an undetected upset can put a different
-    /// source, destination or payload into circulation under the same
-    /// key, and the two copies must keep encoding differently.
-    #[inline]
-    fn encodes(&self, message: &Message) -> bool {
-        self.message().is_some_and(|own| {
-            own.source == message.source
-                && own.destination == message.destination
-                && (Arc::ptr_eq(&own.payload, &message.payload) || own.payload == message.payload)
-        })
+    fn encodes(&self, held: &Held) -> bool {
+        self.held().is_some_and(|own| own.same_body(held))
     }
 }
 
@@ -370,34 +385,34 @@ impl WireTable {
         Wire(self.tag() | index as u32)
     }
 
-    /// The wire frame carrying `message`, shared with every other
+    /// The wire frame carrying `held`, shared with every other
     /// transmission of the same message and TTL this round.
     #[inline]
-    pub(crate) fn frame_for(&mut self, message: &Message) -> Wire {
+    pub(crate) fn frame_for(&mut self, held: &Held) -> Wire {
         let entries = &self.generations[0];
-        let found = self.served.find(message.id.0, message.ttl, |index| {
-            entries[index as usize].encodes(message)
+        let found = self.served.find(held.id().0, held.ttl, |index| {
+            entries[index as usize].encodes(held)
         });
         match found {
             Ok(index) => Wire(self.tag() | index),
-            Err(free) => self.serve_first(free, message),
+            Err(free) => self.serve_first(free, held),
         }
     }
 
     /// The miss path, out of line so that a hit stays a probe.
     #[cold]
-    fn serve_first(&mut self, free: usize, message: &Message) -> Wire {
-        let wire = self.push(WireEntry::clean(message.clone()));
+    fn serve_first(&mut self, free: usize, held: &Held) -> Wire {
+        let wire = self.push(WireEntry::clean(held.clone()));
         self.served
-            .fill(free, message.id.0, message.ttl, wire.0 & INDEX_MASK);
+            .fill(free, held.id().0, held.ttl, wire.0 & INDEX_MASK);
         wire
     }
 
     /// `wire`'s frame length in bytes, without building its bytes.
     pub(crate) fn frame_len(&self, codec: &WireCodec, wire: Wire) -> usize {
         match self.entry(wire) {
-            WireEntry::Clean { message, .. } => codec.frame_bytes(message.payload.len()),
-            WireEntry::Upset(Upset::Scrambled(bytes)) => bytes.len(),
+            WireEntry::Clean { held, .. } => codec.frame_bytes(held.body.payload.len()),
+            WireEntry::Upset(Upset::Scrambled { bytes, .. }) => bytes.len(),
             WireEntry::Upset(Upset::Caught { base, .. }) => self.frame_len(codec, *base),
         }
     }
@@ -407,8 +422,8 @@ impl WireTable {
     /// The CRC is linear, so the vector alone says whether receivers
     /// reject the copy: if it does and `wire` is clean, the copy is a
     /// [`Upset::Caught`] that builds no bytes. Otherwise its bytes are
-    /// built now, `wire`'s encoding XOR the vector; other holders of
-    /// `wire` are unaffected.
+    /// built now, `wire`'s encoding XOR the vector, and decoded as its
+    /// receiver will; other holders of `wire` are unaffected.
     pub(crate) fn scrambled_copy(
         &mut self,
         codec: &WireCodec,
@@ -420,7 +435,7 @@ impl WireTable {
         self.error.resize(self.frame_len(codec, wire), 0);
         injector.scramble(&mut self.error);
         let entry = self.entry(wire);
-        if entry.message().is_some() && codec.catches(&self.error) {
+        if entry.held().is_some() && codec.catches(&self.error) {
             return self.push(WireEntry::Upset(Upset::Caught { base: wire, state }));
         }
         let mut bytes = Vec::with_capacity(self.error.len());
@@ -428,7 +443,8 @@ impl WireTable {
         for (byte, flip) in bytes.iter_mut().zip(&self.error) {
             *byte ^= flip;
         }
-        self.push(WireEntry::Upset(Upset::Scrambled(bytes.into())))
+        let entry = WireEntry::scrambled(codec, bytes.into());
+        self.push(entry)
     }
 
     /// Appends the bytes of `entry`, an entry of this table or a clone of
@@ -506,21 +522,24 @@ impl WireInterner<'_> {
         bytes: &[u8],
     ) -> Result<Wire, ParsePacketError> {
         if scrambled {
-            return Ok(self
-                .table
-                .push(WireEntry::Upset(Upset::Scrambled(bytes.into()))));
+            let entry = WireEntry::scrambled(self.codec, bytes.into());
+            return Ok(self.table.push(entry));
         }
         let key = content_key(bytes);
         let entries = &self.table.generations[0];
+        // Every clean entry of this generation was registered below, with
+        // its encoding.
         let found = self.clean.find(key, 0, |index| {
-            entries[index as usize]
-                .bytes(self.codec)
-                .is_some_and(|own| **own == *bytes)
+            let WireEntry::Clean { encoding, .. } = &entries[index as usize] else {
+                return false;
+            };
+            encoding.get().is_some_and(|own| **own == *bytes)
         });
         match found {
             Ok(index) => Ok(Wire(self.table.tag() | index)),
             Err(free) => {
-                let wire = self.table.push(WireEntry::decoded(self.codec, bytes)?);
+                let entry = WireEntry::decoded(self.codec, bytes)?;
+                let wire = self.table.push(entry);
                 self.clean.fill(free, key, 0, wire.0 & INDEX_MASK);
                 Ok(wire)
             }
@@ -531,7 +550,7 @@ impl WireInterner<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_fabric::{MessageId, NodeId};
+    use noc_fabric::{Message, MessageId, NodeId};
     use proptest::prelude::*;
     use std::hash::BuildHasher;
 
@@ -539,14 +558,26 @@ mod tests {
         Message::new(MessageId(id), NodeId(0), NodeId(3), ttl, vec![id as u8; 4])
     }
 
+    /// `message` as a copy, in a body of its own.
+    fn held(message: &Message) -> Held {
+        let payload = Arc::clone(&message.payload);
+        Held::new(
+            message.id,
+            message.source,
+            message.destination,
+            message.ttl,
+            payload,
+        )
+    }
+
     fn id_of(table: &WireTable, wire: Wire) -> Option<u64> {
-        table.entry(wire).message().map(|m| m.id.0)
+        table.entry(wire).held().map(|h| h.id().0)
     }
 
     #[test]
     fn via_round_trips_through_the_handle() {
         let mut table = WireTable::default();
-        let wire = table.frame_for(&message(1, 5));
+        let wire = table.frame_for(&held(&message(1, 5)));
         assert_eq!(Frame::new(wire, Some(LinkId(7))).via(), Some(LinkId(7)));
         assert_eq!(Frame::new(wire, None).via(), None);
     }
@@ -554,11 +585,11 @@ mod tests {
     #[test]
     fn handle_resolves_across_two_rotations_and_its_generation_empties_on_the_third() {
         let mut table = WireTable::default();
-        let wire = table.frame_for(&message(7, 5));
+        let wire = table.frame_for(&held(&message(7, 5)));
         assert_eq!(id_of(&table, wire), Some(7));
         for _ in 0..2 {
             table.rotate();
-            table.frame_for(&message(8, 4));
+            table.frame_for(&held(&message(8, 4)));
             assert_eq!(id_of(&table, wire), Some(7), "still in flight");
         }
         table.rotate();
@@ -566,7 +597,7 @@ mod tests {
             table
                 .generations
                 .iter()
-                .all(|g| g.iter().all(|e| e.message().is_some_and(|m| m.id.0 == 8))),
+                .all(|g| g.iter().all(|e| e.held().is_some_and(|h| h.id().0 == 8))),
             "the generation that held message 7 was emptied"
         );
     }
@@ -576,7 +607,7 @@ mod tests {
     #[should_panic(expected = "outlived its generation")]
     fn stale_generation_tag_trips_the_debug_assert() {
         let mut table = WireTable::default();
-        let wire = table.frame_for(&message(7, 5));
+        let wire = table.frame_for(&held(&message(7, 5)));
         for _ in 0..3 {
             table.rotate();
         }
@@ -590,11 +621,11 @@ mod tests {
         let clean = message(1, 5);
         let mut corrupt = clean.clone();
         corrupt.payload = vec![0xFF; 4].into();
-        let a = table.frame_for(&clean);
-        assert_eq!(table.frame_for(&clean.clone()), a);
-        let b = table.frame_for(&corrupt);
+        let a = table.frame_for(&held(&clean));
+        assert_eq!(table.frame_for(&held(&clean.clone())), a);
+        let b = table.frame_for(&held(&corrupt));
         assert_ne!(a, b, "same id and ttl, different payload");
-        assert_eq!(table.frame_for(&corrupt), b);
+        assert_eq!(table.frame_for(&held(&corrupt)), b);
         assert_eq!(
             &table.entry(a).bytes(&codec).unwrap()[..],
             &codec.encode(&clean)[..]
@@ -605,7 +636,7 @@ mod tests {
         );
         table.rotate();
         assert_ne!(
-            table.frame_for(&clean),
+            table.frame_for(&held(&clean)),
             a,
             "the memo does not outlive its round"
         );
@@ -626,14 +657,14 @@ mod tests {
         let keys: Vec<Message> = (0..96u64)
             .flat_map(|id| [twin(id, 5, 0), twin(id, 5, 1)])
             .collect();
-        let first: Vec<Wire> = keys.iter().map(|m| table.frame_for(m)).collect();
+        let first: Vec<Wire> = keys.iter().map(|m| table.frame_for(&held(m))).collect();
         assert!(
             table.served.slots.len() > MEMO_INITIAL_SLOTS,
             "192 keys outgrow the first allocation"
         );
         for (at, (message, &wire)) in keys.iter().zip(&first).enumerate() {
             assert_eq!(wire.0 & INDEX_MASK, at as u32, "one entry per key");
-            assert_eq!(table.frame_for(message), wire, "key {at}");
+            assert_eq!(table.frame_for(&held(message)), wire, "key {at}");
             assert_eq!(
                 &table.entry(wire).bytes(&codec).unwrap()[..],
                 &codec.encode(message)[..],
@@ -646,7 +677,7 @@ mod tests {
     #[test]
     fn rotate_forgets_the_round_without_touching_the_slots() {
         let mut table = WireTable::default();
-        let old = table.frame_for(&message(1, 5));
+        let old = table.frame_for(&held(&message(1, 5)));
         let stamps = |table: &WireTable| -> Vec<(u32, u64)> {
             let slots = &table.served.slots;
             slots.iter().map(|slot| (slot.epoch, slot.key)).collect()
@@ -656,7 +687,7 @@ mod tests {
         table.rotate();
         assert_eq!(stamps(&table), before, "clear is an epoch bump");
         assert_eq!(table.served.live, 0);
-        let new = table.frame_for(&message(1, 5));
+        let new = table.frame_for(&held(&message(1, 5)));
         assert_ne!(new, old, "last round's key is a miss");
         assert_eq!(new.0 & INDEX_MASK, 0, "first entry of the new generation");
     }
@@ -699,7 +730,7 @@ mod tests {
                     naive.push(key);
                     naive.len() - 1
                 });
-                let wire = table.frame_for(&twin(id, ttl, content));
+                let wire = table.frame_for(&held(&twin(id, ttl, content)));
                 prop_assert_eq!((wire.0 & INDEX_MASK) as usize, expected);
                 prop_assert_eq!(table.generations[0].len(), naive.len());
             }
@@ -717,12 +748,12 @@ mod tests {
     impl WireTable {
         /// Every clean entry of every generation with the encoding it
         /// holds so far — what the engine's tests count.
-        pub(crate) fn clean_entries(&self) -> impl Iterator<Item = (&Message, Option<&Arc<[u8]>>)> {
+        pub(crate) fn clean_entries(&self) -> impl Iterator<Item = (&Held, Option<&Arc<[u8]>>)> {
             self.generations.iter().flatten().filter_map(|entry| {
-                let WireEntry::Clean { message, encoding } = entry else {
+                let WireEntry::Clean { held, encoding } = entry else {
                     return None;
                 };
-                Some((message, encoding.get()))
+                Some((held, encoding.get()))
             })
         }
 
@@ -732,7 +763,7 @@ mod tests {
             let upsets = self.generations.iter().flatten();
             upsets.fold((0, 0), |(caught, missed), entry| match entry {
                 WireEntry::Upset(Upset::Caught { .. }) => (caught + 1, missed),
-                WireEntry::Upset(Upset::Scrambled(_)) => (caught, missed + 1),
+                WireEntry::Upset(Upset::Scrambled { .. }) => (caught, missed + 1),
                 WireEntry::Clean { .. } => (caught, missed),
             })
         }
@@ -768,8 +799,8 @@ mod tests {
     fn a_clean_entry_holds_no_bytes_until_they_are_read() {
         let codec = WireCodec::default();
         let mut table = WireTable::default();
-        let wire = table.frame_for(&message(1, 5));
-        assert_eq!(table.frame_for(&message(1, 5)), wire);
+        let wire = table.frame_for(&held(&message(1, 5)));
+        assert_eq!(table.frame_for(&held(&message(1, 5))), wire);
         assert!(built(&table, wire).is_none(), "serving builds nothing");
         assert_eq!(table.frame_len(&codec, wire), codec.frame_bytes(4));
         assert!(built(&table, wire).is_none(), "nor does asking the length");
@@ -787,7 +818,7 @@ mod tests {
         let mut injector = upset_injector();
         let codec = WireCodec::default();
         let mut table = WireTable::default();
-        let clean = table.frame_for(&message(1, 5));
+        let clean = table.frame_for(&held(&message(1, 5)));
         let copies = [0; 2].map(|_| table.scrambled_copy(&codec, &mut injector, clean));
         assert!(built(&table, clean).is_none(), "the source was not encoded");
         for upset in copies {
@@ -796,8 +827,8 @@ mod tests {
                 matches!(entry, WireEntry::Upset(Upset::Caught { base, .. }) if *base == clean),
                 "a CRC-16 tag catches these draws"
             );
-            assert!(entry.message().is_none() && entry.bytes(&codec).is_none());
-            assert!(entry.upset_view(&codec).is_none(), "rejected unread");
+            assert!(entry.held().is_none() && entry.bytes(&codec).is_none());
+            assert!(entry.upset_view().is_none(), "rejected unread");
             assert_eq!(table.frame_len(&codec, upset), codec.frame_bytes(4));
         }
         let mut eager = upset_injector();
@@ -827,7 +858,7 @@ mod tests {
         let codec = WireCodec::new(noc_crc::CrcParams::CRC8_ATM);
         let (mut injector, mut eager) = (upset_injector(), upset_injector());
         let mut table = WireTable::default();
-        let clean = table.frame_for(&message(9, 3));
+        let clean = table.frame_for(&held(&message(9, 3)));
         let (mut caught, mut missed) = (0, 0);
         for _ in 0..2_000 {
             let upset = table.scrambled_copy(&codec, &mut injector, clean);
@@ -836,7 +867,7 @@ mod tests {
             assert_eq!(captured(&table, &codec, &injector, upset), bytes);
             match table.entry(upset) {
                 WireEntry::Upset(Upset::Caught { .. }) => caught += 1,
-                WireEntry::Upset(Upset::Scrambled(held)) => {
+                WireEntry::Upset(Upset::Scrambled { bytes: held, .. }) => {
                     assert_eq!(held[..], bytes[..]);
                     let verdict = codec.decode(held);
                     assert!(!matches!(verdict, Err(ParsePacketError::Crc(_))), "missed");
@@ -848,6 +879,38 @@ mod tests {
         assert!(
             caught > 1_900 && missed > 0,
             "{caught} caught, {missed} missed"
+        );
+    }
+
+    /// An upset the CRC misses can put a variant of a live message into
+    /// circulation under its id: the variant is decoded once, into a body
+    /// of its own, and served under the same `(id, ttl)` key it gets a
+    /// memo entry and an encoding of its own.
+    #[test]
+    fn a_corrupted_variant_keeps_its_own_body_memo_entry_and_encoding() {
+        let codec = WireCodec::default();
+        let mut table = WireTable::default();
+        let original = held(&message(9, 3));
+        let clean = table.frame_for(&original);
+        // What a missed upset of `clean` that flipped payload bits reads
+        // as: a frame whose CRC holds.
+        let missed = codec.encode(&twin(9, 3, 0xAB));
+        let upset = table.push(WireEntry::scrambled(&codec, missed.into()));
+        let variant = table.entry(upset).upset_view().unwrap().clone();
+        assert_eq!((variant.id(), variant.ttl), (original.id(), original.ttl));
+        assert!(!variant.same_body(&original), "a body of its own");
+        assert_eq!(&*variant.body.payload, &[0xAB; 4]);
+        // Served this round, the variant shares the original's memo key.
+        let served = table.frame_for(&variant);
+        assert_ne!(served, clean, "a memo entry of its own");
+        assert_eq!(table.frame_for(&variant), served);
+        assert_eq!(table.frame_for(&original), clean);
+        let encoding = table.entry(served).bytes(&codec).unwrap();
+        assert_eq!(encoding[..], codec.encode(&twin(9, 3, 0xAB))[..]);
+        assert_ne!(
+            encoding[..],
+            table.entry(clean).bytes(&codec).unwrap()[..],
+            "an encoding of its own"
         );
     }
 
@@ -940,7 +1003,7 @@ mod tests {
             }
             prop_assert_eq!(table.generations[0].len(), naive.len());
             for (entry, (scrambled, bytes)) in table.generations[0].iter().zip(&naive) {
-                prop_assert_eq!(entry.message().is_none(), *scrambled);
+                prop_assert_eq!(entry.held().is_none(), *scrambled);
                 prop_assert_eq!(&entry.bytes(&codec).unwrap()[..], *bytes);
             }
         }
