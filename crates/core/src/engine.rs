@@ -6,8 +6,8 @@
 //! 1. **Receive** — frames that were sent last round arrive; overflow
 //!    drops are applied, the CRC check discards scrambled packets, and
 //!    surviving messages are merged into the tile's send buffer, one copy
-//!    of each message id (a [`SendBuffer`](crate::SendBuffer) without its
-//!    seen-set, which the engine keeps per message for all its tiles).
+//!    of each message id (the tile keeps only its live copies: the
+//!    seen-set is kept per message, for all tiles at once).
 //!    Messages whose destination field equals the tile id are delivered
 //!    to the local IP (exactly once per message id).
 //! 2. **Compute** — the IP core runs (computation time is 0, as in the
@@ -550,7 +550,7 @@ pub struct Simulation<S: EventSink = NullSink> {
     tiles_alive: Vec<bool>,
     links_alive: Vec<bool>,
     /// Each tile's send buffer: the copies it holds, in insertion order.
-    buffers: Vec<Live<Held>>,
+    buffers: Vec<Live>,
     /// Each tile's TTL expiries so far, beside its buffer: only the report
     /// and a checkpoint read them.
     expired: Vec<u64>,
@@ -2155,7 +2155,7 @@ struct TxContext<'a> {
     compromised: &'a mut BTreeMap<usize, Compromised>,
     codec: &'a WireCodec,
     wires: &'a mut WireTable,
-    buffers: &'a [Live<Held>],
+    buffers: &'a [Live],
     clocks: &'a mut [ClockDomain],
     egress_limits: &'a [Option<usize>],
     egress_next: &'a mut [Option<MessageId>],

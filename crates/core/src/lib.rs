@@ -19,9 +19,10 @@
 //! * [`Simulation`] — a deterministic, seeded, round-synchronous engine
 //!   over any [`noc_fabric::Topology`], with full fault injection from
 //!   [`noc_faults`];
-//! * [`SendBuffer`] — the per-tile deduplicating output buffer (the
-//!   engine keeps its tiles' seen ids per message instead, so the
-//!   buffer's own seen-set is the reference oracle's and yours);
+//! * [`SendBuffer`] — the per-tile deduplicating output buffer of
+//!   Figure 3-4, a `Vec` and a `BTreeSet`: the reference oracle's and
+//!   yours (the engine's tiles keep copies in a buffer of their own and
+//!   their seen ids per message, so the two share no code);
 //! * [`SimulationReport`] — latency, packet-count, energy and
 //!   fault-tolerance metrics;
 //! * [`Checkpoint`] — serializable round-boundary snapshots;

@@ -199,6 +199,13 @@ impl ReferenceSimulation {
         }
     }
 
+    /// Frames with `codec` instead of the default CRC-16, like
+    /// [`crate::SimulationBuilder::wire_codec`]; set before injecting.
+    pub fn with_wire_codec(mut self, codec: WireCodec) -> Self {
+        self.codec = codec;
+        self
+    }
+
     /// The current round (number of rounds fully executed).
     pub fn round(&self) -> u64 {
         self.round

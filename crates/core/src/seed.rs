@@ -33,8 +33,8 @@ pub fn split_mix64(state: &mut u64) -> u64 {
 }
 
 /// The SplitMix64 output finalizer on its own: a bijective mix in which
-/// every input bit reaches every output bit. Also the engine's
-/// [`MessageId`](noc_fabric::MessageId) hash (`crate::wire::IdHasher`).
+/// every input bit reaches every output bit. Also the hash of the wire
+/// table's round memo (`crate::wire`).
 #[inline]
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -49,7 +49,6 @@ use noc_faults::CrashSchedule;
 
 use crate::arrivals::Grouped;
 use crate::audience::Audience;
-use crate::body::Held;
 use crate::events::{DropSite, SimEvent};
 use crate::frontier::TileSet;
 use crate::send_buffer::Live;
@@ -203,7 +202,7 @@ pub(crate) struct ReceiveOut {
 pub(crate) fn receive_shard(
     ctx: &ReceiveCtx<'_>,
     lo: usize,
-    buffers: &mut [Live<Held>],
+    buffers: &mut [Live],
     expired: &mut [u64],
 ) -> ReceiveOut {
     let hi = lo + buffers.len();
@@ -442,7 +441,7 @@ pub(crate) fn age_shard(
     round: u64,
     lo: usize,
     frontier: &TileSet,
-    buffers: &mut [Live<Held>],
+    buffers: &mut [Live],
     expired: &mut [u64],
     pending_purge: &[MessageId],
     record_events: bool,

@@ -27,7 +27,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use noc_fabric::{LinkId, ParsePacketError, WireCodec};
@@ -35,33 +34,6 @@ use noc_faults::FaultInjector;
 
 use crate::body::Held;
 use crate::seed::mix64;
-
-/// Hasher for [`MessageId`]-keyed sets whose order is never observed:
-/// one SplitMix64 finalizer per written word. Ids are engine-assigned
-/// counters, not outside input, so SipHash's collision resistance buys
-/// nothing on the per-frame path.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.0 = mix64(self.0 ^ value);
-    }
-}
-
-/// [`std::hash::BuildHasher`] of `SendBuffer`'s id-keyed seen-set.
-pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
 /// Bits of a [`Wire`] that index into its generation; the two above
 /// carry the generation tag.
@@ -552,7 +524,6 @@ mod tests {
     use super::*;
     use noc_fabric::{Message, MessageId, NodeId};
     use proptest::prelude::*;
-    use std::hash::BuildHasher;
 
     fn message(id: u64, ttl: u8) -> Message {
         Message::new(MessageId(id), NodeId(0), NodeId(3), ttl, vec![id as u8; 4])
@@ -1007,19 +978,5 @@ mod tests {
                 prop_assert_eq!(&entry.bytes(&codec).unwrap()[..], *bytes);
             }
         }
-    }
-
-    #[test]
-    fn id_hasher_spreads_sequential_ids() {
-        let build = IdBuildHasher::default();
-        let mut low = std::collections::BTreeSet::new();
-        let mut high = std::collections::BTreeSet::new();
-        for id in 0..128u64 {
-            let hash = build.hash_one(MessageId(id));
-            low.insert(hash & 127);
-            high.insert(hash >> 57);
-        }
-        // hashbrown buckets by the low bits and tags by the top seven.
-        assert!(low.len() > 64 && high.len() > 64, "{low:?} {high:?}");
     }
 }

@@ -20,11 +20,12 @@ use common::{
     adversary_strategy, build_adversary, build_schedule, crash_strategy, fault_model_strategy,
     observe, topology_strategy,
 };
-use noc_fabric::{NodeId, Topology};
-use noc_faults::{AdversarialScenario, CrashSchedule, FaultModel};
+use noc_crc::CrcParams;
+use noc_fabric::{NodeId, Topology, WireCodec};
+use noc_faults::{AdversarialScenario, CrashSchedule, ErrorModel, FaultModel};
 use proptest::prelude::*;
 use stochastic_noc::reference::ReferenceSimulation;
-use stochastic_noc::{SimulationBuilder, StochasticConfig};
+use stochastic_noc::{SimEvent, SimulationBuilder, StochasticConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -127,9 +128,9 @@ proptest! {
 /// The engine dedups against its per-message audience, the reference
 /// against each tile's own `SendBuffer` seen-set. Twenty messages on a
 /// 6×6 grid under upsets and overflow, injected two a round while earlier
-/// ones still circulate, make every tile see more than the four ids a
-/// buffer holds inline, so the reference's sets spill; the two relations
-/// must agree tile by tile after every round, at every shard count.
+/// ones still circulate, make every tile see more than four ids, several
+/// in flight at once; the two relations must agree tile by tile after
+/// every round, at every shard count.
 #[test]
 fn the_audience_agrees_with_the_reference_seen_sets_tile_by_tile() {
     let topology = Topology::grid(6, 6);
@@ -183,7 +184,7 @@ fn the_audience_agrees_with_the_reference_seen_sets_tile_by_tile() {
         }
         for tile in (0..n).map(NodeId) {
             let heard = ids.iter().filter(|&&id| reference.node_informed(tile, id));
-            assert!(heard.count() > 4, "{tile}'s seen-set never spilled");
+            assert!(heard.count() > 4, "{tile} heard too few ids");
         }
         assert_eq!(observe(&optimized.run()), observe(&reference.run()));
     }
@@ -237,4 +238,83 @@ fn link_schedules_coming_into_effect_mid_run_match_the_reference() {
         optimized.inject(NodeId(5), NodeId(15), vec![7; 6]);
         assert_eq!(observe(&optimized.run()), naive, "shards {shards}");
     }
+}
+
+/// A copy whose TTL an undetected upset zeroed is seen and counted as
+/// expired, never buffered: the engine's receive refuses it and emits its
+/// `TtlExpiry` there, the reference's `SendBuffer` refuses it. A one-bit
+/// parity check lets every even-weight upset through, so short 5×5 floods
+/// take that branch; engine (one and two shards) and reference must agree.
+#[test]
+fn a_copy_that_arrives_expired_is_refused_by_engine_and_reference_alike() {
+    let parity = WireCodec::new(CrcParams {
+        name: "parity",
+        width: 1,
+        poly: 1,
+        init: 0,
+        reflect_in: false,
+        reflect_out: false,
+        xor_out: 0,
+    });
+    let model = FaultModel::builder()
+        .p_upset(0.3)
+        .error_model(ErrorModel::RandomBitError)
+        .build()
+        .expect("valid");
+    let config = StochasticConfig::flooding(10).with_max_rounds(12);
+    let injections = [(0, 12), (7, 24), (14, 5)];
+    let mut arrived_expired = 0;
+    for seed in 0..4 {
+        let engine = |shards| {
+            let mut sim = SimulationBuilder::new(Topology::grid(5, 5))
+                .config(config)
+                .fault_model(model)
+                .wire_codec(parity.clone())
+                .seed(seed)
+                .shards(shards)
+                .build_with_sink(Vec::new());
+            for &(src, dst) in &injections {
+                sim.inject(NodeId(src), NodeId(dst), vec![src as u8; 4]);
+            }
+            (observe(&sim.run()), sim.into_sink())
+        };
+        let (report, events) = engine(1);
+        let mut reference = ReferenceSimulation::new(
+            Topology::grid(5, 5),
+            config,
+            model,
+            CrashSchedule::new(),
+            seed,
+        )
+        .with_wire_codec(parity.clone());
+        for &(src, dst) in &injections {
+            reference.inject(NodeId(src), NodeId(dst), vec![src as u8; 4]);
+        }
+        assert_eq!(report, observe(&reference.run()), "seed {seed}");
+        let (sharded_report, sharded_events) = engine(2);
+        assert_eq!(sharded_report, report, "seed {seed}");
+        assert_eq!(sharded_events, events, "seed {seed}");
+        arrived_expired += expired_on_arrival(&events);
+    }
+    assert!(arrived_expired > 0, "no copy arrived expired");
+}
+
+/// How many `TtlExpiry` events of a one-shard run came from receive. A
+/// round receives on every tile before it ages any, so an expiry
+/// followed, in its round, by a frame's receive verdict was emitted by
+/// receive.
+fn expired_on_arrival(events: &[SimEvent]) -> usize {
+    let mut count = 0;
+    let mut received_after = None;
+    for event in events.iter().rev() {
+        match *event {
+            SimEvent::CrcReject { round, .. }
+            | SimEvent::UndetectedUpset { round, .. }
+            | SimEvent::DuplicateDrop { round, .. }
+            | SimEvent::Delivery { round, .. } => received_after = Some(round),
+            SimEvent::TtlExpiry { round, .. } if received_after == Some(round) => count += 1,
+            _ => {}
+        }
+    }
+    count
 }

@@ -82,11 +82,6 @@ impl Message {
     pub fn expired(&self) -> bool {
         self.ttl == 0
     }
-
-    /// Decrements the TTL, saturating at zero.
-    pub fn age(&mut self) {
-        self.ttl = self.ttl.saturating_sub(1);
-    }
 }
 
 /// Fixed header size on the wire: id (8) + source (2) + destination (2) +
@@ -464,16 +459,6 @@ mod tests {
         for cut in 0..frame.len() {
             assert!(codec.decode(&frame[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn ttl_aging_saturates() {
-        let mut m = msg(vec![]);
-        m.ttl = 1;
-        m.age();
-        assert!(m.expired());
-        m.age();
-        assert_eq!(m.ttl, 0, "age saturates at zero");
     }
 
     #[test]
