@@ -116,10 +116,10 @@ fn port_directions_match_engine_neighbourhoods() {
     let id = sim.inject(center, grid.node_at(0, 0), vec![1]);
     sim.step();
     sim.step();
-    let links = grid.topology().out_links(center);
-    assert_eq!(links.len(), 4, "center tile has all four ports");
-    for &link in links {
-        let neighbour = grid.topology().link(link).to;
+    let out = grid.topology().out(center);
+    assert_eq!(out.len(), 4, "center tile has all four ports");
+    for (link, neighbour) in out {
+        assert_eq!(grid.topology().link(link).to, neighbour);
         assert!(
             sim.node_informed(neighbour, id),
             "neighbour {neighbour} missed the first hop"

@@ -2310,8 +2310,7 @@ impl<'a> TxContext<'a> {
     ) {
         let topology = self.topology;
         let mut sent = 0;
-        let links = topology.out_links(from).iter();
-        for (&link_id, &to) in links.zip(topology.out_targets(from)) {
+        for (link_id, to) in topology.out(from) {
             if serve.p < 1.0 && !gen_bool_p(self.injector.rng(), serve.p) {
                 continue;
             }

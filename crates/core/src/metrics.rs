@@ -1,6 +1,6 @@
 //! Simulation outcome metrics: latency, traffic, energy, fault counters.
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use noc_energy::{communication_energy, Bits, Joules, TechnologyLibrary};
 use noc_fabric::{MessageId, NodeId};
@@ -85,7 +85,7 @@ pub struct SimulationReport {
     pub quiescent_rounds: u64,
     /// Per-message lifecycle records, ordered by id so [`Self::records`]
     /// iterates identically however messages were injected or merged.
-    records: BTreeMap<MessageId, MessageRecord>,
+    records: Records,
     /// Technology used for energy conversion.
     tech: TechnologyLibrary,
 }
@@ -110,14 +110,15 @@ impl SimulationReport {
             adversarial_delays: 0,
             adversarial_reorders: 0,
             quiescent_rounds: 0,
-            records: BTreeMap::new(),
+            records: Records::default(),
             tech,
         }
     }
 
-    /// Registers an injected message (engine-side).
+    /// Registers an injected message (engine-side), replacing any record
+    /// of the same id. An id above every recorded one is appended.
     pub fn record_injection(&mut self, record: MessageRecord) {
-        self.records.insert(record.id, record);
+        self.records.insert(record);
     }
 
     /// Marks first delivery of a message (engine-side). Later calls for
@@ -126,7 +127,7 @@ impl SimulationReport {
     /// `true`, so event counts reconcile with
     /// [`SimulationReport::messages_delivered`].
     pub fn record_delivery(&mut self, id: MessageId, round: u64) -> bool {
-        if let Some(r) = self.records.get_mut(&id) {
+        if let Some(r) = self.records.get_mut(id) {
             if r.delivered_round.is_none() {
                 r.delivered_round = Some(round);
                 return true;
@@ -137,55 +138,48 @@ impl SimulationReport {
 
     /// Number of messages injected into the network.
     pub fn messages_injected(&self) -> usize {
-        self.records.len()
+        self.records.0.len()
     }
 
     /// Number of messages that reached their destination.
     pub fn messages_delivered(&self) -> usize {
-        self.records
-            .values()
+        self.records()
             .filter(|r| r.delivered_round.is_some())
             .count()
     }
 
     /// Fraction of injected messages delivered (1.0 for an empty run).
     pub fn delivery_ratio(&self) -> f64 {
-        if self.records.is_empty() {
+        if self.records.0.is_empty() {
             1.0
         } else {
-            self.messages_delivered() as f64 / self.records.len() as f64
+            self.messages_delivered() as f64 / self.records.0.len() as f64
         }
     }
 
     /// Was this message delivered?
     pub fn delivered(&self, id: MessageId) -> bool {
-        self.records
-            .get(&id)
-            .is_some_and(|r| r.delivered_round.is_some())
+        self.record(id).is_some_and(|r| r.delivered_round.is_some())
     }
 
     /// Latency in rounds of a delivered message.
     pub fn latency(&self, id: MessageId) -> Option<u64> {
-        self.records.get(&id).and_then(MessageRecord::latency)
+        self.record(id).and_then(MessageRecord::latency)
     }
 
     /// The record of a message.
     pub fn record(&self, id: MessageId) -> Option<&MessageRecord> {
-        self.records.get(&id)
+        self.records.get(id)
     }
 
     /// Iterates over all message records in ascending id order.
     pub fn records(&self) -> impl Iterator<Item = &MessageRecord> {
-        self.records.values()
+        self.records.0.iter()
     }
 
     /// Mean delivery latency over delivered messages, in rounds.
     pub fn average_latency(&self) -> Option<f64> {
-        let latencies: Vec<u64> = self
-            .records
-            .values()
-            .filter_map(MessageRecord::latency)
-            .collect();
+        let latencies: Vec<u64> = self.records().filter_map(MessageRecord::latency).collect();
         if latencies.is_empty() {
             None
         } else {
@@ -195,10 +189,7 @@ impl SimulationReport {
 
     /// Worst delivery latency over delivered messages, in rounds.
     pub fn max_latency(&self) -> Option<u64> {
-        self.records
-            .values()
-            .filter_map(MessageRecord::latency)
-            .max()
+        self.records().filter_map(MessageRecord::latency).max()
     }
 
     /// Total communication energy under Equation 3.
@@ -212,9 +203,54 @@ impl SimulationReport {
     }
 }
 
+/// Message records in one `Vec`, strictly ascending by id: a map from id
+/// to record at the record's own size. Ids arrive in ascending order from
+/// every engine, oracle and restore, so an insert is an append; any other
+/// order binary-searches and inserts or replaces, as a map would.
+#[derive(Clone, Default)]
+struct Records(Vec<MessageRecord>);
+
+impl Records {
+    /// Files `record` under its id, replacing a record already there.
+    fn insert(&mut self, record: MessageRecord) {
+        if self.0.last().is_none_or(|last| last.id < record.id) {
+            self.0.push(record);
+            return;
+        }
+        match self.position(record.id) {
+            Ok(at) => self.0[at] = record,
+            Err(at) => self.0.insert(at, record),
+        }
+    }
+
+    fn get(&self, id: MessageId) -> Option<&MessageRecord> {
+        self.position(id).ok().map(|at| &self.0[at])
+    }
+
+    fn get_mut(&mut self, id: MessageId) -> Option<&mut MessageRecord> {
+        self.position(id).ok().map(|at| &mut self.0[at])
+    }
+
+    fn position(&self, id: MessageId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |r| r.id)
+    }
+}
+
+/// Renders as the `BTreeMap<MessageId, MessageRecord>` the records once
+/// were, so a report's `Debug` text (and every digest of it) is unchanged.
+impl fmt::Debug for Records {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|r| (&r.id, r)))
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn record(id: u64, injected: u64) -> MessageRecord {
         MessageRecord {
@@ -320,5 +356,59 @@ mod tests {
         }
         assert_eq!(r.average_latency(), Some((2.0 + 4.0 + 6.0) / 3.0));
         assert_eq!(r.max_latency(), Some(6));
+    }
+
+    proptest! {
+        /// Arbitrary, sorted, reversed and repeated ids, deliveries of
+        /// unknown ids and repeated deliveries: the flat records answer
+        /// every query as the `BTreeMap` they replaced, and print as it.
+        #[test]
+        fn records_agree_with_a_btreemap_model(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..24, 0u64..40), 0..60),
+            order in 0u8..3,
+        ) {
+            let mut ops = ops;
+            match order {
+                1 => ops.sort_by_key(|&(_, id, _)| id),
+                2 => ops.sort_by_key(|&(_, id, _)| std::cmp::Reverse(id)),
+                _ => {}
+            }
+            let mut r = report();
+            let mut model: BTreeMap<MessageId, MessageRecord> = BTreeMap::new();
+            for (inject, id, round) in ops {
+                let id = MessageId(id);
+                if inject {
+                    // A replacement differs from the record it replaces.
+                    let rec = MessageRecord {
+                        source: NodeId(round as usize),
+                        ..record(id.0, round % 10)
+                    };
+                    r.record_injection(rec);
+                    model.insert(id, rec);
+                } else {
+                    let round = 10 + round;
+                    let want = match model.get_mut(&id) {
+                        Some(m) if m.delivered_round.is_none() => {
+                            m.delivered_round = Some(round);
+                            true
+                        }
+                        _ => false,
+                    };
+                    prop_assert_eq!(r.record_delivery(id, round), want);
+                }
+            }
+            for id in (0..26).map(MessageId) {
+                let want = model.get(&id);
+                prop_assert_eq!(r.record(id), want);
+                prop_assert_eq!(r.delivered(id), want.is_some_and(|m| m.delivered_round.is_some()));
+                prop_assert_eq!(r.latency(id), want.and_then(MessageRecord::latency));
+            }
+            prop_assert!(r.records().eq(model.values()));
+            prop_assert_eq!(r.messages_injected(), model.len());
+            let delivered = model.values().filter(|m| m.delivered_round.is_some()).count();
+            prop_assert_eq!(r.messages_delivered(), delivered);
+            prop_assert_eq!(format!("{:?}", r.records), format!("{model:?}"));
+            prop_assert_eq!(format!("{:#?}", r.records), format!("{model:#?}"));
+        }
     }
 }

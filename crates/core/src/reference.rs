@@ -347,13 +347,7 @@ impl ReferenceSimulation {
             }
             let skew = self.injector.round_skew();
             let slipped = self.clocks[tile].advance(skew) > 0;
-            let out_links: Vec<(LinkId, NodeId)> = self
-                .topology
-                .out_links(node)
-                .iter()
-                .copied()
-                .zip(self.topology.out_targets(node).iter().copied())
-                .collect();
+            let out_links: Vec<(LinkId, NodeId)> = self.topology.out(node).collect();
             let messages: Vec<Message> = self.buffers[tile].iter().cloned().collect();
             for message in &messages {
                 let frame = self.codec.encode(message);

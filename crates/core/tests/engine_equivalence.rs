@@ -10,7 +10,9 @@
 //! none of which may change
 //! a single observable: every counter, the delivered set, and every
 //! latency must match across random topologies, fault models, crash
-//! schedules, seeds, and shard counts.
+//! schedules, seeds, shard counts, and with the spread terminated on
+//! delivery or not (the engine purges terminated spreads from the
+//! buffers it ages, the reference from every buffer).
 
 #![allow(clippy::disallowed_methods, reason = "test code seeds its own streams")]
 
@@ -21,11 +23,11 @@ use common::{
     observe, topology_strategy,
 };
 use noc_crc::CrcParams;
-use noc_fabric::{NodeId, Topology, WireCodec};
+use noc_fabric::{LinkId, NodeId, Topology, WireCodec};
 use noc_faults::{AdversarialScenario, CrashSchedule, ErrorModel, FaultModel};
 use proptest::prelude::*;
 use stochastic_noc::reference::ReferenceSimulation;
-use stochastic_noc::{SimEvent, SimulationBuilder, StochasticConfig};
+use stochastic_noc::{JsonlSink, SimEvent, SimulationBuilder, StochasticConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -39,6 +41,7 @@ proptest! {
         (tile_kills, link_kills) in crash_strategy(),
         seed in any::<u64>(),
         shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(7), Just(8)],
+        terminate in any::<bool>(),
         injections in proptest::collection::vec(
             (0usize..64, 0usize..64, proptest::collection::vec(any::<u8>(), 0..24)),
             1..4,
@@ -49,29 +52,39 @@ proptest! {
         let schedule = build_schedule(&tile_kills, &link_kills, n, m);
         let config = StochasticConfig::new(p, ttl)
             .expect("valid config")
-            .with_max_rounds(50);
+            .with_max_rounds(50)
+            .with_termination(terminate);
 
-        let mut optimized = SimulationBuilder::new(topology.clone())
-            .config(config)
-            .fault_model(model)
-            .crash_schedule(schedule.clone())
-            .seed(seed)
-            .shards(shards)
-            .build();
+        // The engine at the drawn shard count and at one shard, each
+        // writing its JSONL event stream.
+        let engine = |shards| {
+            let mut sim = SimulationBuilder::new(topology.clone())
+                .config(config)
+                .fault_model(model)
+                .crash_schedule(schedule.clone())
+                .seed(seed)
+                .shards(shards)
+                .build_with_sink(JsonlSink::new(Vec::new()));
+            let ids: Vec<_> = injections
+                .iter()
+                .map(|(src, dst, payload)| sim.inject(NodeId(src % n), NodeId(dst % n), payload.clone()))
+                .collect();
+            let report = observe(&sim.run());
+            (ids, report, sim.into_sink().into_inner())
+        };
         let mut reference =
-            ReferenceSimulation::new(topology, config, model, schedule, seed);
-
-        for (src, dst, payload) in &injections {
-            let src = NodeId(src % n);
-            let dst = NodeId(dst % n);
-            let a = optimized.inject(src, dst, payload.clone());
-            let b = reference.inject(src, dst, payload.clone());
-            prop_assert_eq!(a, b, "message ids must be assigned identically");
-        }
-
-        let fast = observe(&optimized.run());
+            ReferenceSimulation::new(topology.clone(), config, model, schedule.clone(), seed);
+        let ids: Vec<_> = injections
+            .iter()
+            .map(|(src, dst, payload)| reference.inject(NodeId(src % n), NodeId(dst % n), payload.clone()))
+            .collect();
         let naive = observe(&reference.run());
+
+        let (fast_ids, fast, events) = engine(shards);
+        prop_assert_eq!(fast_ids, ids, "message ids must be assigned identically");
         prop_assert_eq!(fast, naive);
+        let (_, _, one_shard_events) = engine(1);
+        prop_assert!(events == one_shard_events, "event streams differ at shards={}", shards);
     }
 
     #[test]
@@ -83,6 +96,7 @@ proptest! {
         raw in adversary_strategy(),
         seed in any::<u64>(),
         shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(7), Just(8)],
+        terminate in any::<bool>(),
         injections in proptest::collection::vec(
             (0usize..64, 0usize..64, proptest::collection::vec(any::<u8>(), 1..24)),
             1..4,
@@ -93,7 +107,8 @@ proptest! {
         let adversary = build_adversary(&raw, n, m);
         let config = StochasticConfig::new(p, ttl)
             .expect("valid config")
-            .with_max_rounds(50);
+            .with_max_rounds(50)
+            .with_termination(terminate);
 
         let mut optimized = SimulationBuilder::new(topology.clone())
             .config(config)
@@ -200,7 +215,7 @@ fn the_audience_agrees_with_the_reference_seen_sets_tile_by_tile() {
 #[test]
 fn link_schedules_coming_into_effect_mid_run_match_the_reference() {
     let topology = Topology::grid(4, 4);
-    let hub = topology.out_links(NodeId(5));
+    let hub: Vec<LinkId> = topology.out(NodeId(5)).map(|(link, _)| link).collect();
     let (cut, crashed) = ([hub[0].index(), hub[1].index()], hub[2].index());
     let adversary = AdversarialScenario::builder()
         .cut_links(cut, 2, Some(5))

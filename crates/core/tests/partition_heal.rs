@@ -27,8 +27,7 @@ fn hop_distance(topology: &Topology, source: NodeId) -> Vec<Option<u64>> {
     let mut queue = VecDeque::from([source]);
     while let Some(node) = queue.pop_front() {
         let d = dist[node.index()].expect("queued nodes have distances");
-        for &link_id in topology.out_links(node) {
-            let to = topology.link(link_id).to;
+        for (_, to) in topology.out(node) {
             if dist[to.index()].is_none() {
                 dist[to.index()] = Some(d + 1);
                 queue.push_back(to);

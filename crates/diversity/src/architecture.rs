@@ -236,7 +236,7 @@ mod tests {
         let a = Architecture::hierarchical(4);
         assert_eq!(a.topology().node_count(), 65);
         let bridge = a.bridge().unwrap();
-        assert_eq!(a.topology().out_links(bridge).len(), 4);
+        assert_eq!(a.topology().degree(bridge), 4);
         assert!(a.topology().is_connected_with(|_| true, |_| true));
         assert_eq!(a.bridge_egress_limit(), None);
     }

@@ -9,6 +9,12 @@
 //! application IPs implement (the computation side of the
 //! computation/communication separation).
 //!
+//! A tile's out-links are read through [`Topology::out`], which yields
+//! each `(LinkId, NodeId)` pair of the tile's row in the order its edges
+//! were added (the order a forward walk draws in), and counted by
+//! [`Topology::degree`]. A row is stored as 32-bit pairs and widened as
+//! it is read.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,6 +25,10 @@
 //! // Tile 6 and tile 12 of the paper's producer-consumer example are 3
 //! // hops apart:
 //! assert_eq!(grid.manhattan_distance(NodeId(5), NodeId(11)), 3);
+//! // Tile 6 has four neighbours, tile 12 (on the east edge) three:
+//! assert_eq!(grid.topology().degree(NodeId(5)), 4);
+//! let east_edge: Vec<NodeId> = grid.topology().out(NodeId(11)).map(|(_, to)| to).collect();
+//! assert_eq!(east_edge, [NodeId(7), NodeId(10), NodeId(15)]);
 //! ```
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]

@@ -22,35 +22,36 @@ pub struct Link {
 /// convenience constructors build the two shapes studied by the paper, and
 /// [`Topology::from_links`] supports the custom hierarchies of Chapter 5.
 ///
-/// Out-links are stored as compressed sparse rows: one array of link ids
-/// grouped by source node, each node's in edge-insertion order (the order
-/// a forward walk draws in), and beside it the array of their targets, so
-/// a walk over a node's links reads both from two contiguous slices. The
-/// rows are the only copy of a link: [`Topology::link`] finds one through
-/// its row position.
+/// Out-links are stored as compressed sparse rows: one array of
+/// `(link id, target)` pairs, 32 bits each, grouped by source node, each
+/// node's in edge-insertion order (the order a forward walk draws in).
+/// A walk over a node's links reads one contiguous slice, and
+/// [`Topology::out`] widens each pair to ids as it yields it. The rows
+/// are the only copy of a link: [`Topology::link`] finds one through its
+/// row position.
 ///
 /// # Examples
 ///
 /// ```
-/// use noc_fabric::{NodeId, Topology};
+/// use noc_fabric::{LinkId, NodeId, Topology};
 ///
 /// let t = Topology::grid(4, 4);
 /// assert_eq!(t.node_count(), 16);
 /// // An interior tile has 4 outgoing links:
-/// assert_eq!(t.out_links(NodeId(5)).len(), 4);
-/// // A corner tile has 2:
-/// assert_eq!(t.out_links(NodeId(0)).len(), 2);
+/// assert_eq!(t.degree(NodeId(5)), 4);
+/// // A corner tile has 2, to its right neighbour and the one below:
+/// let corner: Vec<(LinkId, NodeId)> = t.out(NodeId(0)).collect();
+/// assert_eq!(corner, [(LinkId(0), NodeId(1)), (LinkId(2), NodeId(4))]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     node_count: usize,
     /// Node `i`'s out-links are `out[out_start[i]..out_start[i + 1]]`.
-    out_start: Vec<usize>,
-    out: Vec<LinkId>,
-    /// `out_to[k]` is the target of `out[k]`.
-    out_to: Vec<NodeId>,
-    /// Link `id` sits at row position `at[id]`: `out[at[id]] == id`.
+    out_start: Vec<u32>,
+    /// `(link id, target)` of each out-link, grouped by source node.
+    out: Vec<(u32, u32)>,
+    /// Link `id` sits at row position `at[id]`: `out[at[id]].0 == id`.
     at: Vec<u32>,
 }
 
@@ -74,33 +75,35 @@ impl Topology {
         );
         // Each link's source (its row position, once placed) and target
         // in link-id order, and the out-degrees; then (a counting sort,
-        // stable in link id) where each node's rows start.
-        let (mut at, mut to_by_id) = (Vec::new(), Vec::new());
-        let mut out_start = vec![0; node_count + 1];
+        // stable in link id) where each node's rows start. Every index
+        // fits in a `u32`: the node count is checked above, and the link
+        // count as each edge arrives.
+        let (mut at, mut to_by_id) = (Vec::<u32>::new(), Vec::<u32>::new());
+        let mut out_start = vec![0u32; node_count + 1];
         for (from, to) in edges {
             assert!(
                 from.index() < node_count && to.index() < node_count,
                 "link {from}->{to} endpoint outside 0..{node_count}"
             );
             assert_ne!(from, to, "self-loop at {from}");
+            assert!(
+                at.len() < u32::MAX as usize,
+                "more than {} links exceed a u32 row position",
+                u32::MAX
+            );
             at.push(from.index() as u32);
-            to_by_id.push(to);
+            to_by_id.push(to.index() as u32);
             out_start[from.index() + 1] += 1;
         }
-        let links = at.len();
-        assert!(
-            u32::try_from(links).is_ok(),
-            "{links} links exceed a u32 row position"
-        );
         for node in 0..node_count {
             out_start[node + 1] += out_start[node];
         }
         let mut cursor = out_start.clone();
-        let (mut out, mut out_to) = (vec![LinkId(0); links], vec![NodeId(0); links]);
+        let mut out = vec![(0, 0); at.len()];
         for (id, (at, &to)) in at.iter_mut().zip(&to_by_id).enumerate() {
             let row = &mut cursor[*at as usize];
-            (out[*row], out_to[*row]) = (LinkId(id), to);
-            *at = *row as u32;
+            out[*row as usize] = (id as u32, to);
+            *at = *row;
             *row += 1;
         }
         Self {
@@ -108,7 +111,6 @@ impl Topology {
             node_count,
             out_start,
             out,
-            out_to,
             at,
         }
     }
@@ -202,41 +204,48 @@ impl Topology {
     ///
     /// Panics if the id is out of range.
     pub fn link(&self, id: LinkId) -> Link {
-        let k = self.at[id.index()] as usize;
+        let k = self.at[id.index()];
         // The row holding position `k`: the last one starting at or
         // before it (rows before it may be empty and start there too).
         let from = self.out_start.partition_point(|&start| start <= k) - 1;
         Link {
             id,
             from: NodeId(from),
-            to: self.out_to[k],
+            to: NodeId(self.out[k as usize].1 as usize),
         }
     }
 
-    /// Outgoing links of a node, in the order their edges were added.
+    /// Outgoing links of a node with their targets, in the order their
+    /// edges were added: each `(l, to)` has `link(l).from == node` and
+    /// `link(l).to == to`.
     ///
     /// # Panics
     ///
     /// Panics if the node is out of range.
     #[inline]
-    pub fn out_links(&self, node: NodeId) -> &[LinkId] {
-        &self.out[self.out_range(node)]
+    pub fn out(&self, node: NodeId) -> impl ExactSizeIterator<Item = (LinkId, NodeId)> + '_ {
+        self.row(node)
+            .iter()
+            .map(|&(link, to)| (LinkId(link as usize), NodeId(to as usize)))
     }
 
-    /// The target of each of [`Topology::out_links`]`(node)`, in the same
-    /// order: `out_targets(node)[k] == link(out_links(node)[k]).to`.
+    /// Number of outgoing links of a node: `out(node).len()`.
     ///
     /// # Panics
     ///
     /// Panics if the node is out of range.
     #[inline]
-    pub fn out_targets(&self, node: NodeId) -> &[NodeId] {
-        &self.out_to[self.out_range(node)]
+    pub fn degree(&self, node: NodeId) -> usize {
+        self.row(node).len()
     }
 
     #[inline]
-    fn out_range(&self, node: NodeId) -> std::ops::Range<usize> {
-        self.out_start[node.index()]..self.out_start[node.index() + 1]
+    fn row(&self, node: NodeId) -> &[(u32, u32)] {
+        let (start, end) = (
+            self.out_start[node.index()],
+            self.out_start[node.index() + 1],
+        );
+        &self.out[start as usize..end as usize]
     }
 
     /// Iterates over all node ids.
@@ -254,7 +263,7 @@ impl Topology {
         dist[from.index()] = 0;
         let mut queue = VecDeque::from([from]);
         while let Some(n) = queue.pop_front() {
-            for &next in self.out_targets(n) {
+            for (_, next) in self.out(n) {
                 if dist[next.index()] == usize::MAX {
                     dist[next.index()] = dist[n.index()] + 1;
                     if next == to {
@@ -299,7 +308,7 @@ impl Topology {
         let mut queue = VecDeque::from([start]);
         let mut count = 1;
         while let Some(n) = queue.pop_front() {
-            for (&l, &next) in self.out_links(n).iter().zip(self.out_targets(n)) {
+            for (l, next) in self.out(n) {
                 if !link_alive(l) {
                     continue;
                 }
@@ -423,7 +432,7 @@ mod tests {
     #[test]
     fn grid_degrees() {
         let t = Topology::grid(4, 4);
-        let degree_counts: Vec<usize> = t.nodes().map(|n| t.out_links(n).len()).collect();
+        let degree_counts: Vec<usize> = t.nodes().map(|n| t.degree(n)).collect();
         assert_eq!(degree_counts.iter().filter(|&&d| d == 2).count(), 4); // corners
         assert_eq!(degree_counts.iter().filter(|&&d| d == 3).count(), 8); // edges
         assert_eq!(degree_counts.iter().filter(|&&d| d == 4).count(), 4); // interior
@@ -434,7 +443,7 @@ mod tests {
         let t = Topology::torus(4, 4);
         assert_eq!(t.node_count(), 16);
         assert_eq!(t.link_count(), 2 * 2 * 16); // 2 dims x 2 dirs x tiles
-        assert!(t.nodes().all(|n| t.out_links(n).len() == 4));
+        assert!(t.nodes().all(|n| t.degree(n) == 4));
     }
 
     #[test]
@@ -455,7 +464,7 @@ mod tests {
     fn fully_connected_link_count() {
         let t = Topology::fully_connected(16);
         assert_eq!(t.link_count(), 16 * 15);
-        assert!(t.nodes().all(|n| t.out_links(n).len() == 15));
+        assert!(t.nodes().all(|n| t.degree(n) == 15));
         assert_eq!(t.diameter(), Some(1));
     }
 
@@ -522,10 +531,14 @@ mod tests {
     /// target: the draw order of a forward walk, whatever the constructor.
     fn assert_rows_follow_insertion_order(t: &Topology) {
         for n in t.nodes() {
-            let want: Vec<LinkId> = t.links().filter(|l| l.from == n).map(|l| l.id).collect();
-            assert_eq!(t.out_links(n), &want[..], "{} at {n}", t.name());
-            let targets: Vec<NodeId> = want.iter().map(|&l| t.link(l).to).collect();
-            assert_eq!(t.out_targets(n), &targets[..], "{} at {n}", t.name());
+            let want: Vec<(LinkId, NodeId)> = t
+                .links()
+                .filter(|l| l.from == n)
+                .map(|l| (l.id, l.to))
+                .collect();
+            assert_eq!(t.out(n).collect::<Vec<_>>(), want, "{} at {n}", t.name());
+            assert_eq!(t.out(n).len(), want.len(), "{} at {n}", t.name());
+            assert_eq!(t.degree(n), want.len(), "{} at {n}", t.name());
         }
     }
 
@@ -551,14 +564,28 @@ mod tests {
         ];
         let t = Topology::from_links("interleaved", 4, edges.map(|(a, b)| (NodeId(a), NodeId(b))));
         assert_rows_follow_insertion_order(&t);
-        assert_eq!(t.out_links(NodeId(0)), [LinkId(1), LinkId(4), LinkId(7)]);
-        assert_eq!(t.out_targets(NodeId(2)), [NodeId(0), NodeId(1), NodeId(3)]);
+        let links = |n| t.out(NodeId(n)).map(|(l, _)| l).collect::<Vec<_>>();
+        let targets = |n| t.out(NodeId(n)).map(|(_, to)| to).collect::<Vec<_>>();
+        assert_eq!(links(0), [LinkId(1), LinkId(4), LinkId(7)]);
+        assert_eq!(targets(2), [NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
-    fn out_targets_of_a_node_outside_the_topology_panics() {
-        let _ = Topology::grid(2, 2).out_targets(NodeId(4));
+    fn out_of_a_node_outside_the_topology_panics() {
+        let _ = Topology::grid(2, 2).out(NodeId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn degree_of_a_node_outside_the_topology_panics() {
+        let _ = Topology::grid(2, 2).degree(NodeId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn link_outside_the_topology_panics() {
+        let _ = Topology::grid(2, 2).link(LinkId(8));
     }
 
     #[test]
@@ -613,7 +640,8 @@ mod tests {
     }
 
     /// Link `id` is the `id`-th edge, whether asked for alone, in the
-    /// iteration, or counted.
+    /// iteration, counted, or read from its source's row: each row holds
+    /// its node's edges as `(id, to)` pairs in edge order.
     fn links_match_edges(t: &Topology, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
         let want: Vec<Link> = edges
             .iter()
@@ -636,6 +664,19 @@ mod tests {
         }
         if by_id != want || listed != want {
             return Err(format!("{}: links differ from the edge list", t.name()));
+        }
+        for n in t.nodes() {
+            let row: Vec<(LinkId, NodeId)> = want
+                .iter()
+                .filter(|l| l.from == n)
+                .map(|l| (l.id, l.to))
+                .collect();
+            if t.out(n).collect::<Vec<_>>() != row || t.out(n).len() != row.len() {
+                return Err(format!("{}: row {n} differs from the edge list", t.name()));
+            }
+            if t.degree(n) != row.len() {
+                return Err(format!("{}: degree of {n} is {}", t.name(), t.degree(n)));
+            }
         }
         Ok(())
     }
@@ -691,9 +732,9 @@ mod tests {
             let t = Topology::grid(w, h);
             let mut seen = vec![0usize; t.link_count()];
             for n in t.nodes() {
-                for &l in t.out_links(n) {
+                for (l, to) in t.out(n) {
                     seen[l.index()] += 1;
-                    prop_assert_eq!(t.link(l).from, n);
+                    prop_assert_eq!(t.link(l), Link { id: l, from: n, to });
                 }
             }
             prop_assert!(seen.iter().all(|&c| c == 1));
