@@ -6,8 +6,8 @@
 //! a flood is a duplicate. [`Audience`] holds that relation per message:
 //! the tiles whose send buffer has seen each id. Read per message it is
 //! the informed population `I(t)` of Fig 3-1, so `informed_count` is a
-//! set's size and `node_informed` its membership; read per tile, it is
-//! what a checkpoint writes as each buffer's seen list.
+//! set's size and `node_informed` its membership. A checkpoint writes each
+//! message's window whole and reads it back whole.
 //!
 //! **Layout.**
 //!
@@ -75,12 +75,6 @@ impl Tiles {
         }
     }
 
-    /// Words `insert(tile)` would add to the window.
-    fn growth(&self, tile: usize) -> usize {
-        let (lo, hi) = self.span_with(tile / 64);
-        hi - lo - self.words.len()
-    }
-
     /// Adds `tile`; false if it was there.
     #[inline]
     fn insert(&mut self, tile: usize) -> bool {
@@ -108,21 +102,6 @@ impl Tiles {
             words[keep..keep + self.words.len()].copy_from_slice(&self.words);
         }
         (self.words, self.first) = (words, lo as u32);
-    }
-
-    /// The tiles, ascending.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let first = self.first as usize;
-        self.words.iter().enumerate().flat_map(move |(at, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    (first + at) * 64 + bit
-                })
-            })
-        })
     }
 }
 
@@ -171,11 +150,6 @@ impl Audience {
         tiles.insert(tile)
     }
 
-    /// Bytes `insert(id, tile)` would allocate for `id`'s window.
-    pub(crate) fn growth_bytes(&self, id: MessageId, tile: usize) -> usize {
-        8 * self.get(id).map_or(1, |tiles| tiles.growth(tile))
-    }
-
     /// `inject` hands out `id`, the next one: the tiles that already hold
     /// a corrupted header carrying it keep it.
     pub(crate) fn assign(&mut self, id: MessageId) {
@@ -193,58 +167,50 @@ impl Audience {
         self.get(id).map_or(0, |tiles| tiles.len as usize)
     }
 
-    /// Every id with its tiles, ascending.
-    fn messages(&self) -> impl Iterator<Item = (MessageId, &Tiles)> {
+    /// Every id some tile has seen, ascending, with its window: the word
+    /// of the fabric the window starts at, and its words — what a
+    /// checkpoint writes.
+    pub(crate) fn windows(&self) -> impl Iterator<Item = (MessageId, usize, &[u64])> {
         let assigned = (0u64..).map(MessageId).zip(&self.assigned);
-        assigned.chain(self.stray.iter().map(|(&id, tiles)| (id, tiles)))
+        let all = assigned.chain(self.stray.iter().map(|(&id, tiles)| (id, tiles)));
+        all.filter(|(_, tiles)| tiles.len > 0)
+            .map(|(id, tiles)| (id, tiles.first as usize, &*tiles.words))
     }
 
-    /// `(id, tiles that have seen it)` for every id some tile has seen,
-    /// ascending.
-    pub(crate) fn counts(&self) -> impl Iterator<Item = (MessageId, usize)> + '_ {
-        self.messages()
-            .filter(|(_, tiles)| tiles.len > 0)
-            .map(|(id, tiles)| (id, tiles.len as usize))
-    }
-
-    /// The relation turned around: each tile's ids, ascending.
-    pub(crate) fn by_tile(&self) -> SeenByTile {
-        // `ends[t]` counts tile t's ids, then marks where they start, then,
-        // once they are placed, where they end.
-        let mut ends = vec![0usize; self.tiles];
-        for (_, tiles) in self.messages() {
-            for tile in tiles.iter() {
-                ends[tile] += 1;
+    /// Puts back `id`'s window as [`Audience::windows`] gave it, on an
+    /// audience that holds none for `id` yet. Refused unless it is a
+    /// window an engine holds: its first and last words name a tile and
+    /// every tile it names is below `n`.
+    pub(crate) fn restore(
+        &mut self,
+        id: MessageId,
+        first: usize,
+        words: Box<[u64]>,
+    ) -> Result<(), &'static str> {
+        let (Some(&lo), Some(&hi)) = (words.first(), words.last()) else {
+            return Err("an audience window holds no tile");
+        };
+        if lo == 0 || hi == 0 {
+            return Err("an audience window is wider than its tiles");
+        }
+        // The highest tile the window names, below n.
+        let top = (first + words.len()) * 64 - 1 - hi.leading_zeros() as usize;
+        if top >= self.tiles {
+            return Err("an audience window reaches past the fabric");
+        }
+        let len = words.iter().map(|word| word.count_ones()).sum();
+        let tiles = Tiles {
+            words,
+            first: first as u32,
+            len,
+        };
+        match self.index(id) {
+            Some(at) => self.assigned[at] = tiles,
+            None => {
+                self.stray.insert(id, tiles);
             }
         }
-        let mut total = 0;
-        for end in &mut ends {
-            total += std::mem::replace(end, total);
-        }
-        let mut ids = vec![MessageId(0); total];
-        for (id, tiles) in self.messages() {
-            for tile in tiles.iter() {
-                ids[ends[tile]] = id;
-                ends[tile] += 1;
-            }
-        }
-        SeenByTile { ends, ids }
-    }
-}
-
-/// An [`Audience`] read per tile ([`Audience::by_tile`]).
-pub(crate) struct SeenByTile {
-    /// Where each tile's ids end in `ids`; they start where the previous
-    /// tile's end.
-    ends: Vec<usize>,
-    ids: Vec<MessageId>,
-}
-
-impl SeenByTile {
-    /// The ids `tile`'s buffer has seen, ascending.
-    pub(crate) fn tile(&self, tile: usize) -> &[MessageId] {
-        let start = tile.checked_sub(1).map_or(0, |before| self.ends[before]);
-        &self.ids[start..self.ends[tile]]
+        Ok(())
     }
 }
 
@@ -294,42 +260,40 @@ mod tests {
                     continue;
                 }
                 let fresh = model.seen.entry(id).or_default().insert(tile);
-                let (words, growth) = (window(&audience, id).len(), audience.growth_bytes(id, tile));
                 prop_assert_eq!(audience.insert(id, tile), fresh);
-                prop_assert_eq!(8 * (window(&audience, id).len() - words), growth);
             }
-            for id in (0..24).map(MessageId) {
-                let want = model.seen.get(&id);
-                prop_assert_eq!(audience.count(id), want.map_or(0, BTreeSet::len));
-                for tile in 0..n {
-                    prop_assert_eq!(
-                        audience.contains(id, tile),
-                        want.is_some_and(|tiles| tiles.contains(&tile))
-                    );
-                }
-                // Exactly the words between the lowest and highest tile.
-                if let Some((&lo, &hi)) = want.and_then(|tiles| tiles.first().zip(tiles.last())) {
-                    prop_assert_eq!(window(&audience, id).len(), hi / 64 - lo / 64 + 1);
+            // What a checkpoint writes, restored into an audience that has
+            // assigned as many ids: the same sets, in the same windows.
+            let mut restored = Audience::new(n, model.assigned as usize);
+            for (id, first, words) in audience.windows() {
+                prop_assert_eq!(restored.restore(id, first, words.into()), Ok(()));
+            }
+            let windows: Vec<_> = audience.windows().collect();
+            prop_assert_eq!(restored.windows().collect::<Vec<_>>(), windows);
+            for audience in [&audience, &restored] {
+                for id in (0..24).map(MessageId) {
+                    let want = model.seen.get(&id);
+                    prop_assert_eq!(audience.count(id), want.map_or(0, BTreeSet::len));
+                    for tile in 0..n {
+                        prop_assert_eq!(
+                            audience.contains(id, tile),
+                            want.is_some_and(|tiles| tiles.contains(&tile))
+                        );
+                    }
+                    // Exactly the words between the lowest and highest tile.
+                    if let Some((&lo, &hi)) = want.and_then(|tiles| tiles.first().zip(tiles.last())) {
+                        prop_assert_eq!(window(audience, id).len(), hi / 64 - lo / 64 + 1);
+                    }
                 }
             }
-            let counts: Vec<_> = audience.counts().collect();
+            let ids: Vec<_> = windows.iter().map(|&(id, _, _)| id).collect();
             let want: Vec<_> = model
                 .seen
                 .iter()
                 .filter(|(_, tiles)| !tiles.is_empty())
-                .map(|(&id, tiles)| (id, tiles.len()))
+                .map(|(&id, _)| id)
                 .collect();
-            prop_assert_eq!(counts, want);
-            let by_tile = audience.by_tile();
-            for tile in 0..n {
-                let want: Vec<_> = model
-                    .seen
-                    .iter()
-                    .filter(|(_, tiles)| tiles.contains(&tile))
-                    .map(|(&id, _)| id)
-                    .collect();
-                prop_assert_eq!(by_tile.tile(tile), &want[..]);
-            }
+            prop_assert_eq!(ids, want);
         }
     }
 
@@ -341,21 +305,58 @@ mod tests {
     #[test]
     fn a_window_holds_exactly_the_words_its_tiles_span() {
         let mut tiles = Tiles::default();
-        assert!(!tiles.contains(0) && tiles.growth(500) == 1);
+        assert!(!tiles.contains(0));
         assert!(tiles.insert(500));
         assert_eq!((tiles.first, tiles.words.len()), (7, 1));
         assert!(!tiles.contains(499) && !tiles.contains(64 * 8));
-        assert_eq!(
-            (tiles.growth(10), tiles.growth(511), tiles.growth(999)),
-            (7, 0, 8)
-        );
+        assert!(tiles.insert(511), "inside the window");
+        assert_eq!((tiles.first, tiles.words.len()), (7, 1));
         assert!(tiles.insert(10), "grows downward");
         assert_eq!((tiles.first, tiles.words.len()), (0, 8));
         assert!(tiles.insert(999), "grows upward");
         assert_eq!((tiles.first, tiles.words.len()), (0, 16));
         assert!(!tiles.insert(999) && !tiles.insert(10) && !tiles.insert(500));
-        assert_eq!(tiles.iter().collect::<Vec<_>>(), [10, 500, 999]);
-        assert_eq!(tiles.len, 3);
+        assert!((0..1_000).all(|tile| tiles.contains(tile) == [10, 500, 511, 999].contains(&tile)));
+        assert_eq!(tiles.len, 4);
+    }
+
+    /// A restore takes only the windows an engine holds: some tile in the
+    /// first and in the last word, and none past the fabric.
+    #[test]
+    fn a_restore_refuses_a_window_no_engine_holds() {
+        let restore = |first: usize, words: &[u64]| {
+            let mut audience = Audience::new(130, 1);
+            audience.restore(MessageId(0), first, words.into())?;
+            Ok::<_, &str>(audience)
+        };
+        let audience = restore(0, &[1 << 3, 0, 1 << 1]).unwrap();
+        assert_eq!(audience.count(MessageId(0)), 2);
+        assert!(audience.contains(MessageId(0), 3) && audience.contains(MessageId(0), 129));
+        assert_eq!(
+            restore(0, &[]).err(),
+            Some("an audience window holds no tile")
+        );
+        for loose in [&[0, 1][..], &[1, 0]] {
+            assert_eq!(
+                restore(0, loose).err(),
+                Some("an audience window is wider than its tiles")
+            );
+        }
+        for (first, past) in [
+            (2, &[1 << 2][..]),
+            (1, &[1, 1 << 63]),
+            (2, &[1, 1]),
+            (1 << 32, &[1]),
+        ] {
+            assert_eq!(
+                restore(first, past).err(),
+                Some("an audience window reaches past the fabric"),
+                "{past:?} from word {first}"
+            );
+        }
+        let mut stray = Audience::new(130, 0);
+        stray.restore(MessageId(5), 0, [1].into()).unwrap();
+        assert!(stray.stray.contains_key(&MessageId(5)) && stray.contains(MessageId(5), 0));
     }
 
     #[test]

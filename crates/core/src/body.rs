@@ -13,12 +13,16 @@
 //! allocation or carry equal contents ([`Held::same_body`]), which is
 //! what the round's memo asks of two frames with one `(id, ttl)` key.
 //!
+//! **Checkpoints.** A checkpoint writes each body once, where a copy or a
+//! wire entry first names it, and every later copy as the body's number;
+//! equal contents get one number, so a restore shares one body between
+//! them.
+//!
 //! **Release.** A body is freed with the last copy, wire entry or replay
 //! slot that holds it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use noc_fabric::{Message, MessageId, MessageView, NodeId};
@@ -96,32 +100,6 @@ impl Held {
     }
 }
 
-/// The bodies a checkpoint restore rebuilds: copies of equal contents,
-/// which shared a body when the checkpoint was taken, share one again.
-#[derive(Debug, Default)]
-pub(crate) struct Restored<'a> {
-    bodies: BTreeMap<(MessageId, NodeId, NodeId, &'a [u8]), Arc<Body>>,
-}
-
-impl<'a> Restored<'a> {
-    /// A copy at `ttl` of the message with these contents.
-    pub(crate) fn held(
-        &mut self,
-        id: MessageId,
-        source: NodeId,
-        destination: NodeId,
-        ttl: u8,
-        payload: &'a [u8],
-    ) -> Held {
-        let body = self.bodies.entry((id, source, destination, payload));
-        let body = body.or_insert_with(|| Held::new(id, source, destination, ttl, payload).body);
-        Held {
-            body: Arc::clone(body),
-            ttl,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,28 +123,5 @@ mod tests {
             variants[0].message(),
             Message::new(MessageId(4), NodeId(1), NodeId(3), 7, b"abcd".to_vec())
         );
-    }
-
-    #[test]
-    fn a_restore_shares_a_body_between_equal_contents_only() {
-        let payloads = [b"ab".to_vec(), b"ab".to_vec(), b"ac".to_vec()];
-        let mut restored = Restored::default();
-        let mut held = |id: u64, source: usize, ttl: u8, payload: usize| {
-            restored.held(
-                MessageId(id),
-                NodeId(source),
-                NodeId(9),
-                ttl,
-                &payloads[payload],
-            )
-        };
-        let first = held(1, 0, 5, 0);
-        let same = held(1, 0, 3, 1);
-        assert!(Arc::ptr_eq(&first.body, &same.body));
-        assert_eq!((first.ttl, same.ttl), (5, 3));
-        for other in [held(2, 0, 5, 0), held(1, 1, 5, 0), held(1, 0, 5, 2)] {
-            assert!(!Arc::ptr_eq(&first.body, &other.body));
-            assert!(!first.same_body(&other));
-        }
     }
 }

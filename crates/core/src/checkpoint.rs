@@ -9,18 +9,32 @@
 //! * RNG stream positions — the trial fault stream (xoshiro256++ state
 //!   plus the Box–Muller spare of the skew sampler), every per-link
 //!   chaos stream, and every per-tile Byzantine stream;
-//! * per-tile send buffers (live messages, each written whole with its
-//!   body, the ids the tile has seen, expiry counts) and round-robin
-//!   egress cursors;
+//! * who has seen what: each message's audience window, whole;
+//! * per-tile send buffers (each copy a body and its TTL, expiry counts)
+//!   and round-robin egress cursors;
 //! * per-tile clock domains (residual skew, slip totals);
-//! * the arrival arenas (`next` and `later` delay lines) with each
-//!   frame's bytes, scrambled flag and arrival link — the `Inflight`
-//!   frontier bookkeeping is rebuilt exactly from these on restore;
+//! * the arrival arenas (`next` and `later` delay lines): each frame's
+//!   arrival link and wire entry — the `Inflight` frontier bookkeeping is
+//!   rebuilt exactly from these on restore;
 //! * adversary progress (replay ammunition per Byzantine tile; the
 //!   partition/crash schedules themselves are pure functions of the
 //!   round and need no state);
-//! * the report-so-far, the informed/terminated bookkeeping, and the
+//! * the report-so-far, the terminated spreads, and the
 //!   round/id/started/completed cursors.
+//!
+//! **Written once.** A flood holds thousands of copies of a few messages
+//! and tens of thousands of frames of a few wire entries. Format v2
+//! writes each distinct body (id, source, destination, payload) and each
+//! distinct clean wire entry (a body and a TTL) once, where it is first
+//! used, and numbers them in that order; every later use is its number.
+//! Equal contents share a number whatever allocation holds them, so a
+//! resumed simulation, whose copies share the bodies the restore made,
+//! numbers them alike and recaptures the same bytes. An upset copy is
+//! written where its frame is: a copy the CRC catches as its source's
+//! number and the fault stream's position before the draw, a copy the CRC
+//! misses as its bytes. Capture encodes no clean frame, and restore
+//! decodes none: it reads the definitions into vectors and rebuilds every
+//! entry by number.
 //!
 //! What is deliberately **not** captured: custom IP-core state.
 //! [`IpCore`](noc_fabric::IpCore) is an open trait object; callers that
@@ -37,10 +51,10 @@
 //! A [`Checkpoint`] value *is* that encoding: one owned byte string
 //! whose structure has been checked, and no tree of fields beside it.
 //! Capture writes the bytes straight from engine state,
-//! [`Checkpoint::from_bytes`] walks every length prefix of its input and
-//! keeps one copy of it (its only allocation, whatever the prefixes
-//! claim), and resume reads the state back out of the bytes, borrowing
-//! every frame and payload.
+//! [`Checkpoint::from_bytes`] walks every length prefix and inline
+//! definition of its input and keeps one copy of it (its only
+//! allocation, whatever the prefixes claim), and resume reads the state
+//! back out of the bytes.
 //!
 //! # Examples
 //!
@@ -66,18 +80,25 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use noc_fabric::{MessageId, NodeId, WireCodec, MAX_NODES, MAX_PAYLOAD_BYTES};
+
+use crate::body::{Body, Held};
+use crate::wire::{Upset, Wire, WireEntry, WireTable};
 
 /// Magic bytes opening every serialized checkpoint.
 const MAGIC: &[u8; 8] = b"NOCSIMCK";
 
 /// Current wire-format version. Bump on any layout change; readers
 /// reject versions they do not understand instead of misparsing.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Error decoding, validating, or (for the convenience file helpers)
 /// reading/writing a [`Checkpoint`].
@@ -146,7 +167,7 @@ const BODY_AT: usize = ROUND_AT + 8;
 /// builder configured identically (the shard count and event sink are
 /// free to differ — neither is observable).
 ///
-/// The value is its encoding: one owned, structurally validated v1 byte
+/// The value is its encoding: one owned, structurally validated v2 byte
 /// string. Equality is byte equality, which the deterministic encoding
 /// makes state equality.
 #[derive(Clone, PartialEq)]
@@ -187,6 +208,7 @@ impl Checkpoint {
     }
 
     /// Bytes in the encoding.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.bytes.len()
     }
@@ -260,10 +282,21 @@ impl Checkpoint {
     }
 }
 
-/// Walks format v1 over `data` without keeping anything: magic, version,
-/// every length prefix, every optional tag, the end of the stream. The
-/// layout is the order `Simulation::checkpoint` writes; each
-/// [`Reader::count`] argument is the smallest encoding of one item.
+/// A body or clean-entry reference that is no number yet: the definition
+/// follows in place and takes the next number.
+pub(crate) const NEW: u32 = u32::MAX;
+/// A frame's entry word for an upset copy the CRC catches: its source's
+/// clean-entry reference and the fault stream's position follow.
+pub(crate) const CAUGHT: u32 = u32::MAX - 1;
+/// A frame's entry word for an upset copy the CRC misses: its bytes
+/// follow.
+pub(crate) const MISSED: u32 = u32::MAX - 2;
+
+/// Walks format v2 over `data` without keeping anything: magic, version,
+/// every length prefix, every optional tag and inline definition, the end
+/// of the stream. The layout is the order `Simulation::checkpoint`
+/// writes; each [`Reader::count`] argument is the smallest encoding of
+/// one item.
 fn validate(data: &[u8]) -> Result<(), CheckpointError> {
     let mut r = Reader { data, pos: 0 };
     if r.take(MAGIC.len())? != MAGIC {
@@ -292,25 +325,36 @@ fn validate(data: &[u8]) -> Result<(), CheckpointError> {
     for _ in 0..r.count(1)? {
         r.opt_u64()?; // egress cursor
     }
-    for _ in 0..r.count(8 + 8 + 8)? {
-        for _ in 0..r.count(8 + 8 + 8 + 1 + 8)? {
-            r.take(8 + 8 + 8 + 1)?; // id, source, destination, ttl
-            r.bytes()?; // payload
+    for _ in 0..r.count(8 + 4 + 8)? {
+        r.take(8 + 4)?; // id, first word
+        let words = r.count(8)?;
+        r.take(words * 8)?;
+    }
+    for _ in 0..r.count(4 + 8)? {
+        for _ in 0..r.short_count(4 + 1)? {
+            r.body_ref()?;
+            r.take(1)?; // ttl
         }
-        let seen = r.count(8)?;
-        r.take(seen * 8 + 8)?; // seen-set, expiry count
+        r.take(8)?; // expiry count
     }
     for _arena in 0..2 {
-        for _tile in 0..r.count(8)? {
-            for _frame in 0..r.count(8 + 1 + 1)? {
-                r.bytes()?;
-                r.take(1)?; // scrambled
-                r.opt_u64()?; // arrival link
+        for _tile in 0..r.count(4)? {
+            for _frame in 0..r.short_count(4 + 4)? {
+                // The arrival link, then the entry word.
+                match (r.u64()? >> 32) as u32 {
+                    CAUGHT => {
+                        r.clean_ref()?;
+                        r.take(32)?; // fault stream position
+                    }
+                    MISSED => {
+                        r.bytes()?;
+                    }
+                    NEW => r.clean_def()?,
+                    _ => {}
+                }
             }
         }
     }
-    let informed = r.count(8 + 8)?;
-    r.take(informed * (8 + 8))?;
     let terminated = r.count(8)?;
     r.take(terminated * 8)?;
     r.take(8 + 1 + 14 * 8)?; // report counters
@@ -328,60 +372,81 @@ fn validate(data: &[u8]) -> Result<(), CheckpointError> {
 /// What a capture writes, counted from above, so that [`Writer::new`]
 /// reserves the checkpoint in one block rather than growing it through
 /// a chain of doublings, whose copies and freed blocks the allocator
-/// must place anew every cycle. Each count is one kind of v1 record;
+/// must place anew every cycle. Each count is one kind of v2 record;
 /// [`Extent::bytes`] prices it at the most its fields take.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Extent {
-    /// Tiles: a slot in every per-tile table, a clock, a buffer's and a
-    /// seen list's counts, an expiry count and two arena counts each.
+    /// Tiles: a slot in every per-tile table, a clock, a buffer's count,
+    /// an expiry count and two arena counts each.
     pub(crate) tiles: usize,
     /// Links: one liveness byte each.
     pub(crate) links: usize,
-    /// Buffered copies: id, source, destination, TTL and payload each.
+    /// Buffered copies: a body reference and a TTL each.
     pub(crate) copies: usize,
-    /// Entries of the seen lists: one id each.
-    pub(crate) seen: usize,
-    /// Frames in flight and replay slots: bytes, flags and link each.
+    /// Frames in flight: an arrival link and an entry reference each.
     pub(crate) frames: usize,
+    /// Wire entries the frames may name: each is defined at most once, as
+    /// a clean entry or an upset copy.
+    pub(crate) entries: usize,
+    /// Audience windows, and the words in them.
+    pub(crate) windows: usize,
+    pub(crate) window_words: usize,
+    /// Replay slots: a tile, an id and a frame's bytes each.
+    pub(crate) replays: usize,
     /// Chaos and Byzantine streams: a tile and a generator state each.
     pub(crate) streams: usize,
-    /// Message ids with a record, an informed count or a terminated
-    /// spread.
+    /// Message ids with a record or a terminated spread.
     pub(crate) ids: usize,
     /// The longest frame any copy or frame encodes to.
     pub(crate) frame_bytes: usize,
 }
 
 impl Extent {
-    /// Bytes a capture of this extent writes at most.
+    /// Bytes a capture of this extent writes at most. A body is defined
+    /// where a copy or a clean entry first names it, so there are no more
+    /// bodies than copies and entries.
     pub(crate) fn bytes(&self) -> usize {
         const WORD: usize = 8;
         // Header, the fault stream, the section counts and the report's
         // counters.
         const FIXED: usize = 128 * WORD;
-        // Liveness, clock, egress cursor, three buffer words and two
-        // arena counts.
-        const TILE: usize = 9 * WORD;
-        // Id, source, destination, TTL and the payload's length.
-        const COPY: usize = 5 * WORD + 1;
-        // Length, flag and link; a replay slot's tile, id and length.
-        const FRAME: usize = 3 * WORD + 3;
+        // Liveness, clock, egress cursor, buffer and arena counts, expiry
+        // count.
+        const TILE: usize = 6 * WORD;
+        // A body reference and a TTL.
+        const COPY: usize = 4 + 1;
+        // An arrival link and an entry word.
+        const FRAME: usize = 4 + 4;
+        // Whichever an entry is defined as: a clean entry's body reference
+        // and TTL, a caught copy's source and stream position, or a missed
+        // copy's length (its bytes are priced apart).
+        const ENTRY: usize = 4 + 4 * WORD;
+        // Id, source, destination and the payload's length.
+        const BODY: usize = 4 * WORD;
+        // Id, first word and word count.
+        const WINDOW: usize = 2 * WORD + 4;
+        // Tile, id and the frame's length.
+        const REPLAY: usize = 3 * WORD;
         // A tile and a generator state.
-        const STREAM: usize = 6 * WORD;
-        // A record, an informed count and a terminated id.
-        const ID: usize = 9 * WORD;
+        const STREAM: usize = 5 * WORD;
+        // A record and a terminated id.
+        const ID: usize = 8 * WORD;
         FIXED
             + TILE * self.tiles
             + self.links
-            + (COPY + self.frame_bytes) * self.copies
-            + WORD * self.seen
-            + (FRAME + self.frame_bytes) * self.frames
+            + COPY * self.copies
+            + FRAME * self.frames
+            + (ENTRY + self.frame_bytes) * self.entries
+            + (BODY + self.frame_bytes) * (self.copies + self.entries)
+            + WINDOW * self.windows
+            + WORD * self.window_words
+            + (REPLAY + self.frame_bytes) * self.replays
             + STREAM * self.streams
             + ID * self.ids
     }
 }
 
-/// Little-endian binary writer of format v1 over a growable buffer.
+/// Little-endian binary writer of format v2 over a growable buffer.
 pub(crate) struct Writer {
     buf: Vec<u8>,
 }
@@ -394,7 +459,7 @@ impl Writer {
             buf: Vec::with_capacity(extent.bytes()),
         };
         w.buf.extend_from_slice(MAGIC);
-        w.buf.extend_from_slice(&VERSION.to_le_bytes());
+        w.u32(VERSION);
         w.u64(config_digest);
         w.u64(round);
         w
@@ -417,6 +482,11 @@ impl Writer {
     }
 
     #[inline]
+    pub(crate) fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    #[inline]
     pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -425,6 +495,12 @@ impl Writer {
     #[inline]
     pub(crate) fn count(&mut self, n: usize) {
         self.u64(n as u64);
+    }
+
+    /// A length prefix of a per-tile list, which a 32-bit count holds.
+    #[inline]
+    pub(crate) fn short_count(&mut self, n: usize) {
+        self.u32(n as u32);
     }
 
     #[inline]
@@ -499,7 +575,8 @@ impl<'a> Reader<'a> {
         Ok(self.u8()? != 0)
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
+    #[inline]
+    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
         let mut le = [0u8; 4];
         le.copy_from_slice(self.take(4)?);
         Ok(u32::from_le_bytes(le))
@@ -518,6 +595,19 @@ impl<'a> Reader<'a> {
     #[inline]
     pub(crate) fn count(&mut self, min_item: usize) -> Result<usize, CheckpointError> {
         let count = self.u64()?;
+        self.backed(count, min_item)
+    }
+
+    /// A [`Writer::short_count`] prefix, accepted as [`Reader::count`]
+    /// accepts one.
+    #[inline]
+    pub(crate) fn short_count(&mut self, min_item: usize) -> Result<usize, CheckpointError> {
+        let count = self.u32()?;
+        self.backed(u64::from(count), min_item)
+    }
+
+    #[inline]
+    fn backed(&self, count: u64, min_item: usize) -> Result<usize, CheckpointError> {
         self.holds(count, min_item)
             .then_some(count as usize)
             .ok_or(CheckpointError::Truncated)
@@ -551,6 +641,313 @@ impl<'a> Reader<'a> {
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let len = self.count(1)?;
         self.take(len)
+    }
+
+    /// Skips a body reference and the definition it may carry.
+    fn body_ref(&mut self) -> Result<(), CheckpointError> {
+        if self.u32()? == NEW {
+            self.take(3 * 8)?; // id, source, destination
+            self.bytes()?; // payload
+        }
+        Ok(())
+    }
+
+    /// Skips a clean-entry reference and the definition it may carry.
+    fn clean_ref(&mut self) -> Result<(), CheckpointError> {
+        if self.u32()? == NEW {
+            self.clean_def()?;
+        }
+        Ok(())
+    }
+
+    /// Skips a clean entry's definition: its body and TTL.
+    fn clean_def(&mut self) -> Result<(), CheckpointError> {
+        self.body_ref()?;
+        self.take(1).map(drop) // ttl
+    }
+}
+
+/// Capture's numbering of what format v2 writes once: the bodies and the
+/// clean wire entries, each numbered where it is first written. Equal
+/// contents get one number whichever allocation holds them.
+pub(crate) struct Numbering<'a> {
+    wires: &'a WireTable,
+    /// The bodies numbered so far, by number.
+    bodies: Vec<&'a Body>,
+    /// The first body numbered with each id the engine assigned, by id:
+    /// the one most copies of the message share.
+    first_of: Vec<u32>,
+    /// Each clean entry numbered so far, by its body's number and TTL.
+    clean: BTreeMap<(u32, u8), u32>,
+    /// The number of each wire entry met so far, by generation age and
+    /// index; [`NEW`] where none has been met.
+    met: [Vec<u32>; 3],
+}
+
+impl<'a> Numbering<'a> {
+    /// Nothing numbered yet, of an engine that has assigned `ids` ids and
+    /// keeps its in-flight entries in `wires`.
+    pub(crate) fn new(ids: u64, wires: &'a WireTable) -> Self {
+        Numbering {
+            wires,
+            bodies: Vec::new(),
+            first_of: vec![NEW; ids as usize],
+            clean: BTreeMap::new(),
+            met: wires.generation_lens().map(|len| vec![NEW; len]),
+        }
+    }
+
+    /// Where `body`'s id sits in `first_of`, if the engine assigned it.
+    fn first_of(&self, body: &Body) -> Option<usize> {
+        let at = usize::try_from(body.id.0).ok();
+        at.filter(|&at| at < self.first_of.len())
+    }
+
+    /// The number of a body equal to `body`, if one is numbered: the
+    /// first numbered with its id when it is that allocation, else the
+    /// lowest-numbered equal one (a variant, or a header an upset made).
+    #[inline]
+    fn find(&self, body: &Body) -> Option<u32> {
+        if let Some(at) = self.first_of(body) {
+            let first = self.first_of[at];
+            if first != NEW && std::ptr::eq(self.bodies[first as usize], body) {
+                return Some(first);
+            }
+        }
+        let equal = |known: &&Body| std::ptr::eq(*known, body) || **known == *body;
+        self.bodies.iter().position(equal).map(|at| at as u32)
+    }
+
+    /// Writes a buffered copy: its body's reference and its TTL.
+    #[inline]
+    pub(crate) fn copy(&mut self, w: &mut Writer, held: &'a Held) {
+        match self.find(&held.body) {
+            // One write, the way most copies go.
+            Some(number) => {
+                let [a, b, c, d] = number.to_le_bytes();
+                w.buf.extend_from_slice(&[a, b, c, d, held.ttl]);
+            }
+            None => {
+                self.body(w, &held.body);
+                w.u8(held.ttl);
+            }
+        }
+    }
+
+    /// Writes a reference to `body`: its number, or [`NEW`] and the
+    /// definition that takes the next one. Returns the number.
+    #[inline]
+    fn body(&mut self, w: &mut Writer, body: &'a Body) -> u32 {
+        if let Some(number) = self.find(body) {
+            w.u32(number);
+            return number;
+        }
+        let number = self.bodies.len() as u32;
+        w.u32(NEW);
+        w.u64(body.id.0);
+        w.u64(body.source.index() as u64);
+        w.u64(body.destination.index() as u64);
+        w.bytes(&body.payload);
+        if let Some(at) = self.first_of(body) {
+            if self.first_of[at] == NEW {
+                self.first_of[at] = number;
+            }
+        }
+        self.bodies.push(body);
+        number
+    }
+
+    /// Writes a frame that arrives over `via` on `wire`: the link, then
+    /// the entry.
+    #[inline]
+    pub(crate) fn frame(&mut self, w: &mut Writer, via: u32, wire: Wire) {
+        // Most frames name a clean entry met before: the link and its
+        // number in one word, without a look at the entry.
+        let (age, index) = self.wires.slot(wire);
+        let known = self.met[age][index];
+        if known != NEW {
+            w.u64(u64::from(via) | u64::from(known) << 32);
+        } else {
+            w.u32(via);
+            self.entry(w, wire);
+        }
+    }
+
+    /// Writes the entry on `wire`: a clean entry's reference, or the upset
+    /// copy in place — a caught one as [`CAUGHT`], its source's reference
+    /// and the fault stream's position before the draw, a missed one as
+    /// [`MISSED`] and its bytes.
+    fn entry(&mut self, w: &mut Writer, wire: Wire) {
+        let (age, index) = self.wires.slot(wire);
+        let known = self.met[age][index];
+        if known != NEW {
+            w.u32(known);
+            return;
+        }
+        let wires = self.wires;
+        match wires.entry(wire) {
+            WireEntry::Clean { held, .. } => {
+                self.met[age][index] = self.clean(w, held);
+            }
+            WireEntry::Upset(Upset::Caught { base, state }) => {
+                w.u32(CAUGHT);
+                self.entry(w, *base);
+                w.rng_state(*state);
+            }
+            WireEntry::Upset(Upset::Scrambled { bytes, .. }) => {
+                w.u32(MISSED);
+                w.bytes(bytes);
+            }
+        }
+    }
+
+    /// Writes a reference to a clean entry that carries `held`: the number
+    /// of one with equal contents, or [`NEW`] and the definition that takes
+    /// the next number. Returns the number.
+    fn clean(&mut self, w: &mut Writer, held: &'a Held) -> u32 {
+        let body = self.find(&held.body);
+        if let Some(&number) = body.and_then(|body| self.clean.get(&(body, held.ttl))) {
+            w.u32(number);
+            return number;
+        }
+        let number = self.clean.len() as u32;
+        w.u32(NEW);
+        let body = self.body(w, &held.body);
+        w.u8(held.ttl);
+        self.clean.insert((body, held.ttl), number);
+        number
+    }
+}
+
+/// What a restore has read of the v2 definitions so far: the bodies and
+/// the clean entries, by number. Every reference is checked against what
+/// is defined, and every definition against the wire format.
+#[derive(Default)]
+pub(crate) struct Defined {
+    bodies: Vec<Arc<Body>>,
+    /// For each body, the number of the first body defined with its id:
+    /// what copies of either are told apart by.
+    keys: Vec<u32>,
+    first_of: BTreeMap<MessageId, u32>,
+    /// For each such number, the tile a copy of its id was last read at,
+    /// plus one.
+    buffered_at: Vec<u32>,
+    /// The wire entry each clean-entry number stands for.
+    clean: Vec<Wire>,
+}
+
+impl Defined {
+    /// Reads a body reference, and the definition it may carry: the
+    /// body's number.
+    fn body(&mut self, r: &mut Reader<'_>) -> Result<u32, CheckpointError> {
+        let number = r.u32()?;
+        if number != NEW {
+            return if (number as usize) < self.bodies.len() {
+                Ok(number)
+            } else {
+                Err(CheckpointError::Mismatch("a body number past its table"))
+            };
+        }
+        let (id, source, destination) = (r.u64()?, r.u64()?, r.u64()?);
+        let payload = r.bytes()?;
+        // Checked against the wire format, not the topology: an
+        // undetected upset can leave any 16-bit node index in a header.
+        if source >= MAX_NODES as u64
+            || destination >= MAX_NODES as u64
+            || payload.len() > MAX_PAYLOAD_BYTES
+        {
+            return Err(CheckpointError::Mismatch(
+                "a body does not fit the wire format",
+            ));
+        }
+        let number = self.bodies.len() as u32;
+        let id = MessageId(id);
+        self.keys.push(*self.first_of.entry(id).or_insert(number));
+        self.buffered_at.push(0);
+        self.bodies.push(Arc::new(Body {
+            id,
+            source: NodeId(source as usize),
+            destination: NodeId(destination as usize),
+            payload: Arc::from(payload),
+        }));
+        Ok(number)
+    }
+
+    /// A copy at `ttl` of body `number`, which [`Defined::body`] returned.
+    fn held(&self, number: u32, ttl: u8) -> Held {
+        Held {
+            body: Arc::clone(&self.bodies[number as usize]),
+            ttl,
+        }
+    }
+
+    /// Reads a copy buffered at `tile`, the buffers read in tile order. A
+    /// buffer holds one copy of each id: a second one is refused.
+    #[inline]
+    pub(crate) fn copy(
+        &mut self,
+        r: &mut Reader<'_>,
+        tile: usize,
+    ) -> Result<Held, CheckpointError> {
+        let body = self.body(r)?;
+        let at = &mut self.buffered_at[self.keys[body as usize] as usize];
+        if *at == tile as u32 + 1 {
+            return Err(CheckpointError::Mismatch(
+                "buffered message repeats or was never seen",
+            ));
+        }
+        *at = tile as u32 + 1;
+        Ok(self.held(body, r.u8()?))
+    }
+
+    /// Reads the rest of a frame's entry whose first word is `word`, and
+    /// the definitions it may carry, registering in `wires` what it
+    /// defines: the handle the frame names.
+    #[inline]
+    pub(crate) fn entry(
+        &mut self,
+        word: u32,
+        r: &mut Reader<'_>,
+        wires: &mut WireTable,
+        codec: &WireCodec,
+    ) -> Result<Wire, CheckpointError> {
+        match word {
+            CAUGHT => {
+                let base = match r.u32()? {
+                    CAUGHT | MISSED => Err(CheckpointError::Mismatch(
+                        "a caught copy's source is not clean",
+                    )),
+                    word => self.clean(word, r, wires),
+                }?;
+                let state = r.rng_state()?;
+                Ok(wires.push(WireEntry::Upset(Upset::Caught { base, state })))
+            }
+            MISSED => {
+                let bytes = Arc::from(r.bytes()?);
+                Ok(wires.push(WireEntry::scrambled(codec, bytes)))
+            }
+            word => self.clean(word, r, wires),
+        }
+    }
+
+    /// Reads the rest of a clean-entry reference whose first word is
+    /// `word`, and the definition it may carry: the entry's handle.
+    #[inline]
+    fn clean(
+        &mut self,
+        word: u32,
+        r: &mut Reader<'_>,
+        wires: &mut WireTable,
+    ) -> Result<Wire, CheckpointError> {
+        if word != NEW {
+            let wire = self.clean.get(word as usize).copied();
+            return wire.ok_or(CheckpointError::Mismatch("an entry number past its table"));
+        }
+        let body = self.body(r)?;
+        let held = self.held(body, r.u8()?);
+        let wire = wires.push(WireEntry::clean(held));
+        self.clean.push(wire);
+        Ok(wire)
     }
 }
 
@@ -594,28 +991,56 @@ mod tests {
     use noc_fabric::NodeId;
     use noc_faults::{AdversarialScenario, ByzantineMode, ErrorModel, FaultModel};
 
-    /// What the tests below need to know of a v1 byte string: where its
-    /// length prefixes sit and what the sections hold. Written out
-    /// independently of [`validate`], as a second statement of format v1.
+    /// What the tests below need to know of a v2 byte string: where its
+    /// length prefixes sit (and how wide each is) and what the sections
+    /// hold. Written out independently of [`validate`], as a second
+    /// statement of format v2.
     #[derive(Debug, Default)]
     struct Shape {
-        prefixes: Vec<usize>,
+        prefixes: Vec<(usize, usize)>,
+        /// Where the first window's first-word field sits.
+        first_window: usize,
+        /// Where each reference that is a number sits: a copy's body, a
+        /// frame's clean entry, a caught copy's source.
+        copy_refs: Vec<usize>,
+        frame_refs: Vec<usize>,
+        caught_refs: Vec<usize>,
         spare: bool,
         replay_frames: usize,
+        windows: usize,
         buffered: usize,
-        scrambled: usize,
+        bodies: usize,
+        entries: usize,
         clean: usize,
+        caught: usize,
+        missed: usize,
         records: usize,
     }
 
     fn shape(data: &[u8]) -> Shape {
         fn count(r: &mut Reader<'_>, shape: &mut Shape, min_item: usize) -> usize {
-            shape.prefixes.push(r.pos);
+            shape.prefixes.push((r.pos, 8));
             r.count(min_item).unwrap()
+        }
+        fn short_count(r: &mut Reader<'_>, shape: &mut Shape, min_item: usize) -> usize {
+            shape.prefixes.push((r.pos, 4));
+            r.short_count(min_item).unwrap()
         }
         fn bytes(r: &mut Reader<'_>, shape: &mut Shape) {
             let len = count(r, shape, 1);
             r.take(len).unwrap();
+        }
+        fn body(r: &mut Reader<'_>, shape: &mut Shape) {
+            if r.u32().unwrap() == NEW {
+                shape.bodies += 1;
+                r.take(24).unwrap();
+                bytes(r, shape);
+            }
+        }
+        fn clean_def(r: &mut Reader<'_>, shape: &mut Shape) {
+            shape.entries += 1;
+            body(r, shape);
+            r.take(1).unwrap();
         }
         let mut s = Shape::default();
         let mut r = Reader {
@@ -640,30 +1065,55 @@ mod tests {
         for _ in 0..count(&mut r, &mut s, 1) {
             r.opt_u64().unwrap();
         }
-        for _ in 0..count(&mut r, &mut s, 24) {
-            let live = count(&mut r, &mut s, 33);
+        s.windows = count(&mut r, &mut s, 20);
+        s.first_window = r.pos + 8;
+        for _ in 0..s.windows {
+            r.take(12).unwrap();
+            let words = count(&mut r, &mut s, 8);
+            r.take(words * 8).unwrap();
+        }
+        for _ in 0..count(&mut r, &mut s, 12) {
+            let live = short_count(&mut r, &mut s, 5);
             s.buffered += live;
             for _ in 0..live {
-                r.take(25).unwrap();
-                bytes(&mut r, &mut s);
+                if r.data[r.pos..r.pos + 4] != NEW.to_le_bytes() {
+                    s.copy_refs.push(r.pos);
+                }
+                body(&mut r, &mut s);
+                r.take(1).unwrap();
             }
-            let seen = count(&mut r, &mut s, 8);
-            r.take(seen * 8 + 8).unwrap();
+            r.take(8).unwrap();
         }
         for _ in 0..2 {
-            for _ in 0..count(&mut r, &mut s, 8) {
-                for _ in 0..count(&mut r, &mut s, 10) {
-                    bytes(&mut r, &mut s);
-                    match r.bool().unwrap() {
-                        true => s.scrambled += 1,
-                        false => s.clean += 1,
+            for _ in 0..count(&mut r, &mut s, 4) {
+                for _ in 0..short_count(&mut r, &mut s, 8) {
+                    r.take(4).unwrap();
+                    let at = r.pos;
+                    match r.u32().unwrap() {
+                        CAUGHT => {
+                            s.caught += 1;
+                            match r.u32().unwrap() {
+                                NEW => clean_def(&mut r, &mut s),
+                                _ => s.caught_refs.push(r.pos - 4),
+                            }
+                            r.take(32).unwrap();
+                        }
+                        MISSED => {
+                            s.missed += 1;
+                            bytes(&mut r, &mut s);
+                        }
+                        NEW => {
+                            s.clean += 1;
+                            clean_def(&mut r, &mut s);
+                        }
+                        _ => {
+                            s.clean += 1;
+                            s.frame_refs.push(at);
+                        }
                     }
-                    r.opt_u64().unwrap();
                 }
             }
         }
-        let informed = count(&mut r, &mut s, 16);
-        r.take(informed * 16).unwrap();
         let terminated = count(&mut r, &mut s, 8);
         r.take(terminated * 8).unwrap();
         r.take(8 + 1 + 14 * 8).unwrap();
@@ -702,8 +1152,8 @@ mod tests {
     }
 
     /// [`busy_builder`] stepped until one checkpoint holds every kind of
-    /// section: buffered messages, scrambled and clean frames in flight,
-    /// a replay frame and a Box–Muller spare.
+    /// section: audience windows, buffered messages, caught and clean
+    /// frames in flight, a replay frame and a Box–Muller spare.
     fn busy_checkpoint() -> Checkpoint {
         let mut sim = busy_builder().build();
         sim.inject(NodeId(0), NodeId(15), b"corner to corner".to_vec());
@@ -712,8 +1162,11 @@ mod tests {
             sim.step();
             let ck = sim.checkpoint();
             let s = shape(&ck.bytes);
-            if s.spare && s.replay_frames > 0 && s.buffered > 0 && s.scrambled > 0 && s.clean > 0 {
-                assert_eq!(s.records, 2);
+            if s.spare && s.replay_frames > 0 && s.buffered > 0 && s.caught > 0 && s.clean > 0 {
+                assert_eq!((s.records, s.windows), (2, 2));
+                // Every body and clean entry is written once, however many
+                // copies and frames name it.
+                assert!(s.bodies < s.buffered && s.entries < s.clean, "{s:?}");
                 assert_eq!(ck.round(), sim.round());
                 return ck;
             }
@@ -747,14 +1200,17 @@ mod tests {
         );
     }
 
+    /// Format v1 included: there is no reader for it.
     #[test]
     fn rejects_unsupported_version() {
         let mut bytes = busy_checkpoint().to_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            Checkpoint::from_bytes(&bytes),
-            Err(CheckpointError::UnsupportedVersion(99))
-        );
+        for version in [1, 99] {
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(version));
+            assert_eq!(
+                Checkpoint::from_bytes(&bytes),
+                Err(CheckpointError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -782,41 +1238,129 @@ mod tests {
     /// A length prefix is the one field that sizes a loop or a
     /// reservation. Overwritten with a count nothing could back, or with
     /// the largest count the old cap (8 × the remaining bytes) let
-    /// through, every prefix of the checkpoint is refused by arithmetic
-    /// on what remains, not by an allocation. With one item too many the
+    /// through, every prefix of the checkpoint — a tile's copy and frame
+    /// counts among them — is refused as `Truncated` by arithmetic on
+    /// what remains, before resume reads it, not by an allocation. With one item too many the
     /// walk usually runs off the end; where the shifted bytes happen to
-    /// be well-formed v1 again (17 clocks and no egress cursors, when all
-    /// 16 cursors were `None`), resume refuses the lengths.
+    /// be well-formed v2 again, resume refuses what they say.
     #[test]
     fn hostile_length_prefixes_are_refused() {
         let bytes = busy_checkpoint().to_bytes();
         let prefixes = shape(&bytes).prefixes;
-        assert!(prefixes.len() > 100, "{} prefixes", prefixes.len());
-        let with = |at: usize, hostile: u64| {
+        assert!(prefixes.len() > 60, "{} prefixes", prefixes.len());
+        let with = |at: usize, width: usize, hostile: u64| {
             let mut mutated = bytes.clone();
-            mutated[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            mutated[at..at + width].copy_from_slice(&hostile.to_le_bytes()[..width]);
             Checkpoint::from_bytes(&mutated)
         };
-        for &at in &prefixes {
-            let count = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-            let remaining = (bytes.len() - at - 8) as u64;
-            for hostile in [u64::MAX, remaining * 8] {
+        for &(at, width) in &prefixes {
+            let mut word = [0; 8];
+            word[..width].copy_from_slice(&bytes[at..at + width]);
+            let count = u64::from_le_bytes(word);
+            let widest = u64::MAX >> (64 - 8 * width);
+            let remaining = (bytes.len() - at - width) as u64;
+            for hostile in [widest, (remaining * 8).min(widest)] {
                 assert_eq!(
-                    with(at, hostile),
+                    with(at, width, hostile),
                     Err(CheckpointError::Truncated),
                     "prefix at {at}: {count} -> {hostile}"
                 );
             }
-            match with(at, count + 1) {
+            match with(at, width, count + 1) {
                 Err(CheckpointError::Truncated | CheckpointError::TrailingBytes(_)) => {}
-                Ok(ck) => assert_eq!(
-                    busy_builder().resume(&ck).err(),
-                    Some(CheckpointError::Mismatch("per-tile state length")),
-                    "prefix at {at}: {count} + 1 decoded"
+                Ok(ck) => assert!(
+                    matches!(
+                        busy_builder().resume(&ck).err(),
+                        Some(CheckpointError::Mismatch(_))
+                    ),
+                    "prefix at {at}: {count} + 1 decoded and resumed"
                 ),
                 other => panic!("prefix at {at}: {count} + 1 gave {other:?}"),
             }
         }
+    }
+
+    /// A reference past what is defined, a window past the fabric, and a
+    /// caught copy whose source is an upset copy are well-formed bytes
+    /// that no capture writes: resume refuses each as a `Mismatch`.
+    #[test]
+    fn references_and_windows_no_capture_writes_are_refused() {
+        let bytes = busy_checkpoint().to_bytes();
+        let s = shape(&bytes);
+        let kinds = [&s.copy_refs, &s.frame_refs, &s.caught_refs];
+        assert!(kinds.iter().all(|refs| !refs.is_empty()), "{s:?}");
+        let resume = |at: usize, word: u32| {
+            let mut mutated = bytes.clone();
+            mutated[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            let ck = Checkpoint::from_bytes(&mutated).expect("still well-formed");
+            busy_builder().resume(&ck).err()
+        };
+        let refused = |why| Some(CheckpointError::Mismatch(why));
+        for past in [s.bodies as u32, MISSED - 1] {
+            assert_eq!(
+                resume(s.copy_refs[0], past),
+                refused("a body number past its table")
+            );
+        }
+
+        for past in [s.entries as u32, MISSED - 1] {
+            assert_eq!(
+                resume(s.frame_refs[0], past),
+                refused("an entry number past its table")
+            );
+            assert_eq!(
+                resume(s.caught_refs[0], past),
+                refused("an entry number past its table")
+            );
+        }
+        for upset in [CAUGHT, MISSED] {
+            assert_eq!(
+                resume(s.caught_refs[0], upset),
+                refused("a caught copy's source is not clean")
+            );
+        }
+        // A 4×4 fabric is one word of tiles.
+        assert_eq!(resume(s.first_window, 0), None);
+        assert_eq!(
+            resume(s.first_window, 1),
+            refused("an audience window reaches past the fabric")
+        );
+    }
+
+    /// A buffer holds one copy of each message. Two injected at one tile
+    /// are two bodies, each defined where its copy is written; with the
+    /// second copy naming the first body instead, the tile would hold two
+    /// copies of one message, and resume refuses it.
+    #[test]
+    fn a_second_copy_of_one_message_at_one_tile_is_refused() {
+        let builder = || SimulationBuilder::square_grid(2).ttl(4).seed(1);
+        let mut sim = builder().build();
+        sim.inject(NodeId(0), NodeId(3), b"a".to_vec());
+        sim.inject(NodeId(0), NodeId(3), b"b".to_vec());
+        let bytes = sim.checkpoint().to_bytes();
+        // The second body's definition: id 1, source 0, destination 3 and
+        // its one-byte payload.
+        let mut second = NEW.to_le_bytes().to_vec();
+        for word in [1u64, 0, 3, 1] {
+            second.extend_from_slice(&word.to_le_bytes());
+        }
+        second.push(b'b');
+        let at = (0..bytes.len() - second.len())
+            .find(|&at| bytes[at..at + second.len()] == second[..])
+            .unwrap();
+        let mut twin = bytes[..at].to_vec();
+        twin.extend_from_slice(&0u32.to_le_bytes());
+        twin.extend_from_slice(&bytes[at + second.len()..]);
+        let twin = Checkpoint::from_bytes(&twin).expect("still well-formed");
+        assert_eq!(
+            builder().resume(&twin).err(),
+            Some(CheckpointError::Mismatch(
+                "buffered message repeats or was never seen"
+            ))
+        );
+        assert!(builder()
+            .resume(&Checkpoint::from_bytes(&bytes).unwrap())
+            .is_ok());
     }
 
     #[test]

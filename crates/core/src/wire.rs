@@ -9,12 +9,14 @@
 //! copy. Fan-out therefore copies 8 bytes with no atomic, and receive
 //! rejects a duplicate on the entry's message id. A clean frame *is* its
 //! message, held as a 16-byte copy that shares its message's body:
-//! [`WireTable::append_bytes`] encodes it for the first reader, if any.
+//! [`WireEntry::bytes`] encodes it for the first reader, if any, and a
+//! checkpoint writes the copy, not the bytes.
 //! An upset copy the CRC misses is decoded once, when it is made, so its
 //! receiver reads the copy it carries, not its bytes.
 //! An upset copy the CRC will catch is not built at all: the CRC is
 //! linear, so the error vector alone decides the receiver's verdict, and
-//! the copy is an [`Upset::Caught`] that only a checkpoint rebuilds.
+//! the copy is an [`Upset::Caught`]: its source and the fault stream's
+//! position, which is also what a checkpoint writes of it.
 //!
 //! **Lifetime rule.** A frame sent in round `r` is read in round `r + 1`
 //! (the `next` arena) or, when the sender slipped or the link delayed
@@ -111,7 +113,8 @@ pub(crate) enum Upset {
     /// A copy of the clean entry `base` scrambled by an error vector the
     /// CRC catches, so every receiver rejects it. It holds no bytes:
     /// `state` is the fault stream's position before the draw, from which
-    /// [`WireTable::append_bytes`] rebuilds them for a checkpoint.
+    /// [`WireTable::append_bytes`] rebuilds them. A checkpoint writes
+    /// `base` and `state`, not the bytes.
     Caught { base: Wire, state: [u64; 4] },
 }
 
@@ -138,7 +141,7 @@ impl WireEntry {
 
     /// The entry of an upset copy the CRC misses, or of one a checkpoint
     /// captured: decoded here, once, as its receiver will.
-    fn scrambled(codec: &WireCodec, bytes: Arc<[u8]>) -> Self {
+    pub(crate) fn scrambled(codec: &WireCodec, bytes: Arc<[u8]>) -> Self {
         let view = codec.decode_view(&bytes).ok();
         let view = view.map(|view| Held::from_view(&view));
         WireEntry::Upset(Upset::Scrambled { bytes, view })
@@ -202,11 +205,10 @@ struct MemoSlot {
 /// Slots of a [`MemoTable`]'s first allocation.
 const MEMO_INITIAL_SLOTS: usize = 64;
 
-/// A lookup-only multimap from `(key, tag)` to entry indices — for the
-/// round's memo `(message id, ttl)`, for the restore interner
-/// `(content_key, 0)`. One flat open-addressing table, probed linearly
-/// from `mix64(key ^ tag << 56)`; it is never iterated, so its order
-/// cannot reach a report.
+/// A lookup-only multimap from `(key, tag)` to entry indices: the
+/// round's memo, `(message id, ttl)`. One flat open-addressing table,
+/// probed linearly from `mix64(key ^ tag << 56)`; it is never iterated,
+/// so its order cannot reach a report.
 ///
 /// Several indices may be filed under one `(key, tag)` (twins); they
 /// sit in successive probe slots and the caller's predicate tells them
@@ -338,12 +340,25 @@ impl WireTable {
     /// previous rounds.
     #[inline]
     pub(crate) fn entry(&self, wire: Wire) -> &WireEntry {
+        let (age, index) = self.slot(wire);
+        &self.generations[age][index]
+    }
+
+    /// Where `wire`'s entry sits: its generation's age (0 is this round's)
+    /// and its index there.
+    #[inline]
+    pub(crate) fn slot(&self, wire: Wire) -> (usize, usize) {
         let age = self.epoch.wrapping_sub(wire.0 >> INDEX_BITS) & 3;
         debug_assert!(
             (age as usize) < GENERATIONS,
             "wire handle outlived its generation"
         );
-        &self.generations[age as usize][(wire.0 & INDEX_MASK) as usize]
+        (age as usize, (wire.0 & INDEX_MASK) as usize)
+    }
+
+    /// Entries in each generation, by age.
+    pub(crate) fn generation_lens(&self) -> [usize; GENERATIONS] {
+        self.generations.each_ref().map(Vec::len)
     }
 
     /// Registers an entry in the current generation.
@@ -420,9 +435,9 @@ impl WireTable {
     }
 
     /// Appends the bytes of `entry`, an entry of this table or a clone of
-    /// one, to `out` (checkpoint capture). A caught copy's are its base's
-    /// encoding scrambled again on the draws replayed from its stream
-    /// position.
+    /// one, to `out`: a missed upset's source, or a replay slot's frame in
+    /// a checkpoint. A caught copy's are its base's encoding scrambled
+    /// again on the draws replayed from its stream position.
     pub(crate) fn append_bytes(
         &self,
         codec: &WireCodec,
@@ -436,85 +451,6 @@ impl WireTable {
             injector.rescramble(*state, &mut out[start..]);
         } else if let Some(bytes) = entry.bytes(codec) {
             out.extend_from_slice(bytes);
-        }
-    }
-
-    /// Fills the current generation from captured bytes (checkpoint
-    /// restore).
-    pub(crate) fn interner<'a>(&'a mut self, codec: &'a WireCodec) -> WireInterner<'a> {
-        WireInterner {
-            table: self,
-            codec,
-            clean: MemoTable::default(),
-        }
-    }
-}
-
-/// The first eight bytes of `bytes` as a little-endian word, zero-padded.
-#[inline]
-fn le_word(bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    let len = bytes.len().min(8);
-    word[..len].copy_from_slice(&bytes[..len]);
-    u64::from_le_bytes(word)
-}
-
-/// The interner's key of a frame: its first word (the message id), its
-/// last word (the payload tail and the CRC tag, which covers TTL, source,
-/// destination and payload) and its length. [`MemoTable`] mixes it once
-/// into a home slot; equal keys still take a full byte compare, so a
-/// collision costs a compare, never a wrong share.
-#[inline]
-fn content_key(bytes: &[u8]) -> u64 {
-    let last = &bytes[bytes.len().saturating_sub(8)..];
-    le_word(bytes) ^ le_word(last).rotate_left(32) ^ bytes.len() as u64
-}
-
-/// Registers entries in a [`WireTable`]'s current generation for
-/// checkpoint restore: a capture resolved every in-flight handle to
-/// bytes, and interning the clean ones by content makes the many copies
-/// of one wire frame share one entry again.
-#[derive(Debug)]
-pub(crate) struct WireInterner<'a> {
-    table: &'a mut WireTable,
-    codec: &'a WireCodec,
-    /// This restore's clean entries by [`content_key`].
-    clean: MemoTable,
-}
-
-impl WireInterner<'_> {
-    /// The handle of a frame captured as `bytes`. A clean one shares the
-    /// entry of the first equal byte string, registering
-    /// [`WireEntry::decoded`] on first sight. An upset copy gets an entry
-    /// of its own with no lookup: [`WireTable::scrambled_copy`] made it
-    /// for one transmission, and nothing reads its identity.
-    pub(crate) fn intern(
-        &mut self,
-        scrambled: bool,
-        bytes: &[u8],
-    ) -> Result<Wire, ParsePacketError> {
-        if scrambled {
-            let entry = WireEntry::scrambled(self.codec, bytes.into());
-            return Ok(self.table.push(entry));
-        }
-        let key = content_key(bytes);
-        let entries = &self.table.generations[0];
-        // Every clean entry of this generation was registered below, with
-        // its encoding.
-        let found = self.clean.find(key, 0, |index| {
-            let WireEntry::Clean { encoding, .. } = &entries[index as usize] else {
-                return false;
-            };
-            encoding.get().is_some_and(|own| **own == *bytes)
-        });
-        match found {
-            Ok(index) => Ok(Wire(self.table.tag() | index)),
-            Err(free) => {
-                let entry = WireEntry::decoded(self.codec, bytes)?;
-                let wire = self.table.push(entry);
-                self.clean.fill(free, key, 0, wire.0 & INDEX_MASK);
-                Ok(wire)
-            }
         }
     }
 }
@@ -883,100 +819,5 @@ mod tests {
             table.entry(clean).bytes(&codec).unwrap()[..],
             "an encoding of its own"
         );
-    }
-
-    #[test]
-    fn interner_shares_equal_clean_bytes_and_gives_every_upset_copy_its_own_entry() {
-        let codec = WireCodec::default();
-        let mut table = WireTable::default();
-        let mut interner = table.interner(&codec);
-        let bytes = codec.encode(&message(1, 5));
-        let mut intern = |scrambled: bool, bytes: &[u8]| interner.intern(scrambled, bytes);
-        assert!(intern(false, &bytes[1..]).is_err(), "no frame of ours");
-        let mut intern = |scrambled: bool, bytes: &[u8]| intern(scrambled, bytes).unwrap();
-        let clean = intern(false, &bytes);
-        assert_eq!(intern(false, &bytes), clean);
-        let upset = intern(true, &bytes);
-        assert_ne!(upset, clean);
-        assert_ne!(intern(true, &bytes), upset, "one entry per upset copy");
-        assert_eq!(intern(false, &bytes), clean, "upsets stay out of the key");
-        assert_eq!(table.generations[0].len(), 3);
-        assert_eq!(id_of(&table, clean), Some(1));
-        assert_eq!(id_of(&table, upset), None);
-        assert_eq!(
-            built(&table, clean).unwrap()[..],
-            bytes[..],
-            "kept, not rebuilt"
-        );
-    }
-
-    /// Two frames of message 3 at TTL 5, payload `[p0, 0x5A × 7]`, from
-    /// sources 135 and 256 with `p0` 164 and 0: their CRC-16 tags agree,
-    /// so they share their first and last words and differ in between.
-    fn key_twins(codec: &WireCodec) -> [Vec<u8>; 2] {
-        [(135, 164), (256, 0)].map(|(source, p0)| {
-            let mut payload = vec![0x5A; 8];
-            payload[0] = p0;
-            codec.encode(&Message::new(
-                MessageId(3),
-                NodeId(source),
-                NodeId(1),
-                5,
-                payload,
-            ))
-        })
-    }
-
-    #[test]
-    fn key_twins_share_a_key_and_not_their_bytes() {
-        let codec = WireCodec::default();
-        let [a, b] = key_twins(&codec);
-        assert_eq!(content_key(&a), content_key(&b));
-        assert_ne!(a, b);
-        assert!(codec.decode(&a).is_ok() && codec.decode(&b).is_ok());
-    }
-
-    proptest! {
-        /// The interner against a linear scan of what it registered: a
-        /// clean byte string shares the entry of its first occurrence (key
-        /// twins and strings of 0–7 bytes included), one that does not
-        /// decode registers nothing, and every scrambled frame gets an
-        /// entry of its own.
-        #[test]
-        fn interner_shares_clean_bytes_exactly_like_a_linear_scan(
-            ops in proptest::collection::vec((0usize..18, 0u8..2), 0..200)
-        ) {
-            let codec = WireCodec::default();
-            let frame = codec.encode(&message(2, 4));
-            let mut pool: Vec<Vec<u8>> = key_twins(&codec).into();
-            pool.extend((1..5).map(|id| codec.encode(&message(id, 5))));
-            // `twin(1, 5, 1)` is `message(1, 5)` again, from another slot.
-            pool.extend((0..3).map(|content| codec.encode(&twin(1, 5, content))));
-            pool.extend((0..8).map(|len| frame[..len].to_vec()));
-            pool.push(frame[1..].to_vec());
-            prop_assert_eq!(pool.len(), 18);
-            let mut table = WireTable::default();
-            let mut interner = table.interner(&codec);
-            let mut naive: Vec<(bool, &[u8])> = Vec::new();
-            for (pick, flag) in ops {
-                let (bytes, scrambled) = (&pool[pick][..], flag == 1);
-                let shared = naive.iter().position(|&entry| entry == (false, bytes));
-                let expected = match shared {
-                    Some(index) if !scrambled => Some(index),
-                    _ if !scrambled && codec.decode(bytes).is_err() => None,
-                    _ => {
-                        naive.push((scrambled, bytes));
-                        Some(naive.len() - 1)
-                    }
-                };
-                let got = interner.intern(scrambled, bytes).ok();
-                prop_assert_eq!(got.map(|wire| (wire.0 & INDEX_MASK) as usize), expected);
-            }
-            prop_assert_eq!(table.generations[0].len(), naive.len());
-            for (entry, (scrambled, bytes)) in table.generations[0].iter().zip(&naive) {
-                prop_assert_eq!(entry.held().is_none(), *scrambled);
-                prop_assert_eq!(&entry.bytes(&codec).unwrap()[..], *bytes);
-            }
-        }
     }
 }

@@ -20,7 +20,8 @@ use proptest::prelude::*;
 use stochastic_noc::events::JsonlSink;
 use stochastic_noc::seed::derive_trial_seed;
 use stochastic_noc::{
-    Checkpoint, CheckpointError, Simulation, SimulationBuilder, SimulationReport, StochasticConfig,
+    Checkpoint, CheckpointError, CounterSink, Simulation, SimulationBuilder, SimulationReport,
+    StochasticConfig,
 };
 
 /// Serializes every observable report field — the golden digest format
@@ -332,8 +333,8 @@ fn checkpoints_and_digest(w: &Workload) -> (Vec<Checkpoint>, String) {
 /// Checkpoints `w` at every round boundary of a straight-through run and
 /// resumes each checkpoint at shard counts 1/2/8: the resumed run's
 /// report digest must be byte-identical to the uninterrupted run's, and
-/// the checkpoint itself must survive serialization and re-capture
-/// bit-exactly.
+/// the checkpoint itself must survive serialization and re-capture at
+/// each shard count bit-exactly.
 fn assert_every_round_resumes_byte_identically(w: &Workload) {
     let (checkpoints, want) = checkpoints_and_digest(w);
     for (round, ck) in checkpoints.iter().enumerate() {
@@ -347,16 +348,13 @@ fn assert_every_round_resumes_byte_identically(w: &Workload) {
                 .shards(shards)
                 .resume(&decoded)
                 .unwrap_or_else(|e| panic!("{}: resume at round {round}: {e}", w.name));
-            if shards == 1 {
-                // Restore fidelity: re-capturing immediately must
-                // reproduce the serialized checkpoint bit-exactly.
-                assert_eq!(
-                    resumed.checkpoint().to_bytes(),
-                    bytes,
-                    "{}: re-capture at round {round} drifted",
-                    w.name
-                );
-            }
+            // Restore fidelity: re-capturing immediately, at any shard
+            // count, must reproduce the serialized checkpoint bit-exactly.
+            assert!(
+                resumed.checkpoint().to_bytes() == bytes,
+                "{}: re-capture at round {round}, shards {shards} drifted",
+                w.name
+            );
             assert_eq!(
                 digest(&resumed.run()),
                 want,
@@ -446,53 +444,51 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// `(workload, round, serialized length, FNV-1a)` of
-/// `Checkpoint::to_bytes()` at a mid-run round boundary, computed at the
-/// commit before the wire table replaced refcounted frames (the knob
-/// workload's at the commit before the knob tables went sparse, the
-/// weak-CRC workload's at the commit before caught upset copies stopped
-/// being built). The round-trip tests above prove the format
-/// self-consistent; these prove format v1, its arena order and the
-/// config digest did not drift.
+/// `Checkpoint::to_bytes()` at a mid-run round boundary, computed when
+/// format v2 replaced v1 (each body and clean wire entry written once,
+/// each copy and frame its number). The round-trip tests above prove the
+/// format self-consistent; these prove format v2, its arena order, its
+/// numbering and the config digest did not drift.
 const PINNED_CHECKPOINT_BYTES: [(&str, u64, usize, u64); 14] = [
-    ("grid4_flooding_fault_free", 4, 4196, 0xF2C2_75C7_C1F6_95E2),
-    ("grid8_gossip_under_faults", 4, 5548, 0x9D82_2ED0_BF13_7137),
+    ("grid4_flooding_fault_free", 4, 1543, 0x6865_881D_9238_E280),
+    ("grid8_gossip_under_faults", 4, 3412, 0xD248_CC6F_E6DF_3BC6),
     (
         "grid16_flooding_with_defects",
         4,
-        17744,
-        0x24FF_6B57_53D4_3E53,
+        11411,
+        0xEEB4_19C1_09C7_2708,
     ),
-    ("torus_structural_overflow", 4, 5790, 0x3698_8F94_2060_2C81),
+    ("torus_structural_overflow", 4, 2701, 0x3B49_8287_69BA_5267),
     // Terminates on delivery at round 1; later rounds carry no frames.
     (
         "fully_connected_with_termination",
         1,
-        2239,
-        0xEFD5_0926_E6A7_CFFB,
+        1407,
+        0x0DF8_C458_B53E_90C7,
     ),
-    ("grid6_with_crash_schedule", 4, 4020, 0x385D_868E_DFF8_2C73),
-    ("partition_with_heal", 4, 4542, 0x5694_82DA_3E1B_2147),
-    ("permanent_death", 4, 4738, 0x27CF_5D28_C489_9D4B),
-    ("chaos_jitter", 4, 8243, 0x33F9_FB95_8DE0_0FB8),
-    ("byzantine_forge", 4, 5076, 0x2EDF_6B6B_889F_C8F3),
-    ("byzantine_replay", 4, 5383, 0x7102_DDCA_CDF9_E83D),
-    ("combined_hostile", 4, 8528, 0xD663_6092_8E9B_AEFC),
+    ("grid6_with_crash_schedule", 4, 2286, 0x2EC7_7668_18FF_6800),
+    ("partition_with_heal", 4, 2402, 0x9A1D_D6A7_BD3A_6FFB),
+    ("permanent_death", 4, 2398, 0xFADC_54B8_DE3D_944F),
+    ("chaos_jitter", 4, 6232, 0xD2CE_8208_857D_A313),
+    ("byzantine_forge", 4, 2605, 0xC12F_5531_0C13_A637),
+    ("byzantine_replay", 4, 2610, 0x8B3D_5D87_B84E_9BA1),
+    ("combined_hostile", 4, 6332, 0x68E3_30FB_3E3A_DC18),
     (
         "grid6_bridge_tile_and_mapped_ip",
         4,
-        9065,
-        0xC83B_32A9_70E1_00FB,
+        3340,
+        0xA29C_A5E2_D835_1BDB,
     ),
     (
         "grid8_weak_crc_heavy_upsets",
         4,
-        9232,
-        0x1983_99ED_852D_104F,
+        5809,
+        0xC6BA_312A_D156_887B,
     ),
 ];
 
 #[test]
-fn checkpoint_bytes_match_the_pinned_v1_digests() {
+fn checkpoint_bytes_match_the_pinned_v2_digests() {
     let all = workloads();
     assert_eq!(all.len(), PINNED_CHECKPOINT_BYTES.len());
     for (w, &(name, round, len, want)) in all.iter().zip(&PINNED_CHECKPOINT_BYTES) {
@@ -507,7 +503,7 @@ fn checkpoint_bytes_match_the_pinned_v1_digests() {
             assert_eq!(
                 (bytes.len(), fnv1a(&bytes)),
                 (len, want),
-                "{name}: v1 checkpoint bytes drifted at round {round}, shards {shards}"
+                "{name}: v2 checkpoint bytes drifted at round {round}, shards {shards}"
             );
         }
     }
@@ -544,12 +540,13 @@ fn single_byte_mutations_decode_and_resume_without_panicking() {
 }
 
 /// What the mutation fuzz cannot see, because it only asks for no panic:
-/// §3.2.3's "only one copy is kept" holds because every live id is in its
-/// buffer's seen list. On a 1×2 flood one message is in flight; turning a
+/// §3.2.3's "only one copy is kept" holds because every live id's
+/// audience holds the tile that buffers it — the tile's seen list is its
+/// bit in each window. On a 1×2 flood one message is in flight; turning a
 /// zero byte of a round-1 checkpoint into 7 either leaves that true or is
-/// refused. Before `restore_from` checked it, the 16 bytes of tile 0's
-/// seen id and live id (0 → 7) resumed, and within six rounds a tile
-/// buffered a second copy of the message beside the one it held.
+/// refused. Unchecked, a window filed under another id, or a body with
+/// another id, resumed, and within six rounds a tile buffered a second
+/// copy of the message beside the one it held.
 #[test]
 fn a_seen_list_that_disowns_a_live_message_is_refused() {
     let make = || {
@@ -582,7 +579,7 @@ fn a_seen_list_that_disowns_a_live_message_is_refused() {
         }
     }
     // Tile 0 alone has heard of the message by round 1: eight bytes of
-    // its seen id, eight of its live id.
+    // its window's id, eight of its body's.
     assert_eq!(disowned, 16);
 }
 
@@ -617,6 +614,74 @@ fn jsonl_event_streams_concatenate_byte_identically() {
             );
         }
     }
+}
+
+/// Under a sink that records nothing, the forward walk files a frame it
+/// has proved a duplicate at its receiver as a *known* duplicate, which
+/// receive never reads; capture puts each back at its place in its
+/// receiver's queue. A fault-free flood (the engine's sink-equivalence
+/// workload, where such frames are filed) captured that way at every
+/// round resumes under a recording sink into exactly the events a
+/// recording run emits from that round — every `DuplicateDrop` in arrival
+/// order — and a `CounterSink` run captures the same bytes.
+#[test]
+fn known_duplicates_resume_at_their_places_in_the_event_stream() {
+    let make = || {
+        SimulationBuilder::new(Topology::grid(6, 6))
+            .config(
+                StochasticConfig::flooding(10)
+                    .with_max_rounds(30)
+                    .with_termination(true),
+            )
+            .seed(1)
+    };
+    fn inject(sim: &mut Simulation<impl stochastic_noc::EventSink>) {
+        sim.inject(NodeId(0), NodeId(35), b"sink equivalence".to_vec());
+        sim.inject(NodeId(30), NodeId(5), b"sink equivalence".to_vec());
+    }
+    let mut recording = make().build_with_sink(JsonlSink::new(Vec::new()));
+    inject(&mut recording);
+    recording.run();
+    let straight = recording.into_sink().into_inner();
+    let mut null = make().build();
+    let mut counter = make().build_with_sink(CounterSink::new());
+    inject(&mut null);
+    inject(&mut counter);
+    let mut duplicates = 0;
+    loop {
+        let ck = null.checkpoint();
+        assert!(
+            counter.checkpoint() == ck,
+            "a CounterSink capture at round {} differs",
+            ck.round()
+        );
+        let mut prefix = make().build_with_sink(JsonlSink::new(Vec::new()));
+        inject(&mut prefix);
+        while prefix.round() < ck.round() {
+            prefix.step();
+        }
+        let mut stream = prefix.into_sink().into_inner();
+        let mut resumed = make()
+            .resume_with_sink(&ck, JsonlSink::new(Vec::new()))
+            .unwrap();
+        resumed.run();
+        let resumed = resumed.into_sink().into_inner();
+        duplicates += String::from_utf8_lossy(&resumed)
+            .matches("\"event\":\"duplicate_drop\"")
+            .count();
+        stream.extend_from_slice(&resumed);
+        assert!(
+            stream == straight,
+            "resumed at round {}: the event stream differs",
+            ck.round()
+        );
+        if null.is_complete() || null.round() >= null.config().max_rounds {
+            break;
+        }
+        null.step();
+        counter.step();
+    }
+    assert!(duplicates > 0, "no resumed run dropped a duplicate");
 }
 
 /// `run_until_idle` must agree with `run()` on every workload: all

@@ -145,7 +145,7 @@ fn astronomic_sigma_steps_in_bounded_time_with_saturated_slip_counts() {
 
 /// A 2×2 simulation under clock skew, stepped until the skew sampler
 /// holds a Box–Muller spare, as checkpoint bytes — with the offsets of
-/// the spare and of tile 0's accumulated skew in format v1.
+/// the spare and of tile 0's accumulated skew (laid out as in format v1).
 fn skewed_checkpoint() -> (impl Fn() -> SimulationBuilder, Vec<u8>, usize, usize) {
     let builder = || {
         SimulationBuilder::square_grid(2)
@@ -248,31 +248,56 @@ fn resume_patched(
     builder().resume(&checkpoint).map(drop)
 }
 
-/// The informed section restates the seen lists' sizes. A count patched
-/// to anything else once made `informed_count` return it; it is refused.
+/// The offset of the audience section's window count in a checkpoint of
+/// an `n`-tile, `m`-link simulation with no adversary: header, next id,
+/// two flags, the fault stream, no spare, three tallies, three empty
+/// adversary lists, the two liveness vectors, the clocks and the egress
+/// cursors.
+fn windows_at(n: usize, m: usize) -> usize {
+    28 + 8 + 2 + 32 + 1 + 24 + 24 + (8 + n) + (8 + m) + (8 + 16 * n) + (8 + n)
+}
+
+/// A message's informed count is its window's population, read back
+/// whole. A window no engine holds — one that names a tile past the
+/// fabric, or is wider than its tiles — is refused, and so is one filed
+/// under another id, which leaves the message's copies unseen.
 #[test]
-fn an_informed_count_that_contradicts_the_seen_lists_is_refused() {
+fn an_audience_window_no_engine_holds_is_refused() {
     let (builder, bytes, informed) = flood_checkpoint();
-    // One entry (id 0, its count), no terminated ids, then rounds run.
-    let section: Vec<u8> = [1, 0, informed, 0, 2]
-        .iter()
-        .flat_map(|word: &u64| word.to_le_bytes())
-        .collect();
-    let found: Vec<usize> = (0..bytes.len() - section.len())
-        .filter(|&at| bytes[at..at + section.len()] == section[..])
-        .collect();
-    assert_eq!(found.len(), 1, "the informed section is where it was");
-    let count = found[0] + 16;
-    assert_eq!(resume_patched(&builder, &bytes, count, informed), Ok(()));
-    for hostile in [informed - 1, informed + 1, u64::MAX] {
-        assert_eq!(
-            resume_patched(&builder, &bytes, count, hostile),
-            Err(CheckpointError::Mismatch(
-                "informed counts differ from the seen lists"
-            )),
-            "count {hostile}"
-        );
-    }
+    let windows = windows_at(16, 48);
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_eq!(word(windows), 1, "one window");
+    // Its id, first word and word count, then the 4×4 fabric's one word.
+    let (id, first, tiles) = (windows + 8, windows + 16, windows + 28);
+    assert_eq!(
+        (word(id), word(first + 4)),
+        (0, 1),
+        "window offsets drifted"
+    );
+    assert_eq!(u64::from(word(tiles).count_ones()), informed);
+    let resumed = builder()
+        .resume(&Checkpoint::from_bytes(&bytes).unwrap())
+        .unwrap();
+    assert_eq!(resumed.informed_count(MessageId(0)) as u64, informed);
+    let refused = |why| Err(CheckpointError::Mismatch(why));
+    let past = refused("an audience window reaches past the fabric");
+    assert_eq!(resume_patched(&builder, &bytes, tiles, 1 << 16), past);
+    assert_eq!(
+        resume_patched(&builder, &bytes, tiles, word(tiles) | 1 << 40),
+        past
+    );
+    let mut moved = bytes.clone();
+    moved[first..first + 4].copy_from_slice(&1u32.to_le_bytes());
+    let moved = Checkpoint::from_bytes(&moved).unwrap();
+    assert_eq!(builder().resume(&moved).map(drop), past);
+    assert_eq!(
+        resume_patched(&builder, &bytes, tiles, 0),
+        refused("an audience window is wider than its tiles")
+    );
+    assert_eq!(
+        resume_patched(&builder, &bytes, id, 1),
+        refused("buffered message repeats or was never seen")
+    );
 }
 
 /// `next_message_id` sizes the engine's per-message state, so a value the
@@ -320,19 +345,19 @@ fn a_buffered_destination_outside_the_topology_resumes() {
     sim.inject(NodeId(0), NodeId(15), payload.to_vec());
     sim.step();
     let mut bytes = sim.checkpoint().to_bytes();
-    // A buffered message is written as id, source, destination, TTL and
-    // the length-prefixed payload.
+    // A body is written once, where a copy first names it, as id, source,
+    // destination and the length-prefixed payload.
     let mut patched = 0;
-    for at in 0..bytes.len() - 25 {
+    for at in 0..bytes.len() - 24 {
         if bytes[at..at + 8] == 15u64.to_le_bytes()
-            && bytes[at + 9..at + 17] == 8u64.to_le_bytes()
-            && bytes[at + 17..at + 25] == *payload
+            && bytes[at + 8..at + 16] == 8u64.to_le_bytes()
+            && bytes[at + 16..at + 24] == *payload
         {
             bytes[at..at + 8].copy_from_slice(&40_000u64.to_le_bytes());
             patched += 1;
         }
     }
-    assert!(patched > 0, "no buffered copy of the message found");
+    assert_eq!(patched, 1, "the message's body, written once");
     let checkpoint = Checkpoint::from_bytes(&bytes).expect("well-formed");
     let mut resumed = builder().resume(&checkpoint).expect("fits the wire format");
     assert_eq!(resumed.checkpoint().to_bytes(), bytes);
@@ -341,45 +366,38 @@ fn a_buffered_destination_outside_the_topology_resumes() {
 
 /// A 256×256 checkpoint taken before anything was injected, in which
 /// tiles 0 and n − 1 have each seen the ids `0..ids` — ids no `inject`
-/// handed out, as an undetected upset can leave in a header — and whose
-/// informed section agrees. Each such id costs 16 bytes of seen lists and
-/// a window of n / 64 words, 8 KiB, between its two tiles.
+/// handed out, as an undetected upset can leave in a header. Each such id
+/// is a window of n / 64 words, 8 KiB, between its two tiles, written
+/// whole.
 fn far_apart_strays(ids: u64) -> (impl Fn() -> SimulationBuilder, Vec<u8>) {
     let builder = || SimulationBuilder::new(Topology::grid(256, 256));
     let bytes = builder().build().checkpoint().to_bytes();
     let (n, m) = (MAX_NODES, 2 * 2 * 256 * 255);
-    // Header, next id, two flags, the fault stream, no spare, three
-    // tallies, three empty adversary lists; two liveness vectors, the
-    // clocks and the egress cursors; then the buffers' count.
-    let buffers = 28 + 8 + 2 + 32 + 1 + 24 + 24 + (8 + n) + (8 + m) + (8 + 16 * n) + (8 + n);
+    let windows = windows_at(n, m);
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    assert_eq!(word(buffers), n as u64, "buffer section offset drifted");
-    // A tile is its live count, its seen count and ids, its expiries.
-    let seen = |tile: usize| buffers + 8 + 24 * tile + 8;
-    let informed = buffers + 8 + 24 * n + 2 * (8 + 8 * n);
-    assert_eq!(word(informed + 16), 0, "no terminated ids, then rounds run");
-    let listed: Vec<u8> = std::iter::once(ids)
-        .chain(0..ids)
-        .flat_map(u64::to_le_bytes)
-        .collect();
-    let counts: Vec<u8> = std::iter::once(ids)
-        .chain((0..ids).flat_map(|id| [id, 2]))
-        .flat_map(u64::to_le_bytes)
-        .collect();
-    let mut patched = bytes[..seen(0)].to_vec();
-    patched.extend_from_slice(&listed);
-    patched.extend_from_slice(&bytes[seen(0) + 8..seen(n - 1)]);
-    patched.extend_from_slice(&listed);
-    patched.extend_from_slice(&bytes[seen(n - 1) + 8..informed]);
-    patched.extend_from_slice(&counts);
-    patched.extend_from_slice(&bytes[informed + 8..]);
+    assert_eq!(word(windows), 0, "audience section offset drifted");
+    assert_eq!(word(windows + 8), n as u64, "then the buffers' count");
+    let mut patched = bytes[..windows].to_vec();
+    patched.extend_from_slice(&ids.to_le_bytes());
+    for id in 0..ids {
+        patched.extend_from_slice(&id.to_le_bytes());
+        patched.extend_from_slice(&0u32.to_le_bytes());
+        patched.extend_from_slice(&((n / 64) as u64).to_le_bytes());
+        let mut words = vec![0u64; n / 64];
+        (words[0], words[n / 64 - 1]) = (1, 1 << 63);
+        patched.extend(words.iter().flat_map(|word| word.to_le_bytes()));
+    }
+    patched.extend_from_slice(&bytes[windows + 8..]);
     (builder, patched)
 }
 
-/// Each stray id listed at tiles 0 and n − 1 turns 16 bytes of input into
-/// 8 KiB of audience. A few resume, and re-capture byte for byte; 4 096 —
-/// 32 MiB of windows from a 4 MiB checkpoint — are refused before the
-/// windows that would pass the bound are allocated.
+/// Each stray id seen at tiles 0 and n − 1 is 8 KiB of audience, and
+/// 8 KiB of checkpoint: a window's words are bytes of the input, so what
+/// the windows allocate the input backs. A few resume, and re-capture
+/// byte for byte; a window that claims more words than the input holds —
+/// 32 MiB, the windows of 4 096 strays, in a checkpoint of 1.3 MB — is
+/// refused by the walk that validates the input, before anything is
+/// allocated for it.
 #[test]
 fn stray_ids_whose_windows_the_checkpoint_cannot_back_are_refused() {
     let (builder, bytes) = far_apart_strays(64);
@@ -390,13 +408,13 @@ fn stray_ids_whose_windows_the_checkpoint_cannot_back_are_refused() {
     assert_eq!(resumed.informed_count(MessageId(63)), 2);
     assert_eq!(resumed.checkpoint().to_bytes(), bytes);
 
-    let (builder, bytes) = far_apart_strays(4_096);
-    let checkpoint = Checkpoint::from_bytes(&bytes).expect("well-formed");
+    let (_, mut bytes) = far_apart_strays(1);
+    // The window count, the id and the first word, then the word count.
+    let words = windows_at(MAX_NODES, 2 * 2 * 256 * 255) + 8 + 8 + 4;
+    bytes[words..words + 8].copy_from_slice(&(4_096u64 * 1_024).to_le_bytes());
     assert_eq!(
-        builder().resume(&checkpoint).map(drop),
-        Err(CheckpointError::Mismatch(
-            "seen lists span more audience than the checkpoint backs"
-        ))
+        Checkpoint::from_bytes(&bytes).map(drop),
+        Err(CheckpointError::Truncated)
     );
 }
 

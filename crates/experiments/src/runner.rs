@@ -200,18 +200,18 @@ struct Heartbeat {
     enabled: bool,
     label: String,
     total: u64,
-    /// `engine_rounds_total` when the sweep opened. The counter is
-    /// process-wide and also holds every earlier sweep's rounds.
+    /// `engine_rounds_total` when the sweep opened (0 with no registry).
+    /// The counter is process-wide and also holds every earlier sweep's
+    /// rounds.
     rounds_at_open: u64,
     /// Sweep-relative time of the last beat, for ~2 Hz throttling.
     last_beat_secs: Mutex<f64>,
 }
 
-/// Engine rounds counted so far in the installed registry (0 without one).
-fn engine_rounds() -> u64 {
-    metrics()
-        .and_then(|m| m.counter_value("engine_rounds_total"))
-        .unwrap_or(0)
+/// Engine rounds counted so far in the installed registry; `None` when no
+/// registry counts them.
+fn engine_rounds() -> Option<u64> {
+    metrics().and_then(|m| m.counter_value("engine_rounds_total"))
 }
 
 impl Heartbeat {
@@ -222,19 +222,20 @@ impl Heartbeat {
             enabled: progress_enabled(),
             label: label.to_string(),
             total,
-            rounds_at_open: engine_rounds(),
+            rounds_at_open: engine_rounds().unwrap_or(0),
             last_beat_secs: Mutex::new(f64::NEG_INFINITY),
         }
     }
 
     /// Engine rounds per second since the sweep opened, `elapsed`
-    /// seconds ago.
-    fn rounds_per_sec(&self, elapsed: f64) -> f64 {
-        if elapsed > 0.0 {
-            engine_rounds().saturating_sub(self.rounds_at_open) as f64 / elapsed
+    /// seconds ago; `None` when no registry counts rounds.
+    fn rounds_per_sec(&self, elapsed: f64) -> Option<f64> {
+        let rounds = engine_rounds()?.saturating_sub(self.rounds_at_open);
+        Some(if elapsed > 0.0 {
+            rounds as f64 / elapsed
         } else {
             0.0
-        }
+        })
     }
 
     /// Emits a heartbeat if enough time has passed since the previous
@@ -265,17 +266,28 @@ impl Heartbeat {
         } else {
             0.0
         };
-        let rounds_per_sec = self.rounds_per_sec(elapsed);
         eprintln!(
-            "{{\"event\":\"progress\",\"figure\":\"{}\",\"trials_done\":{},\"trials_total\":{},\"elapsed_secs\":{:.3},\"trials_per_sec\":{:.2},\"eta_secs\":{:.1},\"rounds_per_sec\":{:.1}}}",
+            "{}",
+            self.line(completed, elapsed, trials_per_sec, eta_secs)
+        );
+    }
+
+    /// One heartbeat's JSON object. `rounds_per_sec` is left out when no
+    /// registry counts rounds, rather than printed as a rate of 0.
+    fn line(&self, completed: u64, elapsed: f64, trials_per_sec: f64, eta_secs: f64) -> String {
+        let rounds_per_sec = self.rounds_per_sec(elapsed).map_or(String::new(), |rate| {
+            format!(",\"rounds_per_sec\":{:.1}", finite_or_zero(rate))
+        });
+        format!(
+            "{{\"event\":\"progress\",\"figure\":\"{}\",\"trials_done\":{},\"trials_total\":{},\"elapsed_secs\":{:.3},\"trials_per_sec\":{:.2},\"eta_secs\":{:.1}{}}}",
             noc_obs::json_escape(&self.label),
             completed,
             self.total,
             finite_or_zero(elapsed),
             finite_or_zero(trials_per_sec),
             finite_or_zero(eta_secs),
-            finite_or_zero(rounds_per_sec),
-        );
+            rounds_per_sec,
+        )
     }
 }
 
@@ -632,9 +644,28 @@ mod tests {
         let heartbeat = Heartbeat::new("rate-probe", 1);
         rounds.add(30);
         let rate = heartbeat.rounds_per_sec(2.0);
+        let line = heartbeat.line(1, 2.0, 0.5, 0.0);
+        let at_zero = heartbeat.rounds_per_sec(0.0);
         install_metrics(None);
-        assert_eq!(rate, 15.0);
-        assert_eq!(heartbeat.rounds_per_sec(0.0), 0.0);
+        assert_eq!(rate, Some(15.0));
+        assert_eq!(at_zero, Some(0.0));
+        assert!(line.ends_with(",\"rounds_per_sec\":15.0}"), "{line}");
+    }
+
+    /// With no registry nothing counts rounds, so a heartbeat carries no
+    /// rate at all rather than a rate of 0.
+    #[test]
+    fn a_heartbeat_without_a_registry_leaves_the_round_rate_out() {
+        let _guard = GLOBAL_STATE_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        install_metrics(None);
+        let heartbeat = Heartbeat::new("no-registry", 4);
+        assert_eq!(heartbeat.rounds_per_sec(2.0), None);
+        assert_eq!(
+            heartbeat.line(2, 2.0, 1.0, 2.0),
+            "{\"event\":\"progress\",\"figure\":\"no-registry\",\"trials_done\":2,\"trials_total\":4,\"elapsed_secs\":2.000,\"trials_per_sec\":1.00,\"eta_secs\":2.0}"
+        );
     }
 
     #[test]
