@@ -76,6 +76,15 @@ impl Pending {
         self.known.push((seq, frame));
     }
 
+    /// The first frame of each queue kind: a frame held from the round
+    /// before, if the list has one, heads one ([`Arrivals::rotate`]).
+    pub(crate) fn heads(&self) -> impl Iterator<Item = Frame> + '_ {
+        let lists = [&self.pushed, &self.reordered];
+        lists
+            .into_iter()
+            .filter_map(|list| list.first().map(|&(_, frame)| frame))
+    }
+
     /// Frames in the list, known duplicates included.
     pub(crate) fn len(&self) -> usize {
         self.pushed.len() + self.reordered.len() + self.known.len()

@@ -91,7 +91,7 @@ use std::sync::Arc;
 use noc_fabric::{MessageId, NodeId, WireCodec, MAX_NODES, MAX_PAYLOAD_BYTES};
 
 use crate::body::{Body, Held};
-use crate::wire::{Upset, Wire, WireEntry, WireTable};
+use crate::wire::{EntryKinds, Upset, Wire, WireEntry, WireTable};
 
 /// Magic bytes opening every serialized checkpoint.
 const MAGIC: &[u8; 8] = b"NOCSIMCK";
@@ -372,22 +372,31 @@ fn validate(data: &[u8]) -> Result<(), CheckpointError> {
 /// What a capture writes, counted from above, so that [`Writer::new`]
 /// reserves the checkpoint in one block rather than growing it through
 /// a chain of doublings, whose copies and freed blocks the allocator
-/// must place anew every cycle. Each count is one kind of v2 record;
-/// [`Extent::bytes`] prices it at the most its fields take.
+/// must place anew every cycle. Each count is one kind of v2 record, and
+/// [`Extent::bytes`] prices it at the most format v2 writes of it: a
+/// per-tile slot, a copy and a frame at their fixed widths, a wire entry
+/// by its kind, and a body definition once per body that can exist.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Extent {
-    /// Tiles: a slot in every per-tile table, a clock, a buffer's count,
-    /// an expiry count and two arena counts each.
+    /// Tiles: a liveness byte, a clock, an egress cursor's tag, a
+    /// buffer's count, an expiry count and two arena counts each.
     pub(crate) tiles: usize,
     /// Links: one liveness byte each.
     pub(crate) links: usize,
+    /// Egress cursors set: an id each.
+    pub(crate) cursors: usize,
     /// Buffered copies: a body reference and a TTL each.
     pub(crate) copies: usize,
-    /// Frames in flight: an arrival link and an entry reference each.
+    /// Frames in flight: an arrival link and an entry word each.
     pub(crate) frames: usize,
-    /// Wire entries the frames may name: each is defined at most once, as
-    /// a clean entry or an upset copy.
-    pub(crate) entries: usize,
+    /// The wire entries the frames may name, by kind: each is defined at
+    /// most once, after the word of the frame that first names it.
+    pub(crate) entries: EntryKinds,
+    /// Bodies that can exist, each defined at most once: equal contents
+    /// share a number, and every content was minted by an inject, a
+    /// Byzantine forge, or an upset the CRC missed (see
+    /// `Simulation::extent`).
+    pub(crate) bodies: usize,
     /// Audience windows, and the words in them.
     pub(crate) windows: usize,
     pub(crate) window_words: usize,
@@ -395,33 +404,37 @@ pub(crate) struct Extent {
     pub(crate) replays: usize,
     /// Chaos and Byzantine streams: a tile and a generator state each.
     pub(crate) streams: usize,
-    /// Message ids with a record or a terminated spread.
-    pub(crate) ids: usize,
-    /// The longest frame any copy or frame encodes to.
+    /// Message records, and terminated spreads.
+    pub(crate) records: usize,
+    pub(crate) terminated: usize,
+    /// The longest frame any message encodes to, which bounds a body's
+    /// payload and a replay slot's bytes.
     pub(crate) frame_bytes: usize,
 }
 
 impl Extent {
-    /// Bytes a capture of this extent writes at most. A body is defined
-    /// where a copy or a clean entry first names it, so there are no more
-    /// bodies than copies and entries.
+    /// Bytes a capture of this extent writes at most.
     pub(crate) fn bytes(&self) -> usize {
         const WORD: usize = 8;
-        // Header, the fault stream, the section counts and the report's
-        // counters.
-        const FIXED: usize = 128 * WORD;
-        // Liveness, clock, egress cursor, buffer and arena counts, expiry
-        // count.
-        const TILE: usize = 6 * WORD;
+        // Magic, version, digest and round; the next id and two flags; the
+        // fault stream, its Gaussian spare and tally; thirteen section
+        // counts; the report's round, flag and fourteen counters.
+        const FIXED: usize = 28 + 10 + (32 + 9 + 3 * WORD) + 13 * WORD + (WORD + 1 + 14 * WORD);
+        // Liveness, clock, egress cursor tag, buffer count, expiry count
+        // and two arena counts.
+        const TILE: usize = 1 + 2 * WORD + 1 + 4 + WORD + 2 * 4;
         // A body reference and a TTL.
         const COPY: usize = 4 + 1;
         // An arrival link and an entry word.
         const FRAME: usize = 4 + 4;
-        // Whichever an entry is defined as: a clean entry's body reference
-        // and TTL, a caught copy's source and stream position, or a missed
-        // copy's length (its bytes are priced apart).
-        const ENTRY: usize = 4 + 4 * WORD;
-        // Id, source, destination and the payload's length.
+        // After its entry word: a clean entry's body reference and TTL, a
+        // caught copy's source reference and stream position, a missed
+        // copy's length (its bytes are counted apart).
+        const CLEAN_ENTRY: usize = 4 + 1;
+        const CAUGHT_ENTRY: usize = 4 + 4 * WORD;
+        const MISSED_ENTRY: usize = WORD;
+        // Id, source, destination and the payload's length, after the
+        // reference word that defines it.
         const BODY: usize = 4 * WORD;
         // Id, first word and word count.
         const WINDOW: usize = 2 * WORD + 4;
@@ -429,20 +442,32 @@ impl Extent {
         const REPLAY: usize = 3 * WORD;
         // A tile and a generator state.
         const STREAM: usize = 5 * WORD;
-        // A record and a terminated id.
-        const ID: usize = 8 * WORD;
+        // Id, source, destination, injected round, delivered round and
+        // frame bits.
+        const RECORD: usize = 6 * WORD + 1;
+        let EntryKinds {
+            clean,
+            caught,
+            missed,
+            missed_bytes,
+        } = self.entries;
         FIXED
             + TILE * self.tiles
             + self.links
+            + WORD * self.cursors
             + COPY * self.copies
             + FRAME * self.frames
-            + (ENTRY + self.frame_bytes) * self.entries
-            + (BODY + self.frame_bytes) * (self.copies + self.entries)
+            + CLEAN_ENTRY * clean
+            + CAUGHT_ENTRY * caught
+            + MISSED_ENTRY * missed
+            + missed_bytes
+            + (BODY + self.frame_bytes) * self.bodies
             + WINDOW * self.windows
             + WORD * self.window_words
             + (REPLAY + self.frame_bytes) * self.replays
             + STREAM * self.streams
-            + ID * self.ids
+            + RECORD * self.records
+            + WORD * self.terminated
     }
 }
 
@@ -779,6 +804,7 @@ impl<'a> Numbering<'a> {
     /// [`MISSED`] and its bytes.
     fn entry(&mut self, w: &mut Writer, wire: Wire) {
         let (age, index) = self.wires.slot(wire);
+        debug_assert!(age < 2, "a frame names an entry `Extent` does not count");
         let known = self.met[age][index];
         if known != NEW {
             w.u32(known);

@@ -120,6 +120,17 @@ pub(crate) enum Upset {
 
 const _: () = assert!(std::mem::size_of::<WireEntry>() == 48);
 
+/// Wire entries counted by kind, as a checkpoint writes them
+/// ([`WireTable::kinds`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EntryKinds {
+    pub(crate) clean: usize,
+    pub(crate) caught: usize,
+    pub(crate) missed: usize,
+    /// The missed copies' bytes, summed.
+    pub(crate) missed_bytes: usize,
+}
+
 impl WireEntry {
     /// The entry of an unscrambled frame carrying `held`.
     pub(crate) fn clean(held: Held) -> Self {
@@ -359,6 +370,25 @@ impl WireTable {
     /// Entries in each generation, by age.
     pub(crate) fn generation_lens(&self) -> [usize; GENERATIONS] {
         self.generations.each_ref().map(Vec::len)
+    }
+
+    /// The entries of the `newest` newest generations, by kind. At a
+    /// round boundary a frame in flight names one of the two newest: a
+    /// frame is read at most two rounds after it was sent, and an upset
+    /// copies the frame served that round.
+    pub(crate) fn kinds(&self, newest: usize) -> EntryKinds {
+        let mut kinds = EntryKinds::default();
+        for entry in self.generations[..newest].iter().flatten() {
+            match entry {
+                WireEntry::Clean { .. } => kinds.clean += 1,
+                WireEntry::Upset(Upset::Caught { .. }) => kinds.caught += 1,
+                WireEntry::Upset(Upset::Scrambled { bytes, .. }) => {
+                    kinds.missed += 1;
+                    kinds.missed_bytes += bytes.len();
+                }
+            }
+        }
+        kinds
     }
 
     /// Registers an entry in the current generation.
