@@ -1,4 +1,5 @@
-//! Tile-partitioned shard workers for the intra-trial parallel engine.
+//! The receive and age phases on more than one shard, and their
+//! tile-partitioned workers.
 //!
 //! With more than one shard, [`Simulation::step`](crate::Simulation::step)
 //! splits the grid into contiguous tile ranges and runs each range's
@@ -17,7 +18,8 @@
 //!   sequence for every shard count, which is what keeps reports
 //!   byte-identical across `--shards N`.
 //! * **Shard workers are RNG-free.** They execute the recorded
-//!   verdicts: dedup, buffer insertion, TTL aging. Frames arrive as
+//!   verdicts: dedup, buffer insertion, TTL aging, each over its own
+//!   tile chunk, and return events and counter deltas. Frames arrive as
 //!   handles into the engine's [`WireTable`] (an upset copy the CRC
 //!   missed was decoded when it was made), and dedup probes the
 //!   engine's [`Audience`]; workers only read both, and hand their
@@ -25,11 +27,6 @@
 //! * **Merges walk shards in ascending tile order**, so per-location
 //!   event order, report counter accumulation and delivery arbitration
 //!   replay the sequential engine's order exactly.
-//!
-//! The worker functions here are pure with respect to the engine's RNG
-//! and report state: they read shared topology/config/fault metadata,
-//! mutate only their own tile chunk, and return everything else
-//! (events, counter deltas) for the main thread to merge.
 //!
 //! The same division of labour extends to the wall-clock plane
 //! (DESIGN.md §13): **workers never read the clock**. Timing spans for
@@ -39,18 +36,18 @@
 //! what a worker computes, and the deterministic plane stays
 //! byte-identical with observability enabled.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use noc_fabric::{MessageId, NodeId};
-use noc_faults::CrashSchedule;
+use noc_faults::OverflowMode;
 
+use super::{Fabric, MappedIp, Simulation, Spread};
 use crate::arrivals::Grouped;
 use crate::audience::Audience;
-use crate::events::{DropSite, SimEvent};
+use crate::events::{DropSite, EventSink, SimEvent};
 use crate::frontier::TileSet;
+use crate::obs::{span_end, span_start, EngineObs, EnginePhase};
 use crate::send_buffer::Live;
 use crate::wire::WireTable;
 
@@ -65,10 +62,7 @@ pub(crate) fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
 
 /// Splits one `&mut [T]` into per-shard chunks matching `ranges`
 /// (which must be contiguous, ascending and cover the slice).
-pub(crate) fn split_chunks<'a, T>(
-    mut slice: &'a mut [T],
-    ranges: &[(usize, usize)],
-) -> Vec<&'a mut [T]> {
+fn split_chunks<'a, T>(mut slice: &'a mut [T], ranges: &[(usize, usize)]) -> Vec<&'a mut [T]> {
     let mut chunks = Vec::with_capacity(ranges.len());
     for &(lo, hi) in ranges {
         let (head, tail) = slice.split_at_mut(hi - lo);
@@ -82,7 +76,7 @@ pub(crate) fn split_chunks<'a, T>(
 /// starting at `start` in [`ReceiveTape::keeps`], one per arriving
 /// frame in arrival order (`true` = keep).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OverflowSpan {
+struct OverflowSpan {
     pub tile: u32,
     pub start: u32,
     pub len: u32,
@@ -92,21 +86,14 @@ pub(crate) struct OverflowSpan {
 /// keep/drop verdicts for every alive tile with arrivals, in ascending
 /// tile order (the exact order the sequential engine draws them).
 #[derive(Debug, Default)]
-pub(crate) struct ReceiveTape {
-    pub spans: Vec<OverflowSpan>,
-    pub keeps: Vec<bool>,
-}
-
-impl ReceiveTape {
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        self.keeps.clear();
-    }
+pub(super) struct ReceiveTape {
+    spans: Vec<OverflowSpan>,
+    keeps: Vec<bool>,
 }
 
 /// How a receive worker applies overflow for its tiles.
 #[derive(Clone, Copy)]
-pub(crate) enum OverflowPlan<'a> {
+enum OverflowPlan<'a> {
     /// No overflow possible this round (fault-free or `p_overflow = 0`).
     None,
     /// Structural drop-oldest beyond `capacity` — deterministic, so
@@ -143,13 +130,12 @@ impl<'a> OverflowPlan<'a> {
 }
 
 /// Shared read-only context for the receive workers of one round.
-pub(crate) struct ReceiveCtx<'a> {
+struct ReceiveCtx<'a> {
     pub round: u64,
     /// This round's arrivals, grouped by tile.
     pub arrivals: &'a Grouped,
     pub wires: &'a WireTable,
-    pub tiles_alive: &'a [bool],
-    pub crash_schedule: &'a CrashSchedule,
+    pub fabric: &'a Fabric,
     pub overflow: OverflowPlan<'a>,
     /// Who had seen what when the round began.
     pub audience: &'a Audience,
@@ -168,7 +154,7 @@ pub(crate) struct ReceiveCtx<'a> {
 
 /// Everything a receive worker reports back for the ordered merge.
 #[derive(Debug, Default)]
-pub(crate) struct ReceiveOut {
+struct ReceiveOut {
     /// Events in emission order. `Delivery` entries are *candidates*:
     /// the merge arbitrates first-delivery through
     /// `SimulationReport::record_delivery` in shard order and drops the
@@ -199,7 +185,7 @@ pub(crate) struct ReceiveOut {
 /// everything in `ctx`, the grouped arrivals included, is shared
 /// read-only state. Consumes no RNG: probabilistic overflow verdicts come
 /// pre-drawn on the tape.
-pub(crate) fn receive_shard(
+fn receive_shard(
     ctx: &ReceiveCtx<'_>,
     lo: usize,
     buffers: &mut [Live],
@@ -221,7 +207,7 @@ pub(crate) fn receive_shard(
     };
     for (tile, frames) in ctx.arrivals.tiles(lo, hi) {
         let node = NodeId(tile);
-        if !ctx.tiles_alive[tile] || ctx.crash_schedule.tile_dead(tile, round) {
+        if !ctx.fabric.tile_up(tile, round) {
             out.crash_drops += frames.len() as u64;
             if ctx.record_events {
                 for _ in 0..frames.len() {
@@ -374,25 +360,19 @@ pub(crate) fn receive_shard(
 ///
 /// Runs on the main thread before the workers; consumes no RNG
 /// (probabilistic overflow verdicts are read from the tape).
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the receive phase's split borrows, passed explicitly"
-)]
-pub(crate) fn plan_terminations(
+fn plan_terminations(
     round: u64,
     arrivals: &Grouped,
-    audience: &Audience,
+    spread: &Spread,
     wires: &WireTable,
-    tiles_alive: &[bool],
-    crash_schedule: &CrashSchedule,
+    fabric: &Fabric,
     overflow: &OverflowPlan<'_>,
-    terminated: &BTreeSet<MessageId>,
 ) -> BTreeMap<MessageId, usize> {
     let mut newly: BTreeMap<MessageId, usize> = BTreeMap::new();
     let mut local_seen: BTreeSet<MessageId> = BTreeSet::new();
     let mut span_cursor = 0usize;
-    for (tile, frames) in arrivals.tiles(0, tiles_alive.len()) {
-        if !tiles_alive[tile] || crash_schedule.tile_dead(tile, round) {
+    for (tile, frames) in arrivals.tiles(0, spread.buffers.len()) {
+        if !fabric.tile_up(tile, round) {
             continue;
         }
         let node = NodeId(tile);
@@ -409,10 +389,10 @@ pub(crate) fn plan_terminations(
             let (id, destination) = (held.id(), held.body.destination);
             // A `newly` entry at this very tile means an earlier frame
             // in this loop already delivered the id here, so `<=`.
-            if terminated.contains(&id) || newly.get(&id).is_some_and(|&d| d <= tile) {
+            if spread.terminated.contains(&id) || newly.get(&id).is_some_and(|&d| d <= tile) {
                 continue;
             }
-            if audience.contains(id, tile) || !local_seen.insert(id) {
+            if spread.audience.contains(id, tile) || !local_seen.insert(id) {
                 continue;
             }
             if destination == node {
@@ -426,7 +406,7 @@ pub(crate) fn plan_terminations(
 /// An age worker's report: expiry events, counter deltas, and the tiles
 /// whose buffers drained to empty (to clear from the frontier).
 #[derive(Debug, Default)]
-pub(crate) struct AgeOut {
+struct AgeOut {
     pub events: Vec<SimEvent>,
     pub expired: u64,
     pub purged: u64,
@@ -437,7 +417,7 @@ pub(crate) struct AgeOut {
 /// over this shard's buffer chunk and the expiry counts beside it.
 /// RNG-free and event-order-identical to the sequential engine's
 /// ascending-tile walk.
-pub(crate) fn age_shard(
+fn age_shard(
     round: u64,
     lo: usize,
     frontier: &TileSet,
@@ -472,6 +452,223 @@ pub(crate) fn age_shard(
         }
     }
     out
+}
+
+impl<S: EventSink> Simulation<S> {
+    /// The receive phase on more than one shard: the overflow draws
+    /// happen here on the main thread, in a serial pre-pass that walks
+    /// tiles in exactly the one-shard order; scoped workers execute the
+    /// recorded verdicts over disjoint tile ranges; the merge walks
+    /// shards in ascending tile order. Returns the round's deliveries.
+    pub(super) fn receive_sharded(&mut self, obs: &Option<EngineObs>) -> u64 {
+        let round = self.run.round;
+        let record_events = S::RECORDS;
+        let ranges = shard_ranges(self.node_count(), self.plan.shards);
+        let flight = &mut self.flight;
+
+        // Receive pre-pass: probabilistic overflow draws one Bernoulli
+        // per arriving frame at each alive tile — replay them onto the
+        // tape in tile order.
+        flight.receive_tape.spans.clear();
+        flight.receive_tape.keeps.clear();
+        let model = flight.injector.model();
+        let tape_mode =
+            matches!(model.overflow_mode, OverflowMode::Probabilistic) && model.p_overflow > 0.0;
+        if tape_mode {
+            let tape_span = span_start(obs);
+            let tape = &mut flight.receive_tape;
+            for (tile, frames) in flight.arrivals.grouped.tiles(0, self.spread.buffers.len()) {
+                if !self.fabric.tile_up(tile, round) {
+                    continue;
+                }
+                let start = tape.keeps.len() as u32;
+                for _ in 0..frames.len() {
+                    tape.keeps.push(!flight.injector.overflow_drop());
+                }
+                tape.spans.push(OverflowSpan {
+                    tile: tile as u32,
+                    start,
+                    len: frames.len() as u32,
+                });
+            }
+            span_end(obs, EnginePhase::Tape, tape_span);
+        }
+        let overflow_plan = if tape_mode {
+            OverflowPlan::Tape(&flight.receive_tape)
+        } else {
+            match flight.injector.model().overflow_mode {
+                OverflowMode::Structural { capacity } => OverflowPlan::Structural { capacity },
+                OverflowMode::Probabilistic => OverflowPlan::None,
+            }
+        };
+        let grouped = &flight.arrivals.grouped;
+
+        // Termination plan: under terminate-on-delivery one tile's
+        // delivery suppresses later copies of the id — cross-shard
+        // information a worker cannot observe, so the delivering tiles
+        // are computed up front (RNG-free).
+        let newly_terminated = if self.plan.config.terminate_on_delivery {
+            plan_terminations(
+                round,
+                grouped,
+                &self.spread,
+                &flight.wires,
+                &self.fabric,
+                &overflow_plan,
+            )
+        } else {
+            BTreeMap::new()
+        };
+
+        // Phase 1: receive, one RNG-free worker per shard.
+        let receive_outs: Vec<ReceiveOut> = if grouped.is_empty() {
+            Vec::new()
+        } else {
+            let fan_span = span_start(obs);
+            let spread = &mut self.spread;
+            let ctx = ReceiveCtx {
+                round,
+                arrivals: grouped,
+                wires: &flight.wires,
+                fabric: &self.fabric,
+                overflow: overflow_plan,
+                audience: &spread.audience,
+                terminated: &spread.terminated,
+                newly_terminated: &newly_terminated,
+                terminate_on_delivery: self.plan.config.terminate_on_delivery,
+                record_events,
+            };
+            let buffers = split_chunks(&mut spread.buffers, &ranges);
+            let expired = split_chunks(&mut spread.expired, &ranges);
+            let work: Vec<_> = ranges
+                .iter()
+                .zip(buffers.into_iter().zip(expired))
+                .map(|(&(lo, _), tiles)| (lo, tiles))
+                .collect();
+            let outs = run_shards(work, |(lo, (buf, expired))| {
+                receive_shard(&ctx, lo, buf, expired)
+            });
+            span_end(obs, EnginePhase::ShardFanout, fan_span);
+            outs
+        };
+        let merge_span = span_start(obs).filter(|_| !receive_outs.is_empty());
+        let (spread, report) = (&mut self.spread, &mut self.report);
+        let mut deliveries = 0;
+        for out in &receive_outs {
+            report.crash_drops += out.crash_drops;
+            report.overflow_drops += out.overflow_drops;
+            report.upsets_detected += out.upsets_detected;
+            report.upsets_undetected += out.upsets_undetected;
+            for &(tile, id) in &out.first_sights {
+                spread.audience.insert(id, tile as usize);
+            }
+            deliveries += out.deliveries.len() as u64;
+            for (tile, from, payload) in &out.staged {
+                MappedIp::stage(&mut self.run.mapped_ips, *tile as usize, *from, payload);
+            }
+            if record_events {
+                // Delivery events are candidates: first-delivery
+                // arbitration replays here, in shard (= tile) order.
+                for &event in &out.events {
+                    if let SimEvent::Delivery { round, message, .. } = event {
+                        if report.record_delivery(message, round) {
+                            self.sink.emit(event);
+                        }
+                    } else {
+                        self.sink.emit(event);
+                    }
+                }
+            } else {
+                for &id in &out.deliveries {
+                    report.record_delivery(id, round);
+                }
+            }
+            spread.live_total += out.inserted;
+            for &tile in &out.touched {
+                spread.frontier.insert(tile as usize);
+            }
+        }
+        span_end(obs, EnginePhase::Merge, merge_span);
+        for &id in newly_terminated.keys() {
+            if spread.terminated.insert(id) {
+                spread.pending_purge.push(id);
+            }
+        }
+        deliveries
+    }
+
+    /// The age phase on more than one shard: one RNG-free worker per
+    /// shard over the buffer frontier, merged in ascending tile order.
+    pub(super) fn age_sharded(&mut self, obs: &Option<EngineObs>) {
+        let round = self.run.round;
+        let record_events = S::RECORDS;
+        let ranges = shard_ranges(self.node_count(), self.plan.shards);
+        let spread = &mut self.spread;
+        let age_outs: Vec<AgeOut> = if spread.frontier.is_empty() {
+            Vec::new()
+        } else {
+            let fan_span = span_start(obs);
+            let chunks = split_chunks(&mut spread.buffers, &ranges);
+            let expired = split_chunks(&mut spread.expired, &ranges);
+            let work: Vec<_> = ranges
+                .iter()
+                .zip(chunks.into_iter().zip(expired))
+                .map(|(&(lo, _), tiles)| (lo, tiles))
+                .collect();
+            let (frontier, purge) = (&spread.frontier, &spread.pending_purge);
+            let outs = run_shards(work, |(lo, (chunk, expired))| {
+                age_shard(round, lo, frontier, chunk, expired, purge, record_events)
+            });
+            span_end(obs, EnginePhase::ShardFanout, fan_span);
+            outs
+        };
+        let merge_span = span_start(obs).filter(|_| !age_outs.is_empty());
+        for out in &age_outs {
+            for &event in &out.events {
+                self.sink.emit(event);
+            }
+            spread.live_total -= out.purged + out.expired;
+            for &tile in &out.emptied {
+                spread.frontier.remove(tile as usize);
+            }
+        }
+        span_end(obs, EnginePhase::Merge, merge_span);
+    }
+}
+
+/// Runs one worker per shard on scoped threads, executing the last
+/// shard inline on the calling thread (a one-element work list spawns
+/// nothing). Results return in shard order; a worker panic propagates
+/// to the caller.
+fn run_shards<W, T, F>(mut work: Vec<W>, f: F) -> Vec<T>
+where
+    W: Send,
+    T: Send,
+    F: Fn(W) -> T + Sync,
+{
+    let Some(last) = work.pop() else {
+        return Vec::new();
+    };
+    if work.is_empty() {
+        return vec![f(last)];
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = work
+            .into_iter()
+            .map(|w| scope.spawn(move || f(w)))
+            .collect();
+        let inline = f(last);
+        let mut results: Vec<T> = handles
+            .into_iter()
+            .map(|handle| match handle.join() {
+                Ok(out) => out,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect();
+        results.push(inline);
+        results
+    })
 }
 
 #[cfg(test)]

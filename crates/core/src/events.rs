@@ -76,7 +76,8 @@ pub enum SimEvent {
         /// The serviced message.
         message: MessageId,
     },
-    /// A scrambled frame was discarded by the receive-side CRC check.
+    /// A scrambled frame was discarded at receive: the CRC check caught
+    /// it, or passed it with a body that failed to parse.
     CrcReject {
         /// Round of rejection.
         round: u64,

@@ -156,7 +156,7 @@ impl Iterator for TileSetIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::shard_ranges;
+    use crate::engine::sharded::shard_ranges;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 

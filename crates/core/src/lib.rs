@@ -71,7 +71,6 @@ pub mod obs;
 pub mod reference;
 pub mod seed;
 mod send_buffer;
-mod shard;
 pub mod spread;
 mod trace;
 pub mod tuning;

@@ -56,7 +56,8 @@ pub struct SimulationReport {
     pub packets_sent: u64,
     /// Total bits moved over links.
     pub bits_sent: Bits,
-    /// Packets discarded by the receive-side CRC check (detected upsets).
+    /// Upset packets receive discards: those the CRC check caught, and
+    /// those it passed whose body then failed to parse.
     pub upsets_detected: u64,
     /// Scrambled packets that passed the CRC check (residual errors).
     pub upsets_undetected: u64,
