@@ -1,5 +1,5 @@
-//! Phase 3, age, on one shard: the spreads terminated this round are
-//! purged, every buffered TTL is decremented, and expired copies go.
+//! Phase 3, age, at every shard count: the spreads terminated this round
+//! are purged, every buffered TTL is decremented, and expired copies go.
 
 use noc_fabric::NodeId;
 

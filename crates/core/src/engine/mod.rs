@@ -26,7 +26,7 @@
 //! writes (DESIGN.md §8 has the table), and each phase is a module:
 //! `receive`, `age` and `forward`; compute is [`Simulation::step`]'s own.
 //! `capture` writes and restores a checkpoint, and `sharded` holds the
-//! receive and age phases on more than one shard.
+//! receive phase on more than one shard.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -34,7 +34,7 @@ mod age;
 mod capture;
 mod forward;
 mod receive;
-pub(crate) mod sharded;
+mod sharded;
 #[cfg(test)]
 mod tests;
 
@@ -135,19 +135,18 @@ impl SimulationBuilder {
         }
     }
 
-    /// Sets how many tile-partitioned shards a round's receive and age
-    /// phases run on (scoped worker threads inside a single trial): CRC
-    /// decode, dedup, buffer insertion and TTL aging go parallel; the
-    /// overflow draws, compute and the whole forward phase stay on the
-    /// calling thread at every count. The count is clamped to
-    /// `1..=tile count`, so `0` means 1: the execution plan never
-    /// depends on the host. Defaults to 1, which spawns nothing;
-    /// DESIGN.md §12 has what the fan-out costs and what it has bought
-    /// on the hosts measured.
+    /// Sets how many tile-partitioned shards a round's receive phase
+    /// runs on (scoped worker threads inside a single trial): dedup and
+    /// buffer insertion go parallel; the overflow draws, compute, TTL
+    /// aging and the whole forward phase stay on the calling thread at
+    /// every count. The count is clamped to `1..=tile count`, so `0`
+    /// means 1: the execution plan never depends on the host. Defaults
+    /// to 1, which spawns nothing; DESIGN.md §12 has what the fan-out
+    /// costs and what it has bought on the hosts measured.
     ///
     /// Reports, digests and event streams are byte-identical for every
     /// shard count: all RNG draws stay on the main thread in ascending
-    /// tile order, and cross-shard merges replay that order.
+    /// tile order, and the cross-shard merge replays that order.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -283,7 +282,7 @@ impl SimulationBuilder {
     /// Installs the wall-clock observability plane: the round loop will
     /// time its phases (receive, age, forward, quiescence detection and
     /// the whole round; with more than one shard also the overflow tape
-    /// pre-pass, shard fan-out and merge inside receive and age) into
+    /// pre-pass, shard fan-out and merge inside receive) into
     /// `obs`'s `engine_phase_seconds` histograms and count rounds into
     /// `engine_rounds_total`.
     ///
@@ -580,7 +579,7 @@ struct Plan {
     adversary: AdversarialScenario,
     codec: WireCodec,
     seed: u64,
-    /// Tile ranges the receive and age phases fan out over (1 = none).
+    /// Tile ranges the receive phase fans out over (1 = none).
     /// Not hashed: every shard count makes the same draws.
     shards: usize,
     /// The config digest, computed by its first caller.
@@ -935,11 +934,11 @@ impl<S: EventSink> Simulation<S> {
 
     /// Executes one gossip round: rotate → receive → compute → age →
     /// forward → finish. This is the only round loop. With more than
-    /// one shard the receive and age phases fan out over contiguous
-    /// tile ranges on scoped threads (the `sharded` module) and merge in
-    /// tile order; forward is one serial walk at every shard count,
-    /// because every one of its decisions is a draw from the main
-    /// thread's streams. Reports, digests and event streams are
+    /// one shard the receive phase fans out over contiguous tile ranges
+    /// on scoped threads (the `sharded` module) and merges in tile
+    /// order; age and forward are one serial walk each at every shard
+    /// count (every forward decision is a draw from the main thread's
+    /// streams). Reports, digests and event streams are
     /// byte-identical for every shard count.
     pub fn step(&mut self) -> RoundStats {
         let round = self.run.round;
@@ -953,11 +952,10 @@ impl<S: EventSink> Simulation<S> {
         // lockstep.
         self.flight.arrivals.rotate();
         self.flight.wires.rotate();
-        let sharded = self.plan.shards > 1;
 
         // Phase 1: receive.
         let span = span_start(&obs);
-        let deliveries = if sharded {
+        let deliveries = if self.plan.shards > 1 {
             self.receive_sharded(&obs)
         } else {
             self.spread.receive(
@@ -980,11 +978,7 @@ impl<S: EventSink> Simulation<S> {
         // (Spreads terminated in earlier rounds were purged then and can
         // never re-enter a buffer — the receive phase suppresses them.)
         let span = span_start(&obs);
-        if sharded {
-            self.age_sharded(&obs);
-        } else {
-            self.spread.age(round, &mut self.sink);
-        }
+        self.spread.age(round, &mut self.sink);
         self.spread.pending_purge.clear();
         span_end(&obs, EnginePhase::Age, span);
 

@@ -1,37 +1,38 @@
-//! The receive and age phases on more than one shard, and their
-//! tile-partitioned workers.
+//! The receive phase on more than one shard, and its tile-partitioned
+//! workers.
 //!
 //! With more than one shard, [`Simulation::step`](crate::Simulation::step)
 //! splits the grid into contiguous tile ranges and runs each range's
-//! receive and age work on a scoped thread. Forward stays one serial
-//! walk on the main thread at every shard count: it is one Bernoulli per
-//! (message, link) from one stream, so unless the configuration draws
-//! nothing at all (fault-free, every `p` 0 or 1) there is nothing in it
-//! a worker could do without the main thread having drawn it first.
-//! Determinism is preserved by a strict division of labour:
+//! receive work on a scoped thread. Age and forward stay serial walks on
+//! the main thread at every shard count: age is a small share of a round
+//! (DESIGN.md §12), and forward is one Bernoulli per (message, link)
+//! from one stream, so unless the configuration draws nothing at all
+//! (fault-free, every `p` 0 or 1) there is nothing in it a worker could
+//! do without the main thread having drawn it first. Determinism is
+//! preserved by a strict division of labour:
 //!
 //! * **Every RNG draw happens on the main thread.** The only draws the
-//!   parallel phases need are the probabilistic-overflow keep/drop
+//!   parallel phase needs are the probabilistic-overflow keep/drop
 //!   verdicts, which a sequential pre-pass records in a [`ReceiveTape`],
 //!   walking tiles in exactly the order the single-shard engine does.
 //!   The shared fault stream is therefore consumed in the identical
 //!   sequence for every shard count, which is what keeps reports
 //!   byte-identical across `--shards N`.
 //! * **Shard workers are RNG-free.** They execute the recorded
-//!   verdicts: dedup, buffer insertion, TTL aging, each over its own
-//!   tile chunk, and return events and counter deltas. Frames arrive as
+//!   verdicts: dedup and buffer insertion, each over its own tile
+//!   chunk, and return events and counter deltas. Frames arrive as
 //!   handles into the engine's [`WireTable`] (an upset copy the CRC
 //!   missed was decoded when it was made), and dedup probes the
 //!   engine's [`Audience`]; workers only read both, and hand their
 //!   first sights back for the merge to record.
-//! * **Merges walk shards in ascending tile order**, so per-location
+//! * **The merge walks shards in ascending tile order**, so per-location
 //!   event order, report counter accumulation and delivery arbitration
 //!   replay the sequential engine's order exactly.
 //!
 //! The same division of labour extends to the wall-clock plane
 //! (DESIGN.md §13): **workers never read the clock**. Timing spans for
-//! the tape pre-pass, the shard fan-out, and the merges are recorded
-//! only on the main thread, bracketing the `run_shards` calls from
+//! the tape pre-pass, the shard fan-out, and the merge are recorded
+//! only on the main thread, bracketing the `run_shards` call from
 //! outside — so installing [`crate::EngineObs`] changes nothing about
 //! what a worker computes, and the deterministic plane stays
 //! byte-identical with observability enabled.
@@ -46,14 +47,13 @@ use super::{Fabric, MappedIp, Simulation, Spread};
 use crate::arrivals::Grouped;
 use crate::audience::Audience;
 use crate::events::{DropSite, EventSink, SimEvent};
-use crate::frontier::TileSet;
 use crate::obs::{span_end, span_start, EngineObs, EnginePhase};
 use crate::send_buffer::Live;
 use crate::wire::WireTable;
 
 /// Contiguous tile ranges `[lo, hi)` covering `0..n`, one per shard,
 /// sized as evenly as integer division allows.
-pub(crate) fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
+fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
     let shards = shards.max(1);
     (0..shards)
         .map(|s| (n * s / shards, n * (s + 1) / shards))
@@ -403,57 +403,6 @@ fn plan_terminations(
     newly
 }
 
-/// An age worker's report: expiry events, counter deltas, and the tiles
-/// whose buffers drained to empty (to clear from the frontier).
-#[derive(Debug, Default)]
-struct AgeOut {
-    pub events: Vec<SimEvent>,
-    pub expired: u64,
-    pub purged: u64,
-    pub emptied: Vec<u32>,
-}
-
-/// Runs the age phase (termination purge, then TTL decrement and GC)
-/// over this shard's buffer chunk and the expiry counts beside it.
-/// RNG-free and event-order-identical to the sequential engine's
-/// ascending-tile walk.
-fn age_shard(
-    round: u64,
-    lo: usize,
-    frontier: &TileSet,
-    buffers: &mut [Live],
-    expired: &mut [u64],
-    pending_purge: &[MessageId],
-    record_events: bool,
-) -> AgeOut {
-    let hi = lo + buffers.len();
-    let mut out = AgeOut::default();
-    for tile in frontier.iter_range(lo, hi) {
-        let buffer = &mut buffers[tile - lo];
-        for &id in pending_purge {
-            if buffer.remove(id) {
-                out.purged += 1;
-            }
-        }
-        let events = &mut out.events;
-        let gone = buffer.age_with(|id| {
-            if record_events {
-                events.push(SimEvent::TtlExpiry {
-                    round,
-                    tile: NodeId(tile),
-                    message: id,
-                });
-            }
-        }) as u64;
-        expired[tile - lo] += gone;
-        out.expired += gone;
-        if buffer.is_empty() {
-            out.emptied.push(tile as u32);
-        }
-    }
-    out
-}
-
 impl<S: EventSink> Simulation<S> {
     /// The receive phase on more than one shard: the overflow draws
     /// happen here on the main thread, in a serial pre-pass that walks
@@ -595,44 +544,6 @@ impl<S: EventSink> Simulation<S> {
             }
         }
         deliveries
-    }
-
-    /// The age phase on more than one shard: one RNG-free worker per
-    /// shard over the buffer frontier, merged in ascending tile order.
-    pub(super) fn age_sharded(&mut self, obs: &Option<EngineObs>) {
-        let round = self.run.round;
-        let record_events = S::RECORDS;
-        let ranges = shard_ranges(self.node_count(), self.plan.shards);
-        let spread = &mut self.spread;
-        let age_outs: Vec<AgeOut> = if spread.frontier.is_empty() {
-            Vec::new()
-        } else {
-            let fan_span = span_start(obs);
-            let chunks = split_chunks(&mut spread.buffers, &ranges);
-            let expired = split_chunks(&mut spread.expired, &ranges);
-            let work: Vec<_> = ranges
-                .iter()
-                .zip(chunks.into_iter().zip(expired))
-                .map(|(&(lo, _), tiles)| (lo, tiles))
-                .collect();
-            let (frontier, purge) = (&spread.frontier, &spread.pending_purge);
-            let outs = run_shards(work, |(lo, (chunk, expired))| {
-                age_shard(round, lo, frontier, chunk, expired, purge, record_events)
-            });
-            span_end(obs, EnginePhase::ShardFanout, fan_span);
-            outs
-        };
-        let merge_span = span_start(obs).filter(|_| !age_outs.is_empty());
-        for out in &age_outs {
-            for &event in &out.events {
-                self.sink.emit(event);
-            }
-            spread.live_total -= out.purged + out.expired;
-            for &tile in &out.emptied {
-                spread.frontier.remove(tile as usize);
-            }
-        }
-        span_end(obs, EnginePhase::Merge, merge_span);
     }
 }
 

@@ -1029,11 +1029,58 @@ mod tests {
             round: 1,
             tile: NodeId(1),
         });
+        sink.emit(SimEvent::Forwarded {
+            round: 1,
+            tile: NodeId(1),
+            message: MessageId(9),
+        });
+        sink.emit(SimEvent::CrcReject {
+            round: 2,
+            tile: NodeId(2),
+            link: Some(LinkId(4)),
+        });
+        sink.emit(SimEvent::UndetectedUpset {
+            round: 2,
+            tile: NodeId(2),
+            message: MessageId(3),
+        });
+        sink.emit(SimEvent::DuplicateDrop {
+            round: 2,
+            tile: NodeId(2),
+            message: MessageId(9),
+        });
+        sink.emit(SimEvent::TtlExpiry {
+            round: 3,
+            tile: NodeId(3),
+            message: MessageId(9),
+        });
+        sink.emit(SimEvent::Delivery {
+            round: 3,
+            tile: NodeId(2),
+            message: MessageId(9),
+            source: NodeId(1),
+        });
         assert_eq!(sink.tiles()[1].frames_sent, 2);
         assert_eq!(sink.links()[4].frames_sent, 2);
         assert_eq!(sink.links()[4].crash_drops, 1);
         assert_eq!(sink.tiles()[2].crash_drops, 1);
         assert_eq!(sink.totals().crash_drops, 2);
+        assert_eq!(sink.tiles()[1].clock_slips, 1);
+        assert_eq!(sink.tiles()[1].forwards, 1);
+        // A CRC reject that names its link is filed on both axes; the
+        // total counts it once.
+        assert_eq!(sink.tiles()[2].crc_rejects, 1);
+        assert_eq!(sink.links()[4].crc_rejects, 1);
+        assert_eq!(sink.totals().crc_rejects, 1);
+        assert_eq!(sink.tiles()[2].undetected_upsets, 1);
+        assert_eq!(sink.tiles()[2].duplicate_drops, 1);
+        assert_eq!(sink.tiles()[3].ttl_expirations, 1);
+        assert_eq!(sink.tiles()[2].deliveries, 1);
+        assert_eq!(sink.totals().forwards, 1);
+        assert_eq!(sink.totals().undetected_upsets, 1);
+        assert_eq!(sink.totals().duplicate_drops, 1);
+        assert_eq!(sink.totals().ttl_expirations, 1);
+        assert_eq!(sink.totals().deliveries, 1);
         assert_eq!(sink.summed_from_locations(), *sink.totals());
     }
 
@@ -1076,34 +1123,106 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_stable() {
+        let cases = [
+            (
+                frame_sent(3),
+                "{\"event\":\"frame_sent\",\"round\":3,\"from\":1,\"link\":4,\"to\":2,\"message\":9}",
+            ),
+            (
+                SimEvent::Forwarded {
+                    round: 3,
+                    tile: NodeId(1),
+                    message: MessageId(9),
+                },
+                "{\"event\":\"forwarded\",\"round\":3,\"tile\":1,\"message\":9}",
+            ),
+            (
+                SimEvent::CrcReject {
+                    round: 4,
+                    tile: NodeId(6),
+                    link: None,
+                },
+                "{\"event\":\"crc_reject\",\"round\":4,\"tile\":6}",
+            ),
+            (
+                SimEvent::CrcReject {
+                    round: 4,
+                    tile: NodeId(6),
+                    link: Some(LinkId(17)),
+                },
+                "{\"event\":\"crc_reject\",\"round\":4,\"tile\":6,\"link\":17}",
+            ),
+            (
+                SimEvent::UndetectedUpset {
+                    round: 4,
+                    tile: NodeId(6),
+                    message: MessageId(11),
+                },
+                "{\"event\":\"undetected_upset\",\"round\":4,\"tile\":6,\"message\":11}",
+            ),
+            (
+                SimEvent::OverflowDrop {
+                    round: 4,
+                    tile: NodeId(7),
+                },
+                "{\"event\":\"overflow_drop\",\"round\":4,\"tile\":7}",
+            ),
+            (
+                SimEvent::CrashDrop {
+                    round: 4,
+                    site: DropSite::Tile(NodeId(8)),
+                },
+                "{\"event\":\"crash_drop\",\"round\":4,\"tile\":8}",
+            ),
+            (
+                SimEvent::CrashDrop {
+                    round: 4,
+                    site: DropSite::Link(LinkId(12)),
+                },
+                "{\"event\":\"crash_drop\",\"round\":4,\"link\":12}",
+            ),
+            (
+                SimEvent::DuplicateDrop {
+                    round: 5,
+                    tile: NodeId(2),
+                    message: MessageId(9),
+                },
+                "{\"event\":\"duplicate_drop\",\"round\":5,\"tile\":2,\"message\":9}",
+            ),
+            (
+                SimEvent::Delivery {
+                    round: 5,
+                    tile: NodeId(2),
+                    message: MessageId(0),
+                    source: NodeId(1),
+                },
+                "{\"event\":\"delivery\",\"round\":5,\"tile\":2,\"message\":0,\"source\":1}",
+            ),
+            (
+                SimEvent::TtlExpiry {
+                    round: 6,
+                    tile: NodeId(3),
+                    message: MessageId(9),
+                },
+                "{\"event\":\"ttl_expiry\",\"round\":6,\"tile\":3,\"message\":9}",
+            ),
+            (
+                SimEvent::ClockSlip {
+                    round: 6,
+                    tile: NodeId(5),
+                },
+                "{\"event\":\"clock_slip\",\"round\":6,\"tile\":5}",
+            ),
+        ];
         let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(frame_sent(3));
-        sink.emit(SimEvent::CrcReject {
-            round: 4,
-            tile: NodeId(6),
-            link: None,
-        });
-        sink.emit(SimEvent::Delivery {
-            round: 5,
-            tile: NodeId(2),
-            message: MessageId(0),
-            source: NodeId(1),
-        });
-        assert_eq!(sink.events_written(), 3);
+        for &(event, _) in &cases {
+            sink.emit(event);
+        }
+        assert_eq!(sink.events_written(), cases.len() as u64);
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines[0],
-            "{\"event\":\"frame_sent\",\"round\":3,\"from\":1,\"link\":4,\"to\":2,\"message\":9}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"event\":\"crc_reject\",\"round\":4,\"tile\":6}"
-        );
-        assert_eq!(
-            lines[2],
-            "{\"event\":\"delivery\",\"round\":5,\"tile\":2,\"message\":0,\"source\":1}"
-        );
+        let want: Vec<&str> = cases.iter().map(|&(_, line)| line).collect();
+        assert_eq!(lines, want);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! on).
 //!
 //! **Summary.** Beside its words the set keeps one summary bit per word,
-//! set while that word is non-zero, so a walk or an emptiness test skips
-//! 64 empty words per summary word it reads: 4 reads for a 128² fabric
-//! with nothing in it. `insert` and `remove` keep the summary exact; the
-//! engine calls them on a tile's first sight of a message and when its
-//! buffer empties, never per duplicate frame.
+//! set while that word is non-zero, so a walk skips 64 empty words per
+//! summary word it reads: 4 reads for a 128² fabric with nothing in it.
+//! `insert` and `remove` keep the summary exact; the engine calls them on
+//! a tile's first sight of a message and when its buffer empties, never
+//! per duplicate frame.
 //!
 //! The buffer frontier is *exact* (maintained at every transition from
 //! empty to non-empty and back), which `Simulation::step` re-asserts
@@ -57,61 +57,29 @@ impl TileSet {
         }
     }
 
-    /// Is `tile` in the set?
+    /// Is `tile` in the set? (The engine's debug-build exactness
+    /// asserts and the unit tests.)
+    #[cfg(any(debug_assertions, test))]
     #[inline]
-    #[allow(
-        dead_code,
-        reason = "used by the engine's debug-build exactness asserts and unit tests"
-    )]
     pub fn contains(&self, tile: usize) -> bool {
         (self.words[tile / 64] >> (tile % 64)) & 1 == 1
     }
 
-    /// True when no tile is set.
-    pub fn is_empty(&self) -> bool {
-        self.summary.iter().all(|&w| w == 0)
-    }
-
-    /// Number of tiles in the set.
-    #[allow(
-        dead_code,
-        reason = "exercised by unit tests; kept as the bitset's natural API"
-    )]
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Iterates the set tiles in ascending index order.
     pub fn iter(&self) -> TileSetIter<'_> {
-        self.iter_range(0, self.words.len() * 64)
-    }
-
-    /// Iterates the set tiles in `lo..hi`, in ascending index order —
-    /// the shard-partition view of the frontier.
-    pub fn iter_range(&self, lo: usize, hi: usize) -> TileSetIter<'_> {
-        let word = lo / 64;
-        // The first word is read here, masked below `lo`; the summary
-        // hands out only the non-zero words after it.
-        let current = self
-            .words
-            .get(word)
-            .map_or(0, |&w| w & (!0u64 << (lo % 64)));
-        let pending = self
-            .summary
-            .get(word / 64)
-            .map_or(0, |&s| s & (!1u64 << (word % 64)));
+        // The first word is read here; the summary hands out only the
+        // non-zero words after it.
         TileSetIter {
             set: self,
-            group: word / 64,
-            pending,
-            word,
-            current,
-            hi,
+            group: 0,
+            pending: self.summary.first().map_or(0, |&s| s & !1),
+            word: 0,
+            current: self.words.first().copied().unwrap_or(0),
         }
     }
 }
 
-/// Ascending iterator over a [`TileSet`] range.
+/// Ascending iterator over a [`TileSet`].
 pub(crate) struct TileSetIter<'a> {
     set: &'a TileSet,
     /// The summary word `pending` was read from.
@@ -122,7 +90,6 @@ pub(crate) struct TileSetIter<'a> {
     word: usize,
     /// Set tiles of word `word` not yet returned.
     current: u64,
-    hi: usize,
 }
 
 impl Iterator for TileSetIter<'_> {
@@ -133,17 +100,11 @@ impl Iterator for TileSetIter<'_> {
         loop {
             if self.current != 0 {
                 let tile = self.word * 64 + self.current.trailing_zeros() as usize;
-                if tile >= self.hi {
-                    return None;
-                }
                 self.current &= self.current - 1;
                 return Some(tile);
             }
             while self.pending == 0 {
                 self.group += 1;
-                if self.group * 4096 >= self.hi {
-                    return None;
-                }
                 self.pending = *self.set.summary.get(self.group)?;
             }
             self.word = self.group * 64 + self.pending.trailing_zeros() as usize;
@@ -156,7 +117,6 @@ impl Iterator for TileSetIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::sharded::shard_ranges;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -173,10 +133,10 @@ mod tests {
         assert!(set.contains(64));
         assert!(set.contains(129));
         assert!(!set.contains(1));
-        assert_eq!(set.len(), 4);
+        assert_eq!(set.iter().count(), 4);
         set.remove(63);
         assert!(!set.contains(63));
-        assert_eq!(set.len(), 3);
+        assert_eq!(set.iter().count(), 3);
     }
 
     #[test]
@@ -190,46 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn range_iteration_respects_bounds() {
-        let mut set = TileSet::new(200);
-        for tile in [0, 10, 63, 64, 100, 127, 128, 199] {
-            set.insert(tile);
-        }
-        let seen: Vec<usize> = set.iter_range(10, 128).collect();
-        assert_eq!(seen, vec![10, 63, 64, 100, 127]);
-        let seen: Vec<usize> = set.iter_range(64, 64).collect();
-        assert!(seen.is_empty());
-        let seen: Vec<usize> = set.iter_range(0, 200).collect();
-        assert_eq!(seen.len(), set.len());
-    }
-
-    #[test]
-    fn range_iteration_matches_filtered_full_iteration() {
-        // Pseudo-random membership via a fixed multiplicative pattern.
-        let n = 517;
-        let mut set = TileSet::new(n);
-        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-        for tile in 0..n {
-            x = x.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1);
-            if x & 3 == 0 {
-                set.insert(tile);
-            }
-        }
-        for (lo, hi) in [(0, n), (5, 5), (5, 6), (60, 70), (100, 517), (0, 64)] {
-            let ranged: Vec<usize> = set.iter_range(lo, hi).collect();
-            let filtered: Vec<usize> = set.iter().filter(|&t| t >= lo && t < hi).collect();
-            assert_eq!(ranged, filtered, "range ({lo}, {hi})");
-        }
-    }
-
-    #[test]
     fn remove_and_empty() {
         let mut set = TileSet::new(10);
-        assert!(set.is_empty());
+        assert!(set.iter().next().is_none());
         set.insert(7);
-        assert!(!set.is_empty());
+        assert!(set.iter().next().is_some());
         set.remove(7);
-        assert!(set.is_empty());
+        assert!(set.iter().next().is_none());
         assert_eq!(set.iter().count(), 0);
     }
 
@@ -272,21 +199,9 @@ mod tests {
                     set.remove(tile);
                     model.remove(&tile);
                 }
-                prop_assert_eq!(set.is_empty(), model.is_empty());
+                prop_assert_eq!(set.iter().next().is_none(), model.is_empty());
             }
             prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
-            prop_assert_eq!(set.len(), model.len());
-            for shards in [1, 2, 3, 7, 8] {
-                for (lo, hi) in shard_ranges(n, shards) {
-                    let want: Vec<usize> = model.range(lo..hi).copied().collect();
-                    prop_assert_eq!(set.iter_range(lo, hi).collect::<Vec<_>>(), want);
-                }
-            }
-            // Ranges that start and end inside a word and a summary word.
-            for (lo, hi) in [(1, n), (n / 3, n / 2 + 1), (63, 64 * 65 + 1), (n, n)] {
-                let want: Vec<usize> = model.range(lo..hi.max(lo)).copied().collect();
-                prop_assert_eq!(set.iter_range(lo, hi).collect::<Vec<_>>(), want);
-            }
         }
     }
 }

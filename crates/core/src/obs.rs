@@ -19,20 +19,21 @@ use noc_obs::{Counter, Histogram, Metrics, Stopwatch};
 ///
 /// Every round, at every shard count, records one `Round` span and
 /// inside it one `Receive`, one `Age`, one `Forward` and one
-/// `Quiescence` span. With more than one shard, receive and age break
-/// down further: `Tape` is the serial main-thread pre-pass that draws
-/// the overflow verdicts onto the replay tape, `ShardFanout` the
+/// `Quiescence` span. With more than one shard, receive breaks down
+/// further: `Tape` is the serial main-thread pre-pass that draws the
+/// overflow verdicts onto the replay tape, `ShardFanout` the
 /// scoped-worker execution of the phase across shards, `Merge` the
-/// main-thread replay of worker results in tile order. Forward is one
-/// main-thread walk at every shard count and has no breakdown.
+/// main-thread replay of worker results in tile order. Age and forward
+/// are one main-thread walk each at every shard count and have no
+/// breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePhase {
     /// Serial overflow-draw pre-pass of a receive phase on more than
     /// one shard (recorded only when probabilistic overflow is on).
     Tape,
-    /// Fan-out of a receive or age phase across scoped shard workers.
+    /// Fan-out of a receive phase across scoped shard workers.
     ShardFanout,
-    /// Deterministic main-thread merge of the workers' outputs.
+    /// Deterministic main-thread merge of the receive workers' outputs.
     Merge,
     /// End-of-round quiescence detection and termination bookkeeping.
     Quiescence,
@@ -40,7 +41,7 @@ pub enum EnginePhase {
     Round,
     /// The receive phase (tape, fan-out and merge included).
     Receive,
-    /// The age phase (fan-out and merge included).
+    /// The age phase: one serial walk on the calling thread.
     Age,
     /// The forward phase: one serial walk on the calling thread.
     Forward,

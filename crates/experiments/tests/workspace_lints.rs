@@ -4,7 +4,8 @@
 //! of the invariant the toolchain does not check itself. The root
 //! manifest stays virtual, so that `cargo test` at the root tests every
 //! member rather than one root package. It also holds every source
-//! file to a size a reader can take in at once.
+//! file to a size a reader can take in at once, and keeps no dead code
+//! behind a lint exception.
 
 use std::path::{Path, PathBuf};
 
@@ -62,12 +63,8 @@ fn rust_files(dir: &Path, files: &mut Vec<PathBuf>) {
     }
 }
 
-/// No file under `crates/*/src` has more than 1 200 lines before its
-/// tests: an inline `#[cfg(test)] mod … {`, or the whole file when a
-/// `#[cfg(test)] mod …;` names it. A file that outgrows the limit is
-/// split along what it does, as the engine is one module per phase.
-#[test]
-fn no_source_file_has_more_than_1200_lines_outside_its_tests() {
+/// Every `.rs` file under `crates/*/src`.
+fn source_files() -> Vec<PathBuf> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut files = Vec::new();
     for entry in std::fs::read_dir(&crates).expect("crates/ is listed") {
@@ -77,6 +74,16 @@ fn no_source_file_has_more_than_1200_lines_outside_its_tests() {
         }
     }
     assert!(files.len() > 50, "found only {files:?}");
+    files
+}
+
+/// No file under `crates/*/src` has more than 1 200 lines before its
+/// tests: an inline `#[cfg(test)] mod … {`, or the whole file when a
+/// `#[cfg(test)] mod …;` names it. A file that outgrows the limit is
+/// split along what it does, as the engine is one module per phase.
+#[test]
+fn no_source_file_has_more_than_1200_lines_outside_its_tests() {
+    let files = source_files();
     let (mut test_only, mut over) = (Vec::new(), Vec::new());
     for path in &files {
         let text = std::fs::read_to_string(path).expect("a readable source file");
@@ -108,4 +115,33 @@ fn no_source_file_has_more_than_1200_lines_outside_its_tests() {
     }
     over.retain(|(path, _)| !test_only.contains(path));
     assert!(over.is_empty(), "lines outside tests over 1 200: {over:?}");
+}
+
+/// Code nothing calls is deleted, not kept under a `dead_code`
+/// exception; code only tests or debug asserts call is compiled for
+/// them alone (`#[cfg(test)]`, `#[cfg(any(debug_assertions, test))]`).
+/// An attribute's lint list may span lines and name other lints first,
+/// so each `allow(…)` / `expect(…)` list is read with its whitespace
+/// removed.
+#[test]
+fn no_source_file_allows_dead_code() {
+    let mut found = Vec::new();
+    for path in source_files() {
+        let text = std::fs::read_to_string(&path).expect("a readable source file");
+        let text: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+        let exempts = ["allow(", "expect("].iter().any(|open| {
+            text.match_indices(open).any(|(at, _)| {
+                let list = &text[at + open.len()..];
+                let list = &list[..list.find(')').unwrap_or(list.len())];
+                list.split(',').any(|lint| lint == "dead_code")
+            })
+        });
+        if exempts {
+            found.push(path);
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "dead code kept under a lint exception: {found:?}"
+    );
 }
